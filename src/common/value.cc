@@ -1,5 +1,6 @@
 #include "common/value.h"
 
+#include <cmath>
 #include <sstream>
 
 namespace sudaf {
@@ -37,11 +38,15 @@ bool Value::Equals(const Value& other) const {
 }
 
 int Value::Compare(const Value& other) const {
+  if (type() == DataType::kInt64 && other.type() == DataType::kInt64) {
+    return int64() < other.int64() ? -1 : (int64() > other.int64() ? 1 : 0);
+  }
   if (is_numeric() && other.is_numeric()) {
     double a = AsDouble();
     double b = other.AsDouble();
     if (a < b) return -1;
     if (a > b) return 1;
+    if (std::isnan(a) != std::isnan(b)) return std::isnan(a) ? 1 : -1;
     return 0;
   }
   if (is_numeric() != other.is_numeric()) return is_numeric() ? -1 : 1;

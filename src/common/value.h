@@ -52,8 +52,9 @@ class Value {
   // Structural equality; numerics compare by value across int64/float64.
   bool Equals(const Value& other) const;
 
-  // Three-way comparison for ORDER BY. Numerics before strings.
-  // Returns <0, 0, >0.
+  // Three-way comparison for ORDER BY. Numerics before strings; two
+  // int64s compare exactly, other numerics as doubles with NaN above every
+  // number (engine/ordering.h). Returns <0, 0, >0.
   int Compare(const Value& other) const;
 
   std::string ToString() const;

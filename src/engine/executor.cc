@@ -8,6 +8,7 @@
 #include "common/metrics.h"
 #include "common/query_guard.h"
 #include "common/trace.h"
+#include "engine/ordering.h"
 #include "engine/state_batch.h"
 #include "expr/evaluator.h"
 
@@ -320,11 +321,10 @@ Result<std::unique_ptr<Table>> Executor::Execute(
 std::unique_ptr<Table> GatherRows(const Table& table,
                                   const std::vector<int64_t>& rows) {
   auto out = std::make_unique<Table>(table.schema());
-  out->Reserve(static_cast<int64_t>(rows.size()));
+  const int64_t n = static_cast<int64_t>(rows.size());
+  out->Reserve(n);
   for (int c = 0; c < table.num_columns(); ++c) {
-    const Column& src = table.column(c);
-    Column& dst = out->column(c);
-    for (int64_t row : rows) dst.AppendValue(src.GetValue(row));
+    out->column(c).AppendRows(table.column(c), rows.data(), n);
   }
   out->FinishBulkAppend();
   return out;
@@ -349,30 +349,13 @@ Result<std::unique_ptr<Table>> SortAndLimit(std::unique_ptr<Table> result,
   }
   if (stmt.order_by.empty() && stmt.limit < 0) return result;
 
-  std::vector<int64_t> order(result->num_rows());
-  for (int64_t i = 0; i < result->num_rows(); ++i) order[i] = i;
-
-  if (!stmt.order_by.empty()) {
-    std::vector<std::pair<const Column*, bool>> keys;
-    for (const OrderByItem& item : stmt.order_by) {
-      SUDAF_ASSIGN_OR_RETURN(const Column* col,
-                             result->GetColumn(item.column));
-      keys.emplace_back(col, item.ascending);
-    }
-    std::stable_sort(order.begin(), order.end(),
-                     [&keys](int64_t a, int64_t b) {
-                       for (const auto& [col, asc] : keys) {
-                         int cmp = col->GetValue(a).Compare(col->GetValue(b));
-                         if (cmp != 0) return asc ? cmp < 0 : cmp > 0;
-                       }
-                       return false;
-                     });
+  std::vector<SortKey> keys;
+  for (const OrderByItem& item : stmt.order_by) {
+    SUDAF_ASSIGN_OR_RETURN(const Column* col, result->GetColumn(item.column));
+    keys.push_back(SortKey{col, item.ascending});
   }
-  if (stmt.limit >= 0 &&
-      stmt.limit < static_cast<int64_t>(order.size())) {
-    order.resize(stmt.limit);
-  }
-  return GatherRows(*result, order);
+  return GatherRows(*result,
+                    OrderRows(keys, result->num_rows(), stmt.limit));
 }
 
 }  // namespace sudaf

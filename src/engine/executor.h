@@ -60,12 +60,14 @@ class Executor {
   const UdafRegistry* registry_;
 };
 
-// Applies ORDER BY and LIMIT of `stmt` to `result` (columns are looked up by
-// output name). Returns `result` unchanged when both clauses are absent.
+// Applies HAVING, ORDER BY and LIMIT of `stmt` to `result` (columns are
+// looked up by output name), ordering with the typed kernel of
+// engine/ordering.h. Returns `result` unchanged when all are absent.
 Result<std::unique_ptr<Table>> SortAndLimit(std::unique_ptr<Table> result,
                                             const SelectStatement& stmt);
 
-// Copies the given rows of `table`, in order, into a new table.
+// Copies the given rows of `table`, in order, into a new table (typed
+// copies, Column::AppendRows).
 std::unique_ptr<Table> GatherRows(const Table& table,
                                   const std::vector<int64_t>& rows);
 

@@ -226,11 +226,16 @@ class ScratchBuffer {
   std::vector<double>* buf_;
 };
 
-}  // namespace
+// What the leaves of a vectorized expression read: columns through
+// `resolver` (numeric mode) or state columns (terminating mode, where
+// kStateRef k reads states[k][lo, hi)). The unused one is null.
+struct RangeBinding {
+  const ColumnResolver* resolver = nullptr;
+  const std::vector<const double*>* states = nullptr;
+};
 
-Status EvalNumericRange(const Expr& expr, const ColumnResolver& resolver,
-                        int64_t lo, int64_t hi, double* out,
-                        EvalScratch* scratch) {
+Status EvalRange(const Expr& expr, const RangeBinding& bind, int64_t lo,
+                 int64_t hi, double* out, EvalScratch* scratch) {
   const int64_t n = hi - lo;
   switch (expr.kind) {
     case ExprKind::kLiteral: {
@@ -242,7 +247,11 @@ Status EvalNumericRange(const Expr& expr, const ColumnResolver& resolver,
       return Status::OK();
     }
     case ExprKind::kColumnRef: {
-      SUDAF_ASSIGN_OR_RETURN(const Column* col, resolver(expr.column));
+      if (bind.resolver == nullptr) {
+        return Status::TypeError(
+            "column reference in terminating function: " + expr.column);
+      }
+      SUDAF_ASSIGN_OR_RETURN(const Column* col, (*bind.resolver)(expr.column));
       if (col->type() == DataType::kString) {
         return Status::TypeError("string column in numeric context: " +
                                  expr.column);
@@ -260,17 +269,17 @@ Status EvalNumericRange(const Expr& expr, const ColumnResolver& resolver,
     }
     case ExprKind::kUnaryMinus: {
       SUDAF_RETURN_IF_ERROR(
-          EvalNumericRange(*expr.args[0], resolver, lo, hi, out, scratch));
+          EvalRange(*expr.args[0], bind, lo, hi, out, scratch));
       for (int64_t i = 0; i < n; ++i) out[i] = -out[i];
       return Status::OK();
     }
     case ExprKind::kBinary: {
       SUDAF_RETURN_IF_ERROR(
-          EvalNumericRange(*expr.args[0], resolver, lo, hi, out, scratch));
+          EvalRange(*expr.args[0], bind, lo, hi, out, scratch));
       ScratchBuffer rhs(scratch, n);
       double* b = rhs.data();
       SUDAF_RETURN_IF_ERROR(
-          EvalNumericRange(*expr.args[1], resolver, lo, hi, b, scratch));
+          EvalRange(*expr.args[1], bind, lo, hi, b, scratch));
       // Tight loops per operator for the hot cases.
       switch (expr.bin_op) {
         case BinaryOp::kAdd:
@@ -303,8 +312,8 @@ Status EvalNumericRange(const Expr& expr, const ColumnResolver& resolver,
         const std::string& f = expr.func_name;
         if (f == "sqrt" || f == "ln" || f == "log" || f == "exp" ||
             f == "abs" || f == "sgn") {
-          SUDAF_RETURN_IF_ERROR(EvalNumericRange(*expr.args[0], resolver, lo,
-                                                 hi, out, scratch));
+          SUDAF_RETURN_IF_ERROR(
+              EvalRange(*expr.args[0], bind, lo, hi, out, scratch));
           if (f == "sqrt") {
             for (int64_t i = 0; i < n; ++i) out[i] = std::sqrt(out[i]);
           } else if (f == "ln" || f == "log") {
@@ -319,6 +328,10 @@ Status EvalNumericRange(const Expr& expr, const ColumnResolver& resolver,
           return Status::OK();
         }
       }
+      SUDAF_ASSIGN_OR_RETURN(
+          ScalarFn fn,
+          ResolveScalarFunc(expr.func_name,
+                            static_cast<int>(expr.args.size())));
       std::vector<ScratchBuffer> arg_bufs;
       std::vector<double*> arg_ptrs;
       arg_bufs.reserve(expr.args.size());
@@ -327,21 +340,51 @@ Status EvalNumericRange(const Expr& expr, const ColumnResolver& resolver,
         arg_bufs.emplace_back(scratch, n);
         arg_ptrs.push_back(arg_bufs.back().data());
         SUDAF_RETURN_IF_ERROR(
-            EvalNumericRange(*a, resolver, lo, hi, arg_ptrs.back(), scratch));
+            EvalRange(*a, bind, lo, hi, arg_ptrs.back(), scratch));
       }
       std::vector<double> args(expr.args.size());
       for (int64_t i = 0; i < n; ++i) {
         for (size_t j = 0; j < arg_ptrs.size(); ++j) args[j] = arg_ptrs[j][i];
-        SUDAF_ASSIGN_OR_RETURN(out[i], ApplyScalarFunc(expr.func_name, args));
+        out[i] = fn(args.data());
       }
       return Status::OK();
     }
+    case ExprKind::kStateRef: {
+      if (bind.states == nullptr) {
+        return Status::TypeError("aggregate in vectorized scalar context: " +
+                                 expr.ToString());
+      }
+      if (expr.state_index < 0 ||
+          expr.state_index >= static_cast<int>(bind.states->size())) {
+        return Status::Internal("state index out of range");
+      }
+      const double* v = (*bind.states)[expr.state_index];
+      for (int64_t i = 0; i < n; ++i) out[i] = v[lo + i];
+      return Status::OK();
+    }
     case ExprKind::kAggCall:
-    case ExprKind::kStateRef:
       return Status::TypeError("aggregate in vectorized scalar context: " +
                                expr.ToString());
   }
   return Status::Internal("bad expr kind");
+}
+
+}  // namespace
+
+Status EvalNumericRange(const Expr& expr, const ColumnResolver& resolver,
+                        int64_t lo, int64_t hi, double* out,
+                        EvalScratch* scratch) {
+  RangeBinding bind;
+  bind.resolver = &resolver;
+  return EvalRange(expr, bind, lo, hi, out, scratch);
+}
+
+Status EvalTerminatingRange(const Expr& expr,
+                            const std::vector<const double*>& states,
+                            int64_t n, double* out, EvalScratch* scratch) {
+  RangeBinding bind;
+  bind.states = &states;
+  return EvalRange(expr, bind, 0, n, out, scratch);
 }
 
 Result<std::vector<double>> EvalNumericVector(const Expr& expr,

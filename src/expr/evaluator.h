@@ -9,7 +9,8 @@
 //   * Vectorized numeric mode over whole columns — used by the fast SUDAF
 //     path to compute aggregation-state inputs f(x_i).
 //   * Terminating mode — evaluates a terminating function T over the values
-//     of aggregation states (kStateRef nodes).
+//     of aggregation states (kStateRef nodes), per group or a column of
+//     groups at a time.
 
 #include <functional>
 #include <memory>
@@ -102,9 +103,19 @@ Status EvalNumericRange(const Expr& expr, const ColumnResolver& resolver,
 
 // --- Terminating mode ---------------------------------------------------------
 
-// Evaluates a terminating function whose leaves are kStateRef and literals.
+// Evaluates a terminating function whose leaves are kStateRef and literals
+// for one group: the scalar reference for EvalTerminatingRange.
 Result<double> EvalTerminating(const Expr& expr,
                                const std::vector<double>& states);
+
+// Column-at-a-time terminating mode: evaluates `expr` once over rows
+// [0, n) — the vectorized numeric mode with kStateRef k bound to
+// states[k][0, n) — writing n results into `out`. Each element goes through
+// the same operations in the same order as EvalTerminating, so the results
+// are bit-identical to calling it per row.
+Status EvalTerminatingRange(const Expr& expr,
+                            const std::vector<const double*>& states,
+                            int64_t n, double* out, EvalScratch* scratch);
 
 }  // namespace sudaf
 

@@ -68,6 +68,25 @@ void Column::AppendValue(const Value& v) {
   }
 }
 
+void Column::AppendRows(const Column& src, const int64_t* rows, int64_t n) {
+  SUDAF_CHECK(type_ == src.type_);
+  switch (type_) {
+    case DataType::kInt64:
+      for (int64_t i = 0; i < n; ++i) ints_.push_back(src.ints_[rows[i]]);
+      break;
+    case DataType::kFloat64:
+      for (int64_t i = 0; i < n; ++i) {
+        doubles_.push_back(src.doubles_[rows[i]]);
+      }
+      break;
+    case DataType::kString:
+      for (int64_t i = 0; i < n; ++i) {
+        AppendString(src.dict_[src.codes_[rows[i]]]);
+      }
+      break;
+  }
+}
+
 Value Column::GetValue(int64_t row) const {
   switch (type_) {
     case DataType::kInt64:

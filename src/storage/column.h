@@ -30,6 +30,12 @@ class Column {
   void AppendString(const std::string& v);
   // Appends a boxed value; CHECK-fails on a type mismatch.
   void AppendValue(const Value& v);
+  // Appends src[rows[i]] for i in [0, n) (same type) as typed copies,
+  // never boxing. Strings are re-interned, so the dictionary holds only
+  // the strings appended: a LIMIT's few rows gathered from a large
+  // dictionary stay small (PrepareGatherFrom adopts the whole source
+  // dictionary instead).
+  void AppendRows(const Column& src, const int64_t* rows, int64_t n);
 
   int64_t GetInt64(int64_t row) const { return ints_[row]; }
   double GetFloat64(int64_t row) const { return doubles_[row]; }

@@ -310,7 +310,8 @@ StateCache::GroupSetPtr StateCache::CommitRefresh(
 }
 
 StateCache::Probe StateCache::ProbeEntry(GroupSet* set, const std::string& key,
-                                         Entry* out, const CacheOps& ops) {
+                                         Entry* out, const CacheOps& ops,
+                                         const std::vector<int64_t>* rows) {
   std::lock_guard<std::mutex> stripe(StripeFor(set->data_sig));
   auto it = set->entries.find(key);
   if (it == set->entries.end()) return Probe::kMiss;
@@ -324,7 +325,19 @@ StateCache::Probe StateCache::ProbeEntry(GroupSet* set, const std::string& key,
     if (ops.trace != nullptr) ops.trace->AddEvent("cache.poison_evict", -1);
     return Probe::kPoisoned;
   }
-  if (out != nullptr) *out = it->second;
+  if (out == nullptr) return Probe::kHit;
+  if (rows == nullptr) {
+    *out = it->second;
+    return Probe::kHit;
+  }
+  const Entry& e = it->second;
+  out->main.resize(rows->size());
+  for (size_t r = 0; r < rows->size(); ++r) out->main[r] = e.main[(*rows)[r]];
+  out->sign.resize(e.sign.empty() ? 0 : rows->size());
+  for (size_t r = 0; r < out->sign.size(); ++r) {
+    out->sign[r] = e.sign[(*rows)[r]];
+  }
+  out->shadow_crc = 0;
   return Probe::kHit;
 }
 

@@ -276,11 +276,15 @@ class StateCache {
 
   // Looks up `key` in `set` under the stripe lock. On a hit the channels
   // are copied into `*out` (when non-null), so the caller never holds a
-  // pointer into the concurrently-mutated map. A poisoned entry is evicted
-  // on the spot (counters().poison_evictions, "cache.poison_evict" trace
-  // event) and reported as kPoisoned — callers treat it as a miss.
+  // pointer into the concurrently-mutated map. With `rows` non-null only
+  // those groups are copied, in that order (out->main[r] is group
+  // rows[r]): the output-first serve copies just the groups a query
+  // returns. A poisoned entry is evicted on the spot
+  // (counters().poison_evictions, "cache.poison_evict" trace event) and
+  // reported as kPoisoned — callers treat it as a miss.
   Probe ProbeEntry(GroupSet* set, const std::string& key, Entry* out,
-                   const CacheOps& ops = {});
+                   const CacheOps& ops = {},
+                   const std::vector<int64_t>* rows = nullptr);
 
   // Inserts a copy of `entry` under `key` into `set` (replacing any
   // existing entry — concurrent writers compute bit-identical channels, so

@@ -462,20 +462,7 @@ Result<std::unique_ptr<Table>> ChunkedSharingSession::Execute(
     }
   }
 
-  // Reconstruct requested state values and finish.
-  std::vector<std::vector<double>> state_values(states.size());
-  for (size_t i = 0; i < states.size(); ++i) {
-    const StateCache::Entry& entry = merged.at(execs[i].cls.key);
-    state_values[i].resize(num_groups);
-    for (int32_t g = 0; g < num_groups; ++g) {
-      double sign = entry.sign.empty() ? 1.0 : entry.sign[g];
-      state_values[i][g] = ApplyFromClass(states[i], execs[i].cls,
-                                          execs[i].share_fn, entry.main[g],
-                                          sign);
-    }
-  }
-
-  // Group-key table for assembly.
+  // Group-key table for planning and assembly.
   Schema key_schema;
   for (const std::string& g : stmt->group_by) {
     SUDAF_ASSIGN_OR_RETURN(const Column* col, table->GetColumn(g));
@@ -486,8 +473,20 @@ Result<std::unique_ptr<Table>> ChunkedSharingSession::Execute(
     group_keys.AppendRow(merged_keys[g]);
   }
 
+  // Serve the requested states at the output rows and finish.
+  const OutputRows rows =
+      PlanOutputRows(rewritten, *stmt, group_keys, num_groups);
+  std::vector<std::vector<double>> state_values(states.size());
+  int64_t served = 0;
+  for (size_t i = 0; i < states.size(); ++i) {
+    served += ServeState(merged.at(execs[i].cls.key), /*compact=*/false, rows,
+                         states[i], &execs[i].cls, &execs[i].share_fn,
+                         &state_values[i]);
+  }
+  m.counter("sudaf.serve.rows")->Add(served);
+
   Result<std::unique_ptr<Table>> result = AssembleRewrittenResult(
-      rewritten, *stmt, group_keys, num_groups, state_values);
+      rewritten, *stmt, group_keys, rows, state_values);
 
   total_span.Close();
   const MetricsSnapshot delta = m.Snapshot().Delta(before);

@@ -1,10 +1,10 @@
 #include "sudaf/rewriter.h"
 
-#include <algorithm>
-#include <optional>
+#include <numeric>
 #include <sstream>
 
 #include "engine/executor.h"
+#include "engine/ordering.h"
 #include "expr/evaluator.h"
 #include "expr/parser.h"
 
@@ -165,20 +165,16 @@ std::string RewrittenQuery::Explain(const SelectStatement& stmt) const {
   return os.str();
 }
 
-namespace {
-
-// Terminating functions can be expensive (e.g. the MomentSolver). When the
-// ORDER BY touches only group-key outputs, the output order and the LIMIT
-// cut are fully determined *before* any terminating function runs — so sort
-// and truncate the group list first, then evaluate T only for surviving
-// groups. Returns nullopt when the fast path does not apply.
-std::optional<std::vector<int32_t>> GroupOrderFromKeys(
-    const RewrittenQuery& rewritten, const SelectStatement& stmt,
-    const Table& group_keys, int32_t num_groups) {
-  if (stmt.order_by.empty() && stmt.limit < 0) return std::nullopt;
-  if (stmt.having != nullptr) return std::nullopt;  // needs all T values
-  std::vector<std::pair<const Column*, bool>> sort_keys;
-  for (const OrderByItem& order : stmt.order_by) {
+OutputRows PlanOutputRows(const RewrittenQuery& rewritten,
+                          const SelectStatement& stmt,
+                          const Table& group_keys, int32_t num_groups) {
+  OutputRows plan;
+  // HAVING needs every group's terminated values before it can cut.
+  bool keyed = (!stmt.order_by.empty() || stmt.limit >= 0) &&
+               stmt.having == nullptr;
+  std::vector<SortKey> keys;
+  for (size_t o = 0; keyed && o < stmt.order_by.size(); ++o) {
+    const OrderByItem& order = stmt.order_by[o];
     const Column* col = nullptr;
     for (const ItemPlan& item : rewritten.items) {
       if (item.output_name == order.column && item.group_key_index >= 0) {
@@ -186,35 +182,56 @@ std::optional<std::vector<int32_t>> GroupOrderFromKeys(
         break;
       }
     }
-    if (col == nullptr) return std::nullopt;  // orders by an aggregate
-    sort_keys.emplace_back(col, order.ascending);
+    keyed = col != nullptr;  // false: orders by an aggregate
+    keys.push_back(SortKey{col, order.ascending});
   }
-  std::vector<int32_t> order(num_groups);
-  for (int32_t g = 0; g < num_groups; ++g) order[g] = g;
-  if (!sort_keys.empty()) {
-    std::stable_sort(order.begin(), order.end(),
-                     [&sort_keys](int32_t a, int32_t b) {
-                       for (const auto& [col, asc] : sort_keys) {
-                         int cmp = col->GetValue(a).Compare(col->GetValue(b));
-                         if (cmp != 0) return asc ? cmp < 0 : cmp > 0;
-                       }
-                       return false;
-                     });
+  if (keyed) {
+    plan.presorted = true;
+    plan.groups = OrderRows(keys, num_groups, stmt.limit);
+  } else {
+    plan.groups.resize(num_groups);
+    std::iota(plan.groups.begin(), plan.groups.end(), int64_t{0});
   }
-  if (stmt.limit >= 0 && stmt.limit < static_cast<int64_t>(order.size())) {
-    order.resize(stmt.limit);
-  }
-  return order;
+  return plan;
 }
 
-}  // namespace
+int64_t ServeState(const StateCache::Entry& entry, bool compact,
+                   const OutputRows& rows, const AggStateDef& target,
+                   const StateClass* cls, const SharedComputation* share_fn,
+                   std::vector<double>* out) {
+  const int64_t n = static_cast<int64_t>(rows.groups.size());
+  out->resize(n);
+  double* dst = out->data();
+  // A full entry is read through the output groups; a compact one (and
+  // the all-groups plan, whose groups are 0..n-1) row for row.
+  const int64_t* index =
+      compact || !rows.presorted ? nullptr : rows.groups.data();
+  auto for_rows = [n, index](auto&& serve) {
+    if (index == nullptr) {
+      for (int64_t r = 0; r < n; ++r) serve(r, r);
+    } else {
+      for (int64_t r = 0; r < n; ++r) serve(r, index[r]);
+    }
+  };
+  const std::vector<double>& main = entry.main;
+  if (share_fn == nullptr) {
+    for_rows([&](int64_t r, int64_t g) { dst[r] = main[g]; });
+  } else if (cls == nullptr) {
+    for_rows([&](int64_t r, int64_t g) { dst[r] = share_fn->Apply(main[g]); });
+  } else {
+    const std::vector<double>& sign = entry.sign;
+    for_rows([&](int64_t r, int64_t g) {
+      dst[r] = ApplyFromClass(target, *cls, *share_fn, main[g],
+                              sign.empty() ? 1.0 : sign[g]);
+    });
+  }
+  return n;
+}
 
 Result<std::unique_ptr<Table>> AssembleRewrittenResult(
     const RewrittenQuery& rewritten, const SelectStatement& stmt,
-    const Table& group_keys, int32_t num_groups,
-    const std::vector<std::vector<double>>& state_values) {
-  const size_t num_states = rewritten.form.states.size();
-
+    const Table& group_keys, const OutputRows& rows,
+    const std::vector<std::vector<double>>& state_columns) {
   Schema out_schema;
   for (const ItemPlan& item : rewritten.items) {
     DataType type = DataType::kFloat64;
@@ -223,73 +240,49 @@ Result<std::unique_ptr<Table>> AssembleRewrittenResult(
     }
     SUDAF_RETURN_IF_ERROR(out_schema.AddField(Field{item.output_name, type}));
   }
-
-  // Groups to evaluate, in output order; `presorted` means no further
-  // sort/limit pass is needed.
-  std::vector<int32_t> order;
-  bool presorted = false;
-  if (std::optional<std::vector<int32_t>> fast =
-          GroupOrderFromKeys(rewritten, stmt, group_keys, num_groups)) {
-    order = std::move(*fast);
-    presorted = true;
-  } else {
-    order.resize(num_groups);
-    for (int32_t g = 0; g < num_groups; ++g) order[g] = g;
-  }
-  const int32_t out_rows = static_cast<int32_t>(order.size());
-
+  const int64_t n = static_cast<int64_t>(rows.groups.size());
   auto result = std::make_unique<Table>(std::move(out_schema));
-  result->Reserve(out_rows);
+  result->Reserve(n);
 
-  std::vector<double> group_state(num_states);
-  std::vector<std::vector<double>> item_values(rewritten.items.size());
-  for (auto& v : item_values) v.resize(out_rows);
-
-  for (int32_t r = 0; r < out_rows; ++r) {
-    const int32_t g = order[r];
-    for (size_t s = 0; s < num_states; ++s) {
-      group_state[s] = state_values[s][g];
-    }
-    for (size_t i = 0; i < rewritten.items.size(); ++i) {
-      const ItemPlan& item = rewritten.items[i];
-      if (item.group_key_index >= 0) continue;
-      if (item.native != nullptr) {
-        std::vector<double> args;
-        args.reserve(item.native_term_indices.size());
-        for (int ti : item.native_term_indices) {
-          SUDAF_ASSIGN_OR_RETURN(
-              double v,
-              EvalTerminating(*rewritten.form.terminating[ti], group_state));
-          args.push_back(v);
-        }
-        SUDAF_ASSIGN_OR_RETURN(item_values[i][r],
-                               item.native->terminate(args));
-      } else {
-        SUDAF_ASSIGN_OR_RETURN(
-            item_values[i][r],
-            EvalTerminating(
-                *rewritten.form.terminating[item.terminating_index],
-                group_state));
-      }
-    }
+  std::vector<const double*> states;
+  states.reserve(state_columns.size());
+  for (const std::vector<double>& col : state_columns) {
+    states.push_back(col.data());
   }
-
+  EvalScratch scratch;
+  std::vector<double> values(n);
   for (size_t i = 0; i < rewritten.items.size(); ++i) {
     const ItemPlan& item = rewritten.items[i];
     Column& dst = result->column(static_cast<int>(i));
     if (item.group_key_index >= 0) {
-      const Column& src = group_keys.column(item.group_key_index);
-      for (int32_t r = 0; r < out_rows; ++r) {
-        dst.AppendValue(src.GetValue(order[r]));
+      dst.AppendRows(group_keys.column(item.group_key_index),
+                     rows.groups.data(), n);
+      continue;
+    }
+    if (item.native != nullptr) {
+      // Each state's terminating expression a column at a time, then the
+      // native terminating function once per row.
+      const size_t k = item.native_term_indices.size();
+      std::vector<std::vector<double>> terms(k, std::vector<double>(n));
+      for (size_t j = 0; j < k; ++j) {
+        SUDAF_RETURN_IF_ERROR(EvalTerminatingRange(
+            *rewritten.form.terminating[item.native_term_indices[j]], states,
+            n, terms[j].data(), &scratch));
+      }
+      std::vector<double> args(k);
+      for (int64_t r = 0; r < n; ++r) {
+        for (size_t j = 0; j < k; ++j) args[j] = terms[j][r];
+        SUDAF_ASSIGN_OR_RETURN(values[r], item.native->terminate(args));
       }
     } else {
-      for (int32_t r = 0; r < out_rows; ++r) {
-        dst.AppendFloat64(item_values[i][r]);
-      }
+      SUDAF_RETURN_IF_ERROR(EvalTerminatingRange(
+          *rewritten.form.terminating[item.terminating_index], states, n,
+          values.data(), &scratch));
     }
+    for (int64_t r = 0; r < n; ++r) dst.AppendFloat64(values[r]);
   }
   result->FinishBulkAppend();
-  if (presorted) return result;
+  if (rows.presorted) return result;
   return SortAndLimit(std::move(result), stmt);
 }
 

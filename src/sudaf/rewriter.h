@@ -15,6 +15,7 @@
 #include "sql/statement.h"
 #include "sudaf/cache.h"
 #include "sudaf/canonical.h"
+#include "sudaf/sharing.h"
 
 namespace sudaf {
 
@@ -92,15 +93,60 @@ struct RewrittenQuery {
 Result<RewrittenQuery> RewriteQuery(const SelectStatement& stmt,
                                     const UdafLibrary& library);
 
-// Evaluates the terminating plans of `rewritten` over per-group state
-// values (`state_values[state][group]`), assembles the result table (group
-// keys + item columns) and applies the statement's ORDER BY / LIMIT.
-// (`num_groups` is passed explicitly because ungrouped queries have one
-// group but a zero-column key table.)
+// --- Output-first tail (docs/execution.md, "Output-first terminate") -----
+//
+// A rewritten query finishes in three steps, and only the first one sees
+// every group: PlanOutputRows decides which groups the query returns, and
+// in what order, from the group keys alone; ServeState applies the sharing
+// function for just those groups; AssembleRewrittenResult terminates them a
+// column at a time.
+
+// The groups a rewritten query returns, in output order.
+struct OutputRows {
+  // True when ORDER BY names only group keys (or is absent under a LIMIT)
+  // and there is no HAVING: `groups` is then the final output, ordered on
+  // the keys and cut to the LIMIT. False means every group in group order
+  // (`groups` is 0..num_groups-1) and the assembled table still goes
+  // through SortAndLimit.
+  bool presorted = false;
+  std::vector<int64_t> groups;
+
+  // Row subset for StateCache::ProbeEntry: null copies the whole entry.
+  const std::vector<int64_t>* subset() const {
+    return presorted ? &groups : nullptr;
+  }
+};
+
+// Plans the output rows of `stmt` over its `num_groups` groups (passed
+// explicitly because ungrouped queries have one group but a zero-column
+// key table).
+OutputRows PlanOutputRows(const RewrittenQuery& rewritten,
+                          const SelectStatement& stmt,
+                          const Table& group_keys, int32_t num_groups);
+
+// Serves one requested state at the output rows into `out` (one value per
+// output row) — the serve step shared by every rewritten-query path.
+// `entry` holds the channels of the state's class representative: either
+// for every group, or, when `compact`, for exactly the output rows in order
+// (a ProbeEntry row-subset copy-out). A null `share_fn` serves the main
+// channel as is (direct states); otherwise each value is
+// ApplyFromClass(target, *cls, *share_fn, main, sign), or
+// share_fn->Apply(main) when `cls` is null. Returns the rows served (the
+// sudaf.serve.rows counter).
+int64_t ServeState(const StateCache::Entry& entry, bool compact,
+                   const OutputRows& rows, const AggStateDef& target,
+                   const StateClass* cls, const SharedComputation* share_fn,
+                   std::vector<double>* out);
+
+// Terminates the output rows and assembles the result table (group keys +
+// item columns). `state_columns[s]` holds state s at the output rows, as
+// ServeState left it; each terminating function runs once over the whole
+// column (EvalTerminatingRange). Unless `rows.presorted`, the table then
+// goes through SortAndLimit for HAVING, ORDER BY and LIMIT.
 Result<std::unique_ptr<Table>> AssembleRewrittenResult(
     const RewrittenQuery& rewritten, const SelectStatement& stmt,
-    const Table& group_keys, int32_t num_groups,
-    const std::vector<std::vector<double>>& state_values);
+    const Table& group_keys, const OutputRows& rows,
+    const std::vector<std::vector<double>>& state_columns);
 
 }  // namespace sudaf
 

@@ -40,6 +40,7 @@ ExecStats DeriveExecStats(const MetricsSnapshot& d) {
   s.states_from_cache = static_cast<int>(d.counter("sudaf.states.from_cache"));
   s.states_computed = static_cast<int>(d.counter("sudaf.states.computed"));
   s.scanned_base_data = d.counter("sudaf.input.scans") > 0;
+  s.serve_rows = d.counter("sudaf.serve.rows");
   s.used_fused = d.counter("sudaf.fused.passes") > 0;
   s.morsels = d.counter("sudaf.fused.morsels");
   s.fused_channels = static_cast<int>(d.counter("sudaf.fused.channels"));
@@ -980,6 +981,11 @@ Result<std::unique_ptr<Table>> SudafSession::ExecuteSudaf(
     return entry;
   };
 
+  // Output-first: decide the returned groups on the keys, then serve (and
+  // later terminate) only those.
+  const OutputRows rows =
+      PlanOutputRows(rewritten, stmt, *group_keys, num_groups);
+  int64_t served = 0;
   for (size_t i = 0; i < states.size(); ++i) {
     const AggStateDef& state = states[i];
     StateExec& ex = execs[i];
@@ -987,14 +993,16 @@ Result<std::unique_ptr<Table>> SudafSession::ExecuteSudaf(
     if (share) {
       // Serving order: cache copy-out for probe hits, then this query's
       // local entries, then a late cache re-probe, then compute. The copy
-      // lives on this frame's stack, so a concurrent eviction of the set
-      // cannot invalidate what we serve from.
+      // (of the output rows only) lives on this frame's stack, so a
+      // concurrent eviction of the set cannot invalidate what we serve from.
       const StateCache::Entry* entry = nullptr;
+      bool compact = false;
       StateCache::Entry copied;
       if (ex.from_cache &&
-          cache_.ProbeEntry(group_set.get(), ex.cls.key, &copied, cops) ==
-              StateCache::Probe::kHit) {
+          cache_.ProbeEntry(group_set.get(), ex.cls.key, &copied, cops,
+                            rows.subset()) == StateCache::Probe::kHit) {
         entry = &copied;
+        compact = rows.presorted;
         qm.counter("sudaf.states.from_cache")->Add();
       }
       if (entry == nullptr) {
@@ -1006,11 +1014,12 @@ Result<std::unique_ptr<Table>> SudafSession::ExecuteSudaf(
         }
       }
       if (entry == nullptr &&
-          cache_.ProbeEntry(group_set.get(), ex.cls.key, &copied, cops) ==
-              StateCache::Probe::kHit) {
+          cache_.ProbeEntry(group_set.get(), ex.cls.key, &copied, cops,
+                            rows.subset()) == StateCache::Probe::kHit) {
         // Present in the cache without a probe hit: inserted by a
         // concurrent query after our probe.
         entry = &copied;
+        compact = rows.presorted;
       }
       if (entry == nullptr) {
         if (frame == nullptr) {
@@ -1034,17 +1043,12 @@ Result<std::unique_ptr<Table>> SudafSession::ExecuteSudaf(
         entry = &local_entries.emplace(ex.cls.key, std::move(computed))
                      .first->second;
       }
-      state_values[i].resize(num_groups);
-      for (int32_t g = 0; g < num_groups; ++g) {
-        double sign = entry->sign.empty() ? 1.0 : entry->sign[g];
-        state_values[i][g] =
-            ApplyFromClass(state, ex.cls, ex.share_fn, entry->main[g], sign);
-      }
+      served += ServeState(*entry, compact, rows, state, &ex.cls,
+                           &ex.share_fn, &state_values[i]);
       continue;
     }
 
     // No-share mode: compute each requested state directly.
-    StateCache::Entry* local = nullptr;
     std::string direct_key = "direct|" + state.Key();
     auto it = local_entries.find(direct_key);
     if (it == local_entries.end()) {
@@ -1065,17 +1069,17 @@ Result<std::unique_ptr<Table>> SudafSession::ExecuteSudaf(
       it = local_entries.emplace(direct_key, std::move(entry)).first;
       qm.counter("sudaf.states.computed")->Add();
     }
-    local = &it->second;
-    state_values[i] = local->main;
+    served += ServeState(it->second, /*compact=*/false, rows, state,
+                         nullptr, nullptr, &state_values[i]);
   }
+  qm.counter("sudaf.serve.rows")->Add(served);
   states_span.Close();
 
-  // 5. Terminating functions per group, output assembly, ORDER BY/LIMIT.
+  // 5. Terminating functions over the output rows, output assembly.
   TraceSpan terminate_span(trace, "terminate", exec.trace_span,
                            qm.dcounter("sudaf.phase.terminate_ms"));
-  Result<std::unique_ptr<Table>> result = AssembleRewrittenResult(
-      rewritten, stmt, *group_keys, num_groups, state_values);
-  return result;
+  return AssembleRewrittenResult(rewritten, stmt, *group_keys, rows,
+                                 state_values);
 }
 
 std::vector<Result<QueryResult>> SudafSession::ExecuteBatch(
@@ -1583,24 +1587,28 @@ void SudafSession::ExecuteSharedGroup(
     return entry;
   };
 
-  // Serve one member from the per-rep entries: cache copy-out first, then
-  // the group's local entries, then a late cache re-probe, then per-member
-  // compute fallback — the exact solo serving order.
-  auto serve_member = [&](GroupMember& m,
+  // Serve one member at its output rows from the per-rep entries: cache
+  // copy-out first, then the group's local entries, then a late cache
+  // re-probe, then per-member compute fallback — the exact solo serving
+  // order.
+  auto serve_member = [&](GroupMember& m, const OutputRows& rows,
                           std::vector<std::vector<double>>* out) -> Status {
     const std::vector<AggStateDef>& states = m.rewritten.form.states;
     const CacheOps mc{m.qm.get(), m.trace.get()};
     out->assign(states.size(), {});
+    int64_t served = 0;
     std::set<int> consumed_reps;
     for (size_t i = 0; i < states.size(); ++i) {
       const SharedStatePlan::Slot& slot = m.slots[i];
       const SharedStatePlan::Rep& rep = reps[slot.rep];
       const StateCache::Entry* entry = nullptr;
+      bool compact = false;
       StateCache::Entry copied;
       if (share && rep_from_cache[slot.rep] && group_set != nullptr &&
-          cache_.ProbeEntry(group_set.get(), rep.key, &copied, mc) ==
-              StateCache::Probe::kHit) {
+          cache_.ProbeEntry(group_set.get(), rep.key, &copied, mc,
+                            rows.subset()) == StateCache::Probe::kHit) {
         entry = &copied;
+        compact = rows.presorted;
         m.qm->counter("sudaf.states.from_cache")->Add();
       }
       if (entry == nullptr) {
@@ -1616,9 +1624,10 @@ void SudafSession::ExecuteSharedGroup(
         }
       }
       if (entry == nullptr && share && group_set != nullptr &&
-          cache_.ProbeEntry(group_set.get(), rep.key, &copied, mc) ==
-              StateCache::Probe::kHit) {
+          cache_.ProbeEntry(group_set.get(), rep.key, &copied, mc,
+                            rows.subset()) == StateCache::Probe::kHit) {
         entry = &copied;  // inserted by a concurrent query after our probe
+        compact = rows.presorted;
       }
       if (entry == nullptr) {
         if (frame == nullptr) {
@@ -1639,17 +1648,10 @@ void SudafSession::ExecuteSharedGroup(
         entry = &local_entries.emplace(rep.key, std::move(computed))
                      .first->second;
       }
-      if (rep.direct) {
-        (*out)[i] = entry->main;
-      } else {
-        (*out)[i].resize(num_groups);
-        for (int32_t g = 0; g < num_groups; ++g) {
-          double sign = entry->sign.empty() ? 1.0 : entry->sign[g];
-          (*out)[i][g] = ApplyFromClass(states[i], rep.cls, slot.share_fn,
-                                        entry->main[g], sign);
-        }
-      }
+      served += ServeState(*entry, compact, rows, states[i], &rep.cls,
+                           rep.direct ? nullptr : &slot.share_fn, &(*out)[i]);
     }
+    m.qm->counter("sudaf.serve.rows")->Add(served);
     return Status::OK();
   };
 
@@ -1668,6 +1670,7 @@ void SudafSession::ExecuteSharedGroup(
         }
       }
       std::vector<std::vector<double>> state_values;
+      OutputRows rows;
       {
         TraceSpan states_span(m.trace.get(), "states", m.run.trace_span,
                               m.qm->dcounter("sudaf.phase.states_ms"));
@@ -1676,7 +1679,8 @@ void SudafSession::ExecuteSharedGroup(
           group_status = compute_missing(m, states_span.id());
           if (!group_status.ok()) break;
         }
-        Status served = serve_member(m, &state_values);
+        rows = PlanOutputRows(m.rewritten, *m.stmt, *group_keys, num_groups);
+        Status served = serve_member(m, rows, &state_values);
         if (!served.ok()) {
           m.failed = served;
           continue;
@@ -1685,7 +1689,7 @@ void SudafSession::ExecuteSharedGroup(
       TraceSpan terminate_span(m.trace.get(), "terminate", m.run.trace_span,
                                m.qm->dcounter("sudaf.phase.terminate_ms"));
       Result<std::unique_ptr<Table>> assembled = AssembleRewrittenResult(
-          m.rewritten, *m.stmt, *group_keys, num_groups, state_values);
+          m.rewritten, *m.stmt, *group_keys, rows, state_values);
       if (!assembled.ok()) {
         m.failed = assembled.status();
       } else {

@@ -90,6 +90,11 @@ struct ExecStats {
   int states_from_cache = 0;
   int states_computed = 0;
   bool scanned_base_data = false;
+  // State values served, summed over the query's states: one per state
+  // and output row (docs/execution.md, "Output-first terminate"). A hit
+  // ordered and cut on its group keys serves LIMIT × states; otherwise
+  // every group is served.
+  int64_t serve_rows = 0;
 
   // Fused StateBatch executor observability (zero when the legacy
   // per-state path ran, i.e. ExecOptions::use_fused == false).

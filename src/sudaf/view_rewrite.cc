@@ -245,7 +245,7 @@ Result<std::unique_ptr<Table>> ExecuteWithView(SudafSession* session,
       [frame](const std::string& col) -> Result<const Column*> {
     return frame->GetColumn(col);
   };
-  std::map<int, std::vector<double>> rolled;
+  std::map<int, StateCache::Entry> rolled;
   if (session->exec_options().use_fused) {
     // One fused pass over the delta frame; float64 state columns are
     // aliased by the batch engine, so no per-state copies are made.
@@ -266,7 +266,7 @@ Result<std::unique_ptr<Table>> ExecuteWithView(SudafSession* session,
         ComputeStateBatch(requests, delta_resolver, input.group_ids,
                           input.num_groups, session->exec_options()));
     for (size_t r = 0; r < request_state.size(); ++r) {
-      rolled[request_state[r]] = std::move(batch[r]);
+      rolled[request_state[r]].main = std::move(batch[r]);
     }
   } else {
     for (int v : needed_view_states) {
@@ -276,23 +276,23 @@ Result<std::unique_ptr<Table>> ExecuteWithView(SudafSession* session,
       AggOp rollup_op =
           view.states[v].op == AggOp::kCount ? AggOp::kSum
                                              : view.states[v].op;
-      rolled[v] = ComputeGroupedState(rollup_op, in, input.group_ids,
-                                      input.num_groups,
-                                      session->exec_options());
+      rolled[v].main =
+          ComputeGroupedState(rollup_op, in, input.group_ids,
+                              input.num_groups, session->exec_options());
     }
   }
 
+  const OutputRows rows = PlanOutputRows(rewritten, *stmt, *input.group_keys,
+                                        input.num_groups);
   std::vector<std::vector<double>> state_values(rewritten.form.states.size());
   for (size_t i = 0; i < sources.size(); ++i) {
-    const std::vector<double>& src = rolled[sources[i].view_state];
-    state_values[i].resize(input.num_groups);
-    for (int32_t g = 0; g < input.num_groups; ++g) {
-      state_values[i][g] = sources[i].share_fn.Apply(src[g]);
-    }
+    ServeState(rolled[sources[i].view_state], /*compact=*/false, rows,
+               rewritten.form.states[i], nullptr, &sources[i].share_fn,
+               &state_values[i]);
   }
 
-  return AssembleRewrittenResult(rewritten, *stmt, *input.group_keys,
-                                 input.num_groups, state_values);
+  return AssembleRewrittenResult(rewritten, *stmt, *input.group_keys, rows,
+                                 state_values);
 }
 
 }  // namespace sudaf

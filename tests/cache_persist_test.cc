@@ -62,7 +62,7 @@ TEST(Crc32cTest, DetectsSingleBitFlip) {
 class FileIoTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "/sudaf_file_io";
+    dir_ = testing_util::UniqueTempDir("sudaf_file_io");
     std::filesystem::remove_all(dir_);
     ASSERT_OK(EnsureDirectory(dir_));
   }
@@ -118,7 +118,7 @@ TEST_F(FileIoTest, RemoveIsIdempotentAndDirsNest) {
 class PersistTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "/sudaf_persist";
+    dir_ = testing_util::UniqueTempDir("sudaf_persist");
     std::filesystem::remove_all(dir_);
     ASSERT_OK(EnsureDirectory(dir_));
     catalog_.PutTable("t",
@@ -498,7 +498,7 @@ TEST_F(PersistTest, SaveFaultsLeaveThePublishedSnapshotIntact) {
 class CrashRecoveryTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    base_ = ::testing::TempDir() + "/sudaf_crash";
+    base_ = testing_util::UniqueTempDir("sudaf_crash");
     std::filesystem::remove_all(base_);
     std::vector<int64_t> g(400);
     std::vector<double> x(400);

@@ -399,7 +399,7 @@ class IncrementalCrashTest : public IncrementalTest {
  protected:
   void SetUp() override {
     IncrementalTest::SetUp();
-    dir_ = ::testing::TempDir() + "/sudaf_incremental_crash";
+    dir_ = testing_util::UniqueTempDir("sudaf_incremental_crash");
     std::filesystem::remove_all(dir_);
   }
   void TearDown() override {

@@ -364,6 +364,8 @@ TEST_F(ProfileTest, ExecStatsIsTheRegistryDelta) {
   EXPECT_EQ(stats.states_from_cache, delta.counter("sudaf.states.from_cache"));
   EXPECT_EQ(stats.used_fused, delta.counter("sudaf.fused.passes") > 0);
   EXPECT_EQ(stats.scanned_base_data, delta.counter("sudaf.input.scans") > 0);
+  EXPECT_EQ(stats.serve_rows, delta.counter("sudaf.serve.rows"));
+  EXPECT_GT(stats.serve_rows, 0);
   EXPECT_DOUBLE_EQ(stats.total_ms, delta.dcounter("sudaf.query.total_ms"));
   EXPECT_EQ(delta.counter("sudaf.query.count"), 1);
   EXPECT_EQ(delta.counter("sudaf.query.errors"), 0);

@@ -7,8 +7,11 @@
 //    library ones.
 // 2. The share-mode execution must agree with no-share on arbitrary query
 //    sequences (cache coherence under random interleavings).
+// 3. The column-at-a-time terminating evaluation is bit-identical to the
+//    scalar per-group reference on every random UDAF.
 
 #include <cmath>
+#include <cstring>
 #include <sstream>
 
 #include "common/rng.h"
@@ -64,6 +67,42 @@ std::string RandomUdafExpression(Rng* rng, int depth = 0) {
          << RandomUdafExpression(rng, depth + 1) << ")";
       return os.str();
     }
+  }
+}
+
+// The column-at-a-time terminate (EvalTerminatingRange) must equal the
+// scalar EvalTerminating bit for bit on every row: here over the true
+// state values and over rows that also reach zero, negatives, NaN and
+// rescaled states.
+void ExpectColumnTerminateMatchesScalar(const Expr& term,
+                                        const std::vector<double>& states,
+                                        uint64_t seed) {
+  Rng rng(seed);
+  const int rows = 8;
+  std::vector<std::vector<double>> cols(states.size(),
+                                        std::vector<double>(rows));
+  for (size_t s = 0; s < states.size(); ++s) {
+    cols[s][0] = states[s];
+    cols[s][1] = 0.0;
+    cols[s][2] = -states[s];
+    cols[s][3] = std::nan("");
+    for (int r = 4; r < rows; ++r) {
+      cols[s][r] = states[s] * rng.NextDoubleIn(0.25, 4.0);
+    }
+  }
+  std::vector<const double*> ptrs;
+  for (const std::vector<double>& c : cols) ptrs.push_back(c.data());
+  std::vector<double> got(rows);
+  EvalScratch scratch;
+  ASSERT_OK(EvalTerminatingRange(term, ptrs, rows, got.data(), &scratch));
+  for (int r = 0; r < rows; ++r) {
+    std::vector<double> row(states.size());
+    for (size_t s = 0; s < states.size(); ++s) row[s] = cols[s][r];
+    Result<double> want = EvalTerminating(term, row);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    EXPECT_EQ(std::memcmp(&got[r], &*want, sizeof(double)), 0)
+        << term.ToString() << " row " << r << ": " << got[r] << " vs "
+        << *want;
   }
 }
 
@@ -129,6 +168,8 @@ TEST_P(RandomUdafProperty, RewriteMatchesDirectEvaluation) {
     }
     auto reference = EvalTerminating(*form->terminating[0], state_values);
     ASSERT_TRUE(reference.ok()) << expression;
+    ExpectColumnTerminateMatchesScalar(*form->terminating[0], state_values,
+                                       100 * GetParam() + trial);
 
     // Both SUDAF modes (share runs twice: cold + warm).
     std::string sql = "SELECT " + expression + " AS out FROM t";

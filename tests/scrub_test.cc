@@ -33,7 +33,7 @@ void FlipBit(double* v) {
 class ScrubTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "/sudaf_scrub";
+    dir_ = testing_util::UniqueTempDir("sudaf_scrub");
     std::filesystem::remove_all(dir_);
     std::vector<int64_t> g(80);
     std::vector<double> x(80);

@@ -225,7 +225,7 @@ class ServiceTest : public ::testing::Test {
   }
 
   void EnablePersistence() {
-    dir_ = ::testing::TempDir() + "/sudaf_service";
+    dir_ = testing_util::UniqueTempDir("sudaf_service");
     std::filesystem::remove_all(dir_);
     ASSERT_OK(session_->EnableCachePersistence(dir_));
   }

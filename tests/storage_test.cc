@@ -61,6 +61,29 @@ TEST(ColumnTest, LookupDictionary) {
   EXPECT_EQ(col.LookupDictionary("zzz"), -1);
 }
 
+TEST(ColumnTest, AppendRowsCopiesTypedAndKeepsOnlyUsedStrings) {
+  Column words(DataType::kString);
+  for (const char* w : {"ant", "bee", "cat", "dog", "elk"}) {
+    words.AppendString(w);
+  }
+  const std::vector<int64_t> rows = {3, 0, 3};
+  Column picked(DataType::kString);
+  picked.AppendRows(words, rows.data(), 3);
+  ASSERT_EQ(picked.size(), 3);
+  EXPECT_EQ(picked.GetString(0), "dog");
+  EXPECT_EQ(picked.GetString(1), "ant");
+  EXPECT_EQ(picked.GetString(2), "dog");
+  EXPECT_EQ(picked.dictionary().size(), 2u);
+
+  Column nums(DataType::kFloat64);
+  for (double v : {0.5, -0.0, 2.5, 7.0}) nums.AppendFloat64(v);
+  Column out(DataType::kFloat64);
+  out.AppendRows(nums, rows.data(), 2);
+  ASSERT_EQ(out.size(), 2);
+  EXPECT_EQ(out.GetFloat64(0), 7.0);
+  EXPECT_EQ(out.GetFloat64(1), 0.5);
+}
+
 TEST(ColumnTest, AppendValueChecksTypes) {
   Column col(DataType::kFloat64);
   col.AppendValue(Value(1.5));

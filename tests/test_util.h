@@ -3,6 +3,9 @@
 
 // Shared helpers for the SUDAF test suite.
 
+#include <unistd.h>
+
+#include <cctype>
 #include <cmath>
 #include <memory>
 #include <string>
@@ -52,6 +55,23 @@ inline std::unique_ptr<Table> MakeXyTable(
   }
   table->FinishBulkAppend();
   return table;
+}
+
+// A scratch path under ::testing::TempDir() private to the running test
+// case: `stem`, the suite and test names, and the process id. Test cases
+// that run at the same time (ctest -j starts one process per case) never
+// share files through it, so one case's cleanup cannot remove another's
+// directory. Nothing is created.
+inline std::string UniqueTempDir(const std::string& stem) {
+  std::string name = stem;
+  if (const ::testing::TestInfo* info =
+          ::testing::UnitTest::GetInstance()->current_test_info()) {
+    name += std::string("_") + info->test_suite_name() + "_" + info->name();
+  }
+  for (char& c : name) {
+    if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
+  }
+  return ::testing::TempDir() + name + "_" + std::to_string(getpid());
 }
 
 // Relative-tolerance comparison that treats two NaNs as equal.

@@ -41,7 +41,7 @@ TEST(ParentDirOfTest, CoversTheCases) {
 class PosixVfsTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "/sudaf_vfs";
+    dir_ = testing_util::UniqueTempDir("sudaf_vfs");
     std::filesystem::remove_all(dir_);
     ASSERT_OK(Vfs::Default()->CreateDirs(dir_));
   }
@@ -404,7 +404,7 @@ TEST(VfsBreakerTest, NoSpaceDegradesToMemoryOnlyWithZeroFailedQueries) {
   }
   catalog.PutTable("t", testing_util::MakeXyTable(g, x, x));
 
-  std::string dir = ::testing::TempDir() + "/sudaf_vfs_breaker";
+  std::string dir = testing_util::UniqueTempDir("sudaf_vfs_breaker");
   std::filesystem::remove_all(dir);
   SudafSession session(&catalog);
   ASSERT_OK(session.EnableCachePersistence(dir));
