@@ -3,6 +3,7 @@
 // checks of every returned r function (Definition 3.1: s1(X) = r(s2(X))).
 
 #include <cmath>
+#include <ostream>
 
 #include "common/rng.h"
 #include "expr/evaluator.h"
@@ -310,6 +311,14 @@ struct SharePair {
   AggOp op2;
   const char* f2;
 };
+
+// Prints a pair as "sum(5*x) from sum(2*x)" rather than the raw bytes of
+// the struct, whose padding and pointer bits differ from run to run. Test
+// discovery puts this text in the test names, so it keeps them stable.
+void PrintTo(const SharePair& p, std::ostream* os) {
+  *os << AggOpName(p.op1) << "(" << p.f1 << ") from " << AggOpName(p.op2)
+      << "(" << p.f2 << ")";
+}
 
 class ShareNumericProperty : public ::testing::TestWithParam<SharePair> {};
 
