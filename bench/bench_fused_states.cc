@@ -8,10 +8,11 @@
 // x^2 → x^3 → x^4 strength-reduced onto each other) and accumulates every
 // state into cache-resident per-worker blocks.
 //
-// Three sweeps, written to BENCH_fused_states.json:
+// Three sweeps, written to BENCH_fused_states.json in the build tree (or
+// to --out PATH):
 //   * states 1..16 (power sums) at 1M rows, single-threaded;
 //   * rows 1M..10M for the 5-state kurtosis set, single-threaded;
-//   * threads 1..8 through the FULL pipeline (filter → gather → group →
+//   * threads 1..8 through the FULL pipeline (filter → bind → group →
 //     fused pass) on a 4M-row session query with a WHERE clause, reporting
 //     per-phase times from the query trace and checking that every thread
 //     count reproduces the 1-thread result bit for bit.
@@ -64,6 +65,12 @@ struct Data {
       return Status::InvalidArgument("no column " + name);
     };
   }
+  ColumnBinder Binder() const {
+    return [this](const std::string& name) -> Result<BoundColumn> {
+      SUDAF_ASSIGN_OR_RETURN(const Column* col, Resolver()(name));
+      return BoundColumn{col, nullptr, 0};
+    };
+  }
 };
 
 // The k power-sum states sum(x^1) .. sum(x^k); with_count prepends count()
@@ -114,7 +121,7 @@ double TimeFused(const Data& data, const std::vector<ExprPtr>& inputs,
     requests.push_back({AggOp::kSum, input.get()});
   }
   double t0 = NowMs();
-  auto result = ComputeStateBatch(requests, data.Resolver(), data.gids,
+  auto result = ComputeStateBatch(requests, data.Binder(), data.gids,
                                   kGroups, opts, stats);
   double ms = NowMs() - t0;
   SUDAF_CHECK_MSG(result.ok(), result.status().ToString());
@@ -186,17 +193,23 @@ bool TablesBitIdentical(const Table& a, const Table& b) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc > 1 && std::string(argv[1]) == "--smoke") {
-    int threads = 1;
-    for (int a = 2; a < argc; ++a) {
-      if (std::string(argv[a]) == "--threads" && a + 1 < argc) {
-        threads = std::atoi(argv[a + 1]);
-      }
+  bool smoke = false;
+  int threads = 1;
+  std::string out =
+      std::string(SUDAF_BENCH_OUT_DIR) + "/BENCH_fused_states.json";
+  for (int a = 1; a < argc; ++a) {
+    const std::string arg = argv[a];
+    if (arg == "--smoke") {
+      smoke = true;
+    } else if (arg == "--threads" && a + 1 < argc) {
+      threads = std::atoi(argv[++a]);
+    } else if (arg == "--out" && a + 1 < argc) {
+      out = argv[++a];
     }
-    return RunSmoke(threads);
   }
-  FILE* json = std::fopen("BENCH_fused_states.json", "w");
-  SUDAF_CHECK_MSG(json != nullptr, "cannot open BENCH_fused_states.json");
+  if (smoke) return RunSmoke(threads);
+  FILE* json = std::fopen(out.c_str(), "w");
+  SUDAF_CHECK_MSG(json != nullptr, "cannot open " + out);
   std::fprintf(json, "{\n  \"groups\": %d,\n  \"hardware_threads\": %u,\n",
                kGroups, std::thread::hardware_concurrency());
 
@@ -345,7 +358,7 @@ int main(int argc, char** argv) {
   std::fclose(json);
   std::printf(
       "\nkurtosis @ 1M rows single-threaded: fused is %.2fx the legacy "
-      "path\nwrote BENCH_fused_states.json\n",
-      kurtosis_1m_speedup);
+      "path\nwrote %s\n",
+      kurtosis_1m_speedup, out.c_str());
   return kurtosis_1m_speedup >= 2.0 ? 0 : 1;
 }

@@ -12,9 +12,10 @@
 // The baseline side opens a cold session per query per round, so every
 // round pays a full rescan of the (growing) table.
 //
-// Writes BENCH_incremental.json (sudaf.bench_incremental.v1): per-side
-// wall time and rows scanned, the refresh counters, and the cache probe
-// accounting. The CI perf-smoke gate asserts the structural properties —
+// Writes BENCH_incremental.json (sudaf.bench_incremental.v1) to the build
+// tree, or to --out PATH: per-side wall time and rows scanned, the refresh
+// counters, and the cache probe accounting. The CI perf-smoke gate asserts
+// the structural properties —
 // delta refreshes happened, delta rows scanned are a small fraction of
 // the baseline's full-scan rows, and the probe accounting identity
 // `set_hits + delta_refreshes + full_invalidations == probes` — none of
@@ -61,11 +62,15 @@ std::unique_ptr<Table> MakeDelta(int64_t rows, uint64_t seed) {
 int main(int argc, char** argv) {
   int64_t rows = 2'000'000;
   int rounds = 8;
+  std::string out =
+      std::string(SUDAF_BENCH_OUT_DIR) + "/BENCH_incremental.json";
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--rows") == 0 && i + 1 < argc) {
       rows = std::atoll(argv[++i]);
     } else if (std::strcmp(argv[i], "--rounds") == 0 && i + 1 < argc) {
       rounds = std::atoi(argv[++i]);
+    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
+      out = argv[++i];
     } else if (std::strcmp(argv[i], "--smoke") == 0) {
       rows = 200'000;
       rounds = 4;
@@ -162,8 +167,8 @@ int main(int argc, char** argv) {
       static_cast<long long>(c.delta_refreshes),
       static_cast<long long>(c.full_invalidations));
 
-  FILE* json = std::fopen("BENCH_incremental.json", "w");
-  SUDAF_CHECK_MSG(json != nullptr, "cannot open BENCH_incremental.json");
+  FILE* json = std::fopen(out.c_str(), "w");
+  SUDAF_CHECK_MSG(json != nullptr, "cannot open " + out);
   std::fprintf(json,
                "{\n"
                "  \"schema\": \"sudaf.bench_incremental.v1\",\n"
@@ -205,6 +210,6 @@ int main(int argc, char** argv) {
                static_cast<long long>(c.delta_rows_scanned),
                static_cast<long long>(c.full_invalidations), rows_reduction);
   std::fclose(json);
-  std::printf("wrote BENCH_incremental.json\n");
+  std::printf("wrote %s\n", out.c_str());
   return 0;
 }

@@ -11,10 +11,11 @@
 // stddev / skewness / kurtosis, log-domain sums under gm / hm) are
 // computed once per group, and each group costs one scan.
 //
-// Writes BENCH_shared_scan.json (sudaf.bench_shared_scan.v1): per-side
-// wall time, scan-pass and evaluated-state counts, and the two reduction
-// ratios the CI perf-smoke gate asserts (both must be >= 2 for this
-// workload, structurally — they do not depend on machine speed).
+// Writes BENCH_shared_scan.json (sudaf.bench_shared_scan.v1) to the build
+// tree, or to --out PATH: per-side wall time, scan-pass and
+// evaluated-state counts, and the two reduction ratios the CI perf-smoke
+// gate asserts (both must be >= 2 for this workload, structurally — they
+// do not depend on machine speed).
 
 #include <cstdio>
 #include <cstring>
@@ -60,9 +61,13 @@ std::vector<std::string> MixedQueries() {
 
 int main(int argc, char** argv) {
   int64_t rows = 1'000'000;
+  std::string out =
+      std::string(SUDAF_BENCH_OUT_DIR) + "/BENCH_shared_scan.json";
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--rows") == 0 && i + 1 < argc) {
       rows = std::atoll(argv[++i]);
+    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
+      out = argv[++i];
     } else if (std::strcmp(argv[i], "--smoke") == 0) {
       rows = 100'000;
     }
@@ -140,8 +145,8 @@ int main(int argc, char** argv) {
               static_cast<long long>(scan_reduction), states_reduction,
               batched_ms > 0 ? solo_ms / batched_ms : 0);
 
-  FILE* json = std::fopen("BENCH_shared_scan.json", "w");
-  SUDAF_CHECK_MSG(json != nullptr, "cannot open BENCH_shared_scan.json");
+  FILE* json = std::fopen(out.c_str(), "w");
+  SUDAF_CHECK_MSG(json != nullptr, "cannot open " + out);
   std::fprintf(json,
                "{\n"
                "  \"schema\": \"sudaf.bench_shared_scan.v1\",\n"
@@ -179,6 +184,6 @@ int main(int argc, char** argv) {
                static_cast<long long>(batched_states), scan_reduction,
                states_reduction);
   std::fclose(json);
-  std::printf("wrote BENCH_shared_scan.json\n");
+  std::printf("wrote %s\n", out.c_str());
   return 0;
 }

@@ -1,35 +1,43 @@
 #include "engine/aggregation.h"
 
 #include <algorithm>
+#include <numeric>
 #include <unordered_map>
 
 #include "agg/builtin_kernels.h"
+#include "common/metrics.h"
 #include "common/query_guard.h"
 #include "common/thread_pool.h"
+#include "common/trace.h"
 
 namespace sudaf {
 
-Result<std::unique_ptr<Table>> GatherColumns(
-    const QueryPlan& plan, const JoinedRows& joined,
-    const std::vector<std::string>& columns, const ExecOptions& opts) {
-  Schema schema;
-  struct Source {
-    const Column* col;
-    const std::vector<int64_t>* rows;
-  };
-  std::vector<Source> sources;
-  for (const std::string& name : columns) {
-    SUDAF_ASSIGN_OR_RETURN(auto loc, plan.ResolveColumn(name));
-    const Column& col = plan.tables[loc.first]->column(loc.second);
-    SUDAF_RETURN_IF_ERROR(schema.AddField(Field{name, col.type()}));
-    sources.push_back(Source{&col, &joined.rows[loc.first]});
-  }
+Result<BoundColumn> PreparedInput::Bind(const std::string& column) const {
+  SUDAF_ASSIGN_OR_RETURN(const Column* col, source->GetColumn(column));
+  return BoundColumn{col, row_ids.empty() ? nullptr : row_ids.data(), base};
+}
 
-  const int64_t n = joined.num_tuples;
+int64_t PreparedInput::ApproxBytes() const {
+  int64_t bytes =
+      static_cast<int64_t>(row_ids.capacity() * sizeof(int64_t) +
+                           group_ids.capacity() * sizeof(int32_t));
+  if (frame != nullptr) bytes += frame->ApproxBytes();
+  return bytes;
+}
+
+Result<std::unique_ptr<Table>> GatherColumns(
+    const std::vector<std::string>& names,
+    const std::vector<BoundColumn>& columns, int64_t num_rows,
+    const ExecOptions& opts) {
+  const int64_t n = num_rows;
+  Schema schema;
+  for (size_t c = 0; c < columns.size(); ++c) {
+    SUDAF_RETURN_IF_ERROR(
+        schema.AddField(Field{names[c], columns[c].col->type()}));
+  }
   auto frame = std::make_unique<Table>(std::move(schema));
-  for (size_t c = 0; c < sources.size(); ++c) {
-    frame->column(static_cast<int>(c))
-        .PrepareGatherFrom(*sources[c].col, n);
+  for (size_t c = 0; c < columns.size(); ++c) {
+    frame->column(static_cast<int>(c)).PrepareGatherFrom(*columns[c].col, n);
   }
 
   // Parallel gather over (column × row-range) tasks; every task writes a
@@ -41,14 +49,13 @@ Result<std::unique_ptr<Table>> GatherColumns(
   const int ranges_per_col = std::max(
       1, PlannedWorkers(opts, (n + kMinRangeRows - 1) / kMinRangeRows));
   const int64_t num_tasks =
-      static_cast<int64_t>(sources.size()) * ranges_per_col;
+      static_cast<int64_t>(columns.size()) * ranges_per_col;
   auto run_task = [&](int64_t task) {
     const int c = static_cast<int>(task / ranges_per_col);
     const int64_t r = task % ranges_per_col;
     const int64_t lo = n * r / ranges_per_col;
     const int64_t hi = n * (r + 1) / ranges_per_col;
-    frame->column(c).GatherRange(*sources[c].col, sources[c].rows->data(),
-                                 lo, hi);
+    frame->column(c).GatherRange(*columns[c].col, columns[c].rows, lo, hi);
   };
   const int workers =
       std::min(PlannedWorkers(opts, num_tasks),
@@ -61,7 +68,37 @@ Result<std::unique_ptr<Table>> GatherColumns(
     for (int64_t task = 0; task < num_tasks; ++task) run_task(task);
   }
   frame->FinishBulkAppend();
+  if (opts.metrics != nullptr) {
+    opts.metrics->counter("sudaf.input.gathered_bytes")
+        ->Add(frame->ApproxBytes());
+  }
   return frame;
+}
+
+Status MaterializeFrame(PreparedInput* input, const ExecOptions& opts) {
+  if (input->frame != nullptr) return Status::OK();
+  TraceSpan gather_span(opts.trace, "gather", opts.trace_span,
+                        opts.metrics != nullptr
+                            ? opts.metrics->dcounter("sudaf.phase.gather_ms")
+                            : nullptr);
+  // An identity range gathers through an explicit row vector.
+  std::vector<int64_t> iota;
+  const int64_t* rows = input->row_ids.data();
+  if (input->row_ids.empty()) {
+    iota.resize(input->num_input_rows);
+    std::iota(iota.begin(), iota.end(), input->base);
+    rows = iota.data();
+  }
+  std::vector<BoundColumn> columns;
+  for (const std::string& name : input->columns) {
+    SUDAF_ASSIGN_OR_RETURN(BoundColumn b, input->Bind(name));
+    b.rows = rows;
+    columns.push_back(b);
+  }
+  SUDAF_ASSIGN_OR_RETURN(input->frame,
+                         GatherColumns(input->columns, columns,
+                                       input->num_input_rows, opts));
+  return Status::OK();
 }
 
 namespace {
@@ -130,96 +167,201 @@ class GroupHashTable {
   size_t count_ = 0;
 };
 
-}  // namespace
+// A key range this small always groups by direct index, even over fewer
+// rows: its id table is at most 4 KiB.
+constexpr int64_t kMinDirectDomain = 1024;
 
-Status BuildGroups(const std::vector<std::string>& group_by,
-                   PreparedInput* out, const ExecOptions& opts) {
-  const Table& frame = *out->frame;
-  const int64_t n = out->num_input_rows;
-  out->group_ids.assign(n, 0);
+// Contiguous row range r of `num_ranges` over n tuples.
+int64_t RangeLo(int64_t n, int64_t r, int num_ranges) {
+  return n * r / num_ranges;
+}
 
-  if (group_by.empty()) {
-    out->num_groups = 1;
-    out->group_keys = std::make_unique<Table>(Schema());
-    return Status::OK();
+// Runs f(r) for r in [0, num_ranges), on the pool when there are several.
+template <typename F>
+void ForRanges(int num_ranges, const F& f) {
+  if (num_ranges > 1) {
+    ThreadPool& pool = ThreadPool::Global();
+    pool.EnsureWorkers(num_ranges - 1);
+    pool.ParallelFor(num_ranges, f);
+  } else {
+    f(0);
   }
+}
 
-  // Per-row integer codes per key column (int64 value or dictionary code).
-  std::vector<const Column*> key_cols;
-  Schema key_schema;
-  for (const std::string& name : group_by) {
-    SUDAF_ASSIGN_OR_RETURN(const Column* col, frame.GetColumn(name));
-    if (col->type() == DataType::kFloat64) {
-      return Status::Unimplemented("GROUP BY on FLOAT64 column: " + name);
+// Calls f(key) with `key(i)` = the integer code of tuple i in `b` (INT64
+// value or dictionary code), specialized on the column type and on
+// identity vs row ids so the hot loops carry no per-row dispatch.
+template <typename F>
+void WithKeyReader(const BoundColumn& b, const F& f) {
+  const int64_t* rows = b.rows;
+  const int64_t base = b.base;
+  if (b.col->type() == DataType::kInt64) {
+    const int64_t* v = b.col->ints().data();
+    if (rows != nullptr) {
+      f([v, rows](int64_t i) -> int64_t { return v[rows[i]]; });
+    } else {
+      f([v, base](int64_t i) -> int64_t { return v[base + i]; });
     }
-    key_cols.push_back(col);
-    SUDAF_RETURN_IF_ERROR(key_schema.AddField(Field{name, col->type()}));
+  } else {
+    const int32_t* v = b.col->string_codes().data();
+    if (rows != nullptr) {
+      f([v, rows](int64_t i) -> int64_t { return v[rows[i]]; });
+    } else {
+      f([v, base](int64_t i) -> int64_t { return v[base + i]; });
+    }
   }
-  out->group_keys = std::make_unique<Table>(std::move(key_schema));
+}
 
-  auto code_at = [&](int c, int64_t row) -> int64_t {
-    const Column* col = key_cols[c];
-    return col->type() == DataType::kInt64
-               ? col->GetInt64(row)
-               : static_cast<int64_t>(col->GetStringCode(row));
+// Direct-index grouping: the key of tuple i takes slot key(i) - lo of a
+// dense table over [lo, lo + domain), and a slot's id is assigned at its
+// first occurrence. Under several ranges, phase 1 writes slots into
+// group_ids and collects each range's first occurrences (a bitmap per
+// range), phase 2 assigns ids over those in range order, and phase 3
+// remaps slots to ids — the ids of the serial loop, for any range count.
+template <typename Key>
+void DirectGroups(const Key& key, int64_t lo, int64_t domain, int64_t n,
+                  int num_ranges, std::vector<int32_t>* group_ids,
+                  std::vector<int64_t>* first_row) {
+  int32_t* gids = group_ids->data();
+  std::vector<int32_t> id_of(static_cast<size_t>(domain), -1);
+  if (num_ranges == 1) {
+    int32_t next = 0;
+    for (int64_t i = 0; i < n; ++i) {
+      int32_t& id = id_of[key(i) - lo];
+      if (id < 0) {
+        id = next++;
+        first_row->push_back(i);
+      }
+      gids[i] = id;
+    }
+    return;
+  }
+  std::vector<std::vector<int64_t>> local_first(num_ranges);
+  ForRanges(num_ranges, [&](int64_t r) {
+    std::vector<uint64_t> seen(static_cast<size_t>((domain + 63) / 64), 0);
+    for (int64_t i = RangeLo(n, r, num_ranges);
+         i < RangeLo(n, r + 1, num_ranges); ++i) {
+      const int64_t s = key(i) - lo;
+      gids[i] = static_cast<int32_t>(s);
+      uint64_t& word = seen[s >> 6];
+      const uint64_t bit = uint64_t{1} << (s & 63);
+      if ((word & bit) == 0) {
+        word |= bit;
+        local_first[r].push_back(i);
+      }
+    }
+  });
+  int32_t next = 0;
+  for (const std::vector<int64_t>& firsts : local_first) {
+    for (int64_t i : firsts) {
+      int32_t& id = id_of[gids[i]];
+      if (id < 0) {
+        id = next++;
+        first_row->push_back(i);
+      }
+    }
+  }
+  ForRanges(num_ranges, [&](int64_t r) {
+    for (int64_t i = RangeLo(n, r, num_ranges);
+         i < RangeLo(n, r + 1, num_ranges); ++i) {
+      gids[i] = id_of[gids[i]];
+    }
+  });
+}
+
+// Tries the direct path for a single key column; false when its value
+// range is too wide for the rows scanned (the caller then hashes).
+bool TryDirectGroups(const BoundColumn& b, int64_t n, int num_ranges,
+                     std::vector<int32_t>* group_ids,
+                     std::vector<int64_t>* first_row) {
+  const int64_t max_domain = std::max(n, kMinDirectDomain);
+  bool done = false;
+  WithKeyReader(b, [&](const auto& key) {
+    int64_t lo = 0;
+    int64_t domain = 0;
+    if (b.col->type() == DataType::kString) {
+      domain = static_cast<int64_t>(b.col->dictionary().size());
+    } else {
+      std::vector<int64_t> mins(num_ranges, key(0));
+      std::vector<int64_t> maxs(num_ranges, key(0));
+      ForRanges(num_ranges, [&](int64_t r) {
+        int64_t mn = mins[r];
+        int64_t mx = maxs[r];
+        for (int64_t i = RangeLo(n, r, num_ranges);
+             i < RangeLo(n, r + 1, num_ranges); ++i) {
+          const int64_t k = key(i);
+          mn = std::min(mn, k);
+          mx = std::max(mx, k);
+        }
+        mins[r] = mn;
+        maxs[r] = mx;
+      });
+      lo = *std::min_element(mins.begin(), mins.end());
+      const int64_t hi = *std::max_element(maxs.begin(), maxs.end());
+      // Unsigned difference: hi - lo overflows int64 for extreme keys.
+      const uint64_t width =
+          static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
+      if (width >= static_cast<uint64_t>(max_domain)) return;
+      domain = static_cast<int64_t>(width) + 1;
+    }
+    if (domain > max_domain) return;
+    DirectGroups(key, lo, domain, n, num_ranges, group_ids, first_row);
+    done = true;
+  });
+  return done;
+}
+
+// Hash grouping over composite keys. Phase 1 builds one local table per
+// contiguous row range, writing range-local ids into group_ids. Phase 2
+// merges the local key sets in ascending range order, local ids in local
+// first-occurrence order — which assigns every key its id at the first
+// range where it globally first occurs, so global ids come out in
+// first-occurrence row order for ANY contiguous partitioning (R = 1
+// reproduces the serial scan exactly). Phase 3 remaps local -> global in
+// parallel.
+void HashGroups(const std::vector<BoundColumn>& keys, int64_t n,
+                int num_ranges, std::vector<int32_t>* group_ids,
+                std::vector<int64_t>* first_row) {
+  auto code_at = [&](size_t c, int64_t i) -> int64_t {
+    const BoundColumn& b = keys[c];
+    const int64_t row = b.Row(i);
+    return b.col->type() == DataType::kInt64
+               ? b.col->GetInt64(row)
+               : static_cast<int64_t>(b.col->GetStringCode(row));
   };
   auto hash_row = [&](int64_t i) -> uint64_t {
     uint64_t h = 0;
-    for (size_t c = 0; c < key_cols.size(); ++c) {
-      h = MixKey(h, static_cast<uint64_t>(code_at(static_cast<int>(c), i)));
+    for (size_t c = 0; c < keys.size(); ++c) {
+      h = MixKey(h, static_cast<uint64_t>(code_at(c, i)));
     }
     return h;
   };
   auto rows_equal = [&](int64_t a, int64_t b) -> bool {
-    for (size_t c = 0; c < key_cols.size(); ++c) {
-      if (code_at(static_cast<int>(c), a) != code_at(static_cast<int>(c), b)) {
-        return false;
-      }
+    for (size_t c = 0; c < keys.size(); ++c) {
+      if (code_at(c, a) != code_at(c, b)) return false;
     }
     return true;
   };
 
-  // Two-phase parallel grouping. Phase 1 builds one local table per
-  // contiguous row range, writing range-local ids into group_ids. Phase 2
-  // merges the local key sets in ascending range order, local ids in local
-  // first-occurrence order — which assigns every key its id at the first
-  // range where it globally first occurs, so global ids come out in
-  // first-occurrence row order for ANY contiguous partitioning (R = 1
-  // reproduces the serial scan exactly). Phase 3 remaps local -> global in
-  // parallel.
-  constexpr int64_t kMinRangeRows = 16384;
-  const int num_ranges =
-      std::min(PlannedWorkers(opts, (n + kMinRangeRows - 1) / kMinRangeRows),
-               ThreadPool::kMaxGlobalWorkers + 1);
-
   std::vector<GroupHashTable> local(num_ranges);
   std::vector<std::vector<int64_t>> local_first(num_ranges);
-  auto build_local = [&](int64_t r) {
+  ForRanges(num_ranges, [&](int64_t r) {
     GroupHashTable& tbl = local[r];
     std::vector<int64_t>& firsts = local_first[r];
-    const int64_t lo = n * r / num_ranges;
-    const int64_t hi = n * (r + 1) / num_ranges;
-    for (int64_t i = lo; i < hi; ++i) {
+    for (int64_t i = RangeLo(n, r, num_ranges);
+         i < RangeLo(n, r + 1, num_ranges); ++i) {
       bool inserted = false;
       const int32_t gid =
           tbl.FindOrInsert(hash_row(i), i,
                            static_cast<int32_t>(firsts.size()), rows_equal,
                            &inserted);
       if (inserted) firsts.push_back(i);
-      out->group_ids[i] = gid;
+      (*group_ids)[i] = gid;
     }
-  };
-  if (num_ranges > 1) {
-    ThreadPool& pool = ThreadPool::Global();
-    pool.EnsureWorkers(num_ranges - 1);
-    pool.ParallelFor(num_ranges, build_local);
-  } else {
-    build_local(0);
-  }
+  });
 
   // Phase 2: deterministic serial merge over the (small) local key sets.
   GroupHashTable global;
-  std::vector<int64_t> first_row;
   std::vector<std::vector<int32_t>> local_to_global(num_ranges);
   for (int r = 0; r < num_ranges; ++r) {
     local_to_global[r].resize(local_first[r].size());
@@ -227,32 +369,78 @@ Status BuildGroups(const std::vector<std::string>& group_by,
       const int64_t row = local_first[r][g];
       bool inserted = false;
       const int32_t gid = global.FindOrInsert(
-          hash_row(row), row, static_cast<int32_t>(first_row.size()),
+          hash_row(row), row, static_cast<int32_t>(first_row->size()),
           rows_equal, &inserted);
-      if (inserted) first_row.push_back(row);
+      if (inserted) first_row->push_back(row);
       local_to_global[r][g] = gid;
     }
   }
 
   // Phase 3: parallel local -> global remap (identity when R == 1).
   if (num_ranges > 1) {
-    auto remap = [&](int64_t r) {
+    ForRanges(num_ranges, [&](int64_t r) {
       const std::vector<int32_t>& map = local_to_global[r];
-      const int64_t lo = n * r / num_ranges;
-      const int64_t hi = n * (r + 1) / num_ranges;
-      for (int64_t i = lo; i < hi; ++i) {
-        out->group_ids[i] = map[out->group_ids[i]];
+      for (int64_t i = RangeLo(n, r, num_ranges);
+           i < RangeLo(n, r + 1, num_ranges); ++i) {
+        (*group_ids)[i] = map[(*group_ids)[i]];
       }
-    };
-    ThreadPool::Global().ParallelFor(num_ranges, remap);
+    });
+  }
+}
+
+}  // namespace
+
+Status BuildGroups(const std::vector<std::string>& group_by,
+                   PreparedInput* out, const ExecOptions& opts,
+                   bool allow_direct) {
+  const int64_t n = out->num_input_rows;
+  out->direct_groups = false;
+
+  if (group_by.empty()) {
+    out->group_ids.assign(n, 0);
+    out->num_groups = 1;
+    out->group_keys = std::make_unique<Table>(Schema());
+    return Status::OK();
   }
 
-  out->num_groups = static_cast<int32_t>(first_row.size());
-  for (int64_t row : first_row) {
-    for (size_t c = 0; c < key_cols.size(); ++c) {
-      out->group_keys->column(static_cast<int>(c))
-          .AppendValue(key_cols[c]->GetValue(row));
+  std::vector<BoundColumn> keys;
+  Schema key_schema;
+  for (const std::string& name : group_by) {
+    SUDAF_ASSIGN_OR_RETURN(BoundColumn key, out->Bind(name));
+    if (key.col->type() == DataType::kFloat64) {
+      return Status::Unimplemented("GROUP BY on FLOAT64 column: " + name);
     }
+    keys.push_back(key);
+    SUDAF_RETURN_IF_ERROR(key_schema.AddField(Field{name, key.col->type()}));
+  }
+  out->group_keys = std::make_unique<Table>(std::move(key_schema));
+
+  constexpr int64_t kMinRangeRows = 16384;
+  const int num_ranges =
+      std::min(PlannedWorkers(opts, (n + kMinRangeRows - 1) / kMinRangeRows),
+               ThreadPool::kMaxGlobalWorkers + 1);
+
+  // Every id is written below; resize without a fill pass when possible.
+  out->group_ids.resize(n);
+  std::vector<int64_t> first_row;
+  if (allow_direct && keys.size() == 1 && n > 0) {
+    out->direct_groups =
+        TryDirectGroups(keys[0], n, num_ranges, &out->group_ids, &first_row);
+  }
+  if (!out->direct_groups) {
+    HashGroups(keys, n, num_ranges, &out->group_ids, &first_row);
+  }
+
+  // Group keys: typed copies of each group's first row.
+  out->num_groups = static_cast<int32_t>(first_row.size());
+  std::vector<int64_t> key_rows(first_row.size());
+  for (size_t c = 0; c < keys.size(); ++c) {
+    for (size_t g = 0; g < first_row.size(); ++g) {
+      key_rows[g] = keys[c].Row(first_row[g]);
+    }
+    out->group_keys->column(static_cast<int>(c))
+        .AppendRows(*keys[c].col, key_rows.data(),
+                    static_cast<int64_t>(key_rows.size()));
   }
   out->group_keys->FinishBulkAppend();
   return Status::OK();

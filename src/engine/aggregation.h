@@ -1,7 +1,7 @@
 #ifndef SUDAF_ENGINE_AGGREGATION_H_
 #define SUDAF_ENGINE_AGGREGATION_H_
 
-// Grouping and grouped aggregation over a materialized input frame.
+// Grouping and grouped aggregation over a query's prepared input.
 
 #include <memory>
 #include <string>
@@ -11,46 +11,89 @@
 #include "common/status.h"
 #include "engine/exec_options.h"
 #include "engine/hash_join.h"
+#include "engine/input_binding.h"
 #include "engine/plan.h"
 #include "expr/expr.h"
 #include "storage/table.h"
 
 namespace sudaf {
 
-// The FROM/WHERE part of a query, materialized: a frame of the columns the
-// query needs, plus the grouping of its rows.
+// The FROM/WHERE part of a query, prepared for aggregation: which rows the
+// query reads, and the grouping of those rows.
+//
+// A single-table scan reads its base table in place: tuple i is base row
+// row_ids[i] of the WHERE selection, or base + i when row_ids is empty (an
+// unfiltered scan is an identity range, not an iota vector). A join's tuple
+// stream is a permutation of every joined table, so a join instead gathers
+// the columns it reads into `frame` once, and its tuples are the frame's
+// rows (source == frame, base 0). Bind() gives each column as a
+// BoundColumn over that row map.
 struct PreparedInput {
-  std::unique_ptr<Table> frame;       // one row per joined tuple
-  int64_t num_input_rows = 0;         // tuple count (frame may be 0-column)
+  const Table* source = nullptr;   // table the tuples index: base or frame
+  std::vector<int64_t> row_ids;    // selected rows of `source`; empty: identity
+  int64_t base = 0;                // first row of the identity range
+  // Gathered columns: a join's input, or a copy MaterializeFrame made for
+  // a path that evaluates over a frame (the legacy per-state loops).
+  std::unique_ptr<Table> frame;
+  std::vector<std::string> columns;   // columns the query reads (validated)
+  int64_t num_input_rows = 0;         // tuple count
   std::vector<int32_t> group_ids;     // size = num_input_rows
   std::unique_ptr<Table> group_keys;  // group-by columns, one row per group
   int32_t num_groups = 0;
+  bool direct_groups = false;         // ids assigned by direct indexing
   // Append-segment boundaries mapped into filtered-row space (cumulative
   // tuple ends, last == num_input_rows). Single-table plans map the base
   // table's segment log through the sorted selection vector; multi-table
   // plans always have one segment. Drives the fused executor's per-segment
   // chunk tree (docs/execution.md, "Incremental maintenance").
   std::vector<int64_t> segment_ends;
+
+  // `column` of `source` over the tuple → row map.
+  Result<BoundColumn> Bind(const std::string& column) const;
+  // Bind() as a ColumnBinder; borrows this input.
+  ColumnBinder Binder() const {
+    return [this](const std::string& column) { return Bind(column); };
+  }
+  // Bytes materialized for this input — row ids, group ids and any frame —
+  // what QueryGuard memory budgets charge for a scan.
+  int64_t ApproxBytes() const;
 };
 
-// Gathers `columns` (resolved against `plan`) from the join result into a
-// fresh table with one row per tuple. Parallel under opts.parallel: output
-// columns are pre-sized and (column × row-range) tasks fill disjoint
-// windows, producing the same positional copy as a serial gather.
+// Copies the bound `columns` (named `names`, each with row ids) into a
+// fresh table with one row per tuple of [0, num_rows), adding the copied
+// bytes to sudaf.input.gathered_bytes (opts.metrics). Parallel under
+// opts.parallel: output columns are pre-sized and (column × row-range)
+// tasks fill disjoint windows, producing the same positional copy as a
+// serial gather. This is the one place input rows are copied.
 Result<std::unique_ptr<Table>> GatherColumns(
-    const QueryPlan& plan, const JoinedRows& joined,
-    const std::vector<std::string>& columns, const ExecOptions& opts = {});
+    const std::vector<std::string>& names,
+    const std::vector<BoundColumn>& columns, int64_t num_rows,
+    const ExecOptions& opts = {});
+
+// Ensures `input->frame` holds every column of `input->columns`, gathering
+// it (under a "gather" span and sudaf.phase.gather_ms) when missing. For
+// the paths that evaluate over a frame: the legacy per-state loops and the
+// engine's legacy-kernel and hardcoded-UDAF loops.
+Status MaterializeFrame(PreparedInput* input, const ExecOptions& opts = {});
 
 // Computes `out->group_ids`, `out->group_keys` and `out->num_groups` for the
-// frame already stored in `out`. With an empty `group_by` there is a single
-// group 0 (and `group_keys` has zero columns, one row).
+// input bound in `out`, reading the key columns through Bind(). With an
+// empty `group_by` there is a single group 0 (and `group_keys` has zero
+// columns, one row).
 //
-// Parallel under opts.parallel via two-phase grouping: per-range flat
-// open-addressing hash tables, then a deterministic merge that assigns
-// global ids in first-occurrence row order — group_keys ordering and
+// Group ids are in first-occurrence row order on every path. One INT64 key
+// whose value range, or one dictionary STRING key whose dictionary, is
+// small relative to the scanned rows indexes a dense id table directly
+// (out->direct_groups); any other key hashes. `allow_direct` = false forces
+// the hash path (for differential tests).
+//
+// Parallel under opts.parallel: per-range local first-occurrence key sets
+// (flat open-addressing hash tables, or bitmaps over the direct range),
+// then a deterministic merge in range order — group_keys ordering and
 // group_ids are bit-identical to the serial scan for every thread count.
 Status BuildGroups(const std::vector<std::string>& group_by,
-                   PreparedInput* out, const ExecOptions& opts = {});
+                   PreparedInput* out, const ExecOptions& opts = {},
+                   bool allow_direct = true);
 
 // Grouped ⊕-aggregation of `input` (empty for kCount). Honors
 // opts.partitioned by aggregating per-partition and merging with ⊕ — the

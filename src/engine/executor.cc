@@ -53,14 +53,14 @@ Result<PreparedInput> Executor::Prepare(
     SUDAF_ASSIGN_OR_RETURN(joined, FilterAndJoin(plan, opts));
   }
 
-  // Columns the frame must carry: group-by keys, select-list references,
-  // caller extras. Deduplicated, insertion-ordered.
-  std::vector<std::string> needed;
+  // Columns the query reads: group-by keys, select-list references, caller
+  // extras. Deduplicated, insertion-ordered.
+  PreparedInput prepared;
   std::set<std::string> seen;
   auto add = [&](const std::string& name) {
     if (name == "*" || seen.count(name) > 0) return;
     seen.insert(name);
-    needed.push_back(name);
+    prepared.columns.push_back(name);
   };
   for (const std::string& g : stmt.group_by) add(g);
   for (const SelectItem& item : stmt.items) {
@@ -69,15 +69,39 @@ Result<PreparedInput> Executor::Prepare(
     for (const std::string& c : cols) add(c);
   }
   for (const std::string& c : extra_columns) add(c);
+  prepared.num_input_rows = joined.num_tuples;
 
-  PreparedInput prepared;
+  // A single-table input binds its base table through the selection (or
+  // the identity range): nothing is copied. A join gathers the columns it
+  // reads into a frame once — its tuple stream is a permutation of every
+  // joined table — and binds the frame as an identity range.
   {
     TraceSpan gather_span(opts.trace, "gather", opts.trace_span,
                           phase_ms("sudaf.phase.gather_ms"));
-    SUDAF_ASSIGN_OR_RETURN(prepared.frame,
-                           GatherColumns(plan, joined, needed, opts));
+    if (plan.tables.size() == 1) {
+      for (const std::string& name : prepared.columns) {
+        SUDAF_RETURN_IF_ERROR(plan.ResolveColumn(name).status());
+      }
+      prepared.source = plan.tables[0];
+      if (joined.identity_base >= 0) {
+        prepared.base = joined.identity_base;
+      } else {
+        prepared.row_ids = std::move(joined.rows[0]);
+      }
+    } else {
+      std::vector<BoundColumn> columns;
+      for (const std::string& name : prepared.columns) {
+        SUDAF_ASSIGN_OR_RETURN(auto loc, plan.ResolveColumn(name));
+        const Column& col = plan.tables[loc.first]->column(loc.second);
+        columns.push_back(
+            BoundColumn{&col, joined.rows[loc.first].data(), 0});
+      }
+      SUDAF_ASSIGN_OR_RETURN(prepared.frame,
+                             GatherColumns(prepared.columns, columns,
+                                           joined.num_tuples, opts));
+      prepared.source = prepared.frame.get();
+    }
   }
-  prepared.num_input_rows = joined.num_tuples;
 
   // Map the base table's append-segment boundaries into filtered-row
   // space: the selection vector of a single-table plan is ascending, so a
@@ -93,12 +117,14 @@ Result<PreparedInput> Executor::Prepare(
     } else {
       base_ends = catalog_->TableSegments(stmt.tables[0]);
     }
-    const std::vector<int64_t>& sel = joined.rows[0];
+    const std::vector<int64_t>& sel = prepared.row_ids;
     const int64_t scan_lo = opts.scan != nullptr ? opts.scan->begin : 0;
     for (int64_t e : base_ends) {
       if (e <= scan_lo) continue;
       const int64_t idx =
-          std::lower_bound(sel.begin(), sel.end(), e) - sel.begin();
+          joined.identity_base >= 0
+              ? e - prepared.base
+              : std::lower_bound(sel.begin(), sel.end(), e) - sel.begin();
       if (idx < joined.num_tuples) prepared.segment_ends.push_back(idx);
     }
   }
@@ -129,10 +155,21 @@ Result<std::unique_ptr<Table>> Executor::Execute(
         ->Add(input.num_input_rows);
   }
   if (opts.guard != nullptr) {
-    SUDAF_RETURN_IF_ERROR(opts.guard->ChargeMemory(input.frame->ApproxBytes()));
+    SUDAF_RETURN_IF_ERROR(opts.guard->ChargeMemory(input.ApproxBytes()));
   }
-  const Table& frame = *input.frame;
   const int32_t num_groups = input.num_groups;
+  // The legacy-kernel and hardcoded-UDAF loops evaluate over a frame;
+  // gathered on first use, so fused-only queries never copy a row.
+  auto frame = [&]() -> Result<const Table*> {
+    if (input.frame == nullptr) {
+      SUDAF_RETURN_IF_ERROR(MaterializeFrame(&input, prep_opts));
+      if (opts.guard != nullptr) {
+        SUDAF_RETURN_IF_ERROR(
+            opts.guard->ChargeMemory(input.frame->ApproxBytes()));
+      }
+    }
+    return input.frame.get();
+  };
 
   Schema out_schema;
   std::vector<std::vector<double>> agg_outputs(stmt.items.size());
@@ -178,14 +215,10 @@ Result<std::unique_ptr<Table>> Executor::Execute(
       }
     }
     if (!requests.empty()) {
-      ColumnResolver resolver =
-          [&frame](const std::string& name) -> Result<const Column*> {
-        return frame.GetColumn(name);
-      };
       SUDAF_ASSIGN_OR_RETURN(
           fused_batch,
-          ComputeStateBatch(requests, resolver, input.group_ids, num_groups,
-                            opts));
+          ComputeStateBatch(requests, input.Binder(), input.group_ids,
+                            num_groups, opts));
     }
   }
 
@@ -224,7 +257,8 @@ Result<std::unique_ptr<Table>> Executor::Execute(
       // Primitive aggregate through vectorized kernels (legacy path).
       std::vector<double> in;
       if (expr.agg_op != AggOp::kCount) {
-        SUDAF_ASSIGN_OR_RETURN(in, FrameVector(frame, *expr.args[0]));
+        SUDAF_ASSIGN_OR_RETURN(const Table* f, frame());
+        SUDAF_ASSIGN_OR_RETURN(in, FrameVector(*f, *expr.args[0]));
       }
       agg_outputs[i] = ComputeGroupedState(expr.agg_op, in, input.group_ids,
                                            num_groups, opts);
@@ -252,8 +286,9 @@ Result<std::unique_ptr<Table>> Executor::Execute(
           sum2 = std::move(fused_batch[fused_items[i].sum2]);
         }
       } else {
+        SUDAF_ASSIGN_OR_RETURN(const Table* f, frame());
         SUDAF_ASSIGN_OR_RETURN(std::vector<double> in,
-                               FrameVector(frame, *expr.args[0]));
+                               FrameVector(*f, *expr.args[0]));
         cnt = ComputeGroupedState(AggOp::kCount, {}, input.group_ids,
                                   num_groups, opts);
         sum = ComputeGroupedState(AggOp::kSum, in, input.group_ids,
@@ -288,7 +323,8 @@ Result<std::unique_ptr<Table>> Executor::Execute(
             "hardcoded UDAF arguments must be plain columns: " +
             expr.ToString());
       }
-      SUDAF_ASSIGN_OR_RETURN(const Column* col, frame.GetColumn(arg->column));
+      SUDAF_ASSIGN_OR_RETURN(const Table* f, frame());
+      SUDAF_ASSIGN_OR_RETURN(const Column* col, f->GetColumn(arg->column));
       arg_columns.push_back(col);
     }
     SUDAF_ASSIGN_OR_RETURN(

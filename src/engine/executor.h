@@ -10,7 +10,10 @@
 // Spark SQL treat user-defined aggregates.
 //
 // The SUDAF rewriter (src/sudaf) reuses Prepare() so that baseline and
-// rewritten executions share scans, filters, joins and grouping.
+// rewritten executions share scans, filters, joins and grouping. Under
+// ExecOptions::use_fused, built-in aggregates run in one fused state pass
+// over the prepared input in place; only the legacy kernels and hardcoded
+// UDAFs gather a frame.
 
 #include <memory>
 #include <string>
@@ -37,12 +40,16 @@ class Executor {
                                          const ExecOptions& opts = {}) const;
 
   // Plans, filters, joins and groups the FROM/WHERE/GROUP BY part of `stmt`.
-  // The frame contains the group-by columns, every column referenced by the
-  // select list, and `extra_columns`. `opts` controls pipeline parallelism
-  // (filter / gather / group run morsel-parallel under opts.parallel, with
-  // results bit-identical to the serial path) and carries the observability
-  // sinks: each stage records a span ("filter", "gather", "group") under
-  // opts.trace_span and a sudaf.phase.*_ms dcounter.
+  // The input binds the group-by columns, every column referenced by the
+  // select list, and `extra_columns` (PreparedInput::columns). A
+  // single-table input reads its base table in place through the WHERE
+  // selection or an identity range; a join gathers those columns into a
+  // frame. `opts` controls pipeline parallelism (filter / gather / group
+  // run morsel-parallel under opts.parallel, with results bit-identical to
+  // the serial path) and carries the observability sinks: each stage
+  // records a span ("filter", "gather", "group") under opts.trace_span and
+  // a sudaf.phase.*_ms dcounter; "gather" times binding the columns plus
+  // whatever is still copied.
   Result<PreparedInput> Prepare(const SelectStatement& stmt,
                                 const std::vector<std::string>& extra_columns,
                                 const ExecOptions& opts) const;

@@ -1,6 +1,7 @@
 #include "engine/hash_join.h"
 
 #include <algorithm>
+#include <functional>
 #include <unordered_map>
 
 #include "common/query_guard.h"
@@ -11,38 +12,153 @@ namespace sudaf {
 
 namespace {
 
+// Value of a numeric literal, possibly under unary minus, computed with the
+// same operations EvalNumericRange applies to it.
+bool LiteralValue(const Expr& e, double* v) {
+  if (e.kind == ExprKind::kLiteral && e.literal.is_numeric()) {
+    *v = e.literal.AsDouble();
+    return true;
+  }
+  if (e.kind == ExprKind::kUnaryMinus && LiteralValue(*e.args[0], v)) {
+    *v = -*v;
+    return true;
+  }
+  return false;
+}
+
+// `a op b` == `b Mirror(op) a` for every IEEE double pair, NaN included.
+std::optional<BinaryOp> Mirror(BinaryOp op) {
+  switch (op) {
+    case BinaryOp::kLt:
+      return BinaryOp::kGt;
+    case BinaryOp::kLe:
+      return BinaryOp::kGe;
+    case BinaryOp::kGt:
+      return BinaryOp::kLt;
+    case BinaryOp::kGe:
+      return BinaryOp::kLe;
+    case BinaryOp::kEq:
+    case BinaryOp::kNe:
+      return op;
+    default:
+      return std::nullopt;
+  }
+}
+
+// Selection kernels. `sel` holds morsel-relative offsets of the surviving
+// rows. A dense call selects from all `len` rows of the morsel; a sparse
+// call compacts the first `n` entries of `sel` in place. Both write every
+// candidate and advance by `pass(i)`, so the loops carry no data-dependent
+// branch. Returns the new selection size.
+template <typename Pass>
+uint32_t SelectIf(int64_t len, bool dense, uint32_t n, uint32_t* sel,
+                  const Pass& pass) {
+  uint32_t k = 0;
+  if (dense) {
+    for (int64_t i = 0; i < len; ++i) {
+      sel[k] = static_cast<uint32_t>(i);
+      k += pass(i) ? 1 : 0;
+    }
+    return k;
+  }
+  for (uint32_t j = 0; j < n; ++j) {
+    const uint32_t i = sel[j];
+    sel[k] = i;
+    k += pass(i) ? 1 : 0;
+  }
+  return k;
+}
+
+// Typed kernel for `v[i] <Cmp> c`, comparing as double like the
+// interpreted evaluator.
+template <typename Cmp, typename T>
+uint32_t SelectCompare(const T* v, double c, int64_t len, bool dense,
+                       uint32_t n, uint32_t* sel) {
+  const Cmp cmp;
+  return SelectIf(len, dense, n, sel, [&](int64_t i) {
+    return cmp(static_cast<double>(v[i]), c);
+  });
+}
+
+template <typename T>
+uint32_t SelectTyped(const T* v, BinaryOp op, double c, int64_t len,
+                     bool dense, uint32_t n, uint32_t* sel) {
+  switch (op) {
+    case BinaryOp::kLt:
+      return SelectCompare<std::less<double>>(v, c, len, dense, n, sel);
+    case BinaryOp::kLe:
+      return SelectCompare<std::less_equal<double>>(v, c, len, dense, n, sel);
+    case BinaryOp::kGt:
+      return SelectCompare<std::greater<double>>(v, c, len, dense, n, sel);
+    case BinaryOp::kGe:
+      return SelectCompare<std::greater_equal<double>>(v, c, len, dense, n,
+                                                       sel);
+    case BinaryOp::kEq:
+      return SelectCompare<std::equal_to<double>>(v, c, len, dense, n, sel);
+    default:
+      return SelectCompare<std::not_equal_to<double>>(v, c, len, dense, n,
+                                                      sel);
+  }
+}
+
+// Applies compiled predicate `p` to the morsel of base rows
+// [lo, lo + len); see SelectIf for `dense`, `n` and `sel`.
+uint32_t ApplyCompiled(const CompiledPredicate& p, int64_t lo, int64_t len,
+                       bool dense, uint32_t n, uint32_t* sel) {
+  if (p.column->type() == DataType::kFloat64) {
+    return SelectTyped(p.column->doubles().data() + lo, p.op, p.literal, len,
+                       dense, n, sel);
+  }
+  return SelectTyped(p.column->ints().data() + lo, p.op, p.literal, len,
+                     dense, n, sel);
+}
+
+// Base-table row range [lo, hi) a scan of `table` covers. Scan bounds
+// (delta-refresh passes scan only appended rows) are only ever set for
+// single-table plans — FilterAndJoin rejects them otherwise — so applying
+// them unconditionally is safe.
+std::pair<int64_t, int64_t> ScanRange(const Table& table,
+                                      const ExecOptions& opts) {
+  int64_t lo = 0;
+  int64_t hi = table.num_rows();
+  if (opts.scan != nullptr) {
+    lo = std::clamp<int64_t>(opts.scan->begin, 0, hi);
+    if (opts.scan->end >= 0) hi = std::clamp<int64_t>(opts.scan->end, lo, hi);
+  }
+  return {lo, hi};
+}
+
 // Evaluates the per-table filters; returns the selected row ids of table `t`.
-// Numeric predicates evaluate vectorized per morsel (EvalNumericRange);
-// predicates touching strings fall back to boxed row-at-a-time evaluation.
 //
-// Under opts.parallel the pass is morsel-parallel and order-preserving:
-// workers fill disjoint ranges of a shared keep-bitmap, per-range selection
-// counts prefix-sum into write offsets, and the selected row ids are
-// written in parallel — ascending contiguous ranges make the output
-// identical to the serial scan for every worker count.
+// Each morsel runs the compiled conjuncts first (typed kernels writing the
+// selection, later ones compacting it in place), then the others: numeric
+// predicates evaluate vectorized over the morsel (EvalNumericRange) and
+// predicates touching strings evaluate row-at-a-time (EvalRow) over the
+// surviving rows only. Per-morsel selections are kept as offsets; a prefix
+// sum over their counts gives each morsel its write offset in the output,
+// so the row ids come out in ascending order for every worker count.
 Result<std::vector<int64_t>> FilterTable(const QueryPlan& plan, int t,
                                          const ExecOptions& opts) {
   Table* table = plan.tables[t];
+  const auto [lo, hi] = ScanRange(*table, opts);
+  std::vector<CompiledPredicate> compiled;
   std::vector<const Expr*> preds;
   for (const TableFilter& f : plan.filters) {
-    if (f.table_index == t) preds.push_back(f.predicate);
-  }
-  // Scan bounds (delta-refresh passes scan only appended rows). Only ever
-  // set for single-table plans — FilterAndJoin rejects them otherwise —
-  // so applying them unconditionally here is safe.
-  int64_t lo = 0;
-  int64_t n = table->num_rows();
-  if (opts.scan != nullptr) {
-    lo = std::clamp<int64_t>(opts.scan->begin, 0, n);
-    if (opts.scan->end >= 0) n = std::clamp<int64_t>(opts.scan->end, lo, n);
+    if (f.table_index != t) continue;
+    std::optional<CompiledPredicate> c = CompilePredicate(*f.predicate, *table);
+    if (c.has_value()) {
+      compiled.push_back(*c);
+    } else {
+      preds.push_back(f.predicate);
+    }
   }
   std::vector<int64_t> out;
-  if (preds.empty()) {
-    out.resize(n - lo);
-    for (int64_t i = lo; i < n; ++i) out[i - lo] = i;
+  if (compiled.empty() && preds.empty()) {
+    out.resize(hi - lo);
+    for (int64_t i = lo; i < hi; ++i) out[i - lo] = i;
     return out;
   }
-  if (n - lo == 0) return out;
+  if (hi == lo) return out;
 
   ColumnResolver resolver =
       [table](const std::string& col) -> Result<const Column*> {
@@ -54,9 +170,9 @@ Result<std::vector<int64_t>> FilterTable(const QueryPlan& plan, int t,
     return c->GetValue(row);
   };
 
-  // Classify each predicate once: EvalNumericRange's failures (string
-  // columns, unknown names) are value-independent, so probing one row
-  // decides vectorized vs row-at-a-time mode for the whole scan.
+  // Classify each remaining predicate once: EvalNumericRange's failures
+  // (string columns, unknown names) are value-independent, so probing one
+  // row decides vectorized vs row-at-a-time mode for the whole scan.
   std::vector<uint8_t> vectorized(preds.size(), 0);
   {
     EvalScratch probe_scratch;
@@ -67,49 +183,60 @@ Result<std::vector<int64_t>> FilterTable(const QueryPlan& plan, int t,
               .ok();
     }
   }
+  bool any_vectorized = false;
+  for (uint8_t v : vectorized) any_vectorized |= v != 0;
 
-  const int64_t span = n - lo;
+  const int64_t span = hi - lo;
   const int64_t morsel = std::max(1, opts.morsel_size);
   const int64_t num_morsels = (span + morsel - 1) / morsel;
   const int workers = std::min(PlannedWorkers(opts, num_morsels),
                                ThreadPool::kMaxGlobalWorkers + 1);
 
-  // Phase 1: fill the keep-bitmap (conjunction across predicates), one
-  // contiguous morsel-aligned range per worker, morselized so the predicate
-  // scratch stays cache-resident. Ranges are in scan-span space (absolute
-  // row = lo + index); the decomposition never affects the selection
-  // vector, which is written in ascending row order regardless.
-  std::vector<uint8_t> keep(span, 1);
-  std::vector<int64_t> range_lo(workers + 1);
-  for (int w = 0; w <= workers; ++w) {
-    range_lo[w] = std::min(span, (num_morsels * w / workers) * morsel);
-  }
+  // Phase 1: per-morsel selections, one contiguous morsel range per
+  // worker. The decomposition never affects the result.
+  std::vector<std::vector<uint32_t>> morsel_sel(num_morsels);
   auto run_range = [&](int64_t wi) -> Status {
     EvalScratch scratch;
-    std::vector<double> buf(static_cast<size_t>(
-        std::min<int64_t>(morsel, range_lo[wi + 1] - range_lo[wi])));
-    for (int64_t mlo = range_lo[wi]; mlo < range_lo[wi + 1]; mlo += morsel) {
+    const int64_t m_lo = num_morsels * wi / workers;
+    const int64_t m_hi = num_morsels * (wi + 1) / workers;
+    const int64_t buf_len = std::min(morsel, span);
+    std::vector<uint32_t> sel(static_cast<size_t>(buf_len));
+    std::vector<double> buf(any_vectorized ? static_cast<size_t>(buf_len) : 0);
+    for (int64_t m = m_lo; m < m_hi; ++m) {
       if (opts.guard != nullptr) {
         SUDAF_RETURN_IF_ERROR(opts.guard->Check());
       }
-      const int64_t mhi = std::min(mlo + morsel, range_lo[wi + 1]);
-      for (size_t p = 0; p < preds.size(); ++p) {
-        if (vectorized[p]) {
-          SUDAF_RETURN_IF_ERROR(EvalNumericRange(*preds[p], resolver,
-                                                 lo + mlo, lo + mhi,
-                                                 buf.data(), &scratch));
-          for (int64_t i = mlo; i < mhi; ++i) {
-            if (buf[i - mlo] == 0.0) keep[i] = 0;
-          }
-        } else {
-          for (int64_t i = mlo; i < mhi; ++i) {
-            if (!keep[i]) continue;
-            SUDAF_ASSIGN_OR_RETURN(Value v,
-                                   EvalRow(*preds[p], accessor, lo + i));
-            if (!v.is_numeric() || v.AsDouble() == 0.0) keep[i] = 0;
-          }
-        }
+      const int64_t mlo = lo + m * morsel;
+      const int64_t len = std::min(morsel, hi - mlo);
+      bool dense = true;  // every row of the morsel selected, sel unset
+      uint32_t k = 0;
+      for (const CompiledPredicate& c : compiled) {
+        k = ApplyCompiled(c, mlo, len, dense, k, sel.data());
+        dense = false;
+        if (k == 0) break;
       }
+      for (size_t p = 0; p < preds.size() && (dense || k > 0); ++p) {
+        if (vectorized[p]) {
+          SUDAF_RETURN_IF_ERROR(EvalNumericRange(
+              *preds[p], resolver, mlo, mlo + len, buf.data(), &scratch));
+          k = SelectIf(len, dense, k, sel.data(),
+                       [&](int64_t i) { return buf[i] != 0.0; });
+        } else {
+          Status st;
+          k = SelectIf(len, dense, k, sel.data(), [&](int64_t i) {
+            if (!st.ok()) return false;
+            Result<Value> v = EvalRow(*preds[p], accessor, mlo + i);
+            if (!v.ok()) {
+              st = v.status();
+              return false;
+            }
+            return v->is_numeric() && v->AsDouble() != 0.0;
+          });
+          SUDAF_RETURN_IF_ERROR(st);
+        }
+        dense = false;
+      }
+      morsel_sel[m].assign(sel.begin(), sel.begin() + k);
     }
     return Status::OK();
   };
@@ -121,31 +248,25 @@ Result<std::vector<int64_t>> FilterTable(const QueryPlan& plan, int t,
     SUDAF_RETURN_IF_ERROR(run_range(0));
   }
 
-  // Phase 2: per-range selection counts, prefix sum, parallel write of the
-  // selected row ids at each range's offset.
-  std::vector<int64_t> counts(workers, 0);
-  auto count_range = [&](int64_t wi) {
-    int64_t c = 0;
-    for (int64_t i = range_lo[wi]; i < range_lo[wi + 1]; ++i) c += keep[i];
-    counts[wi] = c;
-  };
-  std::vector<int64_t> offsets(workers + 1, 0);
+  // Phase 2: prefix sum over the per-morsel counts, then each worker writes
+  // its morsels' row ids at their offsets.
+  std::vector<int64_t> offsets(num_morsels + 1, 0);
+  for (int64_t m = 0; m < num_morsels; ++m) {
+    offsets[m + 1] = offsets[m] + static_cast<int64_t>(morsel_sel[m].size());
+  }
+  out.resize(offsets[num_morsels]);
   auto write_range = [&](int64_t wi) {
-    int64_t at = offsets[wi];
-    for (int64_t i = range_lo[wi]; i < range_lo[wi + 1]; ++i) {
-      if (keep[i]) out[at++] = lo + i;
+    for (int64_t m = num_morsels * wi / workers;
+         m < num_morsels * (wi + 1) / workers; ++m) {
+      const int64_t mlo = lo + m * morsel;
+      int64_t* dst = out.data() + offsets[m];
+      for (uint32_t i : morsel_sel[m]) *dst++ = mlo + i;
+      std::vector<uint32_t>().swap(morsel_sel[m]);
     }
   };
   if (workers > 1) {
-    ThreadPool& pool = ThreadPool::Global();
-    pool.ParallelFor(workers, count_range);
-    for (int w = 0; w < workers; ++w) offsets[w + 1] = offsets[w] + counts[w];
-    out.resize(offsets[workers]);
-    pool.ParallelFor(workers, write_range);
+    ThreadPool::Global().ParallelFor(workers, write_range);
   } else {
-    count_range(0);
-    offsets[1] = counts[0];
-    out.resize(offsets[1]);
     write_range(0);
   }
   return out;
@@ -166,12 +287,47 @@ int64_t KeyAt(const Column& col, int64_t row) {
 
 }  // namespace
 
+std::optional<CompiledPredicate> CompilePredicate(const Expr& pred,
+                                                  const Table& table) {
+  if (pred.kind != ExprKind::kBinary || !Mirror(pred.bin_op).has_value()) {
+    return std::nullopt;
+  }
+  const Expr* col = nullptr;
+  BinaryOp op = pred.bin_op;
+  double literal = 0.0;
+  if (pred.args[0]->kind == ExprKind::kColumnRef &&
+      LiteralValue(*pred.args[1], &literal)) {
+    col = pred.args[0].get();
+  } else if (pred.args[1]->kind == ExprKind::kColumnRef &&
+             LiteralValue(*pred.args[0], &literal)) {
+    col = pred.args[1].get();
+    op = *Mirror(pred.bin_op);
+  } else {
+    return std::nullopt;
+  }
+  Result<const Column*> column = table.GetColumn(col->column);
+  if (!column.ok() || (*column)->type() == DataType::kString) {
+    return std::nullopt;
+  }
+  return CompiledPredicate{*column, op, literal};
+}
+
 Result<JoinedRows> FilterAndJoin(const QueryPlan& plan,
                                  const ExecOptions& opts) {
   const int num_tables = static_cast<int>(plan.tables.size());
   if (opts.scan != nullptr && num_tables != 1) {
     return Status::InvalidArgument(
         "scan bounds are only supported for single-table plans");
+  }
+
+  // A lone unfiltered table is an identity range, not an iota vector.
+  if (num_tables == 1 && plan.filters.empty()) {
+    const auto [lo, hi] = ScanRange(*plan.tables[0], opts);
+    JoinedRows result;
+    result.rows.resize(1);
+    result.identity_base = lo;
+    result.num_tuples = hi - lo;
+    return result;
   }
 
   // 1. Filter every table (morsel-parallel under opts.parallel).

@@ -1,13 +1,14 @@
 #ifndef SUDAF_ENGINE_HASH_JOIN_H_
 #define SUDAF_ENGINE_HASH_JOIN_H_
 
-// Multi-table equi-join over row-id vectors.
+// WHERE filtering and multi-table equi-join over row-id vectors.
 //
 // The join result is kept as parallel row-id arrays (one per joined table);
-// columns are gathered afterwards, so wide tables cost nothing during the
-// join itself.
+// columns are read or gathered afterwards, so wide tables cost nothing
+// during the join itself.
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "common/status.h"
@@ -22,18 +23,41 @@ namespace sudaf {
 struct JoinedRows {
   std::vector<std::vector<int64_t>> rows;  // [table][tuple]
   int64_t num_tuples = 0;
+  // An unfiltered single-table scan is an identity range instead of a row
+  // vector: identity_base >= 0, rows[0] is empty and tuple i is base row
+  // identity_base + i.
+  int64_t identity_base = -1;
 };
+
+// A WHERE conjunct `column <op> literal` or `literal <op> column` over an
+// INT64 or FLOAT64 column, with op one of < <= > >= = <>, bound to a typed
+// kernel at plan time. The op is normalized so the column is on the left.
+// The kernel compares static_cast<double>(value) with the literal, exactly
+// as the interpreted evaluator does, so an INT64 column keeps its
+// convert-to-double semantics.
+struct CompiledPredicate {
+  const Column* column = nullptr;
+  BinaryOp op = BinaryOp::kEq;
+  double literal = 0.0;
+};
+
+// Compiles `pred` against `table`, or nullopt when it has another shape
+// (the filter then evaluates it through EvalNumericRange or EvalRow).
+std::optional<CompiledPredicate> CompilePredicate(const Expr& pred,
+                                                  const Table& table);
 
 // Evaluates all single-table filters and joins all tables of `plan` into one
 // tuple stream, starting from the largest filtered table and repeatedly
 // attaching a table connected by a join edge (int64 keys only). Join edges
 // between already-joined tables become post-join filters.
 //
-// Filtering is morsel-parallel under opts.parallel: workers evaluate
-// predicates over contiguous row ranges into a shared keep-bitmap, then the
-// selected row ids are written in parallel at offsets from a prefix sum
-// over per-range counts — the selection vector is identical to the serial
-// one for every thread count. The join itself stays serial.
+// Filtering runs per morsel into a selection of surviving rows: compiled
+// conjuncts first, each writing or compacting the selection in place, then
+// the other conjuncts filtering it through the interpreted evaluator.
+// Under opts.parallel workers take contiguous morsel ranges, and the
+// selected row ids are written at offsets from a prefix sum over
+// per-morsel counts, so the selection is identical to the serial one for
+// every thread count. The join itself stays serial.
 Result<JoinedRows> FilterAndJoin(const QueryPlan& plan,
                                  const ExecOptions& opts = {});
 

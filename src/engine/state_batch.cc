@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 #include <map>
+#include <memory>
 #include <string>
 #include <thread>
 
@@ -25,7 +26,8 @@ namespace {
 struct Slot {
   enum class Kind {
     kLiteral,     // constant fill
-    kColumnF64,   // alias into a float64 column (no buffer, no copy)
+    kColumnF64,   // float64 column: aliased over an identity range,
+                  // loaded through the row ids otherwise
     kColumnI64,   // int64 column, converted per morsel
     kNeg,         // -a
     kAdd,         // a + b
@@ -51,6 +53,8 @@ struct Slot {
   ScalarFn fn = nullptr;         // kGenericFunc, resolved once by Build
   const double* f64 = nullptr;   // kColumnF64
   const int64_t* i64 = nullptr;  // kColumnI64
+  const int64_t* rows = nullptr;  // column slots: row ids, null = identity
+  int64_t base = 0;               // column slots: identity range start
   int dedup_hits = 0;            // times this slot was reused by interning
 };
 
@@ -80,7 +84,7 @@ bool ExtractConstant(const Expr& e, double* v) {
 class BatchPlan {
  public:
   Status Build(const std::vector<StateBatchRequest>& requests,
-               const ColumnResolver& resolver);
+               const ColumnBinder& binder);
 
   const std::vector<Slot>& slots() const { return slots_; }
   const std::vector<Channel>& channels() const { return channels_; }
@@ -95,9 +99,9 @@ class BatchPlan {
   }
 
  private:
-  Result<int> BuildExpr(const Expr& e, const ColumnResolver& resolver);
+  Result<int> BuildExpr(const Expr& e, const ColumnBinder& binder);
   Result<int> BuildPow(const Expr& base, const Expr& exponent,
-                       const ColumnResolver& resolver);
+                       const ColumnBinder& binder);
   int Intern(Slot slot, const std::string& key);
   int MakeUnary(Slot::Kind kind, const char* tag, int child);
   int MakeArith(Slot::Kind kind, const char* tag, int a, int b);
@@ -156,14 +160,14 @@ int BatchPlan::MakeLiteral(double v) {
 // sibling states (e.g. kurtosis's sum(x^3), sum(x^2)) already need — work
 // the per-state legacy path repeats num_states times.
 Result<int> BatchPlan::BuildPow(const Expr& base, const Expr& exponent,
-                                const ColumnResolver& resolver) {
+                                const ColumnBinder& binder) {
   double c = 0.0;
   if (ExtractConstant(exponent, &c)) {
     const double k = std::abs(c);
     const bool integral = k == std::floor(k) && k <= 16.0;
     if (integral || k == 0.5) {
       if (c == 0.0) return MakeLiteral(1.0);
-      SUDAF_ASSIGN_OR_RETURN(int b, BuildExpr(base, resolver));
+      SUDAF_ASSIGN_OR_RETURN(int b, BuildExpr(base, binder));
       int cur;
       if (k == 0.5) {
         cur = MakeUnary(Slot::Kind::kSqrt, "sqrt", b);
@@ -177,13 +181,13 @@ Result<int> BatchPlan::BuildPow(const Expr& base, const Expr& exponent,
       return cur;
     }
   }
-  SUDAF_ASSIGN_OR_RETURN(int a, BuildExpr(base, resolver));
-  SUDAF_ASSIGN_OR_RETURN(int b, BuildExpr(exponent, resolver));
+  SUDAF_ASSIGN_OR_RETURN(int a, BuildExpr(base, binder));
+  SUDAF_ASSIGN_OR_RETURN(int b, BuildExpr(exponent, binder));
   return MakeArith(Slot::Kind::kPow, "pow", a, b);
 }
 
 Result<int> BatchPlan::BuildExpr(const Expr& e,
-                                 const ColumnResolver& resolver) {
+                                 const ColumnBinder& binder) {
   switch (e.kind) {
     case ExprKind::kLiteral: {
       if (!e.literal.is_numeric()) {
@@ -192,12 +196,15 @@ Result<int> BatchPlan::BuildExpr(const Expr& e,
       return MakeLiteral(e.literal.AsDouble());
     }
     case ExprKind::kColumnRef: {
-      SUDAF_ASSIGN_OR_RETURN(const Column* col, resolver(e.column));
+      SUDAF_ASSIGN_OR_RETURN(BoundColumn bound, binder(e.column));
+      const Column* col = bound.col;
       if (col->type() == DataType::kString) {
         return Status::TypeError("string column in numeric context: " +
                                  e.column);
       }
       Slot s;
+      s.rows = bound.rows;
+      s.base = bound.base;
       std::string key;
       if (col->type() == DataType::kFloat64) {
         s.kind = Slot::Kind::kColumnF64;
@@ -212,15 +219,15 @@ Result<int> BatchPlan::BuildExpr(const Expr& e,
       return Intern(std::move(s), key);
     }
     case ExprKind::kUnaryMinus: {
-      SUDAF_ASSIGN_OR_RETURN(int a, BuildExpr(*e.args[0], resolver));
+      SUDAF_ASSIGN_OR_RETURN(int a, BuildExpr(*e.args[0], binder));
       return MakeUnary(Slot::Kind::kNeg, "neg", a);
     }
     case ExprKind::kBinary: {
       if (e.bin_op == BinaryOp::kPow) {
-        return BuildPow(*e.args[0], *e.args[1], resolver);
+        return BuildPow(*e.args[0], *e.args[1], binder);
       }
-      SUDAF_ASSIGN_OR_RETURN(int a, BuildExpr(*e.args[0], resolver));
-      SUDAF_ASSIGN_OR_RETURN(int b, BuildExpr(*e.args[1], resolver));
+      SUDAF_ASSIGN_OR_RETURN(int a, BuildExpr(*e.args[0], binder));
+      SUDAF_ASSIGN_OR_RETURN(int b, BuildExpr(*e.args[1], binder));
       switch (e.bin_op) {
         case BinaryOp::kAdd:
           return MakeArith(Slot::Kind::kAdd, "add", a, b);
@@ -246,7 +253,7 @@ Result<int> BatchPlan::BuildExpr(const Expr& e,
     case ExprKind::kFuncCall: {
       if ((e.func_name == "pow" || e.func_name == "power") &&
           e.args.size() == 2) {
-        return BuildPow(*e.args[0], *e.args[1], resolver);
+        return BuildPow(*e.args[0], *e.args[1], binder);
       }
       if (e.args.size() == 1) {
         const std::string& f = e.func_name;
@@ -265,7 +272,7 @@ Result<int> BatchPlan::BuildExpr(const Expr& e,
           kind = Slot::Kind::kGenericFunc;
         }
         if (kind != Slot::Kind::kGenericFunc) {
-          SUDAF_ASSIGN_OR_RETURN(int a, BuildExpr(*e.args[0], resolver));
+          SUDAF_ASSIGN_OR_RETURN(int a, BuildExpr(*e.args[0], binder));
           return MakeUnary(kind, f.c_str(), a);
         }
       }
@@ -281,7 +288,7 @@ Result<int> BatchPlan::BuildExpr(const Expr& e,
       s.fn = fn;
       std::string key = "gfunc|" + e.func_name;
       for (const auto& arg : e.args) {
-        SUDAF_ASSIGN_OR_RETURN(int a, BuildExpr(*arg, resolver));
+        SUDAF_ASSIGN_OR_RETURN(int a, BuildExpr(*arg, binder));
         s.args.push_back(a);
         key += "|" + std::to_string(a);
       }
@@ -296,7 +303,7 @@ Result<int> BatchPlan::BuildExpr(const Expr& e,
 }
 
 Status BatchPlan::Build(const std::vector<StateBatchRequest>& requests,
-                        const ColumnResolver& resolver) {
+                        const ColumnBinder& binder) {
   request_channel_.reserve(requests.size());
   for (const StateBatchRequest& req : requests) {
     int slot = -1;
@@ -305,7 +312,7 @@ Status BatchPlan::Build(const std::vector<StateBatchRequest>& requests,
         return Status::InvalidArgument(
             "aggregation state without an input expression");
       }
-      SUDAF_ASSIGN_OR_RETURN(slot, BuildExpr(*req.input, resolver));
+      SUDAF_ASSIGN_OR_RETURN(slot, BuildExpr(*req.input, binder));
     }
     std::string key =
         std::to_string(static_cast<int>(req.op)) + "|" + std::to_string(slot);
@@ -317,27 +324,34 @@ Status BatchPlan::Build(const std::vector<StateBatchRequest>& requests,
   return Status::OK();
 }
 
-// Per-worker evaluation state: one scratch buffer per slot (morsel-sized,
-// reused across all of the worker's morsels). Accumulation goes straight
-// into the chunk block the worker currently owns, so workers carry no
-// accumulator of their own — the accumulation tree is a property of the
-// pass, not of the worker count.
+// A float64 column over an identity range is read in place: its slot
+// aliases the column and needs no buffer.
+bool AliasesColumn(const Slot& s) {
+  return s.kind == Slot::Kind::kColumnF64 && s.rows == nullptr;
+}
+
+// Per-worker evaluation state: one scratch buffer per slot (one morsel
+// long, reused across all of the worker's morsels, left uninitialized
+// because every slot writes its rows before they are read). Accumulation
+// goes straight into the chunk block the worker currently owns, so workers
+// carry no accumulator of their own — the accumulation tree is a property
+// of the pass, not of the worker count.
 struct WorkerEval {
-  std::vector<std::vector<double>> bufs;
+  std::vector<std::unique_ptr<double[]>> bufs;
   std::vector<const double*> ptr;
 
-  void Init(const BatchPlan& plan, int64_t morsel_size) {
+  void Init(const BatchPlan& plan, int64_t buf_len) {
     const std::vector<Slot>& slots = plan.slots();
     bufs.resize(slots.size());
     ptr.assign(slots.size(), nullptr);
     for (size_t i = 0; i < slots.size(); ++i) {
       const Slot& s = slots[i];
-      if (s.kind == Slot::Kind::kColumnF64) continue;  // aliases the column
-      bufs[i].resize(morsel_size);
+      if (AliasesColumn(s)) continue;
+      bufs[i] = std::make_unique_for_overwrite<double[]>(buf_len);
       if (s.kind == Slot::Kind::kLiteral) {
-        std::fill(bufs[i].begin(), bufs[i].end(), s.literal);
+        std::fill_n(bufs[i].get(), buf_len, s.literal);
       }
-      ptr[i] = bufs[i].data();
+      ptr[i] = bufs[i].get();
     }
   }
 };
@@ -347,17 +361,30 @@ Status EvalMorsel(const BatchPlan& plan, WorkerEval* w, int64_t lo,
   const std::vector<Slot>& slots = plan.slots();
   for (size_t i = 0; i < slots.size(); ++i) {
     const Slot& s = slots[i];
-    double* out = w->bufs[i].data();
+    double* out = w->bufs[i].get();
     switch (s.kind) {
       case Slot::Kind::kLiteral:
         break;  // prefilled at Init
-      case Slot::Kind::kColumnF64:
-        w->ptr[i] = s.f64 + lo;
+      case Slot::Kind::kColumnF64: {
+        if (s.rows == nullptr) {
+          w->ptr[i] = s.f64 + s.base + lo;
+          break;
+        }
+        const int64_t* rows = s.rows + lo;
+        for (int64_t r = 0; r < len; ++r) out[r] = s.f64[rows[r]];
         break;
+      }
       case Slot::Kind::kColumnI64: {
-        const int64_t* in = s.i64 + lo;
+        if (s.rows == nullptr) {
+          const int64_t* in = s.i64 + s.base + lo;
+          for (int64_t r = 0; r < len; ++r) {
+            out[r] = static_cast<double>(in[r]);
+          }
+          break;
+        }
+        const int64_t* rows = s.rows + lo;
         for (int64_t r = 0; r < len; ++r) {
-          out[r] = static_cast<double>(in[r]);
+          out[r] = static_cast<double>(s.i64[rows[r]]);
         }
         break;
       }
@@ -496,15 +523,16 @@ void AccumulateMorsel(const BatchPlan& plan, WorkerEval* w,
 
 Result<std::vector<std::vector<double>>> ComputeStateBatch(
     const std::vector<StateBatchRequest>& requests,
-    const ColumnResolver& resolver, const std::vector<int32_t>& group_ids,
+    const ColumnBinder& binder, const std::vector<int32_t>& group_ids,
     int32_t num_groups, const ExecOptions& opts, StateBatchStats* stats,
     const StateBatchIncremental* inc) {
   const int64_t n = static_cast<int64_t>(group_ids.size());
 
   BatchPlan plan;
-  SUDAF_RETURN_IF_ERROR(plan.Build(requests, resolver));
+  SUDAF_RETURN_IF_ERROR(plan.Build(requests, binder));
 
   const int64_t morsel = std::max(1, opts.morsel_size);
+  const int64_t buf_len = std::min(morsel, n);  // longest possible morsel
   const int64_t num_channels = static_cast<int64_t>(plan.channels().size());
   const std::vector<Channel>& channels = plan.channels();
 
@@ -641,15 +669,15 @@ Result<std::vector<std::vector<double>>> ComputeStateBatch(
                ThreadPool::kMaxGlobalWorkers + 1);
 
   // Admit the pass's scratch footprint against the query's memory budget
-  // before allocating: per worker, one morsel-sized buffer per non-alias
-  // slot, plus the shared chunk accumulator.
+  // before allocating: per worker, one buffer per non-alias slot, plus the
+  // shared chunk accumulator.
   if (opts.guard != nullptr) {
     int64_t buffered_slots = 0;
     for (const Slot& s : plan.slots()) {
-      if (s.kind != Slot::Kind::kColumnF64) ++buffered_slots;
+      if (!AliasesColumn(s)) ++buffered_slots;
     }
     const int64_t scratch_bytes =
-        static_cast<int64_t>(workers) * buffered_slots * morsel *
+        static_cast<int64_t>(workers) * buffered_slots * buf_len *
             static_cast<int64_t>(sizeof(double)) +
         wave * block_bytes;
     SUDAF_RETURN_IF_ERROR(opts.guard->ChargeMemory(scratch_bytes));
@@ -714,7 +742,7 @@ Result<std::vector<std::vector<double>>> ComputeStateBatch(
     auto run_worker = [&](int64_t wi) -> Status {
       WorkerEval& we = evals[wi];
       if (!eval_ready[wi]) {
-        we.Init(plan, morsel);
+        we.Init(plan, buf_len);
         eval_ready[wi] = 1;
       }
       for (;;) {

@@ -41,6 +41,7 @@
 
 #include "common/status.h"
 #include "engine/exec_options.h"
+#include "engine/input_binding.h"
 #include "expr/evaluator.h"
 #include "expr/expr.h"
 
@@ -89,16 +90,18 @@ struct StateBatchIncremental {
   std::vector<const std::vector<double>*> init;
 };
 
-// Computes every requested channel over rows [0, group_ids.size()) in one
+// Computes every requested channel over tuples [0, group_ids.size()) in one
 // fused morsel-driven pass. Returns one num_groups-sized vector per request
 // (duplicates of the same channel share the computation but each get their
-// own copy). `resolver` resolves the column leaves of the input
-// expressions. `stats`, when non-null, is overwritten with this pass's
+// own copy). `binder` binds the column leaves of the input expressions to
+// base columns read in place (PreparedInput::Binder): a column slot loads
+// col[rows[t]] into its morsel buffer, or aliases col + base + t for an
+// identity range. `stats`, when non-null, is overwritten with this pass's
 // counters. `inc`, when non-null, carries the segment layout and initial
 // accumulators for an incremental (delta-refresh) pass.
 Result<std::vector<std::vector<double>>> ComputeStateBatch(
     const std::vector<StateBatchRequest>& requests,
-    const ColumnResolver& resolver, const std::vector<int32_t>& group_ids,
+    const ColumnBinder& binder, const std::vector<int32_t>& group_ids,
     int32_t num_groups, const ExecOptions& opts,
     StateBatchStats* stats = nullptr,
     const StateBatchIncremental* inc = nullptr);

@@ -248,22 +248,16 @@ Result<std::unique_ptr<Table>> ChunkedSharingSession::Execute(
     SUDAF_ASSIGN_OR_RETURN(
         PreparedInput input,
         executor.Prepare(range_stmt, extra_columns, session_->exec_options()));
-    const Table* frame = input.frame.get();
-    ColumnResolver resolver =
-        [frame](const std::string& name) -> Result<const Column*> {
-      return frame->GetColumn(name);
-    };
 
     // Composite group ids: (chunk id, within-range group id) -> cgid.
-    SUDAF_ASSIGN_OR_RETURN(const Column* ts_col,
-                           frame->GetColumn(chunk_column_));
+    SUDAF_ASSIGN_OR_RETURN(BoundColumn ts, input.Bind(chunk_column_));
     const int64_t rows = input.num_input_rows;
     std::vector<int32_t> cgids(rows);
     std::map<std::pair<int64_t, int32_t>, int32_t> composite;
     std::vector<std::pair<int64_t, int32_t>> composite_keys;
     for (int64_t i = 0; i < rows; ++i) {
-      std::pair<int64_t, int32_t> key = {ts_col->GetInt64(i) / chunk_width_,
-                                         input.group_ids[i]};
+      std::pair<int64_t, int32_t> key = {
+          ts.col->GetInt64(ts.Row(i)) / chunk_width_, input.group_ids[i]};
       auto [it, inserted] = composite.emplace(
           key, static_cast<int32_t>(composite_keys.size()));
       if (inserted) composite_keys.push_back(key);
@@ -306,7 +300,7 @@ Result<std::unique_ptr<Table>> ChunkedSharingSession::Execute(
       }
       SUDAF_ASSIGN_OR_RETURN(
           std::vector<std::vector<double>> batch,
-          ComputeStateBatch(requests, resolver, cgids, num_cgroups,
+          ComputeStateBatch(requests, input.Binder(), cgids, num_cgroups,
                             session_->exec_options()));
       for (PendingEntry& pe : pending) {
         StateCache::Entry& channels = computed[pe.key];
@@ -314,7 +308,14 @@ Result<std::unique_ptr<Table>> ChunkedSharingSession::Execute(
         if (pe.sign_idx >= 0) channels.sign = std::move(batch[pe.sign_idx]);
       }
     } else {
-      // Legacy: one full-column materialization + grouped pass per channel.
+      // Legacy: one full-column materialization + grouped pass per channel,
+      // evaluated over a gathered frame.
+      SUDAF_RETURN_IF_ERROR(
+          MaterializeFrame(&input, session_->exec_options()));
+      ColumnResolver resolver =
+          [&input](const std::string& name) -> Result<const Column*> {
+        return input.frame->GetColumn(name);
+      };
       for (const StateExec& ex : execs) {
         if (computed.count(ex.cls.key) > 0) continue;
         StateCache::Entry channels;

@@ -41,6 +41,7 @@ ExecStats DeriveExecStats(const MetricsSnapshot& d) {
   s.states_computed = static_cast<int>(d.counter("sudaf.states.computed"));
   s.scanned_base_data = d.counter("sudaf.input.scans") > 0;
   s.serve_rows = d.counter("sudaf.serve.rows");
+  s.gathered_bytes = d.counter("sudaf.input.gathered_bytes");
   s.used_fused = d.counter("sudaf.fused.passes") > 0;
   s.morsels = d.counter("sudaf.fused.morsels");
   s.fused_channels = static_cast<int>(d.counter("sudaf.fused.channels"));
@@ -148,6 +149,8 @@ std::string QueryResult::ProfileJson() const {
   out += ", \"slots\": " + std::to_string(stats.fused_slots);
   out += ", \"shared_slots\": " + std::to_string(stats.fused_shared_slots);
   out += ", \"threads_used\": " + std::to_string(stats.fused_threads);
+  out += "}, \"input\": {";
+  out += "\"gathered_bytes\": " + std::to_string(stats.gathered_bytes);
   out += "}, \"trace\": ";
   out += trace != nullptr ? trace->ToJson() : std::string("null");
   out += "}";
@@ -539,9 +542,9 @@ StateCache::GroupSetPtr SudafSession::RefreshGroupSet(
   TraceSpan refresh_span(trace, "refresh", exec.trace_span,
                          qm.dcounter("sudaf.phase.refresh_ms"));
 
-  // Delta input: filter/gather/group only the appended rows, under the
-  // snapshot's segment boundaries, so the fused pass's chunk tree is
-  // exactly the suffix of the cold full pass's tree.
+  // Delta input: filter and group only the appended rows, read in place
+  // under the snapshot's segment boundaries, so the fused pass's chunk
+  // tree is exactly the suffix of the cold full pass's tree.
   ScanSpec scan;
   scan.begin = covered;
   scan.end = snap;
@@ -647,16 +650,11 @@ StateCache::GroupSetPtr SudafSession::RefreshGroupSet(
   inc.init.reserve(inits.size());
   for (const std::vector<double>& v : inits) inc.init.push_back(&v);
 
-  const Table* frame = delta.frame.get();
-  ColumnResolver resolver =
-      [frame](const std::string& name) -> Result<const Column*> {
-    return frame->GetColumn(name);
-  };
   ExecOptions bopts = exec;
   bopts.trace_span = refresh_span.id();
   StateBatchStats bstats;
   Result<std::vector<std::vector<double>>> channels_or = ComputeStateBatch(
-      requests, resolver, group_ids, new_n, bopts, &bstats, &inc);
+      requests, delta.Binder(), group_ids, new_n, bopts, &bstats, &inc);
   if (!channels_or.ok()) return nullptr;
   std::vector<std::vector<double>>& channels = *channels_or;
 
@@ -807,13 +805,17 @@ Result<std::unique_ptr<Table>> SudafSession::ExecuteSudaf(
     }
     SUDAF_ASSIGN_OR_RETURN(input,
                            executor_.Prepare(stmt, extra_columns, input_opts));
+    // The legacy per-state loops evaluate over a gathered frame; the fused
+    // pass reads the input in place.
+    if (!exec.use_fused) {
+      SUDAF_RETURN_IF_ERROR(MaterializeFrame(&input, input_opts));
+    }
     qm.counter("sudaf.input.scans")->Add();
     input_span.Event("rows", input.num_input_rows);
     group_keys = input.group_keys.get();
     num_groups = input.num_groups;
     if (exec.guard != nullptr) {
-      SUDAF_RETURN_IF_ERROR(
-          exec.guard->ChargeMemory(input.frame->ApproxBytes()));
+      SUDAF_RETURN_IF_ERROR(exec.guard->ChargeMemory(input.ApproxBytes()));
       SUDAF_RETURN_IF_ERROR(exec.guard->Check());
     }
 
@@ -838,13 +840,13 @@ Result<std::unique_ptr<Table>> SudafSession::ExecuteSudaf(
   // 4. Compute missing states.
   TraceSpan states_span(trace, "states", exec.trace_span,
                         qm.dcounter("sudaf.phase.states_ms"));
-  const Table* frame = input.frame.get();
-  ColumnResolver resolver = [frame](const std::string& name)
+  // Legacy per-state evaluation reads the gathered frame.
+  ColumnResolver resolver = [&input](const std::string& name)
       -> Result<const Column*> {
-    if (frame == nullptr) {
+    if (input.frame == nullptr) {
       return Status::Internal("no input frame materialized");
     }
-    return frame->GetColumn(name);
+    return input.frame->GetColumn(name);
   };
 
   std::vector<std::vector<double>> state_values(states.size());
@@ -855,7 +857,7 @@ Result<std::unique_ptr<Table>> SudafSession::ExecuteSudaf(
   if (exec.use_fused && any_miss) {
     // Fused path: gather every missing channel — one (op, input) request per
     // class main state plus an optional sign channel — and compute them all
-    // in a single morsel-driven pass over the frame. The distribution loop
+    // in a single morsel-driven pass over the input. The distribution loop
     // below then finds every entry pre-populated; its per-state compute
     // branches only run on the legacy (use_fused == false) path.
     std::vector<ExprPtr> keepalive;  // owns cloned inputs referenced below
@@ -921,8 +923,8 @@ Result<std::unique_ptr<Table>> SudafSession::ExecuteSudaf(
       cold_inc.segment_ends = input.segment_ends;
       SUDAF_ASSIGN_OR_RETURN(
           std::vector<std::vector<double>> batch,
-          ComputeStateBatch(requests, resolver, input.group_ids, num_groups,
-                            batch_opts, &bstats, &cold_inc));
+          ComputeStateBatch(requests, input.Binder(), input.group_ids,
+                            num_groups, batch_opts, &bstats, &cold_inc));
       std::vector<StateCache::Entry> built(pending.size());
       for (size_t p = 0; p < pending.size(); ++p) {
         built[p].main = std::move(batch[pending[p].main_idx]);
@@ -958,6 +960,7 @@ Result<std::unique_ptr<Table>> SudafSession::ExecuteSudaf(
 
   auto compute_class_entry =
       [&](const StateClass& cls) -> Result<StateCache::Entry> {
+    SUDAF_RETURN_IF_ERROR(MaterializeFrame(&input, exec));
     StateCache::Entry entry;
     ExprPtr main_expr = cls.MainInputExpr();
     if (main_expr == nullptr) {
@@ -966,7 +969,7 @@ Result<std::unique_ptr<Table>> SudafSession::ExecuteSudaf(
     } else {
       SUDAF_ASSIGN_OR_RETURN(
           std::vector<double> in,
-          EvalNumericVector(*main_expr, resolver, frame->num_rows()));
+          EvalNumericVector(*main_expr, resolver, input.num_input_rows));
       entry.main = ComputeGroupedState(cls.MainOp(), in, input.group_ids,
                                        num_groups, exec);
     }
@@ -974,7 +977,7 @@ Result<std::unique_ptr<Table>> SudafSession::ExecuteSudaf(
       SUDAF_ASSIGN_OR_RETURN(
           std::vector<double> sgn,
           EvalNumericVector(*cls.SignInputExpr(), resolver,
-                            frame->num_rows()));
+                            input.num_input_rows));
       entry.sign = ComputeGroupedState(AggOp::kProd, sgn, input.group_ids,
                                        num_groups, exec);
     }
@@ -1022,7 +1025,7 @@ Result<std::unique_ptr<Table>> SudafSession::ExecuteSudaf(
         compact = rows.presorted;
       }
       if (entry == nullptr) {
-        if (frame == nullptr) {
+        if (input.source == nullptr) {
           // All states probed as hits, so no input was materialized — and
           // then this entry vanished (poisoned externally mid-query). Too
           // late to scan; fail definitively rather than serve garbage.
@@ -1059,7 +1062,7 @@ Result<std::unique_ptr<Table>> SudafSession::ExecuteSudaf(
       } else {
         SUDAF_ASSIGN_OR_RETURN(
             std::vector<double> in,
-            EvalNumericVector(*state.input, resolver, frame->num_rows()));
+            EvalNumericVector(*state.input, resolver, input.num_input_rows));
         entry.main = ComputeGroupedState(state.op, in, input.group_ids,
                                          num_groups, exec);
       }
@@ -1373,7 +1376,7 @@ void SudafSession::ExecuteSharedGroup(
       input_opts.trace_span = input_span.id();
       // The scan runs guard-free: a single member's guard must not be able
       // to veto the whole group's pass. Each member admits the shared
-      // frame under its own guard right below, and a tripped member drops
+      // input under its own guard right below, and a tripped member drops
       // out while the group continues.
       input_opts.guard = nullptr;
       // Clamp the group's shared scan to the epoch snapshot so the cached
@@ -1388,6 +1391,10 @@ void SudafSession::ExecuteSharedGroup(
       group_status = [&]() -> Status {
         SUDAF_ASSIGN_OR_RETURN(
             input, executor_.Prepare(*lead->stmt, extra_columns, input_opts));
+        // The legacy per-channel sweeps evaluate over a gathered frame.
+        if (!exec.use_fused) {
+          SUDAF_RETURN_IF_ERROR(MaterializeFrame(&input, input_opts));
+        }
         return Status::OK();
       }();
       if (group_status.ok()) {
@@ -1399,7 +1406,7 @@ void SudafSession::ExecuteSharedGroup(
         bstats->scan_passes_saved += group_size - 1;
         for (GroupMember& m : ctx) {
           if (!m.alive() || m.guard == nullptr) continue;
-          Status g = m.guard->ChargeMemory(input.frame->ApproxBytes());
+          Status g = m.guard->ChargeMemory(input.ApproxBytes());
           if (g.ok()) g = m.guard->Check();
           if (!g.ok()) m.failed = g;
         }
@@ -1435,13 +1442,13 @@ void SudafSession::ExecuteSharedGroup(
     }
   }
 
-  const Table* frame = input.frame.get();
+  // Legacy per-channel sweeps read the gathered frame.
   ColumnResolver resolver =
-      [frame](const std::string& name) -> Result<const Column*> {
-    if (frame == nullptr) {
+      [&input](const std::string& name) -> Result<const Column*> {
+    if (input.frame == nullptr) {
       return Status::Internal("no input frame materialized");
     }
-    return frame->GetColumn(name);
+    return input.frame->GetColumn(name);
   };
 
   // Entries computed by this group, shared across members (the analogue of
@@ -1483,8 +1490,9 @@ void SudafSession::ExecuteSharedGroup(
       StateBatchIncremental cold_inc;
       cold_inc.segment_ends = input.segment_ends;
       SUDAF_ASSIGN_OR_RETURN(
-          channels, ComputeStateBatch(rq.requests, resolver, input.group_ids,
-                                      num_groups, batch_opts, &bs, &cold_inc));
+          channels,
+          ComputeStateBatch(rq.requests, input.Binder(), input.group_ids,
+                            num_groups, batch_opts, &bs, &cold_inc));
     } else {
       // Legacy path: one kernel sweep per channel — still one scan and one
       // evaluation per representative for the whole group.
@@ -1498,7 +1506,7 @@ void SudafSession::ExecuteSharedGroup(
         } else {
           SUDAF_ASSIGN_OR_RETURN(
               std::vector<double> in,
-              EvalNumericVector(*r.input, resolver, frame->num_rows()));
+              EvalNumericVector(*r.input, resolver, input.num_input_rows));
           channels[i] = ComputeGroupedState(r.op, in, input.group_ids,
                                             num_groups, m.run);
         }
@@ -1545,11 +1553,12 @@ void SudafSession::ExecuteSharedGroup(
   };
 
   // Late fallback, mirroring solo: recompute one representative for one
-  // member over the shared frame (reached only if an entry vanished from
+  // member over the shared input (reached only if an entry vanished from
   // both the cache and the group's local map — i.e. never for entries the
   // pass just computed).
   auto compute_rep_entry = [&](const SharedStatePlan::Rep& rep,
                                GroupMember& m) -> Result<StateCache::Entry> {
+    SUDAF_RETURN_IF_ERROR(MaterializeFrame(&input, m.run));
     StateCache::Entry entry;
     if (rep.direct) {
       if (rep.cls.rep.op == AggOp::kCount) {
@@ -1559,7 +1568,7 @@ void SudafSession::ExecuteSharedGroup(
         SUDAF_ASSIGN_OR_RETURN(
             std::vector<double> in,
             EvalNumericVector(*rep.cls.rep.input, resolver,
-                              frame->num_rows()));
+                              input.num_input_rows));
         entry.main = ComputeGroupedState(rep.cls.rep.op, in, input.group_ids,
                                          num_groups, m.run);
       }
@@ -1572,7 +1581,7 @@ void SudafSession::ExecuteSharedGroup(
     } else {
       SUDAF_ASSIGN_OR_RETURN(
           std::vector<double> in,
-          EvalNumericVector(*main_expr, resolver, frame->num_rows()));
+          EvalNumericVector(*main_expr, resolver, input.num_input_rows));
       entry.main = ComputeGroupedState(rep.cls.MainOp(), in, input.group_ids,
                                        num_groups, m.run);
     }
@@ -1580,7 +1589,7 @@ void SudafSession::ExecuteSharedGroup(
       SUDAF_ASSIGN_OR_RETURN(
           std::vector<double> sgn,
           EvalNumericVector(*rep.cls.SignInputExpr(), resolver,
-                            frame->num_rows()));
+                            input.num_input_rows));
       entry.sign = ComputeGroupedState(AggOp::kProd, sgn, input.group_ids,
                                        num_groups, m.run);
     }
@@ -1630,7 +1639,7 @@ void SudafSession::ExecuteSharedGroup(
         compact = rows.presorted;
       }
       if (entry == nullptr) {
-        if (frame == nullptr) {
+        if (input.source == nullptr) {
           return Status::Internal("cached state vanished mid-query: " +
                                   rep.key);
         }

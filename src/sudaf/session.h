@@ -82,7 +82,8 @@ struct ExecStats {
   double probe_ms = 0;       // cache probing (classification + lookup)
   double input_ms = 0;       // scan/filter/join/group of base data
   double filter_ms = 0;      // WHERE predicate pass (inside input_ms)
-  double gather_ms = 0;      // column gather into the frame (inside input_ms)
+  double gather_ms = 0;      // column binding + any frame gather (inside
+                             // input_ms)
   double group_ms = 0;       // group-by hashing (inside input_ms)
   double states_ms = 0;      // state computation (vectorized kernels)
   double terminate_ms = 0;   // terminating functions
@@ -95,6 +96,10 @@ struct ExecStats {
   // ordered and cut on its group keys serves LIMIT × states; otherwise
   // every group is served.
   int64_t serve_rows = 0;
+  // Bytes copied into gathered frames: a join's input columns, or a frame
+  // built for the legacy per-state loops. 0 for a fused single-table scan,
+  // which reads its base table in place.
+  int64_t gathered_bytes = 0;
 
   // Fused StateBatch executor observability (zero when the legacy
   // per-state path ran, i.e. ExecOptions::use_fused == false).

@@ -42,12 +42,6 @@ Result<AggregateView> MaterializeAggregateView(SudafSession* session,
       PreparedInput input,
       executor.Prepare(*stmt, extra, session->exec_options()));
 
-  const Table* frame = input.frame.get();
-  ColumnResolver resolver =
-      [frame](const std::string& col) -> Result<const Column*> {
-    return frame->GetColumn(col);
-  };
-
   AggregateView view;
   view.name = name;
   view.num_key_columns = input.group_keys->num_columns();
@@ -84,9 +78,14 @@ Result<AggregateView> MaterializeAggregateView(SudafSession* session,
     }
     SUDAF_ASSIGN_OR_RETURN(
         state_columns,
-        ComputeStateBatch(requests, resolver, input.group_ids,
+        ComputeStateBatch(requests, input.Binder(), input.group_ids,
                           input.num_groups, session->exec_options()));
   } else {
+    SUDAF_RETURN_IF_ERROR(MaterializeFrame(&input, session->exec_options()));
+    ColumnResolver resolver =
+        [&input](const std::string& col) -> Result<const Column*> {
+      return input.frame->GetColumn(col);
+    };
     for (size_t i = 0; i < rewritten.form.states.size(); ++i) {
       const AggStateDef& state = rewritten.form.states[i];
       if (state.op == AggOp::kCount) {
@@ -96,7 +95,7 @@ Result<AggregateView> MaterializeAggregateView(SudafSession* session,
       } else {
         SUDAF_ASSIGN_OR_RETURN(
             std::vector<double> in,
-            EvalNumericVector(*state.input, resolver, frame->num_rows()));
+            EvalNumericVector(*state.input, resolver, input.num_input_rows));
         state_columns[i] =
             ComputeGroupedState(state.op, in, input.group_ids,
                                 input.num_groups, session->exec_options());
@@ -240,15 +239,10 @@ Result<std::unique_ptr<Table>> ExecuteWithView(SudafSession* session,
   // Roll up each needed view state with its own ⊕, then apply r.
   // Rolling up materialized counts means summing them (⊕ of count is +
   // over already-counted chunks, not counting view rows).
-  const Table* frame = input.frame.get();
-  ColumnResolver delta_resolver =
-      [frame](const std::string& col) -> Result<const Column*> {
-    return frame->GetColumn(col);
-  };
   std::map<int, StateCache::Entry> rolled;
   if (session->exec_options().use_fused) {
-    // One fused pass over the delta frame; float64 state columns are
-    // aliased by the batch engine, so no per-state copies are made.
+    // One fused pass over the delta input; float64 state columns are read
+    // in place by the batch engine, so no per-state copies are made.
     std::vector<ExprPtr> keepalive;
     std::vector<StateBatchRequest> requests;
     std::vector<int> request_state(needed_view_states.begin(),
@@ -263,15 +257,16 @@ Result<std::unique_ptr<Table>> ExecuteWithView(SudafSession* session,
     }
     SUDAF_ASSIGN_OR_RETURN(
         std::vector<std::vector<double>> batch,
-        ComputeStateBatch(requests, delta_resolver, input.group_ids,
+        ComputeStateBatch(requests, input.Binder(), input.group_ids,
                           input.num_groups, session->exec_options()));
     for (size_t r = 0; r < request_state.size(); ++r) {
       rolled[request_state[r]].main = std::move(batch[r]);
     }
   } else {
+    SUDAF_RETURN_IF_ERROR(MaterializeFrame(&input, session->exec_options()));
     for (int v : needed_view_states) {
       SUDAF_ASSIGN_OR_RETURN(const Column* col,
-                             frame->GetColumn(StateColumnName(v)));
+                             input.frame->GetColumn(StateColumnName(v)));
       std::vector<double> in(col->doubles().begin(), col->doubles().end());
       AggOp rollup_op =
           view.states[v].op == AggOp::kCount ? AggOp::kSum

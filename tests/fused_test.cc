@@ -65,6 +65,12 @@ struct FusedFixture {
       return Status::InvalidArgument("no column " + name);
     };
   }
+  ColumnBinder Binder() const {
+    return [this](const std::string& name) -> Result<BoundColumn> {
+      SUDAF_ASSIGN_OR_RETURN(const Column* col, Resolver()(name));
+      return BoundColumn{col, nullptr, 0};
+    };
+  }
 };
 
 struct ParsedRequest {
@@ -118,7 +124,7 @@ std::vector<std::vector<double>> RunFused(
   for (const ParsedRequest& r : reqs) {
     requests.push_back({r.op, r.expr.get()});
   }
-  auto result = ComputeStateBatch(requests, fix.Resolver(), fix.gids,
+  auto result = ComputeStateBatch(requests, fix.Binder(), fix.gids,
                                   fix.num_groups, opts, stats);
   SUDAF_CHECK_MSG(result.ok(), result.status().ToString());
   return std::move(*result);

@@ -91,8 +91,9 @@ void ExpectTablesBitIdentical(const Table& a, const Table& b,
 }
 
 // Executor::Prepare — the filter/gather/group stages in isolation — must
-// produce a bitwise-identical frame, identical group ids, and identical
-// group-key row order at every thread count (1 = the serial reference).
+// produce an identical selection, a bitwise-identical gathered frame,
+// identical group ids, and identical group-key row order at every thread
+// count (1 = the serial reference).
 TEST(ParallelPipelineTest, PrepareIsThreadCountInvariant) {
   Catalog catalog = MakeCatalog();
   UdafRegistry registry;
@@ -104,6 +105,7 @@ TEST(ParallelPipelineTest, PrepareIsThreadCountInvariant) {
 
   ASSERT_OK_AND_ASSIGN(PreparedInput serial,
                        executor.Prepare(*stmt, {"y"}, OptsFor(1)));
+  ASSERT_OK(MaterializeFrame(&serial, OptsFor(1)));
   ASSERT_GT(serial.num_input_rows, 0);
   ASSERT_LT(serial.num_input_rows, kRows);  // the WHERE actually filtered
   ASSERT_GT(serial.num_groups, 1);
@@ -111,8 +113,10 @@ TEST(ParallelPipelineTest, PrepareIsThreadCountInvariant) {
   for (int threads : {2, 8}) {
     ASSERT_OK_AND_ASSIGN(PreparedInput par,
                          executor.Prepare(*stmt, {"y"}, OptsFor(threads)));
+    ASSERT_OK(MaterializeFrame(&par, OptsFor(threads)));
     std::string ctx = "threads=" + std::to_string(threads);
     ASSERT_EQ(par.num_input_rows, serial.num_input_rows) << ctx;
+    ASSERT_EQ(par.row_ids, serial.row_ids) << ctx;
     ASSERT_EQ(par.num_groups, serial.num_groups) << ctx;
     ASSERT_EQ(par.group_ids, serial.group_ids) << ctx;
     ExpectTablesBitIdentical(*serial.frame, *par.frame, ctx + " frame");

@@ -1,0 +1,556 @@
+// The compiled scan (docs/execution.md, "The parallel pipeline in front of
+// it"): typed predicate kernels against the interpreted evaluator,
+// direct-indexed grouping against the hash path, and the
+// sudaf.input.gathered_bytes counter that shows which paths still copy
+// input rows.
+
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "common/metrics.h"
+#include "common/rng.h"
+#include "engine/aggregation.h"
+#include "engine/executor.h"
+#include "engine/hash_join.h"
+#include "engine/plan.h"
+#include "expr/evaluator.h"
+#include "gtest/gtest.h"
+#include "sudaf/session.h"
+#include "tests/test_util.h"
+
+namespace sudaf {
+namespace {
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr int64_t k2p53 = int64_t{1} << 53;
+
+// --- Predicate kernels -------------------------------------------------------
+
+// p(x FLOAT64, i INT64, s STRING): every special double and the int64
+// values around 2^53, where converting to double rounds.
+std::unique_ptr<Table> MakePredicateTable() {
+  const std::vector<double> xs = {kNaN, kInf, -kInf, -0.0, 0.0,   1.5,
+                                  -1.5, 2.5,  1e308, -3.0, 0.5,
+                                  9007199254740992.0};
+  const std::vector<int64_t> is = {
+      0,         1,     -1,        2,           3,
+      -3,        k2p53 - 1, k2p53, k2p53 + 1, -(k2p53 + 1),
+      std::numeric_limits<int64_t>::max(),
+      std::numeric_limits<int64_t>::min()};
+  Schema schema;
+  SUDAF_CHECK(schema.AddField({"x", DataType::kFloat64}).ok());
+  SUDAF_CHECK(schema.AddField({"i", DataType::kInt64}).ok());
+  SUDAF_CHECK(schema.AddField({"s", DataType::kString}).ok());
+  auto table = std::make_unique<Table>(std::move(schema));
+  // Every (x, i) pair, so each value meets every other column's values.
+  for (size_t a = 0; a < xs.size(); ++a) {
+    for (size_t b = 0; b < is.size(); ++b) {
+      table->column(0).AppendFloat64(xs[a]);
+      table->column(1).AppendInt64(is[b]);
+      table->column(2).AppendString((a + b) % 3 == 0 ? "b" : "a");
+    }
+  }
+  table->FinishBulkAppend();
+  return table;
+}
+
+// The interpreted selection: EvalRow over the whole WHERE tree, row by row.
+std::vector<int64_t> InterpretedSelection(const Table& table, const Expr& where,
+                                          int64_t lo, int64_t hi) {
+  RowAccessor accessor = [&table](const std::string& col,
+                                  int64_t row) -> Result<Value> {
+    SUDAF_ASSIGN_OR_RETURN(const Column* c, table.GetColumn(col));
+    return c->GetValue(row);
+  };
+  std::vector<int64_t> out;
+  for (int64_t r = lo; r < hi; ++r) {
+    Result<Value> v = EvalRow(where, accessor, r);
+    SUDAF_CHECK_MSG(v.ok(), v.status().ToString());
+    if (v->is_numeric() && v->AsDouble() != 0.0) out.push_back(r);
+  }
+  return out;
+}
+
+class ScanKernelTest : public ::testing::Test {
+ protected:
+  void SetUp() override { catalog_.PutTable("p", MakePredicateTable()); }
+
+  const Table& table() { return **catalog_.GetTable("p"); }
+
+  // The selection FilterAndJoin computes for WHERE `where` over [lo, hi),
+  // with the identity range expanded.
+  std::vector<int64_t> CompiledSelection(ExprPtr where, int threads,
+                                         int64_t lo = 0, int64_t hi = -1) {
+    SelectStatement stmt;
+    stmt.tables = {"p"};
+    stmt.where = std::move(where);
+    Result<QueryPlan> plan = PlanQuery(stmt, catalog_);
+    SUDAF_CHECK_MSG(plan.ok(), plan.status().ToString());
+    ScanSpec scan;
+    scan.begin = lo;
+    scan.end = hi;
+    ExecOptions opts;
+    opts.parallel = threads > 1;
+    opts.num_threads = threads;
+    opts.morsel_size = 5;  // many morsels, several per worker
+    opts.scan = &scan;
+    Result<JoinedRows> joined = FilterAndJoin(*plan, opts);
+    SUDAF_CHECK_MSG(joined.ok(), joined.status().ToString());
+    if (joined->identity_base >= 0) {
+      std::vector<int64_t> rows(joined->num_tuples);
+      for (int64_t i = 0; i < joined->num_tuples; ++i) {
+        rows[i] = joined->identity_base + i;
+      }
+      return rows;
+    }
+    return joined->rows[0];
+  }
+
+  // Checks compiled == interpreted for `where` at threads {1, 8}.
+  void ExpectSameSelection(const Expr& where, const std::string& what,
+                           int64_t lo = 0, int64_t hi = -1) {
+    const int64_t end = hi < 0 ? table().num_rows() : hi;
+    const std::vector<int64_t> want =
+        InterpretedSelection(table(), where, lo, end);
+    for (int threads : {1, 8}) {
+      EXPECT_EQ(CompiledSelection(where.Clone(), threads, lo, hi), want)
+          << what << " threads=" << threads;
+    }
+  }
+
+  Catalog catalog_;
+};
+
+const BinaryOp kCompareOps[] = {BinaryOp::kLt, BinaryOp::kLe, BinaryOp::kGt,
+                                BinaryOp::kGe, BinaryOp::kEq, BinaryOp::kNe};
+
+// Literal expressions: plain doubles (NaN, ±inf, ±0, fractions, 2^53) and
+// int64 literals around 2^53, including one under unary minus.
+std::vector<ExprPtr> Literals() {
+  std::vector<ExprPtr> out;
+  for (double v : {kNaN, kInf, -kInf, -0.0, 0.0, 1.5, -1.5, 2.5, 0.5,
+                   9007199254740992.0}) {
+    out.push_back(Expr::Literal(Value(v)));
+  }
+  for (int64_t v : {int64_t{3}, k2p53 - 1, k2p53, k2p53 + 1, -(k2p53 + 1)}) {
+    out.push_back(Expr::Literal(Value(v)));
+  }
+  out.push_back(Expr::Unary(Expr::Literal(Value(0.0))));   // -0.0
+  out.push_back(Expr::Unary(Expr::Literal(Value(k2p53 + 1))));
+  return out;
+}
+
+TEST_F(ScanKernelTest, EveryOpAndLiteralSideMatchesInterpreted) {
+  for (const char* col : {"x", "i"}) {
+    for (BinaryOp op : kCompareOps) {
+      for (const ExprPtr& lit : Literals()) {
+        ExprPtr right =
+            Expr::Binary(op, Expr::Column(col), lit->Clone());  // col op lit
+        ExprPtr left =
+            Expr::Binary(op, lit->Clone(), Expr::Column(col));  // lit op col
+        ASSERT_TRUE(CompilePredicate(*right, table()).has_value())
+            << right->ToString();
+        ASSERT_TRUE(CompilePredicate(*left, table()).has_value())
+            << left->ToString();
+        ExpectSameSelection(*right, right->ToString());
+        ExpectSameSelection(*left, left->ToString());
+      }
+    }
+  }
+}
+
+TEST_F(ScanKernelTest, Int64ColumnComparesAsDouble) {
+  // 2^53 + 1 rounds to 2^53 as a double: the interpreted evaluator and the
+  // kernel both see i = 2^53 + 1 as equal to 2^53, and to the literal
+  // 2^53 + 1 (which rounds the same way).
+  ExprPtr eq = Expr::Binary(BinaryOp::kEq, Expr::Column("i"),
+                            Expr::Literal(Value(k2p53 + 1)));
+  std::vector<int64_t> rows = CompiledSelection(eq->Clone(), 1);
+  ASSERT_FALSE(rows.empty());
+  for (int64_t r : rows) {
+    const int64_t v = table().column(1).GetInt64(r);
+    EXPECT_TRUE(v == k2p53 || v == k2p53 + 1) << v;
+  }
+  ExpectSameSelection(*eq, eq->ToString());
+  // A fractional literal against integers.
+  ExprPtr lt = Expr::Binary(BinaryOp::kLt, Expr::Column("i"),
+                            Expr::Literal(Value(2.5)));
+  ExpectSameSelection(*lt, lt->ToString());
+}
+
+TEST_F(ScanKernelTest, OtherShapesFallBack) {
+  auto parse_where = [](const std::string& sql) {
+    Result<std::unique_ptr<SelectStatement>> stmt =
+        ParseSelect("SELECT count(x) FROM p WHERE " + sql);
+    SUDAF_CHECK_MSG(stmt.ok(), stmt.status().ToString());
+    return std::move((*stmt)->where);
+  };
+  for (const char* sql : {"s = 'b'", "x + 1 > 2", "x > i", "2 > x * 0"}) {
+    ExprPtr where = parse_where(sql);
+    EXPECT_FALSE(CompilePredicate(*where, table()).has_value()) << sql;
+    ExpectSameSelection(*where, sql);
+  }
+}
+
+TEST_F(ScanKernelTest, ConjunctionsOfCompiledAndFallback) {
+  for (const char* sql :
+       {"x > 0 AND s = 'b'", "s = 'a' AND i >= 3 AND x * 2 < 5",
+        "x <> x AND i > 0", "i < 0 AND x >= -1.5 AND x + 0 <> 0.5",
+        "s = 'b' AND x * 1 > 0 AND -0.0 = x", "x > 1e308 AND s = 'a'"}) {
+    Result<std::unique_ptr<SelectStatement>> stmt =
+        ParseSelect(std::string("SELECT count(x) FROM p WHERE ") + sql);
+    ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+    ExpectSameSelection(*(*stmt)->where, sql);
+  }
+}
+
+TEST_F(ScanKernelTest, ScanBoundsLimitTheSelection) {
+  const int64_t n = table().num_rows();
+  ExprPtr where = Expr::Binary(BinaryOp::kGe, Expr::Column("x"),
+                               Expr::Literal(Value(-1.5)));
+  ExpectSameSelection(*where, "bounded", 7, n - 11);
+  ExpectSameSelection(*where, "from 13", 13, -1);
+  ExpectSameSelection(*where, "empty", 20, 20);
+  // Unfiltered and bounded: the identity range, no row vector.
+  SelectStatement stmt;
+  stmt.tables = {"p"};
+  ASSERT_OK_AND_ASSIGN(QueryPlan plan, PlanQuery(stmt, catalog_));
+  ScanSpec scan;
+  scan.begin = 9;
+  scan.end = n - 2;
+  ExecOptions opts;
+  opts.scan = &scan;
+  ASSERT_OK_AND_ASSIGN(JoinedRows joined, FilterAndJoin(plan, opts));
+  EXPECT_EQ(joined.identity_base, 9);
+  EXPECT_EQ(joined.num_tuples, n - 11);
+  EXPECT_TRUE(joined.rows[0].empty());
+}
+
+// --- Direct-indexed grouping -----------------------------------------------
+
+// Groups `keys` (columns of `table`, over `row_ids` or the identity range)
+// on the auto path and on the forced hash path, and checks the two agree
+// bit for bit; returns whether the auto path indexed directly.
+bool ExpectGroupingMatchesHash(const Table& table,
+                               const std::vector<std::string>& keys,
+                               const std::vector<int64_t>& row_ids,
+                               int threads, const std::string& what) {
+  auto prepare = [&](bool allow_direct) {
+    PreparedInput in;
+    in.source = &table;
+    in.row_ids = row_ids;
+    in.num_input_rows = row_ids.empty()
+                            ? table.num_rows()
+                            : static_cast<int64_t>(row_ids.size());
+    ExecOptions opts;
+    opts.parallel = threads > 1;
+    opts.num_threads = threads;
+    Status st = BuildGroups(keys, &in, opts, allow_direct);
+    SUDAF_CHECK_MSG(st.ok(), st.ToString());
+    return in;
+  };
+  PreparedInput direct = prepare(true);
+  PreparedInput hash = prepare(false);
+  const std::string ctx = what + " threads=" + std::to_string(threads);
+  EXPECT_FALSE(hash.direct_groups) << ctx;
+  EXPECT_EQ(direct.num_groups, hash.num_groups) << ctx;
+  EXPECT_EQ(direct.group_ids, hash.group_ids) << ctx;
+  const Table& a = *direct.group_keys;
+  const Table& b = *hash.group_keys;
+  EXPECT_EQ(a.num_rows(), b.num_rows()) << ctx;
+  EXPECT_EQ(a.num_columns(), b.num_columns()) << ctx;
+  for (int c = 0; c < a.num_columns() && a.num_rows() == b.num_rows(); ++c) {
+    EXPECT_EQ(a.column(c).type(), b.column(c).type()) << ctx;
+    for (int64_t r = 0; r < a.num_rows(); ++r) {
+      EXPECT_EQ(a.column(c).GetValue(r).ToString(),
+                b.column(c).GetValue(r).ToString())
+          << ctx << " key row " << r;
+    }
+    if (a.column(c).type() == DataType::kString) {
+      EXPECT_EQ(a.column(c).string_codes(), b.column(c).string_codes())
+          << ctx;
+      EXPECT_EQ(a.column(c).dictionary(), b.column(c).dictionary()) << ctx;
+    }
+  }
+  return direct.direct_groups;
+}
+
+// k1 INT64, k2 INT64, ks STRING over `n` rows produced by `key`.
+std::unique_ptr<Table> MakeKeyTable(int64_t n, Rng* rng, int64_t span,
+                                    int64_t offset, int64_t stride) {
+  Schema schema;
+  SUDAF_CHECK(schema.AddField({"k1", DataType::kInt64}).ok());
+  SUDAF_CHECK(schema.AddField({"k2", DataType::kInt64}).ok());
+  SUDAF_CHECK(schema.AddField({"ks", DataType::kString}).ok());
+  auto table = std::make_unique<Table>(std::move(schema));
+  for (int64_t i = 0; i < n; ++i) {
+    const int64_t v = static_cast<int64_t>(rng->NextBelow(span));
+    table->column(0).AppendInt64(offset + v * stride);
+    table->column(1).AppendInt64(static_cast<int64_t>(rng->NextBelow(3)));
+    table->column(2).AppendString("k" + std::to_string(v % 41));
+  }
+  table->FinishBulkAppend();
+  return table;
+}
+
+// 70k rows: five 16k-row grouping ranges at 8 threads.
+constexpr int64_t kGroupRows = 70000;
+
+TEST(DirectGroupingTest, MatchesHashPathBitwise) {
+  struct Case {
+    const char* what;
+    int64_t span, offset, stride;
+    std::vector<std::string> keys;
+    bool want_direct;
+  };
+  const std::vector<Case> cases = {
+      {"dense", 1000, 0, 1, {"k1"}, true},
+      {"negative", 600, -300, 1, {"k1"}, true},
+      {"one group", 1, 7, 1, {"k1"}, true},
+      {"sparse", 1000, 0, 1000000007, {"k1"}, false},
+      {"string", 1000, 0, 1, {"ks"}, true},
+      {"two columns", 100, 0, 1, {"k1", "k2"}, false},
+  };
+  for (const Case& c : cases) {
+    Rng rng(20261017);
+    std::unique_ptr<Table> table =
+        MakeKeyTable(kGroupRows, &rng, c.span, c.offset, c.stride);
+    // Every third row, as a WHERE selection would pass them.
+    std::vector<int64_t> selected;
+    for (int64_t r = 1; r < kGroupRows; r += 3) selected.push_back(r);
+    for (int threads : {1, 8}) {
+      EXPECT_EQ(ExpectGroupingMatchesHash(*table, c.keys, {}, threads,
+                                          std::string(c.what) + " identity"),
+                c.want_direct)
+          << c.what;
+      EXPECT_EQ(ExpectGroupingMatchesHash(*table, c.keys, selected, threads,
+                                          std::string(c.what) + " row ids"),
+                c.want_direct)
+          << c.what;
+    }
+  }
+}
+
+TEST(DirectGroupingTest, ExtremeKeysTakeTheHashPath) {
+  Schema schema;
+  ASSERT_OK(schema.AddField({"k1", DataType::kInt64}));
+  Table table(std::move(schema));
+  for (int64_t v : {std::numeric_limits<int64_t>::max(), int64_t{0},
+                    std::numeric_limits<int64_t>::min(), int64_t{0}}) {
+    table.column(0).AppendInt64(v);
+  }
+  table.FinishBulkAppend();
+  EXPECT_FALSE(ExpectGroupingMatchesHash(table, {"k1"}, {}, 1, "extremes"));
+}
+
+// --- Fused pass over the row map -------------------------------------------
+
+// Bitwise table equality (FLOAT64 cells compared as bit patterns).
+void ExpectBitIdentical(const Table& a, const Table& b,
+                        const std::string& what) {
+  ASSERT_EQ(a.num_rows(), b.num_rows()) << what;
+  ASSERT_EQ(a.num_columns(), b.num_columns()) << what;
+  for (int c = 0; c < a.num_columns(); ++c) {
+    for (int64_t r = 0; r < a.num_rows(); ++r) {
+      const Value va = a.column(c).GetValue(r);
+      const Value vb = b.column(c).GetValue(r);
+      if (a.column(c).type() == DataType::kFloat64) {
+        const double da = va.AsDouble();
+        const double db = vb.AsDouble();
+        ASSERT_EQ(0, std::memcmp(&da, &db, sizeof(double)))
+            << what << " col " << c << " row " << r << ": " << da << " vs "
+            << db;
+      } else {
+        ASSERT_EQ(va.ToString(), vb.ToString()) << what << " row " << r;
+      }
+    }
+  }
+}
+
+ExecOptions SmallMorsels(int threads) {
+  ExecOptions exec;
+  exec.parallel = threads > 1;
+  exec.num_threads = threads;
+  exec.morsel_size = 1024;
+  return exec;
+}
+
+// The fused pass reading t's columns through the WHERE selection (float64
+// slots loaded by row id, int64 slots converted by row id) answers bit for
+// bit like the same pass over a table holding only the selected rows.
+TEST(FusedScanTest, SelectionReadsMatchAPrefilteredTable) {
+  Rng rng(99);
+  std::vector<int64_t> g, fg;
+  std::vector<double> x, y, fx, fy;
+  for (int i = 0; i < 20000; ++i) {
+    g.push_back(static_cast<int64_t>(rng.NextBelow(37)) - 10);
+    x.push_back(rng.NextDoubleIn(0.25, 4.0));
+    y.push_back(rng.NextDoubleIn(-2.0, 2.0));
+    if (y.back() > -0.5) {
+      fg.push_back(g.back());
+      fx.push_back(x.back());
+      fy.push_back(y.back());
+    }
+  }
+  Catalog catalog;
+  catalog.PutTable("t", testing_util::MakeXyTable(g, x, y));
+  catalog.PutTable("f", testing_util::MakeXyTable(fg, fx, fy));
+  const std::string items = "SELECT g, kurtosis(x), sum(g * x), var(y) FROM ";
+  for (int threads : {1, 8}) {
+    SudafSession a(&catalog, SmallMorsels(threads));
+    SudafSession b(&catalog, SmallMorsels(threads));
+    ASSERT_OK_AND_ASSIGN(
+        QueryResult filtered,
+        a.Execute(items + "t WHERE y > -0.5 GROUP BY g",
+                  ExecMode::kSudafShare));
+    ASSERT_OK_AND_ASSIGN(
+        QueryResult prefiltered,
+        b.Execute(items + "f GROUP BY g", ExecMode::kSudafShare));
+    EXPECT_EQ(filtered.stats.gathered_bytes, 0);
+    ExpectBitIdentical(*filtered.table, *prefiltered.table,
+                       "threads=" + std::to_string(threads));
+  }
+}
+
+// A delta refresh of an unfiltered scan reads the appended rows as an
+// identity range from the old table size; with two appends since the
+// cached pass it must keep both segment boundaries, or its chunk tree —
+// and the refreshed answer — drifts from the cold pass.
+TEST(FusedScanTest, MultiSegmentDeltaOfAnIdentityRange) {
+  Rng rng(5);
+  auto rows = [&rng](int n) {
+    std::vector<int64_t> g;
+    std::vector<double> x, y;
+    for (int i = 0; i < n; ++i) {
+      g.push_back(static_cast<int64_t>(rng.NextBelow(9)));
+      x.push_back(rng.NextDoubleIn(0.1, 10.0));
+      y.push_back(0);
+    }
+    return testing_util::MakeXyTable(g, x, y);
+  };
+  const std::string sql = "SELECT g, var(x), skewness(x) FROM t GROUP BY g";
+  for (int threads : {1, 8}) {
+    Catalog catalog;
+    catalog.PutTable("t", rows(3000));
+    SudafSession session(&catalog, SmallMorsels(threads));
+    ASSERT_OK(session.Execute(sql, ExecMode::kSudafShare).status());
+    ASSERT_OK(catalog.AppendRows("t", *rows(1500)));
+    ASSERT_OK(catalog.AppendRows("t", *rows(700)));
+    ASSERT_OK_AND_ASSIGN(QueryResult warm,
+                         session.Execute(sql, ExecMode::kSudafShare));
+    EXPECT_EQ(warm.stats.cache_delta_refreshes, 1);
+    SudafSession cold_session(&catalog, SmallMorsels(threads));
+    ASSERT_OK_AND_ASSIGN(QueryResult cold,
+                         cold_session.Execute(sql, ExecMode::kSudafShare));
+    ExpectBitIdentical(*warm.table, *cold.table,
+                       "threads=" + std::to_string(threads));
+  }
+}
+
+// --- Gathered bytes ----------------------------------------------------------
+
+class GatheredBytesTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    Rng rng(7);
+    std::vector<int64_t> g;
+    std::vector<double> x;
+    std::vector<double> y;
+    for (int i = 0; i < 5000; ++i) {
+      g.push_back(static_cast<int64_t>(rng.NextBelow(40)));
+      x.push_back(rng.NextDoubleIn(0.25, 4.0));
+      y.push_back(rng.NextDoubleIn(-2.0, 2.0));
+    }
+    catalog_.PutTable("t", testing_util::MakeXyTable(g, x, y));
+    Schema schema;
+    SUDAF_CHECK(schema.AddField({"k", DataType::kInt64}).ok());
+    SUDAF_CHECK(schema.AddField({"w", DataType::kFloat64}).ok());
+    auto dim = std::make_unique<Table>(std::move(schema));
+    for (int k = 0; k < 40; ++k) {
+      dim->column(0).AppendInt64(k);
+      dim->column(1).AppendFloat64(k * 0.5);
+    }
+    dim->FinishBulkAppend();
+    catalog_.PutTable("d", std::move(dim));
+  }
+
+  Catalog catalog_;
+};
+
+TEST_F(GatheredBytesTest, SingleTableFusedScansCopyNothing) {
+  SudafSession session(&catalog_);
+  for (const char* sql :
+       {"SELECT g, var(x) FROM t WHERE x > 0.5 GROUP BY g",
+        "SELECT g, kurtosis(x) FROM t GROUP BY g",
+        "SELECT sum(x * y), count(x) FROM t WHERE y < 1.0"}) {
+    ASSERT_OK_AND_ASSIGN(QueryResult r,
+                         session.Execute(sql, ExecMode::kSudafShare));
+    EXPECT_TRUE(r.stats.scanned_base_data) << sql;
+    EXPECT_EQ(r.stats.gathered_bytes, 0) << sql;
+    EXPECT_NE(r.ProfileJson().find("\"gathered_bytes\": 0"),
+              std::string::npos)
+        << sql;
+  }
+  EXPECT_EQ(session.metrics().Snapshot().counter("sudaf.input.gathered_bytes"),
+            0);
+
+  // A shared-scan batch: one fused pass for both queries, no frame.
+  SudafSession batch_session(&catalog_);
+  BatchExecStats bstats;
+  std::vector<Result<QueryResult>> results = batch_session.ExecuteBatch(
+      {"SELECT g, var(x) FROM t WHERE x > 1.0 GROUP BY g",
+       "SELECT g, skewness(x) FROM t WHERE x > 1.0 GROUP BY g"},
+      ExecMode::kSudafShare, &bstats);
+  ASSERT_EQ(bstats.queries_coalesced, 2);
+  for (const Result<QueryResult>& r : results) {
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->stats.gathered_bytes, 0);
+  }
+}
+
+TEST_F(GatheredBytesTest, DeltaRefreshCopiesNothing) {
+  Catalog catalog;
+  catalog.PutTable("t", testing_util::MakeXyTable(
+                            {1, 2, 3, 1}, {1.0, 2.0, 3.0, 4.0}, {0, 0, 0, 0}));
+  SudafSession session(&catalog);
+  const std::string sql = "SELECT g, var(x) FROM t WHERE x > 1.5 GROUP BY g";
+  ASSERT_OK_AND_ASSIGN(QueryResult cold,
+                       session.Execute(sql, ExecMode::kSudafShare));
+  EXPECT_EQ(cold.stats.gathered_bytes, 0);
+  ASSERT_OK(catalog.AppendRows(
+      "t", *testing_util::MakeXyTable({2, 4}, {5.0, 6.0}, {0, 0})));
+  ASSERT_OK_AND_ASSIGN(QueryResult warm,
+                       session.Execute(sql, ExecMode::kSudafShare));
+  EXPECT_EQ(warm.stats.cache_delta_refreshes, 1);
+  EXPECT_EQ(warm.stats.gathered_bytes, 0);
+}
+
+TEST_F(GatheredBytesTest, JoinsAndLegacyPathsGather) {
+  SudafSession session(&catalog_);
+  ASSERT_OK_AND_ASSIGN(
+      QueryResult join,
+      session.Execute("SELECT g, sum(x * w) FROM t, d WHERE g = k GROUP BY g",
+                      ExecMode::kSudafShare));
+  EXPECT_GT(join.stats.gathered_bytes, 0);
+
+  SessionOptions legacy;
+  legacy.exec.use_fused = false;
+  SudafSession legacy_session(&catalog_, legacy);
+  ASSERT_OK_AND_ASSIGN(
+      QueryResult r,
+      legacy_session.Execute("SELECT g, var(x) FROM t WHERE x > 0.5 GROUP BY g",
+                             ExecMode::kSudafShare));
+  EXPECT_GT(r.stats.gathered_bytes, 0);
+  EXPECT_EQ(
+      legacy_session.metrics().Snapshot().counter("sudaf.input.gathered_bytes"),
+      r.stats.gathered_bytes);
+}
+
+}  // namespace
+}  // namespace sudaf
