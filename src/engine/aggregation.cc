@@ -1,6 +1,7 @@
 #include "engine/aggregation.h"
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 #include <unordered_map>
 
@@ -122,6 +123,10 @@ class GroupHashTable {
   };
 
   GroupHashTable() : entries_(kInitialCapacity) {}
+  // Sized so `expected` keys fit without growing.
+  explicit GroupHashTable(size_t expected)
+      : entries_(std::max(kInitialCapacity,
+                          std::bit_ceil(expected * 10 / 7 + 1))) {}
 
   // Returns the group id of (h, row), inserting it as `next_gid` when new
   // (*inserted reports which happened).
@@ -388,7 +393,97 @@ void HashGroups(const std::vector<BoundColumn>& keys, int64_t n,
   }
 }
 
+// Murmur3 finalizer: spreads MixKey's sums over the low bits the table
+// indexes with, so strided keys do not cluster.
+uint64_t FinalizeHash(uint64_t h) {
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdULL;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ULL;
+  h ^= h >> 33;
+  return h;
+}
+
 }  // namespace
+
+std::vector<int32_t> MatchGroupKeys(const Table& keys, const Table& more,
+                                    std::vector<int64_t>* new_rows) {
+  const int num_cols = keys.num_columns();
+  SUDAF_CHECK(more.num_columns() == num_cols);
+  const int64_t n_keys = keys.num_rows();
+  const int64_t n_more = more.num_rows();
+  // Row-major integer codes of both tables, `keys` rows first: the INT64
+  // value or the STRING code in `keys`'s dictionary. A `more` string that
+  // dictionary lacks gets a negative code of its own row, which no row of
+  // `keys` holds.
+  const int64_t total = n_keys + n_more;
+  std::vector<int64_t> codes(static_cast<size_t>(total * num_cols));
+  for (int c = 0; c < num_cols; ++c) {
+    const Column& kc = keys.column(c);
+    const Column& mc = more.column(c);
+    SUDAF_CHECK(kc.type() == mc.type());
+    int64_t* out = codes.data() + c;
+    switch (kc.type()) {
+      case DataType::kInt64:
+        for (int64_t r = 0; r < n_keys; ++r) out[r * num_cols] = kc.ints()[r];
+        for (int64_t r = 0; r < n_more; ++r) {
+          out[(n_keys + r) * num_cols] = mc.ints()[r];
+        }
+        break;
+      case DataType::kFloat64:
+        SUDAF_CHECK_MSG(false, "FLOAT64 group key");
+        break;
+      case DataType::kString: {
+        for (int64_t r = 0; r < n_keys; ++r) {
+          out[r * num_cols] = kc.string_codes()[r];
+        }
+        std::vector<int32_t> to_keys(mc.dictionary().size());
+        for (size_t d = 0; d < to_keys.size(); ++d) {
+          to_keys[d] = kc.LookupDictionary(mc.dictionary()[d]);
+        }
+        for (int64_t r = 0; r < n_more; ++r) {
+          const int32_t code = to_keys[mc.string_codes()[r]];
+          out[(n_keys + r) * num_cols] = code >= 0 ? code : -1 - r;
+        }
+        break;
+      }
+    }
+  }
+  auto hash_row = [&](int64_t row) -> uint64_t {
+    uint64_t h = 0;
+    for (int c = 0; c < num_cols; ++c) {
+      h = MixKey(h, static_cast<uint64_t>(codes[row * num_cols + c]));
+    }
+    return FinalizeHash(h);
+  };
+  auto rows_equal = [&](int64_t a, int64_t b) -> bool {
+    for (int c = 0; c < num_cols; ++c) {
+      if (codes[a * num_cols + c] != codes[b * num_cols + c]) return false;
+    }
+    return true;
+  };
+
+  GroupHashTable table(static_cast<size_t>(total));
+  bool inserted = false;
+  for (int64_t r = 0; r < n_keys; ++r) {
+    table.FindOrInsert(hash_row(r), r, static_cast<int32_t>(r), rows_equal,
+                       &inserted);
+  }
+  // Rows of `more` are distinct keys, so a row inserted here as new is
+  // never matched by a later one.
+  std::vector<int32_t> remap(static_cast<size_t>(n_more));
+  int32_t next = static_cast<int32_t>(n_keys);
+  for (int64_t g = 0; g < n_more; ++g) {
+    const int64_t row = n_keys + g;
+    remap[g] =
+        table.FindOrInsert(hash_row(row), row, next, rows_equal, &inserted);
+    if (inserted) {
+      new_rows->push_back(g);
+      ++next;
+    }
+  }
+  return remap;
+}
 
 Status BuildGroups(const std::vector<std::string>& group_by,
                    PreparedInput* out, const ExecOptions& opts,

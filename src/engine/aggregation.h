@@ -95,6 +95,18 @@ Status BuildGroups(const std::vector<std::string>& group_by,
                    PreparedInput* out, const ExecOptions& opts = {},
                    bool allow_direct = true);
 
+// Matches the groups of `more` onto the groups of `keys`, two group-key
+// tables over the same key columns (a delta refresh extends a cached
+// grouping this way; docs/execution.md, "Incremental maintenance").
+// Returns, for each row g of `more`, the row of `keys` holding the same key,
+// or keys.num_rows() + k when g is the k-th row of `more` (in row order)
+// that `keys` lacks; those rows of `more` are appended to `*new_rows`. Key
+// columns are INT64 (compared exactly) or STRING (compared by content
+// across the two dictionaries), and each table's rows must be distinct
+// keys, as BuildGroups produces them.
+std::vector<int32_t> MatchGroupKeys(const Table& keys, const Table& more,
+                                    std::vector<int64_t>* new_rows);
+
 // Grouped ⊕-aggregation of `input` (empty for kCount). Honors
 // opts.partitioned by aggregating per-partition and merging with ⊕ — the
 // algebraic-aggregation execution shape.

@@ -134,13 +134,7 @@ Status Catalog::AppendRows(const std::string& name, const Table& delta) {
                                    delta.schema().ToString());
   }
   table->Reserve(table->num_rows() + delta.num_rows());
-  std::vector<Value> row(delta.num_columns());
-  for (int64_t r = 0; r < delta.num_rows(); ++r) {
-    for (int c = 0; c < delta.num_columns(); ++c) {
-      row[c] = delta.column(c).GetValue(r);
-    }
-    table->AppendRow(row);
-  }
+  table->AppendTable(delta);
   TableState& st = epochs_[name];
   ++st.append_epoch;
   st.segment_ends.push_back(table->num_rows());

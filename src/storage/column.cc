@@ -87,6 +87,32 @@ void Column::AppendRows(const Column& src, const int64_t* rows, int64_t n) {
   }
 }
 
+void Column::AppendColumn(const Column& src) {
+  SUDAF_CHECK(type_ == src.type_);
+  switch (type_) {
+    case DataType::kInt64:
+      ints_.insert(ints_.end(), src.ints_.begin(), src.ints_.end());
+      break;
+    case DataType::kFloat64:
+      doubles_.insert(doubles_.end(), src.doubles_.begin(),
+                      src.doubles_.end());
+      break;
+    case DataType::kString: {
+      std::vector<int32_t> code_of(src.dict_.size(), -1);
+      for (int32_t c : src.codes_) {
+        int32_t& code = code_of[c];
+        if (code < 0) {
+          AppendString(src.dict_[c]);
+          code = codes_.back();
+        } else {
+          codes_.push_back(code);
+        }
+      }
+      break;
+    }
+  }
+}
+
 Value Column::GetValue(int64_t row) const {
   switch (type_) {
     case DataType::kInt64:

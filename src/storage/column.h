@@ -36,6 +36,10 @@ class Column {
   // dictionary stay small (PrepareGatherFrom adopts the whole source
   // dictionary instead).
   void AppendRows(const Column& src, const int64_t* rows, int64_t n);
+  // Appends every row of `src` (same type) as one typed bulk copy. Strings
+  // are re-interned in first-occurrence order, once per distinct code, so
+  // the dictionary comes out as row-by-row AppendString would build it.
+  void AppendColumn(const Column& src);
 
   int64_t GetInt64(int64_t row) const { return ints_[row]; }
   double GetFloat64(int64_t row) const { return doubles_[row]; }

@@ -36,6 +36,14 @@ void Table::AppendRow(const std::vector<Value>& values) {
   ++num_rows_;
 }
 
+void Table::AppendTable(const Table& src) {
+  SUDAF_CHECK(src.num_columns() == num_columns());
+  for (int i = 0; i < num_columns(); ++i) {
+    columns_[i]->AppendColumn(src.column(i));
+  }
+  FinishBulkAppend();
+}
+
 void Table::FinishBulkAppend() {
   int64_t n = columns_.empty() ? 0 : columns_[0]->size();
   for (const auto& col : columns_) {

@@ -33,6 +33,10 @@ class Table {
   // must match the schema.
   void AppendRow(const std::vector<Value>& values);
 
+  // Appends every row of `src`, whose column types must match, column by
+  // column through Column::AppendColumn.
+  void AppendTable(const Table& src);
+
   // Finishes a batch of raw per-column appends done directly on `column(i)`;
   // verifies all columns have equal length and updates the row count.
   void FinishBulkAppend();

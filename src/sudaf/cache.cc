@@ -23,14 +23,7 @@ void CollectConjunctStrings(const Expr& e, std::vector<std::string>* out) {
 std::unique_ptr<Table> CopyTable(const Table& table) {
   auto out = std::make_unique<Table>(table.schema());
   out->Reserve(table.num_rows());
-  for (int c = 0; c < table.num_columns(); ++c) {
-    const Column& src = table.column(c);
-    Column& dst = out->column(c);
-    for (int64_t r = 0; r < table.num_rows(); ++r) {
-      dst.AppendValue(src.GetValue(r));
-    }
-  }
-  out->FinishBulkAppend();
+  out->AppendTable(table);
   return out;
 }
 
@@ -242,10 +235,10 @@ StateCache::GroupSetPtr StateCache::GetOrCreate(const std::string& data_sig,
 }
 
 StateCache::GroupSetPtr StateCache::CommitRefresh(
-    const GroupSetPtr& old_set, const Table& group_keys, int32_t num_groups,
-    const CatalogEpochs& epochs, int64_t covered_rows,
-    const std::vector<std::pair<std::string, Entry>>& entries,
-    int64_t delta_rows, const CacheOps& ops) {
+    const GroupSetPtr& old_set, std::unique_ptr<Table> group_keys,
+    int32_t num_groups, const CatalogEpochs& epochs, int64_t covered_rows,
+    std::vector<std::pair<std::string, Entry>> entries, int64_t delta_rows,
+    const CacheOps& ops) {
   std::lock_guard<std::mutex> lock(mu_);
   ++tick_;
   auto it = sets_.find(old_set->data_sig);
@@ -258,7 +251,7 @@ StateCache::GroupSetPtr StateCache::CommitRefresh(
 
   auto set = std::make_shared<GroupSet>();
   set->data_sig = old_set->data_sig;
-  set->group_keys = CopyTable(group_keys);
+  set->group_keys = std::move(group_keys);
   set->num_groups = num_groups;
   set->epochs = epochs;
   set->covered_rows = covered_rows;
@@ -296,9 +289,9 @@ StateCache::GroupSetPtr StateCache::CommitRefresh(
   }
   {
     std::lock_guard<std::mutex> stripe(StripeFor(set->data_sig));
-    for (const auto& [key, entry] : entries) {
+    for (auto& [key, entry] : entries) {
       if (EntryIsPoisoned(entry)) continue;  // same contract as InsertEntry
-      auto [e, ignored] = set->entries.insert_or_assign(key, entry);
+      auto [e, ignored] = set->entries.insert_or_assign(key, std::move(entry));
       (void)ignored;
       e->second.shadow_crc = EntryShadowCrc(e->second);
       if (fits && journal_ != nullptr) {

@@ -253,7 +253,8 @@ class StateCache {
 
   // Atomically replaces `old_set` (previously returned as
   // FindResult::refreshable) with a refreshed set carrying the new
-  // `epochs`/`covered_rows` and the given entries: journals the erase, the
+  // `epochs`/`covered_rows` and the given entries; the set takes ownership
+  // of `group_keys` and the entries' channels. Journals the erase, the
   // create and every entry insert in WAL order, stamps shadow CRCs,
   // carries over hit statistics, and counts the resolution
   // (delta_refreshes + delta_rows_scanned += `delta_rows`). Returns the
@@ -262,10 +263,10 @@ class StateCache {
   // (concurrent invalidation/refresh won the race; the caller falls back
   // to the cold path).
   GroupSetPtr CommitRefresh(
-      const GroupSetPtr& old_set, const Table& group_keys, int32_t num_groups,
-      const CatalogEpochs& epochs, int64_t covered_rows,
-      const std::vector<std::pair<std::string, Entry>>& entries,
-      int64_t delta_rows, const CacheOps& ops = {});
+      const GroupSetPtr& old_set, std::unique_ptr<Table> group_keys,
+      int32_t num_groups, const CatalogEpochs& epochs, int64_t covered_rows,
+      std::vector<std::pair<std::string, Entry>> entries, int64_t delta_rows,
+      const CacheOps& ops = {});
 
   // Outcome of an entry probe.
   enum class Probe {

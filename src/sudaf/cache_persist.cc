@@ -1,6 +1,7 @@
 #include "sudaf/cache_persist.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <map>
 #include <string_view>
@@ -60,22 +61,38 @@ void PutI64(std::string* out, int64_t v) {
   PutU64(out, static_cast<uint64_t>(v));
 }
 
-// Raw bit pattern: recovered states must be bit-identical, so no textual
-// round-trip is allowed anywhere in the format.
-void PutDouble(std::string* out, double v) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(out, bits);
-}
-
 void PutString(std::string* out, const std::string& s) {
   PutU32(out, static_cast<uint32_t>(s.size()));
   out->append(s);
 }
 
+// `n` 4- or 8-byte words in little-endian order: one block copy on
+// little-endian hosts, word by word elsewhere — the same bytes either way.
+// Doubles go as their raw bit patterns: recovered states must be
+// bit-identical, so no textual round-trip is allowed anywhere in the format.
+template <typename T>
+void PutWords(std::string* out, const T* v, size_t n) {
+  static_assert(sizeof(T) == 4 || sizeof(T) == 8);
+  if constexpr (std::endian::native == std::endian::little) {
+    out->append(reinterpret_cast<const char*>(v), n * sizeof(T));
+  } else {
+    for (size_t i = 0; i < n; ++i) {
+      if constexpr (sizeof(T) == 8) {
+        uint64_t bits;
+        std::memcpy(&bits, &v[i], sizeof(bits));
+        PutU64(out, bits);
+      } else {
+        uint32_t bits;
+        std::memcpy(&bits, &v[i], sizeof(bits));
+        PutU32(out, bits);
+      }
+    }
+  }
+}
+
 void PutDoubles(std::string* out, const std::vector<double>& v) {
   PutU64(out, static_cast<uint64_t>(v.size()));
-  for (double d : v) PutDouble(out, d);
+  PutWords(out, v.data(), v.size());
 }
 
 uint32_t ReadU32At(std::string_view data, size_t pos) {
@@ -183,26 +200,37 @@ void PutTable(std::string* out, const Table* table) {
     const Column& col = table->column(c);
     switch (col.type()) {
       case DataType::kInt64:
-        for (int64_t r = 0; r < table->num_rows(); ++r) {
-          PutI64(out, col.GetInt64(r));
-        }
+        PutWords(out, col.ints().data(), col.ints().size());
         break;
       case DataType::kFloat64:
-        for (int64_t r = 0; r < table->num_rows(); ++r) {
-          PutDouble(out, col.GetFloat64(r));
-        }
+        PutWords(out, col.doubles().data(), col.doubles().size());
         break;
       case DataType::kString: {
         const std::vector<std::string>& dict = col.dictionary();
         PutU32(out, static_cast<uint32_t>(dict.size()));
         for (const std::string& s : dict) PutString(out, s);
-        for (int64_t r = 0; r < table->num_rows(); ++r) {
-          PutU32(out, static_cast<uint32_t>(col.GetStringCode(r)));
-        }
+        PutWords(out, col.string_codes().data(), col.string_codes().size());
         break;
       }
     }
   }
+}
+
+// Bytes PutTable writes for `table`, to reserve a payload before encoding.
+size_t TableBytes(const Table* table) {
+  if (table == nullptr) return 1;
+  size_t bytes = 1 + 4 + 8;
+  for (int c = 0; c < table->num_columns(); ++c) {
+    bytes += 4 + table->schema().field(c).name.size() + 1;
+    const Column& col = table->column(c);
+    bytes += static_cast<size_t>(col.size()) *
+             (col.type() == DataType::kString ? 4 : 8);
+    if (col.type() == DataType::kString) {
+      bytes += 4;
+      for (const std::string& s : col.dictionary()) bytes += 4 + s.size();
+    }
+  }
+  return bytes;
 }
 
 bool ReadTable(Reader* r, std::unique_ptr<Table>* out) {
@@ -273,13 +301,23 @@ void PutEntry(std::string* out, const std::string& key,
   PutDoubles(out, entry.sign);
 }
 
+// Bytes PutEntry writes.
+size_t EntryBytes(const std::string& key, const StateCache::Entry& entry) {
+  return 4 + key.size() + 8 + 8 * entry.main.size() + 8 +
+         8 * entry.sign.size();
+}
+
 bool ReadEntry(Reader* r, std::string* key, StateCache::Entry* entry) {
   return r->ReadString(key) && r->ReadDoubles(&entry->main) &&
          r->ReadDoubles(&entry->sign);
 }
 
 std::string EncodeSnapshotSet(const StateCache::GroupSet& set) {
+  size_t bytes = 1 + 4 + set.data_sig.size() + 8 + 8 + 8 + 4 + 8 +
+                 TableBytes(set.group_keys.get()) + 4;
+  for (const auto& [key, entry] : set.entries) bytes += EntryBytes(key, entry);
   std::string p;
+  p.reserve(bytes);
   PutU8(&p, kSnapshotSet);
   PutString(&p, set.data_sig);
   PutU64(&p, set.epochs.rewrite);
@@ -307,6 +345,7 @@ bool CheckHeader(std::string_view data, const char* magic) {
 
 std::string FrameRecord(const std::string& payload) {
   std::string rec;
+  rec.reserve(kRecordHeaderLen + payload.size());
   PutU32(&rec, static_cast<uint32_t>(payload.size()));
   uint32_t crc = Crc32c(rec.data(), 4);
   crc = Crc32c(payload.data(), payload.size(), crc);
@@ -760,6 +799,8 @@ void CachePersistence::AppendRecord(const std::string& payload) {
 
 void CachePersistence::OnCreateSet(const StateCache::GroupSet& set) {
   std::string p;
+  p.reserve(1 + 4 + set.data_sig.size() + 8 + 8 + 8 + 4 +
+            TableBytes(set.group_keys.get()));
   PutU8(&p, kWalUpsertSet);
   PutString(&p, set.data_sig);
   PutU64(&p, set.epochs.rewrite);
@@ -774,6 +815,7 @@ void CachePersistence::OnInsertEntry(const std::string& data_sig,
                                      const std::string& key,
                                      const StateCache::Entry& entry) {
   std::string p;
+  p.reserve(1 + 4 + data_sig.size() + EntryBytes(key, entry));
   PutU8(&p, kWalInsertEntry);
   PutString(&p, data_sig);
   PutEntry(&p, key, entry);

@@ -214,9 +214,12 @@ int64_t ServeState(const StateCache::Entry& entry, bool compact,
     }
   };
   const std::vector<double>& main = entry.main;
-  if (share_fn == nullptr) {
+  const bool restore_sign =
+      cls != nullptr && RestoresProductSign(target, *cls);
+  if (share_fn == nullptr ||
+      (share_fn->IsExactIdentity() && !restore_sign)) {
     for_rows([&](int64_t r, int64_t g) { dst[r] = main[g]; });
-  } else if (cls == nullptr) {
+  } else if (!restore_sign) {
     for_rows([&](int64_t r, int64_t g) { dst[r] = share_fn->Apply(main[g]); });
   } else {
     const std::vector<double>& sign = entry.sign;

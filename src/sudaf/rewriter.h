@@ -131,7 +131,9 @@ OutputRows PlanOutputRows(const RewrittenQuery& rewritten,
 // (a ProbeEntry row-subset copy-out). A null `share_fn` serves the main
 // channel as is (direct states); otherwise each value is
 // ApplyFromClass(target, *cls, *share_fn, main, sign), or
-// share_fn->Apply(main) when `cls` is null. Returns the rows served (the
+// share_fn->Apply(main) when `cls` is null. An exact identity
+// (SharedComputation::IsExactIdentity) with no product sign to restore is a
+// plain copy, which gives the same bits. Returns the rows served (the
 // sudaf.serve.rows counter).
 int64_t ServeState(const StateCache::Entry& entry, bool compact,
                    const OutputRows& rows, const AggStateDef& target,

@@ -5,7 +5,6 @@
 #include <map>
 #include <set>
 #include <sstream>
-#include <unordered_map>
 
 #include "agg/builtin_kernels.h"
 #include "agg/interpreted_udaf.h"
@@ -442,45 +441,6 @@ TableSnapshot SnapshotTables(const Catalog& catalog,
   return snap;
 }
 
-// Injective byte encoding of one group-key row — the value identity used
-// to match delta groups onto cached groups (floats by bit pattern, strings
-// length-prefixed).
-std::string EncodeKeyRow(const Table& keys, int64_t row) {
-  std::string out;
-  for (int c = 0; c < keys.num_columns(); ++c) {
-    const Column& col = keys.column(c);
-    switch (col.type()) {
-      case DataType::kInt64: {
-        int64_t v = col.GetInt64(row);
-        out.append(reinterpret_cast<const char*>(&v), sizeof(v));
-        break;
-      }
-      case DataType::kFloat64: {
-        double v = col.GetFloat64(row);
-        out.append(reinterpret_cast<const char*>(&v), sizeof(v));
-        break;
-      }
-      case DataType::kString: {
-        const std::string& s = col.GetString(row);
-        uint64_t n = s.size();
-        out.append(reinterpret_cast<const char*>(&n), sizeof(n));
-        out += s;
-        break;
-      }
-    }
-  }
-  return out;
-}
-
-void AppendTableRow(const Table& src, int64_t row, Table* dst) {
-  std::vector<Value> values;
-  values.reserve(src.num_columns());
-  for (int c = 0; c < src.num_columns(); ++c) {
-    values.push_back(src.column(c).GetValue(row));
-  }
-  dst->AppendRow(values);
-}
-
 // `channel` extended to `n` groups: cached values keep their slots, groups
 // first occurring in the delta start from the ⊕-identity (exactly the
 // initial accumulator a cold pass gives a group none of whose rows have
@@ -579,33 +539,26 @@ StateCache::GroupSetPtr SudafSession::RefreshGroupSet(
   if (stmt.group_by.empty()) {
     if (new_n < 1) new_n = 1;  // the single implicit group
   } else {
-    if (delta.group_keys == nullptr ||
+    if (delta.group_keys == nullptr || old_keys.num_rows() != new_n ||
         old_keys.num_columns() != delta.group_keys->num_columns()) {
       return nullptr;
     }
-    std::unordered_map<std::string, int32_t> by_key;
-    by_key.reserve(static_cast<size_t>(old_keys.num_rows()) * 2);
-    for (int64_t r = 0; r < old_keys.num_rows(); ++r) {
-      by_key.emplace(EncodeKeyRow(old_keys, r), static_cast<int32_t>(r));
-    }
-    for (int32_t g = 0; g < delta.num_groups; ++g) {
-      auto it = by_key.find(EncodeKeyRow(*delta.group_keys, g));
-      if (it != by_key.end()) {
-        remap[g] = it->second;
-      } else {
-        remap[g] = new_n++;
-        appended_key_rows.push_back(g);
+    for (int c = 0; c < old_keys.num_columns(); ++c) {
+      if (old_keys.column(c).type() != delta.group_keys->column(c).type()) {
+        return nullptr;
       }
     }
+    remap = MatchGroupKeys(old_keys, *delta.group_keys, &appended_key_rows);
+    new_n += static_cast<int32_t>(appended_key_rows.size());
   }
   auto ext_keys = std::make_unique<Table>(old_keys.schema());
   ext_keys->Reserve(old_keys.num_rows() +
                     static_cast<int64_t>(appended_key_rows.size()));
-  for (int64_t r = 0; r < old_keys.num_rows(); ++r) {
-    AppendTableRow(old_keys, r, ext_keys.get());
-  }
-  for (int64_t g : appended_key_rows) {
-    AppendTableRow(*delta.group_keys, g, ext_keys.get());
+  ext_keys->AppendTable(old_keys);
+  for (int c = 0; c < ext_keys->num_columns(); ++c) {
+    ext_keys->column(c).AppendRows(
+        delta.group_keys->column(c), appended_key_rows.data(),
+        static_cast<int64_t>(appended_key_rows.size()));
   }
   ext_keys->FinishBulkAppend();
 
@@ -670,8 +623,8 @@ StateCache::GroupSetPtr SudafSession::RefreshGroupSet(
   // Commit: erase(old) → create(new) → inserts, journaled in WAL order;
   // counts the delta refresh and the delta rows scanned. Null on a lost
   // race — the caller falls back to the cold path.
-  return cache_.CommitRefresh(stale, *ext_keys, new_n, epochs, snap, entries,
-                              snap - covered, cops);
+  return cache_.CommitRefresh(stale, std::move(ext_keys), new_n, epochs,
+                              snap, std::move(entries), snap - covered, cops);
 }
 
 Result<std::unique_ptr<Table>> SudafSession::ExecuteSudaf(

@@ -308,12 +308,16 @@ ExprPtr StateClass::SignInputExpr() const {
   return SgnExpr(rep.norm->base.ToExpr());
 }
 
+bool RestoresProductSign(const AggStateDef& target, const StateClass& cls) {
+  return cls.log_domain && target.op == AggOp::kProd &&
+         target.norm.has_value();
+}
+
 double ApplyFromClass(const AggStateDef& target, const StateClass& cls,
                       const SharedComputation& share_fn, double main,
                       double sign) {
   double value = share_fn.Apply(main);
-  if (cls.log_domain && target.op == AggOp::kProd &&
-      target.norm.has_value()) {
+  if (RestoresProductSign(target, cls)) {
     // Π M^p reconstructed from (Σ ln|M|, Π sgn M): restore the sign.
     double p = target.norm->shape.p;
     long long r = static_cast<long long>(std::llround(p));

@@ -44,6 +44,13 @@ struct SharedComputation {
   bool IsIdentity() const {
     return r.IsIdentity() && !abs_source && sign_pow == 0;
   }
+  // Apply(v) has v's bits for every non-NaN v: exactly 1 * v^1. Unlike
+  // IsIdentity(), which tolerates a coefficient within Near() of 1, this
+  // admits only a = p = 1.
+  bool IsExactIdentity() const {
+    return r.family == ShapeFamily::kPower && r.a == 1.0 && r.p == 1.0 &&
+           !abs_source && sign_pow == 0;
+  }
 
   // r(value).
   double Apply(double value) const;
@@ -79,6 +86,11 @@ struct StateClass {
 // Maps a state to its class (always succeeds; unclassifiable states get a
 // self-class keyed by their syntactic form).
 StateClass ClassifyState(const AggStateDef& state);
+
+// True when ApplyFromClass restores a product's sign from the class's sign
+// channel (a log-domain class serving a Π target); otherwise it returns
+// share_fn.Apply(main) and ignores `sign`.
+bool RestoresProductSign(const AggStateDef& target, const StateClass& cls);
 
 // Reconstructs the value of `target` from its class representative's cached
 // channels. `share_fn` must be Share(target, cls.rep) (cached by callers).

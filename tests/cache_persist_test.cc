@@ -4,7 +4,9 @@
 // every persistence failpoint site, cost-aware eviction under a byte
 // budget, and WAL compaction.
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <cstring>
 #include <filesystem>
 #include <random>
@@ -12,6 +14,7 @@
 #include <vector>
 
 #include "common/crc32c.h"
+#include "common/rng.h"
 #include "common/failpoint.h"
 #include "common/file_io.h"
 #include "gtest/gtest.h"
@@ -42,6 +45,43 @@ TEST(Crc32cTest, ContinuationMatchesOneShot) {
     crc = Crc32c(data.data() + split, data.size() - split, crc);
     EXPECT_EQ(crc, Crc32c(data)) << "split at " << split;
   }
+}
+
+// Crc32c takes the SSE4.2 instruction where the CPU has it; the table path
+// is the fallback. Both must agree on every length, start alignment and
+// seed, and a checksum chained through pieces must not depend on which
+// path computed which piece.
+TEST(Crc32cTest, HardwarePathMatchesTable) {
+  EXPECT_EQ(internal::Crc32cPortable("123456789", 9), 0xE3069283u);
+  Rng rng(2718);
+  std::vector<unsigned char> buf(300 + 8);
+  for (unsigned char& b : buf) b = static_cast<unsigned char>(rng.NextUint64());
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 300; ++len) {
+      const unsigned char* p = buf.data() + offset;
+      const uint32_t seed =
+          len % 3 == 0 ? 0u : static_cast<uint32_t>(rng.NextUint64());
+      ASSERT_EQ(Crc32c(p, len, seed), internal::Crc32cPortable(p, len, seed))
+          << "offset " << offset << " len " << len << " seed " << seed;
+    }
+  }
+  uint32_t hw = 0x9E3779B9u;
+  uint32_t table = hw;
+  uint32_t mixed = hw;
+  size_t pos = 0;
+  for (int piece = 0; pos < buf.size(); ++piece) {
+    const size_t len =
+        std::min(buf.size() - pos, static_cast<size_t>(rng.NextBelow(41)));
+    hw = Crc32c(buf.data() + pos, len, hw);
+    table = internal::Crc32cPortable(buf.data() + pos, len, table);
+    mixed = piece % 2 == 0
+                ? Crc32c(buf.data() + pos, len, mixed)
+                : internal::Crc32cPortable(buf.data() + pos, len, mixed);
+    ASSERT_EQ(hw, table) << "piece " << piece;
+    ASSERT_EQ(mixed, table) << "piece " << piece;
+    pos += len;
+  }
+  EXPECT_EQ(hw, Crc32c(buf.data(), buf.size(), 0x9E3779B9u));
 }
 
 TEST(Crc32cTest, DetectsSingleBitFlip) {
@@ -321,6 +361,91 @@ TEST_F(PersistTest, WalReplayRebuildsJournaledMutations) {
   StateCache::GroupSetPtr set = cache2.Find("T:t,;W:;G:g,", epochs, false).set;
   ASSERT_NE(set, nullptr);
   EXPECT_EQ(set->entries.size(), 2u);
+}
+
+// The journal's byte format, pinned. One set keyed on an INT64 and a
+// STRING column is journaled with two entries: a clean one (signed zero, a
+// denormal, an inexact sum) and a poisoned one whose channels hold NaN,
+// -0.0 and ±inf. The cache refuses to insert poisoned entries, so the
+// second goes straight through the journal interface. The literal holds
+// the bytes of the byte-at-a-time encoder that bulk encoding replaced. The
+// data signature names no table, so the set's epochs stay live on reopen.
+TEST_F(PersistTest, WalBytesMatchGoldenEncoding) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const std::string sig = "T:;W:;G:g,s,";
+  Schema schema;
+  ASSERT_OK(schema.AddField({"g", DataType::kInt64}));
+  ASSERT_OK(schema.AddField({"s", DataType::kString}));
+  Table keys(schema);
+  keys.AppendRow({Value(int64_t{-3}), Value(std::string("b"))});
+  keys.AppendRow({Value(std::numeric_limits<int64_t>::max()),
+                  Value(std::string("a"))});
+  keys.AppendRow({Value(int64_t{5}), Value(std::string("b"))});
+  const StateCache::Entry clean{{-0.0, 4.9e-324, 0.1 + 0.2}, {1.0, -1.0, -0.0}};
+  const StateCache::Entry poisoned{{kNaN, -0.0, kInf}, {-kInf, -0.0, kNaN}};
+
+  std::string wal;
+  {
+    StateCache cache;
+    ASSERT_OK_AND_ASSIGN(auto persist,
+                         CachePersistence::Open(dir_, &catalog_, &cache));
+    StateCache::GroupSetPtr set =
+        cache.GetOrCreate(sig, keys, 3, CatalogEpochs{0, 7},
+                          /*covered_rows=*/42);
+    cache.InsertEntry(set.get(), "sum_pow|x|1", clean);
+    persist->OnInsertEntry(sig, "logclass|x", poisoned);
+    ASSERT_EQ(persist->wal_errors(), 0);
+    ASSERT_OK_AND_ASSIGN(wal, ReadFileToString(dir_ + "/cache.wal"));
+  }
+  static const char kHex[] =
+      // file header
+      "5355444657414c3202000000"
+      // create set
+      "78000000eec16a62020c000000543a3b573a3b473a672c732c00000000000000"
+      "0007000000000000002a00000000000000030000000102000000010000006700"
+      "0100000073020300000000000000fdffffffffffffffffffffffffffff7f0500"
+      "0000000000000200000001000000620100000061000000000100000000000000"
+      // insert clean entry
+      "60000000a373a12d030c000000543a3b573a3b473a672c732c0b00000073756d"
+      "5f706f777c787c31030000000000000000000000000000800100000000000000"
+      "343333333333d33f0300000000000000000000000000f03f000000000000f0bf"
+      "0000000000000080"
+      // insert poisoned entry
+      "5f000000af272e78030c000000543a3b573a3b473a672c732c0a0000006c6f67"
+      "636c6173737c780300000000000000000000000000f87f000000000000008000"
+      "0000000000f07f0300000000000000000000000000f0ff000000000000008000"
+      "0000000000f87f";
+  std::string hex;
+  for (unsigned char c : wal) {
+    static const char kDigits[] = "0123456789abcdef";
+    hex += kDigits[c >> 4];
+    hex += kDigits[c & 15];
+  }
+  EXPECT_EQ(hex, kHex);
+
+  // Recovery brings the set back bit for bit and quarantines the poisoned
+  // entry.
+  StateCache back;
+  ASSERT_OK_AND_ASSIGN(auto persist,
+                       CachePersistence::Open(dir_, &catalog_, &back));
+  EXPECT_EQ(persist->recovery_stats().sets_recovered, 1);
+  EXPECT_EQ(persist->recovery_stats().entries_recovered, 1);
+  EXPECT_EQ(persist->recovery_stats().entries_quarantined, 1);
+  StateCache::GroupSetPtr set = back.Find(sig, {0, 7}, false).set;
+  ASSERT_NE(set, nullptr);
+  EXPECT_EQ(set->num_groups, 3);
+  EXPECT_EQ(set->covered_rows, 42);
+  ASSERT_NE(set->group_keys, nullptr);
+  ASSERT_EQ(set->group_keys->num_rows(), 3);
+  EXPECT_EQ(set->group_keys->column(0).ints(), keys.column(0).ints());
+  EXPECT_EQ(set->group_keys->column(1).string_codes(),
+            keys.column(1).string_codes());
+  EXPECT_EQ(set->group_keys->column(1).dictionary(),
+            keys.column(1).dictionary());
+  ASSERT_EQ(set->entries.count("sum_pow|x|1"), 1u);
+  EXPECT_EQ(BitsOf(set->entries.at("sum_pow|x|1").main), BitsOf(clean.main));
+  EXPECT_EQ(BitsOf(set->entries.at("sum_pow|x|1").sign), BitsOf(clean.sign));
 }
 
 TEST_F(PersistTest, EraseIsJournaledToo) {

@@ -178,7 +178,7 @@ TEST(StateCacheTest, CommitRefreshFoldsDeltaAndKeepsAccounting) {
   std::vector<std::pair<std::string, StateCache::Entry>> entries;
   entries.emplace_back("count", StateCache::Entry{{2.0, 5.0, 1.0}, {}});
   StateCache::GroupSetPtr fresh = cache.CommitRefresh(
-      set, *keys3, 3, {5, 11}, /*covered_rows=*/130, entries,
+      set, std::move(keys3), 3, {5, 11}, /*covered_rows=*/130, entries,
       /*delta_rows=*/30);
   ASSERT_NE(fresh, nullptr);
   EXPECT_NE(fresh, set);
@@ -216,7 +216,8 @@ TEST(StateCacheTest, CommitRefreshDetectsRace) {
 
   std::vector<std::pair<std::string, StateCache::Entry>> entries;
   entries.emplace_back("count", StateCache::Entry{{1.0}, {}});
-  EXPECT_EQ(cache.CommitRefresh(old_set, *keys, 1, {1, 2}, 20, entries, 10),
+  EXPECT_EQ(cache.CommitRefresh(old_set, std::move(keys), 1, {1, 2}, 20,
+                                entries, 10),
             nullptr);
   EXPECT_EQ(cache.Find("sig", {1, 3}, false).set, newer);
 }

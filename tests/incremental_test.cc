@@ -12,8 +12,10 @@
 #include <atomic>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/failpoint.h"
@@ -194,6 +196,11 @@ class IncrementalTest : public ::testing::Test {
         if (t.column(c).type() == DataType::kInt64) {
           int64_t v = t.column(c).GetInt64(r);
           fp.append(reinterpret_cast<const char*>(&v), sizeof(v));
+        } else if (t.column(c).type() == DataType::kString) {
+          const std::string& v = t.column(c).GetString(r);
+          const uint64_t n = v.size();
+          fp.append(reinterpret_cast<const char*>(&n), sizeof(n));
+          fp += v;
         } else {
           double v = t.column(c).GetFloat64(r);
           fp.append(reinterpret_cast<const char*>(&v), sizeof(v));
@@ -387,6 +394,83 @@ TEST_F(IncrementalTest, AppendLoopStaysBitIdenticalToColdRuns) {
     }
     // The loop actually exercised the incremental path, not cold reruns.
     EXPECT_GE(session_->cache().counters().delta_refreshes, kRounds - 2);
+  }
+}
+
+// Key shapes the refresh must match onto the cached groups: STRING keys
+// across two dictionaries, a two-column key whose components both exist
+// but whose pair is new, sparse INT64 keys at the int64 limits (the hashed
+// grouping path), and a delta of only new groups. Each refresh must be a
+// real delta refresh and bit-identical to a cold run over the same table
+// history.
+TEST_F(IncrementalTest, RefreshMatchesColdAcrossKeyShapes) {
+  using Pairs = std::vector<std::pair<int64_t, std::string>>;
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  struct KeyShape {
+    const char* name;
+    const char* sql;
+    Pairs base;
+    Pairs delta;
+  };
+  const std::vector<KeyShape> shapes = {
+      {"string key, new dictionary strings",
+       "SELECT s, sum(x), avg(x), var(x) FROM k GROUP BY s ORDER BY s",
+       {{0, "lima"}, {0, "oslo"}, {0, "rome"}},
+       {{0, "rome"}, {0, "bern"}, {0, "kyiv"}, {0, "lima"}}},
+      {"two-column (INT64, STRING) key",
+       "SELECT g, s, sum(x), var(x) FROM k GROUP BY g, s ORDER BY g, s",
+       {{1, "a"}, {2, "b"}, {3, "a"}},
+       {{1, "b"}, {2, "b"}, {4, "a"}, {3, "c"}, {3, "a"}}},
+      {"sparse INT64 keys at the limits",
+       "SELECT g, sum(x), avg(x), var(x) FROM k GROUP BY g ORDER BY g",
+       {{kMin, ""}, {-(int64_t{1} << 50), ""}, {0, ""}, {7, ""}, {kMax, ""}},
+       {{kMax, ""}, {7, ""}, {int64_t{1} << 40, ""}, {kMin + 1, ""},
+        {kMin, ""}}},
+      {"delta of only new groups",
+       "SELECT g, sum(x), var(x) FROM k GROUP BY g ORDER BY g",
+       {{0, ""}, {1, ""}, {2, ""}},
+       {{10, ""}, {11, ""}}},
+  };
+  // Rows of (g, s, x) with (g, s) drawn from `pairs`.
+  auto make = [](uint64_t seed, int n, const Pairs& pairs) {
+    Schema schema;
+    SUDAF_CHECK(schema.AddField({"g", DataType::kInt64}).ok());
+    SUDAF_CHECK(schema.AddField({"s", DataType::kString}).ok());
+    SUDAF_CHECK(schema.AddField({"x", DataType::kFloat64}).ok());
+    auto t = std::make_unique<Table>(std::move(schema));
+    Rng rng(seed);
+    for (int i = 0; i < n; ++i) {
+      const auto& [g, s] = pairs[rng.NextBelow(pairs.size())];
+      t->AppendRow({Value(g), Value(s), Value(rng.NextDoubleIn(-3.0, 9.0))});
+    }
+    return t;
+  };
+  for (int threads : {1, 8}) {
+    for (const KeyShape& shape : shapes) {
+      SCOPED_TRACE(std::string(shape.name) +
+                   ", threads=" + std::to_string(threads));
+      const ExecOptions exec = Threads(threads);
+      Catalog live;
+      Catalog cold;
+      live.PutTable("k", make(11, 80, shape.base));
+      cold.PutTable("k", make(11, 80, shape.base));
+      SudafSession session(&live);
+      Run(&session, shape.sql, exec);
+
+      ASSERT_OK(live.AppendRows("k", *make(12, 30, shape.delta)));
+      ASSERT_OK(cold.AppendRows("k", *make(12, 30, shape.delta)));
+      RunOut warm = Run(&session, shape.sql, exec);
+      EXPECT_EQ(warm.stats.cache_delta_refreshes, 1);
+      EXPECT_EQ(warm.stats.cache_delta_rows_scanned, 30);
+      EXPECT_EQ(warm.stats.cache_full_invalidations, 0);
+
+      SudafSession cold_session(&cold);
+      const std::string want = Run(&cold_session, shape.sql, exec).fp;
+      ASSERT_EQ(warm.fp.size(), want.size());
+      EXPECT_EQ(std::memcmp(warm.fp.data(), want.data(), want.size()), 0)
+          << "refreshed answer diverges from a cold run";
+    }
   }
 }
 

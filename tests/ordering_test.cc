@@ -111,6 +111,41 @@ TEST(OrderRowsTest, PartialSortEqualsStableSortPrefix) {
   }
 }
 
+// One INT64 key takes OrderRows's (key, row) pair sort. It must give the
+// order of the generic comparator, here a stable sort on
+// CompareColumnRows: random keys with many duplicates plus the int64
+// limits and 2^53 ± 1, ascending and descending, with and without LIMIT.
+TEST(OrderRowsTest, SingleInt64KeyMatchesGenericComparator) {
+  Rng rng(99);
+  const int64_t n = 500;
+  const std::vector<int64_t> extremes = {
+      std::numeric_limits<int64_t>::min(), std::numeric_limits<int64_t>::max(),
+      std::numeric_limits<int64_t>::min() + 1, -1, 0, k2To53 - 1, k2To53,
+      k2To53 + 1};
+  std::vector<int64_t> v(n);
+  for (int64_t i = 0; i < n; ++i) {
+    v[i] = rng.NextBelow(4) == 0
+               ? extremes[rng.NextBelow(extremes.size())]
+               : static_cast<int64_t>(rng.NextBelow(40)) - 20;
+  }
+  Column c = IntColumn(v);
+  for (bool asc : {true, false}) {
+    std::vector<int64_t> want(n);
+    for (int64_t i = 0; i < n; ++i) want[i] = i;
+    std::stable_sort(want.begin(), want.end(), [&](int64_t x, int64_t y) {
+      const int cmp = CompareColumnRows(c, x, y);
+      return asc ? cmp < 0 : cmp > 0;
+    });
+    for (int64_t limit : {int64_t{-1}, int64_t{0}, int64_t{1}, int64_t{13},
+                          int64_t{250}, n - 1, n, n + 5}) {
+      std::vector<int64_t> cut = want;
+      if (limit >= 0 && limit < n) cut.resize(limit);
+      EXPECT_EQ(OrderRows({{&c, asc}}, n, limit), cut)
+          << "asc " << asc << " limit " << limit;
+    }
+  }
+}
+
 TEST(ValueCompareTest, Int64ExactAndNaNAboveNumbers) {
   EXPECT_LT(Value(k2To53).Compare(Value(k2To53 + 1)), 0);
   EXPECT_GT(Value(k2To53 + 1).Compare(Value(k2To53)), 0);

@@ -280,6 +280,55 @@ TEST_F(OutputFirstTest, ViewRewriteMatchesFullResult) {
   });
 }
 
+uint64_t Bits(double v) {
+  uint64_t b;
+  std::memcpy(&b, &v, sizeof(b));
+  return b;
+}
+
+// ServeState copies a value only when the sharing function is exactly the
+// identity. A coefficient of 1 + 2^-52 passes Shape::IsIdentity()'s
+// tolerance but changes bits, so it must still be applied.
+TEST(ServeStateTest, OnlyAnExactIdentityCopies) {
+  const std::vector<double> main = {3.0,        -0.0,     4.9e-324,
+                                    0.1 + 0.2, -7.5e300, 1.0};
+  const StateCache::Entry entry{main, {}};
+  OutputRows rows;
+  rows.presorted = true;
+  rows.groups = {5, 0, 3, 1, 2, 4};
+  const AggStateDef target;
+  const StateClass plain;  // no sign channel to restore
+  std::vector<double> out;
+
+  SharedComputation near;
+  near.r.a = 1.0 + 0x1p-52;
+  ASSERT_TRUE(near.IsIdentity());
+  ASSERT_FALSE(near.IsExactIdentity());
+  for (const StateClass* cls : {static_cast<const StateClass*>(nullptr),
+                                &plain}) {
+    EXPECT_EQ(ServeState(entry, false, rows, target, cls, &near, &out), 6);
+    bool changed = false;
+    for (size_t r = 0; r < rows.groups.size(); ++r) {
+      const double x = main[rows.groups[r]];
+      EXPECT_EQ(Bits(out[r]), Bits(near.Apply(x))) << "row " << r;
+      changed |= Bits(out[r]) != Bits(x);
+    }
+    EXPECT_TRUE(changed) << "the near-identity multiply was skipped";
+  }
+
+  const SharedComputation exact;
+  ASSERT_TRUE(exact.IsExactIdentity());
+  for (const StateClass* cls : {static_cast<const StateClass*>(nullptr),
+                                &plain}) {
+    EXPECT_EQ(ServeState(entry, false, rows, target, cls, &exact, &out), 6);
+    for (size_t r = 0; r < rows.groups.size(); ++r) {
+      const double x = main[rows.groups[r]];
+      EXPECT_EQ(Bits(out[r]), Bits(x)) << "row " << r;
+      EXPECT_EQ(Bits(out[r]), Bits(exact.Apply(x))) << "row " << r;
+    }
+  }
+}
+
 // sudaf.serve.rows counts state values served: a warm hit ordered and cut
 // on its group keys serves LIMIT × states, every other query serves every
 // group.
