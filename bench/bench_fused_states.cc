@@ -88,7 +88,6 @@ std::vector<ExprPtr> MakeInputs(int k) {
 double TimeLegacy(const Data& data, const std::vector<ExprPtr>& inputs,
                   bool with_count) {
   ExecOptions opts;
-  opts.use_fused = false;
   ColumnResolver resolver = data.Resolver();
   double t0 = NowMs();
   double sink = 0;
@@ -165,7 +164,7 @@ int RunSmoke(int threads) {
     // chunks for every requested worker to claim one.
     exec.morsel_size = 4096;
   }
-  SudafSession session(&catalog, exec);
+  SudafSession session(&catalog, SessionOptions{}.set_exec(exec));
   const char* sql = "SELECT g, kurtosis(x), var(x) FROM t GROUP BY g";
   for (int run = 0; run < 2; ++run) {
     auto result = session.Execute(sql, ExecMode::kSudafShare);
@@ -314,7 +313,7 @@ int main(int argc, char** argv) {
       double best_ms = 0;
       for (int r = 0; r < reps; ++r) {
         // Fresh session per rep: a warm cache would skip the pipeline.
-        SudafSession session(&catalog, exec);
+        SudafSession session(&catalog, SessionOptions{}.set_exec(exec));
         auto result = session.Execute(sql, ExecMode::kSudafShare);
         SUDAF_CHECK_MSG(result.ok(), result.status().ToString());
         if (r == 0 || result->stats.total_ms < best_ms) {

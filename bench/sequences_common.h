@@ -54,14 +54,14 @@ inline std::vector<SequenceRun> RunAllSequences(const ExecOptions& exec,
                             ExecMode::kSudafShare}) {
         // Fresh session per (sequence, context): sequences are independent
         // scenarios and the cache must start cold.
-        SudafSession session(&catalog, exec);
+        SudafSession session(&catalog, SessionOptions{}.set_exec(exec));
         Status rq = RegisterQuantileUdafs(&session, sketch_k);
         SUDAF_CHECK_MSG(rq.ok(), rq.ToString());
         if (mode == ExecMode::kSudafShare && name == "AS2") {
           double t0 = NowMs();
-          Status pf =
-              session.Prefetch(MomentSketchPrefetchSql(model, sketch_k));
-          SUDAF_CHECK_MSG(pf.ok(), pf.ToString());
+          Result<QueryResult> pf = session.Execute(
+              MomentSketchPrefetchSql(model, sketch_k), ExecMode::kSudafShare);
+          SUDAF_CHECK_MSG(pf.ok(), pf.status().ToString());
           run.prefetch_ms = NowMs() - t0;
         }
         run.times.push_back(RunSequence(&session, model, aggs, mode));

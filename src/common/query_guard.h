@@ -7,9 +7,9 @@
 // A QueryGuard is created by the caller of Session::Execute (one per query
 // or shared across a sequence), handed to the engine through
 // ExecOptions::guard, and consulted at morsel boundaries in the fused
-// StateBatch executor, per select item / row batch in the legacy engine
-// path, and between pipeline stages in the SUDAF session. A tripped guard
-// surfaces as StatusCode::kCancelled, kDeadlineExceeded or
+// StateBatch executor, per select item / row batch in the engine's
+// interpreted UDAFs, and between pipeline stages in the SUDAF session. A
+// tripped guard surfaces as StatusCode::kCancelled, kDeadlineExceeded or
 // kResourceExhausted from Execute — the query fails closed instead of
 // running unbounded.
 //

@@ -592,7 +592,7 @@ Result<std::vector<double>> RunHardcodedUdaf(
   const int num_args = udaf.num_args();
 
   // Row-at-a-time driving is the slowest engine path, so the guard is
-  // checked every kGuardStride rows — the legacy-path equivalent of the
+  // checked every kGuardStride rows — the row-at-a-time equivalent of the
   // fused executor's morsel-boundary check.
   constexpr int64_t kGuardStride = 4096;
   auto run_range = [&](int64_t lo, int64_t hi,

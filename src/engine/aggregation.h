@@ -33,7 +33,7 @@ struct PreparedInput {
   std::vector<int64_t> row_ids;    // selected rows of `source`; empty: identity
   int64_t base = 0;                // first row of the identity range
   // Gathered columns: a join's input, or a copy MaterializeFrame made for
-  // a path that evaluates over a frame (the legacy per-state loops).
+  // a path that evaluates over a frame (the engine's interpreted UDAFs).
   std::unique_ptr<Table> frame;
   std::vector<std::string> columns;   // columns the query reads (validated)
   int64_t num_input_rows = 0;         // tuple count
@@ -72,8 +72,8 @@ Result<std::unique_ptr<Table>> GatherColumns(
 
 // Ensures `input->frame` holds every column of `input->columns`, gathering
 // it (under a "gather" span and sudaf.phase.gather_ms) when missing. For
-// the paths that evaluate over a frame: the legacy per-state loops and the
-// engine's legacy-kernel and hardcoded-UDAF loops.
+// the paths that evaluate over a frame: the engine's interpreted UDAFs and
+// the per-state reference loops of the tests and benchmarks.
 Status MaterializeFrame(PreparedInput* input, const ExecOptions& opts = {});
 
 // Computes `out->group_ids`, `out->group_keys` and `out->num_groups` for the

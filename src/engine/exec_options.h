@@ -51,7 +51,9 @@ struct CachePolicy {
 // distributed engine (the Spark SQL context): the input is split into
 // partitions, each partition computes partial aggregates via (F, ⊕), and
 // partials are merged with ⊕ before the terminating function runs — the
-// execution shape that requires aggregates to be algebraic.
+// execution shape that requires aggregates to be algebraic. Only the
+// engine-mode interpreted UDAFs and the ComputeGroupedState baseline read
+// it; the fused pass has its own deterministic chunk tree.
 struct ExecOptions {
   bool partitioned = false;
   int num_partitions = 4;
@@ -60,14 +62,10 @@ struct ExecOptions {
   bool parallel = false;
 
   // --- Fused StateBatch executor -----------------------------------------
-  // Compute all of a query's aggregation states in one morsel-driven pass
-  // (shared input evaluation + fused accumulation) instead of one full
-  // column materialization + grouped pass per state. Default on; turn off
-  // to fall back to the legacy per-state path (kept for comparison
-  // benchmarks).
-  bool use_fused = true;
-  // Rows per morsel. Sized so the per-morsel scratch buffers of a typical
-  // state batch stay cache-resident.
+  // All of a query's aggregation states are computed in one morsel-driven
+  // pass (shared input evaluation + fused accumulation). Rows per morsel,
+  // sized so the per-morsel scratch buffers of a typical state batch stay
+  // cache-resident.
   int morsel_size = 65536;
   // Worker-thread count for the fused pass when `parallel` is set:
   // 0 = std::thread::hardware_concurrency(). Ignored when parallel=false
@@ -77,15 +75,15 @@ struct ExecOptions {
   // --- Hardened execution (docs/robustness.md) ---------------------------
   // Borrowed per-query guard: cancellation token, wall-clock deadline,
   // memory budget. Checked at morsel boundaries in the fused executor, per
-  // select item / row batch in the legacy engine path, and between SUDAF
-  // pipeline stages. Null (default) disables all guard checks. The guard
-  // must outlive every execution that uses these options.
+  // select item in the engine path, and between SUDAF pipeline stages.
+  // Null (default) disables all guard checks. The guard must outlive every
+  // execution that uses these options.
   const QueryGuard* guard = nullptr;
 
   // --- Observability (docs/observability.md) -----------------------------
   // Borrowed sinks, both may be null (no recording). The session points
   // these at its MetricsRegistry and the current query's trace before
-  // executing; engine layers (fused executor, legacy engine path) record
+  // executing; engine layers (fused executor, engine path) record
   // counters and spans through them. Both must outlive the execution.
   MetricsRegistry* metrics = nullptr;
   QueryTrace* trace = nullptr;

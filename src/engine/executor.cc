@@ -4,7 +4,6 @@
 #include <cmath>
 #include <set>
 
-#include "agg/builtin_kernels.h"
 #include "common/metrics.h"
 #include "common/query_guard.h"
 #include "common/trace.h"
@@ -15,16 +14,6 @@
 namespace sudaf {
 
 namespace {
-
-// Evaluates a purely scalar expression over the frame into a double vector.
-Result<std::vector<double>> FrameVector(const Table& frame,
-                                        const Expr& expr) {
-  ColumnResolver resolver =
-      [&frame](const std::string& name) -> Result<const Column*> {
-    return frame.GetColumn(name);
-  };
-  return EvalNumericVector(expr, resolver, frame.num_rows());
-}
 
 bool IsNativeFinalized(const std::string& name) {
   return name == "avg" || name == "var" || name == "stddev";
@@ -158,8 +147,8 @@ Result<std::unique_ptr<Table>> Executor::Execute(
     SUDAF_RETURN_IF_ERROR(opts.guard->ChargeMemory(input.ApproxBytes()));
   }
   const int32_t num_groups = input.num_groups;
-  // The legacy-kernel and hardcoded-UDAF loops evaluate over a frame;
-  // gathered on first use, so fused-only queries never copy a row.
+  // Interpreted UDAFs read their argument columns from a frame, gathered
+  // on first use, so queries of built-ins only never copy a row.
   auto frame = [&]() -> Result<const Table*> {
     if (input.frame == nullptr) {
       SUDAF_RETURN_IF_ERROR(MaterializeFrame(&input, prep_opts));
@@ -180,14 +169,14 @@ Result<std::unique_ptr<Table>> Executor::Execute(
   // avg/var/stddev finalizers — and compute them in ONE morsel-driven pass.
   // Duplicate channels (e.g. the count shared by every avg/var item, or
   // sum(x) shared by avg(x) and var(x)) are deduplicated by the batch
-  // engine, which removes the redundant passes the legacy path makes.
+  // engine.
   struct FusedItem {
     int direct = -1;            // primitive aggregate: finished state
     int cnt = -1, sum = -1, sum2 = -1;  // avg/var/stddev channels
   };
   std::vector<FusedItem> fused_items(stmt.items.size());
   std::vector<std::vector<double>> fused_batch;
-  if (opts.use_fused) {
+  {  // the requests and their inputs live only as long as the pass
     std::vector<ExprPtr> keepalive;
     std::vector<StateBatchRequest> requests;
     for (size_t i = 0; i < stmt.items.size(); ++i) {
@@ -216,16 +205,15 @@ Result<std::unique_ptr<Table>> Executor::Execute(
     }
     if (!requests.empty()) {
       SUDAF_ASSIGN_OR_RETURN(
-          fused_batch,
-          ComputeStateBatch(requests, input.Binder(), input.group_ids,
-                            num_groups, opts));
+          fused_batch, ComputeStateBatch(requests, input.Binder(),
+                                         input.group_ids, num_groups, opts));
     }
   }
 
   for (size_t i = 0; i < stmt.items.size(); ++i) {
-    // Legacy per-item path: each select item may trigger a full-column
-    // materialization and grouped pass, so the guard is re-checked between
-    // items (the fused pre-pass above checks at morsel granularity).
+    // Interpreted UDAFs each make their own pass over the input, so the
+    // guard is re-checked between items (the fused pre-pass above checks
+    // at morsel granularity).
     if (opts.guard != nullptr) {
       SUDAF_RETURN_IF_ERROR(opts.guard->Check());
     }
@@ -250,18 +238,7 @@ Result<std::unique_ptr<Table>> Executor::Execute(
         out_schema.AddField(Field{out_name, DataType::kFloat64}));
 
     if (expr.kind == ExprKind::kAggCall) {
-      if (fused_items[i].direct >= 0) {
-        agg_outputs[i] = std::move(fused_batch[fused_items[i].direct]);
-        continue;
-      }
-      // Primitive aggregate through vectorized kernels (legacy path).
-      std::vector<double> in;
-      if (expr.agg_op != AggOp::kCount) {
-        SUDAF_ASSIGN_OR_RETURN(const Table* f, frame());
-        SUDAF_ASSIGN_OR_RETURN(in, FrameVector(*f, *expr.args[0]));
-      }
-      agg_outputs[i] = ComputeGroupedState(expr.agg_op, in, input.group_ids,
-                                           num_groups, opts);
+      agg_outputs[i] = std::move(fused_batch[fused_items[i].direct]);
       continue;
     }
 
@@ -278,32 +255,15 @@ Result<std::unique_ptr<Table>> Executor::Execute(
         return Status::InvalidArgument(expr.func_name +
                                        "() takes one argument");
       }
-      std::vector<double> cnt, sum, sum2;
-      if (fused_items[i].cnt >= 0) {
-        cnt = std::move(fused_batch[fused_items[i].cnt]);
-        sum = std::move(fused_batch[fused_items[i].sum]);
-        if (fused_items[i].sum2 >= 0) {
-          sum2 = std::move(fused_batch[fused_items[i].sum2]);
-        }
-      } else {
-        SUDAF_ASSIGN_OR_RETURN(const Table* f, frame());
-        SUDAF_ASSIGN_OR_RETURN(std::vector<double> in,
-                               FrameVector(*f, *expr.args[0]));
-        cnt = ComputeGroupedState(AggOp::kCount, {}, input.group_ids,
-                                  num_groups, opts);
-        sum = ComputeGroupedState(AggOp::kSum, in, input.group_ids,
-                                  num_groups, opts);
-        if (expr.func_name != "avg") {
-          std::vector<double> sq(in.size());
-          for (size_t r = 0; r < in.size(); ++r) sq[r] = in[r] * in[r];
-          sum2 = ComputeGroupedState(AggOp::kSum, sq, input.group_ids,
-                                     num_groups, opts);
-        }
-      }
+      // Moved out so each item's channels are freed with the item.
+      std::vector<double> cnt = std::move(fused_batch[fused_items[i].cnt]);
+      std::vector<double> sum = std::move(fused_batch[fused_items[i].sum]);
       std::vector<double> out(num_groups);
       if (expr.func_name == "avg") {
         for (int32_t g = 0; g < num_groups; ++g) out[g] = sum[g] / cnt[g];
       } else {
+        std::vector<double> sum2 =
+            std::move(fused_batch[fused_items[i].sum2]);
         for (int32_t g = 0; g < num_groups; ++g) {
           double m = sum[g] / cnt[g];
           double v = sum2[g] / cnt[g] - m * m;

@@ -10,10 +10,9 @@
 // Spark SQL treat user-defined aggregates.
 //
 // The SUDAF rewriter (src/sudaf) reuses Prepare() so that baseline and
-// rewritten executions share scans, filters, joins and grouping. Under
-// ExecOptions::use_fused, built-in aggregates run in one fused state pass
-// over the prepared input in place; only the legacy kernels and hardcoded
-// UDAFs gather a frame.
+// rewritten executions share scans, filters, joins and grouping. Built-in
+// aggregates run in one fused state pass over the prepared input in place;
+// only the hardcoded UDAFs gather a frame.
 
 #include <memory>
 #include <string>

@@ -7,7 +7,7 @@
 #include "common/query_guard.h"
 #include "common/timer.h"
 #include "engine/state_batch.h"
-#include "expr/evaluator.h"
+#include "sudaf/shared_scan.h"
 
 namespace sudaf {
 
@@ -158,24 +158,12 @@ Result<std::unique_ptr<Table>> ChunkedSharingSession::Execute(
                          RewriteQuery(*stmt, session_->library()));
   const std::vector<AggStateDef>& states = rewritten.form.states;
 
-  struct StateExec {
-    StateClass cls;
-    SharedComputation share_fn;
-  };
-  std::vector<StateExec> execs(states.size());
-  std::vector<std::string> class_keys;
-  for (size_t i = 0; i < states.size(); ++i) {
-    execs[i].cls = ClassifyState(states[i]);
-    std::optional<SharedComputation> fn = Share(states[i], execs[i].cls.rep);
-    if (!fn.has_value()) {
-      execs[i].cls.key = "self|" + states[i].Key();
-      execs[i].cls.rep = states[i].Clone();
-      execs[i].cls.log_domain = false;
-      fn = SharedComputation{};
-    }
-    execs[i].share_fn = *fn;
-    class_keys.push_back(execs[i].cls.key);
-  }
+  // Classify every state into its class representative (Theorem 4.1),
+  // exactly as a query of the shared cache does.
+  SharedStatePlan plan;
+  const std::vector<SharedStatePlan::Slot> slots =
+      plan.AddQuery(states, /*share=*/true);
+  const std::vector<SharedStatePlan::Rep>& reps = plan.reps();
 
   // Chunk signature: residual predicates + grouping.
   std::vector<std::string> residual_strings;
@@ -200,8 +188,8 @@ Result<std::unique_ptr<Table>> ChunkedSharingSession::Execute(
     auto it = chunks_.find(chunk_map_key(c));
     bool complete = it != chunks_.end();
     if (complete) {
-      for (const std::string& key : class_keys) {
-        if (it->second.states.count(key) == 0) complete = false;
+      for (const SharedStatePlan::Rep& rep : reps) {
+        if (it->second.states.count(rep.key) == 0) complete = false;
       }
     }
     if (complete) {
@@ -235,13 +223,12 @@ Result<std::unique_ptr<Table>> ChunkedSharingSession::Execute(
       range_stmt.items.push_back(SelectItem{Expr::Column(g), ""});
     }
 
+    // Every representative's channels, in one fused pass over the range.
+    BatchRequestPlan rq =
+        BuildBatchRequests(plan, std::vector<bool>(reps.size(), true));
     std::vector<std::string> extra_columns = {chunk_column_};
-    for (const StateExec& ex : execs) {
-      ExprPtr main = ex.cls.MainInputExpr();
-      if (main != nullptr) main->CollectColumns(&extra_columns);
-      if (ex.cls.log_domain) {
-        ex.cls.SignInputExpr()->CollectColumns(&extra_columns);
-      }
+    for (const StateBatchRequest& r : rq.requests) {
+      if (r.input != nullptr) r.input->CollectColumns(&extra_columns);
     }
     // The session's default exec options carry the parallelism knobs for
     // the covering-range scan (no trace/metrics sinks to attach here).
@@ -266,82 +253,15 @@ Result<std::unique_ptr<Table>> ChunkedSharingSession::Execute(
     const int32_t num_cgroups = static_cast<int32_t>(composite_keys.size());
 
     // Per-class channels at composite granularity.
+    SUDAF_ASSIGN_OR_RETURN(
+        std::vector<std::vector<double>> batch,
+        ComputeStateBatch(rq.requests, input.Binder(), cgids, num_cgroups,
+                          session_->exec_options()));
     std::map<std::string, StateCache::Entry> computed;
-    if (session_->exec_options().use_fused) {
-      // Fused: all class channels in one morsel-driven pass over the range.
-      std::vector<ExprPtr> keepalive;
-      std::vector<StateBatchRequest> requests;
-      struct PendingEntry {
-        std::string key;
-        int main_idx = -1;
-        int sign_idx = -1;
-      };
-      std::vector<PendingEntry> pending;
-      for (const StateExec& ex : execs) {
-        if (computed.count(ex.cls.key) > 0) continue;
-        computed[ex.cls.key];  // reserve the key to dedup duplicate classes
-        PendingEntry pe;
-        pe.key = ex.cls.key;
-        pe.main_idx = static_cast<int>(requests.size());
-        ExprPtr main_expr = ex.cls.MainInputExpr();
-        if (main_expr == nullptr) {
-          requests.push_back({AggOp::kCount, nullptr});
-        } else {
-          requests.push_back({ex.cls.MainOp(), main_expr.get()});
-          keepalive.push_back(std::move(main_expr));
-        }
-        if (ex.cls.log_domain) {
-          ExprPtr sign_expr = ex.cls.SignInputExpr();
-          pe.sign_idx = static_cast<int>(requests.size());
-          requests.push_back({AggOp::kProd, sign_expr.get()});
-          keepalive.push_back(std::move(sign_expr));
-        }
-        pending.push_back(std::move(pe));
-      }
-      SUDAF_ASSIGN_OR_RETURN(
-          std::vector<std::vector<double>> batch,
-          ComputeStateBatch(requests, input.Binder(), cgids, num_cgroups,
-                            session_->exec_options()));
-      for (PendingEntry& pe : pending) {
-        StateCache::Entry& channels = computed[pe.key];
-        channels.main = std::move(batch[pe.main_idx]);
-        if (pe.sign_idx >= 0) channels.sign = std::move(batch[pe.sign_idx]);
-      }
-    } else {
-      // Legacy: one full-column materialization + grouped pass per channel,
-      // evaluated over a gathered frame.
-      SUDAF_RETURN_IF_ERROR(
-          MaterializeFrame(&input, session_->exec_options()));
-      ColumnResolver resolver =
-          [&input](const std::string& name) -> Result<const Column*> {
-        return input.frame->GetColumn(name);
-      };
-      for (const StateExec& ex : execs) {
-        if (computed.count(ex.cls.key) > 0) continue;
-        StateCache::Entry channels;
-        ExprPtr main_expr = ex.cls.MainInputExpr();
-        if (main_expr == nullptr) {
-          channels.main = ComputeGroupedState(AggOp::kCount, {}, cgids,
-                                              num_cgroups,
-                                              session_->exec_options());
-        } else {
-          SUDAF_ASSIGN_OR_RETURN(
-              std::vector<double> in,
-              EvalNumericVector(*main_expr, resolver, rows));
-          channels.main = ComputeGroupedState(ex.cls.MainOp(), in, cgids,
-                                              num_cgroups,
-                                              session_->exec_options());
-        }
-        if (ex.cls.log_domain) {
-          SUDAF_ASSIGN_OR_RETURN(
-              std::vector<double> sgn,
-              EvalNumericVector(*ex.cls.SignInputExpr(), resolver, rows));
-          channels.sign = ComputeGroupedState(AggOp::kProd, sgn, cgids,
-                                              num_cgroups,
-                                              session_->exec_options());
-        }
-        computed[ex.cls.key] = std::move(channels);
-      }
+    for (size_t r = 0; r < reps.size(); ++r) {
+      StateCache::Entry& channels = computed[reps[r].key];
+      channels.main = std::move(batch[rq.main_idx[r]]);
+      if (rq.sign_idx[r] >= 0) channels.sign = std::move(batch[rq.sign_idx[r]]);
     }
 
     // Scatter composite results into per-chunk entries. Every chunk in the
@@ -435,9 +355,6 @@ Result<std::unique_ptr<Table>> ChunkedSharingSession::Execute(
   std::unordered_map<std::string, int32_t> group_index;
   std::vector<std::vector<Value>> merged_keys;
   std::map<std::string, StateCache::Entry> merged;
-  auto merged_entry = [&](const std::string& key) -> StateCache::Entry& {
-    return merged[key];
-  };
   for (const ChunkEntry* chunk : needed) {
     for (size_t g = 0; g < chunk->group_keys.size(); ++g) {
       auto [it, inserted] = group_index.emplace(
@@ -446,18 +363,16 @@ Result<std::unique_ptr<Table>> ChunkedSharingSession::Execute(
     }
   }
   const int32_t num_groups = static_cast<int32_t>(merged_keys.size());
-  for (const StateExec& ex : execs) {
-    StateCache::Entry& out = merged_entry(ex.cls.key);
-    if (!out.main.empty()) continue;  // merged already (duplicate class)
-    double identity = AggIdentity(ex.cls.MainOp());
-    out.main.assign(num_groups, identity);
-    if (ex.cls.log_domain) out.sign.assign(num_groups, 1.0);
+  for (const SharedStatePlan::Rep& rep : reps) {
+    StateCache::Entry& out = merged[rep.key];
+    const AggOp op = rep.cls.MainOp();
+    out.main.assign(num_groups, AggIdentity(op));
+    if (rep.cls.log_domain) out.sign.assign(num_groups, 1.0);
     for (const ChunkEntry* chunk : needed) {
-      const StateCache::Entry& part = chunk->states.at(ex.cls.key);
+      const StateCache::Entry& part = chunk->states.at(rep.key);
       for (size_t g = 0; g < chunk->group_keys.size(); ++g) {
         int32_t target = group_index.at(chunk->group_keys[g]);
-        out.main[target] =
-            AggMerge(ex.cls.MainOp(), out.main[target], part.main[g]);
+        out.main[target] = AggMerge(op, out.main[target], part.main[g]);
         if (!out.sign.empty()) out.sign[target] *= part.sign[g];
       }
     }
@@ -480,8 +395,9 @@ Result<std::unique_ptr<Table>> ChunkedSharingSession::Execute(
   std::vector<std::vector<double>> state_values(states.size());
   int64_t served = 0;
   for (size_t i = 0; i < states.size(); ++i) {
-    served += ServeState(merged.at(execs[i].cls.key), /*compact=*/false, rows,
-                         states[i], &execs[i].cls, &execs[i].share_fn,
+    const SharedStatePlan::Rep& rep = reps[slots[i].rep];
+    served += ServeState(merged.at(rep.key), /*compact=*/false, rows,
+                         states[i], &rep.cls, &slots[i].share_fn,
                          &state_values[i]);
   }
   m.counter("sudaf.serve.rows")->Add(served);

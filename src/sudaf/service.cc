@@ -250,7 +250,6 @@ struct TicketState {
   Stage stage = Stage::kSoloReady;
   bool in_window = false;
   int attempts = 0;
-  bool any_fallback = false;
   bool any_memory_only = false;
   double backoff_until_ms = 0;
   Result<QueryResult> result{Status::Internal("ticket still pending")};
@@ -523,19 +522,15 @@ void QueryService::RunSolo(const std::shared_ptr<TicketState>& st) {
     }
     metrics_.counter("sudaf.batch.solo")->Add();
 
-    bool used_fallback = false;
     bool memory_only = false;
-    Result<QueryResult> result =
-        RunOnce(st->request, &used_fallback, &memory_only);
+    Result<QueryResult> result = RunOnce(st->request, &memory_only);
     admission_.Release();
-    st->any_fallback |= used_fallback;
     st->any_memory_only |= memory_only;
 
     UpdateBreaker();
 
     if (result.ok()) {
       result->stats.service_attempts = st->attempts;
-      result->stats.degraded_fused_fallback = st->any_fallback;
       result->stats.degraded_cache_memory_only = st->any_memory_only;
       FinishOk(st, std::move(*result));
       return;
@@ -650,25 +645,6 @@ void QueryService::ExecuteGroup(
   metrics_.histogram("sudaf.batch.group_size")
       ->Observe(static_cast<double>(group.size()));
 
-  // Degradation knobs: one decision for the whole pass (mirrors RunOnce).
-  ExecOptions exec = session_->exec_options();
-  bool used_fallback = false;
-  {
-    std::lock_guard<std::mutex> lock(degrade_mu_);
-    if (fused_degraded_ && exec.use_fused) {
-      ++degraded_requests_;
-      const bool reprobe =
-          options_.fused_reprobe_every > 0 &&
-          degraded_requests_ % options_.fused_reprobe_every == 0;
-      if (!reprobe) {
-        exec.use_fused = false;
-        used_fallback = true;
-        metrics_.counter("sudaf.service.fused_fallback_runs")->Add();
-      } else {
-        metrics_.counter("sudaf.service.fused_reprobes")->Add();
-      }
-    }
-  }
   bool memory_only;
   {
     std::lock_guard<std::mutex> lock(breaker_mu_);
@@ -683,13 +659,10 @@ void QueryService::ExecuteGroup(
   }
   BatchExecStats bstats;
   std::vector<Result<QueryResult>> results = session_->ExecuteBatch(
-      items, group[0]->request.mode, exec, &bstats);
+      items, group[0]->request.mode, session_->exec_options(), &bstats);
   admission_.Release();
 
   UpdateBreaker();
-  bool any_ok = false;
-  for (const Result<QueryResult>& r : results) any_ok |= r.ok();
-  UpdateFusedTracker(exec.use_fused, any_ok);
 
   metrics_.counter("sudaf.batch.groups")
       ->Add(static_cast<int64_t>(bstats.groups_shared));
@@ -702,12 +675,10 @@ void QueryService::ExecuteGroup(
 
   for (size_t i = 0; i < group.size(); ++i) {
     const std::shared_ptr<TicketState>& st = group[i];
-    st->any_fallback |= used_fallback;
     st->any_memory_only |= memory_only;
     if (results[i].ok()) {
       QueryResult qr = std::move(*results[i]);
       qr.stats.service_attempts = st->attempts;
-      qr.stats.degraded_fused_fallback = st->any_fallback;
       qr.stats.degraded_cache_memory_only = st->any_memory_only;
       FinishOk(st, std::move(qr));
     } else {
@@ -762,40 +733,15 @@ void QueryService::CountWindowDrop(const Status& s) {
 }
 
 Result<QueryResult> QueryService::RunOnce(const ServiceRequest& request,
-                                          bool* used_fused_fallback,
                                           bool* memory_only) {
   ExecOptions exec =
       request.exec.has_value() ? *request.exec : session_->exec_options();
   if (request.guard != nullptr) exec.guard = request.guard;
-
-  // Fused-path degradation: while degraded, run legacy except for the
-  // periodic re-probe that checks whether fused recovered.
-  bool reprobe = false;
-  {
-    std::lock_guard<std::mutex> lock(degrade_mu_);
-    if (fused_degraded_ && exec.use_fused) {
-      ++degraded_requests_;
-      reprobe = options_.fused_reprobe_every > 0 &&
-                degraded_requests_ % options_.fused_reprobe_every == 0;
-      if (!reprobe) {
-        exec.use_fused = false;
-        *used_fused_fallback = true;
-        metrics_.counter("sudaf.service.fused_fallback_runs")->Add();
-      } else {
-        metrics_.counter("sudaf.service.fused_reprobes")->Add();
-      }
-    }
-  }
-
   {
     std::lock_guard<std::mutex> lock(breaker_mu_);
     *memory_only = breaker_ != BreakerState::kClosed;
   }
-
-  Result<QueryResult> result =
-      session_->Execute(request.sql, request.mode, exec);
-  UpdateFusedTracker(exec.use_fused, result.ok());
-  return result;
+  return session_->Execute(request.sql, request.mode, exec);
 }
 
 void QueryService::UpdateBreaker() {
@@ -850,29 +796,6 @@ void QueryService::UpdateBreaker() {
   }
 }
 
-void QueryService::UpdateFusedTracker(bool ran_fused, bool ok) {
-  std::lock_guard<std::mutex> lock(degrade_mu_);
-  if (!ran_fused) return;  // legacy runs say nothing about the fused path
-  if (ok) {
-    fused_consecutive_failures_ = 0;
-    if (fused_degraded_) {
-      // A successful fused re-probe: recover.
-      fused_degraded_ = false;
-      degraded_requests_ = 0;
-      metrics_.counter("sudaf.service.fused_recoveries")->Add();
-      metrics_.gauge("sudaf.service.fused_degraded")->Set(0);
-    }
-    return;
-  }
-  if (!fused_degraded_ &&
-      ++fused_consecutive_failures_ >= options_.fused_fallback_after) {
-    fused_degraded_ = true;
-    degraded_requests_ = 0;
-    metrics_.counter("sudaf.service.fused_fallbacks")->Add();
-    metrics_.gauge("sudaf.service.fused_degraded")->Set(1);
-  }
-}
-
 void QueryService::SignalMemoryPressure() {
   metrics_.counter("sudaf.service.cache_shrinks")->Add();
   CachePolicy policy = session_->options().cache_policy;
@@ -888,11 +811,6 @@ void QueryService::SignalMemoryPressure() {
 QueryService::BreakerState QueryService::breaker_state() const {
   std::lock_guard<std::mutex> lock(breaker_mu_);
   return breaker_;
-}
-
-bool QueryService::fused_degraded() const {
-  std::lock_guard<std::mutex> lock(degrade_mu_);
-  return fused_degraded_;
 }
 
 }  // namespace sudaf

@@ -44,14 +44,13 @@
 //     runs memory-only, queries keep their answers) until a half-open
 //     probe successfully re-publishes a snapshot, which closes it again.
 //
-//   * Graceful degradation — repeated failures on the fused path fall the
-//     service back to the legacy per-state engine (periodically re-probing
-//     fused); memory-pressure signals shrink the cache budget online.
+//   * Graceful degradation — memory-pressure signals shrink the cache
+//     budget online.
 //
-// Degradation is surfaced, not hidden: ExecStats::service_attempts,
-// degraded_fused_fallback and degraded_cache_memory_only are filled in on
-// every result, and every decision is counted under sudaf.service.* in the
-// service's own metrics registry.
+// Degradation is surfaced, not hidden: ExecStats::service_attempts and
+// degraded_cache_memory_only are filled in on every result, and every
+// decision is counted under sudaf.service.* in the service's own metrics
+// registry.
 //
 // Thread safety: every public method of QueryService and
 // AdmissionController is safe for concurrent callers.
@@ -119,11 +118,6 @@ struct ServiceOptions {
   // `cache_shrink_factor`, never below `cache_min_bytes`.
   double cache_shrink_factor = 0.5;
   int64_t cache_min_bytes = 64 * 1024;
-  // Fused-path fallback: after `fused_fallback_after` consecutive fused
-  // failures requests run on the legacy engine path, re-probing fused
-  // every `fused_reprobe_every`-th degraded request.
-  int fused_fallback_after = 2;
-  int fused_reprobe_every = 16;
   // Shared-scan batching window: a batchable Submit waits up to
   // `batch_window_ms` (or until `batch_max_queries` are pending) for
   // same-signature companions before running. Set batch_window_ms <= 0 or
@@ -271,7 +265,6 @@ class QueryService {
 
   enum class BreakerState { kClosed, kOpen, kHalfOpen };
   BreakerState breaker_state() const;
-  bool fused_degraded() const;
 
   // Service-lifetime registry: sudaf.service.* counters/gauges plus the
   // queue-wait histogram. Distinct from the session's registry.
@@ -284,15 +277,13 @@ class QueryService {
  private:
   friend class QueryTicket;
 
-  // One admitted execution, with degradation knobs applied. Returns the
-  // session result; fills the degradation flags for this attempt.
+  // One admitted execution. Returns the session result; sets
+  // `memory_only` when the persistence breaker was open for this attempt.
   Result<QueryResult> RunOnce(const ServiceRequest& request,
-                              bool* used_fused_fallback,
                               bool* memory_only);
 
   // Post-execution bookkeeping, called once per admitted attempt.
   void UpdateBreaker();
-  void UpdateFusedTracker(bool ran_fused, bool ok);
 
   // Waiter-driven execution: blocks until `st` finishes, claiming and
   // forming the batching window when its deadline passes on this waiter's
@@ -342,12 +333,6 @@ class QueryService {
   int64_t wal_errors_seen_ = 0;
   int consecutive_wal_error_requests_ = 0;
   int requests_while_open_ = 0;
-
-  // Fused-fallback state (guarded by degrade_mu_).
-  mutable std::mutex degrade_mu_;
-  int fused_consecutive_failures_ = 0;
-  bool fused_degraded_ = false;
-  int64_t degraded_requests_ = 0;
 };
 
 }  // namespace sudaf

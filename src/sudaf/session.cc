@@ -11,9 +11,7 @@
 #include "common/failpoint.h"
 #include "common/query_guard.h"
 #include "common/thread_pool.h"
-#include "common/timer.h"
 #include "engine/state_batch.h"
-#include "expr/evaluator.h"
 #include "sudaf/shared_scan.h"
 
 namespace sudaf {
@@ -191,9 +189,6 @@ SudafSession::SudafSession(const Catalog* catalog, SessionOptions options)
   cache_.set_policy(options_.cache_policy);
 }
 
-SudafSession::SudafSession(const Catalog* catalog, ExecOptions exec)
-    : SudafSession(catalog, SessionOptions{}.set_exec(exec)) {}
-
 void SudafSession::set_cache_policy(const CachePolicy& policy) {
   {
     std::lock_guard<std::mutex> lock(options_mu_);
@@ -308,84 +303,110 @@ Result<QueryResult> SudafSession::ExecuteStatement(const SelectStatement& stmt,
   return ExecuteStatement(stmt, mode, exec_options());
 }
 
-Result<QueryResult> SudafSession::ExecuteStatement(const SelectStatement& stmt,
-                                                   ExecMode mode,
-                                                   const ExecOptions& exec) {
+
+// One query's execution context. Every query — engine or rewritten, solo
+// or batched — writes its metrics to a registry private to it, which is
+// what makes concurrent queries' stats independent (no delta arithmetic
+// against a shared registry, no cross-query attribution), and records its
+// own trace under an "execute" root span whose accumulator IS the
+// total_ms metric, so the trace tree and the derived stats agree by
+// construction.
+struct SudafSession::QueryRun {
+  const SelectStatement* stmt = nullptr;
+  const QueryGuard* guard = nullptr;
   std::shared_ptr<QueryTrace> trace;
+  MetricsRegistry qm;
+  // Caller knobs plus this query's observability sinks. Engine layers
+  // only ever see these borrowed pointers.
+  ExecOptions run;
+  std::unique_ptr<TraceSpan> root;  // "execute"; closing stamps total_ms
+  int64_t guard_checks0 = 0;
+  int64_t guard_trips0 = 0;
+  RewrittenQuery rewritten;
+  std::vector<SharedStatePlan::Slot> slots;
+  Status failed;  // first definite failure
+  std::unique_ptr<Table> table;
+
+  bool alive() const { return failed.ok(); }
+};
+
+void SudafSession::BeginQuery(QueryRun* q, const SelectStatement& stmt,
+                              const QueryGuard* guard,
+                              const ExecOptions& exec) {
   {
     std::lock_guard<std::mutex> lock(options_mu_);
     if (options_.collect_traces) {
-      trace = std::make_shared<QueryTrace>(options_.trace_capacity);
+      q->trace = std::make_shared<QueryTrace>(options_.trace_capacity);
     }
   }
+  q->stmt = &stmt;
+  q->guard = guard;
+  q->run = exec;
+  q->run.metrics = &q->qm;
+  q->run.trace = q->trace.get();
+  q->run.guard = guard;
+  // The guard keeps its own cumulative counters; FinishQuery mirrors this
+  // query's movement into the registry.
+  if (guard != nullptr) {
+    q->guard_checks0 = guard->checks();
+    q->guard_trips0 = guard->trips();
+  }
+  q->qm.counter("sudaf.query.count")->Add();
+  q->root = std::make_unique<TraceSpan>(q->trace.get(), "execute", -1,
+                                        q->qm.dcounter("sudaf.query.total_ms"));
+  q->run.trace_span = q->root->id();
+}
 
-  // Every metric this query produces goes to a registry private to it —
-  // that is what makes concurrent queries' stats independent (no delta
-  // arithmetic against a shared registry, no cross-query attribution). The
-  // final snapshot becomes ExecStats and is then folded into the
-  // session-lifetime registry.
-  MetricsRegistry qmetrics;
+Result<QueryResult> SudafSession::FinishQuery(QueryRun* q) {
+  // Members of a batch sharing one guard object each see the full delta.
+  if (q->guard != nullptr) {
+    q->qm.counter("sudaf.guard.checks")
+        ->Add(q->guard->checks() - q->guard_checks0);
+    q->qm.counter("sudaf.guard.trips")
+        ->Add(q->guard->trips() - q->guard_trips0);
+  }
+  if (!q->alive()) q->qm.counter("sudaf.query.errors")->Add();
+  q->root.reset();
+  // The registry started empty, so its snapshot IS the query's delta. This
+  // also attributes work done on error paths (invalidations, guard trips)
+  // before the error surfaces.
+  const MetricsSnapshot snap = q->qm.Snapshot();
+  metrics_.Merge(snap);
+  SUDAF_RETURN_IF_ERROR(q->failed);
+  QueryResult result;
+  result.table = std::move(q->table);
+  result.stats = DeriveExecStats(snap);
+  result.trace = std::move(q->trace);
+  return result;
+}
 
-  // Per-query run options: caller knobs plus this query's observability
-  // sinks. Engine layers only ever see these borrowed pointers.
-  ExecOptions run = exec;
-  run.metrics = &qmetrics;
-  run.trace = trace.get();
-
-  // The pool and guard keep their own cumulative counters; mirror the
-  // per-query movement into the registry so it shows up in snapshots.
-  // (The pool mirror over-attributes under concurrency — other queries'
-  // tasks land in the window — but stays exact for serial callers.)
+Result<QueryResult> SudafSession::ExecuteStatement(const SelectStatement& stmt,
+                                                   ExecMode mode,
+                                                   const ExecOptions& exec) {
+  std::vector<QueryRun> runs(1);
+  QueryRun& q = runs[0];
+  BeginQuery(&q, stmt, exec.guard, exec);
+  // The pool keeps cumulative counters too. Its mirror over-attributes
+  // under concurrency (other queries' tasks land in the window) but stays
+  // exact for serial callers.
   const ThreadPool::Counters pool_before = ThreadPool::Global().counters();
-  const int64_t guard_checks_before =
-      run.guard != nullptr ? run.guard->checks() : 0;
-  const int64_t guard_trips_before =
-      run.guard != nullptr ? run.guard->trips() : 0;
-
-  qmetrics.counter("sudaf.query.count")->Add();
-
-  Result<std::unique_ptr<Table>> table = std::unique_ptr<Table>();
-  {
-    // Root span; its accumulator IS the total_ms metric, so the trace tree
-    // and the derived stats agree by construction.
-    TraceSpan root(trace.get(), "execute", -1,
-                   qmetrics.dcounter("sudaf.query.total_ms"));
-    run.trace_span = root.id();
-    table = mode == ExecMode::kEngine
-                ? executor_.Execute(stmt, run)
-                : ExecuteSudaf(stmt, mode == ExecMode::kSudafShare, run);
+  if (mode == ExecMode::kEngine) {
+    Result<std::unique_ptr<Table>> table = executor_.Execute(stmt, q.run);
+    if (table.ok()) {
+      q.table = std::move(*table);
+    } else {
+      q.failed = table.status();
+    }
+  } else {
+    ExecuteGroup(&runs, mode == ExecMode::kSudafShare, nullptr);
   }
-
   const ThreadPool::Counters pool_after = ThreadPool::Global().counters();
-  qmetrics.counter("sudaf.pool.jobs")->Add(pool_after.jobs - pool_before.jobs);
-  qmetrics.counter("sudaf.pool.tasks")
-      ->Add(pool_after.tasks - pool_before.tasks);
-  if (run.guard != nullptr) {
-    qmetrics.counter("sudaf.guard.checks")
-        ->Add(run.guard->checks() - guard_checks_before);
-    qmetrics.counter("sudaf.guard.trips")
-        ->Add(run.guard->trips() - guard_trips_before);
-  }
-  if (!table.ok()) qmetrics.counter("sudaf.query.errors")->Add();
-
-  // Derive the stats struct straight from the per-query registry — it
-  // started empty, so the snapshot IS the delta. This also attributes work
-  // that happened on error paths (invalidations, guard trips) before the
-  // error surfaces. Then fold the query's metrics into the cumulative
-  // session registry.
-  ExecStats stats = DeriveExecStats(qmetrics.Snapshot());
-  metrics_.Merge(qmetrics.Snapshot());
-
+  q.qm.counter("sudaf.pool.jobs")->Add(pool_after.jobs - pool_before.jobs);
+  q.qm.counter("sudaf.pool.tasks")->Add(pool_after.tasks - pool_before.tasks);
+  Result<QueryResult> result = FinishQuery(&q);
   // Run any WAL compaction this query's cache traffic deferred, now that
   // no cache locks are held.
   MaybeCompactCache();
-
-  SUDAF_RETURN_IF_ERROR(table.status());
-
-  QueryResult result;
-  result.table = std::move(*table);
-  result.stats = stats;
-  result.trace = std::move(trace);
   return result;
 }
 
@@ -398,21 +419,7 @@ Result<std::string> SudafSession::ExplainRewrite(
   return rewritten.Explain(*stmt);
 }
 
-Status SudafSession::Prefetch(const std::string& sql) {
-  SUDAF_ASSIGN_OR_RETURN(QueryResult ignored,
-                         Execute(sql, ExecMode::kSudafShare));
-  (void)ignored;
-  return Status::OK();
-}
-
 namespace {
-
-// Per-state execution descriptor.
-struct StateExec {
-  StateClass cls;
-  SharedComputation share_fn;  // Share(state, cls.rep)
-  bool from_cache = false;
-};
 
 // Consistent (epochs, segment log) view of a statement's tables. The two
 // catalog reads are separate lock acquisitions, so the epochs are re-read
@@ -452,12 +459,21 @@ std::vector<double> ExtendChannel(const std::vector<double>& channel,
   return out;
 }
 
+// The base-table columns a fused pass over `rq` reads.
+std::vector<std::string> RequestColumns(const BatchRequestPlan& rq) {
+  std::vector<std::string> columns;
+  for (const StateBatchRequest& r : rq.requests) {
+    if (r.input != nullptr) r.input->CollectColumns(&columns);
+  }
+  return columns;
+}
+
 }  // namespace
 
 StateCache::GroupSetPtr SudafSession::RefreshGroupSet(
     const SelectStatement& stmt, const StateCache::GroupSetPtr& stale,
     const CatalogEpochs& epochs, const std::vector<int64_t>& segments,
-    const std::vector<RefreshTarget>& targets, const ExecOptions& exec) {
+    const SharedStatePlan& plan, const ExecOptions& exec) {
   MetricsRegistry& qm = *exec.metrics;
   QueryTrace* trace = exec.trace;
   const CacheOps cops{exec.metrics, trace};
@@ -474,30 +490,28 @@ StateCache::GroupSetPtr SudafSession::RefreshGroupSet(
     return nullptr;
   }
 
-  // Copy out every target entry still cached (channel sizes must match the
-  // set's group count — a malformed set is not worth trusting). With
+  // Copy out every representative still cached (channel sizes must match
+  // the set's group count — a malformed set is not worth trusting). With
   // nothing to carry forward, a cold recompute is strictly better.
-  struct Carried {
-    const RefreshTarget* target = nullptr;
-    StateCache::Entry old_entry;
-  };
-  std::vector<Carried> carried;
-  std::set<std::string> seen;
-  for (const RefreshTarget& t : targets) {
-    if (t.cls == nullptr || !seen.insert(t.key).second) continue;
-    StateCache::Entry copied;
-    if (cache_.ProbeEntry(stale.get(), t.key, &copied, cops) !=
-        StateCache::Probe::kHit) {
+  const std::vector<SharedStatePlan::Rep>& reps = plan.reps();
+  std::vector<bool> carried(reps.size(), false);
+  std::vector<StateCache::Entry> old(reps.size());
+  bool any_carried = false;
+  for (size_t r = 0; r < reps.size(); ++r) {
+    if (reps[r].direct ||
+        cache_.ProbeEntry(stale.get(), reps[r].key, &old[r], cops) !=
+            StateCache::Probe::kHit) {
       continue;
     }
-    if (static_cast<int32_t>(copied.main.size()) != stale->num_groups ||
-        (!copied.sign.empty() &&
-         static_cast<int32_t>(copied.sign.size()) != stale->num_groups)) {
+    if (static_cast<int32_t>(old[r].main.size()) != stale->num_groups ||
+        (!old[r].sign.empty() &&
+         static_cast<int32_t>(old[r].sign.size()) != stale->num_groups)) {
       return nullptr;
     }
-    carried.push_back({&t, std::move(copied)});
+    carried[r] = true;
+    any_carried = true;
   }
-  if (carried.empty()) return nullptr;
+  if (!any_carried) return nullptr;
 
   TraceSpan refresh_span(trace, "refresh", exec.trace_span,
                          qm.dcounter("sudaf.phase.refresh_ms"));
@@ -505,6 +519,7 @@ StateCache::GroupSetPtr SudafSession::RefreshGroupSet(
   // Delta input: filter and group only the appended rows, read in place
   // under the snapshot's segment boundaries, so the fused pass's chunk
   // tree is exactly the suffix of the cold full pass's tree.
+  BatchRequestPlan rq = BuildBatchRequests(plan, carried);
   ScanSpec scan;
   scan.begin = covered;
   scan.end = snap;
@@ -512,16 +527,8 @@ StateCache::GroupSetPtr SudafSession::RefreshGroupSet(
   ExecOptions dopts = exec;
   dopts.scan = &scan;
   dopts.trace_span = refresh_span.id();
-  std::vector<std::string> extra_columns;
-  for (const Carried& c : carried) {
-    ExprPtr main = c.target->cls->MainInputExpr();
-    if (main != nullptr) main->CollectColumns(&extra_columns);
-    if (c.target->cls->log_domain) {
-      c.target->cls->SignInputExpr()->CollectColumns(&extra_columns);
-    }
-  }
   Result<PreparedInput> delta_or =
-      executor_.Prepare(stmt, extra_columns, dopts);
+      executor_.Prepare(stmt, RequestColumns(rq), dopts);
   if (!delta_or.ok()) return nullptr;
   PreparedInput delta = std::move(*delta_or);
   refresh_span.Event("delta_rows", delta.num_input_rows);
@@ -568,34 +575,15 @@ StateCache::GroupSetPtr SudafSession::RefreshGroupSet(
   }
 
   // One fused pass over the delta, folding onto the cached accumulators.
-  std::vector<ExprPtr> keepalive;
-  std::vector<StateBatchRequest> requests;
-  std::vector<std::vector<double>> inits;
-  struct ChannelIdx {
-    int main = -1;
-    int sign = -1;
-  };
-  std::vector<ChannelIdx> idx(carried.size());
-  for (size_t i = 0; i < carried.size(); ++i) {
-    const StateClass& cls = *carried[i].target->cls;
-    ExprPtr main = cls.MainInputExpr();
-    const AggOp main_op = main == nullptr ? AggOp::kCount : cls.MainOp();
-    idx[i].main = static_cast<int>(requests.size());
-    if (main == nullptr) {
-      requests.push_back({AggOp::kCount, nullptr});
-    } else {
-      requests.push_back({main_op, main.get()});
-      keepalive.push_back(std::move(main));
-    }
-    inits.push_back(
-        ExtendChannel(carried[i].old_entry.main, new_n, AggIdentity(main_op)));
-    if (cls.log_domain) {
-      ExprPtr sign = cls.SignInputExpr();
-      idx[i].sign = static_cast<int>(requests.size());
-      requests.push_back({AggOp::kProd, sign.get()});
-      keepalive.push_back(std::move(sign));
-      inits.push_back(ExtendChannel(carried[i].old_entry.sign, new_n,
-                                    AggIdentity(AggOp::kProd)));
+  std::vector<std::vector<double>> inits(rq.requests.size());
+  for (size_t r = 0; r < reps.size(); ++r) {
+    if (!carried[r]) continue;
+    const int main = rq.main_idx[r];
+    inits[main] = ExtendChannel(old[r].main, new_n,
+                                AggIdentity(rq.requests[main].op));
+    if (rq.sign_idx[r] >= 0) {
+      inits[rq.sign_idx[r]] =
+          ExtendChannel(old[r].sign, new_n, AggIdentity(AggOp::kProd));
     }
   }
   StateBatchIncremental inc;
@@ -605,19 +593,19 @@ StateCache::GroupSetPtr SudafSession::RefreshGroupSet(
 
   ExecOptions bopts = exec;
   bopts.trace_span = refresh_span.id();
-  StateBatchStats bstats;
-  Result<std::vector<std::vector<double>>> channels_or = ComputeStateBatch(
-      requests, delta.Binder(), group_ids, new_n, bopts, &bstats, &inc);
+  Result<std::vector<std::vector<double>>> channels_or =
+      ComputeStateBatch(rq.requests, delta.Binder(), group_ids, new_n, bopts,
+                        nullptr, &inc);
   if (!channels_or.ok()) return nullptr;
   std::vector<std::vector<double>>& channels = *channels_or;
 
   std::vector<std::pair<std::string, StateCache::Entry>> entries;
-  entries.reserve(carried.size());
-  for (size_t i = 0; i < carried.size(); ++i) {
+  for (size_t r = 0; r < reps.size(); ++r) {
+    if (!carried[r]) continue;
     StateCache::Entry e;
-    e.main = std::move(channels[idx[i].main]);
-    if (idx[i].sign >= 0) e.sign = std::move(channels[idx[i].sign]);
-    entries.emplace_back(carried[i].target->key, std::move(e));
+    e.main = std::move(channels[rq.main_idx[r]]);
+    if (rq.sign_idx[r] >= 0) e.sign = std::move(channels[rq.sign_idx[r]]);
+    entries.emplace_back(reps[r].key, std::move(e));
   }
 
   // Commit: erase(old) → create(new) → inserts, journaled in WAL order;
@@ -625,417 +613,6 @@ StateCache::GroupSetPtr SudafSession::RefreshGroupSet(
   // race — the caller falls back to the cold path.
   return cache_.CommitRefresh(stale, std::move(ext_keys), new_n, epochs,
                               snap, std::move(entries), snap - covered, cops);
-}
-
-Result<std::unique_ptr<Table>> SudafSession::ExecuteSudaf(
-    const SelectStatement& stmt, bool share, const ExecOptions& exec) {
-  if (exec.guard != nullptr) SUDAF_RETURN_IF_ERROR(exec.guard->Check());
-  QueryTrace* trace = exec.trace;
-  // The query-private registry (set up by ExecuteStatement) and the cache
-  // observer handles carrying it into every cache call.
-  MetricsRegistry& qm = *exec.metrics;
-  const CacheOps cops{exec.metrics, trace};
-
-  // 1. Rewrite: expand UDAFs, factor out states, build terminating plans.
-  TraceSpan rewrite_span(trace, "rewrite", exec.trace_span,
-                         qm.dcounter("sudaf.phase.rewrite_ms"));
-  SUDAF_ASSIGN_OR_RETURN(RewrittenQuery rewritten,
-                         RewriteQuery(stmt, library_));
-  rewrite_span.Close();
-  const std::vector<AggStateDef>& states = rewritten.form.states;
-  qm.counter("sudaf.states.requested")
-      ->Add(static_cast<int64_t>(states.size()));
-
-  // 2. Classify states and probe the cache.
-  TraceSpan probe_span(trace, "probe", exec.trace_span,
-                       qm.dcounter("sudaf.phase.probe_ms"));
-  std::vector<StateExec> execs(states.size());
-  for (size_t i = 0; i < states.size(); ++i) {
-    StateExec& ex = execs[i];
-    ex.cls = ClassifyState(states[i]);
-    std::optional<SharedComputation> fn = Share(states[i], ex.cls.rep);
-    if (!fn.has_value()) {
-      // The classification was coarser than the theorem allows for this
-      // instance; fall back to a self-class (always shareable: identity).
-      ex.cls.key = "self|" + states[i].Key();
-      ex.cls.rep = states[i].Clone();
-      ex.cls.log_domain = false;
-      fn = SharedComputation{};
-    }
-    ex.share_fn = *fn;
-  }
-
-  // The combined catalog epochs of the query's tables version every probe
-  // and insert: a set cached under a different *rewrite* epoch is discarded
-  // rather than served, while one lagging only in *append* epoch is
-  // refreshed in place — a fused pass over just the appended segments is
-  // folded onto the cached accumulators (docs/robustness.md;
-  // docs/execution.md, "Incremental maintenance").
-  TableSnapshot snap;
-  if (share) snap = SnapshotTables(*catalog_, stmt.tables);
-  StateCache::GroupSetPtr group_set;
-  if (share) {
-    SUDAF_FAILPOINT("cache:probe");
-    const bool can_refresh = exec.use_fused && snap.rows >= 0;
-    StateCache::FindResult found =
-        cache_.Find(rewritten.data_signature, snap.epochs, can_refresh, cops);
-    group_set = found.set;
-    if (found.refreshable != nullptr) {
-      std::vector<RefreshTarget> targets;
-      targets.reserve(execs.size());
-      for (const StateExec& ex : execs) {
-        targets.push_back(RefreshTarget{ex.cls.key, &ex.cls});
-      }
-      group_set = RefreshGroupSet(stmt, found.refreshable, snap.epochs,
-                                  snap.segments, targets, exec);
-      if (group_set == nullptr) {
-        // Refresh abandoned (or lost a race): resolve the probe the hard
-        // way — a non-refreshing re-probe invalidates the lagging set (or
-        // returns a concurrent winner) and counts the resolution.
-        group_set =
-            cache_.Find(rewritten.data_signature, snap.epochs, false, cops)
-                .set;
-      }
-    }
-  }
-  bool any_miss = false;
-  for (size_t i = 0; i < states.size(); ++i) {
-    if (share && group_set != nullptr) {
-      // ProbeEntry evicts poisoned entries internally (defense in depth:
-      // poison can't enter the cache through this session, but an entry
-      // may have been poisoned by other means) and counts the eviction;
-      // kPoisoned is a miss from this query's point of view.
-      StateCache::Probe probe =
-          cache_.ProbeEntry(group_set.get(), execs[i].cls.key, nullptr, cops);
-      if (probe == StateCache::Probe::kHit) {
-        execs[i].from_cache = true;
-        qm.counter("sudaf.cache.probe_hits")->Add();
-        probe_span.Event("cache.hit");
-        continue;
-      }
-    }
-    if (share) {
-      qm.counter("sudaf.cache.probe_misses")->Add();
-      probe_span.Event("cache.miss");
-    }
-    any_miss = true;
-  }
-  probe_span.Close();
-
-  // 3. Obtain the grouped input (scanning base data only when some state
-  //    actually needs computing — the all-hit case never touches the data).
-  PreparedInput input;
-  const Table* group_keys = nullptr;
-  int32_t num_groups = 0;
-
-  if (any_miss || states.empty()) {
-    TraceSpan input_span(trace, "input", exec.trace_span,
-                         qm.dcounter("sudaf.phase.input_ms"));
-    std::vector<std::string> extra_columns;
-    for (size_t i = 0; i < states.size(); ++i) {
-      if (execs[i].from_cache) continue;
-      ExprPtr main = execs[i].cls.MainInputExpr();
-      if (main != nullptr) main->CollectColumns(&extra_columns);
-      if (execs[i].cls.log_domain) {
-        execs[i].cls.SignInputExpr()->CollectColumns(&extra_columns);
-      }
-      if (!share && states[i].input != nullptr) {
-        states[i].input->CollectColumns(&extra_columns);
-      }
-    }
-    // Nest the executor's filter/gather/group spans under the input span
-    // and hand the pipeline stages the parallelism knobs. Single-table
-    // share scans are clamped to the epoch snapshot's boundary so the
-    // states this query caches match the epochs they are stamped with even
-    // when an append lands mid-query.
-    ExecOptions input_opts = exec;
-    input_opts.trace_span = input_span.id();
-    ScanSpec snap_scan;
-    if (share && snap.rows >= 0) {
-      snap_scan.end = snap.rows;
-      snap_scan.segment_ends = snap.segments;
-      input_opts.scan = &snap_scan;
-    }
-    SUDAF_ASSIGN_OR_RETURN(input,
-                           executor_.Prepare(stmt, extra_columns, input_opts));
-    // The legacy per-state loops evaluate over a gathered frame; the fused
-    // pass reads the input in place.
-    if (!exec.use_fused) {
-      SUDAF_RETURN_IF_ERROR(MaterializeFrame(&input, input_opts));
-    }
-    qm.counter("sudaf.input.scans")->Add();
-    input_span.Event("rows", input.num_input_rows);
-    group_keys = input.group_keys.get();
-    num_groups = input.num_groups;
-    if (exec.guard != nullptr) {
-      SUDAF_RETURN_IF_ERROR(exec.guard->ChargeMemory(input.ApproxBytes()));
-      SUDAF_RETURN_IF_ERROR(exec.guard->Check());
-    }
-
-    if (share) {
-      group_set = cache_.GetOrCreate(rewritten.data_signature,
-                                     *input.group_keys, num_groups,
-                                     snap.epochs, snap.rows, cops);
-      // A recreated (stale) set lost its entries; demote affected states.
-      for (StateExec& ex : execs) {
-        if (ex.from_cache &&
-            cache_.ProbeEntry(group_set.get(), ex.cls.key, nullptr, cops) !=
-                StateCache::Probe::kHit) {
-          ex.from_cache = false;
-        }
-      }
-    }
-  } else {
-    group_keys = group_set->group_keys.get();
-    num_groups = group_set->num_groups;
-  }
-
-  // 4. Compute missing states.
-  TraceSpan states_span(trace, "states", exec.trace_span,
-                        qm.dcounter("sudaf.phase.states_ms"));
-  // Legacy per-state evaluation reads the gathered frame.
-  ColumnResolver resolver = [&input](const std::string& name)
-      -> Result<const Column*> {
-    if (input.frame == nullptr) {
-      return Status::Internal("no input frame materialized");
-    }
-    return input.frame->GetColumn(name);
-  };
-
-  std::vector<std::vector<double>> state_values(states.size());
-  // Computed class entries local to this query (used in no-share mode and
-  // as a per-query dedup in share mode).
-  std::map<std::string, StateCache::Entry> local_entries;
-
-  if (exec.use_fused && any_miss) {
-    // Fused path: gather every missing channel — one (op, input) request per
-    // class main state plus an optional sign channel — and compute them all
-    // in a single morsel-driven pass over the input. The distribution loop
-    // below then finds every entry pre-populated; its per-state compute
-    // branches only run on the legacy (use_fused == false) path.
-    std::vector<ExprPtr> keepalive;  // owns cloned inputs referenced below
-    std::vector<StateBatchRequest> requests;
-    struct PendingEntry {
-      std::string key;
-      int main_idx = -1;
-      int sign_idx = -1;
-      bool shared = false;  // destination: group_set (share) vs local_entries
-    };
-    std::vector<PendingEntry> pending;
-    std::set<std::string> scheduled;
-
-    for (size_t i = 0; i < states.size(); ++i) {
-      StateExec& ex = execs[i];
-      PendingEntry pe;
-      if (share) {
-        if (ex.from_cache ||
-            cache_.ProbeEntry(group_set.get(), ex.cls.key, nullptr, cops) ==
-                StateCache::Probe::kHit ||
-            !scheduled.insert(ex.cls.key).second) {
-          continue;
-        }
-        pe.key = ex.cls.key;
-        pe.shared = true;
-        ExprPtr main_expr = ex.cls.MainInputExpr();
-        pe.main_idx = static_cast<int>(requests.size());
-        if (main_expr == nullptr) {
-          requests.push_back({AggOp::kCount, nullptr});
-        } else {
-          requests.push_back({ex.cls.MainOp(), main_expr.get()});
-          keepalive.push_back(std::move(main_expr));
-        }
-        if (ex.cls.log_domain) {
-          ExprPtr sign_expr = ex.cls.SignInputExpr();
-          pe.sign_idx = static_cast<int>(requests.size());
-          requests.push_back({AggOp::kProd, sign_expr.get()});
-          keepalive.push_back(std::move(sign_expr));
-        }
-      } else {
-        std::string direct_key = "direct|" + states[i].Key();
-        if (!scheduled.insert(direct_key).second) continue;
-        pe.key = std::move(direct_key);
-        pe.main_idx = static_cast<int>(requests.size());
-        if (states[i].op == AggOp::kCount) {
-          requests.push_back({AggOp::kCount, nullptr});
-        } else {
-          requests.push_back({states[i].op, states[i].input.get()});
-        }
-      }
-      pending.push_back(std::move(pe));
-    }
-
-    if (!requests.empty()) {
-      // Parent the fused pass under the states phase, not the query root.
-      ExecOptions batch_opts = exec;
-      batch_opts.trace_span = states_span.id();
-      StateBatchStats bstats;
-      // Carry the input's segment layout into the pass: the accumulation
-      // tree must be a pure function of the segment log so a later delta
-      // refresh reproduces this cold result bit for bit.
-      StateBatchIncremental cold_inc;
-      cold_inc.segment_ends = input.segment_ends;
-      SUDAF_ASSIGN_OR_RETURN(
-          std::vector<std::vector<double>> batch,
-          ComputeStateBatch(requests, input.Binder(), input.group_ids,
-                            num_groups, batch_opts, &bstats, &cold_inc));
-      std::vector<StateCache::Entry> built(pending.size());
-      for (size_t p = 0; p < pending.size(); ++p) {
-        built[p].main = std::move(batch[pending[p].main_idx]);
-        if (pending[p].sign_idx >= 0) {
-          built[p].sign = std::move(batch[pending[p].sign_idx]);
-        }
-      }
-      // Two-phase commit: all insert-side failure checks fire before the
-      // first entry lands in the shared cache, so an injected fault can
-      // never leave a partial insert behind.
-      for (const PendingEntry& pe : pending) {
-        if (pe.shared) SUDAF_FAILPOINT("cache:insert");
-      }
-      for (size_t p = 0; p < pending.size(); ++p) {
-        PendingEntry& pe = pending[p];
-        bool poisoned = EntryIsPoisoned(built[p]);
-        if (poisoned) qm.counter("sudaf.states.poisoned")->Add();
-        if (pe.shared && !poisoned) {
-          // Budget-aware insert: the cache evicts colder group sets first
-          // and declines (false) when the entry cannot fit at all.
-          if (!cache_.InsertEntry(group_set.get(), pe.key, built[p], cops)) {
-            qm.counter("sudaf.cache.budget_rejects")->Add();
-          }
-        }
-        // Every computed entry is also kept query-local: the distribution
-        // loop serves from this map, so this query's answers cannot be
-        // perturbed by a concurrent eviction of what it just inserted.
-        local_entries.emplace(pe.key, std::move(built[p]));
-        qm.counter("sudaf.states.computed")->Add();
-      }
-    }
-  }
-
-  auto compute_class_entry =
-      [&](const StateClass& cls) -> Result<StateCache::Entry> {
-    SUDAF_RETURN_IF_ERROR(MaterializeFrame(&input, exec));
-    StateCache::Entry entry;
-    ExprPtr main_expr = cls.MainInputExpr();
-    if (main_expr == nullptr) {
-      entry.main = ComputeGroupedState(AggOp::kCount, {}, input.group_ids,
-                                       num_groups, exec);
-    } else {
-      SUDAF_ASSIGN_OR_RETURN(
-          std::vector<double> in,
-          EvalNumericVector(*main_expr, resolver, input.num_input_rows));
-      entry.main = ComputeGroupedState(cls.MainOp(), in, input.group_ids,
-                                       num_groups, exec);
-    }
-    if (cls.log_domain) {
-      SUDAF_ASSIGN_OR_RETURN(
-          std::vector<double> sgn,
-          EvalNumericVector(*cls.SignInputExpr(), resolver,
-                            input.num_input_rows));
-      entry.sign = ComputeGroupedState(AggOp::kProd, sgn, input.group_ids,
-                                       num_groups, exec);
-    }
-    return entry;
-  };
-
-  // Output-first: decide the returned groups on the keys, then serve (and
-  // later terminate) only those.
-  const OutputRows rows =
-      PlanOutputRows(rewritten, stmt, *group_keys, num_groups);
-  int64_t served = 0;
-  for (size_t i = 0; i < states.size(); ++i) {
-    const AggStateDef& state = states[i];
-    StateExec& ex = execs[i];
-
-    if (share) {
-      // Serving order: cache copy-out for probe hits, then this query's
-      // local entries, then a late cache re-probe, then compute. The copy
-      // (of the output rows only) lives on this frame's stack, so a
-      // concurrent eviction of the set cannot invalidate what we serve from.
-      const StateCache::Entry* entry = nullptr;
-      bool compact = false;
-      StateCache::Entry copied;
-      if (ex.from_cache &&
-          cache_.ProbeEntry(group_set.get(), ex.cls.key, &copied, cops,
-                            rows.subset()) == StateCache::Probe::kHit) {
-        entry = &copied;
-        compact = rows.presorted;
-        qm.counter("sudaf.states.from_cache")->Add();
-      }
-      if (entry == nullptr) {
-        auto local_it = local_entries.find(ex.cls.key);
-        if (local_it != local_entries.end()) {
-          // Computed by this query (fused pass, or poisoned/budget-rejected
-          // earlier) — served locally.
-          entry = &local_it->second;
-        }
-      }
-      if (entry == nullptr &&
-          cache_.ProbeEntry(group_set.get(), ex.cls.key, &copied, cops,
-                            rows.subset()) == StateCache::Probe::kHit) {
-        // Present in the cache without a probe hit: inserted by a
-        // concurrent query after our probe.
-        entry = &copied;
-        compact = rows.presorted;
-      }
-      if (entry == nullptr) {
-        if (input.source == nullptr) {
-          // All states probed as hits, so no input was materialized — and
-          // then this entry vanished (poisoned externally mid-query). Too
-          // late to scan; fail definitively rather than serve garbage.
-          return Status::Internal("cached state vanished mid-query: " +
-                                  ex.cls.key);
-        }
-        SUDAF_ASSIGN_OR_RETURN(StateCache::Entry computed,
-                               compute_class_entry(ex.cls));
-        SUDAF_FAILPOINT("cache:insert");
-        qm.counter("sudaf.states.computed")->Add();
-        if (EntryIsPoisoned(computed)) {
-          qm.counter("sudaf.states.poisoned")->Add();
-        } else if (!cache_.InsertEntry(group_set.get(), ex.cls.key, computed,
-                                       cops)) {
-          // Declined under the byte budget: serve it query-local.
-          qm.counter("sudaf.cache.budget_rejects")->Add();
-        }
-        entry = &local_entries.emplace(ex.cls.key, std::move(computed))
-                     .first->second;
-      }
-      served += ServeState(*entry, compact, rows, state, &ex.cls,
-                           &ex.share_fn, &state_values[i]);
-      continue;
-    }
-
-    // No-share mode: compute each requested state directly.
-    std::string direct_key = "direct|" + state.Key();
-    auto it = local_entries.find(direct_key);
-    if (it == local_entries.end()) {
-      StateCache::Entry entry;
-      if (state.op == AggOp::kCount) {
-        entry.main = ComputeGroupedState(AggOp::kCount, {}, input.group_ids,
-                                         num_groups, exec);
-      } else {
-        SUDAF_ASSIGN_OR_RETURN(
-            std::vector<double> in,
-            EvalNumericVector(*state.input, resolver, input.num_input_rows));
-        entry.main = ComputeGroupedState(state.op, in, input.group_ids,
-                                         num_groups, exec);
-      }
-      if (EntryIsPoisoned(entry)) {
-        qm.counter("sudaf.states.poisoned")->Add();
-      }
-      it = local_entries.emplace(direct_key, std::move(entry)).first;
-      qm.counter("sudaf.states.computed")->Add();
-    }
-    served += ServeState(it->second, /*compact=*/false, rows, state,
-                         nullptr, nullptr, &state_values[i]);
-  }
-  qm.counter("sudaf.serve.rows")->Add(served);
-  states_span.Close();
-
-  // 5. Terminating functions over the output rows, output assembly.
-  TraceSpan terminate_span(trace, "terminate", exec.trace_span,
-                           qm.dcounter("sudaf.phase.terminate_ms"));
-  return AssembleRewrittenResult(rewritten, stmt, *group_keys, rows,
-                                 state_values);
 }
 
 std::vector<Result<QueryResult>> SudafSession::ExecuteBatch(
@@ -1084,10 +661,19 @@ std::vector<Result<QueryResult>> SudafSession::ExecuteBatch(
       const std::vector<size_t>& members = groups[*sig];
       if (members.size() == 1) {
         run_solo(members[0]);
-      } else {
-        ExecuteSharedGroup(members, items, mode == ExecMode::kSudafShare, exec,
-                           &stats, &results);
+        continue;
       }
+      std::vector<QueryRun> runs(members.size());
+      for (size_t k = 0; k < members.size(); ++k) {
+        const BatchItem& item = items[members[k]];
+        BeginQuery(&runs[k], *item.stmt,
+                   item.guard != nullptr ? item.guard : exec.guard, exec);
+      }
+      ExecuteGroup(&runs, mode == ExecMode::kSudafShare, &stats);
+      for (size_t k = 0; k < members.size(); ++k) {
+        results[members[k]] = FinishQuery(&runs[k]);
+      }
+      MaybeCompactCache();
     }
   }
   if (bstats != nullptr) *bstats = stats;
@@ -1117,88 +703,39 @@ std::vector<Result<QueryResult>> SudafSession::ExecuteBatch(
   return results;
 }
 
-namespace {
-
-// Per-member context of one shared-scan group: the same observability
-// plumbing ExecuteStatement sets up for a solo query (private registry,
-// trace, "execute" root span), plus the member's rewritten form and its
-// slots into the group's union state plan.
-struct GroupMember {
-  size_t item = 0;
-  const SelectStatement* stmt = nullptr;
-  const QueryGuard* guard = nullptr;
-  std::shared_ptr<QueryTrace> trace;
-  std::unique_ptr<MetricsRegistry> qm;
-  ExecOptions run;
-  std::unique_ptr<TraceSpan> root;  // "execute"; closing stamps total_ms
-  int64_t guard_checks0 = 0;
-  int64_t guard_trips0 = 0;
-  RewrittenQuery rewritten;
-  std::vector<SharedStatePlan::Slot> slots;
-  Status failed;  // first definite per-member failure
-  std::unique_ptr<Table> table;
-
-  bool alive() const { return failed.ok(); }
-};
-
-}  // namespace
-
-void SudafSession::ExecuteSharedGroup(
-    const std::vector<size_t>& members, const std::vector<BatchItem>& items,
-    bool share, const ExecOptions& exec, BatchExecStats* bstats,
-    std::vector<Result<QueryResult>>* results) {
-  const int group_size = static_cast<int>(members.size());
-  bstats->groups_shared += 1;
-  bstats->queries_coalesced += group_size;
-
-  bool collect_traces;
-  int trace_capacity;
-  {
-    std::lock_guard<std::mutex> lock(options_mu_);
-    collect_traces = options_.collect_traces;
-    trace_capacity = options_.trace_capacity;
+void SudafSession::ExecuteGroup(std::vector<QueryRun>* runs, bool share,
+                                BatchExecStats* bstats) {
+  std::vector<QueryRun>& ctx = *runs;
+  const int group_size = static_cast<int>(ctx.size());
+  const bool solo = group_size == 1;
+  if (!solo) {
+    bstats->groups_shared += 1;
+    bstats->queries_coalesced += group_size;
   }
-
-  std::vector<GroupMember> ctx(members.size());
-  for (size_t k = 0; k < members.size(); ++k) {
-    GroupMember& m = ctx[k];
-    m.item = members[k];
-    m.stmt = items[m.item].stmt;
-    m.guard = items[m.item].guard != nullptr ? items[m.item].guard
-                                             : exec.guard;
-    if (collect_traces) m.trace = std::make_shared<QueryTrace>(trace_capacity);
-    m.qm = std::make_unique<MetricsRegistry>();
-    m.run = exec;
-    m.run.metrics = m.qm.get();
-    m.run.trace = m.trace.get();
-    m.run.guard = m.guard;
-    m.guard_checks0 = m.guard != nullptr ? m.guard->checks() : 0;
-    m.guard_trips0 = m.guard != nullptr ? m.guard->trips() : 0;
-    m.qm->counter("sudaf.query.count")->Add();
-    m.qm->counter("sudaf.batch.size")->Add(group_size);
-    m.root = std::make_unique<TraceSpan>(
-        m.trace.get(), "execute", -1,
-        m.qm->dcounter("sudaf.query.total_ms"));
-    m.run.trace_span = m.root->id();
-    m.root->Event("batch.group_size", group_size);
+  for (QueryRun& m : ctx) {
+    if (!solo) {
+      m.qm.counter("sudaf.batch.size")->Add(group_size);
+      m.root->Event("batch.group_size", group_size);
+    }
     if (m.guard != nullptr) {
       Status g = m.guard->Check();
       if (!g.ok()) m.failed = g;
     }
   }
 
-  // 1. Rewrite every member under its own span.
-  for (GroupMember& m : ctx) {
+  // 1. Rewrite every member under its own span: expand UDAFs, factor out
+  // states, build terminating plans.
+  for (QueryRun& m : ctx) {
     if (!m.alive()) continue;
     TraceSpan rewrite_span(m.trace.get(), "rewrite", m.run.trace_span,
-                           m.qm->dcounter("sudaf.phase.rewrite_ms"));
+                           m.qm.dcounter("sudaf.phase.rewrite_ms"));
     Result<RewrittenQuery> rewritten = RewriteQuery(*m.stmt, library_);
     if (!rewritten.ok()) {
       m.failed = rewritten.status();
       continue;
     }
     m.rewritten = std::move(*rewritten);
-    m.qm->counter("sudaf.states.requested")
+    m.qm.counter("sudaf.states.requested")
         ->Add(static_cast<int64_t>(m.rewritten.form.states.size()));
   }
 
@@ -1206,69 +743,75 @@ void SudafSession::ExecuteSharedGroup(
   // input scan and fused pass are attributed to its registry and trace
   // (the other members genuinely did not do that work — their stats say
   // so, and states_from_batch says what they got instead).
-  GroupMember* lead = nullptr;
-  for (GroupMember& m : ctx) {
+  QueryRun* lead = nullptr;
+  for (QueryRun& m : ctx) {
     if (m.alive()) {
       lead = &m;
       break;
     }
   }
 
-  // 2. Classify every member's states into the union plan, then probe the
-  // cache once per distinct representative. Per-member probe spans stay
-  // open across the leader's probe so each member logs its own per-state
-  // hit/miss view inside its own span, exactly like a solo run.
+  // 2. Classify every member's states into the union plan (Theorem 4.1),
+  // then probe the cache once per distinct representative. Per-member
+  // probe spans stay open across the leader's probe so each member logs
+  // its own per-state hit/miss view inside its own span.
   SharedStatePlan plan;
   std::vector<std::unique_ptr<TraceSpan>> probe_spans(ctx.size());
   for (size_t k = 0; k < ctx.size(); ++k) {
-    GroupMember& m = ctx[k];
+    QueryRun& m = ctx[k];
     if (!m.alive()) continue;
     probe_spans[k] = std::make_unique<TraceSpan>(
         m.trace.get(), "probe", m.run.trace_span,
-        m.qm->dcounter("sudaf.phase.probe_ms"));
+        m.qm.dcounter("sudaf.phase.probe_ms"));
     m.slots = plan.AddQuery(m.rewritten.form.states, share);
   }
   const std::vector<SharedStatePlan::Rep>& reps = plan.reps();
-  bstats->states_requested += plan.states_requested();
-  bstats->states_deduped += plan.states_deduped();
+  if (!solo) {
+    bstats->states_requested += plan.states_requested();
+    bstats->states_deduped += plan.states_deduped();
+  }
 
+  // The combined catalog epochs of the statement's tables version every
+  // probe and insert: a set cached under a different *rewrite* epoch is
+  // discarded rather than served, while one lagging only in *append* epoch
+  // is refreshed in place — a fused pass over just the appended segments
+  // is folded onto the cached accumulators (docs/robustness.md;
+  // docs/execution.md, "Incremental maintenance").
   Status group_status;  // a failure here is fatal to every alive member
   TableSnapshot snap;
   StateCache::GroupSetPtr group_set;
   std::vector<bool> rep_from_cache(reps.size(), false);
   if (share && lead != nullptr) {
-    const CacheOps lead_cops{lead->qm.get(), lead->trace.get()};
+    const CacheOps lead_cops{&lead->qm, lead->trace.get()};
     snap = SnapshotTables(*catalog_, lead->stmt->tables);
     group_status = [&]() -> Status {
       SUDAF_FAILPOINT("cache:probe");
       return Status::OK();
     }();
     if (group_status.ok()) {
-      const bool can_refresh = exec.use_fused && snap.rows >= 0;
       StateCache::FindResult found =
           cache_.Find(lead->rewritten.data_signature, snap.epochs,
-                      can_refresh, lead_cops);
+                      /*can_refresh=*/snap.rows >= 0, lead_cops);
       group_set = found.set;
       if (found.refreshable != nullptr) {
         // One refresh for the whole group (attributed to the leader),
         // carrying forward every distinct representative it requests.
-        std::vector<RefreshTarget> targets;
-        targets.reserve(reps.size());
-        for (const SharedStatePlan::Rep& rep : reps) {
-          if (!rep.direct) {
-            targets.push_back(RefreshTarget{rep.key, &rep.cls});
-          }
-        }
         group_set = RefreshGroupSet(*lead->stmt, found.refreshable,
-                                    snap.epochs, snap.segments, targets,
+                                    snap.epochs, snap.segments, plan,
                                     lead->run);
         if (group_set == nullptr) {
+          // Refresh abandoned (or lost a race): a non-refreshing re-probe
+          // invalidates the lagging set (or returns a concurrent winner)
+          // and counts the resolution.
           group_set = cache_.Find(lead->rewritten.data_signature, snap.epochs,
                                   false, lead_cops)
                           .set;
         }
       }
       if (group_set != nullptr) {
+        // ProbeEntry evicts poisoned entries internally (poison cannot
+        // enter the cache through this session, but an entry may have been
+        // poisoned by other means); kPoisoned is a miss here.
         for (size_t r = 0; r < reps.size(); ++r) {
           rep_from_cache[r] =
               cache_.ProbeEntry(group_set.get(), reps[r].key, nullptr,
@@ -1279,14 +822,14 @@ void SudafSession::ExecuteSharedGroup(
   }
   if (share && group_status.ok()) {
     for (size_t k = 0; k < ctx.size(); ++k) {
-      GroupMember& m = ctx[k];
+      QueryRun& m = ctx[k];
       if (!m.alive()) continue;
       for (const SharedStatePlan::Slot& slot : m.slots) {
         if (rep_from_cache[slot.rep]) {
-          m.qm->counter("sudaf.cache.probe_hits")->Add();
+          m.qm.counter("sudaf.cache.probe_hits")->Add();
           probe_spans[k]->Event("cache.hit");
         } else {
-          m.qm->counter("sudaf.cache.probe_misses")->Add();
+          m.qm.counter("sudaf.cache.probe_misses")->Add();
           probe_spans[k]->Event("cache.miss");
         }
       }
@@ -1295,12 +838,15 @@ void SudafSession::ExecuteSharedGroup(
   probe_spans.clear();
 
   // 3. Obtain the grouped input — one scan for the whole group, and only
-  // when some representative actually needs computing.
+  // when some representative actually needs computing (the all-hit case
+  // never touches the data).
+  std::vector<bool> missing(reps.size());
   bool any_missing = false;
   for (size_t r = 0; r < reps.size(); ++r) {
-    if (!rep_from_cache[r]) any_missing = true;
+    missing[r] = !rep_from_cache[r];
+    any_missing |= missing[r];
   }
-  const bool need_scan = any_missing || group_set == nullptr;
+  const bool need_scan = any_missing || reps.empty() || group_set == nullptr;
 
   PreparedInput input;
   const Table* group_keys = nullptr;
@@ -1308,31 +854,16 @@ void SudafSession::ExecuteSharedGroup(
   if (group_status.ok() && lead != nullptr) {
     if (need_scan) {
       TraceSpan input_span(lead->trace.get(), "input", lead->run.trace_span,
-                           lead->qm->dcounter("sudaf.phase.input_ms"));
-      std::vector<std::string> extra_columns;
-      for (size_t r = 0; r < reps.size(); ++r) {
-        if (rep_from_cache[r]) continue;
-        const SharedStatePlan::Rep& rep = reps[r];
-        if (rep.direct) {
-          if (rep.cls.rep.input != nullptr) {
-            rep.cls.rep.input->CollectColumns(&extra_columns);
-          }
-          continue;
-        }
-        ExprPtr main = rep.cls.MainInputExpr();
-        if (main != nullptr) main->CollectColumns(&extra_columns);
-        if (rep.cls.log_domain) {
-          rep.cls.SignInputExpr()->CollectColumns(&extra_columns);
-        }
-      }
+                           lead->qm.dcounter("sudaf.phase.input_ms"));
+      // The executor's filter/gather/group spans nest under the input span.
       ExecOptions input_opts = lead->run;
       input_opts.trace_span = input_span.id();
-      // The scan runs guard-free: a single member's guard must not be able
-      // to veto the whole group's pass. Each member admits the shared
+      // A shared scan runs guard-free: a single member's guard must not be
+      // able to veto the whole group's pass. Each member admits the shared
       // input under its own guard right below, and a tripped member drops
       // out while the group continues.
-      input_opts.guard = nullptr;
-      // Clamp the group's shared scan to the epoch snapshot so the cached
+      if (!solo) input_opts.guard = nullptr;
+      // Clamp a single-table share scan to the epoch snapshot so the cached
       // states match the epochs they are stamped with even if an append
       // lands mid-query.
       ScanSpec snap_scan;
@@ -1341,30 +872,32 @@ void SudafSession::ExecuteSharedGroup(
         snap_scan.segment_ends = snap.segments;
         input_opts.scan = &snap_scan;
       }
-      group_status = [&]() -> Status {
-        SUDAF_ASSIGN_OR_RETURN(
-            input, executor_.Prepare(*lead->stmt, extra_columns, input_opts));
-        // The legacy per-channel sweeps evaluate over a gathered frame.
-        if (!exec.use_fused) {
-          SUDAF_RETURN_IF_ERROR(MaterializeFrame(&input, input_opts));
-        }
-        return Status::OK();
-      }();
-      if (group_status.ok()) {
-        lead->qm->counter("sudaf.input.scans")->Add();
+      Result<PreparedInput> prepared = executor_.Prepare(
+          *lead->stmt, RequestColumns(BuildBatchRequests(plan, missing)),
+          input_opts);
+      if (!prepared.ok()) {
+        group_status = prepared.status();
+      } else {
+        input = std::move(*prepared);
+        lead->qm.counter("sudaf.input.scans")->Add();
         input_span.Event("rows", input.num_input_rows);
         group_keys = input.group_keys.get();
         num_groups = input.num_groups;
-        bstats->scan_passes += 1;
-        bstats->scan_passes_saved += group_size - 1;
-        for (GroupMember& m : ctx) {
-          if (!m.alive() || m.guard == nullptr) continue;
-          Status g = m.guard->ChargeMemory(input.ApproxBytes());
-          if (g.ok()) g = m.guard->Check();
-          if (!g.ok()) m.failed = g;
+        if (!solo) {
+          bstats->scan_passes += 1;
+          bstats->scan_passes_saved += group_size - 1;
         }
-        if (share) {
-          const CacheOps lead_cops{lead->qm.get(), lead->trace.get()};
+        bool any_alive = false;
+        for (QueryRun& m : ctx) {
+          if (m.alive() && m.guard != nullptr) {
+            Status g = m.guard->ChargeMemory(input.ApproxBytes());
+            if (g.ok()) g = m.guard->Check();
+            if (!g.ok()) m.failed = g;
+          }
+          any_alive |= m.alive();
+        }
+        if (share && any_alive) {
+          const CacheOps lead_cops{&lead->qm, lead->trace.get()};
           group_set = cache_.GetOrCreate(lead->rewritten.data_signature,
                                          *input.group_keys, num_groups,
                                          snap.epochs, snap.rows, lead_cops);
@@ -1387,176 +920,86 @@ void SudafSession::ExecuteSharedGroup(
   // Representative ownership for stats attribution: the first alive member
   // that requested a rep "computes" it (solo parity for that member); every
   // other member consuming it counts states_from_batch instead.
-  std::vector<GroupMember*> rep_owner(reps.size(), nullptr);
-  for (GroupMember& m : ctx) {
+  std::vector<QueryRun*> rep_owner(reps.size(), nullptr);
+  for (QueryRun& m : ctx) {
     if (!m.alive()) continue;
     for (const SharedStatePlan::Slot& slot : m.slots) {
       if (rep_owner[slot.rep] == nullptr) rep_owner[slot.rep] = &m;
     }
   }
 
-  // Legacy per-channel sweeps read the gathered frame.
-  ColumnResolver resolver =
-      [&input](const std::string& name) -> Result<const Column*> {
-    if (input.frame == nullptr) {
-      return Status::Internal("no input frame materialized");
-    }
-    return input.frame->GetColumn(name);
-  };
-
-  // Entries computed by this group, shared across members (the analogue of
-  // the solo path's query-local map — a concurrent eviction of what the
-  // group just inserted cannot perturb any member's answer).
+  // Entries computed by this group, shared across members: every member
+  // serves what the group computed from here, so a concurrent eviction of
+  // what the group just inserted cannot perturb any member's answer.
   std::map<std::string, StateCache::Entry> local_entries;
   std::vector<bool> computed_rep(reps.size(), false);
 
-  // One fused pass over the union DAG: every representative still missing,
-  // all queries' channels in a single morsel sweep. Attributed to the pass
-  // owner (the first member still alive when the pass starts).
-  auto compute_missing = [&](GroupMember& m, int states_span_id) -> Status {
-    const CacheOps mc{m.qm.get(), m.trace.get()};
-    std::vector<bool> need(reps.size(), false);
-    bool any_need = false;
-    for (size_t r = 0; r < reps.size(); ++r) {
-      if (share && rep_from_cache[r]) continue;
-      if (share && group_set != nullptr &&
-          cache_.ProbeEntry(group_set.get(), reps[r].key, nullptr, mc) ==
-              StateCache::Probe::kHit) {
-        continue;  // inserted by a concurrent query since our probe
-      }
-      need[r] = true;
-      any_need = true;
-    }
-    if (!any_need) return Status::OK();
-
+  // Computes the representatives with need[r] in one fused pass over the
+  // group's input, under `m`'s states span, and commits them. Each is
+  // counted against its owner (or `m`). A solo query's guard acts at
+  // every morsel; a shared pass is guard-free, like the scan.
+  auto compute = [&](const std::vector<bool>& need, QueryRun& m,
+                     int states_span_id) -> Status {
     BatchRequestPlan rq = BuildBatchRequests(plan, need);
-    std::vector<std::vector<double>> channels;
-    if (exec.use_fused) {
-      ExecOptions batch_opts = m.run;
-      batch_opts.trace_span = states_span_id;
-      // Same rationale as the scan: per-member guards act at phase
-      // boundaries, not inside the shared pass.
-      batch_opts.guard = nullptr;
-      StateBatchStats bs;
-      // Segment-aware like the solo path: the group's cold pass must be
-      // reproducible by a later per-segment delta refresh.
-      StateBatchIncremental cold_inc;
-      cold_inc.segment_ends = input.segment_ends;
-      SUDAF_ASSIGN_OR_RETURN(
-          channels,
-          ComputeStateBatch(rq.requests, input.Binder(), input.group_ids,
-                            num_groups, batch_opts, &bs, &cold_inc));
-    } else {
-      // Legacy path: one kernel sweep per channel — still one scan and one
-      // evaluation per representative for the whole group.
-      channels.resize(rq.requests.size());
-      for (size_t i = 0; i < rq.requests.size(); ++i) {
-        const StateBatchRequest& r = rq.requests[i];
-        if (r.input == nullptr) {
-          channels[i] = ComputeGroupedState(AggOp::kCount, {},
-                                            input.group_ids, num_groups,
-                                            m.run);
-        } else {
-          SUDAF_ASSIGN_OR_RETURN(
-              std::vector<double> in,
-              EvalNumericVector(*r.input, resolver, input.num_input_rows));
-          channels[i] = ComputeGroupedState(r.op, in, input.group_ids,
-                                            num_groups, m.run);
-        }
-      }
-    }
-
-    struct Built {
-      size_t rep = 0;
-      StateCache::Entry entry;
-    };
-    std::vector<Built> built;
+    ExecOptions pass_opts = m.run;
+    pass_opts.trace_span = states_span_id;
+    if (!solo) pass_opts.guard = nullptr;
+    // Carry the input's segment layout into the pass: the accumulation
+    // tree must be a pure function of the segment log so a later delta
+    // refresh reproduces this cold result bit for bit.
+    StateBatchIncremental cold_inc;
+    cold_inc.segment_ends = input.segment_ends;
+    SUDAF_ASSIGN_OR_RETURN(
+        std::vector<std::vector<double>> channels,
+        ComputeStateBatch(rq.requests, input.Binder(), input.group_ids,
+                          num_groups, pass_opts, nullptr, &cold_inc));
+    std::vector<std::pair<size_t, StateCache::Entry>> built;
     for (size_t r = 0; r < reps.size(); ++r) {
       if (rq.main_idx[r] < 0) continue;
-      Built b;
-      b.rep = r;
-      b.entry.main = std::move(channels[rq.main_idx[r]]);
-      if (rq.sign_idx[r] >= 0) {
-        b.entry.sign = std::move(channels[rq.sign_idx[r]]);
-      }
-      built.push_back(std::move(b));
+      StateCache::Entry e;
+      e.main = std::move(channels[rq.main_idx[r]]);
+      if (rq.sign_idx[r] >= 0) e.sign = std::move(channels[rq.sign_idx[r]]);
+      built.emplace_back(r, std::move(e));
     }
-    // Two-phase commit (solo parity): all insert-side failure checks fire
-    // before the first entry lands in the shared cache.
+    // Two-phase commit: all insert-side failure checks fire before the
+    // first entry lands in the shared cache, so an injected fault can
+    // never leave a partial insert behind.
     if (share) {
       for (size_t b = 0; b < built.size(); ++b) {
         SUDAF_FAILPOINT("cache:insert");
       }
     }
-    for (Built& b : built) {
-      GroupMember* owner = rep_owner[b.rep] != nullptr ? rep_owner[b.rep] : &m;
-      const CacheOps oc{owner->qm.get(), owner->trace.get()};
-      if (EntryIsPoisoned(b.entry)) {
-        owner->qm->counter("sudaf.states.poisoned")->Add();
+    for (auto& [r, entry] : built) {
+      QueryRun* owner = rep_owner[r] != nullptr ? rep_owner[r] : &m;
+      const CacheOps oc{&owner->qm, owner->trace.get()};
+      if (EntryIsPoisoned(entry)) {
+        // Served to this group (the arithmetic answer is honest) but never
+        // cached.
+        owner->qm.counter("sudaf.states.poisoned")->Add();
       } else if (share && group_set != nullptr &&
-                 !cache_.InsertEntry(group_set.get(), reps[b.rep].key,
-                                     b.entry, oc)) {
-        owner->qm->counter("sudaf.cache.budget_rejects")->Add();
+                 !cache_.InsertEntry(group_set.get(), reps[r].key, entry,
+                                     oc)) {
+        // Declined under the byte budget: served group-local.
+        owner->qm.counter("sudaf.cache.budget_rejects")->Add();
       }
-      local_entries.emplace(reps[b.rep].key, std::move(b.entry));
-      computed_rep[b.rep] = true;
-      owner->qm->counter("sudaf.states.computed")->Add();
+      local_entries.emplace(reps[r].key, std::move(entry));
+      computed_rep[r] = true;
+      owner->qm.counter("sudaf.states.computed")->Add();
     }
     return Status::OK();
   };
 
-  // Late fallback, mirroring solo: recompute one representative for one
-  // member over the shared input (reached only if an entry vanished from
-  // both the cache and the group's local map — i.e. never for entries the
-  // pass just computed).
-  auto compute_rep_entry = [&](const SharedStatePlan::Rep& rep,
-                               GroupMember& m) -> Result<StateCache::Entry> {
-    SUDAF_RETURN_IF_ERROR(MaterializeFrame(&input, m.run));
-    StateCache::Entry entry;
-    if (rep.direct) {
-      if (rep.cls.rep.op == AggOp::kCount) {
-        entry.main = ComputeGroupedState(AggOp::kCount, {}, input.group_ids,
-                                         num_groups, m.run);
-      } else {
-        SUDAF_ASSIGN_OR_RETURN(
-            std::vector<double> in,
-            EvalNumericVector(*rep.cls.rep.input, resolver,
-                              input.num_input_rows));
-        entry.main = ComputeGroupedState(rep.cls.rep.op, in, input.group_ids,
-                                         num_groups, m.run);
-      }
-      return entry;
-    }
-    ExprPtr main_expr = rep.cls.MainInputExpr();
-    if (main_expr == nullptr) {
-      entry.main = ComputeGroupedState(AggOp::kCount, {}, input.group_ids,
-                                       num_groups, m.run);
-    } else {
-      SUDAF_ASSIGN_OR_RETURN(
-          std::vector<double> in,
-          EvalNumericVector(*main_expr, resolver, input.num_input_rows));
-      entry.main = ComputeGroupedState(rep.cls.MainOp(), in, input.group_ids,
-                                       num_groups, m.run);
-    }
-    if (rep.cls.log_domain) {
-      SUDAF_ASSIGN_OR_RETURN(
-          std::vector<double> sgn,
-          EvalNumericVector(*rep.cls.SignInputExpr(), resolver,
-                            input.num_input_rows));
-      entry.sign = ComputeGroupedState(AggOp::kProd, sgn, input.group_ids,
-                                       num_groups, m.run);
-    }
-    return entry;
-  };
-
-  // Serve one member at its output rows from the per-rep entries: cache
-  // copy-out first, then the group's local entries, then a late cache
-  // re-probe, then per-member compute fallback — the exact solo serving
-  // order.
-  auto serve_member = [&](GroupMember& m, const OutputRows& rows,
+  // Serves one member at its output rows from the per-rep entries: cache
+  // copy-out for probe hits, then the group's local entries, then a late
+  // cache re-probe (inserted by a concurrent query after our probe), then
+  // computing the rep again (it vanished from the cache mid-query). A
+  // copy-out holds only the output rows and lives on this frame, so a
+  // concurrent eviction cannot invalidate what is served.
+  auto serve_member = [&](QueryRun& m, const OutputRows& rows,
+                          int states_span_id,
                           std::vector<std::vector<double>>* out) -> Status {
     const std::vector<AggStateDef>& states = m.rewritten.form.states;
-    const CacheOps mc{m.qm.get(), m.trace.get()};
+    const CacheOps mc{&m.qm, m.trace.get()};
     out->assign(states.size(), {});
     int64_t served = 0;
     std::set<int> consumed_reps;
@@ -1571,7 +1014,7 @@ void SudafSession::ExecuteSharedGroup(
                             rows.subset()) == StateCache::Probe::kHit) {
         entry = &copied;
         compact = rows.presorted;
-        m.qm->counter("sudaf.states.from_cache")->Add();
+        m.qm.counter("sudaf.states.from_cache")->Add();
       }
       if (entry == nullptr) {
         auto it = local_entries.find(rep.key);
@@ -1581,50 +1024,47 @@ void SudafSession::ExecuteSharedGroup(
               rep_owner[slot.rep] != &m) {
             // The rep's owner counted states.computed when the pass built
             // it; everyone else got it for free from the batch.
-            m.qm->counter("sudaf.states.from_batch")->Add();
+            m.qm.counter("sudaf.states.from_batch")->Add();
           }
         }
       }
       if (entry == nullptr && share && group_set != nullptr &&
           cache_.ProbeEntry(group_set.get(), rep.key, &copied, mc,
                             rows.subset()) == StateCache::Probe::kHit) {
-        entry = &copied;  // inserted by a concurrent query after our probe
+        entry = &copied;
         compact = rows.presorted;
       }
       if (entry == nullptr) {
         if (input.source == nullptr) {
+          // Every rep probed as a hit, so no input was scanned — and then
+          // this entry vanished (poisoned externally mid-query). Too late
+          // to scan; fail definitively rather than serve garbage.
           return Status::Internal("cached state vanished mid-query: " +
                                   rep.key);
         }
-        SUDAF_ASSIGN_OR_RETURN(StateCache::Entry computed,
-                               compute_rep_entry(rep, m));
-        SUDAF_FAILPOINT("cache:insert");
-        m.qm->counter("sudaf.states.computed")->Add();
-        if (EntryIsPoisoned(computed)) {
-          m.qm->counter("sudaf.states.poisoned")->Add();
-        } else if (share && group_set != nullptr &&
-                   !cache_.InsertEntry(group_set.get(), rep.key, computed,
-                                       mc)) {
-          m.qm->counter("sudaf.cache.budget_rejects")->Add();
-        }
-        entry = &local_entries.emplace(rep.key, std::move(computed))
-                     .first->second;
+        std::vector<bool> need(reps.size(), false);
+        need[slot.rep] = true;
+        SUDAF_RETURN_IF_ERROR(compute(need, m, states_span_id));
+        entry = &local_entries.at(rep.key);
       }
       served += ServeState(*entry, compact, rows, states[i], &rep.cls,
                            rep.direct ? nullptr : &slot.share_fn, &(*out)[i]);
     }
-    m.qm->counter("sudaf.serve.rows")->Add(served);
+    m.qm.counter("sudaf.serve.rows")->Add(served);
     return Status::OK();
   };
 
-  // 4+5. Compute missing representatives (once, at the first alive
-  // member's turn, under its states span) and serve + terminate each
-  // member under its own spans.
+  // 4+5. Compute the missing representatives (once, at the first alive
+  // member's turn, under its states span), then serve and terminate each
+  // member under its own spans. Output-first: each member decides its
+  // returned groups on the keys, then serves (and terminates) only those.
   if (group_status.ok()) {
     bool pass_done = false;
-    for (GroupMember& m : ctx) {
+    for (QueryRun& m : ctx) {
       if (!m.alive()) continue;
-      if (m.guard != nullptr) {
+      // A shared group's members admit each phase under their own guard (a
+      // solo query's guard acts inside the pass itself).
+      if (!solo && m.guard != nullptr) {
         Status g = m.guard->Check();
         if (!g.ok()) {
           m.failed = g;
@@ -1635,21 +1075,36 @@ void SudafSession::ExecuteSharedGroup(
       OutputRows rows;
       {
         TraceSpan states_span(m.trace.get(), "states", m.run.trace_span,
-                              m.qm->dcounter("sudaf.phase.states_ms"));
+                              m.qm.dcounter("sudaf.phase.states_ms"));
         if (!pass_done) {
           pass_done = true;
-          group_status = compute_missing(m, states_span.id());
+          // Skip reps the cache serves, including ones a concurrent query
+          // inserted since our probe.
+          std::vector<bool> need(reps.size(), false);
+          bool any_need = false;
+          for (size_t r = 0; r < reps.size(); ++r) {
+            if (share &&
+                (rep_from_cache[r] ||
+                 cache_.ProbeEntry(group_set.get(), reps[r].key, nullptr,
+                                   CacheOps{&m.qm, m.trace.get()}) ==
+                     StateCache::Probe::kHit)) {
+              continue;
+            }
+            need[r] = true;
+            any_need = true;
+          }
+          if (any_need) group_status = compute(need, m, states_span.id());
           if (!group_status.ok()) break;
         }
         rows = PlanOutputRows(m.rewritten, *m.stmt, *group_keys, num_groups);
-        Status served = serve_member(m, rows, &state_values);
+        Status served = serve_member(m, rows, states_span.id(), &state_values);
         if (!served.ok()) {
           m.failed = served;
           continue;
         }
       }
       TraceSpan terminate_span(m.trace.get(), "terminate", m.run.trace_span,
-                               m.qm->dcounter("sudaf.phase.terminate_ms"));
+                               m.qm.dcounter("sudaf.phase.terminate_ms"));
       Result<std::unique_ptr<Table>> assembled = AssembleRewrittenResult(
           m.rewritten, *m.stmt, *group_keys, rows, state_values);
       if (!assembled.ok()) {
@@ -1661,39 +1116,12 @@ void SudafSession::ExecuteSharedGroup(
   }
 
   // A group-fatal error (probe/scan/pass) fails every member still alive;
-  // the service layer retries them through the solo path.
+  // the service layer retries them solo.
   if (!group_status.ok()) {
-    for (GroupMember& m : ctx) {
+    for (QueryRun& m : ctx) {
       if (m.alive()) m.failed = group_status;
     }
   }
-
-  // Finalize each member exactly like ExecuteStatement: mirror guard
-  // movement (note: members sharing one guard object each see the full
-  // delta), close the root span, derive stats, fold into the session
-  // registry, publish the per-item result.
-  for (GroupMember& m : ctx) {
-    if (m.guard != nullptr) {
-      m.qm->counter("sudaf.guard.checks")
-          ->Add(m.guard->checks() - m.guard_checks0);
-      m.qm->counter("sudaf.guard.trips")
-          ->Add(m.guard->trips() - m.guard_trips0);
-    }
-    if (!m.failed.ok()) m.qm->counter("sudaf.query.errors")->Add();
-    m.root.reset();
-    ExecStats stats = DeriveExecStats(m.qm->Snapshot());
-    metrics_.Merge(m.qm->Snapshot());
-    if (!m.failed.ok()) {
-      (*results)[m.item] = m.failed;
-      continue;
-    }
-    QueryResult qr;
-    qr.table = std::move(m.table);
-    qr.stats = stats;
-    qr.trace = std::move(m.trace);
-    (*results)[m.item] = std::move(qr);
-  }
-  MaybeCompactCache();
 }
 
 }  // namespace sudaf

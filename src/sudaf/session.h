@@ -37,16 +37,16 @@
 // QueryResult::trace. `EXPLAIN ANALYZE <select>` surfaces the same data
 // through SQL.
 //
-// Thread safety (docs/service.md): Execute/ExecuteStatement/Prefetch are
-// safe for concurrent callers — the state cache, the persistence journal,
-// the catalog epochs and the metrics/trace plumbing all synchronize
-// internally, and per-query state lives on the caller's stack. Session
-// configuration (set_default_exec_options, set_cache_policy, persistence
-// enable/disable/suspend/resume) is also thread-safe and takes effect for
-// queries that start after the call. Catalog *table replacement* while a
-// query that resolved the table is running remains undefined; concurrent
-// workloads mutate data via TouchTable or new names only. Defining UDAFs
-// (library()) while queries run is not synchronized.
+// Thread safety (docs/service.md): Execute/ExecuteStatement/ExecuteBatch
+// are safe for concurrent callers — the state cache, the persistence
+// journal, the catalog epochs and the metrics/trace plumbing all
+// synchronize internally, and per-query state lives on the caller's
+// stack. Session configuration (set_default_exec_options, set_cache_policy,
+// persistence enable/disable/suspend/resume) is also thread-safe and takes
+// effect for queries that start after the call. Catalog *table
+// replacement* while a query that resolved the table is running remains
+// undefined; concurrent workloads mutate data via TouchTable or new names
+// only. Defining UDAFs (library()) while queries run is not synchronized.
 
 #include <cstdint>
 #include <memory>
@@ -62,6 +62,7 @@
 #include "sudaf/cache.h"
 #include "sudaf/cache_persist.h"
 #include "sudaf/rewriter.h"
+#include "sudaf/shared_scan.h"
 #include "sudaf/sharing.h"
 
 namespace sudaf {
@@ -96,13 +97,13 @@ struct ExecStats {
   // ordered and cut on its group keys serves LIMIT × states; otherwise
   // every group is served.
   int64_t serve_rows = 0;
-  // Bytes copied into gathered frames: a join's input columns, or a frame
-  // built for the legacy per-state loops. 0 for a fused single-table scan,
-  // which reads its base table in place.
+  // Bytes copied into gathered frames: a join's input columns, or the
+  // frame an engine-mode interpreted UDAF reads. 0 for a single-table
+  // scan, which reads its base table in place.
   int64_t gathered_bytes = 0;
 
-  // Fused StateBatch executor observability (zero when the legacy
-  // per-state path ran, i.e. ExecOptions::use_fused == false).
+  // Fused StateBatch executor observability (zero when no fused pass ran:
+  // an all-hit query, or an engine-mode query of interpreted UDAFs only).
   bool used_fused = false;
   int64_t morsels = 0;          // morsels processed across fused passes
   int fused_channels = 0;       // distinct (op, input) channels computed
@@ -153,7 +154,6 @@ struct ExecStats {
   // are NOT registry-derived: QueryService fills them in after the session
   // call returns. They stay zero/false when a session is driven directly.
   int service_attempts = 0;               // 1 + retries for this request
-  bool degraded_fused_fallback = false;   // served by the legacy engine path
   bool degraded_cache_memory_only = false;  // persistence breaker was open
 };
 
@@ -186,10 +186,8 @@ struct QueryResult {
 
 // Session-construction knobs, separated by scope: `exec` holds the
 // per-query defaults (any Execute call can override them), everything else
-// is session-lifetime state. This replaces the old pattern of smuggling
-// the cache budget through ExecOptions — set_exec_options() used to
-// silently re-apply the cache policy, which made a per-query knob mutate
-// session state; CachePolicy now lives here, explicitly.
+// is session-lifetime state (the cache policy lives here, not in
+// ExecOptions, so no per-query knob can mutate session state).
 struct SessionOptions {
   // Default execution options for queries that don't pass their own.
   ExecOptions exec;
@@ -264,10 +262,6 @@ class SudafSession {
  public:
   // `catalog` must outlive the session.
   explicit SudafSession(const Catalog* catalog, SessionOptions options = {});
-  // Deprecated (kept for one release): wraps `exec` in SessionOptions.
-  // Note the cache policy no longer rides in ExecOptions — callers that
-  // set a budget must use SessionOptions::set_cache_policy.
-  SudafSession(const Catalog* catalog, ExecOptions exec);
 
   UdafLibrary& library() { return library_; }
   UdafRegistry& hardcoded() { return hardcoded_; }
@@ -289,12 +283,6 @@ class SudafSession {
   void set_default_exec_options(const ExecOptions& exec) {
     std::lock_guard<std::mutex> lock(options_mu_);
     options_.exec = exec;
-  }
-  // Deprecated alias for set_default_exec_options. Unlike the historical
-  // version it does NOT touch the cache policy (that footgun is gone);
-  // use set_cache_policy for the budget.
-  void set_exec_options(const ExecOptions& exec) {
-    set_default_exec_options(exec);
   }
   // Applies `policy` to the state cache, evicting down to the new budget
   // immediately.
@@ -372,7 +360,7 @@ class SudafSession {
   // equivalence-class representatives (sudaf/shared_scan.h), one cache
   // insert per shared representative, per-query results/stats/traces
   // fanned back in item order. Items with unique signatures (and every
-  // item in kEngine mode) run through the normal solo path. Results are
+  // item in kEngine mode) run as solo queries. Results are
   // bit-identical to executing each item alone. Statuses are per item: one
   // member failing (parse limits, guard trip) never fails its neighbors,
   // but a fault in the shared pass itself fails every member of that group
@@ -392,36 +380,27 @@ class SudafSession {
   // select list) without executing it.
   Result<std::string> ExplainRewrite(const std::string& sql) const;
 
-  // Runs `sql` in share mode purely to warm the cache (e.g. prefetching a
-  // moments sketch before a query sequence, as in the AS2 experiments).
-  //
-  // Prefer QueryService::Prefetch / SubmitPrefetch when a service fronts
-  // this session: those go through admission control, so a prefetch is
-  // shed under load, honors its guard while queued, and is counted
-  // (sudaf.service.prefetches) like any other request. This direct form
-  // bypasses all of that and stays for service-less embeddings.
-  Status Prefetch(const std::string& sql);
-
  private:
-  // `exec.metrics` must point at the query-private registry (set up by
-  // ExecuteStatement); everything below the session writes only there.
-  Result<std::unique_ptr<Table>> ExecuteSudaf(const SelectStatement& stmt,
-                                              bool share,
-                                              const ExecOptions& exec);
+  // One query's execution context (defined in session.cc): its private
+  // metrics registry and trace, its "execute" root span, and its slots
+  // into its group's union state plan.
+  struct QueryRun;
 
-  // One cached entry a delta refresh should carry forward: its cache key
-  // and the class describing how to compute its channels.
-  struct RefreshTarget {
-    std::string key;
-    const StateClass* cls = nullptr;  // borrowed from the caller's execs
-  };
+  // Opens `q` for `stmt` under `exec` with `guard`: a fresh registry and
+  // trace, the root span, and the guard counters at start.
+  void BeginQuery(QueryRun* q, const SelectStatement& stmt,
+                  const QueryGuard* guard, const ExecOptions& exec);
+  // Closes `q`: mirrors its guard movement into its registry, derives its
+  // ExecStats, folds the registry into metrics(), and returns its result.
+  Result<QueryResult> FinishQuery(QueryRun* q);
 
   // Attempts a segment-delta refresh of `stale` (a FindResult::refreshable
   // set): runs the fused pass over only the appended segments of the
   // single base table of `stmt`, folds the results onto the cached
-  // accumulators of every target present in `stale`, extends the group
-  // keys with first-occurring-in-delta groups (bit-identical to the cold
-  // full-scan group order), and commits through StateCache::CommitRefresh.
+  // accumulators of every representative of `plan` present in `stale`,
+  // extends the group keys with first-occurring-in-delta groups
+  // (bit-identical to the cold full-scan group order), and commits through
+  // StateCache::CommitRefresh.
   // Returns the refreshed set, or null when the refresh was abandoned
   // (coverage not a live segment boundary, nothing cached to refresh,
   // delta pass failed, or a concurrent writer won) — the caller then
@@ -431,17 +410,19 @@ class SudafSession {
   StateCache::GroupSetPtr RefreshGroupSet(
       const SelectStatement& stmt, const StateCache::GroupSetPtr& stale,
       const CatalogEpochs& epochs, const std::vector<int64_t>& segments,
-      const std::vector<RefreshTarget>& targets, const ExecOptions& exec);
+      const SharedStatePlan& plan, const ExecOptions& exec);
 
-  // Runs one signature group of ExecuteBatch (>= 2 members, same data
-  // signature) as a single shared pass: one cache probe per distinct
-  // representative, at most one input scan, one fused pass over the union
-  // DAG, one insert per representative; per-member serving, termination,
-  // stats and traces. Fills results[members[i]] for every member.
-  void ExecuteSharedGroup(const std::vector<size_t>& members,
-                          const std::vector<BatchItem>& items, bool share,
-                          const ExecOptions& exec, BatchExecStats* bstats,
-                          std::vector<Result<QueryResult>>* results);
+  // The rewritten-mode pipeline for queries with one data signature (a
+  // solo query is a group of one): rewrite, one cache probe per distinct
+  // representative (or a delta refresh), at most one input scan, one
+  // fused pass over the union state DAG, one insert per representative,
+  // then per-member serving and termination. Each run must be open
+  // (BeginQuery); its table or failure is left in it. A solo run's guard
+  // acts inside the scan and the pass; a shared group's pass is
+  // guard-free, its members check their guards between phases, and it is
+  // accounted in `bstats` (unused for a group of one).
+  void ExecuteGroup(std::vector<QueryRun>* runs, bool share,
+                    BatchExecStats* bstats);
 
   // The persistence filesystem backend (SessionOptions::vfs; null means
   // Vfs::Default(), resolved by the persistence layer).

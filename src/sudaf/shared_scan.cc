@@ -17,9 +17,9 @@ std::vector<SharedStatePlan::Slot> SharedStatePlan::AddQuery(
       rep.cls = ClassifyState(states[i]);
       std::optional<SharedComputation> fn = Share(states[i], rep.cls.rep);
       if (!fn.has_value()) {
-        // Same fallback as solo execution: the classification was coarser
-        // than the theorem allows for this instance, so the state becomes
-        // its own (trivially shareable) representative.
+        // The classification was coarser than the theorem allows for this
+        // instance, so the state becomes its own (trivially shareable)
+        // representative.
         rep.cls.key = "self|" + states[i].Key();
         rep.cls.rep = states[i].Clone();
         rep.cls.log_domain = false;

@@ -15,9 +15,11 @@
 // union state DAG a shared-scan batch executes in a single fused pass.
 //
 // The plan is a pure bookkeeping structure (no execution): the session's
-// batch executor walks reps() to probe the cache, schedules the missing
-// ones through BuildBatchRequests(), and serves every query from the
-// per-rep results via its slots.
+// query-group executor (a solo query is a group of one) walks reps() to
+// probe the cache, schedules the missing ones through
+// BuildBatchRequests(), and serves every query from the per-rep results
+// via its slots. The chunked executor classifies and schedules through
+// the same two calls.
 
 #include <cstdint>
 #include <map>
@@ -49,10 +51,9 @@ class SharedStatePlan {
   };
 
   // Registers one rewritten query's states; returns one Slot per state.
-  // Classification is identical to solo execution (including the
-  // self-class fallback when Share() declines the class representative),
-  // so a batch serves every state from exactly the representative a solo
-  // run of the same query would have used.
+  // In share mode each state maps to its class representative, or becomes
+  // its own (self-class) representative when Share() declines the class
+  // representative; in no-share mode each state is a direct rep.
   std::vector<Slot> AddQuery(const std::vector<AggStateDef>& states,
                              bool share);
 
@@ -89,10 +90,10 @@ struct BatchRequestPlan {
   std::vector<int> sign_idx;
 };
 
-// Builds the channel requests for every needed representative, mirroring
-// the solo fused path exactly: count reps get a null-input kCount channel,
-// class reps get (MainOp, MainInputExpr) plus a Π sgn side channel for
-// log-domain classes, and direct reps get (op, input) verbatim.
+// Builds the channel requests for every needed representative: count reps
+// get a null-input kCount channel, class reps get (MainOp, MainInputExpr)
+// plus a Π sgn side channel for log-domain classes, and direct reps get
+// (op, input) verbatim.
 BatchRequestPlan BuildBatchRequests(const SharedStatePlan& plan,
                                     const std::vector<bool>& need);
 

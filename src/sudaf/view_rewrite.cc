@@ -4,7 +4,6 @@
 #include <set>
 
 #include "engine/state_batch.h"
-#include "expr/evaluator.h"
 
 namespace sudaf {
 
@@ -63,45 +62,20 @@ Result<AggregateView> MaterializeAggregateView(SudafSession* session,
       dst.AppendValue(src.GetValue(g));
     }
   }
-  std::vector<std::vector<double>> state_columns(
-      rewritten.form.states.size());
-  if (session->exec_options().use_fused) {
-    // All view states in one morsel-driven pass (duplicate inputs are
-    // deduplicated into shared channels inside the batch engine).
-    std::vector<StateBatchRequest> requests;
-    for (const AggStateDef& state : rewritten.form.states) {
-      if (state.op == AggOp::kCount) {
-        requests.push_back({AggOp::kCount, nullptr});
-      } else {
-        requests.push_back({state.op, state.input.get()});
-      }
-    }
-    SUDAF_ASSIGN_OR_RETURN(
-        state_columns,
-        ComputeStateBatch(requests, input.Binder(), input.group_ids,
-                          input.num_groups, session->exec_options()));
-  } else {
-    SUDAF_RETURN_IF_ERROR(MaterializeFrame(&input, session->exec_options()));
-    ColumnResolver resolver =
-        [&input](const std::string& col) -> Result<const Column*> {
-      return input.frame->GetColumn(col);
-    };
-    for (size_t i = 0; i < rewritten.form.states.size(); ++i) {
-      const AggStateDef& state = rewritten.form.states[i];
-      if (state.op == AggOp::kCount) {
-        state_columns[i] =
-            ComputeGroupedState(AggOp::kCount, {}, input.group_ids,
-                                input.num_groups, session->exec_options());
-      } else {
-        SUDAF_ASSIGN_OR_RETURN(
-            std::vector<double> in,
-            EvalNumericVector(*state.input, resolver, input.num_input_rows));
-        state_columns[i] =
-            ComputeGroupedState(state.op, in, input.group_ids,
-                                input.num_groups, session->exec_options());
-      }
+  // All view states in one morsel-driven pass (duplicate inputs are
+  // deduplicated into shared channels inside the batch engine).
+  std::vector<StateBatchRequest> requests;
+  for (const AggStateDef& state : rewritten.form.states) {
+    if (state.op == AggOp::kCount) {
+      requests.push_back({AggOp::kCount, nullptr});
+    } else {
+      requests.push_back({state.op, state.input.get()});
     }
   }
+  SUDAF_ASSIGN_OR_RETURN(
+      std::vector<std::vector<double>> state_columns,
+      ComputeStateBatch(requests, input.Binder(), input.group_ids,
+                        input.num_groups, session->exec_options()));
   for (size_t i = 0; i < rewritten.form.states.size(); ++i) {
     Column& dst = view.data->column(view.num_key_columns +
                                     static_cast<int>(i));
@@ -239,42 +213,26 @@ Result<std::unique_ptr<Table>> ExecuteWithView(SudafSession* session,
   // Roll up each needed view state with its own ⊕, then apply r.
   // Rolling up materialized counts means summing them (⊕ of count is +
   // over already-counted chunks, not counting view rows).
+  // One fused pass over the delta input; float64 state columns are read
+  // in place by the batch engine, so no per-state copies are made.
   std::map<int, StateCache::Entry> rolled;
-  if (session->exec_options().use_fused) {
-    // One fused pass over the delta input; float64 state columns are read
-    // in place by the batch engine, so no per-state copies are made.
-    std::vector<ExprPtr> keepalive;
-    std::vector<StateBatchRequest> requests;
-    std::vector<int> request_state(needed_view_states.begin(),
-                                   needed_view_states.end());
-    for (int v : request_state) {
-      ExprPtr col_ref = Expr::Column(StateColumnName(v));
-      AggOp rollup_op =
-          view.states[v].op == AggOp::kCount ? AggOp::kSum
-                                             : view.states[v].op;
-      requests.push_back({rollup_op, col_ref.get()});
-      keepalive.push_back(std::move(col_ref));
-    }
-    SUDAF_ASSIGN_OR_RETURN(
-        std::vector<std::vector<double>> batch,
-        ComputeStateBatch(requests, input.Binder(), input.group_ids,
-                          input.num_groups, session->exec_options()));
-    for (size_t r = 0; r < request_state.size(); ++r) {
-      rolled[request_state[r]].main = std::move(batch[r]);
-    }
-  } else {
-    SUDAF_RETURN_IF_ERROR(MaterializeFrame(&input, session->exec_options()));
-    for (int v : needed_view_states) {
-      SUDAF_ASSIGN_OR_RETURN(const Column* col,
-                             input.frame->GetColumn(StateColumnName(v)));
-      std::vector<double> in(col->doubles().begin(), col->doubles().end());
-      AggOp rollup_op =
-          view.states[v].op == AggOp::kCount ? AggOp::kSum
-                                             : view.states[v].op;
-      rolled[v].main =
-          ComputeGroupedState(rollup_op, in, input.group_ids,
-                              input.num_groups, session->exec_options());
-    }
+  std::vector<ExprPtr> keepalive;
+  std::vector<StateBatchRequest> requests;
+  std::vector<int> request_state(needed_view_states.begin(),
+                                 needed_view_states.end());
+  for (int v : request_state) {
+    ExprPtr col_ref = Expr::Column(StateColumnName(v));
+    AggOp rollup_op =
+        view.states[v].op == AggOp::kCount ? AggOp::kSum : view.states[v].op;
+    requests.push_back({rollup_op, col_ref.get()});
+    keepalive.push_back(std::move(col_ref));
+  }
+  SUDAF_ASSIGN_OR_RETURN(
+      std::vector<std::vector<double>> batch,
+      ComputeStateBatch(requests, input.Binder(), input.group_ids,
+                        input.num_groups, session->exec_options()));
+  for (size_t r = 0; r < request_state.size(); ++r) {
+    rolled[request_state[r]].main = std::move(batch[r]);
   }
 
   const OutputRows rows = PlanOutputRows(rewritten, *stmt, *input.group_keys,

@@ -42,7 +42,7 @@ TEST(ChunkedPartitionedTest, AgreesUnderSparkExecution) {
   ExecOptions spark;
   spark.partitioned = true;
   spark.num_partitions = 4;
-  SudafSession session(&catalog, spark);
+  SudafSession session(&catalog, SessionOptions{}.set_exec(spark));
   ChunkedSharingSession chunked(&session, "t", "ts", 100);
 
   const std::string sql =

@@ -143,10 +143,11 @@ TEST(ParallelPipelineTest, QueriesAreThreadCountInvariant) {
     for (const std::string& sql : queries) {
       // A fresh session per run keeps the cache cold, so every thread count
       // computes its states from scratch (identical stats, not cache hits).
-      SudafSession ref_session(&catalog, OptsFor(1));
+      SudafSession ref_session(&catalog, SessionOptions{}.set_exec(OptsFor(1)));
       ASSERT_OK_AND_ASSIGN(QueryResult ref, ref_session.Execute(sql, mode));
       for (int threads : {2, 8}) {
-        SudafSession session(&catalog, OptsFor(threads));
+        SudafSession session(&catalog,
+            SessionOptions{}.set_exec(OptsFor(threads)));
         ASSERT_OK_AND_ASSIGN(QueryResult got, session.Execute(sql, mode));
         std::string ctx = sql + " threads=" + std::to_string(threads);
         ExpectTablesBitIdentical(*ref.table, *got.table, ctx);
@@ -168,8 +169,8 @@ TEST(ParallelPipelineTest, SerialPathIsTheOneWorkerCase) {
   Catalog catalog = MakeCatalog();
   ExecOptions serial;
   serial.morsel_size = kMorsel;  // parallel = false
-  SudafSession a(&catalog, serial);
-  SudafSession b(&catalog, OptsFor(8));
+  SudafSession a(&catalog, SessionOptions{}.set_exec(serial));
+  SudafSession b(&catalog, SessionOptions{}.set_exec(OptsFor(8)));
   const std::string sql =
       "SELECT g, kurtosis(x), sum(x^3) FROM t WHERE x < 3.5 GROUP BY g";
   ASSERT_OK_AND_ASSIGN(QueryResult ra, a.Execute(sql, ExecMode::kSudafShare));
@@ -183,11 +184,11 @@ TEST(ParallelPipelineTest, RepeatedParallelRunsAreBitwiseStable) {
   Catalog catalog = MakeCatalog();
   const std::string q =
       "SELECT g, var(x), sum(x*y) FROM t WHERE y > -1.5 GROUP BY g";
-  SudafSession first_session(&catalog, OptsFor(8));
+  SudafSession first_session(&catalog, SessionOptions{}.set_exec(OptsFor(8)));
   ASSERT_OK_AND_ASSIGN(QueryResult first,
                        first_session.Execute(q, ExecMode::kSudafNoShare));
   for (int run = 0; run < 3; ++run) {
-    SudafSession session(&catalog, OptsFor(8));
+    SudafSession session(&catalog, SessionOptions{}.set_exec(OptsFor(8)));
     ASSERT_OK_AND_ASSIGN(QueryResult again,
                          session.Execute(q, ExecMode::kSudafNoShare));
     ExpectTablesBitIdentical(*first.table, *again.table,
@@ -200,7 +201,7 @@ TEST(ParallelPipelineTest, RepeatedParallelRunsAreBitwiseStable) {
 // threads_used histogram drives ExecStats::fused_threads.
 TEST(ParallelPipelineTest, PipelinePhasesAreObservable) {
   Catalog catalog = MakeCatalog();
-  SudafSession session(&catalog, OptsFor(8));
+  SudafSession session(&catalog, SessionOptions{}.set_exec(OptsFor(8)));
   ASSERT_OK_AND_ASSIGN(
       QueryResult result,
       session.Execute("SELECT g, kurtosis(x) FROM t WHERE x > 0.5 GROUP BY g",

@@ -279,7 +279,7 @@ class RobustSessionTest : public ::testing::Test {
     ExecOptions opts = session_->exec_options();
     opts.guard = guard;
     opts.morsel_size = morsel_size;
-    session_->set_exec_options(opts);
+    session_->set_default_exec_options(opts);
   }
 
   Catalog catalog_;
@@ -603,52 +603,6 @@ TEST_F(RobustSessionTest, UnrelatedTableMutationDoesNotInvalidate) {
   EXPECT_GT(result->stats.states_from_cache, 0);
 }
 
-// The legacy (use_fused = false) path honors the same contracts.
-TEST_F(RobustSessionTest, LegacyPathPoisonAndGuard) {
-  std::vector<int64_t> g = {0, 0};
-  std::vector<double> x = {1e308, 1e308};
-  catalog_.PutTable("t", testing_util::MakeXyTable(g, x, x));
-  session_ = std::make_unique<SudafSession>(&catalog_);
-  ExecOptions opts = session_->exec_options();
-  opts.use_fused = false;
-  session_->set_exec_options(opts);
-
-  auto first =
-      session_->Execute("SELECT sum(x) FROM t", ExecMode::kSudafShare);
-  ASSERT_TRUE(first.ok()) << first.status().ToString();
-  EXPECT_EQ((*first)->column(0).GetFloat64(0), kInf);
-  EXPECT_GT(first->stats.states_poisoned, 0);
-  EXPECT_EQ(session_->cache().num_entries(), 0);
-
-  QueryGuard guard;
-  guard.ArmDeadline(0);
-  opts.guard = &guard;
-  session_->set_exec_options(opts);
-  auto blocked =
-      session_->Execute("SELECT sum(x) FROM t", ExecMode::kSudafShare);
-  ASSERT_FALSE(blocked.ok());
-  EXPECT_EQ(blocked.status().code(), StatusCode::kDeadlineExceeded);
-}
-
-TEST_F(RobustSessionTest, LegacyInsertFaultRecovers) {
-  Load(100);
-  ExecOptions opts = session_->exec_options();
-  opts.use_fused = false;
-  session_->set_exec_options(opts);
-
-  FailPoint::Activate("cache:insert", Status::Internal("injected insert"));
-  auto result = session_->Execute("SELECT g, sum(x) FROM t GROUP BY g",
-                                  ExecMode::kSudafShare);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(session_->cache().num_entries(), 0);
-
-  FailPoint::DeactivateAll();
-  auto retry = session_->Execute("SELECT g, sum(x) FROM t GROUP BY g",
-                                 ExecMode::kSudafShare);
-  ASSERT_TRUE(retry.ok()) << retry.status().ToString();
-  EXPECT_GT(session_->cache().num_entries(), 0);
-}
-
 // Guard checks also cover the parallel fused path (worker threads observe
 // the same cancellation deterministically through TryParallelFor).
 TEST_F(RobustSessionTest, ParallelFusedPathPropagatesInjectedCancel) {
@@ -657,7 +611,7 @@ TEST_F(RobustSessionTest, ParallelFusedPathPropagatesInjectedCancel) {
   opts.parallel = true;
   opts.num_threads = 4;
   opts.morsel_size = 64;
-  session_->set_exec_options(opts);
+  session_->set_default_exec_options(opts);
 
   FailPoint::Activate("state_batch:morsel", Status::Cancelled("cancelled"),
                       /*skip=*/5, /*count=*/1000000);

@@ -403,8 +403,8 @@ TEST(FusedScanTest, SelectionReadsMatchAPrefilteredTable) {
   catalog.PutTable("f", testing_util::MakeXyTable(fg, fx, fy));
   const std::string items = "SELECT g, kurtosis(x), sum(g * x), var(y) FROM ";
   for (int threads : {1, 8}) {
-    SudafSession a(&catalog, SmallMorsels(threads));
-    SudafSession b(&catalog, SmallMorsels(threads));
+    SudafSession a(&catalog, SessionOptions{}.set_exec(SmallMorsels(threads)));
+    SudafSession b(&catalog, SessionOptions{}.set_exec(SmallMorsels(threads)));
     ASSERT_OK_AND_ASSIGN(
         QueryResult filtered,
         a.Execute(items + "t WHERE y > -0.5 GROUP BY g",
@@ -438,14 +438,16 @@ TEST(FusedScanTest, MultiSegmentDeltaOfAnIdentityRange) {
   for (int threads : {1, 8}) {
     Catalog catalog;
     catalog.PutTable("t", rows(3000));
-    SudafSession session(&catalog, SmallMorsels(threads));
+    SudafSession session(&catalog,
+        SessionOptions{}.set_exec(SmallMorsels(threads)));
     ASSERT_OK(session.Execute(sql, ExecMode::kSudafShare).status());
     ASSERT_OK(catalog.AppendRows("t", *rows(1500)));
     ASSERT_OK(catalog.AppendRows("t", *rows(700)));
     ASSERT_OK_AND_ASSIGN(QueryResult warm,
                          session.Execute(sql, ExecMode::kSudafShare));
     EXPECT_EQ(warm.stats.cache_delta_refreshes, 1);
-    SudafSession cold_session(&catalog, SmallMorsels(threads));
+    SudafSession cold_session(&catalog,
+        SessionOptions{}.set_exec(SmallMorsels(threads)));
     ASSERT_OK_AND_ASSIGN(QueryResult cold,
                          cold_session.Execute(sql, ExecMode::kSudafShare));
     ExpectBitIdentical(*warm.table, *cold.table,
@@ -538,18 +540,8 @@ TEST_F(GatheredBytesTest, JoinsAndLegacyPathsGather) {
       session.Execute("SELECT g, sum(x * w) FROM t, d WHERE g = k GROUP BY g",
                       ExecMode::kSudafShare));
   EXPECT_GT(join.stats.gathered_bytes, 0);
-
-  SessionOptions legacy;
-  legacy.exec.use_fused = false;
-  SudafSession legacy_session(&catalog_, legacy);
-  ASSERT_OK_AND_ASSIGN(
-      QueryResult r,
-      legacy_session.Execute("SELECT g, var(x) FROM t WHERE x > 0.5 GROUP BY g",
-                             ExecMode::kSudafShare));
-  EXPECT_GT(r.stats.gathered_bytes, 0);
-  EXPECT_EQ(
-      legacy_session.metrics().Snapshot().counter("sudaf.input.gathered_bytes"),
-      r.stats.gathered_bytes);
+  EXPECT_EQ(session.metrics().Snapshot().counter("sudaf.input.gathered_bytes"),
+            join.stats.gathered_bytes);
 }
 
 }  // namespace

@@ -241,7 +241,6 @@ TEST_F(ServiceTest, ServesQueriesAndReportsAttempts) {
       service.Execute("SELECT g, sum(x) FROM t GROUP BY g", ExecMode::kSudafShare);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->stats.service_attempts, 1);
-  EXPECT_FALSE(result->stats.degraded_fused_fallback);
   EXPECT_FALSE(result->stats.degraded_cache_memory_only);
   MetricsSnapshot snap = service.metrics().Snapshot();
   EXPECT_EQ(snap.counter("sudaf.service.requests"), 1);
@@ -352,42 +351,29 @@ TEST_F(ServiceTest, BreakerOpensOnWalFaultsThenRecovers) {
   EXPECT_GT(cold.num_entries(), 0);
 }
 
-TEST_F(ServiceTest, FusedPathFallsBackAndRecovers) {
+// A fault on every fused morsel has no second execution path to fall back
+// to: the request is retried up to retry.max_attempts and then fails
+// definitely. Once the fault clears, the very next request succeeds.
+TEST_F(ServiceTest, PersistentFusedFaultFailsThenRecovers) {
   ServiceOptions opts;
-  opts.fused_fallback_after = 2;
-  opts.fused_reprobe_every = 4;
+  opts.retry.max_attempts = 3;
   QueryService service(session_.get(), opts);
 
-  // The fused executor faults on every morsel; the legacy path is clean.
   FailPoint::Activate("state_batch:morsel", Status::Internal("fused fault"),
                       /*skip=*/0, /*count=*/1 << 20);
-  // Attempt 1 (fused) fails, attempt 2 (fused) fails and trips the
-  // tracker, attempt 3 runs legacy and succeeds.
-  auto first =
-      service.Execute("SELECT g, sum(x) FROM t GROUP BY g", ExecMode::kSudafShare);
-  ASSERT_TRUE(first.ok()) << first.status().ToString();
-  EXPECT_EQ(first->stats.service_attempts, 3);
-  EXPECT_TRUE(first->stats.degraded_fused_fallback);
-  EXPECT_TRUE(service.fused_degraded());
-
-  // While degraded, requests go straight to the legacy engine.
-  auto second =
-      service.Execute("SELECT g, avg(x) FROM t GROUP BY g", ExecMode::kSudafShare);
-  ASSERT_TRUE(second.ok());
-  EXPECT_TRUE(second->stats.degraded_fused_fallback);
-  EXPECT_EQ(second->stats.service_attempts, 1);
-
-  // The fault clears; a periodic re-probe runs fused again and recovers.
-  FailPoint::Reset();
-  for (int i = 0; i < 4 && service.fused_degraded(); ++i) {
-    auto r = service.Execute(DistinctQuery(i), ExecMode::kSudafShare);
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-  }
-  EXPECT_FALSE(service.fused_degraded());
+  const std::string sql = "SELECT g, sum(x) FROM t GROUP BY g";
+  auto failed = service.Execute(sql, ExecMode::kSudafShare);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kInternal);
+  EXPECT_EQ(FailPoint::Hits("state_batch:morsel"), opts.retry.max_attempts);
   MetricsSnapshot snap = service.metrics().Snapshot();
-  EXPECT_EQ(snap.counter("sudaf.service.fused_fallbacks"), 1);
-  EXPECT_EQ(snap.counter("sudaf.service.fused_recoveries"), 1);
-  EXPECT_GE(snap.counter("sudaf.service.fused_reprobes"), 1);
+  EXPECT_EQ(snap.counter("sudaf.service.retries"), opts.retry.max_attempts - 1);
+  EXPECT_EQ(snap.counter("sudaf.service.failed"), 1);
+
+  FailPoint::Reset();
+  auto recovered = service.Execute(sql, ExecMode::kSudafShare);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(recovered->stats.service_attempts, 1);
 }
 
 TEST_F(ServiceTest, MemoryPressureShrinksTheCacheBudgetOnline) {
@@ -469,22 +455,14 @@ class ChaosTest : public ::testing::Test {
 TEST_F(ChaosTest, ClientsUnderCyclingFaultsGetDefiniteBitIdenticalAnswers) {
   const std::vector<std::string> queries = Queries();
 
-  // Serial cold references — and the cross-path identity precondition:
-  // the chaos run may serve any query from either engine path, so the two
-  // paths must agree bitwise on this query set.
+  // Serial cold references.
   std::vector<std::string> want(queries.size());
   {
-    SudafSession fused_ref(&catalog_);
-    ExecOptions legacy_opts;
-    legacy_opts.use_fused = false;
-    SudafSession legacy_ref(&catalog_, legacy_opts);
+    SudafSession ref(&catalog_);
     for (size_t q = 0; q < queries.size(); ++q) {
-      auto f = fused_ref.Execute(queries[q], ExecMode::kSudafShare);
-      auto l = legacy_ref.Execute(queries[q], ExecMode::kSudafShare);
-      ASSERT_TRUE(f.ok() && l.ok()) << queries[q];
+      auto f = ref.Execute(queries[q], ExecMode::kSudafShare);
+      ASSERT_TRUE(f.ok()) << queries[q];
       want[q] = Fingerprint(**f);
-      ASSERT_EQ(want[q], Fingerprint(**l))
-          << "fused and legacy answers diverge for: " << queries[q];
     }
   }
 

@@ -223,7 +223,9 @@ TEST_F(SessionTest, MomentSketchPrefetchServesAS2StyleQueries) {
     if (!sketch_items.empty()) sketch_items += ", ";
     sketch_items += e;
   }
-  ASSERT_OK(session_->Prefetch(prefix + sketch_items + suffix));
+  ASSERT_OK(session_->Execute(prefix + sketch_items + suffix,
+                              ExecMode::kSudafShare)
+                .status());
 
   Run(prefix + "qm(x)" + suffix, ExecMode::kSudafShare);
   EXPECT_EQ(stats().states_computed, 0);
@@ -255,14 +257,17 @@ TEST_F(SessionTest, ExplainRewriteProducesRq1Form) {
   EXPECT_NE(explain.find("count()"), std::string::npos);
 }
 
+// `partitioned` shapes the engine-mode interpreted UDAFs (per-partition
+// partials merged with ⊕, the Spark SQL context); the fused pass of the
+// rewritten modes does not read it.
 TEST_F(SessionTest, PartitionedSparkModeAgrees) {
   ExecOptions spark;
   spark.partitioned = true;
   spark.num_partitions = 4;
   SudafSession partitioned(&catalog_, SessionOptions{}.set_exec(spark));
   std::string sql = "SELECT g, qm(x), gm(x) FROM t GROUP BY g ORDER BY g";
-  auto serial = Run(sql, ExecMode::kSudafNoShare);
-  auto result = partitioned.Execute(sql, ExecMode::kSudafNoShare);
+  auto serial = Run(sql, ExecMode::kEngine);
+  auto result = partitioned.Execute(sql, ExecMode::kEngine);
   ASSERT_TRUE(result.ok());
   ExpectTablesClose(*serial, **result, 1e-8);
 }

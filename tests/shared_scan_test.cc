@@ -217,7 +217,7 @@ TEST_F(SharedScanTest, WindowAndThreadMatrixIsBitIdentical) {
     exec.parallel = threads > 1;
     exec.num_threads = threads;
     for (const WindowConfig& w : windows) {
-      SudafSession session(&catalog_, exec);
+      SudafSession session(&catalog_, SessionOptions{}.set_exec(exec));
       ServiceOptions opts;
       opts.batch_window_ms = w.window_ms;
       opts.batch_max_queries = w.max_queries;
