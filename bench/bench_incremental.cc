@@ -14,12 +14,15 @@
 //
 // Writes BENCH_incremental.json (sudaf.bench_incremental.v1) to the build
 // tree, or to --out PATH: per-side wall time and rows scanned, the refresh
-// counters, and the cache probe accounting. The CI perf-smoke gate asserts
-// the structural properties —
+// counters, the cache probe accounting, and the append work: the time in
+// AppendRows (append_wall_ms) and the bytes it copied into storage
+// (append_bytes_copied, Catalog::append_bytes_copied). The CI perf-smoke
+// gate asserts the structural properties —
 // delta refreshes happened, delta rows scanned are a small fraction of
-// the baseline's full-scan rows, and the probe accounting identity
-// `set_hits + delta_refreshes + full_invalidations == probes` — none of
-// which depend on machine speed.
+// the baseline's full-scan rows, the probe accounting identity
+// `set_hits + delta_refreshes + full_invalidations == probes`, and the
+// append bytes within the chunk-coalescing bound and below one copy of
+// the base table — none of which depend on machine speed.
 
 #include <cstdio>
 #include <cstring>
@@ -107,14 +110,17 @@ int main(int argc, char** argv) {
   }
 
   double inc_ms = 0;
+  double append_ms = 0;  // AppendRows alone, every round
   int64_t inc_delta_refreshes = 0;
   int64_t inc_delta_rows_scanned = 0;
   int64_t inc_full_invalidations = 0;
   int64_t inc_states_from_cache = 0;
   for (int round = 0; round < rounds; ++round) {
     auto delta = MakeDelta(delta_rows, /*seed=*/0xde17a + round);
+    const double a0 = NowMs();
     SUDAF_CHECK_MSG(inc_catalog.AppendRows("milan_data", *delta).ok(),
                     "append failed");
+    append_ms += NowMs() - a0;
     double t0 = NowMs();
     for (const std::string& sql : queries) {
       auto r = session.Execute(sql, ExecMode::kSudafShare);
@@ -126,12 +132,25 @@ int main(int argc, char** argv) {
     }
     inc_ms += NowMs() - t0;
   }
+  // Row-value bytes of one delta and of the base table: the units of the
+  // append-work bound the CI gate checks.
+  int64_t row_bytes = 0;
+  {
+    const Table& t = **inc_catalog.GetTable("milan_data");
+    for (int c = 0; c < t.num_columns(); ++c) {
+      row_bytes += t.column(c).type() == DataType::kString ? 4 : 8;
+    }
+  }
+  const int64_t append_bytes_copied = inc_catalog.append_bytes_copied();
   std::printf(
       "incremental: %8.1f ms warm (%.1f ms cold)  %lld refreshes  "
-      "%lld delta rows scanned  %lld full invalidations\n",
+      "%lld delta rows scanned  %lld full invalidations\n"
+      "appends:     %8.3f ms  %lld bytes copied (one delta: %lld)\n",
       inc_ms, cold_ms, static_cast<long long>(inc_delta_refreshes),
       static_cast<long long>(inc_delta_rows_scanned),
-      static_cast<long long>(inc_full_invalidations));
+      static_cast<long long>(inc_full_invalidations), append_ms,
+      static_cast<long long>(append_bytes_copied),
+      static_cast<long long>(delta_rows * row_bytes));
 
   // --- Baseline: epoch-nuke semantics — cold session per query per round ----
   double base_ms = 0;
@@ -176,9 +195,13 @@ int main(int argc, char** argv) {
                "  \"delta_rows\": %lld,\n"
                "  \"rounds\": %d,\n"
                "  \"queries\": %zu,\n"
+               "  \"base_bytes\": %lld,\n"
+               "  \"delta_bytes\": %lld,\n"
                "  \"incremental\": {\n"
                "    \"cold_wall_ms\": %.3f,\n"
                "    \"warm_wall_ms\": %.3f,\n"
+               "    \"append_wall_ms\": %.3f,\n"
+               "    \"append_bytes_copied\": %lld,\n"
                "    \"delta_refreshes\": %lld,\n"
                "    \"delta_rows_scanned\": %lld,\n"
                "    \"full_invalidations\": %lld,\n"
@@ -199,7 +222,10 @@ int main(int argc, char** argv) {
                "}\n",
                static_cast<long long>(rows),
                static_cast<long long>(delta_rows), rounds, queries.size(),
-               cold_ms, inc_ms, static_cast<long long>(inc_delta_refreshes),
+               static_cast<long long>(rows * row_bytes),
+               static_cast<long long>(delta_rows * row_bytes), cold_ms, inc_ms,
+               append_ms, static_cast<long long>(append_bytes_copied),
+               static_cast<long long>(inc_delta_refreshes),
                static_cast<long long>(inc_delta_rows_scanned),
                static_cast<long long>(inc_full_invalidations),
                static_cast<long long>(inc_states_from_cache), base_ms,

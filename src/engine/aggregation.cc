@@ -193,27 +193,31 @@ void ForRanges(int num_ranges, const F& f) {
   }
 }
 
-// Calls f(key) with `key(i)` = the integer code of tuple i in `b` (INT64
-// value or dictionary code), specialized on the column type and on
-// identity vs row ids so the hot loops carry no per-row dispatch.
+// Calls f(key, a, b) for each run [a, b) of tuples [lo, hi) of `b` that
+// lies in one storage chunk (one run over a single-chunk column), with
+// key(i) the integer code of tuple i (INT64 value or dictionary code),
+// specialized on the column type and on identity vs row ids so the hot
+// loops carry no per-row dispatch.
 template <typename F>
-void WithKeyReader(const BoundColumn& b, const F& f) {
-  const int64_t* rows = b.rows;
-  const int64_t base = b.base;
+void ForEachKeyRun(const BoundColumn& b, int64_t lo, int64_t hi, const F& f) {
+  auto runs = [&](auto type_tag) {
+    using T = decltype(type_tag);
+    b.ForEachRun<T>(lo, hi, [&](const T* v, int64_t first, int64_t a,
+                                int64_t z) {
+      if (b.rows != nullptr) {
+        const int64_t* rows = b.rows;
+        f([v, rows, first](int64_t i) -> int64_t { return v[rows[i] - first]; },
+          a, z);
+      } else {
+        const int64_t off = b.base - first;
+        f([v, off](int64_t i) -> int64_t { return v[off + i]; }, a, z);
+      }
+    });
+  };
   if (b.col->type() == DataType::kInt64) {
-    const int64_t* v = b.col->ints().data();
-    if (rows != nullptr) {
-      f([v, rows](int64_t i) -> int64_t { return v[rows[i]]; });
-    } else {
-      f([v, base](int64_t i) -> int64_t { return v[base + i]; });
-    }
+    runs(int64_t{});
   } else {
-    const int32_t* v = b.col->string_codes().data();
-    if (rows != nullptr) {
-      f([v, rows](int64_t i) -> int64_t { return v[rows[i]]; });
-    } else {
-      f([v, base](int64_t i) -> int64_t { return v[base + i]; });
-    }
+    runs(int32_t{});
   }
 }
 
@@ -223,38 +227,41 @@ void WithKeyReader(const BoundColumn& b, const F& f) {
 // group_ids and collects each range's first occurrences (a bitmap per
 // range), phase 2 assigns ids over those in range order, and phase 3
 // remaps slots to ids — the ids of the serial loop, for any range count.
-template <typename Key>
-void DirectGroups(const Key& key, int64_t lo, int64_t domain, int64_t n,
-                  int num_ranges, std::vector<int32_t>* group_ids,
+void DirectGroups(const BoundColumn& b, int64_t lo, int64_t domain,
+                  int64_t n, int num_ranges, std::vector<int32_t>* group_ids,
                   std::vector<int64_t>* first_row) {
   int32_t* gids = group_ids->data();
   std::vector<int32_t> id_of(static_cast<size_t>(domain), -1);
   if (num_ranges == 1) {
     int32_t next = 0;
-    for (int64_t i = 0; i < n; ++i) {
-      int32_t& id = id_of[key(i) - lo];
-      if (id < 0) {
-        id = next++;
-        first_row->push_back(i);
+    ForEachKeyRun(b, 0, n, [&](const auto& key, int64_t a, int64_t z) {
+      for (int64_t i = a; i < z; ++i) {
+        int32_t& id = id_of[key(i) - lo];
+        if (id < 0) {
+          id = next++;
+          first_row->push_back(i);
+        }
+        gids[i] = id;
       }
-      gids[i] = id;
-    }
+    });
     return;
   }
   std::vector<std::vector<int64_t>> local_first(num_ranges);
   ForRanges(num_ranges, [&](int64_t r) {
     std::vector<uint64_t> seen(static_cast<size_t>((domain + 63) / 64), 0);
-    for (int64_t i = RangeLo(n, r, num_ranges);
-         i < RangeLo(n, r + 1, num_ranges); ++i) {
-      const int64_t s = key(i) - lo;
-      gids[i] = static_cast<int32_t>(s);
-      uint64_t& word = seen[s >> 6];
-      const uint64_t bit = uint64_t{1} << (s & 63);
-      if ((word & bit) == 0) {
-        word |= bit;
-        local_first[r].push_back(i);
-      }
-    }
+    ForEachKeyRun(b, RangeLo(n, r, num_ranges), RangeLo(n, r + 1, num_ranges),
+                  [&](const auto& key, int64_t a, int64_t z) {
+                    for (int64_t i = a; i < z; ++i) {
+                      const int64_t s = key(i) - lo;
+                      gids[i] = static_cast<int32_t>(s);
+                      uint64_t& word = seen[s >> 6];
+                      const uint64_t bit = uint64_t{1} << (s & 63);
+                      if ((word & bit) == 0) {
+                        word |= bit;
+                        local_first[r].push_back(i);
+                      }
+                    }
+                  });
   });
   int32_t next = 0;
   for (const std::vector<int64_t>& firsts : local_first) {
@@ -280,40 +287,40 @@ bool TryDirectGroups(const BoundColumn& b, int64_t n, int num_ranges,
                      std::vector<int32_t>* group_ids,
                      std::vector<int64_t>* first_row) {
   const int64_t max_domain = std::max(n, kMinDirectDomain);
-  bool done = false;
-  WithKeyReader(b, [&](const auto& key) {
-    int64_t lo = 0;
-    int64_t domain = 0;
-    if (b.col->type() == DataType::kString) {
-      domain = static_cast<int64_t>(b.col->dictionary().size());
-    } else {
-      std::vector<int64_t> mins(num_ranges, key(0));
-      std::vector<int64_t> maxs(num_ranges, key(0));
-      ForRanges(num_ranges, [&](int64_t r) {
-        int64_t mn = mins[r];
-        int64_t mx = maxs[r];
-        for (int64_t i = RangeLo(n, r, num_ranges);
-             i < RangeLo(n, r + 1, num_ranges); ++i) {
-          const int64_t k = key(i);
-          mn = std::min(mn, k);
-          mx = std::max(mx, k);
-        }
-        mins[r] = mn;
-        maxs[r] = mx;
-      });
-      lo = *std::min_element(mins.begin(), mins.end());
-      const int64_t hi = *std::max_element(maxs.begin(), maxs.end());
-      // Unsigned difference: hi - lo overflows int64 for extreme keys.
-      const uint64_t width =
-          static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
-      if (width >= static_cast<uint64_t>(max_domain)) return;
-      domain = static_cast<int64_t>(width) + 1;
-    }
-    if (domain > max_domain) return;
-    DirectGroups(key, lo, domain, n, num_ranges, group_ids, first_row);
-    done = true;
-  });
-  return done;
+  int64_t lo = 0;
+  int64_t domain = 0;
+  if (b.col->type() == DataType::kString) {
+    domain = static_cast<int64_t>(b.col->dictionary().size());
+  } else {
+    const int64_t key0 = b.col->GetInt64(b.Row(0));
+    std::vector<int64_t> mins(num_ranges, key0);
+    std::vector<int64_t> maxs(num_ranges, key0);
+    ForRanges(num_ranges, [&](int64_t r) {
+      int64_t mn = mins[r];
+      int64_t mx = maxs[r];
+      ForEachKeyRun(b, RangeLo(n, r, num_ranges),
+                    RangeLo(n, r + 1, num_ranges),
+                    [&](const auto& key, int64_t a, int64_t z) {
+                      for (int64_t i = a; i < z; ++i) {
+                        const int64_t k = key(i);
+                        mn = std::min(mn, k);
+                        mx = std::max(mx, k);
+                      }
+                    });
+      mins[r] = mn;
+      maxs[r] = mx;
+    });
+    lo = *std::min_element(mins.begin(), mins.end());
+    const int64_t hi = *std::max_element(maxs.begin(), maxs.end());
+    // Unsigned difference: hi - lo overflows int64 for extreme keys.
+    const uint64_t width =
+        static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
+    if (width >= static_cast<uint64_t>(max_domain)) return false;
+    domain = static_cast<int64_t>(width) + 1;
+  }
+  if (domain > max_domain) return false;
+  DirectGroups(b, lo, domain, n, num_ranges, group_ids, first_row);
+  return true;
 }
 
 // Hash grouping over composite keys. Phase 1 builds one local table per

@@ -102,15 +102,16 @@ uint32_t SelectTyped(const T* v, BinaryOp op, double c, int64_t len,
 }
 
 // Applies compiled predicate `p` to the morsel of base rows
-// [lo, lo + len); see SelectIf for `dense`, `n` and `sel`.
+// [lo, lo + len), which lies in one storage chunk; see SelectIf for
+// `dense`, `n` and `sel`.
 uint32_t ApplyCompiled(const CompiledPredicate& p, int64_t lo, int64_t len,
                        bool dense, uint32_t n, uint32_t* sel) {
   if (p.column->type() == DataType::kFloat64) {
-    return SelectTyped(p.column->doubles().data() + lo, p.op, p.literal, len,
-                       dense, n, sel);
+    return SelectTyped(p.column->RangeData<double>(lo, lo + len), p.op,
+                       p.literal, len, dense, n, sel);
   }
-  return SelectTyped(p.column->ints().data() + lo, p.op, p.literal, len,
-                     dense, n, sel);
+  return SelectTyped(p.column->RangeData<int64_t>(lo, lo + len), p.op,
+                     p.literal, len, dense, n, sel);
 }
 
 // Base-table row range [lo, hi) a scan of `table` covers. Scan bounds
@@ -136,7 +137,10 @@ std::pair<int64_t, int64_t> ScanRange(const Table& table,
 // predicates touching strings evaluate row-at-a-time (EvalRow) over the
 // surviving rows only. Per-morsel selections are kept as offsets; a prefix
 // sum over their counts gives each morsel its write offset in the output,
-// so the row ids come out in ascending order for every worker count.
+// so the row ids come out in ascending order for every worker count. The
+// scan range splits at the table's storage chunk ends before it splits
+// into morsels, so no morsel straddles a chunk and each kernel reads one
+// contiguous buffer; a single-chunk table gets the plain morsel grid.
 Result<std::vector<int64_t>> FilterTable(const QueryPlan& plan, int t,
                                          const ExecOptions& opts) {
   Table* table = plan.tables[t];
@@ -188,7 +192,16 @@ Result<std::vector<int64_t>> FilterTable(const QueryPlan& plan, int t,
 
   const int64_t span = hi - lo;
   const int64_t morsel = std::max(1, opts.morsel_size);
-  const int64_t num_morsels = (span + morsel - 1) / morsel;
+  // Morsel m covers base rows [bounds[m], bounds[m + 1]).
+  std::vector<int64_t> bounds;
+  int64_t piece_lo = lo;
+  for (int64_t end : table->ChunkEnds()) {
+    const int64_t piece_hi = std::min(end, hi);
+    for (int64_t m = piece_lo; m < piece_hi; m += morsel) bounds.push_back(m);
+    piece_lo = std::max(piece_lo, piece_hi);
+  }
+  bounds.push_back(hi);
+  const int64_t num_morsels = static_cast<int64_t>(bounds.size()) - 1;
   const int workers = std::min(PlannedWorkers(opts, num_morsels),
                                ThreadPool::kMaxGlobalWorkers + 1);
 
@@ -206,8 +219,8 @@ Result<std::vector<int64_t>> FilterTable(const QueryPlan& plan, int t,
       if (opts.guard != nullptr) {
         SUDAF_RETURN_IF_ERROR(opts.guard->Check());
       }
-      const int64_t mlo = lo + m * morsel;
-      const int64_t len = std::min(morsel, hi - mlo);
+      const int64_t mlo = bounds[m];
+      const int64_t len = bounds[m + 1] - mlo;
       bool dense = true;  // every row of the morsel selected, sel unset
       uint32_t k = 0;
       for (const CompiledPredicate& c : compiled) {
@@ -258,7 +271,7 @@ Result<std::vector<int64_t>> FilterTable(const QueryPlan& plan, int t,
   auto write_range = [&](int64_t wi) {
     for (int64_t m = num_morsels * wi / workers;
          m < num_morsels * (wi + 1) / workers; ++m) {
-      const int64_t mlo = lo + m * morsel;
+      const int64_t mlo = bounds[m];
       int64_t* dst = out.data() + offsets[m];
       for (uint32_t i : morsel_sel[m]) *dst++ = mlo + i;
       std::vector<uint32_t>().swap(morsel_sel[m]);

@@ -8,6 +8,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <type_traits>
 
 #include "agg/builtin_kernels.h"
 #include "common/failpoint.h"
@@ -26,8 +27,8 @@ namespace {
 struct Slot {
   enum class Kind {
     kLiteral,     // constant fill
-    kColumnF64,   // float64 column: aliased over an identity range,
-                  // loaded through the row ids otherwise
+    kColumnF64,   // float64 column: aliased over an identity range
+                  // inside one chunk, loaded otherwise
     kColumnI64,   // int64 column, converted per morsel
     kNeg,         // -a
     kAdd,         // a + b
@@ -51,8 +52,7 @@ struct Slot {
   double literal = 0.0;          // kLiteral
   BinaryOp bin_op{};             // kGenericBinary
   ScalarFn fn = nullptr;         // kGenericFunc, resolved once by Build
-  const double* f64 = nullptr;   // kColumnF64
-  const int64_t* i64 = nullptr;  // kColumnI64
+  const Column* col = nullptr;   // column slots
   const int64_t* rows = nullptr;  // column slots: row ids, null = identity
   int64_t base = 0;               // column slots: identity range start
   int dedup_hits = 0;            // times this slot was reused by interning
@@ -203,16 +203,15 @@ Result<int> BatchPlan::BuildExpr(const Expr& e,
                                  e.column);
       }
       Slot s;
+      s.col = col;
       s.rows = bound.rows;
       s.base = bound.base;
       std::string key;
       if (col->type() == DataType::kFloat64) {
         s.kind = Slot::Kind::kColumnF64;
-        s.f64 = col->doubles().data();
         key = "cf|";
       } else {
         s.kind = Slot::Kind::kColumnI64;
-        s.i64 = col->ints().data();
         key = "ci|";
       }
       key += std::to_string(reinterpret_cast<uintptr_t>(col));
@@ -324,10 +323,46 @@ Status BatchPlan::Build(const std::vector<StateBatchRequest>& requests,
   return Status::OK();
 }
 
-// A float64 column over an identity range is read in place: its slot
-// aliases the column and needs no buffer.
+// A single-chunk float64 column over an identity range is read in place:
+// its slot aliases the column and needs no buffer.
 bool AliasesColumn(const Slot& s) {
-  return s.kind == Slot::Kind::kColumnF64 && s.rows == nullptr;
+  return s.kind == Slot::Kind::kColumnF64 && s.rows == nullptr &&
+         s.col->num_chunks() == 1;
+}
+
+// Reads tuples [lo, lo + len) of a column slot as doubles and returns
+// where they are: in the column itself for a float64 identity morsel that
+// lies in one chunk, else in `out`, filled run by run (BoundColumn::
+// ForEachRun). Every morsel of a pass segmented by the catalog's log lies
+// in one chunk, since every segment does. A pass that runs as one segment
+// (engine mode, chunked sharing, or any pass after a destructive bump
+// collapsed the log) can have a morsel straddle a chunk end; it loads
+// piecewise, with the same values.
+template <typename T>
+const double* LoadColumn(const Slot& s, int64_t lo, int64_t len,
+                         double* out) {
+  const BoundColumn bound{s.col, s.rows, s.base};
+  const int64_t* rows = s.rows;
+  const double* alias = nullptr;
+  bound.ForEachRun<T>(lo, lo + len, [&](const T* v, int64_t first,
+                                        int64_t a, int64_t b) {
+    if constexpr (std::is_same_v<T, double>) {
+      if (rows == nullptr && a == lo && b == lo + len) {
+        alias = v + (s.base + lo - first);
+        return;
+      }
+    }
+    double* o = out + (a - lo);
+    if (rows == nullptr) {
+      const T* in = v + (s.base + a - first);
+      for (int64_t r = 0; r < b - a; ++r) o[r] = static_cast<double>(in[r]);
+    } else {
+      for (int64_t t = a; t < b; ++t) {
+        o[t - a] = static_cast<double>(v[rows[t] - first]);
+      }
+    }
+  });
+  return alias != nullptr ? alias : out;
 }
 
 // Per-worker evaluation state: one scratch buffer per slot (one morsel
@@ -365,29 +400,12 @@ Status EvalMorsel(const BatchPlan& plan, WorkerEval* w, int64_t lo,
     switch (s.kind) {
       case Slot::Kind::kLiteral:
         break;  // prefilled at Init
-      case Slot::Kind::kColumnF64: {
-        if (s.rows == nullptr) {
-          w->ptr[i] = s.f64 + s.base + lo;
-          break;
-        }
-        const int64_t* rows = s.rows + lo;
-        for (int64_t r = 0; r < len; ++r) out[r] = s.f64[rows[r]];
+      case Slot::Kind::kColumnF64:
+        w->ptr[i] = LoadColumn<double>(s, lo, len, out);
         break;
-      }
-      case Slot::Kind::kColumnI64: {
-        if (s.rows == nullptr) {
-          const int64_t* in = s.i64 + s.base + lo;
-          for (int64_t r = 0; r < len; ++r) {
-            out[r] = static_cast<double>(in[r]);
-          }
-          break;
-        }
-        const int64_t* rows = s.rows + lo;
-        for (int64_t r = 0; r < len; ++r) {
-          out[r] = static_cast<double>(s.i64[rows[r]]);
-        }
+      case Slot::Kind::kColumnI64:
+        LoadColumn<int64_t>(s, lo, len, out);
         break;
-      }
       case Slot::Kind::kNeg: {
         const double* a = w->ptr[s.a];
         for (int64_t r = 0; r < len; ++r) out[r] = -a[r];

@@ -256,14 +256,22 @@ Status EvalRange(const Expr& expr, const RangeBinding& bind, int64_t lo,
         return Status::TypeError("string column in numeric context: " +
                                  expr.column);
       }
+      // Rows [lo, hi) are read chunk span by chunk span (one span unless
+      // the range crosses a storage chunk end).
       if (col->type() == DataType::kFloat64) {
-        const auto& v = col->doubles();
-        for (int64_t i = 0; i < n; ++i) out[i] = v[lo + i];
+        col->ForEachSpan<double>(
+            lo, hi, [&](const double* v, int64_t a, int64_t b) {
+              double* o = out + (a - lo);
+              for (int64_t i = 0; i < b - a; ++i) o[i] = v[i];
+            });
       } else {
-        const auto& v = col->ints();
-        for (int64_t i = 0; i < n; ++i) {
-          out[i] = static_cast<double>(v[lo + i]);
-        }
+        col->ForEachSpan<int64_t>(
+            lo, hi, [&](const int64_t* v, int64_t a, int64_t b) {
+              double* o = out + (a - lo);
+              for (int64_t i = 0; i < b - a; ++i) {
+                o[i] = static_cast<double>(v[i]);
+              }
+            });
       }
       return Status::OK();
     }

@@ -54,6 +54,7 @@ Catalog::Catalog(Catalog&& other) noexcept {
   tables_ = std::move(other.tables_);
   external_ = std::move(other.external_);
   epochs_ = std::move(other.epochs_);
+  append_bytes_copied_ = other.append_bytes_copied_;
 }
 
 Catalog& Catalog::operator=(Catalog&& other) noexcept {
@@ -64,6 +65,7 @@ Catalog& Catalog::operator=(Catalog&& other) noexcept {
   tables_ = std::move(other.tables_);
   external_ = std::move(other.external_);
   epochs_ = std::move(other.epochs_);
+  append_bytes_copied_ = other.append_bytes_copied_;
   return *this;
 }
 
@@ -133,8 +135,7 @@ Status Catalog::AppendRows(const std::string& name, const Table& delta) {
                                    table->schema().ToString() + ", delta " +
                                    delta.schema().ToString());
   }
-  table->Reserve(table->num_rows() + delta.num_rows());
-  table->AppendTable(delta);
+  append_bytes_copied_ += table->AppendChunk(delta);
   TableState& st = epochs_[name];
   ++st.append_epoch;
   st.segment_ends.push_back(table->num_rows());
@@ -199,6 +200,12 @@ std::vector<int64_t> Catalog::TableSegments(const std::string& name) const {
   auto it = epochs_.find(name);
   if (it == epochs_.end()) return {};
   return it->second.segment_ends;
+}
+
+int64_t Catalog::append_bytes_copied() const {
+  CallGuard guard(*this);
+  std::lock_guard<std::mutex> lock(mu_);
+  return append_bytes_copied_;
 }
 
 Result<Table*> Catalog::GetTable(const std::string& name) const {

@@ -23,6 +23,12 @@
 // tree is a pure function of this log, which is what makes a cold full
 // scan and merge(cached_state, delta_pass) bit-identical.
 //
+// Storage chunks (storage/column.h) are a separate, coarser layout: each
+// AppendRows adds its delta as one chunk and coalescing merges whole
+// chunks, so every segment AppendRows records lies inside one storage
+// chunk, and no morsel of a fused pass segmented by this log (a cold or
+// delta refresh pass) straddles a chunk end.
+//
 // Thread safety: all methods lock an internal mutex, so registrations,
 // epoch bumps and lookups are safe against concurrent queries. The Table
 // objects returned by GetTable are NOT protected: replacing or destroying
@@ -101,6 +107,12 @@ class Catalog {
   // must match exactly), advancing the append epoch and recording the new
   // segment boundary. Cached state over `name` stays valid up to its
   // recorded row coverage and is incrementally refreshed on probe.
+  //
+  // The rows go in as a new storage chunk of every column
+  // (Table::AppendChunk), so the append copies the delta and never the
+  // rows already stored; trailing chunks coalesce by a binary-counter rule
+  // that copies each row O(log k) times over k appends. `delta` may be the
+  // table itself.
   Status AppendRows(const std::string& name, const Table& delta);
 
   // Declares that the owner of table `name` (typically external) appended
@@ -125,6 +137,11 @@ class Catalog {
   // never-registered name. Destructive mutations reset the log to a
   // single segment covering the whole table.
   std::vector<int64_t> TableSegments(const std::string& name) const;
+
+  // Bytes of row values AppendRows has copied into storage since this
+  // catalog was made: each delta once, plus the chunks its coalescing
+  // merged. A machine-independent measure of append work.
+  int64_t append_bytes_copied() const;
 
  private:
   struct TableState {
@@ -156,6 +173,7 @@ class Catalog {
   std::map<std::string, std::unique_ptr<Table>> tables_;
   std::map<std::string, Table*> external_;
   std::map<std::string, TableState> epochs_;
+  int64_t append_bytes_copied_ = 0;
   mutable std::atomic<int64_t> calls_in_flight_{0};
 };
 

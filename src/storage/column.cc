@@ -2,22 +2,32 @@
 
 namespace sudaf {
 
-int64_t Column::size() const {
-  switch (type_) {
-    case DataType::kInt64:
-      return static_cast<int64_t>(ints_.size());
-    case DataType::kFloat64:
-      return static_cast<int64_t>(doubles_.size());
-    case DataType::kString:
-      return static_cast<int64_t>(codes_.size());
-  }
-  return 0;
+namespace {
+
+// Bytes of one value of `type` in a chunk buffer.
+int64_t ValueWidth(DataType type) {
+  return type == DataType::kString ? int64_t{sizeof(int32_t)}
+                                   : int64_t{sizeof(int64_t)};
 }
 
+// Replaces *a with an exactly-sized copy of a ++ b; returns the bytes
+// copied.
+template <typename T>
+int64_t ConcatExact(std::vector<T>* a, const std::vector<T>& b) {
+  if (b.empty()) return 0;
+  std::vector<T> merged;
+  merged.reserve(a->size() + b.size());
+  merged.insert(merged.end(), a->begin(), a->end());
+  merged.insert(merged.end(), b.begin(), b.end());
+  *a = std::move(merged);
+  return static_cast<int64_t>(a->size() * sizeof(T));
+}
+
+}  // namespace
+
 int64_t Column::ApproxBytes() const {
-  int64_t bytes = static_cast<int64_t>(
-      ints_.size() * sizeof(int64_t) + doubles_.size() * sizeof(double) +
-      codes_.size() * sizeof(int32_t));
+  int64_t bytes = 0;
+  for (const Chunk& c : chunks_) bytes += RowsOf(c) * ValueWidth(type_);
   for (const std::string& s : dict_) {
     bytes += static_cast<int64_t>(s.size() + sizeof(std::string));
   }
@@ -25,30 +35,30 @@ int64_t Column::ApproxBytes() const {
 }
 
 void Column::Reserve(int64_t n) {
+  Chunk& last = chunks_.back();
+  ReserveRows(&last, std::max<int64_t>(n - last.begin, 0));
+}
+
+void Column::ReserveRows(Chunk* c, int64_t rows) const {
   switch (type_) {
     case DataType::kInt64:
-      ints_.reserve(n);
+      c->ints.reserve(rows);
       break;
     case DataType::kFloat64:
-      doubles_.reserve(n);
+      c->doubles.reserve(rows);
       break;
     case DataType::kString:
-      codes_.reserve(n);
+      c->codes.reserve(rows);
       break;
   }
 }
 
-void Column::AppendString(const std::string& v) {
-  auto it = dict_index_.find(v);
-  int32_t code;
-  if (it == dict_index_.end()) {
-    code = static_cast<int32_t>(dict_.size());
-    dict_.push_back(v);
-    dict_index_.emplace(v, code);
-  } else {
-    code = it->second;
-  }
-  codes_.push_back(code);
+int32_t Column::Intern(const std::string& s) {
+  auto [it, inserted] =
+      dict_index_.try_emplace(s, static_cast<int32_t>(dict_.size()));
+  // Copy from the map's key: `s` may be an element of dict_ itself.
+  if (inserted) dict_.push_back(it->first);
+  return it->second;
 }
 
 void Column::AppendValue(const Value& v) {
@@ -70,73 +80,125 @@ void Column::AppendValue(const Value& v) {
 
 void Column::AppendRows(const Column& src, const int64_t* rows, int64_t n) {
   SUDAF_CHECK(type_ == src.type_);
+  if (&src == this) {
+    const Column copy = src;
+    AppendRows(copy, rows, n);
+    return;
+  }
+  Chunk& last = chunks_.back();
   switch (type_) {
     case DataType::kInt64:
-      for (int64_t i = 0; i < n; ++i) ints_.push_back(src.ints_[rows[i]]);
+      src.ForEachRowValue<int64_t>(
+          rows, 0, n, [&](int64_t, int64_t v) { last.ints.push_back(v); });
       break;
     case DataType::kFloat64:
-      for (int64_t i = 0; i < n; ++i) {
-        doubles_.push_back(src.doubles_[rows[i]]);
-      }
+      src.ForEachRowValue<double>(
+          rows, 0, n, [&](int64_t, double v) { last.doubles.push_back(v); });
       break;
     case DataType::kString:
-      for (int64_t i = 0; i < n; ++i) {
-        AppendString(src.dict_[src.codes_[rows[i]]]);
-      }
+      src.ForEachRowValue<int32_t>(rows, 0, n, [&](int64_t, int32_t code) {
+        last.codes.push_back(Intern(src.dict_[code]));
+      });
       break;
   }
 }
 
-void Column::AppendColumn(const Column& src) {
-  SUDAF_CHECK(type_ == src.type_);
+void Column::AppendAll(const Column& src, Chunk* dst) {
+  const int64_t n = src.size();
+  auto copy = [&](auto* out) {
+    using T = typename std::remove_pointer_t<decltype(out)>::value_type;
+    src.ForEachSpan<T>(0, n, [&](const T* v, int64_t a, int64_t b) {
+      out->insert(out->end(), v, v + (b - a));
+    });
+  };
   switch (type_) {
     case DataType::kInt64:
-      ints_.insert(ints_.end(), src.ints_.begin(), src.ints_.end());
+      copy(&dst->ints);
       break;
     case DataType::kFloat64:
-      doubles_.insert(doubles_.end(), src.doubles_.begin(),
-                      src.doubles_.end());
+      copy(&dst->doubles);
       break;
     case DataType::kString: {
       std::vector<int32_t> code_of(src.dict_.size(), -1);
-      for (int32_t c : src.codes_) {
-        int32_t& code = code_of[c];
-        if (code < 0) {
-          AppendString(src.dict_[c]);
-          code = codes_.back();
-        } else {
-          codes_.push_back(code);
+      src.ForEachSpan<int32_t>(0, n, [&](const int32_t* v, int64_t a,
+                                         int64_t b) {
+        for (int64_t i = 0; i < b - a; ++i) {
+          int32_t& code = code_of[v[i]];
+          if (code < 0) code = Intern(src.dict_[v[i]]);
+          dst->codes.push_back(code);
         }
-      }
+      });
       break;
     }
   }
 }
 
+void Column::AppendColumn(const Column& src) {
+  SUDAF_CHECK(type_ == src.type_);
+  if (&src == this) {
+    const Column copy = src;
+    AppendColumn(copy);
+    return;
+  }
+  AppendAll(src, &chunks_.back());
+}
+
+int64_t Column::AppendChunk(const Column& src) {
+  SUDAF_CHECK(type_ == src.type_);
+  const int64_t n = src.size();
+  if (n == 0) return 0;
+  // Built aside and pushed last: `src` may be this column, and its chunks
+  // must stay put while they are read.
+  Chunk chunk;
+  chunk.begin = size();
+  ReserveRows(&chunk, n);
+  AppendAll(src, &chunk);
+  int64_t copied = n * ValueWidth(type_);
+  if (RowsOf(chunks_.back()) == 0) {
+    chunks_.back() = std::move(chunk);  // an empty column's only chunk
+    return copied;
+  }
+  chunks_.push_back(std::move(chunk));
+  while (chunks_.size() >= 2 &&
+         RowsOf(chunks_.back()) >= RowsOf(chunks_[chunks_.size() - 2])) {
+    copied += MergeLastTwo();
+  }
+  return copied;
+}
+
+int64_t Column::MergeLastTwo() {
+  Chunk last = std::move(chunks_.back());
+  chunks_.pop_back();
+  Chunk& prev = chunks_.back();
+  return ConcatExact(&prev.ints, last.ints) +
+         ConcatExact(&prev.doubles, last.doubles) +
+         ConcatExact(&prev.codes, last.codes);
+}
+
 Value Column::GetValue(int64_t row) const {
   switch (type_) {
     case DataType::kInt64:
-      return Value(ints_[row]);
+      return Value(At<int64_t>(row));
     case DataType::kFloat64:
-      return Value(doubles_[row]);
+      return Value(At<double>(row));
     case DataType::kString:
-      return Value(dict_[codes_[row]]);
+      return Value(dict_[At<int32_t>(row)]);
   }
   return Value();
 }
 
 void Column::PrepareGatherFrom(const Column& src, int64_t n) {
   SUDAF_CHECK(type_ == src.type_);
-  SUDAF_CHECK(size() == 0);
+  SUDAF_CHECK(size() == 0 && chunks_.size() == 1);
   switch (type_) {
     case DataType::kInt64:
-      ints_.resize(n);
+      chunks_[0].ints.resize(n);
       break;
     case DataType::kFloat64:
-      doubles_.resize(n);
+      chunks_[0].doubles.resize(n);
       break;
     case DataType::kString:
-      codes_.resize(n);
+      chunks_[0].codes.resize(n);
       dict_ = src.dict_;
       dict_index_ = src.dict_index_;
       break;
@@ -146,15 +208,24 @@ void Column::PrepareGatherFrom(const Column& src, int64_t n) {
 void Column::GatherRange(const Column& src, const int64_t* rows, int64_t lo,
                          int64_t hi) {
   switch (type_) {
-    case DataType::kInt64:
-      for (int64_t i = lo; i < hi; ++i) ints_[i] = src.ints_[rows[i]];
+    case DataType::kInt64: {
+      int64_t* out = chunks_[0].ints.data();
+      src.ForEachRowValue<int64_t>(rows, lo, hi,
+                                   [out](int64_t i, int64_t v) { out[i] = v; });
       break;
-    case DataType::kFloat64:
-      for (int64_t i = lo; i < hi; ++i) doubles_[i] = src.doubles_[rows[i]];
+    }
+    case DataType::kFloat64: {
+      double* out = chunks_[0].doubles.data();
+      src.ForEachRowValue<double>(rows, lo, hi,
+                                  [out](int64_t i, double v) { out[i] = v; });
       break;
-    case DataType::kString:
-      for (int64_t i = lo; i < hi; ++i) codes_[i] = src.codes_[rows[i]];
+    }
+    case DataType::kString: {
+      int32_t* out = chunks_[0].codes.data();
+      src.ForEachRowValue<int32_t>(rows, lo, hi,
+                                   [out](int64_t i, int32_t v) { out[i] = v; });
       break;
+    }
   }
 }
 

@@ -44,6 +44,24 @@ void Table::AppendTable(const Table& src) {
   FinishBulkAppend();
 }
 
+int64_t Table::AppendChunk(const Table& src) {
+  SUDAF_CHECK(src.num_columns() == num_columns());
+  int64_t copied = 0;
+  for (int i = 0; i < num_columns(); ++i) {
+    copied += columns_[i]->AppendChunk(src.column(i));
+  }
+  FinishBulkAppend();
+  return copied;
+}
+
+std::vector<int64_t> Table::ChunkEnds() const {
+  if (columns_.empty()) return {num_rows_};
+  const Column& col = *columns_[0];
+  std::vector<int64_t> ends(col.num_chunks());
+  for (int c = 0; c < col.num_chunks(); ++c) ends[c] = col.chunk_end(c);
+  return ends;
+}
+
 void Table::FinishBulkAppend() {
   int64_t n = columns_.empty() ? 0 : columns_[0]->size();
   for (const auto& col : columns_) {

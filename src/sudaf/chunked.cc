@@ -136,10 +136,13 @@ Result<std::unique_ptr<Table>> ChunkedSharingSession::Execute(
     // Infer the full domain from the data, snapped outward to boundaries.
     int64_t min_v = INT64_MAX;
     int64_t max_v = INT64_MIN;
-    for (int64_t v : chunk_col->ints()) {
-      min_v = std::min(min_v, v);
-      max_v = std::max(max_v, v);
-    }
+    chunk_col->ForEachSpan<int64_t>(
+        0, chunk_col->size(), [&](const int64_t* v, int64_t a, int64_t b) {
+          for (int64_t i = 0; i < b - a; ++i) {
+            min_v = std::min(min_v, v[i]);
+            max_v = std::max(max_v, v[i]);
+          }
+        });
     if (min_v > max_v) return Status::InvalidArgument("empty table");
     if (!have_lo) {
       lo = min_v >= 0 ? (min_v / chunk_width_) * chunk_width_

@@ -22,6 +22,7 @@
 #include "common/rng.h"
 #include "gtest/gtest.h"
 #include "storage/catalog.h"
+#include "sudaf/chunked.h"
 #include "sudaf/session.h"
 #include "tests/test_util.h"
 
@@ -471,6 +472,209 @@ TEST_F(IncrementalTest, RefreshMatchesColdAcrossKeyShapes) {
       EXPECT_EQ(std::memcmp(warm.fp.data(), want.data(), want.size()), 0)
           << "refreshed answer diverges from a cold run";
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Grown storage: a table appended to through the catalog holds several
+// storage chunks (storage/column.h); it must answer bit for bit like the
+// same rows in one chunk with the same segment log.
+// ---------------------------------------------------------------------------
+
+class GrownTableTest : public IncrementalTest {
+ protected:
+  // f(g, k, ts, d INT64, s STRING, x, y FLOAT64): g a small key (direct
+  // grouping), k a key spread over +-2^50 (hashed grouping), ts in
+  // [0, 1000) (the chunked-sharing column), d the join key into dd.
+  static std::unique_ptr<Table> MakeFact(Rng* rng, int n) {
+    static const char* const kWords[] = {"ant", "bee", "cat", "dog", "elk"};
+    Schema schema;
+    SUDAF_CHECK(schema.AddField({"g", DataType::kInt64}).ok());
+    SUDAF_CHECK(schema.AddField({"k", DataType::kInt64}).ok());
+    SUDAF_CHECK(schema.AddField({"ts", DataType::kInt64}).ok());
+    SUDAF_CHECK(schema.AddField({"d", DataType::kInt64}).ok());
+    SUDAF_CHECK(schema.AddField({"s", DataType::kString}).ok());
+    SUDAF_CHECK(schema.AddField({"x", DataType::kFloat64}).ok());
+    SUDAF_CHECK(schema.AddField({"y", DataType::kFloat64}).ok());
+    auto t = std::make_unique<Table>(std::move(schema));
+    for (int i = 0; i < n; ++i) {
+      const int64_t k = (static_cast<int64_t>(rng->NextBelow(9)) - 4) << 48;
+      t->AppendRow({Value(static_cast<int64_t>(rng->NextBelow(6))), Value(k),
+                    Value(static_cast<int64_t>(rng->NextBelow(1000))),
+                    Value(static_cast<int64_t>(rng->NextBelow(12))),
+                    Value(std::string(kWords[rng->NextBelow(5)])),
+                    Value(rng->NextDoubleIn(-3.0, 9.0)),
+                    Value(rng->NextDoubleIn(-1.0, 4.0))});
+    }
+    return t;
+  }
+
+  // dd(dk INT64, tag STRING, w FLOAT64): rows [first, first + n) of a
+  // dimension keyed 0..11, so every fact row joins once.
+  static std::unique_ptr<Table> MakeDim(int first, int n) {
+    Schema schema;
+    SUDAF_CHECK(schema.AddField({"dk", DataType::kInt64}).ok());
+    SUDAF_CHECK(schema.AddField({"tag", DataType::kString}).ok());
+    SUDAF_CHECK(schema.AddField({"w", DataType::kFloat64}).ok());
+    auto t = std::make_unique<Table>(std::move(schema));
+    for (int i = first; i < first + n; ++i) {
+      t->AppendRow({Value(static_cast<int64_t>(i)),
+                    Value(std::string(i % 3 == 0 ? "red" : "blue")),
+                    Value(0.5 + 0.125 * i)});
+    }
+    return t;
+  }
+
+  void SetUp() override {
+    IncrementalTest::SetUp();
+    // Delta sizes that coalesce at several appends, the 60-row one all
+    // the way into the base: [150, 40] [150, 40, 20] [150, 80] ...
+    // [150, 80, 40, 10] + 60 -> [340], ending at [340, 30, 15].
+    Rng rng(99);
+    const std::vector<int> sizes = {40, 20, 20, 10, 30, 5, 5, 60, 15, 15, 15};
+    auto base = MakeFact(&rng, 150);
+    flat_fact_ = std::make_unique<Table>(base->schema());
+    flat_fact_->AppendTable(*base);
+    grown_.PutTable("f", std::move(base));
+    flat_.PutExternalTable("f", flat_fact_.get());
+    for (int n : sizes) {
+      auto delta = MakeFact(&rng, n);
+      ASSERT_OK(grown_.AppendRows("f", *delta));
+      flat_fact_->AppendTable(*delta);  // the owner's in-place append
+      ASSERT_OK(flat_.NotifyAppend("f"));
+    }
+    // The dimension grows too, so the join's build side reads rows of
+    // several chunks in hash order.
+    flat_dim_ = MakeDim(0, 4);
+    grown_.PutTable("dd", MakeDim(0, 4));
+    flat_.PutExternalTable("dd", flat_dim_.get());
+    for (int first : {4, 8, 10}) {
+      auto delta = MakeDim(first, first == 4 ? 4 : 2);
+      ASSERT_OK(grown_.AppendRows("dd", *delta));
+      flat_dim_->AppendTable(*delta);
+      ASSERT_OK(flat_.NotifyAppend("dd"));
+    }
+    ASSERT_EQ(grown_.TableSegments("f"), flat_.TableSegments("f"));
+    ASSERT_EQ(flat_fact_->ChunkEnds().size(), 1u);
+    ASSERT_EQ(flat_dim_->ChunkEnds().size(), 1u);
+    const Table& grown_fact = **grown_.GetTable("f");
+    ASSERT_EQ(grown_fact.ChunkEnds(),
+              (std::vector<int64_t>{340, 370, 385}));
+    ASSERT_GT((**grown_.GetTable("dd")).ChunkEnds().size(), 1u);
+  }
+
+  static ExecOptions SmallMorsels(int threads) {
+    ExecOptions exec = Threads(threads);
+    exec.morsel_size = 16;  // many morsels, some ending at chunk ends
+    return exec;
+  }
+
+  static std::string Answer(Catalog* catalog, const std::string& sql,
+                            ExecMode mode, const ExecOptions& exec) {
+    SudafSession session(catalog);
+    auto result = session.Execute(sql, mode, exec);
+    SUDAF_CHECK_MSG(result.ok(), sql + ": " + result.status().ToString());
+    return Fingerprint(**result);
+  }
+
+  static void ExpectSameBits(const std::string& got, const std::string& want) {
+    ASSERT_EQ(got.size(), want.size());
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), want.size()), 0)
+        << "a grown table answers differently from one chunk";
+  }
+
+  Catalog grown_;  // f and dd grown through AppendRows: several chunks
+  Catalog flat_;   // the same rows and segment logs in one chunk each
+  std::unique_ptr<Table> flat_fact_;
+  std::unique_ptr<Table> flat_dim_;
+};
+
+TEST_F(GrownTableTest, AnswersMatchOneChunkBitwiseInEveryMode) {
+  const std::vector<std::string> queries = {
+      // compiled WHERE, direct grouping on a small INT64 key
+      "SELECT g, sum(x), avg(y), var(x), kurtosis(x) FROM f "
+      "WHERE x > 1.5 GROUP BY g ORDER BY g",
+      // vectorized and row-at-a-time WHERE, direct grouping on a STRING key
+      "SELECT s, avg(x), stddev(y), qm(x) FROM f "
+      "WHERE x * y > 0.5 AND s <> 'bee' GROUP BY s ORDER BY s",
+      // hashed grouping: a wide INT64 key, then a two-column key
+      "SELECT k, sum(x), count(x), skewness(y) FROM f WHERE y < 3 "
+      "GROUP BY k ORDER BY k",
+      "SELECT g, s, sum(x), var(y) FROM f GROUP BY g, s ORDER BY g, s",
+      // a join: both sides grown, gathered into a frame
+      "SELECT tag, sum(x), avg(w), var(x) FROM f, dd WHERE d = dk "
+      "GROUP BY tag ORDER BY tag",
+      // ungrouped
+      "SELECT sum(x), avg(y), var(x), gm(w) FROM f, dd WHERE d = dk",
+      "SELECT sum(x), var(y), stddev(x) FROM f",
+  };
+  for (int threads : {1, 8}) {
+    const ExecOptions exec = SmallMorsels(threads);
+    for (ExecMode mode :
+         {ExecMode::kSudafShare, ExecMode::kSudafNoShare, ExecMode::kEngine}) {
+      for (const std::string& sql : queries) {
+        SCOPED_TRACE("threads=" + std::to_string(threads) + " mode=" +
+                     std::to_string(static_cast<int>(mode)) + " " + sql);
+        ExpectSameBits(Answer(&grown_, sql, mode, exec),
+                       Answer(&flat_, sql, mode, exec));
+      }
+    }
+  }
+}
+
+// Chunked sharing scans a covering range as ONE segment, so its fused
+// morsels straddle the grown table's chunk ends and load piecewise.
+TEST_F(GrownTableTest, ChunkedSharingMatchesOneChunkBitwise) {
+  const std::vector<std::string> queries = {
+      "SELECT g, qm(x), stddev(y) FROM f WHERE ts >= 200 AND ts < 700 "
+      "GROUP BY g",
+      "SELECT kurtosis(x), avg(y) FROM f",
+  };
+  for (int threads : {1, 8}) {
+    SudafSession grown_session(&grown_);
+    SudafSession flat_session(&flat_);
+    grown_session.set_default_exec_options(SmallMorsels(threads));
+    flat_session.set_default_exec_options(SmallMorsels(threads));
+    ChunkedSharingSession grown(&grown_session, "f", "ts", 100);
+    ChunkedSharingSession flat(&flat_session, "f", "ts", 100);
+    for (const std::string& sql : queries) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) + " " + sql);
+      auto a = grown.Execute(sql);
+      auto b = flat.Execute(sql);
+      ASSERT_TRUE(a.ok()) << a.status().ToString();
+      ASSERT_TRUE(b.ok()) << b.status().ToString();
+      ExpectSameBits(Fingerprint(**a), Fingerprint(**b));
+    }
+  }
+}
+
+// A warm set refreshed across an append that coalesces chunks equals a
+// cold run over either layout.
+TEST_F(GrownTableTest, RefreshAcrossACoalescingAppendMatchesCold) {
+  const std::string sql =
+      "SELECT g, sum(x), avg(y), var(x) FROM f WHERE x > 0 GROUP BY g "
+      "ORDER BY g";
+  for (int threads : {1, 8}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    SetUp();
+    const ExecOptions exec = SmallMorsels(threads);
+    SudafSession warm(&grown_);
+    Run(&warm, sql, exec);
+    // 15 rows after 15 carry twice: [340, 30, 15] + 15 -> [340, 60].
+    Rng rng(5);
+    auto delta = MakeFact(&rng, 15);
+    const size_t chunks_before = (**grown_.GetTable("f")).ChunkEnds().size();
+    ASSERT_OK(grown_.AppendRows("f", *delta));
+    flat_fact_->AppendTable(*delta);
+    ASSERT_OK(flat_.NotifyAppend("f"));
+    ASSERT_LT((**grown_.GetTable("f")).ChunkEnds().size(), chunks_before);
+
+    RunOut out = Run(&warm, sql, exec);
+    EXPECT_EQ(out.stats.cache_delta_refreshes, 1);
+    EXPECT_EQ(out.stats.cache_delta_rows_scanned, 15);
+    EXPECT_EQ(out.stats.cache_full_invalidations, 0);
+    ExpectSameBits(out.fp, Answer(&grown_, sql, ExecMode::kSudafShare, exec));
+    ExpectSameBits(out.fp, Answer(&flat_, sql, ExecMode::kSudafShare, exec));
   }
 }
 

@@ -232,6 +232,51 @@ TEST_F(ScanKernelTest, ScanBoundsLimitTheSelection) {
   EXPECT_TRUE(joined.rows[0].empty());
 }
 
+// Registers `flat`'s rows under `name` as the first `cuts[0]` rows, then
+// one AppendRows per further cut: the same rows in several storage chunks.
+void PutGrown(Catalog* catalog, const std::string& name, const Table& flat,
+              const std::vector<int64_t>& cuts) {
+  int64_t lo = 0;
+  for (int64_t hi : cuts) {
+    std::vector<int64_t> rows;
+    for (int64_t r = lo; r < hi; ++r) rows.push_back(r);
+    std::unique_ptr<Table> slice = GatherRows(flat, rows);
+    if (lo == 0) {
+      catalog->PutTable(name, std::move(slice));
+    } else {
+      SUDAF_CHECK(catalog->AppendRows(name, *slice).ok());
+    }
+    lo = hi;
+  }
+}
+
+// The predicate table grown by appends: morsels split at its chunk ends,
+// and the selection equals the interpreted one over the flat rows.
+TEST_F(ScanKernelTest, GrownTableSelectionMatchesInterpreted) {
+  const std::unique_ptr<Table> flat = MakePredicateTable();
+  const int64_t n = flat->num_rows();
+  PutGrown(&catalog_, "p", *flat, {61, 91, 113, 120, 127, 134, 140, 143, n});
+  ASSERT_EQ(table().ChunkEnds(),
+            (std::vector<int64_t>{61, 91, 113, 127, 134, 140, 143, n}));
+  for (const char* sql :
+       {"x > 0 AND s = 'b'", "s = 'a' AND i >= 3 AND x * 2 < 5",
+        "i < 0 AND x >= -1.5 AND x + 0 <> 0.5", "x >= -1.5"}) {
+    Result<std::unique_ptr<SelectStatement>> stmt =
+        ParseSelect(std::string("SELECT count(x) FROM p WHERE ") + sql);
+    ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+    const Expr& where = *(*stmt)->where;
+    for (const auto& [lo, hi] : std::vector<std::pair<int64_t, int64_t>>{
+             {0, n}, {7, n - 11}, {60, 62}, {95, 130}}) {
+      const std::vector<int64_t> want =
+          InterpretedSelection(*flat, where, lo, hi);
+      for (int threads : {1, 8}) {
+        EXPECT_EQ(CompiledSelection(where.Clone(), threads, lo, hi), want)
+            << sql << " [" << lo << ", " << hi << ") threads=" << threads;
+      }
+    }
+  }
+}
+
 // --- Direct-indexed grouping -----------------------------------------------
 
 // Groups `keys` (columns of `table`, over `row_ids` or the identity range)
@@ -368,6 +413,52 @@ void ExpectBitIdentical(const Table& a, const Table& b,
             << db;
       } else {
         ASSERT_EQ(va.ToString(), vb.ToString()) << what << " row " << r;
+      }
+    }
+  }
+}
+
+// Grouping a table grown by appends — key runs split at its chunk ends,
+// inside and across the 16k-row grouping ranges — gives the ids and keys
+// of the same rows in one chunk, on the direct and the hash path.
+TEST(DirectGroupingTest, GrownTableMatchesOneChunkBitwise) {
+  for (const char* key : {"k1", "ks"}) {
+    Rng rng(20261017);
+    const std::unique_ptr<Table> flat =
+        MakeKeyTable(kGroupRows, &rng, 1000, -300, 1);
+    Catalog catalog;
+    PutGrown(&catalog, "k", *flat, {40000, 50000, 60000, 65000, kGroupRows});
+    const Table& grown = **catalog.GetTable("k");
+    ASSERT_EQ(grown.ChunkEnds(),
+              (std::vector<int64_t>{40000, 60000, kGroupRows}));
+    std::vector<int64_t> selected;
+    for (int64_t r = 1; r < kGroupRows; r += 3) selected.push_back(r);
+    for (int threads : {1, 8}) {
+      for (bool use_rows : {true, false}) {
+        const std::vector<int64_t> row_ids =
+            use_rows ? selected : std::vector<int64_t>{};
+        const std::string what =
+            std::string(key) + (use_rows ? " row ids" : " identity");
+        EXPECT_TRUE(ExpectGroupingMatchesHash(grown, {key}, row_ids, threads,
+                                              "grown " + what));
+        auto prepare = [&](const Table& t) {
+          PreparedInput in;
+          in.source = &t;
+          in.row_ids = row_ids;
+          in.num_input_rows = row_ids.empty()
+                                  ? t.num_rows()
+                                  : static_cast<int64_t>(row_ids.size());
+          ExecOptions opts;
+          opts.parallel = threads > 1;
+          opts.num_threads = threads;
+          SUDAF_CHECK(BuildGroups({key}, &in, opts).ok());
+          return in;
+        };
+        const PreparedInput a = prepare(grown);
+        const PreparedInput b = prepare(*flat);
+        EXPECT_TRUE(a.direct_groups) << what;
+        EXPECT_EQ(a.group_ids, b.group_ids) << what << " threads=" << threads;
+        ExpectBitIdentical(*a.group_keys, *b.group_keys, what);
       }
     }
   }
