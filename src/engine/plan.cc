@@ -4,20 +4,6 @@
 
 namespace sudaf {
 
-namespace {
-
-// Flattens an AND tree into conjuncts.
-void CollectConjuncts(const Expr* expr, std::vector<const Expr*>* out) {
-  if (expr->kind == ExprKind::kBinary && expr->bin_op == BinaryOp::kAnd) {
-    CollectConjuncts(expr->args[0].get(), out);
-    CollectConjuncts(expr->args[1].get(), out);
-    return;
-  }
-  out->push_back(expr);
-}
-
-}  // namespace
-
 Result<std::pair<int, int>> QueryPlan::ResolveColumn(
     const std::string& column) const {
   int found_table = -1;
@@ -47,7 +33,7 @@ Result<QueryPlan> PlanQuery(const SelectStatement& stmt,
 
   if (stmt.where != nullptr) {
     std::vector<const Expr*> conjuncts;
-    CollectConjuncts(stmt.where.get(), &conjuncts);
+    stmt.where->CollectConjuncts(&conjuncts);
     for (const Expr* conj : conjuncts) {
       // Column-equality between two tables => join edge.
       if (conj->kind == ExprKind::kBinary && conj->bin_op == BinaryOp::kEq &&

@@ -195,6 +195,15 @@ void Expr::CollectAggCalls(std::vector<const Expr*>* out) const {
   for (const auto& a : args) a->CollectAggCalls(out);
 }
 
+void Expr::CollectConjuncts(std::vector<const Expr*>* out) const {
+  if (kind == ExprKind::kBinary && bin_op == BinaryOp::kAnd) {
+    args[0]->CollectConjuncts(out);
+    args[1]->CollectConjuncts(out);
+    return;
+  }
+  out->push_back(this);
+}
+
 bool Expr::ContainsAggregate() const {
   if (kind == ExprKind::kAggCall || kind == ExprKind::kStateRef) return true;
   for (const auto& a : args) {

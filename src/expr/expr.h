@@ -92,6 +92,9 @@ struct Expr {
   // Appends pointers to all kAggCall nodes in evaluation order.
   void CollectAggCalls(std::vector<const Expr*>* out) const;
 
+  // Flattens an AND tree: appends its conjuncts, left to right.
+  void CollectConjuncts(std::vector<const Expr*>* out) const;
+
   // True if the subtree contains any kAggCall or kStateRef node.
   bool ContainsAggregate() const;
 

@@ -11,15 +11,6 @@ namespace sudaf {
 
 namespace {
 
-void CollectConjunctStrings(const Expr& e, std::vector<std::string>* out) {
-  if (e.kind == ExprKind::kBinary && e.bin_op == BinaryOp::kAnd) {
-    CollectConjunctStrings(*e.args[0], out);
-    CollectConjunctStrings(*e.args[1], out);
-    return;
-  }
-  out->push_back(e.ToString());
-}
-
 std::unique_ptr<Table> CopyTable(const Table& table) {
   auto out = std::make_unique<Table>(table.schema());
   out->Reserve(table.num_rows());
@@ -498,8 +489,11 @@ int64_t StateCache::ApproxBytes() const {
 std::string DataSignature(const SelectStatement& stmt) {
   std::vector<std::string> tables = stmt.tables;
   std::sort(tables.begin(), tables.end());
+  std::vector<const Expr*> where;
+  if (stmt.where != nullptr) stmt.where->CollectConjuncts(&where);
   std::vector<std::string> conjuncts;
-  if (stmt.where != nullptr) CollectConjunctStrings(*stmt.where, &conjuncts);
+  conjuncts.reserve(where.size());
+  for (const Expr* c : where) conjuncts.push_back(c->ToString());
   std::sort(conjuncts.begin(), conjuncts.end());
 
   std::string sig = "T:";

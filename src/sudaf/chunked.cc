@@ -1,26 +1,19 @@
 #include "sudaf/chunked.h"
 
 #include <algorithm>
-#include <unordered_map>
+#include <map>
 
 #include "agg/builtin_kernels.h"
 #include "common/query_guard.h"
 #include "common/timer.h"
+#include "engine/aggregation.h"
+#include "engine/executor.h"
 #include "engine/state_batch.h"
 #include "sudaf/shared_scan.h"
 
 namespace sudaf {
 
 namespace {
-
-void CollectConjuncts(const Expr* e, std::vector<const Expr*>* out) {
-  if (e->kind == ExprKind::kBinary && e->bin_op == BinaryOp::kAnd) {
-    CollectConjuncts(e->args[0].get(), out);
-    CollectConjuncts(e->args[1].get(), out);
-    return;
-  }
-  out->push_back(e);
-}
 
 // Matches `col OP literal` and returns the literal.
 bool MatchBound(const Expr& e, const std::string& column, BinaryOp op,
@@ -38,14 +31,23 @@ bool MatchBound(const Expr& e, const std::string& column, BinaryOp op,
   return true;
 }
 
-std::string SerializeKey(const std::vector<Value>& values) {
-  std::string key;
-  for (const Value& v : values) {
-    key += v.ToString();
-    key += '\x1f';
+// `where` AND clones of `conjuncts`, left-deep; a null `where` is none.
+ExprPtr AndAll(ExprPtr where, const std::vector<const Expr*>& conjuncts) {
+  for (const Expr* conj : conjuncts) {
+    where = where == nullptr ? conj->Clone()
+                             : Expr::Binary(BinaryOp::kAnd, std::move(where),
+                                            conj->Clone());
   }
-  return key;
+  return where;
 }
+
+// One chunk as this call merges it: its group set (which keeps the key
+// table alive) and its channels per representative, copied out of the
+// cache or computed by this call.
+struct ChunkStates {
+  StateCache::GroupSetPtr set;
+  std::vector<StateCache::Entry> entries;
+};
 
 }  // namespace
 
@@ -60,28 +62,36 @@ ChunkedSharingSession::ChunkedSharingSession(SudafSession* session,
   SUDAF_CHECK_MSG(chunk_width_ > 0, "chunk width must be positive");
 }
 
-int64_t ChunkedSharingSession::num_cached_chunk_entries() const {
-  int64_t n = 0;
-  for (const auto& [_, entry] : chunks_) {
-    n += static_cast<int64_t>(entry.states.size());
-  }
-  return n;
-}
-
 Result<std::unique_ptr<Table>> ChunkedSharingSession::Execute(
     const std::string& sql) {
-  stats_ = ChunkedExecStats{};
-  // Like ExecStats, ChunkedExecStats is derived from the session registry:
-  // all counting below goes through sudaf.chunked.* metrics, and the
-  // struct is a per-query delta computed at the end. The TraceSpan (no
-  // trace attached) is used purely as an RAII accumulator for total_ms.
-  MetricsRegistry& m = session_->metrics();
-  const MetricsSnapshot before = m.Snapshot();
+  // Like ExecStats, ChunkedExecStats is derived from a registry: this
+  // call's own, which starts empty, so its snapshot is the call's delta
+  // even while other instances share the session. The TraceSpan (no trace
+  // attached) is used purely as an RAII accumulator for total_ms.
+  MetricsRegistry m;
   TraceSpan total_span(nullptr, "chunked", -1,
                        m.dcounter("sudaf.chunked.total_ms"));
-  if (session_->exec_options().guard != nullptr) {
-    SUDAF_RETURN_IF_ERROR(session_->exec_options().guard->Check());
-  }
+  Result<std::unique_ptr<Table>> result = Run(sql, &m);
+  total_span.Close();
+  const MetricsSnapshot snap = m.Snapshot();
+  session_->metrics().Merge(snap);
+  session_->MaybeCompactCache();
+  stats_.chunks_needed =
+      static_cast<int>(snap.counter("sudaf.chunked.chunks_needed"));
+  stats_.chunks_from_cache =
+      static_cast<int>(snap.counter("sudaf.chunked.chunks_from_cache"));
+  stats_.chunks_computed =
+      static_cast<int>(snap.counter("sudaf.chunked.chunks_computed"));
+  stats_.total_ms = snap.dcounter("sudaf.chunked.total_ms");
+  return result;
+}
+
+Result<std::unique_ptr<Table>> ChunkedSharingSession::Run(
+    const std::string& sql, MetricsRegistry* m) {
+  ExecOptions opts = session_->exec_options();
+  opts.metrics = m;
+  const CacheOps cops{m, nullptr};
+  if (opts.guard != nullptr) SUDAF_RETURN_IF_ERROR(opts.guard->Check());
 
   SUDAF_ASSIGN_OR_RETURN(std::unique_ptr<SelectStatement> stmt,
                          ParseSelect(sql));
@@ -93,9 +103,7 @@ Result<std::unique_ptr<Table>> ChunkedSharingSession::Execute(
   // Split the WHERE clause into the chunk-range bounds and the residual
   // conjuncts (which become part of every chunk's signature).
   std::vector<const Expr*> conjuncts;
-  if (stmt->where != nullptr) {
-    CollectConjuncts(stmt->where.get(), &conjuncts);
-  }
+  if (stmt->where != nullptr) stmt->where->CollectConjuncts(&conjuncts);
   bool have_lo = false;
   bool have_hi = false;
   int64_t lo = 0;
@@ -125,6 +133,11 @@ Result<std::unique_ptr<Table>> ChunkedSharingSession::Execute(
     residual.push_back(conj);
   }
 
+  // Every chunk set this call probes or creates is stamped with the
+  // table's epochs as of now: an append or a replace of the table bumps
+  // them, and the next probe discards the set (chunks are never delta
+  // refreshed, so their sets are created with covered_rows = -1).
+  const CatalogEpochs epochs = session_->catalog()->TablesEpochs({table_});
   SUDAF_ASSIGN_OR_RETURN(Table * table,
                          session_->catalog()->GetTable(table_));
   SUDAF_ASSIGN_OR_RETURN(const Column* chunk_col,
@@ -168,37 +181,47 @@ Result<std::unique_ptr<Table>> ChunkedSharingSession::Execute(
       plan.AddQuery(states, /*share=*/true);
   const std::vector<SharedStatePlan::Rep>& reps = plan.reps();
 
-  // Chunk signature: residual predicates + grouping.
-  std::vector<std::string> residual_strings;
-  for (const Expr* conj : residual) residual_strings.push_back(conj->ToString());
-  std::sort(residual_strings.begin(), residual_strings.end());
-  std::string signature = table_ + ";";
-  for (const std::string& s : residual_strings) signature += s + ",";
-  signature += ";";
-  for (const std::string& g : stmt->group_by) signature += g + ",";
+  // A chunk's signature is the data signature of the statement without
+  // its range conjuncts, plus the chunk column and the chunk's [lo, hi).
+  // Its states come from a covering-range pass, whose accumulation order
+  // differs from a plain query's over the same rows, so the suffix keeps
+  // chunk sets and plain query sets apart. It keeps the "T:" prefix that
+  // recovery reads the tables from.
+  SelectStatement unranged;
+  unranged.tables = stmt->tables;
+  unranged.group_by = stmt->group_by;
+  unranged.where = AndAll(nullptr, residual);
+  const std::string sig_prefix =
+      DataSignature(unranged) + ";C:" + chunk_column_ + "[";
+  auto chunk_sig = [&](int64_t c) {
+    return sig_prefix + std::to_string(c * chunk_width_) + "," +
+           std::to_string((c + 1) * chunk_width_) + ")";
+  };
+  StateCache& cache = session_->cache();
 
-  Executor executor(session_->catalog(), &session_->hardcoded());
-
-  // Identify which chunks in [lo, hi) are missing some needed class entry.
+  // Probe every chunk in [lo, hi); a chunk missing some needed class entry
+  // is computed. Hits are copied out, so a concurrent eviction cannot
+  // change this call's answer.
   const int64_t first_chunk = lo / chunk_width_;
   const int64_t last_chunk = hi / chunk_width_;  // exclusive
-  auto chunk_map_key = [&signature](int64_t c) {
-    return signature + "#" + std::to_string(c);
-  };
+  std::vector<ChunkStates> chunks(last_chunk - first_chunk);
   std::vector<int64_t> missing;
   for (int64_t c = first_chunk; c < last_chunk; ++c) {
-    m.counter("sudaf.chunked.chunks_needed")->Add();
-    auto it = chunks_.find(chunk_map_key(c));
-    bool complete = it != chunks_.end();
-    if (complete) {
-      for (const SharedStatePlan::Rep& rep : reps) {
-        if (it->second.states.count(rep.key) == 0) complete = false;
-      }
+    m->counter("sudaf.chunked.chunks_needed")->Add();
+    ChunkStates& chunk = chunks[c - first_chunk];
+    chunk.entries.resize(reps.size());
+    chunk.set = cache.Find(chunk_sig(c), epochs, /*can_refresh=*/false, cops)
+                    .set;
+    bool complete = chunk.set != nullptr;
+    for (size_t r = 0; complete && r < reps.size(); ++r) {
+      complete = cache.ProbeEntry(chunk.set.get(), reps[r].key,
+                                  &chunk.entries[r],
+                                  cops) == StateCache::Probe::kHit;
     }
     if (complete) {
-      m.counter("sudaf.chunked.chunks_from_cache")->Add();
+      m->counter("sudaf.chunked.chunks_from_cache")->Add();
     } else {
-      m.counter("sudaf.chunked.chunks_computed")->Add();
+      m->counter("sudaf.chunked.chunks_computed")->Add();
       missing.push_back(c);
     }
   }
@@ -206,22 +229,21 @@ Result<std::unique_ptr<Table>> ChunkedSharingSession::Execute(
   // Compute every missing chunk in ONE scan over the covering range,
   // grouping on the composite (chunk id, group keys).
   if (!missing.empty()) {
+    const int64_t scan_first = missing.front();
+    const int64_t scan_last = missing.back() + 1;  // exclusive
     SelectStatement range_stmt;
     range_stmt.tables = stmt->tables;
     range_stmt.group_by = stmt->group_by;
-    ExprPtr where = Expr::Binary(
-        BinaryOp::kGe, Expr::Column(chunk_column_),
-        Expr::Literal(Value(int64_t{missing.front() * chunk_width_})));
-    where = Expr::Binary(
-        BinaryOp::kAnd, std::move(where),
+    range_stmt.where = AndAll(
         Expr::Binary(
-            BinaryOp::kLt, Expr::Column(chunk_column_),
-            Expr::Literal(Value(int64_t{(missing.back() + 1) *
-                                        chunk_width_}))));
-    for (const Expr* conj : residual) {
-      where = Expr::Binary(BinaryOp::kAnd, std::move(where), conj->Clone());
-    }
-    range_stmt.where = std::move(where);
+            BinaryOp::kAnd,
+            Expr::Binary(BinaryOp::kGe, Expr::Column(chunk_column_),
+                         Expr::Literal(Value(
+                             int64_t{scan_first * chunk_width_}))),
+            Expr::Binary(BinaryOp::kLt, Expr::Column(chunk_column_),
+                         Expr::Literal(Value(
+                             int64_t{scan_last * chunk_width_})))),
+        residual);
     for (const std::string& g : stmt->group_by) {
       range_stmt.items.push_back(SelectItem{Expr::Column(g), ""});
     }
@@ -233,11 +255,9 @@ Result<std::unique_ptr<Table>> ChunkedSharingSession::Execute(
     for (const StateBatchRequest& r : rq.requests) {
       if (r.input != nullptr) r.input->CollectColumns(&extra_columns);
     }
-    // The session's default exec options carry the parallelism knobs for
-    // the covering-range scan (no trace/metrics sinks to attach here).
-    SUDAF_ASSIGN_OR_RETURN(
-        PreparedInput input,
-        executor.Prepare(range_stmt, extra_columns, session_->exec_options()));
+    Executor executor(session_->catalog(), &session_->hardcoded());
+    SUDAF_ASSIGN_OR_RETURN(PreparedInput input,
+                           executor.Prepare(range_stmt, extra_columns, opts));
 
     // Composite group ids: (chunk id, within-range group id) -> cgid.
     SUDAF_ASSIGN_OR_RETURN(BoundColumn ts, input.Bind(chunk_column_));
@@ -259,137 +279,97 @@ Result<std::unique_ptr<Table>> ChunkedSharingSession::Execute(
     SUDAF_ASSIGN_OR_RETURN(
         std::vector<std::vector<double>> batch,
         ComputeStateBatch(rq.requests, input.Binder(), cgids, num_cgroups,
-                          session_->exec_options()));
-    std::map<std::string, StateCache::Entry> computed;
-    for (size_t r = 0; r < reps.size(); ++r) {
-      StateCache::Entry& channels = computed[reps[r].key];
-      channels.main = std::move(batch[rq.main_idx[r]]);
-      if (rq.sign_idx[r] >= 0) channels.sign = std::move(batch[rq.sign_idx[r]]);
-    }
+                          opts));
 
-    // Scatter composite results into per-chunk entries. Every chunk in the
-    // covering range is (re)filled — contiguous gaps between missing chunks
-    // come along for free, like a prefetch.
-    std::map<int64_t, ChunkEntry> fresh;
-    for (int64_t c = missing.front(); c <= missing.back(); ++c) {
-      fresh[c];  // ensure empty chunks exist too
-    }
-    std::vector<int32_t> position_in_chunk(num_cgroups);
+    // Composite ids run in first-occurrence row order, so the ids of one
+    // chunk, in id order, are that chunk's groups in first-occurrence
+    // order among the chunk's OWN rows. That order depends on nothing
+    // else, so a chunk's set lines up with the entries of any later scan
+    // that covers the chunk, and entries from different scans can share
+    // one set. Every chunk of the covering range is (re)filled — gaps
+    // between missing chunks come along, like a prefetch — and an empty
+    // chunk gets a set of no groups.
+    std::vector<std::vector<int32_t>> chunk_cgids(scan_last - scan_first);
     for (int32_t cg = 0; cg < num_cgroups; ++cg) {
-      const auto& [chunk_id, gid] = composite_keys[cg];
-      ChunkEntry& entry = fresh[chunk_id];
-      std::vector<Value> key;
-      for (int kc = 0; kc < input.group_keys->num_columns(); ++kc) {
-        key.push_back(input.group_keys->column(kc).GetValue(gid));
-      }
-      position_in_chunk[cg] =
-          static_cast<int32_t>(entry.group_keys.size());
-      entry.group_keys.push_back(SerializeKey(key));
-      entry.key_values.push_back(std::move(key));
+      chunk_cgids[composite_keys[cg].first - scan_first].push_back(cg);
     }
-    for (auto& [chunk_id, entry] : fresh) {
-      for (const auto& [class_key, channels] : computed) {
-        StateCache::Entry& dst = entry.states[class_key];
-        dst.main.resize(entry.group_keys.size());
-        if (!channels.sign.empty()) {
-          dst.sign.resize(entry.group_keys.size());
+    for (int64_t c = scan_first; c < scan_last; ++c) {
+      const std::vector<int32_t>& ids = chunk_cgids[c - scan_first];
+      const int32_t n = static_cast<int32_t>(ids.size());
+      std::vector<int64_t> key_rows(ids.size());
+      for (size_t g = 0; g < ids.size(); ++g) {
+        key_rows[g] = composite_keys[ids[g]].second;
+      }
+      ChunkStates& chunk = chunks[c - first_chunk];
+      chunk.set = cache.GetOrCreate(chunk_sig(c),
+                                    *GatherRows(*input.group_keys, key_rows),
+                                    n, epochs, /*covered_rows=*/-1, cops);
+      for (size_t r = 0; r < reps.size(); ++r) {
+        StateCache::Entry entry;
+        const std::vector<double>& main = batch[rq.main_idx[r]];
+        entry.main.resize(n);
+        for (int32_t g = 0; g < n; ++g) entry.main[g] = main[ids[g]];
+        if (rq.sign_idx[r] >= 0) {
+          const std::vector<double>& sign = batch[rq.sign_idx[r]];
+          entry.sign.resize(n);
+          for (int32_t g = 0; g < n; ++g) entry.sign[g] = sign[ids[g]];
         }
-      }
-    }
-    for (int32_t cg = 0; cg < num_cgroups; ++cg) {
-      const auto& [chunk_id, gid] = composite_keys[cg];
-      (void)gid;
-      ChunkEntry& entry = fresh[chunk_id];
-      int32_t pos = position_in_chunk[cg];
-      for (const auto& [class_key, channels] : computed) {
-        StateCache::Entry& dst = entry.states[class_key];
-        dst.main[pos] = channels.main[cg];
-        if (!channels.sign.empty()) dst.sign[pos] = channels.sign[cg];
-      }
-    }
-    for (auto& [chunk_id, entry] : fresh) {
-      std::string map_key = chunk_map_key(chunk_id);
-      auto old_it = chunks_.find(map_key);
-      if (old_it != chunks_.end()) {
-        // Carry over previously cached classes this query did not
-        // recompute, remapping their group order onto the fresh entry's.
-        const ChunkEntry& old = old_it->second;
-        std::unordered_map<std::string, int32_t> old_pos;
-        for (size_t g = 0; g < old.group_keys.size(); ++g) {
-          old_pos[old.group_keys[g]] = static_cast<int32_t>(g);
+        // As in SudafSession::ExecuteGroup: a poisoned entry is served but
+        // never cached, and one the budget declines is served call-local.
+        if (EntryIsPoisoned(entry)) {
+          m->counter("sudaf.states.poisoned")->Add();
+        } else if (!cache.InsertEntry(chunk.set.get(), reps[r].key, entry,
+                                      cops)) {
+          m->counter("sudaf.cache.budget_rejects")->Add();
         }
-        for (const auto& [class_key, old_channels] : old.states) {
-          if (entry.states.count(class_key) > 0) continue;
-          StateCache::Entry remapped;
-          remapped.main.resize(entry.group_keys.size());
-          if (!old_channels.sign.empty()) {
-            remapped.sign.resize(entry.group_keys.size());
-          }
-          bool consistent = old.group_keys.size() == entry.group_keys.size();
-          for (size_t g = 0; consistent && g < entry.group_keys.size();
-               ++g) {
-            auto pos = old_pos.find(entry.group_keys[g]);
-            if (pos == old_pos.end()) {
-              consistent = false;
-              break;
-            }
-            remapped.main[g] = old_channels.main[pos->second];
-            if (!remapped.sign.empty()) {
-              remapped.sign[g] = old_channels.sign[pos->second];
-            }
-          }
-          if (consistent) {
-            entry.states[class_key] = std::move(remapped);
-          }
-        }
-      }
-      chunks_.insert_or_assign(map_key, std::move(entry));
-    }
-  }
-
-  std::vector<ChunkEntry*> needed;
-  for (int64_t c = first_chunk; c < last_chunk; ++c) {
-    auto it = chunks_.find(chunk_map_key(c));
-    SUDAF_CHECK(it != chunks_.end());
-    needed.push_back(&it->second);
-  }
-
-  // Merge per-chunk per-group channels with ⊕ across chunks.
-  std::unordered_map<std::string, int32_t> group_index;
-  std::vector<std::vector<Value>> merged_keys;
-  std::map<std::string, StateCache::Entry> merged;
-  for (const ChunkEntry* chunk : needed) {
-    for (size_t g = 0; g < chunk->group_keys.size(); ++g) {
-      auto [it, inserted] = group_index.emplace(
-          chunk->group_keys[g], static_cast<int32_t>(merged_keys.size()));
-      if (inserted) merged_keys.push_back(chunk->key_values[g]);
-    }
-  }
-  const int32_t num_groups = static_cast<int32_t>(merged_keys.size());
-  for (const SharedStatePlan::Rep& rep : reps) {
-    StateCache::Entry& out = merged[rep.key];
-    const AggOp op = rep.cls.MainOp();
-    out.main.assign(num_groups, AggIdentity(op));
-    if (rep.cls.log_domain) out.sign.assign(num_groups, 1.0);
-    for (const ChunkEntry* chunk : needed) {
-      const StateCache::Entry& part = chunk->states.at(rep.key);
-      for (size_t g = 0; g < chunk->group_keys.size(); ++g) {
-        int32_t target = group_index.at(chunk->group_keys[g]);
-        out.main[target] = AggMerge(op, out.main[target], part.main[g]);
-        if (!out.sign.empty()) out.sign[target] *= part.sign[g];
+        chunk.entries[r] = std::move(entry);
       }
     }
   }
 
-  // Group-key table for planning and assembly.
+  // Merge the chunks with ⊕ in chunk order. Each chunk's groups are
+  // matched on their typed keys onto the merged groups, and groups not
+  // seen before are appended in the order they first appear. Ungrouped
+  // queries have the single implicit group once some chunk has a row.
   Schema key_schema;
   for (const std::string& g : stmt->group_by) {
     SUDAF_ASSIGN_OR_RETURN(const Column* col, table->GetColumn(g));
     SUDAF_RETURN_IF_ERROR(key_schema.AddField(Field{g, col->type()}));
   }
   Table group_keys(std::move(key_schema));
-  for (int32_t g = 0; g < num_groups; ++g) {
-    group_keys.AppendRow(merged_keys[g]);
+  int32_t num_groups = 0;
+  std::vector<std::vector<int32_t>> remaps(chunks.size());
+  for (size_t k = 0; k < chunks.size(); ++k) {
+    const StateCache::GroupSet& set = *chunks[k].set;
+    if (stmt->group_by.empty()) {
+      remaps[k].assign(set.num_groups, 0);
+      if (set.num_groups > 0) num_groups = 1;
+      continue;
+    }
+    std::vector<int64_t> new_rows;
+    remaps[k] = MatchGroupKeys(group_keys, *set.group_keys, &new_rows);
+    for (int c = 0; c < group_keys.num_columns(); ++c) {
+      group_keys.column(c).AppendRows(set.group_keys->column(c),
+                                      new_rows.data(),
+                                      static_cast<int64_t>(new_rows.size()));
+    }
+    group_keys.FinishBulkAppend();
+    num_groups += static_cast<int32_t>(new_rows.size());
+  }
+  std::vector<StateCache::Entry> merged(reps.size());
+  for (size_t r = 0; r < reps.size(); ++r) {
+    StateCache::Entry& out = merged[r];
+    const AggOp op = reps[r].cls.MainOp();
+    out.main.assign(num_groups, AggIdentity(op));
+    if (reps[r].cls.log_domain) out.sign.assign(num_groups, 1.0);
+    for (size_t k = 0; k < chunks.size(); ++k) {
+      const StateCache::Entry& part = chunks[k].entries[r];
+      for (size_t g = 0; g < remaps[k].size(); ++g) {
+        const int32_t target = remaps[k][g];
+        out.main[target] = AggMerge(op, out.main[target], part.main[g]);
+        if (!out.sign.empty()) out.sign[target] *= part.sign[g];
+      }
+    }
   }
 
   // Serve the requested states at the output rows and finish.
@@ -399,25 +379,14 @@ Result<std::unique_ptr<Table>> ChunkedSharingSession::Execute(
   int64_t served = 0;
   for (size_t i = 0; i < states.size(); ++i) {
     const SharedStatePlan::Rep& rep = reps[slots[i].rep];
-    served += ServeState(merged.at(rep.key), /*compact=*/false, rows,
+    served += ServeState(merged[slots[i].rep], /*compact=*/false, rows,
                          states[i], &rep.cls, &slots[i].share_fn,
                          &state_values[i]);
   }
-  m.counter("sudaf.serve.rows")->Add(served);
+  m->counter("sudaf.serve.rows")->Add(served);
 
-  Result<std::unique_ptr<Table>> result = AssembleRewrittenResult(
-      rewritten, *stmt, group_keys, rows, state_values);
-
-  total_span.Close();
-  const MetricsSnapshot delta = m.Snapshot().Delta(before);
-  stats_.chunks_needed =
-      static_cast<int>(delta.counter("sudaf.chunked.chunks_needed"));
-  stats_.chunks_from_cache =
-      static_cast<int>(delta.counter("sudaf.chunked.chunks_from_cache"));
-  stats_.chunks_computed =
-      static_cast<int>(delta.counter("sudaf.chunked.chunks_computed"));
-  stats_.total_ms = delta.dcounter("sudaf.chunked.total_ms");
-  return result;
+  return AssembleRewrittenResult(rewritten, *stmt, group_keys, rows,
+                                 state_values);
 }
 
 }  // namespace sudaf

@@ -19,12 +19,17 @@
 //   SELECT stddev(v) FROM t WHERE ts >= 200 AND ts < 600
 //       -- chunks 2,3 from cache (different UDAF!), chunks 4,5 computed
 //
+// Chunk states live in the session's StateCache, one group set per chunk,
+// under a signature that names the chunk's range (it never equals a plain
+// query's). They therefore share the session cache's epoch invalidation
+// (an append or replace of the table discards them; they are never delta
+// refreshed), its byte budget, its journal and its metrics.
+//
 // Scope: single-table queries whose WHERE is (optionally) one half-open
 // range on the configured chunk column, aligned to chunk boundaries, plus
 // arbitrary other conjuncts (those become part of the chunk signature).
 // GROUP BY is supported; per-chunk group sets are merged by key.
 
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -52,7 +57,7 @@ class ChunkedSharingSession {
   // from exactly the configured table; a range predicate on the chunk
   // column must be written as `col >= lo and col < hi` with lo/hi on chunk
   // boundaries (absent means "the whole configured domain", which is
-  // inferred from the table's min/max on first use).
+  // inferred from the table's min/max on every such call).
   Result<std::unique_ptr<Table>> Execute(const std::string& sql);
 
   // Stats of this object's most recent Execute. Unlike SudafSession (which
@@ -62,22 +67,15 @@ class ChunkedSharingSession {
   // session.
   const ChunkedExecStats& last_stats() const { return stats_; }
 
-  int64_t num_cached_chunk_entries() const;
-
  private:
-  struct ChunkEntry {
-    // One row per group within the chunk; parallel arrays.
-    std::vector<std::string> group_keys;        // serialized key tuples
-    std::vector<std::vector<Value>> key_values; // for output reconstruction
-    std::map<std::string, StateCache::Entry> states;  // class key -> values
-  };
+  // Execute's body; counts into the call's own registry `m`.
+  Result<std::unique_ptr<Table>> Run(const std::string& sql,
+                                     MetricsRegistry* m);
 
   SudafSession* session_;
   std::string table_;
   std::string chunk_column_;
   int64_t chunk_width_;
-  // (chunk id, residual-predicate/group signature) -> cached entry.
-  std::map<std::string, ChunkEntry> chunks_;
   ChunkedExecStats stats_;
 };
 

@@ -9,15 +9,6 @@ namespace sudaf {
 
 namespace {
 
-void CollectConjuncts(const Expr* e, std::vector<const Expr*>* out) {
-  if (e->kind == ExprKind::kBinary && e->bin_op == BinaryOp::kAnd) {
-    CollectConjuncts(e->args[0].get(), out);
-    CollectConjuncts(e->args[1].get(), out);
-    return;
-  }
-  out->push_back(e);
-}
-
 std::string StateColumnName(size_t i) {
   return "__s" + std::to_string(i);
 }
@@ -127,11 +118,11 @@ Result<std::unique_ptr<Table>> ExecuteWithView(SudafSession* session,
 
   std::vector<const Expr*> query_conjuncts;
   if (stmt->where != nullptr) {
-    CollectConjuncts(stmt->where.get(), &query_conjuncts);
+    stmt->where->CollectConjuncts(&query_conjuncts);
   }
   std::vector<const Expr*> view_conjuncts;
   if (view.stmt->where != nullptr) {
-    CollectConjuncts(view.stmt->where.get(), &view_conjuncts);
+    view.stmt->where->CollectConjuncts(&view_conjuncts);
   }
   std::vector<const Expr*> remaining = query_conjuncts;
   for (const Expr* vc : view_conjuncts) {

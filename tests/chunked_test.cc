@@ -1,7 +1,11 @@
 // Tests for sudaf/chunked: data-dimension sharing over predefined chunks
 // (the extension sketched in Sections 2 and 8 of the paper).
 
+#include <atomic>
 #include <cmath>
+#include <cstring>
+#include <filesystem>
+#include <thread>
 
 #include "common/rng.h"
 #include "gtest/gtest.h"
@@ -13,23 +17,41 @@ namespace {
 
 using testing_util::ExpectClose;
 
+// events(ts INT64 in [0, 1000), grp INT64 in [0, 3), v FLOAT64)
+std::unique_ptr<Table> MakeEvents(int rows, uint64_t seed) {
+  Schema schema;
+  SUDAF_CHECK(schema.AddField({"ts", DataType::kInt64}).ok());
+  SUDAF_CHECK(schema.AddField({"grp", DataType::kInt64}).ok());
+  SUDAF_CHECK(schema.AddField({"v", DataType::kFloat64}).ok());
+  auto events = std::make_unique<Table>(std::move(schema));
+  Rng rng(seed);
+  for (int i = 0; i < rows; ++i) {
+    events->column(0).AppendInt64(rng.NextBelow(1000));
+    events->column(1).AppendInt64(rng.NextBelow(3));
+    events->column(2).AppendFloat64(rng.NextDoubleIn(0.5, 9.5));
+  }
+  events->FinishBulkAppend();
+  return events;
+}
+
+// Every numeric cell's bit pattern, row-major.
+std::vector<uint64_t> Bits(const Table& t) {
+  std::vector<uint64_t> bits;
+  for (int64_t r = 0; r < t.num_rows(); ++r) {
+    for (int c = 0; c < t.num_columns(); ++c) {
+      const double v = t.column(c).GetNumeric(r);
+      uint64_t b;
+      std::memcpy(&b, &v, sizeof(b));
+      bits.push_back(b);
+    }
+  }
+  return bits;
+}
+
 class ChunkedTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    // events(ts INT64 in [0, 1000), grp INT64, v FLOAT64)
-    Schema schema;
-    ASSERT_OK(schema.AddField({"ts", DataType::kInt64}));
-    ASSERT_OK(schema.AddField({"grp", DataType::kInt64}));
-    ASSERT_OK(schema.AddField({"v", DataType::kFloat64}));
-    auto events = std::make_unique<Table>(std::move(schema));
-    Rng rng(808);
-    for (int i = 0; i < 5000; ++i) {
-      events->column(0).AppendInt64(rng.NextBelow(1000));
-      events->column(1).AppendInt64(rng.NextBelow(3));
-      events->column(2).AppendFloat64(rng.NextDoubleIn(0.5, 9.5));
-    }
-    events->FinishBulkAppend();
-    catalog_.PutTable("events", std::move(events));
+    catalog_.PutTable("events", MakeEvents(5000, 808));
     session_ = std::make_unique<SudafSession>(&catalog_);
     chunked_ = std::make_unique<ChunkedSharingSession>(
         session_.get(), "events", "ts", /*chunk_width=*/100);
@@ -91,12 +113,12 @@ TEST_F(ChunkedTest, GroupByMergesPerChunkGroups) {
 TEST_F(ChunkedTest, ResidualPredicatesPartitionTheCache) {
   ExpectMatchesDirect(
       "SELECT sum(v) FROM events WHERE ts >= 0 AND ts < 300 AND grp = 1");
-  int64_t after_first = chunked_->num_cached_chunk_entries();
+  int64_t after_first = session_->cache().num_entries();
   // Same range, different residual predicate: must not share.
   ExpectMatchesDirect(
       "SELECT sum(v) FROM events WHERE ts >= 0 AND ts < 300 AND grp = 2");
   EXPECT_EQ(chunked_->last_stats().chunks_from_cache, 0);
-  EXPECT_GT(chunked_->num_cached_chunk_entries(), after_first);
+  EXPECT_GT(session_->cache().num_entries(), after_first);
 }
 
 TEST_F(ChunkedTest, CrossShapeSharingWithinChunks) {
@@ -139,6 +161,144 @@ TEST_F(ChunkedTest, WrongTableIsRejected) {
 TEST_F(ChunkedTest, MinMaxMergeWithTheirOwnOps) {
   ExpectMatchesDirect(
       "SELECT min(v), max(v) FROM events WHERE ts >= 300 AND ts < 800");
+}
+
+// Chunk states carry the table's epochs: an append or a replace of the
+// table discards them, and the next call recomputes every chunk.
+TEST_F(ChunkedTest, AppendRowsInvalidatesChunkStates) {
+  const std::string sql =
+      "SELECT sum(v), count(*) FROM events WHERE ts >= 0 AND ts < 400";
+  ExpectMatchesDirect(sql);
+  const Table& events = **catalog_.GetTable("events");
+  auto copy = std::make_unique<Table>(events.schema());
+  copy->AppendTable(events);
+  ASSERT_OK(catalog_.AppendRows("events", *copy));
+  ExpectMatchesDirect(sql);
+  EXPECT_EQ(chunked_->last_stats().chunks_from_cache, 0);
+  EXPECT_EQ(chunked_->last_stats().chunks_computed, 4);
+  EXPECT_EQ(session_->cache().counters().full_invalidations, 4);
+}
+
+TEST_F(ChunkedTest, PutTableInvalidatesChunkStates) {
+  const std::string sql =
+      "SELECT sum(v), count(*) FROM events WHERE ts >= 0 AND ts < 400";
+  ExpectMatchesDirect(sql);
+  catalog_.PutTable("events", MakeEvents(300, 909));
+  ExpectMatchesDirect(sql);
+  EXPECT_EQ(chunked_->last_stats().chunks_from_cache, 0);
+  EXPECT_EQ(chunked_->last_stats().chunks_computed, 4);
+}
+
+// Chunk sets are charged against the session cache's byte budget: they
+// show up in ApproxBytes, stay within a tiny max_bytes (evicting one
+// another), and the answers stay right.
+TEST_F(ChunkedTest, ChunkStatesStayWithinTheCacheBudget) {
+  CachePolicy policy;
+  policy.max_bytes = 4096;
+  session_->set_cache_policy(policy);
+  ExpectMatchesDirect(
+      "SELECT grp, qm(v), stddev(v) FROM events WHERE ts >= 0 AND ts < 400 "
+      "GROUP BY grp ORDER BY grp");
+  EXPECT_GT(session_->cache().ApproxBytes(), 0);
+  EXPECT_LE(session_->cache().ApproxBytes(), policy.max_bytes);
+  ExpectMatchesDirect(
+      "SELECT grp, var(v), avg(v) FROM events GROUP BY grp ORDER BY grp");
+  EXPECT_LE(session_->cache().ApproxBytes(), policy.max_bytes);
+  EXPECT_GT(session_->cache().counters().evictions, 0);
+  EXPECT_EQ(session_->metrics().Snapshot().counter("sudaf.cache.evictions"),
+            session_->cache().counters().evictions);
+}
+
+// Chunk sets are journaled like any other set, and their signatures name
+// the table ("T:" prefix) that recovery's epoch gate reads: a reopened
+// session serves every chunk from the recovered cache.
+TEST_F(ChunkedTest, ChunkSetsSurviveAReopen) {
+  const std::string dir = testing_util::UniqueTempDir("sudaf_chunked");
+  std::filesystem::remove_all(dir);
+  const std::string sql =
+      "SELECT grp, qm(v), gm(v) FROM events WHERE ts >= 300 AND ts < 800 "
+      "AND v > 1 GROUP BY grp ORDER BY grp";
+  std::vector<uint64_t> first;
+  {
+    SudafSession a(&catalog_);
+    ASSERT_OK(a.EnableCachePersistence(dir));
+    ChunkedSharingSession chunked(&a, "events", "ts", 100);
+    auto result = chunked.Execute(sql);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(chunked.last_stats().chunks_computed, 5);
+    first = Bits(**result);
+  }
+  SudafSession b(&catalog_);
+  ASSERT_OK(b.EnableCachePersistence(dir));
+  EXPECT_GT(b.cache().num_entries(), 0);
+  ChunkedSharingSession chunked(&b, "events", "ts", 100);
+  auto result = chunked.Execute(sql);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(chunked.last_stats().chunks_needed, 5);
+  EXPECT_EQ(chunked.last_stats().chunks_from_cache, 5);
+  EXPECT_EQ(Bits(**result), first);
+  b.DisableCachePersistence();
+  std::filesystem::remove_all(dir);
+}
+
+// Two instances over one session, on two threads: each call's stats come
+// from its own registry, so neither counts the other's chunks, and the
+// answers equal serial runs bit for bit.
+TEST_F(ChunkedTest, ConcurrentInstancesMatchSerialRuns) {
+  // Each client has its own residual predicate, so the two never share a
+  // chunk set and the serial stats are exact for the concurrent run too.
+  auto client_queries = [](int grp) {
+    const std::string where = " WHERE grp = " + std::to_string(grp);
+    return std::vector<std::string>{
+        "SELECT qm(v), stddev(v) FROM events" + where +
+            " AND ts >= 0 AND ts < 600",
+        "SELECT var(v) FROM events" + where + " AND ts >= 300 AND ts < 900",
+        "SELECT avg(v), max(v) FROM events" + where,
+        "SELECT qm(v) FROM events" + where + " AND ts >= 100 AND ts < 500",
+    };
+  };
+  struct Run {
+    std::vector<std::vector<uint64_t>> bits;
+    std::vector<int> needed, from_cache, computed;
+  };
+  std::atomic<int> waiting{0};
+  auto run_client = [&](SudafSession* session, int grp, Run* out) {
+    ChunkedSharingSession chunked(session, "events", "ts", 100);
+    // Start the two clients together (a no-op for the serial runs).
+    --waiting;
+    while (waiting.load() > 0) std::this_thread::yield();
+    for (int round = 0; round < 10; ++round) {
+      for (const std::string& sql : client_queries(grp)) {
+        auto result = chunked.Execute(sql);
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        out->bits.push_back(Bits(**result));
+        out->needed.push_back(chunked.last_stats().chunks_needed);
+        out->from_cache.push_back(chunked.last_stats().chunks_from_cache);
+        out->computed.push_back(chunked.last_stats().chunks_computed);
+      }
+    }
+  };
+  std::vector<Run> serial(2);
+  {
+    SudafSession session(&catalog_);
+    run_client(&session, 1, &serial[0]);
+    run_client(&session, 2, &serial[1]);
+  }
+  std::vector<Run> concurrent(2);
+  {
+    waiting = 2;
+    std::thread t1(run_client, session_.get(), 1, &concurrent[0]);
+    std::thread t2(run_client, session_.get(), 2, &concurrent[1]);
+    t1.join();
+    t2.join();
+  }
+  for (int c = 0; c < 2; ++c) {
+    SCOPED_TRACE("client " + std::to_string(c));
+    EXPECT_EQ(concurrent[c].bits, serial[c].bits);
+    EXPECT_EQ(concurrent[c].needed, serial[c].needed);
+    EXPECT_EQ(concurrent[c].from_cache, serial[c].from_cache);
+    EXPECT_EQ(concurrent[c].computed, serial[c].computed);
+  }
 }
 
 }  // namespace
