@@ -117,20 +117,21 @@ void ThreadPool::ParallelFor(int64_t num_tasks,
 Status ThreadPool::TryParallelFor(int64_t num_tasks,
                                   const std::function<Status(int64_t)>& fn) {
   std::mutex err_mu;
-  Status first_error;          // of the lowest-indexed failed task
-  int64_t first_error_task = -1;
-  std::atomic<bool> failed{false};
+  Status first_error;  // of the lowest-indexed failed task
+  // Lowest failed task index so far (num_tasks while none failed). Fail
+  // fast skips only the tasks above it: a lower task claimed late may
+  // still fail, and its error must win.
+  std::atomic<int64_t> first_error_task{num_tasks};
   ParallelFor(num_tasks, [&](int64_t t) {
-    if (failed.load(std::memory_order_relaxed)) return;  // fail fast
+    if (t > first_error_task.load()) return;
     Status st = FailPoint::Check("thread_pool:dispatch");
     if (st.ok()) st = fn(t);
     if (!st.ok()) {
       std::lock_guard<std::mutex> lock(err_mu);
-      if (first_error_task < 0 || t < first_error_task) {
-        first_error_task = t;
+      if (t < first_error_task.load()) {
+        first_error_task.store(t);
         first_error = std::move(st);
       }
-      failed.store(true, std::memory_order_relaxed);
     }
   });
   return first_error;

@@ -57,10 +57,11 @@ class ThreadPool {
 
   // Fallible variant (separate name: a Status-returning lambda would make
   // an overload ambiguous, since std::function<void(...)> also accepts it).
-  // After the first task failure, remaining tasks are skipped (fail fast),
-  // and the error of the LOWEST-indexed failed task is returned — so a
-  // deterministic fault (guard trip, failpoint) yields the same Status
-  // regardless of worker interleaving. Each executed task first passes the
+  // Once a task fails, tasks above the lowest failed index so far are
+  // skipped (fail fast), and the error of the LOWEST-indexed failed task
+  // is returned — every task below it still runs, so a deterministic
+  // fault (guard trip, failpoint) yields the same Status regardless of
+  // worker interleaving. Each executed task first passes the
   // "thread_pool:dispatch" failpoint. Returns OK when every task succeeded.
   Status TryParallelFor(int64_t num_tasks,
                         const std::function<Status(int64_t)>& fn);

@@ -204,6 +204,16 @@ void Expr::CollectConjuncts(std::vector<const Expr*>* out) const {
   out->push_back(this);
 }
 
+ExprPtr Expr::AndAll(ExprPtr where,
+                     const std::vector<const Expr*>& conjuncts) {
+  for (const Expr* conj : conjuncts) {
+    where = where == nullptr ? conj->Clone()
+                             : Binary(BinaryOp::kAnd, std::move(where),
+                                      conj->Clone());
+  }
+  return where;
+}
+
 bool Expr::ContainsAggregate() const {
   if (kind == ExprKind::kAggCall || kind == ExprKind::kStateRef) return true;
   for (const auto& a : args) {

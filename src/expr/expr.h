@@ -95,6 +95,11 @@ struct Expr {
   // Flattens an AND tree: appends its conjuncts, left to right.
   void CollectConjuncts(std::vector<const Expr*>* out) const;
 
+  // The inverse: `where` AND clones of `conjuncts`, left-deep. A null
+  // `where` is no predicate; the result is null when both are empty.
+  static ExprPtr AndAll(ExprPtr where,
+                        const std::vector<const Expr*>& conjuncts);
+
   // True if the subtree contains any kAggCall or kStateRef node.
   bool ContainsAggregate() const;
 

@@ -31,16 +31,6 @@ bool MatchBound(const Expr& e, const std::string& column, BinaryOp op,
   return true;
 }
 
-// `where` AND clones of `conjuncts`, left-deep; a null `where` is none.
-ExprPtr AndAll(ExprPtr where, const std::vector<const Expr*>& conjuncts) {
-  for (const Expr* conj : conjuncts) {
-    where = where == nullptr ? conj->Clone()
-                             : Expr::Binary(BinaryOp::kAnd, std::move(where),
-                                            conj->Clone());
-  }
-  return where;
-}
-
 // One chunk as this call merges it: its group set (which keeps the key
 // table alive) and its channels per representative, copied out of the
 // cache or computed by this call.
@@ -190,7 +180,7 @@ Result<std::unique_ptr<Table>> ChunkedSharingSession::Run(
   SelectStatement unranged;
   unranged.tables = stmt->tables;
   unranged.group_by = stmt->group_by;
-  unranged.where = AndAll(nullptr, residual);
+  unranged.where = Expr::AndAll(nullptr, residual);
   const std::string sig_prefix =
       DataSignature(unranged) + ";C:" + chunk_column_ + "[";
   auto chunk_sig = [&](int64_t c) {
@@ -234,7 +224,7 @@ Result<std::unique_ptr<Table>> ChunkedSharingSession::Run(
     SelectStatement range_stmt;
     range_stmt.tables = stmt->tables;
     range_stmt.group_by = stmt->group_by;
-    range_stmt.where = AndAll(
+    range_stmt.where = Expr::AndAll(
         Expr::Binary(
             BinaryOp::kAnd,
             Expr::Binary(BinaryOp::kGe, Expr::Column(chunk_column_),
@@ -251,10 +241,8 @@ Result<std::unique_ptr<Table>> ChunkedSharingSession::Run(
     // Every representative's channels, in one fused pass over the range.
     BatchRequestPlan rq =
         BuildBatchRequests(plan, std::vector<bool>(reps.size(), true));
-    std::vector<std::string> extra_columns = {chunk_column_};
-    for (const StateBatchRequest& r : rq.requests) {
-      if (r.input != nullptr) r.input->CollectColumns(&extra_columns);
-    }
+    std::vector<std::string> extra_columns = RequestColumns(rq);
+    extra_columns.push_back(chunk_column_);
     Executor executor(session_->catalog(), &session_->hardcoded());
     SUDAF_ASSIGN_OR_RETURN(PreparedInput input,
                            executor.Prepare(range_stmt, extra_columns, opts));

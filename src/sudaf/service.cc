@@ -13,6 +13,26 @@
 
 namespace sudaf {
 
+namespace {
+
+// Cadence at which a queued attempt polls its members' guards (clamped
+// further by their remaining deadline budget).
+constexpr double kQueuePollMs = 2.0;
+// Each memory-pressure signal multiplies the cache budget by this factor.
+constexpr double kCacheShrinkFactor = 0.5;
+// Seed of the retry backoff jitter stream.
+constexpr uint64_t kRetryJitterSeed = 0x5eedcafeULL;
+
+// Shortens a queued waiter's sleep to the guard's remaining deadline
+// budget, so a deadline fires promptly even if no slot ever frees.
+void ClampSleepToDeadline(const QueryGuard& guard, double* sleep_ms) {
+  if (guard.has_deadline()) {
+    *sleep_ms = std::min(*sleep_ms, std::max(0.1, guard.remaining_ms()));
+  }
+}
+
+}  // namespace
+
 // --- RetryPolicy ------------------------------------------------------------
 
 bool RetryPolicy::ShouldRetry(const Status& s, bool idempotent,
@@ -45,7 +65,7 @@ double RetryPolicy::BackoffMs(uint64_t request_id, int attempt) const {
   double cap = base_backoff_ms;
   for (int i = 1; i < attempt && cap < max_backoff_ms; ++i) cap *= 2.0;
   cap = std::min(cap, max_backoff_ms);
-  Rng rng(jitter_seed ^ (request_id * 0x9e3779b97f4a7c15ULL) ^
+  Rng rng(kRetryJitterSeed ^ (request_id * 0x9e3779b97f4a7c15ULL) ^
           static_cast<uint64_t>(attempt));
   return cap * (0.5 + 0.5 * rng.NextDouble());
 }
@@ -62,143 +82,85 @@ void AdmissionController::Count(const char* name) const {
   if (metrics_ != nullptr) metrics_->counter(name)->Add();
 }
 
+void AdmissionController::SetGauge(const char* name, int64_t value) const {
+  if (metrics_ != nullptr) metrics_->gauge(name)->Set(value);
+}
+
 Status AdmissionController::Admit(const QueryGuard* guard, double poll_ms) {
+  return AdmitPoll(
+      [&](double* sleep_ms) -> Status {
+        if (guard == nullptr) return Status::OK();
+        Status g = guard->Check();
+        if (!g.ok()) {
+          Count(g.code() == StatusCode::kCancelled
+                    ? "sudaf.service.queue_cancelled"
+                    : "sudaf.service.queue_timeouts");
+          return g;
+        }
+        ClampSleepToDeadline(*guard, sleep_ms);
+        return Status::OK();
+      },
+      poll_ms);
+}
+
+Status AdmissionController::AdmitPoll(
+    const std::function<Status(double* sleep_ms)>& poll, double poll_ms) {
   const double wait_start = NowMs();
   std::unique_lock<std::mutex> lock(mu_);
   // Fast path: a free slot and nobody queued ahead of us.
-  if (inflight_ < max_concurrency_ && fifo_.empty()) {
-    ++inflight_;
-    Count("sudaf.service.admitted");
-    if (metrics_ != nullptr) {
-      metrics_->gauge("sudaf.service.inflight")->Set(inflight_);
+  if (inflight_ >= max_concurrency_ || !fifo_.empty()) {
+    if (static_cast<int>(fifo_.size()) >= max_queue_) {
+      Count("sudaf.service.shed");
+      return Status::ResourceExhausted(
+          "admission queue full (" + std::to_string(fifo_.size()) +
+          " waiting, " + std::to_string(inflight_) + " in flight)");
     }
-    return Status::OK();
-  }
-  if (static_cast<int>(fifo_.size()) >= max_queue_) {
-    Count("sudaf.service.shed");
-    return Status::ResourceExhausted(
-        "admission queue full (" + std::to_string(fifo_.size()) + " waiting, " +
-        std::to_string(inflight_) + " in flight)");
-  }
-  const uint64_t ticket = next_ticket_++;
-  fifo_.push_back(ticket);
-  if (metrics_ != nullptr) {
-    metrics_->gauge("sudaf.service.queue_depth")
-        ->Set(static_cast<int64_t>(fifo_.size()));
-  }
-  while (true) {
-    if (!fifo_.empty() && fifo_.front() == ticket &&
-        inflight_ < max_concurrency_) {
-      fifo_.pop_front();
-      ++inflight_;
-      Count("sudaf.service.admitted");
-      if (metrics_ != nullptr) {
-        metrics_->gauge("sudaf.service.inflight")->Set(inflight_);
-        metrics_->gauge("sudaf.service.queue_depth")
-            ->Set(static_cast<int64_t>(fifo_.size()));
-        metrics_->histogram("sudaf.service.queue_wait_ms")
-            ->Observe(NowMs() - wait_start);
-      }
-      // Wake the next waiter behind us (a slot may still be free).
-      cv_.notify_all();
-      return Status::OK();
-    }
-    if (guard != nullptr) {
-      Status g = guard->Check();
-      if (!g.ok()) {
+    const uint64_t ticket = next_ticket_++;
+    fifo_.push_back(ticket);
+    SetGauge("sudaf.service.queue_depth", static_cast<int64_t>(fifo_.size()));
+    // Our ticket stays in fifo_ until this call removes it.
+    auto granted = [&] {
+      return fifo_.front() == ticket && inflight_ < max_concurrency_;
+    };
+    while (!granted()) {
+      // Run the poll without the controller lock: the service's poll
+      // finishes pruned tickets, which takes their locks.
+      double sleep_ms = poll_ms > 0 ? poll_ms : kQueuePollMs;
+      lock.unlock();
+      Status s = poll(&sleep_ms);
+      lock.lock();
+      if (!s.ok()) {
         // Abandon our ticket so later arrivals aren't blocked behind it.
-        auto it = std::find(fifo_.begin(), fifo_.end(), ticket);
-        if (it != fifo_.end()) fifo_.erase(it);
-        if (metrics_ != nullptr) {
-          metrics_->gauge("sudaf.service.queue_depth")
-              ->Set(static_cast<int64_t>(fifo_.size()));
-        }
-        Count(g.code() == StatusCode::kCancelled
-                  ? "sudaf.service.queue_cancelled"
-                  : "sudaf.service.queue_timeouts");
+        fifo_.erase(std::find(fifo_.begin(), fifo_.end(), ticket));
+        SetGauge("sudaf.service.queue_depth",
+              static_cast<int64_t>(fifo_.size()));
         cv_.notify_all();
-        return g;
+        return s;
       }
+      // Sleep until our turn comes or the next poll is due. The predicate
+      // catches a Release that happened while the poll ran unlocked.
+      cv_.wait_for(lock, std::chrono::duration<double, std::milli>(sleep_ms),
+                   granted);
     }
-    // Sleep until notified or until the next guard poll is due. The poll
-    // interval is clamped by the guard's remaining deadline budget so a
-    // deadline fires promptly even if no slot ever frees.
-    double sleep_ms = poll_ms > 0 ? poll_ms : 2.0;
-    if (guard != nullptr && guard->has_deadline()) {
-      sleep_ms = std::min(sleep_ms, std::max(0.1, guard->remaining_ms()));
-    }
-    cv_.wait_for(lock, std::chrono::duration<double, std::milli>(sleep_ms));
-  }
-}
-
-Status AdmissionController::AdmitPoll(const std::function<Status()>& poll,
-                                      double poll_ms) {
-  const double wait_start = NowMs();
-  std::unique_lock<std::mutex> lock(mu_);
-  if (inflight_ < max_concurrency_ && fifo_.empty()) {
-    ++inflight_;
-    Count("sudaf.service.admitted");
+    fifo_.pop_front();
+    SetGauge("sudaf.service.queue_depth", static_cast<int64_t>(fifo_.size()));
     if (metrics_ != nullptr) {
-      metrics_->gauge("sudaf.service.inflight")->Set(inflight_);
+      metrics_->histogram("sudaf.service.queue_wait_ms")
+          ->Observe(NowMs() - wait_start);
     }
-    return Status::OK();
+    // Wake the next waiter behind us (a slot may still be free).
+    cv_.notify_all();
   }
-  if (static_cast<int>(fifo_.size()) >= max_queue_) {
-    Count("sudaf.service.shed");
-    return Status::ResourceExhausted(
-        "admission queue full (" + std::to_string(fifo_.size()) + " waiting, " +
-        std::to_string(inflight_) + " in flight)");
-  }
-  const uint64_t ticket = next_ticket_++;
-  fifo_.push_back(ticket);
-  if (metrics_ != nullptr) {
-    metrics_->gauge("sudaf.service.queue_depth")
-        ->Set(static_cast<int64_t>(fifo_.size()));
-  }
-  while (true) {
-    if (!fifo_.empty() && fifo_.front() == ticket &&
-        inflight_ < max_concurrency_) {
-      fifo_.pop_front();
-      ++inflight_;
-      Count("sudaf.service.admitted");
-      if (metrics_ != nullptr) {
-        metrics_->gauge("sudaf.service.inflight")->Set(inflight_);
-        metrics_->gauge("sudaf.service.queue_depth")
-            ->Set(static_cast<int64_t>(fifo_.size()));
-        metrics_->histogram("sudaf.service.queue_wait_ms")
-            ->Observe(NowMs() - wait_start);
-      }
-      cv_.notify_all();
-      return Status::OK();
-    }
-    // Run the poll without the controller lock: batch leaders prune (and
-    // finish) expired group members inside it, which takes ticket locks.
-    lock.unlock();
-    Status s = poll();
-    lock.lock();
-    if (!s.ok()) {
-      auto it = std::find(fifo_.begin(), fifo_.end(), ticket);
-      if (it != fifo_.end()) fifo_.erase(it);
-      if (metrics_ != nullptr) {
-        metrics_->gauge("sudaf.service.queue_depth")
-            ->Set(static_cast<int64_t>(fifo_.size()));
-      }
-      // No queue_cancelled/queue_timeouts counting here: the caller
-      // accounted each abandoned member itself.
-      cv_.notify_all();
-      return s;
-    }
-    cv_.wait_for(lock, std::chrono::duration<double, std::milli>(
-                           poll_ms > 0 ? poll_ms : 2.0));
-  }
+  ++inflight_;
+  Count("sudaf.service.admitted");
+  SetGauge("sudaf.service.inflight", inflight_);
+  return Status::OK();
 }
 
 void AdmissionController::Release() {
   std::lock_guard<std::mutex> lock(mu_);
   --inflight_;
-  if (metrics_ != nullptr) {
-    metrics_->gauge("sudaf.service.inflight")->Set(inflight_);
-  }
+  SetGauge("sudaf.service.inflight", inflight_);
   cv_.notify_all();
 }
 
@@ -221,13 +183,15 @@ int AdmissionController::queue_depth() const {
 //       -> kSoloReady (runnable by any waiter: unbatchable from birth,
 //                      singleton after window formation, or demoted for a
 //                      solo retry)
-//       -> kRunning   (one waiter is inside the solo retry loop)
+//       -> kRunning   (one waiter is running its one-member attempt; a
+//                      retry goes back to kSoloReady via RetryOrFail)
 //       -> kDone      (result present; consumed exactly once)
 //
 // `stage`, `result` and the retry bookkeeping are guarded by `mu`;
 // `in_window` is guarded by the service's batch_mu_ (lock order: batch_mu_
-// before mu). While kClaimed/kRunning the runner owns the bookkeeping
-// fields exclusively — the stage transition under `mu` hands them over.
+// before mu). While kClaimed/kRunning the attempt's runner owns the
+// bookkeeping fields exclusively — the stage transition under `mu` hands
+// them over.
 struct TicketState {
   enum class Stage { kPending, kClaimed, kSoloReady, kRunning, kDone };
 
@@ -296,11 +260,11 @@ void QueryTicket::Cancel() {
 
 namespace {
 
-// A pending/claimed ticket's view of its own liveness: the Cancel() flag
-// first, then the guard (deadline / caller-side cancellation).
+// A queued ticket's view of its own liveness: the Cancel() flag first,
+// then the guard (deadline / caller-side cancellation).
 Status TicketLiveness(const TicketState& st) {
   if (st.cancelled.load()) {
-    return Status::Cancelled("cancelled while batching");
+    return Status::Cancelled("cancelled while queued");
   }
   if (st.request.guard != nullptr) return st.request.guard->Check();
   return Status::OK();
@@ -329,9 +293,8 @@ QueryService::~QueryService() {
   }
   batch_cv_.notify_all();
   for (auto& st : orphaned) {
-    CountWindowDrop(Status::Cancelled(""));
-    FinishError(st, Status::Cancelled(
-                        "query service destroyed before the request ran"));
+    DropTicket(st, Status::Cancelled(
+                       "query service destroyed before the request ran"));
   }
 }
 
@@ -457,8 +420,7 @@ Result<QueryResult> QueryService::Drive(
           if (it != window_.end()) window_.erase(it);
           st->in_window = false;
           lock.unlock();
-          CountWindowDrop(live);
-          FinishError(st, live);
+          DropTicket(st, live);
           continue;
         }
         batch_cv_.wait_for(lock, std::chrono::duration<double, std::milli>(
@@ -490,67 +452,7 @@ Result<QueryResult> QueryService::Drive(
       std::this_thread::sleep_for(
           std::chrono::duration<double, std::milli>(backoff_ms));
     }
-    RunSolo(st);
-  }
-}
-
-void QueryService::RunSolo(const std::shared_ptr<TicketState>& st) {
-  while (true) {
-    // Pre-admission cancellation consumes this attempt's admission unit as
-    // queue_cancelled, keeping the reconciliation identities exact.
-    if (st->cancelled.load()) {
-      Status s = Status::Cancelled("cancelled before execution");
-      CountWindowDrop(s);
-      FinishError(st, s);
-      return;
-    }
-    ++st->attempts;
-    Status admitted =
-        admission_.Admit(st->request.guard, options_.queue_poll_ms);
-    if (!admitted.ok()) {
-      // Shedding is retryable (nothing ran); guard outcomes are final.
-      if (st->attempts < options_.retry.max_attempts &&
-          options_.retry.ShouldRetry(admitted, st->request.idempotent,
-                                     /*work_started=*/false)) {
-        metrics_.counter("sudaf.service.retries")->Add();
-        std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
-            options_.retry.BackoffMs(st->id, st->attempts)));
-        continue;
-      }
-      FinishError(st, admitted);
-      return;
-    }
-    metrics_.counter("sudaf.batch.solo")->Add();
-
-    bool memory_only = false;
-    Result<QueryResult> result = RunOnce(st->request, &memory_only);
-    admission_.Release();
-    st->any_memory_only |= memory_only;
-
-    UpdateBreaker();
-
-    if (result.ok()) {
-      result->stats.service_attempts = st->attempts;
-      result->stats.degraded_cache_memory_only = st->any_memory_only;
-      FinishOk(st, std::move(*result));
-      return;
-    }
-
-    if (result.status().code() == StatusCode::kResourceExhausted) {
-      // Mid-execution memory pressure: shrink the cache so the retry (and
-      // every later request) fits the tighter budget.
-      SignalMemoryPressure();
-    }
-    if (st->attempts < options_.retry.max_attempts &&
-        options_.retry.ShouldRetry(result.status(), st->request.idempotent,
-                                   /*work_started=*/true)) {
-      metrics_.counter("sudaf.service.retries")->Add();
-      std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
-          options_.retry.BackoffMs(st->id, st->attempts)));
-      continue;
-    }
-    FinishError(st, result.status());
-    return;
+    RunAttempt({st});
   }
 }
 
@@ -558,22 +460,12 @@ void QueryService::FormAndRun(
     std::vector<std::shared_ptr<TicketState>> claimed) {
   // Prune cancelled/expired tickets BEFORE grouping: a dropped request
   // never occupies a state slot in anyone's pass.
-  std::vector<std::shared_ptr<TicketState>> live;
-  live.reserve(claimed.size());
-  for (auto& st : claimed) {
-    Status s = TicketLiveness(*st);
-    if (!s.ok()) {
-      CountWindowDrop(s);
-      FinishError(st, s);
-    } else {
-      live.push_back(std::move(st));
-    }
-  }
+  DropMembers(&claimed, TicketLiveness);
 
   // Group by (mode, data signature) in first-appearance order.
   std::map<std::string, size_t> index;
   std::vector<std::vector<std::shared_ptr<TicketState>>> groups;
-  for (auto& st : live) {
+  for (auto& st : claimed) {
     std::string key = std::to_string(static_cast<int>(st->request.mode)) +
                       "|" + DataSignature(*st->stmt);
     auto [it, inserted] = index.emplace(std::move(key), groups.size());
@@ -581,8 +473,8 @@ void QueryService::FormAndRun(
     groups[it->second].push_back(std::move(st));
   }
 
-  // Singletons go back to their own waiters (solo path, one admission
-  // each); real groups run here, one shared pass per group.
+  // Singletons go back to their own waiters (one attempt each); real
+  // groups run here, one shared pass per group.
   bool any_solo = false;
   for (auto& group : groups) {
     if (group.size() == 1) {
@@ -594,56 +486,52 @@ void QueryService::FormAndRun(
   }
   if (any_solo) batch_cv_.notify_all();
   for (auto& group : groups) {
-    if (group.size() >= 2) ExecuteGroup(std::move(group));
+    if (group.size() >= 2) RunAttempt(std::move(group));
   }
 }
 
-void QueryService::ExecuteGroup(
-    std::vector<std::shared_ptr<TicketState>> group) {
-  // One admission slot covers the whole fused pass. While queued, members
-  // keep honoring their guards: an expired member is dropped from the
-  // group (and accounted) without abandoning the wait while at least one
-  // member lives.
-  auto prune = [&]() -> Status {
-    Status last_drop = Status::OK();
-    for (auto it = group.begin(); it != group.end();) {
-      Status s = TicketLiveness(**it);
-      if (!s.ok()) {
-        CountWindowDrop(s);
-        FinishError(*it, s);
-        last_drop = s;
-        it = group.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    if (group.empty()) return last_drop;
-    return Status::OK();
-  };
+void QueryService::RunAttempt(
+    std::vector<std::shared_ptr<TicketState>> members) {
+  // A member cancelled before its attempt began never queues; its
+  // admission unit is accounted as queue_cancelled, keeping the
+  // reconciliation identities exact.
+  DropMembers(&members, [](const TicketState& st) {
+    return st.cancelled.load()
+               ? Status::Cancelled("cancelled before execution")
+               : Status::OK();
+  });
+  if (members.empty()) return;
 
-  Status admitted = admission_.AdmitPoll(prune, options_.queue_poll_ms);
+  // One admission slot covers the whole attempt. While queued, members
+  // keep honoring Cancel() and their guards: an expired member is dropped
+  // (and accounted) without abandoning the wait while at least one lives.
+  Status admitted = admission_.AdmitPoll(
+      [&](double* sleep_ms) -> Status {
+        Status last_drop = DropMembers(&members, TicketLiveness);
+        if (members.empty()) return last_drop;
+        for (const auto& st : members) {
+          ClampSleepToDeadline(*st->request.guard, sleep_ms);
+        }
+        return Status::OK();
+      },
+      kQueuePollMs);
   if (!admitted.ok()) {
-    if (group.empty()) return;  // every member expired; accounted in prune
-    // Queue-full shed: the controller counted one; account the other
-    // members, then send everyone through the normal retry path (solo).
-    for (size_t i = 1; i < group.size(); ++i) {
-      metrics_.counter("sudaf.service.shed")->Add();
-    }
-    for (auto& st : group) {
-      ++st->attempts;
-      RetryOrFail(st, admitted, /*work_started=*/false);
+    // Every member expired (accounted while queued), or a queue-full shed:
+    // the controller counted one shed; account the other members, then
+    // send everyone through the retry policy.
+    for (size_t i = 0; i < members.size(); ++i) {
+      if (i > 0) metrics_.counter("sudaf.service.shed")->Add();
+      ++members[i]->attempts;
+      RetryOrFail(members[i], admitted, /*work_started=*/false);
     }
     return;
   }
   // The controller counted one admission for the slot; the other members
   // were admitted with it.
-  for (size_t i = 1; i < group.size(); ++i) {
+  for (size_t i = 1; i < members.size(); ++i) {
     metrics_.counter("sudaf.service.admitted")->Add();
   }
-  metrics_.counter("sudaf.batch.coalesced")
-      ->Add(static_cast<int64_t>(group.size()));
-  metrics_.histogram("sudaf.batch.group_size")
-      ->Observe(static_cast<double>(group.size()));
+  for (auto& st : members) ++st->attempts;
 
   bool memory_only;
   {
@@ -651,45 +539,77 @@ void QueryService::ExecuteGroup(
     memory_only = breaker_ != BreakerState::kClosed;
   }
 
-  std::vector<BatchItem> items;
-  items.reserve(group.size());
-  for (auto& st : group) {
-    ++st->attempts;
-    items.push_back(BatchItem{st->stmt.get(), st->request.guard});
+  // The prune above runs first, so a group cut to one member runs solo.
+  std::vector<Result<QueryResult>> results;
+  if (members.size() == 1) {
+    // Solo keeps the request's own exec override, EXPLAIN wrapping and
+    // kEngine mode.
+    const ServiceRequest& request = members[0]->request;
+    metrics_.counter("sudaf.batch.solo")->Add();
+    ExecOptions exec =
+        request.exec.has_value() ? *request.exec : session_->exec_options();
+    exec.guard = request.guard;
+    results.push_back(session_->Execute(request.sql, request.mode, exec));
+  } else {
+    const auto n = static_cast<int64_t>(members.size());
+    metrics_.counter("sudaf.batch.coalesced")->Add(n);
+    metrics_.histogram("sudaf.batch.group_size")
+        ->Observe(static_cast<double>(n));
+    std::vector<BatchItem> items;
+    items.reserve(members.size());
+    for (auto& st : members) {
+      items.push_back(BatchItem{st->stmt.get(), st->request.guard});
+    }
+    BatchExecStats bstats;
+    results = session_->ExecuteBatch(items, members[0]->request.mode,
+                                     session_->exec_options(), &bstats);
+    metrics_.counter("sudaf.batch.groups")
+        ->Add(static_cast<int64_t>(bstats.groups_shared));
+    metrics_.counter("sudaf.batch.states_requested")
+        ->Add(bstats.states_requested);
+    metrics_.counter("sudaf.batch.states_deduped")
+        ->Add(bstats.states_deduped);
+    metrics_.counter("sudaf.batch.scan_passes")->Add(bstats.scan_passes);
+    metrics_.counter("sudaf.batch.scan_passes_saved")
+        ->Add(bstats.scan_passes_saved);
   }
-  BatchExecStats bstats;
-  std::vector<Result<QueryResult>> results = session_->ExecuteBatch(
-      items, group[0]->request.mode, session_->exec_options(), &bstats);
   admission_.Release();
 
   UpdateBreaker();
 
-  metrics_.counter("sudaf.batch.groups")
-      ->Add(static_cast<int64_t>(bstats.groups_shared));
-  metrics_.counter("sudaf.batch.states_requested")
-      ->Add(bstats.states_requested);
-  metrics_.counter("sudaf.batch.states_deduped")->Add(bstats.states_deduped);
-  metrics_.counter("sudaf.batch.scan_passes")->Add(bstats.scan_passes);
-  metrics_.counter("sudaf.batch.scan_passes_saved")
-      ->Add(bstats.scan_passes_saved);
-
-  for (size_t i = 0; i < group.size(); ++i) {
-    const std::shared_ptr<TicketState>& st = group[i];
+  for (size_t i = 0; i < members.size(); ++i) {
+    const std::shared_ptr<TicketState>& st = members[i];
     st->any_memory_only |= memory_only;
     if (results[i].ok()) {
       QueryResult qr = std::move(*results[i]);
       qr.stats.service_attempts = st->attempts;
       qr.stats.degraded_cache_memory_only = st->any_memory_only;
       FinishOk(st, std::move(qr));
-    } else {
-      if (results[i].status().code() == StatusCode::kResourceExhausted) {
-        SignalMemoryPressure();
-      }
-      // A failed member (group-level fault, guard trip, per-member error)
-      // degrades to the solo path through the normal retry policy.
-      RetryOrFail(st, results[i].status(), /*work_started=*/true);
+      continue;
     }
+    if (results[i].status().code() == StatusCode::kResourceExhausted) {
+      // Mid-execution memory pressure: shrink the cache so the retry (and
+      // every later request) fits the tighter budget.
+      SignalMemoryPressure();
+    }
+    // A failed member (group-level fault, guard trip, per-member error)
+    // retries solo through the retry policy.
+    RetryOrFail(st, results[i].status(), /*work_started=*/true);
   }
+}
+
+Status QueryService::DropMembers(
+    std::vector<std::shared_ptr<TicketState>>* members,
+    const std::function<Status(const TicketState&)>& check) {
+  Status last_drop = Status::OK();
+  std::erase_if(*members, [&](const std::shared_ptr<TicketState>& st) {
+    Status s = check(*st);
+    if (s.ok()) return false;
+    DropTicket(st, s);
+    last_drop = std::move(s);
+    return true;
+  });
+  return last_drop;
 }
 
 void QueryService::RetryOrFail(const std::shared_ptr<TicketState>& st,
@@ -725,23 +645,13 @@ void QueryService::FinishError(const std::shared_ptr<TicketState>& st,
   st->cv.notify_all();
 }
 
-void QueryService::CountWindowDrop(const Status& s) {
+void QueryService::DropTicket(const std::shared_ptr<TicketState>& st,
+                              const Status& s) {
   metrics_.counter(s.code() == StatusCode::kCancelled
                        ? "sudaf.service.queue_cancelled"
                        : "sudaf.service.queue_timeouts")
       ->Add();
-}
-
-Result<QueryResult> QueryService::RunOnce(const ServiceRequest& request,
-                                          bool* memory_only) {
-  ExecOptions exec =
-      request.exec.has_value() ? *request.exec : session_->exec_options();
-  if (request.guard != nullptr) exec.guard = request.guard;
-  {
-    std::lock_guard<std::mutex> lock(breaker_mu_);
-    *memory_only = breaker_ != BreakerState::kClosed;
-  }
-  return session_->Execute(request.sql, request.mode, exec);
+  FinishError(st, s);
 }
 
 void QueryService::UpdateBreaker() {
@@ -802,7 +712,7 @@ void QueryService::SignalMemoryPressure() {
   int64_t current = policy.max_bytes > 0 ? policy.max_bytes
                                          : session_->cache().ApproxBytes();
   int64_t target = static_cast<int64_t>(
-      static_cast<double>(current) * options_.cache_shrink_factor);
+      static_cast<double>(current) * kCacheShrinkFactor);
   policy.max_bytes = std::max(options_.cache_min_bytes, target);
   session_->set_cache_policy(policy);
   metrics_.gauge("sudaf.service.cache_max_bytes")->Set(policy.max_bytes);

@@ -76,14 +76,13 @@ namespace sudaf {
 // Retry schedule: attempt n (1-based) failing transiently sleeps
 //  min(base_backoff_ms * 2^(n-1), max_backoff_ms) * U where U ∈ [0.5, 1)
 // with U drawn from a SplitMix64 stream seeded by
-// (jitter_seed ^ request_id ^ attempt) — deterministic per (seed, request,
+// (a fixed seed ^ request_id ^ attempt) — deterministic per (request,
 // attempt), uncorrelated across requests, so a load spike that sheds many
 // requests at once does not retry them in lockstep.
 struct RetryPolicy {
   int max_attempts = 3;          // total tries, including the first
   double base_backoff_ms = 1.0;  // first retry's backoff cap
   double max_backoff_ms = 64.0;  // exponential growth cap
-  uint64_t jitter_seed = 0x5eedcafeULL;
 
   // True when `s` may be retried. Admission shedding (kResourceExhausted)
   // is always retryable — nothing executed. kInternal (the code transient
@@ -108,15 +107,11 @@ struct BreakerPolicy {
 struct ServiceOptions {
   int max_concurrency = 4;
   int max_queue = 16;
-  // Cadence at which queued requests poll their guard (bounded further by
-  // the guard's own remaining_ms).
-  double queue_poll_ms = 2.0;
   RetryPolicy retry;
   BreakerPolicy breaker;
   // Memory-pressure degradation: each SignalMemoryPressure (or execution
-  // failing with kResourceExhausted) multiplies the cache budget by
-  // `cache_shrink_factor`, never below `cache_min_bytes`.
-  double cache_shrink_factor = 0.5;
+  // failing with kResourceExhausted) halves the cache budget, never below
+  // `cache_min_bytes`.
   int64_t cache_min_bytes = 64 * 1024;
   // Shared-scan batching window: a batchable Submit waits up to
   // `batch_window_ms` (or until `batch_max_queries` are pending) for
@@ -175,11 +170,12 @@ class QueryTicket {
   // execution.
   bool TryGet(Result<QueryResult>* out);
 
-  // Best-effort cancellation: a ticket still in the batching window is
-  // dropped before its group forms (kCancelled, counted under
-  // sudaf.service.queue_cancelled); a running request is interrupted at
-  // the next guard check when the service installed its own guard, or at
-  // the next phase boundary otherwise. Completed tickets are unaffected.
+  // Best-effort cancellation: a ticket still in the batching window or
+  // waiting for admission is dropped before it runs (kCancelled, counted
+  // under sudaf.service.queue_cancelled); a running request is
+  // interrupted at the next guard check when the service installed its
+  // own guard, or at the next phase boundary otherwise. Completed tickets
+  // are unaffected.
   void Cancel();
 
  private:
@@ -199,17 +195,19 @@ class AdmissionController {
                       MetricsRegistry* metrics);
 
   // Blocks until a slot is granted (OK — caller must later Release()), the
-  // queue is full at arrival (kResourceExhausted, immediate), or the
-  // guard fires while queued (its kDeadlineExceeded/kCancelled verbatim).
-  // FIFO: slots are granted strictly in arrival order.
-  Status Admit(const QueryGuard* guard, double poll_ms);
+  // queue is full at arrival (kResourceExhausted, immediate), or `poll`
+  // abandons the wait. FIFO: slots are granted strictly in arrival order.
+  // While queued, `poll` runs at every wakeup without the controller lock;
+  // *sleep_ms starts at `poll_ms` and the poll may lower it to wake
+  // sooner. A non-OK return abandons the wait with that status verbatim
+  // and is not counted here — the caller accounts it.
+  Status AdmitPoll(const std::function<Status(double* sleep_ms)>& poll,
+                   double poll_ms);
 
-  // Poll-driven variant for batch leaders holding one slot for a whole
-  // group: `poll` runs at every wakeup (without the controller lock) and a
-  // non-OK return abandons the wait with that status verbatim. Unlike
-  // Admit, abandonment is NOT counted under queue_cancelled/queue_timeouts
-  // — the caller accounts its members itself (it may have pruned several).
-  Status AdmitPoll(const std::function<Status()>& poll, double poll_ms);
+  // AdmitPoll whose poll checks `guard` (may be null): a guard firing
+  // while queued returns its kDeadlineExceeded/kCancelled verbatim,
+  // counted under queue_timeouts/queue_cancelled.
+  Status Admit(const QueryGuard* guard, double poll_ms);
 
   void Release();
 
@@ -219,8 +217,9 @@ class AdmissionController {
  private:
   const int max_concurrency_;
   const int max_queue_;
-  MetricsRegistry* metrics_;  // null-safe via Count()
+  MetricsRegistry* metrics_;  // null-safe via Count() / SetGauge()
   void Count(const char* name) const;
+  void SetGauge(const char* name, int64_t value) const;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
@@ -258,9 +257,9 @@ class QueryService {
   Status Prefetch(const std::string& sql);
   QueryTicket SubmitPrefetch(const std::string& sql);
 
-  // Shrinks the cache byte budget by cache_shrink_factor (floored at
-  // cache_min_bytes), evicting immediately. Also invoked internally when
-  // an execution fails with kResourceExhausted.
+  // Halves the cache byte budget (floored at cache_min_bytes), evicting
+  // immediately. Also invoked internally when an execution fails with
+  // kResourceExhausted.
   void SignalMemoryPressure();
 
   enum class BreakerState { kClosed, kOpen, kHalfOpen };
@@ -277,11 +276,6 @@ class QueryService {
  private:
   friend class QueryTicket;
 
-  // One admitted execution. Returns the session result; sets
-  // `memory_only` when the persistence breaker was open for this attempt.
-  Result<QueryResult> RunOnce(const ServiceRequest& request,
-                              bool* memory_only);
-
   // Post-execution bookkeeping, called once per admitted attempt.
   void UpdateBreaker();
 
@@ -290,26 +284,34 @@ class QueryService {
   // watch, and returns the (consumed-once) result.
   Result<QueryResult> Drive(const std::shared_ptr<TicketState>& st);
 
-  // The old Execute retry loop, publishing into the ticket: admit → run →
-  // release → breaker, with backoff/retry per RetryPolicy.
-  void RunSolo(const std::shared_ptr<TicketState>& st);
-
   // Leader path: prune cancelled/expired tickets out of a claimed window
-  // (satellite: dropped members never reach a group), group the remainder
-  // by (mode, data signature), hand singletons back to their waiters and
-  // run every >= 2 group as one shared pass.
+  // (dropped members never reach a group), group the remainder by (mode,
+  // data signature), hand singletons back to their waiters and run every
+  // >= 2 group as one attempt.
   void FormAndRun(std::vector<std::shared_ptr<TicketState>> claimed);
 
-  // One admission slot, one SudafSession::ExecuteBatch call, per-member
-  // publication or solo-retry demotion for a same-signature group.
-  void ExecuteGroup(std::vector<std::shared_ptr<TicketState>> group);
+  // One attempt for 1..n tickets: drop members already cancelled, take one
+  // admission slot (pruning members whose liveness fails while queued),
+  // run a lone member through SudafSession::Execute and two or more
+  // through one SudafSession::ExecuteBatch, release, update the breaker,
+  // then finish each member or hand it to RetryOrFail.
+  void RunAttempt(std::vector<std::shared_ptr<TicketState>> members);
 
-  // Shared terminal/retry bookkeeping on tickets.
+  // Removes and drops (DropTicket) every member whose `check` is not OK.
+  // Returns the last such status (OK when none was dropped).
+  Status DropMembers(std::vector<std::shared_ptr<TicketState>>* members,
+                     const std::function<Status(const TicketState&)>& check);
+
+  // Shared terminal/retry bookkeeping on tickets. RetryOrFail is the only
+  // retry path: it schedules the backoff and hands the ticket back to its
+  // waiter (kSoloReady), whose Drive runs the next attempt.
   void RetryOrFail(const std::shared_ptr<TicketState>& st, const Status& s,
                    bool work_started);
   void FinishOk(const std::shared_ptr<TicketState>& st, QueryResult result);
   void FinishError(const std::shared_ptr<TicketState>& st, const Status& s);
-  void CountWindowDrop(const Status& s);
+  // FinishError for a ticket that never ran, counted as queue_cancelled /
+  // queue_timeouts (its admission unit).
+  void DropTicket(const std::shared_ptr<TicketState>& st, const Status& s);
 
   SudafSession* session_;
   ServiceOptions options_;

@@ -336,7 +336,7 @@ void SudafSession::BeginQuery(QueryRun* q, const SelectStatement& stmt,
   {
     std::lock_guard<std::mutex> lock(options_mu_);
     if (options_.collect_traces) {
-      q->trace = std::make_shared<QueryTrace>(options_.trace_capacity);
+      q->trace = std::make_shared<QueryTrace>();
     }
   }
   q->stmt = &stmt;
@@ -457,15 +457,6 @@ std::vector<double> ExtendChannel(const std::vector<double>& channel,
   std::vector<double> out(static_cast<size_t>(n), identity);
   std::copy(channel.begin(), channel.end(), out.begin());
   return out;
-}
-
-// The base-table columns a fused pass over `rq` reads.
-std::vector<std::string> RequestColumns(const BatchRequestPlan& rq) {
-  std::vector<std::string> columns;
-  for (const StateBatchRequest& r : rq.requests) {
-    if (r.input != nullptr) r.input->CollectColumns(&columns);
-  }
-  return columns;
 }
 
 }  // namespace

@@ -197,8 +197,6 @@ struct SessionOptions {
   // QueryResult::trace. Costs one mutex op per span/event; turn off for
   // benchmark inner loops that only want ExecStats.
   bool collect_traces = true;
-  // Span cap and event ring size of each query's trace.
-  int trace_capacity = 4096;
   // Filesystem backend for cache persistence (null = Vfs::Default(), the
   // real POSIX disk). Tests pass a FaultVfs here to drive power cuts and
   // disk faults through the whole persistence stack. Borrowed; must
@@ -223,10 +221,6 @@ struct SessionOptions {
   }
   SessionOptions& set_collect_traces(bool v) {
     collect_traces = v;
-    return *this;
-  }
-  SessionOptions& set_trace_capacity(int n) {
-    trace_capacity = n;
     return *this;
   }
   SessionOptions& set_vfs(Vfs* v) {

@@ -82,4 +82,12 @@ BatchRequestPlan BuildBatchRequests(const SharedStatePlan& plan,
   return out;
 }
 
+std::vector<std::string> RequestColumns(const BatchRequestPlan& rq) {
+  std::vector<std::string> columns;
+  for (const StateBatchRequest& r : rq.requests) {
+    if (r.input != nullptr) r.input->CollectColumns(&columns);
+  }
+  return columns;
+}
+
 }  // namespace sudaf

@@ -97,6 +97,9 @@ struct BatchRequestPlan {
 BatchRequestPlan BuildBatchRequests(const SharedStatePlan& plan,
                                     const std::vector<bool>& need);
 
+// The input columns a fused pass over `rq` reads (with duplicates).
+std::vector<std::string> RequestColumns(const BatchRequestPlan& rq);
+
 }  // namespace sudaf
 
 #endif  // SUDAF_SUDAF_SHARED_SCAN_H_

@@ -4,6 +4,7 @@
 #include <set>
 
 #include "engine/state_batch.h"
+#include "sudaf/shared_scan.h"
 
 namespace sudaf {
 
@@ -23,14 +24,18 @@ Result<AggregateView> MaterializeAggregateView(SudafSession* session,
   SUDAF_ASSIGN_OR_RETURN(RewrittenQuery rewritten,
                          RewriteQuery(*stmt, session->library()));
 
+  // Every view state is stored verbatim (no-share plan): one direct
+  // representative per distinct state, all computed in one fused pass.
+  SharedStatePlan plan;
+  const std::vector<SharedStatePlan::Slot> slots =
+      plan.AddQuery(rewritten.form.states, /*share=*/false);
+  const BatchRequestPlan rq =
+      BuildBatchRequests(plan, std::vector<bool>(plan.reps().size(), true));
+
   Executor executor(session->catalog(), &session->hardcoded());
-  std::vector<std::string> extra;
-  for (const AggStateDef& state : rewritten.form.states) {
-    if (state.input != nullptr) state.input->CollectColumns(&extra);
-  }
   SUDAF_ASSIGN_OR_RETURN(
       PreparedInput input,
-      executor.Prepare(*stmt, extra, session->exec_options()));
+      executor.Prepare(*stmt, RequestColumns(rq), session->exec_options()));
 
   AggregateView view;
   view.name = name;
@@ -46,31 +51,19 @@ Result<AggregateView> MaterializeAggregateView(SudafSession* session,
   }
   view.data = std::make_unique<Table>(std::move(schema));
 
-  for (int c = 0; c < input.group_keys->num_columns(); ++c) {
-    const Column& src = input.group_keys->column(c);
-    Column& dst = view.data->column(c);
-    for (int32_t g = 0; g < input.num_groups; ++g) {
-      dst.AppendValue(src.GetValue(g));
-    }
-  }
-  // All view states in one morsel-driven pass (duplicate inputs are
-  // deduplicated into shared channels inside the batch engine).
-  std::vector<StateBatchRequest> requests;
-  for (const AggStateDef& state : rewritten.form.states) {
-    if (state.op == AggOp::kCount) {
-      requests.push_back({AggOp::kCount, nullptr});
-    } else {
-      requests.push_back({state.op, state.input.get()});
-    }
+  for (int c = 0; c < view.num_key_columns; ++c) {
+    view.data->column(c).AppendColumn(input.group_keys->column(c));
   }
   SUDAF_ASSIGN_OR_RETURN(
-      std::vector<std::vector<double>> state_columns,
-      ComputeStateBatch(requests, input.Binder(), input.group_ids,
+      std::vector<std::vector<double>> channels,
+      ComputeStateBatch(rq.requests, input.Binder(), input.group_ids,
                         input.num_groups, session->exec_options()));
   for (size_t i = 0; i < rewritten.form.states.size(); ++i) {
     Column& dst = view.data->column(view.num_key_columns +
                                     static_cast<int>(i));
-    for (double v : state_columns[i]) dst.AppendFloat64(v);
+    for (double v : channels[rq.main_idx[slots[i].rep]]) {
+      dst.AppendFloat64(v);
+    }
     view.states.push_back(rewritten.form.states[i].Clone());
   }
   view.data->FinishBulkAppend();
@@ -169,13 +162,7 @@ Result<std::unique_ptr<Table>> ExecuteWithView(SudafSession* session,
   SelectStatement delta;
   delta.tables.push_back(view.name);
   for (const std::string& t : extra_tables) delta.tables.push_back(t);
-  ExprPtr where;
-  for (const Expr* c : remaining) {
-    where = where == nullptr
-                ? c->Clone()
-                : Expr::Binary(BinaryOp::kAnd, std::move(where), c->Clone());
-  }
-  delta.where = std::move(where);
+  delta.where = Expr::AndAll(nullptr, remaining);
   delta.group_by = stmt->group_by;
   for (const std::string& g : delta.group_by) {
     delta.items.push_back(SelectItem{Expr::Column(g), ""});

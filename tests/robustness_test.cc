@@ -2,11 +2,16 @@
 // budget), failpoint injection at every registered site, poison-safe state
 // sharing, and epoch-based cache invalidation (docs/robustness.md).
 
+#include <algorithm>
+#include <array>
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <limits>
+#include <thread>
+#include <vector>
 
 #include "common/failpoint.h"
 #include "common/query_guard.h"
@@ -210,6 +215,46 @@ TEST_F(ThreadPoolRobustnessTest, LowestIndexedErrorWinsDeterministically) {
     ASSERT_EQ(st.code(), StatusCode::kInternal);
     ASSERT_EQ(st.message(), "task 7");
   }
+}
+
+// A task claimed before a higher-indexed task fails must still run, or the
+// higher task's error would win. Spinning load threads preempt claimers
+// between the claim and the fail-fast check, which opens that window.
+TEST_F(ThreadPoolRobustnessTest, LowerIndexedTasksRunAfterAHigherFailure) {
+  constexpr int kRounds = 20000;
+  ThreadPool pool(4);
+  const int load = static_cast<int>(
+      std::clamp(std::thread::hardware_concurrency(), 1u, 4u));
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> spinners;
+  for (int i = 0; i < load; ++i) {
+    spinners.emplace_back([&] {
+      while (!stop.load(std::memory_order_relaxed)) {
+      }
+    });
+  }
+  int wrong_status = 0;
+  int skipped_low = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    std::array<std::atomic<bool>, 7> ran{};
+    Status st = pool.TryParallelFor(64, [&](int64_t t) -> Status {
+      if (t < 7) ran[t].store(true);
+      if (t == 7) return Status::Internal("task 7");
+      if (t == 31) return Status::InvalidArgument("task 31");
+      return Status::OK();
+    });
+    if (st.code() != StatusCode::kInternal || st.message() != "task 7") {
+      ++wrong_status;
+    }
+    if (!std::all_of(ran.begin(), ran.end(),
+                     [](const std::atomic<bool>& r) { return r.load(); })) {
+      ++skipped_low;
+    }
+  }
+  stop.store(true);
+  for (auto& t : spinners) t.join();
+  EXPECT_EQ(wrong_status, 0) << "of " << kRounds << " rounds";
+  EXPECT_EQ(skipped_low, 0) << "of " << kRounds << " rounds";
 }
 
 TEST_F(ThreadPoolRobustnessTest, DispatchFailpointPropagates) {

@@ -63,10 +63,11 @@ if [ "$stress" = 1 ]; then
   # Chaos stress shard: concurrent service clients with a chaos thread
   # cycling failpoint configurations, plus the admission/session
   # concurrency suites, the query-group pipeline every solo and batched
-  # rewritten query runs through, and chunked sharing (instances sharing
-  # one session cache), repeated so rare interleavings
-  # get a chance to surface under the sanitizer.
+  # rewritten query runs through, chunked sharing (instances sharing
+  # one session cache), and the thread pool's reentrancy and fail-fast
+  # contracts (lowest-indexed error wins under preempting load), repeated
+  # so rare interleavings get a chance to surface under the sanitizer.
   "${build_dir}/tests/sudaf_tests" \
-    --gtest_filter='ChaosTest.*:AdmissionTest.*:ServiceTest.*:ThreadPoolReentrancyTest.*:SharedScanTest.*:SoloParityTest.*:ChunkedTest.*' \
+    --gtest_filter='ChaosTest.*:AdmissionTest.*:ServiceTest.*:ThreadPoolReentrancyTest.*:ThreadPoolRobustnessTest.*:SharedScanTest.*:SoloParityTest.*:ChunkedTest.*' \
     --gtest_repeat=3 --gtest_shuffle
 fi
