@@ -1,6 +1,8 @@
 #include "common/value.h"
 
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <sstream>
 
 namespace sudaf {
@@ -65,6 +67,15 @@ std::string Value::ToString() const {
     default:
       return "'" + std::get<std::string>(data_) + "'";
   }
+}
+
+std::string FormatExactDouble(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%g", v);
+  if (!std::isnan(v) && std::strtod(buf, nullptr) != v) {
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+  }
+  return buf;
 }
 
 }  // namespace sudaf

@@ -57,11 +57,19 @@ class Value {
   // number (engine/ordering.h). Returns <0, 0, >0.
   int Compare(const Value& other) const;
 
+  // Display text: a float64 prints with 6 significant digits.
   std::string ToString() const;
 
  private:
   std::variant<int64_t, double, std::string> data_;
 };
+
+// `v` as text that parses back to exactly `v`: the 6-significant-digit
+// form Value::ToString prints when that round-trips, "%.17g" otherwise.
+// Identity keys (cache keys, data signatures, rewrite-memo keys) format
+// their numbers with this, so two constants that differ only past the
+// 6th digit never share a key.
+std::string FormatExactDouble(double v);
 
 }  // namespace sudaf
 

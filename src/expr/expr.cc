@@ -157,7 +157,10 @@ bool Expr::Equals(const Expr& other) const {
 std::string Expr::ToString() const {
   switch (kind) {
     case ExprKind::kLiteral:
-      return literal.ToString();
+      // Exact: statement text keys the cache and the rewrite memo.
+      return literal.type() == DataType::kFloat64
+                 ? FormatExactDouble(literal.float64())
+                 : literal.ToString();
     case ExprKind::kColumnRef:
       return column;
     case ExprKind::kUnaryMinus:

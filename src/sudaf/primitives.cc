@@ -1,7 +1,9 @@
 #include "sudaf/primitives.h"
 
 #include <cmath>
-#include <sstream>
+#include <string>
+
+#include "common/value.h"
 
 namespace sudaf {
 
@@ -24,28 +26,22 @@ double Primitive::Eval(double x) const {
 }
 
 std::string Primitive::ToString() const {
-  std::ostringstream os;
+  const std::string v = FormatExactDouble(param);
   switch (kind) {
     case PrimitiveKind::kConst:
-      os << param;
-      break;
+      return v;
     case PrimitiveKind::kIdentity:
-      os << "x";
-      break;
+      return "x";
     case PrimitiveKind::kLinear:
-      os << param << "*x";
-      break;
+      return v + "*x";
     case PrimitiveKind::kPower:
-      os << "x^" << param;
-      break;
+      return "x^" + v;
     case PrimitiveKind::kLog:
-      os << "log_" << param << "(x)";
-      break;
+      return "log_" + v + "(x)";
     case PrimitiveKind::kExp:
-      os << param << "^x";
-      break;
+      return v + "^x";
   }
-  return os.str();
+  return "";
 }
 
 bool Primitive::injective() const {
