@@ -160,15 +160,14 @@ Result<std::unique_ptr<Table>> ChunkedSharingSession::Run(
   }
 
   // Rewrite the select list into states + terminating plans.
-  SUDAF_ASSIGN_OR_RETURN(RewrittenQuery rewritten,
-                         RewriteQuery(*stmt, session_->library()));
-  const std::vector<AggStateDef>& states = rewritten.form.states;
+  SUDAF_ASSIGN_OR_RETURN(RewrittenQuery rewritten, session_->Rewrite(*stmt, m));
+  const std::vector<AggStateDef>& states = rewritten.form().states;
 
-  // Classify every state into its class representative (Theorem 4.1),
-  // exactly as a query of the shared cache does.
+  // Every state's class representative (Theorem 4.1), exactly as a query
+  // of the shared cache resolves it.
   SharedStatePlan plan;
   const std::vector<SharedStatePlan::Slot> slots =
-      plan.AddQuery(states, /*share=*/true);
+      plan.AddQuery(states, rewritten.classified(/*share=*/true));
   const std::vector<SharedStatePlan::Rep>& reps = plan.reps();
 
   // A chunk's signature is the data signature of the statement without
@@ -204,7 +203,7 @@ Result<std::unique_ptr<Table>> ChunkedSharingSession::Run(
                     .set;
     bool complete = chunk.set != nullptr;
     for (size_t r = 0; complete && r < reps.size(); ++r) {
-      complete = cache.ProbeEntry(chunk.set.get(), reps[r].key,
+      complete = cache.ProbeEntry(chunk.set.get(), reps[r].key(),
                                   &chunk.entries[r],
                                   cops) == StateCache::Probe::kHit;
     }
@@ -306,7 +305,7 @@ Result<std::unique_ptr<Table>> ChunkedSharingSession::Run(
         // never cached, and one the budget declines is served call-local.
         if (EntryIsPoisoned(entry)) {
           m->counter("sudaf.states.poisoned")->Add();
-        } else if (!cache.InsertEntry(chunk.set.get(), reps[r].key, entry,
+        } else if (!cache.InsertEntry(chunk.set.get(), reps[r].key(), entry,
                                       cops)) {
           m->counter("sudaf.cache.budget_rejects")->Add();
         }
@@ -347,9 +346,9 @@ Result<std::unique_ptr<Table>> ChunkedSharingSession::Run(
   std::vector<StateCache::Entry> merged(reps.size());
   for (size_t r = 0; r < reps.size(); ++r) {
     StateCache::Entry& out = merged[r];
-    const AggOp op = reps[r].cls.MainOp();
+    const AggOp op = reps[r].cls->MainOp();
     out.main.assign(num_groups, AggIdentity(op));
-    if (reps[r].cls.log_domain) out.sign.assign(num_groups, 1.0);
+    if (reps[r].cls->log_domain) out.sign.assign(num_groups, 1.0);
     for (size_t k = 0; k < chunks.size(); ++k) {
       const StateCache::Entry& part = chunks[k].entries[r];
       for (size_t g = 0; g < remaps[k].size(); ++g) {
@@ -366,9 +365,8 @@ Result<std::unique_ptr<Table>> ChunkedSharingSession::Run(
   std::vector<std::vector<double>> state_values(states.size());
   int64_t served = 0;
   for (size_t i = 0; i < states.size(); ++i) {
-    const SharedStatePlan::Rep& rep = reps[slots[i].rep];
     served += ServeState(merged[slots[i].rep], /*compact=*/false, rows,
-                         states[i], &rep.cls, &slots[i].share_fn,
+                         states[i], reps[slots[i].rep].cls, &slots[i].share_fn,
                          &state_values[i]);
   }
   m->counter("sudaf.serve.rows")->Add(served);

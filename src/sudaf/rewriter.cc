@@ -1,5 +1,6 @@
 #include "sudaf/rewriter.h"
 
+#include <atomic>
 #include <numeric>
 #include <sstream>
 
@@ -9,6 +10,34 @@
 #include "expr/parser.h"
 
 namespace sudaf {
+
+namespace {
+
+uint64_t NextLibraryStamp() {
+  static std::atomic<uint64_t> counter{0};
+  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
+}
+
+}  // namespace
+
+UdafLibrary::UdafLibrary() : stamp_(NextLibraryStamp()) {}
+
+UdafLibrary::UdafLibrary(UdafLibrary&& other) noexcept
+    : exprs_(std::move(other.exprs_)),
+      natives_(std::move(other.natives_)),
+      stamp_(other.stamp_) {
+  other.stamp_ = NextLibraryStamp();
+}
+
+UdafLibrary& UdafLibrary::operator=(UdafLibrary&& other) noexcept {
+  if (this != &other) {
+    exprs_ = std::move(other.exprs_);
+    natives_ = std::move(other.natives_);
+    stamp_ = other.stamp_;
+    other.stamp_ = NextLibraryStamp();
+  }
+  return *this;
+}
 
 Status UdafLibrary::Define(const std::string& name,
                            const std::vector<std::string>& params,
@@ -26,16 +55,20 @@ Status UdafLibrary::Define(const std::string& name,
   def.params = params;
   def.body = std::move(body);
   exprs_[name] = std::move(def);
+  stamp_ = NextLibraryStamp();
   return Status::OK();
 }
 
 Status UdafLibrary::DefineNative(NativeUdaf udaf) {
-  // Validate the state templates parse.
+  auto native = std::make_shared<Native>();
   for (const std::string& tmpl : udaf.state_templates) {
     SUDAF_ASSIGN_OR_RETURN(ExprPtr e, ParseExpression(tmpl));
-    (void)e;
+    native->states.push_back(std::move(e));
   }
-  natives_[udaf.name] = std::move(udaf);
+  const std::string name = udaf.name;
+  native->udaf = std::move(udaf);
+  natives_[name] = std::move(native);
+  stamp_ = NextLibraryStamp();
   return Status::OK();
 }
 
@@ -44,9 +77,10 @@ const UdafDefinition* UdafLibrary::GetExpr(const std::string& name) const {
   return it == exprs_.end() ? nullptr : &it->second;
 }
 
-const NativeUdaf* UdafLibrary::GetNative(const std::string& name) const {
+std::shared_ptr<const UdafLibrary::Native> UdafLibrary::GetNative(
+    const std::string& name) const {
   auto it = natives_.find(name);
-  return it == natives_.end() ? nullptr : &it->second;
+  return it == natives_.end() ? nullptr : it->second;
 }
 
 std::vector<std::string> UdafLibrary::Names() const {
@@ -125,13 +159,14 @@ std::string RewrittenQuery::Explain(const SelectStatement& stmt) const {
   os << "-- rewritten query (states computed with built-in aggregates)\n";
   os << "SELECT ";
   bool first = true;
-  for (const ItemPlan& item : items) {
+  const CanonicalForm& form = plan->form;
+  for (const ItemPlan& item : plan->items) {
     if (!first) os << ", ";
     first = false;
     if (item.group_key_index >= 0) {
       os << item.output_name;
     } else if (item.native != nullptr) {
-      os << item.native->name << "[native](";
+      os << item.native->udaf.name << "[native](";
       for (size_t i = 0; i < item.native_term_indices.size(); ++i) {
         if (i > 0) os << ", ";
         os << form.terminating[item.native_term_indices[i]]->ToString();
@@ -176,7 +211,7 @@ OutputRows PlanOutputRows(const RewrittenQuery& rewritten,
   for (size_t o = 0; keyed && o < stmt.order_by.size(); ++o) {
     const OrderByItem& order = stmt.order_by[o];
     const Column* col = nullptr;
-    for (const ItemPlan& item : rewritten.items) {
+    for (const ItemPlan& item : rewritten.items()) {
       if (item.output_name == order.column && item.group_key_index >= 0) {
         col = &group_keys.column(item.group_key_index);
         break;
@@ -235,8 +270,10 @@ Result<std::unique_ptr<Table>> AssembleRewrittenResult(
     const RewrittenQuery& rewritten, const SelectStatement& stmt,
     const Table& group_keys, const OutputRows& rows,
     const std::vector<std::vector<double>>& state_columns) {
+  const std::vector<ItemPlan>& items = rewritten.items();
+  const CanonicalForm& form = rewritten.form();
   Schema out_schema;
-  for (const ItemPlan& item : rewritten.items) {
+  for (const ItemPlan& item : items) {
     DataType type = DataType::kFloat64;
     if (item.group_key_index >= 0) {
       type = group_keys.schema().field(item.group_key_index).type;
@@ -254,8 +291,8 @@ Result<std::unique_ptr<Table>> AssembleRewrittenResult(
   }
   EvalScratch scratch;
   std::vector<double> values(n);
-  for (size_t i = 0; i < rewritten.items.size(); ++i) {
-    const ItemPlan& item = rewritten.items[i];
+  for (size_t i = 0; i < items.size(); ++i) {
+    const ItemPlan& item = items[i];
     Column& dst = result->column(static_cast<int>(i));
     if (item.group_key_index >= 0) {
       dst.AppendRows(group_keys.column(item.group_key_index),
@@ -269,17 +306,18 @@ Result<std::unique_ptr<Table>> AssembleRewrittenResult(
       std::vector<std::vector<double>> terms(k, std::vector<double>(n));
       for (size_t j = 0; j < k; ++j) {
         SUDAF_RETURN_IF_ERROR(EvalTerminatingRange(
-            *rewritten.form.terminating[item.native_term_indices[j]], states,
+            *form.terminating[item.native_term_indices[j]], states,
             n, terms[j].data(), &scratch));
       }
       std::vector<double> args(k);
       for (int64_t r = 0; r < n; ++r) {
         for (size_t j = 0; j < k; ++j) args[j] = terms[j][r];
-        SUDAF_ASSIGN_OR_RETURN(values[r], item.native->terminate(args));
+        SUDAF_ASSIGN_OR_RETURN(values[r],
+                               item.native->udaf.terminate(args));
       }
     } else {
       SUDAF_RETURN_IF_ERROR(EvalTerminatingRange(
-          *rewritten.form.terminating[item.terminating_index], states, n,
+          *form.terminating[item.terminating_index], states, n,
           values.data(), &scratch));
     }
     for (int64_t r = 0; r < n; ++r) dst.AppendFloat64(values[r]);
@@ -297,7 +335,7 @@ Result<RewrittenQuery> RewriteQuery(const SelectStatement& stmt,
     std::string output_name;
     std::string group_key;               // non-empty => group key item
     ExprPtr expanded;                    // aggregate expression
-    const NativeUdaf* native = nullptr;
+    std::shared_ptr<const UdafLibrary::Native> native;
     std::vector<ExprPtr> native_states;
   };
   std::vector<PendingItem> pending;
@@ -312,16 +350,14 @@ Result<RewrittenQuery> RewriteQuery(const SelectStatement& stmt,
       continue;
     }
     if (e.kind == ExprKind::kFuncCall &&
-        library.GetNative(e.func_name) != nullptr) {
+        (p.native = library.GetNative(e.func_name)) != nullptr) {
       if (e.args.size() != 1 || e.args[0]->kind != ExprKind::kColumnRef) {
         return Status::InvalidArgument(
             e.func_name + "() expects a single column argument");
       }
-      p.native = library.GetNative(e.func_name);
-      for (const std::string& tmpl : p.native->state_templates) {
-        SUDAF_ASSIGN_OR_RETURN(ExprPtr t, ParseExpression(tmpl));
-        std::vector<std::pair<std::string, const Expr*>> binding;
-        binding.emplace_back("x", e.args[0].get());
+      std::vector<std::pair<std::string, const Expr*>> binding;
+      binding.emplace_back("x", e.args[0].get());
+      for (const ExprPtr& t : p.native->states) {
         p.native_states.push_back(SubstituteColumns(*t, binding));
       }
       pending.push_back(std::move(p));
@@ -343,24 +379,22 @@ Result<RewrittenQuery> RewriteQuery(const SelectStatement& stmt,
     for (const ExprPtr& s : p.native_states) exprs.push_back(s.get());
   }
 
-  RewrittenQuery out;
+  auto plan = std::make_shared<RewritePlan>();
   if (!exprs.empty()) {
-    SUDAF_ASSIGN_OR_RETURN(out.form, Canonicalize(exprs));
+    SUDAF_ASSIGN_OR_RETURN(plan->form, Canonicalize(exprs));
   }
-  out.data_signature = DataSignature(stmt);
 
   // Pass 3: item plans.
   int term_cursor = 0;
-  int key_cursor = 0;
   for (PendingItem& p : pending) {
-    ItemPlan plan;
-    plan.output_name = p.output_name;
+    ItemPlan item;
+    item.output_name = p.output_name;
     if (!p.group_key.empty()) {
       // Group-key columns are emitted in group-by order by the executor.
       bool found = false;
       for (size_t k = 0; k < stmt.group_by.size(); ++k) {
         if (stmt.group_by[k] == p.group_key) {
-          plan.group_key_index = static_cast<int>(k);
+          item.group_key_index = static_cast<int>(k);
           found = true;
           break;
         }
@@ -369,19 +403,146 @@ Result<RewrittenQuery> RewriteQuery(const SelectStatement& stmt,
         return Status::InvalidArgument("select column " + p.group_key +
                                        " is not in GROUP BY");
       }
-      ++key_cursor;
     } else if (p.native != nullptr) {
-      plan.native = p.native;
+      item.native = std::move(p.native);
       for (size_t i = 0; i < p.native_states.size(); ++i) {
-        plan.native_term_indices.push_back(term_cursor++);
+        item.native_term_indices.push_back(term_cursor++);
       }
     } else {
-      plan.terminating_index = term_cursor++;
+      item.terminating_index = term_cursor++;
     }
-    out.items.push_back(std::move(plan));
+    plan->items.push_back(std::move(item));
   }
-  (void)key_cursor;
+
+  // Pass 4: each state's representative in both execution modes.
+  for (const AggStateDef& state : plan->form.states) {
+    plan->shared.push_back(ClassifyForPlan(state, /*share=*/true));
+    plan->direct.push_back(ClassifyForPlan(state, /*share=*/false));
+  }
+
+  RewrittenQuery out;
+  out.plan = std::move(plan);
+  out.data_signature = DataSignature(stmt);
   return out;
+}
+
+namespace {
+
+int64_t StringBytes(const std::string& s) {
+  return static_cast<int64_t>(s.capacity());
+}
+
+int64_t ExprBytes(const Expr* e) {
+  if (e == nullptr) return 0;
+  int64_t bytes = sizeof(Expr) + StringBytes(e->column) +
+                  StringBytes(e->func_name) +
+                  static_cast<int64_t>(e->args.capacity() * sizeof(ExprPtr));
+  if (e->literal.type() == DataType::kString) {
+    bytes += StringBytes(e->literal.string());
+  }
+  for (const ExprPtr& a : e->args) bytes += ExprBytes(a.get());
+  return bytes;
+}
+
+// Beyond sizeof(AggStateDef): the input tree and the monomial's map nodes.
+int64_t StateHeapBytes(const AggStateDef& s) {
+  constexpr int64_t kMapNodeBytes = 48;  // rb-tree node header + value
+  int64_t bytes = ExprBytes(s.input.get());
+  if (s.norm.has_value()) {
+    for (const auto& [col, e] : s.norm->base.exponents) {
+      bytes += kMapNodeBytes + StringBytes(col);
+    }
+  }
+  return bytes;
+}
+
+int64_t ClassifiedBytes(const std::vector<ClassifiedState>& states) {
+  int64_t bytes = static_cast<int64_t>(states.capacity() *
+                                       sizeof(ClassifiedState));
+  for (const ClassifiedState& c : states) {
+    bytes += StringBytes(c.cls.key) + StateHeapBytes(c.cls.rep);
+  }
+  return bytes;
+}
+
+// Everything RewriteQuery reads from `stmt` besides its data signature,
+// under the library's stamp. The separators never occur in identifiers
+// or in expression text.
+std::string MemoKey(const SelectStatement& stmt, uint64_t stamp) {
+  std::string key = std::to_string(stamp);
+  for (const SelectItem& item : stmt.items) {
+    key += '\x1f';
+    key += item.expr->ToString();
+    key += '\x1e';
+    key += item.alias;
+  }
+  key += '\x1d';
+  for (const std::string& g : stmt.group_by) {
+    key += g;
+    key += '\x1f';
+  }
+  return key;
+}
+
+}  // namespace
+
+int64_t RewritePlan::ApproxBytes() const {
+  int64_t bytes = sizeof(RewritePlan);
+  bytes += static_cast<int64_t>(form.states.capacity() * sizeof(AggStateDef));
+  for (const AggStateDef& s : form.states) bytes += StateHeapBytes(s);
+  bytes += static_cast<int64_t>(form.terminating.capacity() * sizeof(ExprPtr));
+  for (const ExprPtr& t : form.terminating) bytes += ExprBytes(t.get());
+  bytes += static_cast<int64_t>(items.capacity() * sizeof(ItemPlan));
+  for (const ItemPlan& item : items) {
+    bytes += StringBytes(item.output_name) +
+             static_cast<int64_t>(item.native_term_indices.capacity() *
+                                  sizeof(int));
+  }
+  return bytes + ClassifiedBytes(shared) + ClassifiedBytes(direct);
+}
+
+Result<RewrittenQuery> RewriteMemo::Rewrite(const SelectStatement& stmt,
+                                            const UdafLibrary& library,
+                                            bool* hit) {
+  std::string key = MemoKey(stmt, library.stamp());
+  RewrittenQuery memoized;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = index_.find(key);
+    if (it != index_.end()) {
+      lru_.splice(lru_.begin(), lru_, it->second);
+      memoized.plan = it->second->plan;
+    }
+  }
+  *hit = memoized.plan != nullptr;
+  if (*hit) {
+    memoized.data_signature = DataSignature(stmt);
+    return memoized;
+  }
+  SUDAF_ASSIGN_OR_RETURN(RewrittenQuery out, RewriteQuery(stmt, library));
+  const int64_t bytes =
+      out.plan->ApproxBytes() + static_cast<int64_t>(key.capacity());
+  std::lock_guard<std::mutex> lock(mu_);
+  if (index_.count(key) != 0) return out;  // a concurrent miss memoized it
+  lru_.push_front(Entry{std::move(key), out.plan, bytes});
+  index_.emplace(lru_.front().key, lru_.begin());
+  bytes_ += bytes;
+  if (lru_.size() > kCapacity) {
+    index_.erase(lru_.back().key);
+    bytes_ -= lru_.back().bytes;
+    lru_.pop_back();
+  }
+  return out;
+}
+
+size_t RewriteMemo::entries() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return lru_.size();
+}
+
+int64_t RewriteMemo::ApproxBytes() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return bytes_;
 }
 
 }  // namespace sudaf

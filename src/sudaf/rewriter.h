@@ -5,16 +5,22 @@
 // queries into (aggregation states, terminating functions) — the step that
 // turns Q1 into RQ1 in the paper's motivating example.
 
+#include <cstdint>
 #include <functional>
+#include <list>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
 #include "sql/statement.h"
 #include "sudaf/cache.h"
 #include "sudaf/canonical.h"
+#include "sudaf/shared_scan.h"
 #include "sudaf/sharing.h"
 
 namespace sudaf {
@@ -42,6 +48,20 @@ struct NativeUdaf {
 // Registry of declaratively-defined UDAFs.
 class UdafLibrary {
  public:
+  // A registered native UDAF: its definition and its state templates,
+  // parsed once by DefineNative. Shared, so a rewrite plan that uses it
+  // stays valid after the library redefines or drops the name.
+  struct Native {
+    NativeUdaf udaf;
+    std::vector<ExprPtr> states;  // udaf.state_templates, parsed
+  };
+
+  UdafLibrary();
+  // A move carries the stamp over and gives the moved-from library a new
+  // one, so no two library contents ever share a stamp.
+  UdafLibrary(UdafLibrary&& other) noexcept;
+  UdafLibrary& operator=(UdafLibrary&& other) noexcept;
+
   // Parses and registers `expression` under `name`. Scalar-function names
   // (sqrt, ln, ...) cannot be redefined.
   Status Define(const std::string& name,
@@ -50,11 +70,16 @@ class UdafLibrary {
   Status DefineNative(NativeUdaf udaf);
 
   const UdafDefinition* GetExpr(const std::string& name) const;
-  const NativeUdaf* GetNative(const std::string& name) const;
+  std::shared_ptr<const Native> GetNative(const std::string& name) const;
   std::vector<std::string> Names() const;
 
   // Expands every registered-UDAF call inside `expr` (to a fixpoint).
   Result<ExprPtr> Expand(const Expr& expr) const;
+
+  // Identifies this library's definitions: drawn from a process-wide
+  // counter at construction and on every Define/DefineNative, so a rewrite
+  // memoized under one stamp is never served after the definitions change.
+  uint64_t stamp() const { return stamp_; }
 
   // A library preloaded with the aggregates used throughout the paper's
   // experiments: avg, var, stddev, qm, cm, apm, hm, gm, skewness, kurtosis,
@@ -63,7 +88,8 @@ class UdafLibrary {
 
  private:
   std::map<std::string, UdafDefinition> exprs_;
-  std::map<std::string, NativeUdaf> natives_;
+  std::map<std::string, std::shared_ptr<const Native>> natives_;
+  uint64_t stamp_;
 };
 
 // Plan for one select item after rewriting.
@@ -71,16 +97,40 @@ struct ItemPlan {
   std::string output_name;
   int group_key_index = -1;    // >= 0: copy this group-key column
   int terminating_index = -1;  // >= 0: evaluate form.terminating[i] per group
-  const NativeUdaf* native = nullptr;  // set for native-terminated UDAFs
+  // Set for native-terminated UDAFs.
+  std::shared_ptr<const UdafLibrary::Native> native;
   std::vector<int> native_term_indices;  // their states' terminating indices
 };
 
-// A fully rewritten query: deduplicated aggregation states + per-item
-// terminating plans (the paper's RQ form).
-struct RewrittenQuery {
+// The part of a rewrite that depends only on the statement's select list,
+// its GROUP BY and the library, never on its tables or WHERE clause:
+// deduplicated aggregation states, per-item terminating plans (the
+// paper's RQ form) and each state's resolution for the shared state plan.
+// Immutable, so statements of one shape share it through the rewrite memo.
+struct RewritePlan {
   CanonicalForm form;
   std::vector<ItemPlan> items;
+  // Per state of `form`: its Theorem 4.1 class (share mode) and its
+  // "direct|" key (no-share mode), so serving a memoized plan classifies
+  // nothing.
+  std::vector<ClassifiedState> shared;
+  std::vector<ClassifiedState> direct;
+
+  // Approximate heap footprint, for the memo's accounting.
+  int64_t ApproxBytes() const;
+};
+
+// A fully rewritten query: the shape's plan plus the statement's own data
+// signature (tables, WHERE conjuncts, grouping).
+struct RewrittenQuery {
+  std::shared_ptr<const RewritePlan> plan;
   std::string data_signature;
+
+  const CanonicalForm& form() const { return plan->form; }
+  const std::vector<ItemPlan>& items() const { return plan->items; }
+  const std::vector<ClassifiedState>& classified(bool share) const {
+    return share ? plan->shared : plan->direct;
+  }
 
   // RQ1-style rendering: the inner built-in-aggregate query and the outer
   // terminating select list.
@@ -89,9 +139,43 @@ struct RewrittenQuery {
 
 // Rewrites `stmt`: expands registered UDAFs in the select list, factors out
 // aggregation states (splitting rules included), deduplicates them across
-// items, and produces terminating plans.
+// items, produces terminating plans and classifies every state
+// (ClassifyForPlan) for both execution modes.
 Result<RewrittenQuery> RewriteQuery(const SelectStatement& stmt,
                                     const UdafLibrary& library);
+
+// Rewrite plans memoized by statement shape (docs/execution.md, "Rewrite
+// memo"). The key is the library's stamp, each select item's exact
+// expression text and alias, and the GROUP BY list: everything
+// RewriteQuery reads besides the data signature, which every lookup
+// computes afresh. Holds at most kCapacity plans and evicts the least
+// recently used. Thread-safe.
+class RewriteMemo {
+ public:
+  static constexpr size_t kCapacity = 256;
+
+  // RewriteQuery(stmt, library), with the plan served from the memo when
+  // the statement's shape is there (`*hit` set true). A failed rewrite is
+  // returned and not memoized.
+  Result<RewrittenQuery> Rewrite(const SelectStatement& stmt,
+                                 const UdafLibrary& library, bool* hit);
+
+  size_t entries() const;
+  // Σ of the memoized plans' ApproxBytes plus their keys.
+  int64_t ApproxBytes() const;
+
+ private:
+  struct Entry {
+    std::string key;
+    std::shared_ptr<const RewritePlan> plan;
+    int64_t bytes = 0;
+  };
+  mutable std::mutex mu_;
+  std::list<Entry> lru_;  // most recently used first
+  // Keys view the entries' own key strings (list nodes never move).
+  std::unordered_map<std::string_view, std::list<Entry>::iterator> index_;
+  int64_t bytes_ = 0;
+};
 
 // --- Output-first tail (docs/execution.md, "Output-first terminate") -----
 //

@@ -34,6 +34,10 @@ ExecStats DeriveExecStats(const MetricsSnapshot& d) {
   s.states_ms = d.dcounter("sudaf.phase.states_ms");
   s.terminate_ms = d.dcounter("sudaf.phase.terminate_ms");
   s.num_states = static_cast<int>(d.counter("sudaf.states.requested"));
+  s.rewrite_memo_hits =
+      static_cast<int>(d.counter("sudaf.rewrite.memo_hits"));
+  s.rewrite_memo_misses =
+      static_cast<int>(d.counter("sudaf.rewrite.memo_misses"));
   s.states_from_cache = static_cast<int>(d.counter("sudaf.states.from_cache"));
   s.states_computed = static_cast<int>(d.counter("sudaf.states.computed"));
   s.scanned_base_data = d.counter("sudaf.input.scans") > 0;
@@ -116,6 +120,9 @@ std::string QueryResult::ProfileJson() const {
   out += ", \"group_ms\": " + FmtMs(stats.group_ms);
   out += ", \"states_ms\": " + FmtMs(stats.states_ms);
   out += ", \"terminate_ms\": " + FmtMs(stats.terminate_ms);
+  out += "}, \"rewrite\": {";
+  out += "\"memo_hits\": " + std::to_string(stats.rewrite_memo_hits);
+  out += ", \"memo_misses\": " + std::to_string(stats.rewrite_memo_misses);
   out += "}, \"states\": {";
   out += "\"requested\": " + std::to_string(stats.num_states);
   out += ", \"from_cache\": " + std::to_string(stats.states_from_cache);
@@ -167,7 +174,11 @@ std::string QueryResult::ProfileText() const {
   if (trace != nullptr) {
     out += trace->ToText();
   } else {
-    out += "  rewrite   " + FmtMs(stats.rewrite_ms) + " ms\n";
+    out += "  rewrite   " + FmtMs(stats.rewrite_ms) + " ms";
+    if (stats.rewrite_memo_hits + stats.rewrite_memo_misses > 0) {
+      out += stats.rewrite_memo_hits > 0 ? "  memo hit" : "  memo miss";
+    }
+    out += "\n";
     out += "  probe     " + FmtMs(stats.probe_ms) + " ms\n";
     out += "  input     " + FmtMs(stats.input_ms) + " ms\n";
     out += "  states    " + FmtMs(stats.states_ms) + " ms\n";
@@ -284,8 +295,7 @@ Result<QueryResult> SudafSession::Execute(const std::string& sql,
                                           const ExecOptions& exec) {
   SUDAF_ASSIGN_OR_RETURN(ParsedSql parsed, ParseSql(sql));
   if (parsed.explain && !parsed.analyze) {
-    SUDAF_ASSIGN_OR_RETURN(RewrittenQuery rewritten,
-                           RewriteQuery(*parsed.select, library_));
+    SUDAF_ASSIGN_OR_RETURN(RewrittenQuery rewritten, Rewrite(*parsed.select));
     QueryResult result;
     result.table = TextTable("plan", rewritten.Explain(*parsed.select));
     return result;
@@ -414,9 +424,23 @@ Result<std::string> SudafSession::ExplainRewrite(
     const std::string& sql) const {
   SUDAF_ASSIGN_OR_RETURN(std::unique_ptr<SelectStatement> stmt,
                          ParseSelect(sql));
-  SUDAF_ASSIGN_OR_RETURN(RewrittenQuery rewritten,
-                         RewriteQuery(*stmt, library_));
+  SUDAF_ASSIGN_OR_RETURN(RewrittenQuery rewritten, Rewrite(*stmt));
   return rewritten.Explain(*stmt);
+}
+
+Result<RewrittenQuery> SudafSession::Rewrite(const SelectStatement& stmt,
+                                             MetricsRegistry* metrics,
+                                             TraceSpan* span) const {
+  bool hit = false;
+  Result<RewrittenQuery> rewritten =
+      rewrite_memo_.Rewrite(stmt, library_, &hit);
+  if (metrics != nullptr) {
+    metrics->counter(hit ? "sudaf.rewrite.memo_hits"
+                         : "sudaf.rewrite.memo_misses")
+        ->Add();
+  }
+  if (span != nullptr) span->Event(hit ? "memo.hit" : "memo.miss");
+  return rewritten;
 }
 
 namespace {
@@ -490,7 +514,7 @@ StateCache::GroupSetPtr SudafSession::RefreshGroupSet(
   bool any_carried = false;
   for (size_t r = 0; r < reps.size(); ++r) {
     if (reps[r].direct ||
-        cache_.ProbeEntry(stale.get(), reps[r].key, &old[r], cops) !=
+        cache_.ProbeEntry(stale.get(), reps[r].key(), &old[r], cops) !=
             StateCache::Probe::kHit) {
       continue;
     }
@@ -596,7 +620,7 @@ StateCache::GroupSetPtr SudafSession::RefreshGroupSet(
     StateCache::Entry e;
     e.main = std::move(channels[rq.main_idx[r]]);
     if (rq.sign_idx[r] >= 0) e.sign = std::move(channels[rq.sign_idx[r]]);
-    entries.emplace_back(reps[r].key, std::move(e));
+    entries.emplace_back(reps[r].key(), std::move(e));
   }
 
   // Commit: erase(old) → create(new) → inserts, journaled in WAL order;
@@ -720,14 +744,14 @@ void SudafSession::ExecuteGroup(std::vector<QueryRun>* runs, bool share,
     if (!m.alive()) continue;
     TraceSpan rewrite_span(m.trace.get(), "rewrite", m.run.trace_span,
                            m.qm.dcounter("sudaf.phase.rewrite_ms"));
-    Result<RewrittenQuery> rewritten = RewriteQuery(*m.stmt, library_);
+    Result<RewrittenQuery> rewritten = Rewrite(*m.stmt, &m.qm, &rewrite_span);
     if (!rewritten.ok()) {
       m.failed = rewritten.status();
       continue;
     }
     m.rewritten = std::move(*rewritten);
     m.qm.counter("sudaf.states.requested")
-        ->Add(static_cast<int64_t>(m.rewritten.form.states.size()));
+        ->Add(static_cast<int64_t>(m.rewritten.form().states.size()));
   }
 
   // The leader is the first alive member: the group's single cache probe,
@@ -742,10 +766,11 @@ void SudafSession::ExecuteGroup(std::vector<QueryRun>* runs, bool share,
     }
   }
 
-  // 2. Classify every member's states into the union plan (Theorem 4.1),
-  // then probe the cache once per distinct representative. Per-member
-  // probe spans stay open across the leader's probe so each member logs
-  // its own per-state hit/miss view inside its own span.
+  // 2. Fold every member's classified states (Theorem 4.1, precomputed
+  // in its rewrite plan) into the union plan, then probe the cache once
+  // per distinct representative. Per-member probe spans stay open across
+  // the leader's probe so each member logs its own per-state hit/miss view
+  // inside its own span.
   SharedStatePlan plan;
   std::vector<std::unique_ptr<TraceSpan>> probe_spans(ctx.size());
   for (size_t k = 0; k < ctx.size(); ++k) {
@@ -754,7 +779,8 @@ void SudafSession::ExecuteGroup(std::vector<QueryRun>* runs, bool share,
     probe_spans[k] = std::make_unique<TraceSpan>(
         m.trace.get(), "probe", m.run.trace_span,
         m.qm.dcounter("sudaf.phase.probe_ms"));
-    m.slots = plan.AddQuery(m.rewritten.form.states, share);
+    m.slots = plan.AddQuery(m.rewritten.form().states,
+                            m.rewritten.classified(share));
   }
   const std::vector<SharedStatePlan::Rep>& reps = plan.reps();
   if (!solo) {
@@ -805,7 +831,7 @@ void SudafSession::ExecuteGroup(std::vector<QueryRun>* runs, bool share,
         // poisoned by other means); kPoisoned is a miss here.
         for (size_t r = 0; r < reps.size(); ++r) {
           rep_from_cache[r] =
-              cache_.ProbeEntry(group_set.get(), reps[r].key, nullptr,
+              cache_.ProbeEntry(group_set.get(), reps[r].key(), nullptr,
                                 lead_cops) == StateCache::Probe::kHit;
         }
       }
@@ -895,7 +921,7 @@ void SudafSession::ExecuteGroup(std::vector<QueryRun>* runs, bool share,
           // A recreated (stale) set lost its entries; demote affected reps.
           for (size_t r = 0; r < reps.size(); ++r) {
             if (rep_from_cache[r] &&
-                cache_.ProbeEntry(group_set.get(), reps[r].key, nullptr,
+                cache_.ProbeEntry(group_set.get(), reps[r].key(), nullptr,
                                   lead_cops) != StateCache::Probe::kHit) {
               rep_from_cache[r] = false;
             }
@@ -968,12 +994,12 @@ void SudafSession::ExecuteGroup(std::vector<QueryRun>* runs, bool share,
         // cached.
         owner->qm.counter("sudaf.states.poisoned")->Add();
       } else if (share && group_set != nullptr &&
-                 !cache_.InsertEntry(group_set.get(), reps[r].key, entry,
+                 !cache_.InsertEntry(group_set.get(), reps[r].key(), entry,
                                      oc)) {
         // Declined under the byte budget: served group-local.
         owner->qm.counter("sudaf.cache.budget_rejects")->Add();
       }
-      local_entries.emplace(reps[r].key, std::move(entry));
+      local_entries.emplace(reps[r].key(), std::move(entry));
       computed_rep[r] = true;
       owner->qm.counter("sudaf.states.computed")->Add();
     }
@@ -989,7 +1015,7 @@ void SudafSession::ExecuteGroup(std::vector<QueryRun>* runs, bool share,
   auto serve_member = [&](QueryRun& m, const OutputRows& rows,
                           int states_span_id,
                           std::vector<std::vector<double>>* out) -> Status {
-    const std::vector<AggStateDef>& states = m.rewritten.form.states;
+    const std::vector<AggStateDef>& states = m.rewritten.form().states;
     const CacheOps mc{&m.qm, m.trace.get()};
     out->assign(states.size(), {});
     int64_t served = 0;
@@ -1001,14 +1027,14 @@ void SudafSession::ExecuteGroup(std::vector<QueryRun>* runs, bool share,
       bool compact = false;
       StateCache::Entry copied;
       if (share && rep_from_cache[slot.rep] && group_set != nullptr &&
-          cache_.ProbeEntry(group_set.get(), rep.key, &copied, mc,
+          cache_.ProbeEntry(group_set.get(), rep.key(), &copied, mc,
                             rows.subset()) == StateCache::Probe::kHit) {
         entry = &copied;
         compact = rows.presorted;
         m.qm.counter("sudaf.states.from_cache")->Add();
       }
       if (entry == nullptr) {
-        auto it = local_entries.find(rep.key);
+        auto it = local_entries.find(rep.key());
         if (it != local_entries.end()) {
           entry = &it->second;
           if (computed_rep[slot.rep] && consumed_reps.insert(slot.rep).second &&
@@ -1020,7 +1046,7 @@ void SudafSession::ExecuteGroup(std::vector<QueryRun>* runs, bool share,
         }
       }
       if (entry == nullptr && share && group_set != nullptr &&
-          cache_.ProbeEntry(group_set.get(), rep.key, &copied, mc,
+          cache_.ProbeEntry(group_set.get(), rep.key(), &copied, mc,
                             rows.subset()) == StateCache::Probe::kHit) {
         entry = &copied;
         compact = rows.presorted;
@@ -1031,14 +1057,15 @@ void SudafSession::ExecuteGroup(std::vector<QueryRun>* runs, bool share,
           // this entry vanished (poisoned externally mid-query). Too late
           // to scan; fail definitively rather than serve garbage.
           return Status::Internal("cached state vanished mid-query: " +
-                                  rep.key);
+                                  rep.key());
         }
         std::vector<bool> need(reps.size(), false);
         need[slot.rep] = true;
         SUDAF_RETURN_IF_ERROR(compute(need, m, states_span_id));
-        entry = &local_entries.at(rep.key);
+        entry = &local_entries.at(rep.key());
       }
-      served += ServeState(*entry, compact, rows, states[i], &rep.cls,
+      served += ServeState(*entry, compact, rows, states[i],
+                           rep.direct ? nullptr : rep.cls,
                            rep.direct ? nullptr : &slot.share_fn, &(*out)[i]);
     }
     m.qm.counter("sudaf.serve.rows")->Add(served);
@@ -1076,7 +1103,7 @@ void SudafSession::ExecuteGroup(std::vector<QueryRun>* runs, bool share,
           for (size_t r = 0; r < reps.size(); ++r) {
             if (share &&
                 (rep_from_cache[r] ||
-                 cache_.ProbeEntry(group_set.get(), reps[r].key, nullptr,
+                 cache_.ProbeEntry(group_set.get(), reps[r].key(), nullptr,
                                    CacheOps{&m.qm, m.trace.get()}) ==
                      StateCache::Probe::kHit)) {
               continue;

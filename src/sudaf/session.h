@@ -46,7 +46,9 @@
 // effect for queries that start after the call. Catalog *table
 // replacement* while a query that resolved the table is running remains
 // undefined; concurrent workloads mutate data via TouchTable or new names
-// only. Defining UDAFs (library()) while queries run is not synchronized.
+// only. Defining UDAFs (library()) while queries run is not synchronized;
+// a definition takes effect for queries that start after it returns (the
+// rewrite memo is keyed by the library's stamp).
 
 #include <cstdint>
 #include <memory>
@@ -79,8 +81,10 @@ enum class ExecMode { kEngine, kSudafNoShare, kSudafShare };
 // source of truth.
 struct ExecStats {
   double total_ms = 0;
-  double rewrite_ms = 0;     // UDAF expansion + canonicalization
-  double probe_ms = 0;       // cache probing (classification + lookup)
+  double rewrite_ms = 0;     // rewrite-memo lookup, plus UDAF expansion,
+                             // canonicalization and classification on a
+                             // memo miss
+  double probe_ms = 0;       // cache probing (union plan + lookup)
   double input_ms = 0;       // scan/filter/join/group of base data
   double filter_ms = 0;      // WHERE predicate pass (inside input_ms)
   double gather_ms = 0;      // column binding + any frame gather (inside
@@ -89,6 +93,11 @@ struct ExecStats {
   double states_ms = 0;      // state computation (vectorized kernels)
   double terminate_ms = 0;   // terminating functions
   int num_states = 0;
+  // Rewrites served from the session's rewrite memo, and rewrites computed
+  // (docs/execution.md, "Rewrite memo"): one or the other per rewritten
+  // query, 0 and 0 in engine mode.
+  int rewrite_memo_hits = 0;
+  int rewrite_memo_misses = 0;
   int states_from_cache = 0;
   int states_computed = 0;
   bool scanned_base_data = false;
@@ -374,6 +383,17 @@ class SudafSession {
   // select list) without executing it.
   Result<std::string> ExplainRewrite(const std::string& sql) const;
 
+  // Rewrites `stmt` under library() through the session's rewrite memo
+  // (docs/execution.md, "Rewrite memo"). Counts sudaf.rewrite.memo_hits or
+  // memo_misses into `metrics` and records a memo.hit or memo.miss event
+  // on `span`, each when non-null. Every rewritten path (queries, batches,
+  // EXPLAIN, chunked sharing, aggregate views) rewrites here.
+  Result<RewrittenQuery> Rewrite(const SelectStatement& stmt,
+                                 MetricsRegistry* metrics = nullptr,
+                                 TraceSpan* span = nullptr) const;
+  // The memo's size: rewrite_memo().entries() and .ApproxBytes().
+  const RewriteMemo& rewrite_memo() const { return rewrite_memo_; }
+
  private:
   // One query's execution context (defined in session.cc): its private
   // metrics registry and trace, its "execute" root span, and its slots
@@ -430,6 +450,8 @@ class SudafSession {
   mutable std::mutex options_mu_;
   SessionOptions options_;
   UdafLibrary library_;
+  // Rewrite plans by statement shape, keyed under library_.stamp().
+  mutable RewriteMemo rewrite_memo_;
   UdafRegistry hardcoded_;
   Executor executor_;
   // Session-lifetime registry; per-query registries merge into it at query

@@ -1,48 +1,53 @@
 #include "sudaf/shared_scan.h"
 
-#include <set>
+#include <algorithm>
+#include <optional>
 #include <utility>
 
 namespace sudaf {
 
+ClassifiedState ClassifyForPlan(const AggStateDef& state, bool share) {
+  ClassifiedState out;
+  if (!share) {
+    out.direct = true;
+    out.cls.key = "direct|" + state.Key();
+    return out;
+  }
+  out.cls = ClassifyState(state);
+  std::optional<SharedComputation> fn = Share(state, out.cls.rep);
+  if (!fn.has_value()) {
+    // The classification was coarser than the theorem allows for this
+    // instance, so the state becomes its own (trivially shareable)
+    // representative.
+    out.cls.key = "self|" + state.Key();
+    out.cls.rep = state.Clone();
+    out.cls.log_domain = false;
+    fn = SharedComputation{};
+  }
+  out.share_fn = *fn;
+  return out;
+}
+
 std::vector<SharedStatePlan::Slot> SharedStatePlan::AddQuery(
-    const std::vector<AggStateDef>& states, bool share) {
+    const std::vector<AggStateDef>& states,
+    const std::vector<ClassifiedState>& classified) {
   const int query = num_queries_++;
   std::vector<Slot> slots(states.size());
-  std::set<std::string> seen_this_query;
+  std::vector<int> this_query;  // distinct reps this query requested
   for (size_t i = 0; i < states.size(); ++i) {
-    Slot& slot = slots[i];
-    Rep rep;
-    if (share) {
-      rep.cls = ClassifyState(states[i]);
-      std::optional<SharedComputation> fn = Share(states[i], rep.cls.rep);
-      if (!fn.has_value()) {
-        // The classification was coarser than the theorem allows for this
-        // instance, so the state becomes its own (trivially shareable)
-        // representative.
-        rep.cls.key = "self|" + states[i].Key();
-        rep.cls.rep = states[i].Clone();
-        rep.cls.log_domain = false;
-        fn = SharedComputation{};
-      }
-      rep.key = rep.cls.key;
-      slot.share_fn = *fn;
-    } else {
-      rep.direct = true;
-      rep.key = "direct|" + states[i].Key();
-      rep.cls.key = rep.key;
-      rep.cls.rep = states[i].Clone();
-      rep.cls.log_domain = false;
-      slot.share_fn = SharedComputation{};
-    }
-    if (seen_this_query.insert(rep.key).second) ++states_requested_;
-    auto [it, inserted] =
-        by_key_.emplace(rep.key, static_cast<int>(reps_.size()));
+    const ClassifiedState& state = classified[i];
+    auto [it, inserted] = by_key_.try_emplace(
+        state.cls.key, static_cast<int>(reps_.size()));
     if (inserted) {
-      rep.first_query = query;
-      reps_.push_back(std::move(rep));
+      reps_.push_back(Rep{&state.cls, &states[i], state.direct, query});
     }
-    slot.rep = it->second;
+    const int rep = it->second;
+    if (std::find(this_query.begin(), this_query.end(), rep) ==
+        this_query.end()) {
+      this_query.push_back(rep);
+      ++states_requested_;
+    }
+    slots[i] = Slot{rep, state.share_fn};
   }
   return slots;
 }
@@ -56,24 +61,25 @@ BatchRequestPlan BuildBatchRequests(const SharedStatePlan& plan,
   for (size_t r = 0; r < reps.size(); ++r) {
     if (r >= need.size() || !need[r]) continue;
     const SharedStatePlan::Rep& rep = reps[r];
+    const StateClass& cls = *rep.cls;
     out.main_idx[r] = static_cast<int>(out.requests.size());
     if (rep.direct) {
-      if (rep.cls.rep.op == AggOp::kCount) {
+      if (rep.state->op == AggOp::kCount) {
         out.requests.push_back({AggOp::kCount, nullptr});
       } else {
-        out.requests.push_back({rep.cls.rep.op, rep.cls.rep.input.get()});
+        out.requests.push_back({rep.state->op, rep.state->input.get()});
       }
       continue;
     }
-    ExprPtr main_expr = rep.cls.MainInputExpr();
+    ExprPtr main_expr = cls.MainInputExpr();
     if (main_expr == nullptr) {
       out.requests.push_back({AggOp::kCount, nullptr});
     } else {
-      out.requests.push_back({rep.cls.MainOp(), main_expr.get()});
+      out.requests.push_back({cls.MainOp(), main_expr.get()});
       out.keepalive.push_back(std::move(main_expr));
     }
-    if (rep.cls.log_domain) {
-      ExprPtr sign_expr = rep.cls.SignInputExpr();
+    if (cls.log_domain) {
+      ExprPtr sign_expr = cls.SignInputExpr();
       out.sign_idx[r] = static_cast<int>(out.requests.size());
       out.requests.push_back({AggOp::kProd, sign_expr.get()});
       out.keepalive.push_back(std::move(sign_expr));

@@ -3,14 +3,14 @@
 
 // Cross-query state deduplication for shared-scan batching.
 //
-// The rewriter factors each query into aggregation states; the sharing
-// module maps every state to its equivalence-class representative
-// (Theorem 4.1). A SharedStatePlan extends that mapping *across queries*:
-// the rewritten states of several queries over the same data signature are
-// folded into one union list of distinct representatives, and each
-// (query, state) pair resolves to a slot in that list plus the
-// SharedComputation that reconstructs the state's value from the
-// representative's channels. A variance query and a kurtosis query added
+// The rewriter factors each query into aggregation states and resolves
+// each, once per rewrite plan, to its equivalence-class representative
+// (Theorem 4.1, ClassifyForPlan). A SharedStatePlan extends that mapping
+// *across queries*: the rewritten states of several queries over the same
+// data signature are folded into one union list of distinct
+// representatives, and each (query, state) pair resolves to a slot in that
+// list plus the SharedComputation that reconstructs the state's value from
+// the representative's channels. A variance query and a kurtosis query added
 // together therefore request count / sum(x) / sum(x^2) exactly once — the
 // union state DAG a shared-scan batch executes in a single fused pass.
 //
@@ -18,12 +18,13 @@
 // query-group executor (a solo query is a group of one) walks reps() to
 // probe the cache, schedules the missing ones through
 // BuildBatchRequests(), and serves every query from the per-rep results
-// via its slots. The chunked executor classifies and schedules through
-// the same two calls.
+// via its slots. The chunked executor and view materialization plan and
+// schedule through the same two calls.
 
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "engine/state_batch.h"
@@ -32,30 +33,51 @@
 
 namespace sudaf {
 
+// One state's resolution to the representative that is computed and cached
+// for it. It depends on the state alone, so a rewrite plan computes it once
+// per state (RewritePlan::shared / direct) and every query of that shape
+// reuses it.
+struct ClassifiedState {
+  // cls.key is the cache key. Share mode: the class whose representative
+  // cls.rep is computed and cached. No-share mode: only the key,
+  // "direct|<state key>"; the state itself is computed verbatim.
+  StateClass cls;
+  // Reconstructs the state from cls.rep's channels: Share(state, cls.rep).
+  // The identity when direct.
+  SharedComputation share_fn;
+  bool direct = false;
+};
+
+// In share mode, the state's class representative (Theorem 4.1), or the
+// state as its own self-class representative when Share() declines the
+// class representative; in no-share mode, the state as a direct rep.
+ClassifiedState ClassifyForPlan(const AggStateDef& state, bool share);
+
 class SharedStatePlan {
  public:
   // One distinct representative across every query added so far.
   struct Rep {
-    StateClass cls;        // class representative (what gets computed/cached)
-    std::string key;       // cache key: cls.key, or "direct|..." in no-share
-    int first_query = -1;  // query index that first requested it
-    // No-share mode: compute cls.rep verbatim (op + input), skip the class
-    // channel machinery and serve the main channel unchanged.
+    const StateClass* cls = nullptr;  // borrowed; only the key when direct
+    // The first state that requested it (borrowed): direct reps compute
+    // it verbatim (op + input), skipping the class channel machinery.
+    const AggStateDef* state = nullptr;
     bool direct = false;
+    int first_query = -1;  // query index that first requested it
+    const std::string& key() const { return cls->key; }
   };
 
   // Resolution of one (query, state) pair.
   struct Slot {
     int rep = -1;
-    SharedComputation share_fn;  // Share(state, reps[rep].cls.rep)
+    SharedComputation share_fn;  // Share(state, reps[rep].cls->rep)
   };
 
-  // Registers one rewritten query's states; returns one Slot per state.
-  // In share mode each state maps to its class representative, or becomes
-  // its own (self-class) representative when Share() declines the class
-  // representative; in no-share mode each state is a direct rep.
+  // Registers one query's states with their classifications (share or
+  // no-share mode alike, see ClassifyForPlan; `classified[i]` resolves
+  // `states[i]`); returns one Slot per state. Both must outlive the plan:
+  // reps borrow from them.
   std::vector<Slot> AddQuery(const std::vector<AggStateDef>& states,
-                             bool share);
+                             const std::vector<ClassifiedState>& classified);
 
   const std::vector<Rep>& reps() const { return reps_; }
   int num_queries() const { return num_queries_; }
@@ -72,7 +94,7 @@ class SharedStatePlan {
 
  private:
   std::vector<Rep> reps_;
-  std::map<std::string, int> by_key_;
+  std::map<std::string_view, int> by_key_;  // views of the reps' keys
   int num_queries_ = 0;
   int64_t states_requested_ = 0;
 };

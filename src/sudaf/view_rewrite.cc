@@ -21,14 +21,14 @@ Result<AggregateView> MaterializeAggregateView(SudafSession* session,
                                                const std::string& sql) {
   SUDAF_ASSIGN_OR_RETURN(std::unique_ptr<SelectStatement> stmt,
                          ParseSelect(sql));
-  SUDAF_ASSIGN_OR_RETURN(RewrittenQuery rewritten,
-                         RewriteQuery(*stmt, session->library()));
+  SUDAF_ASSIGN_OR_RETURN(RewrittenQuery rewritten, session->Rewrite(*stmt));
+  const std::vector<AggStateDef>& states = rewritten.form().states;
 
   // Every view state is stored verbatim (no-share plan): one direct
   // representative per distinct state, all computed in one fused pass.
   SharedStatePlan plan;
   const std::vector<SharedStatePlan::Slot> slots =
-      plan.AddQuery(rewritten.form.states, /*share=*/false);
+      plan.AddQuery(states, rewritten.classified(/*share=*/false));
   const BatchRequestPlan rq =
       BuildBatchRequests(plan, std::vector<bool>(plan.reps().size(), true));
 
@@ -45,7 +45,7 @@ Result<AggregateView> MaterializeAggregateView(SudafSession* session,
   for (const Field& f : input.group_keys->schema().fields()) {
     SUDAF_RETURN_IF_ERROR(schema.AddField(f));
   }
-  for (size_t i = 0; i < rewritten.form.states.size(); ++i) {
+  for (size_t i = 0; i < states.size(); ++i) {
     SUDAF_RETURN_IF_ERROR(
         schema.AddField(Field{StateColumnName(i), DataType::kFloat64}));
   }
@@ -58,13 +58,13 @@ Result<AggregateView> MaterializeAggregateView(SudafSession* session,
       std::vector<std::vector<double>> channels,
       ComputeStateBatch(rq.requests, input.Binder(), input.group_ids,
                         input.num_groups, session->exec_options()));
-  for (size_t i = 0; i < rewritten.form.states.size(); ++i) {
+  for (size_t i = 0; i < states.size(); ++i) {
     Column& dst = view.data->column(view.num_key_columns +
                                     static_cast<int>(i));
     for (double v : channels[rq.main_idx[slots[i].rep]]) {
       dst.AppendFloat64(v);
     }
-    view.states.push_back(rewritten.form.states[i].Clone());
+    view.states.push_back(states[i].Clone());
   }
   view.data->FinishBulkAppend();
   view.stmt = std::move(stmt);
@@ -76,8 +76,8 @@ Result<std::unique_ptr<Table>> ExecuteWithView(SudafSession* session,
                                                const std::string& sql) {
   SUDAF_ASSIGN_OR_RETURN(std::unique_ptr<SelectStatement> stmt,
                          ParseSelect(sql));
-  SUDAF_ASSIGN_OR_RETURN(RewrittenQuery rewritten,
-                         RewriteQuery(*stmt, session->library()));
+  SUDAF_ASSIGN_OR_RETURN(RewrittenQuery rewritten, session->Rewrite(*stmt));
+  const std::vector<AggStateDef>& states = rewritten.form().states;
 
   // Condition: query grouping is coarser than (a subset of) the view's.
   for (const std::string& g : stmt->group_by) {
@@ -138,12 +138,12 @@ Result<std::unique_ptr<Table>> ExecuteWithView(SudafSession* session,
     int view_state = -1;
     SharedComputation share_fn;
   };
-  std::vector<StateSource> sources(rewritten.form.states.size());
-  for (size_t i = 0; i < rewritten.form.states.size(); ++i) {
+  std::vector<StateSource> sources(states.size());
+  for (size_t i = 0; i < states.size(); ++i) {
     bool mapped = false;
     for (size_t v = 0; v < view.states.size(); ++v) {
       std::optional<SharedComputation> fn =
-          Share(rewritten.form.states[i], view.states[v]);
+          Share(states[i], view.states[v]);
       if (fn.has_value()) {
         sources[i] = StateSource{static_cast<int>(v), *fn};
         mapped = true;
@@ -152,7 +152,7 @@ Result<std::unique_ptr<Table>> ExecuteWithView(SudafSession* session,
     }
     if (!mapped) {
       return Status::InvalidArgument(
-          "query state " + rewritten.form.states[i].ToString() +
+          "query state " + states[i].ToString() +
           " is not computable from the view");
     }
   }
@@ -215,10 +215,10 @@ Result<std::unique_ptr<Table>> ExecuteWithView(SudafSession* session,
 
   const OutputRows rows = PlanOutputRows(rewritten, *stmt, *input.group_keys,
                                         input.num_groups);
-  std::vector<std::vector<double>> state_values(rewritten.form.states.size());
+  std::vector<std::vector<double>> state_values(states.size());
   for (size_t i = 0; i < sources.size(); ++i) {
     ServeState(rolled[sources[i].view_state], /*compact=*/false, rows,
-               rewritten.form.states[i], nullptr, &sources[i].share_fn,
+               states[i], nullptr, &sources[i].share_fn,
                &state_values[i]);
   }
 

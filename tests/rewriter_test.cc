@@ -72,11 +72,11 @@ TEST(RewriteQueryTest, Q1ProducesFivePartialAggregates) {
   ASSERT_TRUE(stmt.ok());
   ASSERT_OK_AND_ASSIGN(RewrittenQuery rewritten,
                        RewriteQuery(**stmt, lib));
-  EXPECT_EQ(rewritten.form.states.size(), 5u);
-  ASSERT_EQ(rewritten.items.size(), 5u);
-  EXPECT_EQ(rewritten.items[0].group_key_index, 0);
-  EXPECT_EQ(rewritten.items[1].group_key_index, 1);
-  EXPECT_GE(rewritten.items[2].terminating_index, 0);
+  EXPECT_EQ(rewritten.form().states.size(), 5u);
+  ASSERT_EQ(rewritten.items().size(), 5u);
+  EXPECT_EQ(rewritten.items()[0].group_key_index, 0);
+  EXPECT_EQ(rewritten.items()[1].group_key_index, 1);
+  EXPECT_GE(rewritten.items()[2].terminating_index, 0);
 }
 
 TEST(RewriteQueryTest, Q2SharesStatesWithinTheQuery) {
@@ -86,7 +86,7 @@ TEST(RewriteQueryTest, Q2SharesStatesWithinTheQuery) {
       ParseSelect("SELECT g, qm(x), stddev(x) FROM t GROUP BY g");
   ASSERT_TRUE(stmt.ok());
   ASSERT_OK_AND_ASSIGN(RewrittenQuery rewritten, RewriteQuery(**stmt, lib));
-  EXPECT_EQ(rewritten.form.states.size(), 3u);
+  EXPECT_EQ(rewritten.form().states.size(), 3u);
 }
 
 TEST(RewriteQueryTest, ExplainRendersRqForm) {
@@ -127,10 +127,10 @@ TEST(RewriteQueryTest, NativeUdafPlansItsStates) {
   auto stmt = ParseSelect("SELECT mid_range(v) FROM t");
   ASSERT_TRUE(stmt.ok());
   ASSERT_OK_AND_ASSIGN(RewrittenQuery rewritten, RewriteQuery(**stmt, lib));
-  ASSERT_EQ(rewritten.items.size(), 1u);
-  EXPECT_NE(rewritten.items[0].native, nullptr);
-  EXPECT_EQ(rewritten.items[0].native_term_indices.size(), 2u);
-  EXPECT_EQ(rewritten.form.states.size(), 2u);
+  ASSERT_EQ(rewritten.items().size(), 1u);
+  EXPECT_NE(rewritten.items()[0].native, nullptr);
+  EXPECT_EQ(rewritten.items()[0].native_term_indices.size(), 2u);
+  EXPECT_EQ(rewritten.form().states.size(), 2u);
 }
 
 TEST(RewriteQueryTest, NativeUdafRequiresColumnArgument) {
@@ -154,8 +154,8 @@ TEST(RewriteQueryTest, InlineExpressionsWork) {
       ParseSelect("SELECT sum(x^2)/sum(x) AS contraharmonic FROM t");
   ASSERT_TRUE(stmt.ok());
   ASSERT_OK_AND_ASSIGN(RewrittenQuery rewritten, RewriteQuery(**stmt, lib));
-  EXPECT_EQ(rewritten.form.states.size(), 2u);
-  EXPECT_EQ(rewritten.items[0].output_name, "contraharmonic");
+  EXPECT_EQ(rewritten.form().states.size(), 2u);
+  EXPECT_EQ(rewritten.items()[0].output_name, "contraharmonic");
 }
 
 }  // namespace

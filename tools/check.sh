@@ -64,10 +64,12 @@ if [ "$stress" = 1 ]; then
   # cycling failpoint configurations, plus the admission/session
   # concurrency suites, the query-group pipeline every solo and batched
   # rewritten query runs through, chunked sharing (instances sharing
-  # one session cache), and the thread pool's reentrancy and fail-fast
-  # contracts (lowest-indexed error wins under preempting load), repeated
-  # so rare interleavings get a chance to surface under the sanitizer.
+  # one session cache), the thread pool's reentrancy and fail-fast
+  # contracts (lowest-indexed error wins under preempting load), and the
+  # rewrite memo (eight threads sharing one session's memo and cache),
+  # repeated so rare interleavings get a chance to surface under the
+  # sanitizer.
   "${build_dir}/tests/sudaf_tests" \
-    --gtest_filter='ChaosTest.*:AdmissionTest.*:ServiceTest.*:ThreadPoolReentrancyTest.*:ThreadPoolRobustnessTest.*:SharedScanTest.*:SoloParityTest.*:ChunkedTest.*' \
+    --gtest_filter='ChaosTest.*:AdmissionTest.*:ServiceTest.*:ThreadPoolReentrancyTest.*:ThreadPoolRobustnessTest.*:SharedScanTest.*:SoloParityTest.*:ChunkedTest.*:RewriteMemoTest.*' \
     --gtest_repeat=3 --gtest_shuffle
 fi
