@@ -5,14 +5,16 @@
 //
 // Built-in aggregates (sum/count/min/max/avg/var/stddev and the primitive
 // sum/prod/count/min/max calls) run through vectorized kernels; every other
-// aggregate name is looked up in the hardcoded-UDAF registry and driven
-// row-at-a-time through the IUME interface — mirroring how PostgreSQL and
-// Spark SQL treat user-defined aggregates.
+// aggregate call is a UDAF driven row-at-a-time through the IUME interface —
+// mirroring how PostgreSQL and Spark SQL treat user-defined aggregates. Its
+// name is looked up in the UDAF registry (native implementations such as
+// the approximate quantiles), then in the UDAF library, whose definition is
+// expanded and derived into IUME form (DeriveUdaf) for the call.
 //
 // The SUDAF rewriter (src/sudaf) reuses Prepare() so that baseline and
 // rewritten executions share scans, filters, joins and grouping. Built-in
 // aggregates run in one fused state pass over the prepared input in place;
-// only the hardcoded UDAFs gather a frame.
+// only the UDAFs gather a frame.
 
 #include <memory>
 #include <string>
@@ -27,10 +29,16 @@
 
 namespace sudaf {
 
+class UdafLibrary;
+
 class Executor {
  public:
-  Executor(const Catalog* catalog, const UdafRegistry* registry)
-      : catalog_(catalog), registry_(registry) {}
+  // `registry` and `library` resolve UDAF calls in Execute(); either may be
+  // null, and Prepare() reads neither.
+  explicit Executor(const Catalog* catalog,
+                    const UdafRegistry* registry = nullptr,
+                    const UdafLibrary* library = nullptr)
+      : catalog_(catalog), registry_(registry), library_(library) {}
 
   // Runs `stmt` with engine-native aggregation. Each select item must be a
   // group-by column reference or a single aggregate/UDAF call over column
@@ -59,11 +67,16 @@ class Executor {
   }
 
   const Catalog* catalog() const { return catalog_; }
-  const UdafRegistry* registry() const { return registry_; }
 
  private:
+  // The UDAF that runs `call` (a call over plain columns): the registry's,
+  // else one derived from the library's definition into `*derived`.
+  Result<const Udaf*> FindUdaf(const Expr& call,
+                               std::unique_ptr<Udaf>* derived) const;
+
   const Catalog* catalog_;
   const UdafRegistry* registry_;
+  const UdafLibrary* library_;
 };
 
 // Applies HAVING, ORDER BY and LIMIT of `stmt` to `result` (columns are
