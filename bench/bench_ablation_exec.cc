@@ -5,21 +5,66 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cmath>
+
 #include "agg/builtin_kernels.h"
-#include "agg/interpreted_udaf.h"
 #include "agg/udaf.h"
 #include "common/rng.h"
 #include "engine/aggregation.h"
+#include "expr/parser.h"
 #include "storage/column.h"
+#include "sudaf/rewriter.h"
 
 namespace sudaf {
 namespace {
+
+// qm written directly against the IUME interface, compiled: state
+// (n, Σx²) as boxed Values, no expression interpretation.
+class CompiledQm : public Udaf {
+ public:
+  std::string name() const override { return "qm"; }
+  int num_args() const override { return 1; }
+
+  std::vector<Value> Initialize() const override {
+    return std::vector<Value>(2, Value(0.0));
+  }
+
+  void Update(std::vector<Value>* state,
+              const std::vector<Value>& args) const override {
+    const double x = args[0].AsDouble();
+    (*state)[0] = Value((*state)[0].AsDouble() + 1.0);
+    (*state)[1] = Value((*state)[1].AsDouble() + x * x);
+  }
+
+  void Merge(std::vector<Value>* state,
+             const std::vector<Value>& other) const override {
+    for (size_t i = 0; i < state->size(); ++i) {
+      (*state)[i] = Value((*state)[i].AsDouble() + other[i].AsDouble());
+    }
+  }
+
+  Result<Value> Evaluate(const std::vector<Value>& state) const override {
+    return Value(std::sqrt(state[1].AsDouble() / state[0].AsDouble()));
+  }
+};
+
+// qm as the engine baseline runs it: derived from the library definition.
+std::unique_ptr<Udaf> InterpretedQm() {
+  auto call = ParseExpression("qm(x)");
+  SUDAF_CHECK(call.ok());
+  auto body = UdafLibrary::Standard().Expand(**call);
+  SUDAF_CHECK(body.ok());
+  auto udaf = DeriveUdaf("qm", {"x"}, **body);
+  SUDAF_CHECK(udaf.ok());
+  return std::move(*udaf);
+}
 
 struct Fixture {
   Column column{DataType::kFloat64};
   std::vector<double> values;
   std::vector<int32_t> group_ids;
-  UdafRegistry registry;
+  CompiledQm compiled;
+  std::unique_ptr<Udaf> interpreted = InterpretedQm();
 
   explicit Fixture(int64_t n) {
     Rng rng(4242);
@@ -31,22 +76,16 @@ struct Fixture {
       column.AppendFloat64(v);
       group_ids.push_back(static_cast<int32_t>(rng.NextBelow(16)));
     }
-    RegisterHardcodedUdafs(&registry);
-    RegisterInterpretedUdafs(&interpreted);
   }
-
-  UdafRegistry interpreted;
 };
 
 // qm through the IUME interface: boxed values, virtual dispatch per row —
 // the hardcoded-UDAF execution shape.
 void BM_HardcodedUdafRowAtATime(benchmark::State& state) {
   Fixture fixture(state.range(0));
-  auto udaf = fixture.registry.Get("qm");
-  SUDAF_CHECK(udaf.ok());
   ExecOptions opts;
   for (auto _ : state) {
-    auto result = RunHardcodedUdaf(**udaf, {&fixture.column},
+    auto result = RunHardcodedUdaf(fixture.compiled, {&fixture.column},
                                    fixture.group_ids, 16, opts);
     benchmark::DoNotOptimize(result);
   }
@@ -59,11 +98,9 @@ BENCHMARK(BM_HardcodedUdafRowAtATime)->Arg(10'000)->Arg(100'000)->Arg(1'000'000)
 // figure benchmarks.
 void BM_InterpretedUdafRowAtATime(benchmark::State& state) {
   Fixture fixture(state.range(0));
-  auto udaf = fixture.interpreted.Get("qm");
-  SUDAF_CHECK(udaf.ok());
   ExecOptions opts;
   for (auto _ : state) {
-    auto result = RunHardcodedUdaf(**udaf, {&fixture.column},
+    auto result = RunHardcodedUdaf(*fixture.interpreted, {&fixture.column},
                                    fixture.group_ids, 16, opts);
     benchmark::DoNotOptimize(result);
   }

@@ -8,6 +8,7 @@
 //   3. inspect its rewritten form (built-in partial aggregates + T),
 //   4. execute under the three modes and watch the cache work.
 
+#include <cmath>
 #include <cstdio>
 
 #include "common/rng.h"
@@ -48,14 +49,30 @@ int main() {
   SUDAF_CHECK_MSG(explain.ok(), explain.status().ToString());
   std::printf("%s\n\n", explain->c_str());
 
-  // 4. Execute. kEngine = hardcoded-UDAF baseline (would fail here — we
-  //    never hardcoded contraharmonic!), kSudafNoShare = rewrite only,
-  //    kSudafShare = rewrite + state cache.
+  // 4. Execute. kEngine = the engine baseline (each UDAF run row at a
+  //    time through initialize/update/merge/evaluate, derived from its
+  //    definition), kSudafNoShare = rewrite only, kSudafShare = rewrite +
+  //    state cache.
   auto first = session.Execute(query, ExecMode::kSudafShare);
   SUDAF_CHECK_MSG(first.ok(), first.status().ToString());
   std::printf("first run (%0.2f ms, computed %d states):\n%s\n",
               first->stats.total_ms, first->stats.states_computed,
               (*first)->ToString().c_str());
+
+  // The engine baseline returns the same answers, only slower.
+  auto engine = session.Execute(query, ExecMode::kEngine);
+  SUDAF_CHECK_MSG(engine.ok(), engine.status().ToString());
+  std::printf("engine baseline (%0.2f ms):\n%s\n", engine->stats.total_ms,
+              (*engine)->ToString().c_str());
+  for (int64_t r = 0; r < (*first)->num_rows(); ++r) {
+    const double want = (*first)->column(1).GetFloat64(r);
+    const double got = (*engine)->column(1).GetFloat64(r);
+    if (!(std::fabs(got - want) <= 1e-9 * std::fabs(want))) {
+      std::fprintf(stderr, "engine and share mode disagree: %.17g vs %.17g\n",
+                   got, want);
+      return 1;
+    }
+  }
 
   // A *different* UDAF over the same data: qm needs Σtemp² and count —
   // Σtemp² is served from the cache (contraharmonic computed it); only the

@@ -242,7 +242,7 @@ Result<std::unique_ptr<Table>> ChunkedSharingSession::Run(
         BuildBatchRequests(plan, std::vector<bool>(reps.size(), true));
     std::vector<std::string> extra_columns = RequestColumns(rq);
     extra_columns.push_back(chunk_column_);
-    Executor executor(session_->catalog(), &session_->hardcoded());
+    Executor executor(session_->catalog());
     SUDAF_ASSIGN_OR_RETURN(PreparedInput input,
                            executor.Prepare(range_stmt, extra_columns, opts));
 

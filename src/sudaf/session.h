@@ -5,8 +5,10 @@
 //
 // One session binds a catalog to three execution paths:
 //   * kEngine       — the baseline: built-ins via kernels, UDAFs via the
-//                     hardcoded IUME interface (how PostgreSQL / Spark SQL
-//                     run the original queries);
+//                     IUME interface, row at a time over boxed values (how
+//                     PostgreSQL / Spark SQL run the original queries);
+//                     a library UDAF's IUME form is derived from its
+//                     definition (DeriveUdaf), hardcoded() holds the rest;
 //   * kSudafNoShare — SUDAF rewriting only: UDAF expressions are factored
 //                     into aggregation states computed with built-in
 //                     kernels, then finished by terminating functions;

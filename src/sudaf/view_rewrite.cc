@@ -32,7 +32,7 @@ Result<AggregateView> MaterializeAggregateView(SudafSession* session,
   const BatchRequestPlan rq =
       BuildBatchRequests(plan, std::vector<bool>(plan.reps().size(), true));
 
-  Executor executor(session->catalog(), &session->hardcoded());
+  Executor executor(session->catalog());
   SUDAF_ASSIGN_OR_RETURN(
       PreparedInput input,
       executor.Prepare(*stmt, RequestColumns(rq), session->exec_options()));
@@ -175,7 +175,7 @@ Result<std::unique_ptr<Table>> ExecuteWithView(SudafSession* session,
   }
   delta_catalog.PutExternalTable(view.name, view.data.get());
 
-  Executor executor(&delta_catalog, &session->hardcoded());
+  Executor executor(&delta_catalog);
   std::vector<std::string> extra_columns;
   std::set<int> needed_view_states;
   for (const StateSource& src : sources) {

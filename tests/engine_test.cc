@@ -5,6 +5,7 @@
 
 #include "engine/executor.h"
 #include "gtest/gtest.h"
+#include "sudaf/rewriter.h"
 #include "tests/test_util.h"
 
 namespace sudaf {
@@ -42,8 +43,7 @@ class EngineTest : public ::testing::Test {
 
     catalog_.PutTable("fact", std::move(fact));
     catalog_.PutTable("dim", std::move(dim));
-    RegisterHardcodedUdafs(&registry_);
-    executor_ = std::make_unique<Executor>(&catalog_, &registry_);
+    executor_ = std::make_unique<Executor>(&catalog_, nullptr, &library_);
   }
 
   // Runs and returns the single double of a one-row one-column result.
@@ -57,7 +57,7 @@ class EngineTest : public ::testing::Test {
   }
 
   Catalog catalog_;
-  UdafRegistry registry_;
+  UdafLibrary library_ = UdafLibrary::Standard();
   std::unique_ptr<Executor> executor_;
 };
 
@@ -152,6 +152,16 @@ TEST_F(EngineTest, HardcodedUdafViaIume) {
 TEST_F(EngineTest, UdafWithTwoColumns) {
   // theta1(v, v) = 1 exactly.
   ExpectClose(1.0, RunScalar("SELECT theta1(v, v) FROM fact"));
+}
+
+TEST_F(EngineTest, UdafArgumentErrorsAreReported) {
+  for (const char* sql : {"SELECT qm(tag) FROM dim",     // not numeric
+                          "SELECT qm(v, v) FROM fact",   // wrong arity
+                          "SELECT qm(v + 1) FROM fact",  // not a column
+                          "SELECT nosuch(v) FROM fact"}) {
+    ASSERT_OK_AND_ASSIGN(auto stmt, ParseSelect(sql));
+    EXPECT_FALSE(executor_->Execute(*stmt).ok()) << sql;
+  }
 }
 
 TEST_F(EngineTest, PartitionedExecutionMatchesSerial) {

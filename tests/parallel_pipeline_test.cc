@@ -96,8 +96,7 @@ void ExpectTablesBitIdentical(const Table& a, const Table& b,
 // count (1 = the serial reference).
 TEST(ParallelPipelineTest, PrepareIsThreadCountInvariant) {
   Catalog catalog = MakeCatalog();
-  UdafRegistry registry;
-  Executor executor(&catalog, &registry);
+  Executor executor(&catalog);
   ASSERT_OK_AND_ASSIGN(
       std::unique_ptr<SelectStatement> stmt,
       ParseSelect("SELECT g, sum(x) FROM t WHERE x > 0.5 AND y < 1.5 "

@@ -78,8 +78,7 @@ class PredicateEngineTest : public ::testing::Test {
                         Value(std::string(tags[i % 3]))});
     }
     catalog_.PutTable("t", std::move(table));
-    RegisterHardcodedUdafs(&registry_);
-    executor_ = std::make_unique<Executor>(&catalog_, &registry_);
+    executor_ = std::make_unique<Executor>(&catalog_);
   }
 
   double Count(const std::string& where) {
@@ -91,7 +90,6 @@ class PredicateEngineTest : public ::testing::Test {
   }
 
   Catalog catalog_;
-  UdafRegistry registry_;
   std::unique_ptr<Executor> executor_;
 };
 

@@ -87,24 +87,49 @@ INSTANTIATE_TEST_SUITE_P(PaperAggregates, ModeAgreementTest,
                          ::testing::Values("sum", "count", "avg", "min",
                                            "max", "var", "stddev", "qm",
                                            "cm", "apm", "hm", "gm",
-                                           "skewness", "kurtosis",
+                                           "gm_prod", "skewness", "kurtosis",
                                            "logsumexp"));
 
 TEST_F(SessionTest, BivariateUdafsAgreeAcrossModes) {
+  // theta0 is defined through theta1: engine mode expands it too.
   for (const char* agg : {"theta1", "theta0", "covar", "corr"}) {
     std::string sql = std::string("SELECT g, ") + agg +
                       "(x, y) FROM t GROUP BY g ORDER BY g";
-    auto engine_result = session_->Execute(sql, ExecMode::kEngine);
-    auto sudaf_result = session_->Execute(sql, ExecMode::kSudafNoShare);
-    if (std::string(agg) == "theta0") {
-      // theta0 has no hardcoded counterpart; compare rewrite vs. share.
-      ASSERT_TRUE(sudaf_result.ok()) << sudaf_result.status().ToString();
-      continue;
-    }
-    ASSERT_TRUE(engine_result.ok()) << engine_result.status().ToString();
-    ASSERT_TRUE(sudaf_result.ok()) << sudaf_result.status().ToString();
-    ExpectTablesClose(**engine_result, **sudaf_result, 1e-7);
+    auto engine = Run(sql, ExecMode::kEngine);
+    ExpectTablesClose(*engine, *Run(sql, ExecMode::kSudafNoShare), 1e-7);
+    ExpectTablesClose(*engine, *Run(sql, ExecMode::kSudafShare), 1e-7);
   }
+}
+
+// Engine mode derives each UDAF from its library definition, so every
+// one of them runs there, with the answers of the rewrite.
+TEST_F(SessionTest, EveryLibraryUdafRunsInEngineMode) {
+  const UdafLibrary& library = session_->library();
+  int checked = 0;
+  for (const std::string& name : library.Names()) {
+    const UdafDefinition* def = library.GetExpr(name);
+    if (def == nullptr) continue;  // a native UDAF
+    const std::string args = def->params.size() == 2 ? "(x, y)" : "(x)";
+    const std::string sql =
+        "SELECT g, " + name + args + " FROM t GROUP BY g ORDER BY g";
+    SCOPED_TRACE(sql);
+    ExpectTablesClose(*Run(sql, ExecMode::kEngine),
+                      *Run(sql, ExecMode::kSudafNoShare), 1e-7);
+    ++checked;
+  }
+  EXPECT_EQ(checked, 16);
+}
+
+TEST_F(SessionTest, DefinedUdafAgreesAcrossModes) {
+  // A user definition whose parameter is named v, not x.
+  ASSERT_OK(session_->library().Define("contraharmonic", {"v"},
+                                       "sum(v^2)/sum(v)"));
+  const std::string sql =
+      "SELECT g, contraharmonic(x) FROM t GROUP BY g ORDER BY g";
+  auto engine = Run(sql, ExecMode::kEngine);
+  ExpectTablesClose(*engine, *Run(sql, ExecMode::kSudafNoShare), 1e-7);
+  ExpectTablesClose(*engine, *Run(sql, ExecMode::kSudafShare), 1e-7);
+  ExpectTablesClose(*engine, *Run(sql, ExecMode::kSudafShare), 1e-7);
 }
 
 TEST_F(SessionTest, Q2AfterQ1ReusesThreeStates) {
@@ -174,6 +199,26 @@ TEST_F(SessionTest, SignSeparationOnMixedSignData) {
   double expected = 2.0 * (std::log(2.0) + std::log(3.0) + std::log(1.5));
   ExpectClose(expected, ln_sq->column(1).GetFloat64(0), 1e-9);
   EXPECT_EQ(stats().states_from_cache, 1);
+}
+
+TEST_F(SessionTest, GeometricMeanOfMixedSignsIsNaNUnlessShared) {
+  // gm = exp(Σ ln x / n), and ln of a negative is NaN: engine and no-share
+  // mode return NaN. Share mode rebuilds Σ ln x from the log class's
+  // Σ ln|x| channel and returns the |·| value (docs/theory.md §6).
+  std::vector<int64_t> g = {0, 0, 1, 1, 1};
+  std::vector<double> x = {-1.0, 4.0, -2.0, 2.0, -2.0};
+  catalog_.PutTable("m", testing_util::MakeXyTable(g, x, x));
+  const std::string sql = "SELECT g, gm(x) FROM m GROUP BY g ORDER BY g";
+  for (ExecMode mode : {ExecMode::kEngine, ExecMode::kSudafNoShare}) {
+    auto result = Run(sql, mode);
+    ASSERT_EQ(result->num_rows(), 2);
+    EXPECT_TRUE(std::isnan(result->column(1).GetFloat64(0)));
+    EXPECT_TRUE(std::isnan(result->column(1).GetFloat64(1)));
+  }
+  auto share = Run(sql, ExecMode::kSudafShare);
+  ASSERT_EQ(share->num_rows(), 2);
+  ExpectClose(2.0, share->column(1).GetFloat64(0));  // |-1 · 4|^(1/2)
+  ExpectClose(2.0, share->column(1).GetFloat64(1));  // |-2 · 2 · -2|^(1/3)
 }
 
 TEST_F(SessionTest, UngroupedQueriesReturnOneRow) {
