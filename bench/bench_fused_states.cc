@@ -8,10 +8,15 @@
 // x^2 → x^3 → x^4 strength-reduced onto each other) and accumulates every
 // state into cache-resident per-worker blocks.
 //
-// Three sweeps, written to BENCH_fused_states.json in the build tree (or
-// to --out PATH):
+// Three sweeps and one case, written to BENCH_fused_states.json in the
+// build tree (or to --out PATH) under a fingerprint of the build and
+// machine:
 //   * states 1..16 (power sums) at 1M rows, single-threaded;
 //   * rows 1M..10M for the 5-state kurtosis set, single-threaded;
+//   * "panels": the channel set of perfbench's dashboard refresh (its 8
+//     panel UDAFs in share mode: count, Σx..Σx⁴, Σ ln|x|, Π sgn x, Σ 1/x)
+//     over 250k rows in 1k groups, reporting ns/row and the Σ ln channels
+//     that ran log-free (`--panels` runs only this case);
 //   * threads 1..8 through the FULL pipeline (filter → bind → group →
 //     fused pass) on a 4M-row session query with a WHERE clause, reporting
 //     per-phase times from the query trace and checking that every thread
@@ -25,6 +30,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -44,6 +50,10 @@ using namespace sudaf;  // NOLINT — bench brevity
 namespace {
 
 constexpr int32_t kGroups = 100;
+
+// Receives a value from each timed legacy run so the compiler cannot drop
+// the work.
+volatile double g_sink = 0;
 
 struct Data {
   Column x{DataType::kFloat64};
@@ -105,7 +115,7 @@ double TimeLegacy(const Data& data, const std::vector<ExprPtr>& inputs,
     sink += out[0];
   }
   double ms = NowMs() - t0;
-  if (sink == 42.0) std::printf("");  // keep the work observable
+  g_sink = sink;
   return ms;
 }
 
@@ -174,6 +184,114 @@ int RunSmoke(int threads) {
   return 0;
 }
 
+// The "panels" case: dashboard's fused pass in isolation.
+struct PanelsResult {
+  int64_t rows = 0;
+  int32_t groups = 0;
+  double fused_ms = 0;
+  double ns_per_row = 0;
+  StateBatchStats stats;
+};
+
+PanelsResult RunPanels() {
+  constexpr int64_t kRows = 250'000;
+  constexpr int32_t kPanelGroups = 1'000;
+  Column x{DataType::kFloat64};
+  std::vector<int32_t> gids(kRows);
+  Rng rng(11);
+  x.Reserve(kRows);
+  for (int64_t i = 0; i < kRows; ++i) {
+    x.AppendFloat64(rng.NextLogNormal(3.0, 1.0));
+    gids[i] = static_cast<int32_t>(rng.NextBelow(kPanelGroups));
+  }
+  ColumnBinder binder = [&x](const std::string& name) -> Result<BoundColumn> {
+    if (name != "x") return Status::InvalidArgument("no column " + name);
+    return BoundColumn{&x, nullptr, 0};
+  };
+  std::vector<ExprPtr> inputs;
+  std::vector<StateBatchRequest> requests = {{AggOp::kCount, nullptr}};
+  const std::pair<AggOp, const char*> kChannels[] = {
+      {AggOp::kSum, "x"},          {AggOp::kSum, "x^2"},
+      {AggOp::kSum, "x^3"},        {AggOp::kSum, "x^4"},
+      {AggOp::kSum, "ln(abs(x))"}, {AggOp::kProd, "sgn(x)"},
+      {AggOp::kSum, "x^-1"}};
+  for (const auto& [op, text] : kChannels) {
+    auto parsed = ParseExpression(text);
+    SUDAF_CHECK_MSG(parsed.ok(), parsed.status().ToString());
+    inputs.push_back(std::move(*parsed));
+    requests.push_back({op, inputs.back().get()});
+  }
+  PanelsResult out;
+  out.rows = kRows;
+  out.groups = kPanelGroups;
+  out.fused_ms = Best(9, [&] {
+    double t0 = NowMs();
+    auto result = ComputeStateBatch(requests, binder, gids, kPanelGroups,
+                                    ExecOptions{}, &out.stats);
+    double ms = NowMs() - t0;
+    SUDAF_CHECK_MSG(result.ok(), result.status().ToString());
+    g_sink = (*result)[5][0];
+    return ms;
+  });
+  out.ns_per_row = out.fused_ms * 1e6 / static_cast<double>(kRows);
+  return out;
+}
+
+std::string PanelsJson(const PanelsResult& p) {
+  char buf[512];
+  std::snprintf(buf, sizeof(buf),
+                "{\"rows\": %lld, \"groups\": %d, \"fused_ms\": %.3f, "
+                "\"ns_per_row\": %.3f, \"channels\": %d, \"slots\": %d, "
+                "\"log_product_channels\": %d}",
+                static_cast<long long>(p.rows), p.groups, p.fused_ms,
+                p.ns_per_row, p.stats.num_channels, p.stats.num_slots,
+                p.stats.log_product_channels);
+  return buf;
+}
+
+void PrintPanels(const PanelsResult& p) {
+  std::printf("dashboard panel channels, %lld rows in %d groups: %.3f ms, "
+              "%.2f ns/row, %d channels (%d log-free), %d slots\n",
+              static_cast<long long>(p.rows), p.groups, p.fused_ms,
+              p.ns_per_row, p.stats.num_channels,
+              p.stats.log_product_channels, p.stats.num_slots);
+}
+
+// First line of a command's output, or "unknown".
+std::string CommandLine(const char* cmd) {
+  std::string line = "unknown";
+  if (FILE* p = popen(cmd, "r")) {
+    char buf[256];
+    if (std::fgets(buf, sizeof(buf), p) != nullptr) {
+      line = buf;
+      while (!line.empty() && (line.back() == '\n' || line.back() == '\r')) {
+        line.pop_back();
+      }
+    }
+    pclose(p);
+  }
+  return line;
+}
+
+// The build and machine the numbers came from.
+std::string FingerprintJson() {
+  std::string cpu = "unknown";
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    if (line.rfind("model name", 0) == 0) {
+      cpu = line.substr(line.find(':') + 2);
+      break;
+    }
+  }
+  std::string out = "{\"git\": \"" +
+                    CommandLine("git describe --always --dirty 2>/dev/null") +
+                    "\", \"compiler\": \"" SUDAF_BENCH_COMPILER
+                    "\", \"build_type\": \"" SUDAF_BENCH_BUILD_TYPE
+                    "\", \"cpu\": \"" + cpu + "\", \"hardware_threads\": " +
+                    std::to_string(std::thread::hardware_concurrency()) + "}";
+  return out;
+}
+
 // Bitwise table comparison for the thread-sweep identity check.
 bool TablesBitIdentical(const Table& a, const Table& b) {
   if (a.num_rows() != b.num_rows() || a.num_columns() != b.num_columns()) {
@@ -193,6 +311,7 @@ bool TablesBitIdentical(const Table& a, const Table& b) {
 
 int main(int argc, char** argv) {
   bool smoke = false;
+  bool panels_only = false;
   int threads = 1;
   std::string out =
       std::string(SUDAF_BENCH_OUT_DIR) + "/BENCH_fused_states.json";
@@ -200,6 +319,8 @@ int main(int argc, char** argv) {
     const std::string arg = argv[a];
     if (arg == "--smoke") {
       smoke = true;
+    } else if (arg == "--panels") {
+      panels_only = true;
     } else if (arg == "--threads" && a + 1 < argc) {
       threads = std::atoi(argv[++a]);
     } else if (arg == "--out" && a + 1 < argc) {
@@ -209,7 +330,16 @@ int main(int argc, char** argv) {
   if (smoke) return RunSmoke(threads);
   FILE* json = std::fopen(out.c_str(), "w");
   SUDAF_CHECK_MSG(json != nullptr, "cannot open " + out);
-  std::fprintf(json, "{\n  \"groups\": %d,\n  \"hardware_threads\": %u,\n",
+  std::fprintf(json, "{\n  \"fingerprint\": %s,\n",
+               FingerprintJson().c_str());
+  if (panels_only) {
+    const PanelsResult panels = RunPanels();
+    PrintPanels(panels);
+    std::fprintf(json, "  \"panels\": %s\n}\n", PanelsJson(panels).c_str());
+    std::fclose(json);
+    return 0;
+  }
+  std::fprintf(json, "  \"groups\": %d,\n  \"hardware_threads\": %u,\n",
                kGroups, std::thread::hardware_concurrency());
 
   // Sweep 1: number of states at 1M rows, single-threaded.
@@ -270,6 +400,11 @@ int main(int argc, char** argv) {
     }
     std::fprintf(json, "\n  ],\n");
   }
+
+  std::printf("\n");
+  const PanelsResult panels = RunPanels();
+  PrintPanels(panels);
+  std::fprintf(json, "  \"panels\": %s,\n", PanelsJson(panels).c_str());
 
   // Sweep 3: end-to-end thread scaling through the full pipeline — a real
   // session query with a WHERE clause at 4M rows, so filter, gather,

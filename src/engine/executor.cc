@@ -276,21 +276,16 @@ Result<std::unique_ptr<Table>> Executor::Execute(
     }
 
     // A UDAF through the IUME interface.
-    for (const auto& arg : expr.args) {
-      if (arg->kind != ExprKind::kColumnRef) {
-        return Status::Unimplemented("UDAF arguments must be plain columns: " +
-                                     expr.ToString());
-      }
-    }
     std::unique_ptr<Udaf> derived;
-    SUDAF_ASSIGN_OR_RETURN(const Udaf* udaf, FindUdaf(expr, &derived));
+    std::vector<std::string> columns;
+    SUDAF_ASSIGN_OR_RETURN(const Udaf* udaf,
+                           FindUdaf(expr, &derived, &columns));
     std::vector<const Column*> arg_columns;
-    for (const auto& arg : expr.args) {
+    for (const std::string& name : columns) {
       SUDAF_ASSIGN_OR_RETURN(const Table* f, frame());
-      SUDAF_ASSIGN_OR_RETURN(const Column* col, f->GetColumn(arg->column));
+      SUDAF_ASSIGN_OR_RETURN(const Column* col, f->GetColumn(name));
       if (col->type() == DataType::kString) {
-        return Status::TypeError("UDAF argument " + arg->column +
-                                 " is not numeric");
+        return Status::TypeError("UDAF argument " + name + " is not numeric");
       }
       arg_columns.push_back(col);
     }
@@ -322,8 +317,17 @@ Result<std::unique_ptr<Table>> Executor::Execute(
 }
 
 Result<const Udaf*> Executor::FindUdaf(
-    const Expr& call, std::unique_ptr<Udaf>* derived) const {
+    const Expr& call, std::unique_ptr<Udaf>* derived,
+    std::vector<std::string>* columns) const {
   if (registry_ != nullptr && registry_->Has(call.func_name)) {
+    for (const auto& arg : call.args) {
+      if (arg->kind != ExprKind::kColumnRef) {
+        return Status::Unimplemented(
+            "arguments of a registered UDAF must be plain columns: " +
+            call.ToString());
+      }
+      columns->push_back(arg->column);
+    }
     return registry_->Get(call.func_name);
   }
   const UdafDefinition* def =
@@ -336,11 +340,18 @@ Result<const Udaf*> Executor::FindUdaf(
         call.func_name + "() takes " + std::to_string(def->params.size()) +
         " argument(s)");
   }
+  // The expanded body reads the argument expressions in place of the
+  // parameters, so the derived UDAF takes the columns they name.
   SUDAF_ASSIGN_OR_RETURN(ExprPtr body, library_->Expand(call));
-  std::vector<std::string> params;
-  for (const auto& arg : call.args) params.push_back(arg->column);
+  std::vector<std::string> read;
+  body->CollectColumns(&read);
+  for (std::string& name : read) {
+    if (std::find(columns->begin(), columns->end(), name) == columns->end()) {
+      columns->push_back(std::move(name));
+    }
+  }
   SUDAF_ASSIGN_OR_RETURN(*derived,
-                         DeriveUdaf(call.func_name, std::move(params), *body));
+                         DeriveUdaf(call.func_name, *columns, *body));
   return derived->get();
 }
 

@@ -69,10 +69,13 @@ class Executor {
   const Catalog* catalog() const { return catalog_; }
 
  private:
-  // The UDAF that runs `call` (a call over plain columns): the registry's,
-  // else one derived from the library's definition into `*derived`.
+  // The UDAF that runs `call`, and in `*columns` the columns it reads, in
+  // argument order: the registry's over plain-column arguments, else one
+  // derived into `*derived` from the library's definition expanded over
+  // the call's argument expressions, reading the columns they name.
   Result<const Udaf*> FindUdaf(const Expr& call,
-                               std::unique_ptr<Udaf>* derived) const;
+                               std::unique_ptr<Udaf>* derived,
+                               std::vector<std::string>* columns) const;
 
   const Catalog* catalog_;
   const UdafRegistry* registry_;

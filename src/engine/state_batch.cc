@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <memory>
+#include <numbers>
 #include <string>
 #include <thread>
 #include <type_traits>
@@ -62,6 +65,14 @@ struct Slot {
 struct Channel {
   AggOp op = AggOp::kSum;
   int slot = -1;  // -1 for count()
+  // Log-product channel (a Σ ln y channel, docs/execution.md, "Log-free
+  // log channels"): it reads y from slot `log_src` (|y| when `log_abs`)
+  // and accumulates its mantissa product and exponent sum, so the ln slot
+  // itself is evaluated only if something else reads it. `log_index`
+  // numbers the pass's log-product channels; -1 for every other channel.
+  int log_src = -1;
+  bool log_abs = false;
+  int log_index = -1;
 };
 
 // `e` is a constant (literal, possibly under unary minus)?
@@ -89,6 +100,14 @@ class BatchPlan {
   const std::vector<Slot>& slots() const { return slots_; }
   const std::vector<Channel>& channels() const { return channels_; }
   const std::vector<int>& request_channel() const { return request_channel_; }
+  // Whether slot i is evaluated per vector: some channel or evaluated slot
+  // reads it.
+  bool evaluated(size_t i) const { return evaluated_[i] != 0; }
+  int num_evaluated_slots() const {
+    return static_cast<int>(
+        std::count(evaluated_.begin(), evaluated_.end(), 1));
+  }
+  int num_log_product_channels() const { return num_log_products_; }
 
   int num_shared_slots() const {
     int n = 0;
@@ -106,12 +125,15 @@ class BatchPlan {
   int MakeUnary(Slot::Kind kind, const char* tag, int child);
   int MakeArith(Slot::Kind kind, const char* tag, int a, int b);
   int MakeLiteral(double v);
+  void PlanEvaluation();
 
   std::vector<Slot> slots_;
   std::map<std::string, int> memo_;
   std::vector<Channel> channels_;
   std::map<std::string, int> channel_memo_;
   std::vector<int> request_channel_;
+  std::vector<char> evaluated_;
+  int num_log_products_ = 0;
 };
 
 int BatchPlan::Intern(Slot slot, const std::string& key) {
@@ -320,7 +342,39 @@ Status BatchPlan::Build(const std::vector<StateBatchRequest>& requests,
     if (inserted) channels_.push_back(Channel{req.op, slot});
     request_channel_.push_back(it->second);
   }
+  PlanEvaluation();
   return Status::OK();
+}
+
+// Every Σ ln y channel becomes a log-product channel, whatever else shares
+// the pass, so a channel's bits never depend on its plan-mates (batch vs.
+// solo identity). An abs() directly under the ln folds into the channel
+// too. Then each slot is marked evaluated if a channel or an evaluated
+// slot reads it; children precede parents, so one reverse sweep suffices.
+void BatchPlan::PlanEvaluation() {
+  evaluated_.assign(slots_.size(), 0);
+  for (Channel& ch : channels_) {
+    if (ch.slot < 0) continue;
+    const Slot& s = slots_[ch.slot];
+    if (ch.op == AggOp::kSum && s.kind == Slot::Kind::kLog) {
+      ch.log_src = s.a;
+      if (slots_[s.a].kind == Slot::Kind::kAbs) {
+        ch.log_src = slots_[s.a].a;
+        ch.log_abs = true;
+      }
+      ch.log_index = num_log_products_++;
+      evaluated_[ch.log_src] = 1;
+    } else {
+      evaluated_[ch.slot] = 1;
+    }
+  }
+  for (size_t i = slots_.size(); i-- > 0;) {
+    if (!evaluated_[i]) continue;
+    const Slot& s = slots_[i];
+    if (s.a >= 0) evaluated_[s.a] = 1;
+    if (s.b >= 0) evaluated_[s.b] = 1;
+    for (int arg : s.args) evaluated_[arg] = 1;
+  }
 }
 
 // A single-chunk float64 column over an identity range is read in place:
@@ -365,12 +419,20 @@ const double* LoadColumn(const Slot& s, int64_t lo, int64_t len,
   return alias != nullptr ? alias : out;
 }
 
-// Per-worker evaluation state: one scratch buffer per slot (one morsel
-// long, reused across all of the worker's morsels, left uninitialized
-// because every slot writes its rows before they are read). Accumulation
-// goes straight into the chunk block the worker currently owns, so workers
-// carry no accumulator of their own — the accumulation tree is a property
-// of the pass, not of the worker count.
+// Rows evaluated and accumulated at a time: each slot buffer is 16 KB, so
+// a plan's buffers stay in L2 between a slot's write and its readers. A
+// constant, not an option: the morsel (ExecOptions::morsel_size) still
+// sets the chunk tree, the guard check and the failpoint, and since each
+// (channel, group) pair takes its rows in row order whatever the vector
+// length, no answer depends on it.
+constexpr int64_t kVector = 2048;
+
+// Per-worker evaluation state: one scratch buffer per evaluated slot (one
+// vector long, reused across all of the worker's vectors, left
+// uninitialized because every slot writes its rows before they are read).
+// Accumulation goes straight into the chunk block the worker currently
+// owns, so workers carry no accumulator of their own — the accumulation
+// tree is a property of the pass, not of the worker count.
 struct WorkerEval {
   std::vector<std::unique_ptr<double[]>> bufs;
   std::vector<const double*> ptr;
@@ -381,7 +443,7 @@ struct WorkerEval {
     ptr.assign(slots.size(), nullptr);
     for (size_t i = 0; i < slots.size(); ++i) {
       const Slot& s = slots[i];
-      if (AliasesColumn(s)) continue;
+      if (!plan.evaluated(i) || AliasesColumn(s)) continue;
       bufs[i] = std::make_unique_for_overwrite<double[]>(buf_len);
       if (s.kind == Slot::Kind::kLiteral) {
         std::fill_n(bufs[i].get(), buf_len, s.literal);
@@ -391,10 +453,12 @@ struct WorkerEval {
   }
 };
 
-Status EvalMorsel(const BatchPlan& plan, WorkerEval* w, int64_t lo,
+// Evaluates every evaluated slot over rows [lo, lo + len), len ≤ kVector.
+Status EvalVector(const BatchPlan& plan, WorkerEval* w, int64_t lo,
                   int64_t len) {
   const std::vector<Slot>& slots = plan.slots();
   for (size_t i = 0; i < slots.size(); ++i) {
+    if (!plan.evaluated(i)) continue;
     const Slot& s = slots[i];
     double* out = w->bufs[i].get();
     switch (s.kind) {
@@ -496,23 +560,130 @@ Status EvalMorsel(const BatchPlan& plan, WorkerEval* w, int64_t lo,
   return Status::OK();
 }
 
-// Folds one evaluated morsel into `acc`, the num_channels × num_groups
-// block of the accumulation chunk that owns rows [lo, lo+len).
-void AccumulateMorsel(const BatchPlan& plan, WorkerEval* w,
+// --- Log-product channels ---------------------------------------------------
+//
+// A Σ ln y channel keeps, per group of a chunk block, the product m of the
+// y's mantissas and the sum e of their binary exponents: ln maps (ℝ⁺, ×)
+// onto (ℝ, +), so Σ ln y = ln m + e·ln 2. m starts at 1 and stays below
+// 2^513: each factor is in [1, 2), and m is renormalized with frexp once it
+// passes 2^512. e is an integer, so it is exact. The block converts once
+// per group when it finishes, before the ⊕-merge of the chunk tree, so the
+// merged value, the cache and its format are those of the per-row sum.
+// Special values ride in m, where ln gives what the per-row sum would: a
+// ±0 factor makes m 0 (−inf), +inf makes it +inf, and NaN or y < 0 makes
+// it NaN, as does 0 with +inf.
+
+struct LogAcc {
+  double m = 1.0;
+  int64_t e = 0;
+};
+
+constexpr uint64_t kSignBit = uint64_t{1} << 63;
+constexpr uint64_t kExpBits = 0x7ff0000000000000;
+constexpr uint64_t kFracBits = 0x000fffffffffffff;
+constexpr uint64_t kOneBits = 0x3ff0000000000000;   // 1.0
+constexpr uint64_t kMinNormal = 0x0010000000000000;  // 2^-1022
+
+// The mantissa factor of y outside the positive normal range, with its
+// exponent in *e: a special value as its own factor (exponent 0), or a
+// subnormal scaled into the normal range exactly.
+double SplitNonNormal(double y, int64_t* e) {
+  *e = 0;
+  if (y == 0.0) return 0.0;
+  if (!(y > 0.0)) return std::numeric_limits<double>::quiet_NaN();
+  if (y == std::numeric_limits<double>::infinity()) return y;
+  const uint64_t bits = std::bit_cast<uint64_t>(y * 0x1p64);
+  *e = static_cast<int64_t>(bits >> 52) - 1023 - 64;
+  return std::bit_cast<double>((bits & kFracBits) | kOneBits);
+}
+
+template <bool kAbs>
+void AccumulateLogProduct(const double* in, const int32_t* g, int64_t len,
+                          LogAcc* acc) {
+  for (int64_t r = 0; r < len; ++r) {
+    uint64_t bits = std::bit_cast<uint64_t>(in[r]);
+    if constexpr (kAbs) bits &= ~kSignBit;
+    double f;
+    int64_t ex;
+    if (bits - kMinNormal < kExpBits - kMinNormal) {  // positive normal
+      f = std::bit_cast<double>((bits & kFracBits) | kOneBits);
+      ex = static_cast<int64_t>(bits >> 52) - 1023;
+    } else {
+      f = SplitNonNormal(std::bit_cast<double>(bits), &ex);
+    }
+    LogAcc& a = acc[g[r]];
+    a.m *= f;
+    a.e += ex;
+    if (a.m >= 0x1p512 && a.m < std::numeric_limits<double>::infinity()) {
+      int k;
+      a.m = 2.0 * std::frexp(a.m, &k);
+      a.e += k - 1;
+    }
+  }
+}
+
+// ln(m·2^e), once per group of a finished block. ln 2 is split into hi and
+// lo parts and n·hi's rounding error is recovered by fma, so the result
+// is within about one rounding of the exact value.
+double LogOfScaled(LogAcc a) {
+  if (!(a.m > 0.0) || a.m == std::numeric_limits<double>::infinity()) {
+    return std::log(a.m);  // −inf, +inf or NaN
+  }
+  constexpr double kLn2Hi = std::numbers::ln2;        // ln 2 rounded
+  constexpr double kLn2Lo = 0x1.abc9e3b39803fp-56;     // ln 2 − kLn2Hi
+  constexpr double kSqrtHalf = 0x1.6a09e667f3bcdp-1;   // √½
+  int k;
+  double f = std::frexp(a.m, &k);  // m = f·2^k, f ∈ [1/2, 1)
+  if (f < kSqrtHalf) {
+    f *= 2.0;
+    --k;
+  }  // f ∈ [√½, √2), so |ln f| ≤ ln2/2
+  const double n = static_cast<double>(a.e + k);
+  const double p = n * kLn2Hi;
+  return p + (std::fma(n, kLn2Hi, -p) + n * kLn2Lo + std::log(f));
+}
+
+// Converts a finished block's log-product channels to Σ ln y.
+void FinishLogProducts(const BatchPlan& plan, int32_t num_groups,
+                       double* acc, const LogAcc* logs) {
+  const std::vector<Channel>& channels = plan.channels();
+  for (size_t c = 0; c < channels.size(); ++c) {
+    if (channels[c].log_index < 0) continue;
+    double* out = acc + c * static_cast<size_t>(num_groups);
+    const LogAcc* in =
+        logs + channels[c].log_index * static_cast<size_t>(num_groups);
+    for (int32_t g = 0; g < num_groups; ++g) out[g] = LogOfScaled(in[g]);
+  }
+}
+
+// Folds rows [lo, lo+len) into `acc`, the num_channels × num_groups block
+// of the accumulation chunk that owns them; `logs` holds the block's
+// log-product accumulators, one num_groups row per log-product channel.
+void AccumulateVector(const BatchPlan& plan, const WorkerEval& w,
                       const int32_t* group_ids, int64_t lo, int64_t len,
-                      int32_t num_groups, double* acc) {
+                      int32_t num_groups, double* acc, LogAcc* logs) {
   const std::vector<Channel>& channels = plan.channels();
   const int32_t* g = group_ids + lo;
   for (size_t c = 0; c < channels.size(); ++c) {
+    const Channel& ch = channels[c];
     double* a = acc + c * static_cast<size_t>(num_groups);
-    switch (channels[c].op) {
+    if (ch.log_index >= 0) {
+      LogAcc* la = logs + ch.log_index * static_cast<size_t>(num_groups);
+      if (ch.log_abs) {
+        AccumulateLogProduct<true>(w.ptr[ch.log_src], g, len, la);
+      } else {
+        AccumulateLogProduct<false>(w.ptr[ch.log_src], g, len, la);
+      }
+      continue;
+    }
+    switch (ch.op) {
       case AggOp::kSum: {
-        const double* in = w->ptr[channels[c].slot];
+        const double* in = w.ptr[ch.slot];
         for (int64_t r = 0; r < len; ++r) a[g[r]] += in[r];
         break;
       }
       case AggOp::kProd: {
-        const double* in = w->ptr[channels[c].slot];
+        const double* in = w.ptr[ch.slot];
         for (int64_t r = 0; r < len; ++r) a[g[r]] *= in[r];
         break;
       }
@@ -520,14 +691,14 @@ void AccumulateMorsel(const BatchPlan& plan, WorkerEval* w,
         for (int64_t r = 0; r < len; ++r) a[g[r]] += 1.0;
         break;
       case AggOp::kMin: {
-        const double* in = w->ptr[channels[c].slot];
+        const double* in = w.ptr[ch.slot];
         for (int64_t r = 0; r < len; ++r) {
           a[g[r]] = std::min(a[g[r]], in[r]);
         }
         break;
       }
       case AggOp::kMax: {
-        const double* in = w->ptr[channels[c].slot];
+        const double* in = w.ptr[ch.slot];
         for (int64_t r = 0; r < len; ++r) {
           a[g[r]] = std::max(a[g[r]], in[r]);
         }
@@ -550,8 +721,10 @@ Result<std::vector<std::vector<double>>> ComputeStateBatch(
   SUDAF_RETURN_IF_ERROR(plan.Build(requests, binder));
 
   const int64_t morsel = std::max(1, opts.morsel_size);
-  const int64_t buf_len = std::min(morsel, n);  // longest possible morsel
+  // Longest possible vector.
+  const int64_t buf_len = std::min({kVector, morsel, n});
   const int64_t num_channels = static_cast<int64_t>(plan.channels().size());
+  const int64_t num_logs = plan.num_log_product_channels();
   const std::vector<Channel>& channels = plan.channels();
 
   // Segment layout of the pass: each segment (an append generation of the
@@ -670,8 +843,9 @@ Result<std::vector<std::vector<double>>> ComputeStateBatch(
   // with plan width) precisely so it cannot make chunking depend on which
   // other channels share the pass.
   const int64_t block_bytes =
-      num_channels * static_cast<int64_t>(num_groups) *
-      static_cast<int64_t>(sizeof(double));
+      static_cast<int64_t>(num_groups) *
+      (num_channels * static_cast<int64_t>(sizeof(double)) +
+       num_logs * static_cast<int64_t>(sizeof(LogAcc)));
   int64_t wave = std::max<int64_t>(total_chunks, 1);
   if (num_groups > 0) {
     const int64_t per_channel_budget = int64_t{4} << 20;
@@ -687,12 +861,14 @@ Result<std::vector<std::vector<double>>> ComputeStateBatch(
                ThreadPool::kMaxGlobalWorkers + 1);
 
   // Admit the pass's scratch footprint against the query's memory budget
-  // before allocating: per worker, one buffer per non-alias slot, plus the
-  // shared chunk accumulator.
+  // before allocating: per worker, one buffer per evaluated non-alias
+  // slot, plus the shared chunk block with its log-product accumulators.
   if (opts.guard != nullptr) {
     int64_t buffered_slots = 0;
-    for (const Slot& s : plan.slots()) {
-      if (!AliasesColumn(s)) ++buffered_slots;
+    for (size_t i = 0; i < plan.slots().size(); ++i) {
+      if (plan.evaluated(i) && !AliasesColumn(plan.slots()[i])) {
+        ++buffered_slots;
+      }
     }
     const int64_t scratch_bytes =
         static_cast<int64_t>(workers) * buffered_slots * buf_len *
@@ -711,13 +887,15 @@ Result<std::vector<std::vector<double>>> ComputeStateBatch(
     opts.metrics->counter("sudaf.fused.morsels")->Add(num_morsels);
     opts.metrics->counter("sudaf.fused.channels")->Add(num_channels);
     opts.metrics->counter("sudaf.fused.slots")
-        ->Add(static_cast<int64_t>(plan.slots().size()));
+        ->Add(plan.num_evaluated_slots());
     opts.metrics->counter("sudaf.fused.shared_slots")
         ->Add(plan.num_shared_slots());
+    opts.metrics->counter("sudaf.fused.log_product_channels")->Add(num_logs);
     opts.metrics->histogram("sudaf.fused.threads_used")
         ->Observe(static_cast<double>(workers));
   }
   pass_span.Event("threads_used", workers);
+  if (num_logs > 0) pass_span.Event("log_product_channels", num_logs);
   Histogram* morsel_rows =
       opts.metrics != nullptr
           ? opts.metrics->histogram("sudaf.fused.morsel_rows")
@@ -725,6 +903,8 @@ Result<std::vector<std::vector<double>>> ComputeStateBatch(
 
   std::vector<double> chunk_acc(
       static_cast<size_t>(wave * num_channels * num_groups));
+  std::vector<LogAcc> chunk_logs(
+      static_cast<size_t>(wave * num_logs * num_groups));
 
   // Per-worker observability buffers: morsel events carry lock-free
   // timestamps and splice into the trace ring once at pass end; histogram
@@ -768,10 +948,12 @@ Result<std::vector<std::vector<double>>> ComputeStateBatch(
         if (b >= wave_cnt) break;
         const Chunk ck = chunks[wave_lo + b];
         double* acc = chunk_acc.data() + b * num_channels * num_groups;
+        LogAcc* logs = chunk_logs.data() + b * num_logs * num_groups;
         for (int64_t ch = 0; ch < num_channels; ++ch) {
           std::fill_n(acc + ch * num_groups, num_groups,
-                      AggIdentity(plan.channels()[ch].op));
+                      AggIdentity(channels[ch].op));
         }
+        std::fill_n(logs, num_logs * num_groups, LogAcc{});
         for (int64_t lo = ck.lo; lo < ck.hi; lo += morsel) {
           // Morsel boundary: fault-injection site, then the query guard
           // (cancellation / deadline). A trip here aborts the whole pass
@@ -781,9 +963,12 @@ Result<std::vector<std::vector<double>>> ComputeStateBatch(
             SUDAF_RETURN_IF_ERROR(opts.guard->Check());
           }
           const int64_t len = std::min(morsel, ck.hi - lo);
-          SUDAF_RETURN_IF_ERROR(EvalMorsel(plan, &we, lo, len));
-          AccumulateMorsel(plan, &we, group_ids.data(), lo, len, num_groups,
-                           acc);
+          for (int64_t v = lo; v < lo + len; v += kVector) {
+            const int64_t vlen = std::min(kVector, lo + len - v);
+            SUDAF_RETURN_IF_ERROR(EvalVector(plan, &we, v, vlen));
+            AccumulateVector(plan, we, group_ids.data(), v, vlen, num_groups,
+                             acc, logs);
+          }
           if (opts.trace != nullptr) {
             worker_events[wi].push_back({opts.trace->now_ms(), len});
           }
@@ -793,6 +978,7 @@ Result<std::vector<std::vector<double>>> ComputeStateBatch(
             worker_partial_morsels[wi].push_back(len);
           }
         }
+        FinishLogProducts(plan, num_groups, acc, logs);
       }
       return Status::OK();
     };
@@ -861,8 +1047,9 @@ Result<std::vector<std::vector<double>>> ComputeStateBatch(
     stats->morsels = num_morsels;
     stats->num_requests = static_cast<int>(requests.size());
     stats->num_channels = static_cast<int>(channels.size());
-    stats->num_slots = static_cast<int>(plan.slots().size());
+    stats->num_slots = plan.num_evaluated_slots();
     stats->num_shared_slots = plan.num_shared_slots();
+    stats->log_product_channels = static_cast<int>(num_logs);
     stats->threads_used = workers;
     stats->request_channel = plan.request_channel();
   }

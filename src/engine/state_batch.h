@@ -17,10 +17,15 @@
 //     sum(x*y) and sum(x) read x once) and integral powers are
 //     strength-reduced onto shared power chains (x^4 reuses the x^2 slot
 //     another state already needed);
-//   * the row range is split into morsels (ExecOptions::morsel_size rows);
-//     each morsel evaluates the DAG into per-worker scratch buffers that
-//     stay cache-resident, then accumulates into the chunk block that owns
-//     the morsel's rows;
+//   * the row range is split into morsels (ExecOptions::morsel_size rows),
+//     the unit of the chunk tree, the guard check and the failpoint; each
+//     morsel is evaluated and accumulated in vectors of 2048 rows, so every
+//     per-worker slot buffer is 16 KB and a plan's buffers stay in L2
+//     between a slot's write and its readers, and each vector accumulates
+//     into the chunk block that owns its rows;
+//   * a Σ ln y channel accumulates log-free: a mantissa product and an
+//     exponent sum per group, converted to Σ ln y once per chunk block
+//     (docs/execution.md, "Log-free log channels");
 //   * accumulation follows a *fixed chunk tree*: rows fold into a bounded
 //     number of contiguous chunk blocks whose count depends only on the
 //     segment layout of the input (the catalog's append segment log mapped
@@ -60,8 +65,9 @@ struct StateBatchStats {
   int64_t morsels = 0;         // morsels processed (across workers)
   int num_requests = 0;        // channels requested
   int num_channels = 0;        // distinct channels computed
-  int num_slots = 0;           // DAG slots evaluated per morsel
+  int num_slots = 0;           // DAG slots evaluated per vector
   int num_shared_slots = 0;    // slots referenced by >1 parent (CSE hits)
+  int log_product_channels = 0;  // Σ ln channels accumulated log-free
   int threads_used = 1;        // workers that participated
   // Which distinct channel served each request (request_channel[r] <
   // num_channels). Lets callers that fuse several queries into one pass

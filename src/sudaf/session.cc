@@ -48,6 +48,8 @@ ExecStats DeriveExecStats(const MetricsSnapshot& d) {
   s.fused_slots = static_cast<int>(d.counter("sudaf.fused.slots"));
   s.fused_shared_slots =
       static_cast<int>(d.counter("sudaf.fused.shared_slots"));
+  s.fused_log_product_channels =
+      static_cast<int>(d.counter("sudaf.fused.log_product_channels"));
   // Worker count per fused pass: the mean of the per-pass threads_used
   // histogram over this query's delta window. Chunked executions run many
   // passes; each observes its own worker count, so the mean (rounded) is
@@ -151,6 +153,8 @@ std::string QueryResult::ProfileJson() const {
   out += ", \"channels\": " + std::to_string(stats.fused_channels);
   out += ", \"slots\": " + std::to_string(stats.fused_slots);
   out += ", \"shared_slots\": " + std::to_string(stats.fused_shared_slots);
+  out += ", \"log_product_channels\": " +
+         std::to_string(stats.fused_log_product_channels);
   out += ", \"threads_used\": " + std::to_string(stats.fused_threads);
   out += "}, \"input\": {";
   out += "\"gathered_bytes\": " + std::to_string(stats.gathered_bytes);

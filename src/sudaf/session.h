@@ -120,6 +120,7 @@ struct ExecStats {
   int fused_channels = 0;       // distinct (op, input) channels computed
   int fused_slots = 0;          // DAG slots evaluated per morsel
   int fused_shared_slots = 0;   // slots reused across states (CSE hits)
+  int fused_log_product_channels = 0;  // Σ ln channels accumulated log-free
   int fused_threads = 1;        // workers per fused pass (mean of the
                                 // sudaf.fused.threads_used histogram delta)
 

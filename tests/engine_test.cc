@@ -157,11 +157,25 @@ TEST_F(EngineTest, UdafWithTwoColumns) {
 TEST_F(EngineTest, UdafArgumentErrorsAreReported) {
   for (const char* sql : {"SELECT qm(tag) FROM dim",     // not numeric
                           "SELECT qm(v, v) FROM fact",   // wrong arity
-                          "SELECT qm(v + 1) FROM fact",  // not a column
+                          "SELECT qm(nosuch + 1) FROM fact",  // no column
                           "SELECT nosuch(v) FROM fact"}) {
     ASSERT_OK_AND_ASSIGN(auto stmt, ParseSelect(sql));
     EXPECT_FALSE(executor_->Execute(*stmt).ok()) << sql;
   }
+}
+
+// A derived UDAF runs over argument expressions: qm(v + 1) reads v.
+TEST_F(EngineTest, UdafArgumentsMayBeExpressions) {
+  ASSERT_OK_AND_ASSIGN(auto stmt,
+                       ParseSelect("SELECT qm(v + 1), qm(v) FROM fact"));
+  ASSERT_OK_AND_ASSIGN(auto result, executor_->Execute(*stmt));
+  ASSERT_OK_AND_ASSIGN(auto values,
+                       ParseSelect("SELECT sum((v + 1)^2), count(v) FROM fact"));
+  ASSERT_OK_AND_ASSIGN(auto sums, executor_->Execute(*values));
+  ExpectClose(std::sqrt(sums->column(0).GetFloat64(0) /
+                        sums->column(1).GetFloat64(0)),
+              result->column(0).GetFloat64(0), 1e-12);
+  EXPECT_NE(result->column(0).GetFloat64(0), result->column(1).GetFloat64(0));
 }
 
 TEST_F(EngineTest, PartitionedExecutionMatchesSerial) {

@@ -132,6 +132,20 @@ TEST_F(SessionTest, DefinedUdafAgreesAcrossModes) {
   ExpectTablesClose(*engine, *Run(sql, ExecMode::kSudafShare), 1e-7);
 }
 
+// Engine mode derives a UDAF over its argument expressions, so it checks
+// such queries against the rewrite too.
+TEST_F(SessionTest, UdafOverArgumentExpressionsAgreesAcrossModes) {
+  for (const char* sql :
+       {"SELECT g, qm(x + 1) FROM t GROUP BY g ORDER BY g",
+        "SELECT g, gm(x * y), kurtosis(2 * x - 1) FROM t GROUP BY g ORDER BY g",
+        "SELECT g, covar(x + y, y - x) FROM t GROUP BY g ORDER BY g"}) {
+    SCOPED_TRACE(sql);
+    auto engine = Run(sql, ExecMode::kEngine);
+    ExpectTablesClose(*engine, *Run(sql, ExecMode::kSudafNoShare), 1e-9);
+    ExpectTablesClose(*engine, *Run(sql, ExecMode::kSudafShare), 1e-9);
+  }
+}
+
 TEST_F(SessionTest, Q2AfterQ1ReusesThreeStates) {
   // The motivating example: after Q1 (theta1 + avgs), Q2's qm + stddev find
   // all three of their states in the cache and never scan base data.

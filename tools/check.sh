@@ -65,11 +65,12 @@ if [ "$stress" = 1 ]; then
   # concurrency suites, the query-group pipeline every solo and batched
   # rewritten query runs through, chunked sharing (instances sharing
   # one session cache), the thread pool's reentrancy and fail-fast
-  # contracts (lowest-indexed error wins under preempting load), and the
-  # rewrite memo (eight threads sharing one session's memo and cache),
-  # repeated so rare interleavings get a chance to surface under the
-  # sanitizer.
+  # contracts (lowest-indexed error wins under preempting load), the
+  # rewrite memo (eight threads sharing one session's memo and cache), and
+  # the fused pass's vectors and log-free log channels (parallel workers
+  # converting their own chunk blocks), repeated so rare interleavings get
+  # a chance to surface under the sanitizer.
   "${build_dir}/tests/sudaf_tests" \
-    --gtest_filter='ChaosTest.*:AdmissionTest.*:ServiceTest.*:ThreadPoolReentrancyTest.*:ThreadPoolRobustnessTest.*:SharedScanTest.*:SoloParityTest.*:ChunkedTest.*:RewriteMemoTest.*' \
+    --gtest_filter='ChaosTest.*:AdmissionTest.*:ServiceTest.*:ThreadPoolReentrancyTest.*:ThreadPoolRobustnessTest.*:SharedScanTest.*:SoloParityTest.*:ChunkedTest.*:RewriteMemoTest.*:FusedVectorTest.*:LogProductTest.*' \
     --gtest_repeat=3 --gtest_shuffle
 fi
