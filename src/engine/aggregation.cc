@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
 #include <numeric>
 #include <unordered_map>
 
@@ -411,6 +412,50 @@ uint64_t FinalizeHash(uint64_t h) {
   return h;
 }
 
+// MatchGroupKeys for one INT64 key column over a dense value range: a
+// direct id table over [lo, hi] of both columns replaces the hash, with the
+// same ids and new rows. False, with nothing written, when the range is
+// wider than the direct grouping allows for the rows of both tables.
+bool MatchDenseKeys(const std::vector<int64_t>& keys,
+                    const std::vector<int64_t>& more,
+                    std::vector<int32_t>* remap,
+                    std::vector<int64_t>* new_rows) {
+  if (keys.empty() && more.empty()) return false;
+  int64_t lo = std::numeric_limits<int64_t>::max();
+  int64_t hi = std::numeric_limits<int64_t>::min();
+  for (const std::vector<int64_t>* col : {&keys, &more}) {
+    for (int64_t k : *col) {
+      lo = std::min(lo, k);
+      hi = std::max(hi, k);
+    }
+  }
+  const int64_t total = static_cast<int64_t>(keys.size() + more.size());
+  // Unsigned difference: hi - lo overflows int64 for extreme keys.
+  const uint64_t width = static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
+  if (width >= static_cast<uint64_t>(std::max(total, kMinDirectDomain))) {
+    return false;
+  }
+  auto slot = [lo](int64_t key) {
+    return static_cast<uint64_t>(key) - static_cast<uint64_t>(lo);
+  };
+  std::vector<int32_t> id_of(width + 1, -1);
+  for (size_t r = 0; r < keys.size(); ++r) {
+    int32_t& id = id_of[slot(keys[r])];
+    if (id < 0) id = static_cast<int32_t>(r);
+  }
+  remap->resize(more.size());
+  int32_t next = static_cast<int32_t>(keys.size());
+  for (size_t g = 0; g < more.size(); ++g) {
+    int32_t& id = id_of[slot(more[g])];
+    if (id < 0) {
+      id = next++;
+      new_rows->push_back(static_cast<int64_t>(g));
+    }
+    (*remap)[g] = id;
+  }
+  return true;
+}
+
 }  // namespace
 
 std::vector<int32_t> MatchGroupKeys(const Table& keys, const Table& more,
@@ -419,6 +464,14 @@ std::vector<int32_t> MatchGroupKeys(const Table& keys, const Table& more,
   SUDAF_CHECK(more.num_columns() == num_cols);
   const int64_t n_keys = keys.num_rows();
   const int64_t n_more = more.num_rows();
+  if (num_cols == 1 && keys.column(0).type() == DataType::kInt64 &&
+      more.column(0).type() == DataType::kInt64) {
+    std::vector<int32_t> remap;
+    if (MatchDenseKeys(keys.column(0).ints(), more.column(0).ints(), &remap,
+                       new_rows)) {
+      return remap;
+    }
+  }
   // Row-major integer codes of both tables, `keys` rows first: the INT64
   // value or the STRING code in `keys`'s dictionary. A `more` string that
   // dictionary lacks gets a negative code of its own row, which no row of

@@ -13,7 +13,9 @@
 //     reference.
 // Rows equal on every key keep their index order, so the result equals a
 // stable sort; when a LIMIT cuts the list only the kept prefix is sorted
-// (std::partial_sort).
+// (std::partial_sort). A single int64 key whose value range is at most a
+// small multiple of the row count, with no LIMIT cut, is ordered by a
+// stable counting sort in linear time instead, to the same order.
 
 #include <cstdint>
 #include <vector>
@@ -34,6 +36,10 @@ int CompareColumnRows(const Column& col, int64_t a, int64_t b);
 // (limit < 0: no cut). With no keys the order is the row order.
 std::vector<int64_t> OrderRows(const std::vector<SortKey>& keys,
                                int64_t num_rows, int64_t limit);
+
+// True when OrderRows(keys, num_rows, limit) takes the counting sort.
+bool OrderRowsCountsKeys(const std::vector<SortKey>& keys, int64_t num_rows,
+                         int64_t limit);
 
 }  // namespace sudaf
 

@@ -1,7 +1,13 @@
 #include "sketch/maxent_solver.h"
 
+#include <bit>
 #include <cmath>
+#include <memory>
+#include <mutex>
+#include <utility>
 #include <vector>
+
+#include "common/metrics.h"
 
 namespace sudaf {
 
@@ -68,14 +74,15 @@ std::vector<double> ChebyshevMoments(const std::vector<double>& s_moments) {
   return cheb;
 }
 
-struct Fit {
-  std::vector<double> probabilities;  // per grid cell, sums to 1
-  std::vector<double> grid;           // cell centers in [-1, 1]
-};
+// Center of cell i of an n-cell grid over [-1, 1].
+double GridCenter(int i, int n) { return -1.0 + (2.0 * i + 1.0) / n; }
 
-Result<Fit> FitDensity(double min, double max, double count,
-                       const std::vector<double>& power_sums,
-                       const MaxEntOptions& options) {
+// Per grid cell probabilities (summing to 1) of the fitted density.
+using Fit = Result<std::vector<double>>;
+
+Fit FitDensity(double min, double max, double count,
+               const std::vector<double>& power_sums,
+               const MaxEntOptions& options) {
   if (count <= 0.0) {
     return Status::InvalidArgument("moments sketch is empty");
   }
@@ -97,35 +104,30 @@ Result<Fit> FitDensity(double min, double max, double count,
     }
   }
   for (int j = 0; j <= k; ++j) {
-    double bpow = std::pow(beta, j);  // β^(j-m), updated in the loop
     for (int m = 0; m <= j; ++m) {
       double term = binom[j][m] * std::pow(alpha, m) *
                     std::pow(beta, j - m) * raw[m];
       s_moments[j] += term;
     }
-    (void)bpow;
   }
 
   std::vector<double> target = ChebyshevMoments(s_moments);
 
   // Grid over [-1, 1].
   const int n = options.grid_size;
-  Fit fit;
-  fit.grid.resize(n);
-  for (int i = 0; i < n; ++i) {
-    fit.grid[i] = -1.0 + (2.0 * i + 1.0) / n;
-  }
+  std::vector<double> grid(n);
+  for (int i = 0; i < n; ++i) grid[i] = GridCenter(i, n);
   const double cell = 2.0 / n;
 
   // Chebyshev design matrix T[j][i] via the recurrence.
   std::vector<std::vector<double>> T(k + 1, std::vector<double>(n));
   for (int i = 0; i < n; ++i) T[0][i] = 1.0;
   if (k >= 1) {
-    for (int i = 0; i < n; ++i) T[1][i] = fit.grid[i];
+    for (int i = 0; i < n; ++i) T[1][i] = grid[i];
   }
   for (int j = 2; j <= k; ++j) {
     for (int i = 0; i < n; ++i) {
-      T[j][i] = 2.0 * fit.grid[i] * T[j - 1][i] - T[j - 2][i];
+      T[j][i] = 2.0 * grid[i] * T[j - 1][i] - T[j - 2][i];
     }
   }
 
@@ -201,9 +203,87 @@ Result<Fit> FitDensity(double min, double max, double count,
   if (!(total > 0.0) || !std::isfinite(total)) {
     return Status::Internal("max-entropy fit diverged");
   }
-  fit.probabilities.resize(n);
-  for (int i = 0; i < n; ++i) fit.probabilities[i] = p[i] / total;
-  return fit;
+  std::vector<double> probabilities(n);
+  for (int i = 0; i < n; ++i) probabilities[i] = p[i] / total;
+  return probabilities;
+}
+
+// The exact bits of every solver input: min, max, count, the power sums and
+// the options. FitDensity is a pure function of them, so inputs with equal
+// keys have bit-identical fits. (-0.0 and 0.0, or two NaN payloads, are
+// different keys: a spare fit, never a wrong one.)
+std::vector<uint64_t> FitKey(double min, double max, double count,
+                             const std::vector<double>& power_sums,
+                             const MaxEntOptions& options) {
+  std::vector<uint64_t> key;
+  key.reserve(power_sums.size() + 6);
+  for (double v : {min, max, count}) key.push_back(std::bit_cast<uint64_t>(v));
+  for (double v : power_sums) key.push_back(std::bit_cast<uint64_t>(v));
+  key.push_back(static_cast<uint32_t>(options.grid_size));
+  key.push_back(static_cast<uint32_t>(options.max_iterations));
+  key.push_back(std::bit_cast<uint64_t>(options.gradient_tolerance));
+  return key;
+}
+
+// The fits of the last kMaxEntFitMemoCapacity distinct keys. It holds the
+// normalized probabilities FitDensity returned, not λ: the Newton loop can
+// stop on a rejected line-search candidate, whose p a refit from λ would
+// not reproduce. Fits run outside the lock; two threads that miss on one
+// key both fit it, to the same bits, and the memo keeps one.
+class FitMemo {
+ public:
+  std::shared_ptr<const Fit> Find(const std::vector<uint64_t>& key) {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (Entry& e : entries_) {
+      if (e.key == key) {
+        e.last_use = ++clock_;
+        return e.fit;
+      }
+    }
+    return nullptr;
+  }
+
+  void Insert(std::vector<uint64_t> key, std::shared_ptr<const Fit> fit) {
+    std::lock_guard<std::mutex> lock(mu_);
+    Entry* slot = nullptr;
+    for (Entry& e : entries_) {
+      if (e.key == key) return;
+      if (slot == nullptr || e.last_use < slot->last_use) slot = &e;
+    }
+    if (entries_.size() < kMaxEntFitMemoCapacity) {
+      slot = &entries_.emplace_back();
+    }
+    *slot = Entry{std::move(key), ++clock_, std::move(fit)};
+  }
+
+  void Clear() {
+    std::lock_guard<std::mutex> lock(mu_);
+    entries_.clear();
+  }
+
+  int64_t size() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return static_cast<int64_t>(entries_.size());
+  }
+
+  Counter fits;
+  Counter hits;
+
+ private:
+  struct Entry {
+    std::vector<uint64_t> key;
+    uint64_t last_use = 0;
+    std::shared_ptr<const Fit> fit;
+  };
+
+  std::mutex mu_;
+  uint64_t clock_ = 0;
+  std::vector<Entry> entries_;
+};
+
+FitMemo& Memo() {
+  static FitMemo* memo = new FitMemo();
+  return *memo;
 }
 
 }  // namespace
@@ -219,19 +299,29 @@ Result<double> MaxEntQuantile(double min, double max, double count,
   }
   if (count == 1.0 || max <= min) return min;
 
-  SUDAF_ASSIGN_OR_RETURN(Fit fit,
-                         FitDensity(min, max, count, power_sums, options));
+  std::vector<uint64_t> key = FitKey(min, max, count, power_sums, options);
+  FitMemo& memo = Memo();
+  std::shared_ptr<const Fit> fit = memo.Find(key);
+  if (fit != nullptr) {
+    memo.hits.Add();
+  } else {
+    fit = std::make_shared<const Fit>(
+        FitDensity(min, max, count, power_sums, options));
+    memo.fits.Add();
+    memo.Insert(std::move(key), fit);
+  }
+  if (!fit->ok()) return fit->status();
+  const std::vector<double>& probabilities = **fit;
   double cdf = 0.0;
-  const int n = static_cast<int>(fit.grid.size());
+  const int n = static_cast<int>(probabilities.size());
   for (int i = 0; i < n; ++i) {
-    double next = cdf + fit.probabilities[i];
+    double next = cdf + probabilities[i];
     if (next >= phi) {
       // Linear interpolation within the cell.
-      double frac = fit.probabilities[i] > 0.0
-                        ? (phi - cdf) / fit.probabilities[i]
-                        : 0.5;
+      double frac = probabilities[i] > 0.0 ? (phi - cdf) / probabilities[i]
+                                           : 0.5;
       double cell = 2.0 / n;
-      double s = fit.grid[i] - cell / 2.0 + frac * cell;
+      double s = GridCenter(i, n) - cell / 2.0 + frac * cell;
       return (s * (max - min) + max + min) / 2.0;
     }
     cdf = next;
@@ -242,9 +332,14 @@ Result<double> MaxEntQuantile(double min, double max, double count,
 Result<std::vector<double>> MaxEntDensity(
     double min, double max, double count,
     const std::vector<double>& power_sums, const MaxEntOptions& options) {
-  SUDAF_ASSIGN_OR_RETURN(Fit fit,
-                         FitDensity(min, max, count, power_sums, options));
-  return fit.probabilities;
+  return FitDensity(min, max, count, power_sums, options);
 }
+
+MaxEntFitCounts GetMaxEntFitCounts() {
+  FitMemo& memo = Memo();
+  return {memo.fits.value(), memo.hits.value(), memo.size()};
+}
+
+void ClearMaxEntFitMemo() { Memo().Clear(); }
 
 }  // namespace sudaf

@@ -1,8 +1,12 @@
 // Tests for engine/: planning, filtering, hash joins, grouping and
 // engine-native execution.
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <string>
 
+#include "common/rng.h"
 #include "engine/executor.h"
 #include "gtest/gtest.h"
 #include "sudaf/rewriter.h"
@@ -244,6 +248,103 @@ TEST_F(EngineTest, GatherRowsReordersAll) {
   EXPECT_EQ(picked->column(1).GetString(0), "a");
   EXPECT_EQ(picked->column(0).GetInt64(0), 3);
   EXPECT_EQ(picked->column(0).GetInt64(1), 1);
+}
+
+// --- MatchGroupKeys ----------------------------------------------------------
+
+// A group-key table over `keys`: one INT64 column, or (as_strings) the
+// same keys as decimal STRINGs, or (with_zero) INT64 keys beside a
+// constant INT64 column. The last two always match through the hash.
+std::unique_ptr<Table> KeyTable(const std::vector<int64_t>& keys,
+                                bool as_strings = false,
+                                bool with_zero = false) {
+  Schema schema;
+  SUDAF_CHECK(schema
+                  .AddField({"k", as_strings ? DataType::kString
+                                             : DataType::kInt64})
+                  .ok());
+  if (with_zero) SUDAF_CHECK(schema.AddField({"z", DataType::kInt64}).ok());
+  auto table = std::make_unique<Table>(std::move(schema));
+  for (int64_t k : keys) {
+    if (as_strings) {
+      table->column(0).AppendString(std::to_string(k));
+    } else {
+      table->column(0).AppendInt64(k);
+    }
+    if (with_zero) table->column(1).AppendInt64(0);
+  }
+  table->FinishBulkAppend();
+  return table;
+}
+
+struct Match {
+  std::vector<int32_t> remap;
+  std::vector<int64_t> new_rows;
+  bool operator==(const Match&) const = default;
+};
+
+Match MatchOn(const std::vector<int64_t>& keys,
+              const std::vector<int64_t>& more, bool as_strings,
+              bool with_zero) {
+  Match m;
+  m.remap = MatchGroupKeys(*KeyTable(keys, as_strings, with_zero),
+                           *KeyTable(more, as_strings, with_zero),
+                           &m.new_rows);
+  return m;
+}
+
+// Expects the single-INT64-column match of (keys, more) to equal the hash
+// matches of the same keys as strings and beside a constant column, and
+// to send every row of `more` to the row holding its key.
+void ExpectMatchesHashPath(const std::vector<int64_t>& keys,
+                           const std::vector<int64_t>& more) {
+  const Match got = MatchOn(keys, more, false, false);
+  EXPECT_EQ(got, MatchOn(keys, more, true, false));
+  EXPECT_EQ(got, MatchOn(keys, more, false, true));
+  ASSERT_EQ(got.remap.size(), more.size());
+  std::vector<int64_t> extended = keys;
+  for (int64_t g : got.new_rows) extended.push_back(more[g]);
+  for (size_t g = 0; g < more.size(); ++g) {
+    EXPECT_EQ(extended[got.remap[g]], more[g]) << g;
+  }
+}
+
+// Distinct keys drawn from [lo, lo + span), in random order.
+std::vector<int64_t> DistinctKeys(Rng* rng, int64_t lo, int64_t span,
+                                  int64_t n) {
+  std::vector<int64_t> all(span);
+  for (int64_t i = 0; i < span; ++i) all[i] = lo + i;
+  for (int64_t i = span - 1; i > 0; --i) {
+    std::swap(all[i], all[rng->NextBelow(static_cast<uint64_t>(i) + 1)]);
+  }
+  all.resize(n);
+  return all;
+}
+
+TEST(MatchGroupKeysTest, DenseInt64KeysMatchLikeTheHash) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  Rng rng(11);
+  for (int64_t lo : {int64_t{0}, int64_t{-700}, kMin, kMax - 1599}) {
+    SCOPED_TRACE(lo);
+    // Cached keys in [lo, lo + 1000); delta keys overlap them and add new
+    // ones up to lo + 1600.
+    ExpectMatchesHashPath(DistinctKeys(&rng, lo, 1000, 1000),
+                          DistinctKeys(&rng, lo + 400, 1200, 900));
+  }
+  ExpectMatchesHashPath({}, {4, 2, 9});
+  ExpectMatchesHashPath({4, 2, 9}, {});
+  ExpectMatchesHashPath({}, {});
+}
+
+TEST(MatchGroupKeysTest, WideRangeFallsBackToTheHash) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  ExpectMatchesHashPath({0, int64_t{1} << 40, 5, kMin},
+                        {5, 7, int64_t{1} << 40, kMax, -(int64_t{1} << 50)});
+  Rng rng(12);
+  ExpectMatchesHashPath(DistinctKeys(&rng, 0, 5000, 500),
+                        DistinctKeys(&rng, 2000, 5000, 500));
 }
 
 }  // namespace

@@ -146,6 +146,83 @@ TEST(OrderRowsTest, SingleInt64KeyMatchesGenericComparator) {
   }
 }
 
+// The (key, row) pair sort that the counting path must reproduce.
+std::vector<int64_t> PairSortOrder(const std::vector<int64_t>& v, bool asc) {
+  std::vector<std::pair<int64_t, int64_t>> pairs;
+  for (size_t r = 0; r < v.size(); ++r) {
+    pairs.push_back({asc ? v[r] : ~v[r], static_cast<int64_t>(r)});
+  }
+  std::sort(pairs.begin(), pairs.end());
+  std::vector<int64_t> order;
+  for (const auto& p : pairs) order.push_back(p.second);
+  return order;
+}
+
+// One INT64 key over a range at most a few times the row count, with no
+// LIMIT cut, is ordered by counting: the pair sort's order exactly, with
+// duplicates, both directions, negative keys and ranges at both int64 ends
+// (where the descending flip and the range width would overflow signed
+// arithmetic).
+TEST(OrderRowsTest, DenseInt64KeysCountToThePairSortOrder) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  Rng rng(7);
+  for (int64_t base : {int64_t{0}, int64_t{-500}, kMin, kMax - 299}) {
+    std::vector<int64_t> v(300);
+    for (int64_t& x : v) x = base + static_cast<int64_t>(rng.NextBelow(300));
+    v[0] = base;  // pin both ends of the range
+    v[1] = base + 299;
+    Column c = IntColumn(v);
+    for (bool asc : {true, false}) {
+      SCOPED_TRACE(testing::Message() << "base " << base << " asc " << asc);
+      for (int64_t limit : {int64_t{-1}, int64_t{300}, int64_t{301}}) {
+        EXPECT_TRUE(OrderRowsCountsKeys({{&c, asc}}, 300, limit));
+        EXPECT_EQ(OrderRows({{&c, asc}}, 300, limit), PairSortOrder(v, asc));
+      }
+    }
+  }
+  // The full int64 range has width 2^64 - 1, whose domain (width + 1)
+  // wraps to 0: it must fall back.
+  Column wide = IntColumn({kMax, kMin, 0, kMin, kMax});
+  for (bool asc : {true, false}) {
+    EXPECT_FALSE(OrderRowsCountsKeys({{&wide, asc}}, 5, -1));
+    EXPECT_EQ(OrderRows({{&wide, asc}}, 5, -1),
+              PairSortOrder({kMax, kMin, 0, kMin, kMax}, asc));
+  }
+}
+
+// The counting path stays out of a sparse range, a LIMIT that cuts (the
+// partial sort only orders the kept prefix), 0 and 1 rows, and every other
+// key shape; each still gives the pair sort's order.
+TEST(OrderRowsTest, CountingFallsBackOutsideDenseUncutInt64Keys) {
+  const std::vector<int64_t> sparse = {5, int64_t{1} << 40, -3, 5, 9};
+  Column cs = IntColumn(sparse);
+  EXPECT_FALSE(OrderRowsCountsKeys({{&cs, true}}, 5, -1));
+  EXPECT_EQ(OrderRows({{&cs, true}}, 5, -1), PairSortOrder(sparse, true));
+  EXPECT_EQ(OrderRows({{&cs, false}}, 5, -1), PairSortOrder(sparse, false));
+
+  const std::vector<int64_t> dense = {3, 1, 2, 1, 0, 3};
+  Column cd = IntColumn(dense);
+  EXPECT_TRUE(OrderRowsCountsKeys({{&cd, true}}, 6, -1));
+  for (int64_t limit : {0, 1, 5}) {
+    EXPECT_FALSE(OrderRowsCountsKeys({{&cd, true}}, 6, limit));
+    std::vector<int64_t> want = PairSortOrder(dense, false);
+    want.resize(limit);
+    EXPECT_EQ(OrderRows({{&cd, false}}, 6, limit), want) << limit;
+  }
+
+  Column empty = IntColumn({});
+  EXPECT_FALSE(OrderRowsCountsKeys({{&empty, true}}, 0, -1));
+  EXPECT_EQ(OrderRows({{&empty, true}}, 0, -1), (std::vector<int64_t>{}));
+  Column one = IntColumn({42});
+  EXPECT_FALSE(OrderRowsCountsKeys({{&one, false}}, 1, -1));
+  EXPECT_EQ(OrderRows({{&one, false}}, 1, -1), (std::vector<int64_t>{0}));
+
+  Column doubles = DoubleColumn({1.0, 0.0, 1.0});
+  EXPECT_FALSE(OrderRowsCountsKeys({{&doubles, true}}, 3, -1));
+  EXPECT_FALSE(OrderRowsCountsKeys({{&cd, true}, {&cd, false}}, 6, -1));
+}
+
 TEST(ValueCompareTest, Int64ExactAndNaNAboveNumbers) {
   EXPECT_LT(Value(k2To53).Compare(Value(k2To53 + 1)), 0);
   EXPECT_GT(Value(k2To53 + 1).Compare(Value(k2To53)), 0);

@@ -2,12 +2,16 @@
 // solver (MomentSolver).
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
+#include <thread>
 
 #include "common/rng.h"
 #include "gtest/gtest.h"
 #include "sketch/maxent_solver.h"
 #include "sketch/moment_sketch.h"
+#include "sudaf/session.h"
 #include "tests/test_util.h"
 
 namespace sudaf {
@@ -160,6 +164,232 @@ TEST(NativeQuantileUdafTest, HardcodedIumeVersionAgrees) {
   // The IUME baseline runs the solver on a coarser grid (like the cheap
   // built-in approximations it models), so allow grid-resolution slack.
   ExpectClose(direct, result.AsDouble(), 2e-2);
+}
+
+// --- The fit memo ------------------------------------------------------------
+//
+// The memo and its counts are process-wide, so each test clears the memo
+// and reads count deltas.
+
+MomentSketch SketchOf(uint64_t seed, int k = 6) {
+  return MomentSketch::FromValues(UniformSample(1000, 1.0, 9.0, seed), k);
+}
+
+Result<double> Quantile(const MomentSketch& s, double phi) {
+  return MaxEntQuantile(s.min, s.max, s.count, s.power_sums, phi);
+}
+
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+// Count deltas since construction.
+struct FitCountDelta {
+  MaxEntFitCounts start = GetMaxEntFitCounts();
+  int64_t fits() const { return GetMaxEntFitCounts().fits - start.fits; }
+  int64_t hits() const {
+    return GetMaxEntFitCounts().memo_hits - start.memo_hits;
+  }
+};
+
+TEST(MaxEntMemoTest, HitIsBitIdenticalToFreshFit) {
+  const MomentSketch sketch = SketchOf(51);
+  ClearMaxEntFitMemo();
+  FitCountDelta delta;
+  ASSERT_OK_AND_ASSIGN(double fresh, Quantile(sketch, 0.5));
+  ASSERT_OK_AND_ASSIGN(double hit, Quantile(sketch, 0.5));
+  EXPECT_EQ(delta.fits(), 1);
+  EXPECT_EQ(delta.hits(), 1);
+  EXPECT_EQ(Bits(fresh), Bits(hit));
+
+  ClearMaxEntFitMemo();
+  ASSERT_OK_AND_ASSIGN(double refit, Quantile(sketch, 0.5));
+  EXPECT_EQ(delta.fits(), 2);
+  EXPECT_EQ(Bits(fresh), Bits(refit));
+}
+
+TEST(MaxEntMemoTest, QuartilesOfOneInputShareOneFit) {
+  const MomentSketch sketch = SketchOf(52);
+  ClearMaxEntFitMemo();
+  FitCountDelta delta;
+  std::vector<double> memoized;
+  for (double phi : {0.25, 0.5, 0.75}) {
+    ASSERT_OK_AND_ASSIGN(double q, Quantile(sketch, phi));
+    memoized.push_back(q);
+  }
+  EXPECT_EQ(delta.fits(), 1);
+  EXPECT_EQ(delta.hits(), 2);
+  // Each equals the quantile of its own fresh fit.
+  for (int i = 0; i < 3; ++i) {
+    ClearMaxEntFitMemo();
+    ASSERT_OK_AND_ASSIGN(double fresh, Quantile(sketch, 0.25 * (i + 1)));
+    EXPECT_EQ(Bits(fresh), Bits(memoized[i])) << i;
+  }
+}
+
+TEST(MaxEntMemoTest, KeyIsTheExactBitsOfEveryInput) {
+  const MomentSketch sketch = SketchOf(53);
+  ClearMaxEntFitMemo();
+  FitCountDelta delta;
+  ASSERT_OK(Quantile(sketch, 0.5).status());
+  EXPECT_EQ(delta.fits(), 1);
+
+  MomentSketch ulp = sketch;
+  ulp.power_sums[2] = std::nextafter(ulp.power_sums[2], HUGE_VAL);
+  ASSERT_OK(Quantile(ulp, 0.5).status());
+  EXPECT_EQ(delta.fits(), 2);
+
+  MomentSketch zero = sketch;
+  zero.min = 0.0;
+  MomentSketch negative_zero = sketch;
+  negative_zero.min = -0.0;
+  ASSERT_OK(Quantile(zero, 0.5).status());
+  ASSERT_OK(Quantile(negative_zero, 0.5).status());
+  EXPECT_EQ(delta.fits(), 4);
+
+  // The options are part of the key.
+  MaxEntOptions coarse;
+  coarse.grid_size = 128;
+  ASSERT_OK(MaxEntQuantile(sketch.min, sketch.max, sketch.count,
+                           sketch.power_sums, 0.5, coarse)
+                .status());
+  EXPECT_EQ(delta.fits(), 5);
+  EXPECT_EQ(delta.hits(), 0);
+}
+
+TEST(MaxEntMemoTest, CapacityIsBoundedAndEvictsLeastRecentlyUsed) {
+  const int64_t cap = static_cast<int64_t>(kMaxEntFitMemoCapacity);
+  std::vector<MomentSketch> inputs;
+  for (int64_t i = 0; i <= cap; ++i) inputs.push_back(SketchOf(100 + i, 4));
+  ClearMaxEntFitMemo();
+  FitCountDelta delta;
+  for (int64_t i = 0; i < cap; ++i) {
+    ASSERT_OK(Quantile(inputs[i], 0.5).status());
+  }
+  EXPECT_EQ(delta.fits(), cap);
+  EXPECT_EQ(GetMaxEntFitCounts().entries, cap);
+
+  // Input 0 is used again, so input 1 is now the least recently used.
+  ASSERT_OK(Quantile(inputs[0], 0.5).status());
+  EXPECT_EQ(delta.hits(), 1);
+  ASSERT_OK(Quantile(inputs[cap], 0.5).status());
+  EXPECT_EQ(delta.fits(), cap + 1);
+  EXPECT_EQ(GetMaxEntFitCounts().entries, cap);
+
+  ASSERT_OK(Quantile(inputs[0], 0.5).status());
+  ASSERT_OK(Quantile(inputs[2], 0.5).status());
+  EXPECT_EQ(delta.fits(), cap + 1);
+  EXPECT_EQ(delta.hits(), 3);
+  ASSERT_OK(Quantile(inputs[1], 0.5).status());
+  EXPECT_EQ(delta.fits(), cap + 2);
+  EXPECT_EQ(GetMaxEntFitCounts().entries, cap);
+}
+
+TEST(MaxEntMemoTest, DivergedFitIsRememberedWithItsStatus) {
+  // An overflowed power sum leaves the Newton loop no finite step.
+  MomentSketch sketch = SketchOf(54);
+  sketch.power_sums[5] = std::numeric_limits<double>::infinity();
+  ClearMaxEntFitMemo();
+  FitCountDelta delta;
+  Result<double> first = Quantile(sketch, 0.5);
+  ASSERT_FALSE(first.ok());
+  EXPECT_EQ(first.status().code(), StatusCode::kInternal);
+  EXPECT_EQ(delta.fits(), 1);
+
+  Result<double> second = Quantile(sketch, 0.25);
+  ASSERT_FALSE(second.ok());
+  EXPECT_EQ(second.status().ToString(), first.status().ToString());
+  EXPECT_EQ(delta.fits(), 1);
+  EXPECT_EQ(delta.hits(), 1);
+}
+
+// Eight threads share the memo over four inputs, each asking every
+// quartile many times in its own order: every answer has the serial bits,
+// and each call is either a fit or a hit.
+TEST(MaxEntMemoConcurrencyTest, ThreadsGetTheSerialBits) {
+  std::vector<MomentSketch> inputs;
+  for (uint64_t seed : {61, 62, 63, 64}) inputs.push_back(SketchOf(seed));
+  const std::vector<double> phis = {0.25, 0.5, 0.75};
+  std::vector<uint64_t> serial;
+  for (const MomentSketch& s : inputs) {
+    for (double phi : phis) {
+      ClearMaxEntFitMemo();
+      ASSERT_OK_AND_ASSIGN(double q, Quantile(s, phi));
+      serial.push_back(Bits(q));
+    }
+  }
+
+  ClearMaxEntFitMemo();
+  FitCountDelta delta;
+  constexpr int kThreads = 8;
+  constexpr int kRounds = 10;
+  const size_t cases = serial.size();
+  std::vector<std::vector<uint64_t>> got(kThreads,
+                                         std::vector<uint64_t>(cases, 0));
+  std::vector<int> failures(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < kRounds; ++round) {
+        for (size_t c = 0; c < cases; ++c) {
+          const size_t i = (c + static_cast<size_t>(t) * 5) % cases;
+          Result<double> q = Quantile(inputs[i / phis.size()],
+                                      phis[i % phis.size()]);
+          if (!q.ok() || (round > 0 && got[t][i] != Bits(*q))) {
+            ++failures[t];
+          }
+          if (q.ok()) got[t][i] = Bits(*q);
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(failures[t], 0) << "thread " << t;
+    EXPECT_EQ(got[t], serial) << "thread " << t;
+  }
+  EXPECT_EQ(delta.fits() + delta.hits(),
+            static_cast<int64_t>(kThreads * kRounds * cases));
+  EXPECT_GE(delta.fits(), static_cast<int64_t>(inputs.size()));
+  EXPECT_LE(GetMaxEntFitCounts().entries,
+            static_cast<int64_t>(kMaxEntFitMemoCapacity));
+}
+
+// Through a session: the three approx_* UDAFs over one group's cached
+// sketch states cost one fit, and a repeated query costs none.
+TEST(MaxEntMemoTest, CachedQuartileQueryCostsOneFit) {
+  std::vector<int64_t> g(2000, 0);
+  std::vector<double> x = UniformSample(2000, 0.5, 9.5, 55);
+  Catalog catalog;
+  catalog.PutTable("t", testing_util::MakeXyTable(g, x, x));
+  SudafSession session(&catalog);
+  for (auto [name, phi] : {std::pair{"approx_median", 0.5},
+                           std::pair{"approx_first_quantile", 0.25},
+                           std::pair{"approx_third_quantile", 0.75}}) {
+    ASSERT_OK(
+        session.library().DefineNative(MakeApproxQuantileUdaf(name, phi, 8)));
+  }
+  const std::string sql =
+      "SELECT approx_first_quantile(x), approx_median(x), "
+      "approx_third_quantile(x) FROM t";
+  ASSERT_OK_AND_ASSIGN(QueryResult cold,
+                       session.Execute(sql, ExecMode::kSudafShare));
+
+  ClearMaxEntFitMemo();
+  FitCountDelta delta;
+  ASSERT_OK_AND_ASSIGN(QueryResult warm,
+                       session.Execute(sql, ExecMode::kSudafShare));
+  EXPECT_FALSE(warm.stats.scanned_base_data);
+  EXPECT_EQ(delta.fits(), 1);
+  EXPECT_EQ(delta.hits(), 2);
+  ASSERT_OK_AND_ASSIGN(QueryResult again,
+                       session.Execute(sql, ExecMode::kSudafShare));
+  EXPECT_EQ(delta.fits(), 1);
+  EXPECT_EQ(delta.hits(), 5);
+  for (int c = 0; c < 3; ++c) {
+    EXPECT_EQ(Bits(cold->column(c).GetFloat64(0)),
+              Bits(warm->column(c).GetFloat64(0)));
+    EXPECT_EQ(Bits(cold->column(c).GetFloat64(0)),
+              Bits(again->column(c).GetFloat64(0)));
+  }
 }
 
 }  // namespace

@@ -68,9 +68,10 @@ if [ "$stress" = 1 ]; then
   # contracts (lowest-indexed error wins under preempting load), the
   # rewrite memo (eight threads sharing one session's memo and cache), and
   # the fused pass's vectors and log-free log channels (parallel workers
-  # converting their own chunk blocks), repeated so rare interleavings get
-  # a chance to surface under the sanitizer.
+  # converting their own chunk blocks), and the max-entropy fit memo
+  # (eight threads fitting and hitting one process-wide memo), repeated
+  # so rare interleavings get a chance to surface under the sanitizer.
   "${build_dir}/tests/sudaf_tests" \
-    --gtest_filter='ChaosTest.*:AdmissionTest.*:ServiceTest.*:ThreadPoolReentrancyTest.*:ThreadPoolRobustnessTest.*:SharedScanTest.*:SoloParityTest.*:ChunkedTest.*:RewriteMemoTest.*:FusedVectorTest.*:LogProductTest.*' \
+    --gtest_filter='ChaosTest.*:AdmissionTest.*:ServiceTest.*:ThreadPoolReentrancyTest.*:ThreadPoolRobustnessTest.*:SharedScanTest.*:SoloParityTest.*:ChunkedTest.*:RewriteMemoTest.*:FusedVectorTest.*:LogProductTest.*:MaxEntMemoConcurrencyTest.*' \
     --gtest_repeat=3 --gtest_shuffle
 fi
