@@ -8,7 +8,7 @@
 // x^2 → x^3 → x^4 strength-reduced onto each other) and accumulates every
 // state into cache-resident per-worker blocks.
 //
-// Three sweeps and one case, written to BENCH_fused_states.json in the
+// Three sweeps and two cases, written to BENCH_fused_states.json in the
 // build tree (or to --out PATH) under a fingerprint of the build and
 // machine:
 //   * states 1..16 (power sums) at 1M rows, single-threaded;
@@ -17,6 +17,10 @@
 //     panel UDAFs in share mode: count, Σx..Σx⁴, Σ ln|x|, Π sgn x, Σ 1/x)
 //     over 250k rows in 1k groups, reporting ns/row and the Σ ln channels
 //     that ran log-free (`--panels` runs only this case);
+//   * "terminate": the terminate phase of perfbench's three append select
+//     lists over 10k groups of synthetic states, reporting ns per group
+//     and the compiled program's slots (`--terminate` runs only this
+//     case);
 //   * threads 1..8 through the FULL pipeline (filter → bind → group →
 //     fused pass) on a 4M-row session query with a WHERE clause, reporting
 //     per-phase times from the query trace and checking that every thread
@@ -43,6 +47,7 @@
 #include "expr/evaluator.h"
 #include "expr/parser.h"
 #include "storage/column.h"
+#include "sudaf/rewriter.h"
 #include "sudaf/sudaf.h"
 
 using namespace sudaf;  // NOLINT — bench brevity
@@ -257,6 +262,121 @@ void PrintPanels(const PanelsResult& p) {
               p.stats.log_product_channels, p.stats.num_slots);
 }
 
+// The "terminate" case: the terminate phase of perfbench's append
+// queries in isolation. Each select list's states are computed once over
+// a synthetic milan_data (10k square_ids, 20 lognormal rows each); the
+// timed part is AssembleRewrittenResult over all 10k output rows, which
+// runs the plan's compiled terminate program and appends the columns.
+struct TerminateCase {
+  std::string items;
+  double ms = 0;
+  double ns_per_group = 0;
+  int slots = 0;
+  int shared_slots = 0;
+};
+
+struct TerminateResult {
+  int32_t groups = 0;
+  std::vector<TerminateCase> cases;
+};
+
+TerminateResult RunTerminate() {
+  constexpr int32_t kTermGroups = 10'000;
+  constexpr int kRowsPerGroup = 20;
+  Schema schema;
+  SUDAF_CHECK(schema.AddField({"square_id", DataType::kInt64}).ok());
+  SUDAF_CHECK(schema.AddField({"internet_traffic", DataType::kFloat64}).ok());
+  auto table = std::make_unique<Table>(std::move(schema));
+  Rng rng(13);
+  for (int i = 0; i < kTermGroups * kRowsPerGroup; ++i) {
+    table->column(0).AppendInt64(i % kTermGroups);
+    table->column(1).AppendFloat64(rng.NextLogNormal(1.0, 1.0));
+  }
+  table->FinishBulkAppend();
+  Catalog catalog;
+  catalog.PutTable("milan_data", std::move(table));
+  SudafSession session(&catalog);
+
+  const std::string t = "internet_traffic";
+  const std::vector<std::pair<std::string, std::string>> lists = {
+      {"avg, var, stddev",
+       "avg(" + t + "), var(" + t + "), stddev(" + t + ")"},
+      {"sum, count", "sum(" + t + "), count(" + t + ")"},
+      {"avg, kurtosis", "avg(" + t + "), kurtosis(" + t + ")"},
+  };
+  TerminateResult out;
+  out.groups = kTermGroups;
+  for (const auto& [label, items] : lists) {
+    auto stmt = ParseSelect("SELECT square_id, " + items +
+                            " FROM milan_data GROUP BY square_id"
+                            " ORDER BY square_id");
+    SUDAF_CHECK_MSG(stmt.ok(), stmt.status().ToString());
+    auto rewritten = RewriteQuery(**stmt, session.library());
+    SUDAF_CHECK_MSG(rewritten.ok(), rewritten.status().ToString());
+    std::string states_sql = "SELECT square_id";
+    for (const AggStateDef& state : rewritten->form().states) {
+      states_sql += ", " + state.ToString();
+    }
+    states_sql += " FROM milan_data GROUP BY square_id ORDER BY square_id";
+    auto states = session.Execute(states_sql, ExecMode::kSudafShare);
+    SUDAF_CHECK_MSG(states.ok(), states.status().ToString());
+    const Table& st = *states->table;
+    Schema key_schema;
+    SUDAF_CHECK(key_schema.AddField({"square_id", DataType::kInt64}).ok());
+    Table keys(std::move(key_schema));
+    keys.column(0).AppendColumn(st.column(0));
+    keys.FinishBulkAppend();
+    std::vector<std::vector<double>> columns;
+    for (int c = 1; c < st.num_columns(); ++c) {
+      columns.push_back(st.column(c).doubles());
+    }
+    const OutputRows rows =
+        PlanOutputRows(*rewritten, **stmt, keys, kTermGroups);
+    TerminateCase tc;
+    tc.items = label;
+    tc.slots = rewritten->plan->terminate.num_evaluated_slots();
+    tc.shared_slots = rewritten->plan->terminate.num_shared_slots();
+    tc.ms = Best(51, [&] {
+      double t0 = NowMs();
+      auto result =
+          AssembleRewrittenResult(*rewritten, **stmt, keys, rows, columns);
+      double ms = NowMs() - t0;
+      SUDAF_CHECK_MSG(result.ok(), result.status().ToString());
+      g_sink = (*result)->column(1).GetFloat64(0);
+      return ms;
+    });
+    tc.ns_per_group = tc.ms * 1e6 / kTermGroups;
+    out.cases.push_back(tc);
+  }
+  return out;
+}
+
+std::string TerminateJson(const TerminateResult& r) {
+  std::string json = "{\"groups\": " + std::to_string(r.groups) +
+                     ", \"select_lists\": [";
+  for (size_t i = 0; i < r.cases.size(); ++i) {
+    const TerminateCase& c = r.cases[i];
+    char buf[256];
+    std::snprintf(buf, sizeof(buf),
+                  "%s{\"items\": \"%s\", \"ms\": %.4f, "
+                  "\"ns_per_group\": %.2f, \"slots\": %d, "
+                  "\"shared_slots\": %d}",
+                  i == 0 ? "" : ", ", c.items.c_str(), c.ms, c.ns_per_group,
+                  c.slots, c.shared_slots);
+    json += buf;
+  }
+  return json + "]}";
+}
+
+void PrintTerminate(const TerminateResult& r) {
+  for (const TerminateCase& c : r.cases) {
+    std::printf("terminate %-18s over %d groups: %.4f ms, %.2f ns/group, "
+                "%d slots (%d shared)\n",
+                c.items.c_str(), r.groups, c.ms, c.ns_per_group, c.slots,
+                c.shared_slots);
+  }
+}
+
 // First line of a command's output, or "unknown".
 std::string CommandLine(const char* cmd) {
   std::string line = "unknown";
@@ -312,6 +432,7 @@ bool TablesBitIdentical(const Table& a, const Table& b) {
 int main(int argc, char** argv) {
   bool smoke = false;
   bool panels_only = false;
+  bool terminate_only = false;
   int threads = 1;
   std::string out =
       std::string(SUDAF_BENCH_OUT_DIR) + "/BENCH_fused_states.json";
@@ -321,6 +442,8 @@ int main(int argc, char** argv) {
       smoke = true;
     } else if (arg == "--panels") {
       panels_only = true;
+    } else if (arg == "--terminate") {
+      terminate_only = true;
     } else if (arg == "--threads" && a + 1 < argc) {
       threads = std::atoi(argv[++a]);
     } else if (arg == "--out" && a + 1 < argc) {
@@ -336,6 +459,14 @@ int main(int argc, char** argv) {
     const PanelsResult panels = RunPanels();
     PrintPanels(panels);
     std::fprintf(json, "  \"panels\": %s\n}\n", PanelsJson(panels).c_str());
+    std::fclose(json);
+    return 0;
+  }
+  if (terminate_only) {
+    const TerminateResult terminate = RunTerminate();
+    PrintTerminate(terminate);
+    std::fprintf(json, "  \"terminate\": %s\n}\n",
+                 TerminateJson(terminate).c_str());
     std::fclose(json);
     return 0;
   }
@@ -405,6 +536,10 @@ int main(int argc, char** argv) {
   const PanelsResult panels = RunPanels();
   PrintPanels(panels);
   std::fprintf(json, "  \"panels\": %s,\n", PanelsJson(panels).c_str());
+  const TerminateResult terminate = RunTerminate();
+  PrintTerminate(terminate);
+  std::fprintf(json, "  \"terminate\": %s,\n",
+               TerminateJson(terminate).c_str());
 
   // Sweep 3: end-to-end thread scaling through the full pipeline — a real
   // session query with a WHERE clause at 4M rows, so filter, gather,

@@ -11,7 +11,6 @@
 #include <numbers>
 #include <string>
 #include <thread>
-#include <type_traits>
 
 #include "agg/builtin_kernels.h"
 #include "common/failpoint.h"
@@ -19,47 +18,12 @@
 #include "common/query_guard.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
+#include "engine/slot_program.h"
 #include "storage/column.h"
 
 namespace sudaf {
 
 namespace {
-
-// One node of the shared evaluation DAG. Slots are created children-first,
-// so evaluating them in index order satisfies all dependencies.
-struct Slot {
-  enum class Kind {
-    kLiteral,     // constant fill
-    kColumnF64,   // float64 column: aliased over an identity range
-                  // inside one chunk, loaded otherwise
-    kColumnI64,   // int64 column, converted per morsel
-    kNeg,         // -a
-    kAdd,         // a + b
-    kSub,         // a - b
-    kMul,         // a * b
-    kDiv,         // a / b
-    kPow,         // pow(a, b), non-integral exponent
-    kRecip,       // 1 / a
-    kSqrt,
-    kLog,
-    kExp,
-    kAbs,
-    kSgn,
-    kGenericBinary,  // comparisons / logic via NumericBinary
-    kGenericFunc,    // scalar function resolved to a pointer at Build time
-  };
-  Kind kind;
-  int a = -1;
-  int b = -1;
-  std::vector<int> args;         // kGenericFunc
-  double literal = 0.0;          // kLiteral
-  BinaryOp bin_op{};             // kGenericBinary
-  ScalarFn fn = nullptr;         // kGenericFunc, resolved once by Build
-  const Column* col = nullptr;   // column slots
-  const int64_t* rows = nullptr;  // column slots: row ids, null = identity
-  int64_t base = 0;               // column slots: identity range start
-  int dedup_hits = 0;            // times this slot was reused by interning
-};
 
 // One distinct accumulation channel of the fused pass.
 struct Channel {
@@ -75,253 +39,28 @@ struct Channel {
   int log_index = -1;
 };
 
-// `e` is a constant (literal, possibly under unary minus)?
-bool ExtractConstant(const Expr& e, double* v) {
-  if (e.kind == ExprKind::kLiteral && e.literal.is_numeric()) {
-    *v = e.literal.AsDouble();
-    return true;
-  }
-  if (e.kind == ExprKind::kUnaryMinus && ExtractConstant(*e.args[0], v)) {
-    *v = -*v;
-    return true;
-  }
-  return false;
-}
-
-// Compiles the input expressions of all requested channels into the shared
-// DAG. Subexpressions are interned structurally (same kind + same child
-// slots => same slot), which gives common-subexpression sharing across
-// states for free: sum(x) and sum(x*y) produce one column-x slot.
+// Compiles the input expressions of all requested channels into one
+// SlotProgram, so channels share subexpressions (sum(x) and sum(x*y)
+// produce one column-x slot) and power chains, and dedups channels.
 class BatchPlan {
  public:
   Status Build(const std::vector<StateBatchRequest>& requests,
                const ColumnBinder& binder);
 
-  const std::vector<Slot>& slots() const { return slots_; }
+  const SlotProgram& program() const { return program_; }
   const std::vector<Channel>& channels() const { return channels_; }
   const std::vector<int>& request_channel() const { return request_channel_; }
-  // Whether slot i is evaluated per vector: some channel or evaluated slot
-  // reads it.
-  bool evaluated(size_t i) const { return evaluated_[i] != 0; }
-  int num_evaluated_slots() const {
-    return static_cast<int>(
-        std::count(evaluated_.begin(), evaluated_.end(), 1));
-  }
   int num_log_product_channels() const { return num_log_products_; }
 
-  int num_shared_slots() const {
-    int n = 0;
-    for (const Slot& s : slots_) {
-      if (s.dedup_hits > 0) ++n;
-    }
-    return n;
-  }
-
  private:
-  Result<int> BuildExpr(const Expr& e, const ColumnBinder& binder);
-  Result<int> BuildPow(const Expr& base, const Expr& exponent,
-                       const ColumnBinder& binder);
-  int Intern(Slot slot, const std::string& key);
-  int MakeUnary(Slot::Kind kind, const char* tag, int child);
-  int MakeArith(Slot::Kind kind, const char* tag, int a, int b);
-  int MakeLiteral(double v);
   void PlanEvaluation();
 
-  std::vector<Slot> slots_;
-  std::map<std::string, int> memo_;
+  SlotProgram program_;
   std::vector<Channel> channels_;
   std::map<std::string, int> channel_memo_;
   std::vector<int> request_channel_;
-  std::vector<char> evaluated_;
   int num_log_products_ = 0;
 };
-
-int BatchPlan::Intern(Slot slot, const std::string& key) {
-  auto [it, inserted] = memo_.emplace(key, static_cast<int>(slots_.size()));
-  if (!inserted) {
-    ++slots_[it->second].dedup_hits;
-    return it->second;
-  }
-  slots_.push_back(std::move(slot));
-  return it->second;
-}
-
-int BatchPlan::MakeUnary(Slot::Kind kind, const char* tag, int child) {
-  Slot s;
-  s.kind = kind;
-  s.a = child;
-  return Intern(std::move(s),
-                std::string(tag) + "|" + std::to_string(child));
-}
-
-int BatchPlan::MakeArith(Slot::Kind kind, const char* tag, int a, int b) {
-  // + and * commute exactly in IEEE arithmetic; normalize operand order so
-  // x*y and y*x intern to one slot.
-  if (kind == Slot::Kind::kAdd || kind == Slot::Kind::kMul) {
-    if (a > b) std::swap(a, b);
-  }
-  Slot s;
-  s.kind = kind;
-  s.a = a;
-  s.b = b;
-  return Intern(std::move(s), std::string(tag) + "|" + std::to_string(a) +
-                                  "|" + std::to_string(b));
-}
-
-int BatchPlan::MakeLiteral(double v) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  Slot s;
-  s.kind = Slot::Kind::kLiteral;
-  s.literal = v;
-  return Intern(std::move(s), "lit|" + std::to_string(bits));
-}
-
-// pow with a constant exponent strength-reduces onto a shared
-// multiplication chain: x^4 = (x^3)·x reuses the x^3 and x^2 slots that
-// sibling states (e.g. kurtosis's sum(x^3), sum(x^2)) already need — work
-// the per-state legacy path repeats num_states times.
-Result<int> BatchPlan::BuildPow(const Expr& base, const Expr& exponent,
-                                const ColumnBinder& binder) {
-  double c = 0.0;
-  if (ExtractConstant(exponent, &c)) {
-    const double k = std::abs(c);
-    const bool integral = k == std::floor(k) && k <= 16.0;
-    if (integral || k == 0.5) {
-      if (c == 0.0) return MakeLiteral(1.0);
-      SUDAF_ASSIGN_OR_RETURN(int b, BuildExpr(base, binder));
-      int cur;
-      if (k == 0.5) {
-        cur = MakeUnary(Slot::Kind::kSqrt, "sqrt", b);
-      } else {
-        cur = b;
-        for (int i = 2; i <= static_cast<int>(k); ++i) {
-          cur = MakeArith(Slot::Kind::kMul, "mul", cur, b);
-        }
-      }
-      if (c < 0.0) cur = MakeUnary(Slot::Kind::kRecip, "recip", cur);
-      return cur;
-    }
-  }
-  SUDAF_ASSIGN_OR_RETURN(int a, BuildExpr(base, binder));
-  SUDAF_ASSIGN_OR_RETURN(int b, BuildExpr(exponent, binder));
-  return MakeArith(Slot::Kind::kPow, "pow", a, b);
-}
-
-Result<int> BatchPlan::BuildExpr(const Expr& e,
-                                 const ColumnBinder& binder) {
-  switch (e.kind) {
-    case ExprKind::kLiteral: {
-      if (!e.literal.is_numeric()) {
-        return Status::TypeError("string literal in numeric vector context");
-      }
-      return MakeLiteral(e.literal.AsDouble());
-    }
-    case ExprKind::kColumnRef: {
-      SUDAF_ASSIGN_OR_RETURN(BoundColumn bound, binder(e.column));
-      const Column* col = bound.col;
-      if (col->type() == DataType::kString) {
-        return Status::TypeError("string column in numeric context: " +
-                                 e.column);
-      }
-      Slot s;
-      s.col = col;
-      s.rows = bound.rows;
-      s.base = bound.base;
-      std::string key;
-      if (col->type() == DataType::kFloat64) {
-        s.kind = Slot::Kind::kColumnF64;
-        key = "cf|";
-      } else {
-        s.kind = Slot::Kind::kColumnI64;
-        key = "ci|";
-      }
-      key += std::to_string(reinterpret_cast<uintptr_t>(col));
-      return Intern(std::move(s), key);
-    }
-    case ExprKind::kUnaryMinus: {
-      SUDAF_ASSIGN_OR_RETURN(int a, BuildExpr(*e.args[0], binder));
-      return MakeUnary(Slot::Kind::kNeg, "neg", a);
-    }
-    case ExprKind::kBinary: {
-      if (e.bin_op == BinaryOp::kPow) {
-        return BuildPow(*e.args[0], *e.args[1], binder);
-      }
-      SUDAF_ASSIGN_OR_RETURN(int a, BuildExpr(*e.args[0], binder));
-      SUDAF_ASSIGN_OR_RETURN(int b, BuildExpr(*e.args[1], binder));
-      switch (e.bin_op) {
-        case BinaryOp::kAdd:
-          return MakeArith(Slot::Kind::kAdd, "add", a, b);
-        case BinaryOp::kSub:
-          return MakeArith(Slot::Kind::kSub, "sub", a, b);
-        case BinaryOp::kMul:
-          return MakeArith(Slot::Kind::kMul, "mul", a, b);
-        case BinaryOp::kDiv:
-          return MakeArith(Slot::Kind::kDiv, "div", a, b);
-        default: {
-          Slot s;
-          s.kind = Slot::Kind::kGenericBinary;
-          s.a = a;
-          s.b = b;
-          s.bin_op = e.bin_op;
-          return Intern(std::move(s),
-                        "gbin|" + std::to_string(static_cast<int>(e.bin_op)) +
-                            "|" + std::to_string(a) + "|" +
-                            std::to_string(b));
-        }
-      }
-    }
-    case ExprKind::kFuncCall: {
-      if ((e.func_name == "pow" || e.func_name == "power") &&
-          e.args.size() == 2) {
-        return BuildPow(*e.args[0], *e.args[1], binder);
-      }
-      if (e.args.size() == 1) {
-        const std::string& f = e.func_name;
-        Slot::Kind kind;
-        if (f == "sqrt") {
-          kind = Slot::Kind::kSqrt;
-        } else if (f == "ln" || f == "log") {
-          kind = Slot::Kind::kLog;
-        } else if (f == "exp") {
-          kind = Slot::Kind::kExp;
-        } else if (f == "abs") {
-          kind = Slot::Kind::kAbs;
-        } else if (f == "sgn") {
-          kind = Slot::Kind::kSgn;
-        } else {
-          kind = Slot::Kind::kGenericFunc;
-        }
-        if (kind != Slot::Kind::kGenericFunc) {
-          SUDAF_ASSIGN_OR_RETURN(int a, BuildExpr(*e.args[0], binder));
-          return MakeUnary(kind, f.c_str(), a);
-        }
-      }
-      // Generic scalar function: name and arity resolve to a plain function
-      // pointer once at plan time (the failures are value-independent), so
-      // per-row evaluation is an infallible indirect call with no string
-      // dispatch.
-      SUDAF_ASSIGN_OR_RETURN(
-          ScalarFn fn,
-          ResolveScalarFunc(e.func_name, static_cast<int>(e.args.size())));
-      Slot s;
-      s.kind = Slot::Kind::kGenericFunc;
-      s.fn = fn;
-      std::string key = "gfunc|" + e.func_name;
-      for (const auto& arg : e.args) {
-        SUDAF_ASSIGN_OR_RETURN(int a, BuildExpr(*arg, binder));
-        s.args.push_back(a);
-        key += "|" + std::to_string(a);
-      }
-      return Intern(std::move(s), key);
-    }
-    case ExprKind::kAggCall:
-    case ExprKind::kStateRef:
-      return Status::TypeError("aggregate in vectorized scalar context: " +
-                               e.ToString());
-  }
-  return Status::Internal("bad expr kind");
-}
 
 Status BatchPlan::Build(const std::vector<StateBatchRequest>& requests,
                         const ColumnBinder& binder) {
@@ -333,7 +72,8 @@ Status BatchPlan::Build(const std::vector<StateBatchRequest>& requests,
         return Status::InvalidArgument(
             "aggregation state without an input expression");
       }
-      SUDAF_ASSIGN_OR_RETURN(slot, BuildExpr(*req.input, binder));
+      SUDAF_ASSIGN_OR_RETURN(
+          slot, program_.Add(*req.input, SlotLeaves{&binder, 0}));
     }
     std::string key =
         std::to_string(static_cast<int>(req.op)) + "|" + std::to_string(slot);
@@ -349,215 +89,26 @@ Status BatchPlan::Build(const std::vector<StateBatchRequest>& requests,
 // Every Σ ln y channel becomes a log-product channel, whatever else shares
 // the pass, so a channel's bits never depend on its plan-mates (batch vs.
 // solo identity). An abs() directly under the ln folds into the channel
-// too. Then each slot is marked evaluated if a channel or an evaluated
-// slot reads it; children precede parents, so one reverse sweep suffices.
+// too. The ln slot itself is then evaluated only if something else reads
+// it.
 void BatchPlan::PlanEvaluation() {
-  evaluated_.assign(slots_.size(), 0);
+  const std::vector<Slot>& slots = program_.slots();
   for (Channel& ch : channels_) {
     if (ch.slot < 0) continue;
-    const Slot& s = slots_[ch.slot];
+    const Slot& s = slots[ch.slot];
     if (ch.op == AggOp::kSum && s.kind == Slot::Kind::kLog) {
       ch.log_src = s.a;
-      if (slots_[s.a].kind == Slot::Kind::kAbs) {
-        ch.log_src = slots_[s.a].a;
+      if (slots[s.a].kind == Slot::Kind::kAbs) {
+        ch.log_src = slots[s.a].a;
         ch.log_abs = true;
       }
       ch.log_index = num_log_products_++;
-      evaluated_[ch.log_src] = 1;
+      program_.MarkRoot(ch.log_src);
     } else {
-      evaluated_[ch.slot] = 1;
+      program_.MarkRoot(ch.slot);
     }
   }
-  for (size_t i = slots_.size(); i-- > 0;) {
-    if (!evaluated_[i]) continue;
-    const Slot& s = slots_[i];
-    if (s.a >= 0) evaluated_[s.a] = 1;
-    if (s.b >= 0) evaluated_[s.b] = 1;
-    for (int arg : s.args) evaluated_[arg] = 1;
-  }
-}
-
-// A single-chunk float64 column over an identity range is read in place:
-// its slot aliases the column and needs no buffer.
-bool AliasesColumn(const Slot& s) {
-  return s.kind == Slot::Kind::kColumnF64 && s.rows == nullptr &&
-         s.col->num_chunks() == 1;
-}
-
-// Reads tuples [lo, lo + len) of a column slot as doubles and returns
-// where they are: in the column itself for a float64 identity morsel that
-// lies in one chunk, else in `out`, filled run by run (BoundColumn::
-// ForEachRun). Every morsel of a pass segmented by the catalog's log lies
-// in one chunk, since every segment does. A pass that runs as one segment
-// (engine mode, chunked sharing, or any pass after a destructive bump
-// collapsed the log) can have a morsel straddle a chunk end; it loads
-// piecewise, with the same values.
-template <typename T>
-const double* LoadColumn(const Slot& s, int64_t lo, int64_t len,
-                         double* out) {
-  const BoundColumn bound{s.col, s.rows, s.base};
-  const int64_t* rows = s.rows;
-  const double* alias = nullptr;
-  bound.ForEachRun<T>(lo, lo + len, [&](const T* v, int64_t first,
-                                        int64_t a, int64_t b) {
-    if constexpr (std::is_same_v<T, double>) {
-      if (rows == nullptr && a == lo && b == lo + len) {
-        alias = v + (s.base + lo - first);
-        return;
-      }
-    }
-    double* o = out + (a - lo);
-    if (rows == nullptr) {
-      const T* in = v + (s.base + a - first);
-      for (int64_t r = 0; r < b - a; ++r) o[r] = static_cast<double>(in[r]);
-    } else {
-      for (int64_t t = a; t < b; ++t) {
-        o[t - a] = static_cast<double>(v[rows[t] - first]);
-      }
-    }
-  });
-  return alias != nullptr ? alias : out;
-}
-
-// Rows evaluated and accumulated at a time: each slot buffer is 16 KB, so
-// a plan's buffers stay in L2 between a slot's write and its readers. A
-// constant, not an option: the morsel (ExecOptions::morsel_size) still
-// sets the chunk tree, the guard check and the failpoint, and since each
-// (channel, group) pair takes its rows in row order whatever the vector
-// length, no answer depends on it.
-constexpr int64_t kVector = 2048;
-
-// Per-worker evaluation state: one scratch buffer per evaluated slot (one
-// vector long, reused across all of the worker's vectors, left
-// uninitialized because every slot writes its rows before they are read).
-// Accumulation goes straight into the chunk block the worker currently
-// owns, so workers carry no accumulator of their own — the accumulation
-// tree is a property of the pass, not of the worker count.
-struct WorkerEval {
-  std::vector<std::unique_ptr<double[]>> bufs;
-  std::vector<const double*> ptr;
-
-  void Init(const BatchPlan& plan, int64_t buf_len) {
-    const std::vector<Slot>& slots = plan.slots();
-    bufs.resize(slots.size());
-    ptr.assign(slots.size(), nullptr);
-    for (size_t i = 0; i < slots.size(); ++i) {
-      const Slot& s = slots[i];
-      if (!plan.evaluated(i) || AliasesColumn(s)) continue;
-      bufs[i] = std::make_unique_for_overwrite<double[]>(buf_len);
-      if (s.kind == Slot::Kind::kLiteral) {
-        std::fill_n(bufs[i].get(), buf_len, s.literal);
-      }
-      ptr[i] = bufs[i].get();
-    }
-  }
-};
-
-// Evaluates every evaluated slot over rows [lo, lo + len), len ≤ kVector.
-Status EvalVector(const BatchPlan& plan, WorkerEval* w, int64_t lo,
-                  int64_t len) {
-  const std::vector<Slot>& slots = plan.slots();
-  for (size_t i = 0; i < slots.size(); ++i) {
-    if (!plan.evaluated(i)) continue;
-    const Slot& s = slots[i];
-    double* out = w->bufs[i].get();
-    switch (s.kind) {
-      case Slot::Kind::kLiteral:
-        break;  // prefilled at Init
-      case Slot::Kind::kColumnF64:
-        w->ptr[i] = LoadColumn<double>(s, lo, len, out);
-        break;
-      case Slot::Kind::kColumnI64:
-        LoadColumn<int64_t>(s, lo, len, out);
-        break;
-      case Slot::Kind::kNeg: {
-        const double* a = w->ptr[s.a];
-        for (int64_t r = 0; r < len; ++r) out[r] = -a[r];
-        break;
-      }
-      case Slot::Kind::kAdd: {
-        const double* a = w->ptr[s.a];
-        const double* b = w->ptr[s.b];
-        for (int64_t r = 0; r < len; ++r) out[r] = a[r] + b[r];
-        break;
-      }
-      case Slot::Kind::kSub: {
-        const double* a = w->ptr[s.a];
-        const double* b = w->ptr[s.b];
-        for (int64_t r = 0; r < len; ++r) out[r] = a[r] - b[r];
-        break;
-      }
-      case Slot::Kind::kMul: {
-        const double* a = w->ptr[s.a];
-        const double* b = w->ptr[s.b];
-        for (int64_t r = 0; r < len; ++r) out[r] = a[r] * b[r];
-        break;
-      }
-      case Slot::Kind::kDiv: {
-        const double* a = w->ptr[s.a];
-        const double* b = w->ptr[s.b];
-        for (int64_t r = 0; r < len; ++r) out[r] = a[r] / b[r];
-        break;
-      }
-      case Slot::Kind::kPow: {
-        const double* a = w->ptr[s.a];
-        const double* b = w->ptr[s.b];
-        for (int64_t r = 0; r < len; ++r) out[r] = std::pow(a[r], b[r]);
-        break;
-      }
-      case Slot::Kind::kRecip: {
-        const double* a = w->ptr[s.a];
-        for (int64_t r = 0; r < len; ++r) out[r] = 1.0 / a[r];
-        break;
-      }
-      case Slot::Kind::kSqrt: {
-        const double* a = w->ptr[s.a];
-        for (int64_t r = 0; r < len; ++r) out[r] = std::sqrt(a[r]);
-        break;
-      }
-      case Slot::Kind::kLog: {
-        const double* a = w->ptr[s.a];
-        for (int64_t r = 0; r < len; ++r) out[r] = std::log(a[r]);
-        break;
-      }
-      case Slot::Kind::kExp: {
-        const double* a = w->ptr[s.a];
-        for (int64_t r = 0; r < len; ++r) out[r] = std::exp(a[r]);
-        break;
-      }
-      case Slot::Kind::kAbs: {
-        const double* a = w->ptr[s.a];
-        for (int64_t r = 0; r < len; ++r) out[r] = std::fabs(a[r]);
-        break;
-      }
-      case Slot::Kind::kSgn: {
-        const double* a = w->ptr[s.a];
-        for (int64_t r = 0; r < len; ++r) {
-          out[r] = a[r] > 0 ? 1.0 : (a[r] < 0 ? -1.0 : 0.0);
-        }
-        break;
-      }
-      case Slot::Kind::kGenericBinary: {
-        const double* a = w->ptr[s.a];
-        const double* b = w->ptr[s.b];
-        for (int64_t r = 0; r < len; ++r) {
-          SUDAF_ASSIGN_OR_RETURN(out[r], ApplyBinaryOp(s.bin_op, a[r], b[r]));
-        }
-        break;
-      }
-      case Slot::Kind::kGenericFunc: {
-        std::vector<double> args(s.args.size());
-        for (int64_t r = 0; r < len; ++r) {
-          for (size_t j = 0; j < s.args.size(); ++j) {
-            args[j] = w->ptr[s.args[j]][r];
-          }
-          out[r] = s.fn(args.data());
-        }
-        break;
-      }
-    }
-  }
-  return Status::OK();
+  program_.Finish();
 }
 
 // --- Log-product channels ---------------------------------------------------
@@ -659,7 +210,7 @@ void FinishLogProducts(const BatchPlan& plan, int32_t num_groups,
 // Folds rows [lo, lo+len) into `acc`, the num_channels × num_groups block
 // of the accumulation chunk that owns them; `logs` holds the block's
 // log-product accumulators, one num_groups row per log-product channel.
-void AccumulateVector(const BatchPlan& plan, const WorkerEval& w,
+void AccumulateVector(const BatchPlan& plan, const SlotBuffers& w,
                       const int32_t* group_ids, int64_t lo, int64_t len,
                       int32_t num_groups, double* acc, LogAcc* logs) {
   const std::vector<Channel>& channels = plan.channels();
@@ -865,8 +416,9 @@ Result<std::vector<std::vector<double>>> ComputeStateBatch(
   // slot, plus the shared chunk block with its log-product accumulators.
   if (opts.guard != nullptr) {
     int64_t buffered_slots = 0;
-    for (size_t i = 0; i < plan.slots().size(); ++i) {
-      if (plan.evaluated(i) && !AliasesColumn(plan.slots()[i])) {
+    for (size_t i = 0; i < plan.program().slots().size(); ++i) {
+      if (plan.program().evaluated(i) &&
+          !SlotAliases(plan.program().slots()[i])) {
         ++buffered_slots;
       }
     }
@@ -887,9 +439,9 @@ Result<std::vector<std::vector<double>>> ComputeStateBatch(
     opts.metrics->counter("sudaf.fused.morsels")->Add(num_morsels);
     opts.metrics->counter("sudaf.fused.channels")->Add(num_channels);
     opts.metrics->counter("sudaf.fused.slots")
-        ->Add(plan.num_evaluated_slots());
+        ->Add(plan.program().num_evaluated_slots());
     opts.metrics->counter("sudaf.fused.shared_slots")
-        ->Add(plan.num_shared_slots());
+        ->Add(plan.program().num_shared_slots());
     opts.metrics->counter("sudaf.fused.log_product_channels")->Add(num_logs);
     opts.metrics->histogram("sudaf.fused.threads_used")
         ->Observe(static_cast<double>(workers));
@@ -932,15 +484,15 @@ Result<std::vector<std::vector<double>>> ComputeStateBatch(
   // way the old static range split did) and fold each chunk's morsels into
   // that chunk's block; after each wave the blocks merge with ⊕ into the
   // running state in chunk order.
-  std::vector<WorkerEval> evals(workers);
+  std::vector<SlotBuffers> evals(workers);
   std::vector<char> eval_ready(workers, 0);
   for (int64_t wave_lo = 0; wave_lo < total_chunks; wave_lo += wave) {
     const int64_t wave_cnt = std::min(wave, total_chunks - wave_lo);
     std::atomic<int64_t> next_block{0};
     auto run_worker = [&](int64_t wi) -> Status {
-      WorkerEval& we = evals[wi];
+      SlotBuffers& we = evals[wi];
       if (!eval_ready[wi]) {
-        we.Init(plan, buf_len);
+        we.Init(plan.program(), buf_len);
         eval_ready[wi] = 1;
       }
       for (;;) {
@@ -963,9 +515,11 @@ Result<std::vector<std::vector<double>>> ComputeStateBatch(
             SUDAF_RETURN_IF_ERROR(opts.guard->Check());
           }
           const int64_t len = std::min(morsel, ck.hi - lo);
+          // Each (channel, group) pair takes its rows in row order
+          // whatever the vector length, so no answer depends on kVector.
           for (int64_t v = lo; v < lo + len; v += kVector) {
             const int64_t vlen = std::min(kVector, lo + len - v);
-            SUDAF_RETURN_IF_ERROR(EvalVector(plan, &we, v, vlen));
+            SUDAF_RETURN_IF_ERROR(EvalVector(plan.program(), &we, v, vlen));
             AccumulateVector(plan, we, group_ids.data(), v, vlen, num_groups,
                              acc, logs);
           }
@@ -1047,8 +601,8 @@ Result<std::vector<std::vector<double>>> ComputeStateBatch(
     stats->morsels = num_morsels;
     stats->num_requests = static_cast<int>(requests.size());
     stats->num_channels = static_cast<int>(channels.size());
-    stats->num_slots = plan.num_evaluated_slots();
-    stats->num_shared_slots = plan.num_shared_slots();
+    stats->num_slots = plan.program().num_evaluated_slots();
+    stats->num_shared_slots = plan.program().num_shared_slots();
     stats->log_product_channels = static_cast<int>(num_logs);
     stats->threads_used = workers;
     stats->request_channel = plan.request_channel();

@@ -13,8 +13,9 @@
 // morsel-driven pass:
 //
 //   * the input expressions of every state are compiled into one shared
-//     evaluation DAG: common subexpressions are detected across states (so
-//     sum(x*y) and sum(x) read x once) and integral powers are
+//     evaluation DAG (SlotProgram, engine/slot_program.h, which terminate
+//     uses too): common subexpressions are detected across states (so
+//     sum(x*y) and sum(x) read x once) and constant powers are
 //     strength-reduced onto shared power chains (x^4 reuses the x^2 slot
 //     another state already needed);
 //   * the row range is split into morsels (ExecOptions::morsel_size rows),

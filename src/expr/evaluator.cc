@@ -226,16 +226,11 @@ class ScratchBuffer {
   std::vector<double>* buf_;
 };
 
-// What the leaves of a vectorized expression read: columns through
-// `resolver` (numeric mode) or state columns (terminating mode, where
-// kStateRef k reads states[k][lo, hi)). The unused one is null.
-struct RangeBinding {
-  const ColumnResolver* resolver = nullptr;
-  const std::vector<const double*>* states = nullptr;
-};
+}  // namespace
 
-Status EvalRange(const Expr& expr, const RangeBinding& bind, int64_t lo,
-                 int64_t hi, double* out, EvalScratch* scratch) {
+Status EvalNumericRange(const Expr& expr, const ColumnResolver& resolver,
+                        int64_t lo, int64_t hi, double* out,
+                        EvalScratch* scratch) {
   const int64_t n = hi - lo;
   switch (expr.kind) {
     case ExprKind::kLiteral: {
@@ -247,11 +242,7 @@ Status EvalRange(const Expr& expr, const RangeBinding& bind, int64_t lo,
       return Status::OK();
     }
     case ExprKind::kColumnRef: {
-      if (bind.resolver == nullptr) {
-        return Status::TypeError(
-            "column reference in terminating function: " + expr.column);
-      }
-      SUDAF_ASSIGN_OR_RETURN(const Column* col, (*bind.resolver)(expr.column));
+      SUDAF_ASSIGN_OR_RETURN(const Column* col, resolver(expr.column));
       if (col->type() == DataType::kString) {
         return Status::TypeError("string column in numeric context: " +
                                  expr.column);
@@ -277,17 +268,17 @@ Status EvalRange(const Expr& expr, const RangeBinding& bind, int64_t lo,
     }
     case ExprKind::kUnaryMinus: {
       SUDAF_RETURN_IF_ERROR(
-          EvalRange(*expr.args[0], bind, lo, hi, out, scratch));
+          EvalNumericRange(*expr.args[0], resolver, lo, hi, out, scratch));
       for (int64_t i = 0; i < n; ++i) out[i] = -out[i];
       return Status::OK();
     }
     case ExprKind::kBinary: {
       SUDAF_RETURN_IF_ERROR(
-          EvalRange(*expr.args[0], bind, lo, hi, out, scratch));
+          EvalNumericRange(*expr.args[0], resolver, lo, hi, out, scratch));
       ScratchBuffer rhs(scratch, n);
       double* b = rhs.data();
       SUDAF_RETURN_IF_ERROR(
-          EvalRange(*expr.args[1], bind, lo, hi, b, scratch));
+          EvalNumericRange(*expr.args[1], resolver, lo, hi, b, scratch));
       // Tight loops per operator for the hot cases.
       switch (expr.bin_op) {
         case BinaryOp::kAdd:
@@ -321,7 +312,7 @@ Status EvalRange(const Expr& expr, const RangeBinding& bind, int64_t lo,
         if (f == "sqrt" || f == "ln" || f == "log" || f == "exp" ||
             f == "abs" || f == "sgn") {
           SUDAF_RETURN_IF_ERROR(
-              EvalRange(*expr.args[0], bind, lo, hi, out, scratch));
+              EvalNumericRange(*expr.args[0], resolver, lo, hi, out, scratch));
           if (f == "sqrt") {
             for (int64_t i = 0; i < n; ++i) out[i] = std::sqrt(out[i]);
           } else if (f == "ln" || f == "log") {
@@ -348,7 +339,7 @@ Status EvalRange(const Expr& expr, const RangeBinding& bind, int64_t lo,
         arg_bufs.emplace_back(scratch, n);
         arg_ptrs.push_back(arg_bufs.back().data());
         SUDAF_RETURN_IF_ERROR(
-            EvalRange(*a, bind, lo, hi, arg_ptrs.back(), scratch));
+            EvalNumericRange(*a, resolver, lo, hi, arg_ptrs.back(), scratch));
       }
       std::vector<double> args(expr.args.size());
       for (int64_t i = 0; i < n; ++i) {
@@ -357,42 +348,12 @@ Status EvalRange(const Expr& expr, const RangeBinding& bind, int64_t lo,
       }
       return Status::OK();
     }
-    case ExprKind::kStateRef: {
-      if (bind.states == nullptr) {
-        return Status::TypeError("aggregate in vectorized scalar context: " +
-                                 expr.ToString());
-      }
-      if (expr.state_index < 0 ||
-          expr.state_index >= static_cast<int>(bind.states->size())) {
-        return Status::Internal("state index out of range");
-      }
-      const double* v = (*bind.states)[expr.state_index];
-      for (int64_t i = 0; i < n; ++i) out[i] = v[lo + i];
-      return Status::OK();
-    }
     case ExprKind::kAggCall:
+    case ExprKind::kStateRef:
       return Status::TypeError("aggregate in vectorized scalar context: " +
                                expr.ToString());
   }
   return Status::Internal("bad expr kind");
-}
-
-}  // namespace
-
-Status EvalNumericRange(const Expr& expr, const ColumnResolver& resolver,
-                        int64_t lo, int64_t hi, double* out,
-                        EvalScratch* scratch) {
-  RangeBinding bind;
-  bind.resolver = &resolver;
-  return EvalRange(expr, bind, lo, hi, out, scratch);
-}
-
-Status EvalTerminatingRange(const Expr& expr,
-                            const std::vector<const double*>& states,
-                            int64_t n, double* out, EvalScratch* scratch) {
-  RangeBinding bind;
-  bind.states = &states;
-  return EvalRange(expr, bind, 0, n, out, scratch);
 }
 
 Result<std::vector<double>> EvalNumericVector(const Expr& expr,
@@ -403,6 +364,86 @@ Result<std::vector<double>> EvalNumericVector(const Expr& expr,
   SUDAF_RETURN_IF_ERROR(
       EvalNumericRange(expr, resolver, 0, num_rows, out.data(), &scratch));
   return out;
+}
+
+PowLowering LowerPow(double c) {
+  PowLowering p;
+  const double k = std::abs(c);
+  if (c == 0.0) {
+    p.kind = PowLowering::Kind::kOne;
+    return p;
+  }
+  if (k == 0.5) {
+    p.kind = PowLowering::Kind::kHalf;
+  } else if (k == std::floor(k) && k <= 16.0) {
+    p.kind = PowLowering::Kind::kChain;
+    p.factors = static_cast<int>(k);
+  } else {
+    return p;  // NaN and ±inf land here too
+  }
+  p.recip = c < 0.0;
+  return p;
+}
+
+double EvalPow(double x, double c) {
+  const PowLowering p = LowerPow(c);
+  double v = x;
+  switch (p.kind) {
+    case PowLowering::Kind::kPow:
+      return std::pow(x, c);
+    case PowLowering::Kind::kOne:
+      return 1.0;
+    case PowLowering::Kind::kHalf:
+      v = PowHalf(x);
+      break;
+    case PowLowering::Kind::kChain:
+      for (int i = 2; i <= p.factors; ++i) v = v * x;
+      break;
+  }
+  return p.recip ? 1.0 / v : v;
+}
+
+namespace {
+
+bool IsLiteralOnly(const Expr& e) {
+  switch (e.kind) {
+    case ExprKind::kLiteral:
+      return e.literal.is_numeric();
+    case ExprKind::kUnaryMinus:
+    case ExprKind::kBinary:
+    case ExprKind::kFuncCall:
+      for (const ExprPtr& a : e.args) {
+        if (!IsLiteralOnly(*a)) return false;
+      }
+      return true;
+    default:
+      return false;
+  }
+}
+
+bool IsPowCall(const Expr& e) {
+  return e.kind == ExprKind::kFuncCall &&
+         (e.func_name == "pow" || e.func_name == "power") &&
+         e.args.size() == 2;
+}
+
+Result<double> EvalTerminatingPow(const Expr& base, const Expr& exponent,
+                                  const std::vector<double>& states) {
+  SUDAF_ASSIGN_OR_RETURN(double a, EvalTerminating(base, states));
+  double c;
+  if (FoldConstant(exponent, &c)) return EvalPow(a, c);
+  SUDAF_ASSIGN_OR_RETURN(double b, EvalTerminating(exponent, states));
+  return std::pow(a, b);
+}
+
+}  // namespace
+
+bool FoldConstant(const Expr& e, double* v) {
+  if (!IsLiteralOnly(e)) return false;
+  Result<double> r = EvalTerminating(e, {});
+  if (!r.ok()) return false;
+  *v = *r;
+  return true;
 }
 
 Result<double> EvalTerminating(const Expr& expr,
@@ -426,11 +467,17 @@ Result<double> EvalTerminating(const Expr& expr,
       return -v;
     }
     case ExprKind::kBinary: {
+      if (expr.bin_op == BinaryOp::kPow) {
+        return EvalTerminatingPow(*expr.args[0], *expr.args[1], states);
+      }
       SUDAF_ASSIGN_OR_RETURN(double a, EvalTerminating(*expr.args[0], states));
       SUDAF_ASSIGN_OR_RETURN(double b, EvalTerminating(*expr.args[1], states));
       return NumericBinary(expr.bin_op, a, b);
     }
     case ExprKind::kFuncCall: {
+      if (IsPowCall(expr)) {
+        return EvalTerminatingPow(*expr.args[0], *expr.args[1], states);
+      }
       std::vector<double> args;
       args.reserve(expr.args.size());
       for (const auto& a : expr.args) {

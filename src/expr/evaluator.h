@@ -9,9 +9,11 @@
 //   * Vectorized numeric mode over whole columns — used by the fast SUDAF
 //     path to compute aggregation-state inputs f(x_i).
 //   * Terminating mode — evaluates a terminating function T over the values
-//     of aggregation states (kStateRef nodes), per group or a column of
-//     groups at a time.
+//     of aggregation states (kStateRef nodes) for one group: the scalar
+//     reference for the compiled slot program that terminates a column of
+//     groups at a time (engine/slot_program.h).
 
+#include <cmath>
 #include <functional>
 #include <memory>
 #include <string>
@@ -104,18 +106,43 @@ Status EvalNumericRange(const Expr& expr, const ColumnResolver& resolver,
 // --- Terminating mode ---------------------------------------------------------
 
 // Evaluates a terminating function whose leaves are kStateRef and literals
-// for one group: the scalar reference for EvalTerminatingRange.
+// for one group. This is the scalar reference: the compiled slot program
+// (engine/slot_program.h) gives the same bits on every row. A constant
+// exponent (a literal-only subtree) goes through EvalPow, as the program
+// lowers it.
 Result<double> EvalTerminating(const Expr& expr,
                                const std::vector<double>& states);
 
-// Column-at-a-time terminating mode: evaluates `expr` once over rows
-// [0, n) — the vectorized numeric mode with kStateRef k bound to
-// states[k][0, n) — writing n results into `out`. Each element goes through
-// the same operations in the same order as EvalTerminating, so the results
-// are bit-identical to calling it per row.
-Status EvalTerminatingRange(const Expr& expr,
-                            const std::vector<const double*>& states,
-                            int64_t n, double* out, EvalScratch* scratch);
+// The value of `e` when it is a literal-only subtree (numeric literals
+// under operators and scalar functions, no column or state leaf) that
+// evaluates without error; false otherwise.
+bool FoldConstant(const Expr& e, double* v);
+
+// --- Constant exponents (docs/execution.md, "Constant exponents") ----------
+//
+// x^c with a constant c is lowered instead of calling std::pow:
+//   * c = ±0 gives 1;
+//   * an integer |c| = k ≤ 16 is the chain ((x·x)·x)… of k factors;
+//   * |c| = 0.5 is PowHalf(x);
+//   * a negative c then takes the reciprocal 1 / (…).
+// Any other c stays std::pow. The fused pass and terminate build this
+// into slots (SlotProgram); EvalPow applies it to one value.
+struct PowLowering {
+  enum class Kind { kPow, kOne, kChain, kHalf };
+  Kind kind = Kind::kPow;
+  int factors = 0;     // kChain: k
+  bool recip = false;  // kChain, kHalf: c < 0
+};
+PowLowering LowerPow(double c);
+
+// x^0.5 with std::pow's special values: sqrt, except that -0 gives +0 and
+// -inf gives +inf (sqrt gives -0 and NaN).
+inline double PowHalf(double x) {
+  return x == -HUGE_VAL ? HUGE_VAL : std::sqrt(x) + 0.0;
+}
+
+// x^c, lowered as LowerPow(c) says.
+double EvalPow(double x, double c);
 
 }  // namespace sudaf
 

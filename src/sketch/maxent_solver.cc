@@ -112,6 +112,10 @@ Fit FitDensity(double min, double max, double count,
   }
 
   std::vector<double> target = ChebyshevMoments(s_moments);
+  // An overflowed power sum leaves no finite moments to match.
+  for (double t : target) {
+    if (!std::isfinite(t)) return Status::Internal("max-entropy fit diverged");
+  }
 
   // Grid over [-1, 1].
   const int n = options.grid_size;
@@ -186,6 +190,7 @@ Fit FitDensity(double min, double max, double count,
       double cand_obj;
       evaluate(candidate, &cand_obj);
       if (std::isfinite(cand_obj) && cand_obj < objective) {
+        // p now holds the accepted λ's density.
         lambda = std::move(candidate);
         objective = cand_obj;
         improved = true;
@@ -193,8 +198,11 @@ Fit FitDensity(double min, double max, double count,
       }
       scale *= 0.5;
     }
-    if (!improved) break;
-    evaluate(lambda, &objective);
+    if (!improved) {
+      // p holds the last rejected candidate's density: restore λ's.
+      evaluate(lambda, &objective);
+      break;
+    }
   }
 
   // Normalize to probabilities.
@@ -226,10 +234,10 @@ std::vector<uint64_t> FitKey(double min, double max, double count,
 }
 
 // The fits of the last kMaxEntFitMemoCapacity distinct keys. It holds the
-// normalized probabilities FitDensity returned, not λ: the Newton loop can
-// stop on a rejected line-search candidate, whose p a refit from λ would
-// not reproduce. Fits run outside the lock; two threads that miss on one
-// key both fit it, to the same bits, and the memo keeps one.
+// normalized probabilities FitDensity returned, so a hit neither solves
+// for λ nor evaluates its density. Fits run outside the lock; two threads
+// that miss on one key both fit it, to the same bits, and the memo keeps
+// one.
 class FitMemo {
  public:
   std::shared_ptr<const Fit> Find(const std::vector<uint64_t>& key) {

@@ -46,6 +46,11 @@ class Column {
 
   void AppendInt64(int64_t v) { chunks_.back().ints.push_back(v); }
   void AppendFloat64(double v) { chunks_.back().doubles.push_back(v); }
+  // Appends v[0, n) to a FLOAT64 column in one copy.
+  void AppendFloat64s(const double* v, int64_t n) {
+    std::vector<double>& d = chunks_.back().doubles;
+    d.insert(d.end(), v, v + n);
+  }
   void AppendString(const std::string& v) {
     chunks_.back().codes.push_back(Intern(v));
   }

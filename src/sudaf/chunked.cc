@@ -372,7 +372,7 @@ Result<std::unique_ptr<Table>> ChunkedSharingSession::Run(
   m->counter("sudaf.serve.rows")->Add(served);
 
   return AssembleRewrittenResult(rewritten, *stmt, group_keys, rows,
-                                 state_values);
+                                 state_values, m);
 }
 
 }  // namespace sudaf

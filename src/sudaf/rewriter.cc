@@ -1,5 +1,6 @@
 #include "sudaf/rewriter.h"
 
+#include <algorithm>
 #include <atomic>
 #include <numeric>
 #include <sstream>
@@ -269,7 +270,8 @@ int64_t ServeState(const StateCache::Entry& entry, bool compact,
 Result<std::unique_ptr<Table>> AssembleRewrittenResult(
     const RewrittenQuery& rewritten, const SelectStatement& stmt,
     const Table& group_keys, const OutputRows& rows,
-    const std::vector<std::vector<double>>& state_columns) {
+    const std::vector<std::vector<double>>& state_columns,
+    MetricsRegistry* metrics) {
   const std::vector<ItemPlan>& items = rewritten.items();
   const CanonicalForm& form = rewritten.form();
   Schema out_schema;
@@ -284,43 +286,65 @@ Result<std::unique_ptr<Table>> AssembleRewrittenResult(
   auto result = std::make_unique<Table>(std::move(out_schema));
   result->Reserve(n);
 
+  if (state_columns.size() < form.states.size()) {
+    return Status::Internal("terminate: fewer state columns than states");
+  }
   std::vector<const double*> states;
   states.reserve(state_columns.size());
   for (const std::vector<double>& col : state_columns) {
+    if (static_cast<int64_t>(col.size()) < n) {
+      return Status::Internal("terminate: state column shorter than output");
+    }
     states.push_back(col.data());
   }
-  EvalScratch scratch;
-  std::vector<double> values(n);
+  const RewritePlan& plan = *rewritten.plan;
+  const SlotProgram& program = plan.terminate;
+  if (metrics != nullptr) {
+    metrics->counter("sudaf.terminate.slots")
+        ->Add(program.num_evaluated_slots());
+    metrics->counter("sudaf.terminate.shared_slots")
+        ->Add(program.num_shared_slots());
+  }
+
   for (size_t i = 0; i < items.size(); ++i) {
     const ItemPlan& item = items[i];
     Column& dst = result->column(static_cast<int>(i));
     if (item.group_key_index >= 0) {
       dst.AppendRows(group_keys.column(item.group_key_index),
                      rows.groups.data(), n);
-      continue;
     }
-    if (item.native != nullptr) {
-      // Each state's terminating expression a column at a time, then the
-      // native terminating function once per row.
+  }
+  SlotBuffers buffers;
+  buffers.Init(program, std::min(n, kVector));
+  std::vector<double> args;
+  std::vector<double> values;
+  for (int64_t lo = 0; lo < n; lo += kVector) {
+    const int64_t len = std::min(kVector, n - lo);
+    SUDAF_RETURN_IF_ERROR(
+        EvalVector(program, &buffers, lo, len, states.data()));
+    for (size_t i = 0; i < items.size(); ++i) {
+      const ItemPlan& item = items[i];
+      Column& dst = result->column(static_cast<int>(i));
+      if (item.group_key_index >= 0) continue;
+      if (item.native == nullptr) {
+        dst.AppendFloat64s(
+            buffers.ptr[plan.terminate_roots[item.terminating_index]], len);
+        continue;
+      }
+      // The native terminating function once per row, over its state
+      // terms' slots.
       const size_t k = item.native_term_indices.size();
-      std::vector<std::vector<double>> terms(k, std::vector<double>(n));
-      for (size_t j = 0; j < k; ++j) {
-        SUDAF_RETURN_IF_ERROR(EvalTerminatingRange(
-            *form.terminating[item.native_term_indices[j]], states,
-            n, terms[j].data(), &scratch));
+      args.resize(k);
+      values.resize(len);
+      for (int64_t r = 0; r < len; ++r) {
+        for (size_t j = 0; j < k; ++j) {
+          args[j] = buffers.ptr[plan.terminate_roots
+                                    [item.native_term_indices[j]]][r];
+        }
+        SUDAF_ASSIGN_OR_RETURN(values[r], item.native->udaf.terminate(args));
       }
-      std::vector<double> args(k);
-      for (int64_t r = 0; r < n; ++r) {
-        for (size_t j = 0; j < k; ++j) args[j] = terms[j][r];
-        SUDAF_ASSIGN_OR_RETURN(values[r],
-                               item.native->udaf.terminate(args));
-      }
-    } else {
-      SUDAF_RETURN_IF_ERROR(EvalTerminatingRange(
-          *form.terminating[item.terminating_index], states, n,
-          values.data(), &scratch));
+      dst.AppendFloat64s(values.data(), len);
     }
-    for (int64_t r = 0; r < n; ++r) dst.AppendFloat64(values[r]);
   }
   result->FinishBulkAppend();
   if (rows.presorted) return result;
@@ -414,7 +438,17 @@ Result<RewrittenQuery> RewriteQuery(const SelectStatement& stmt,
     plan->items.push_back(std::move(item));
   }
 
-  // Pass 4: each state's representative in both execution modes.
+  // Pass 4: every terminating function into one program over the states.
+  const SlotLeaves state_leaves{nullptr,
+                                static_cast<int>(plan->form.states.size())};
+  for (const ExprPtr& term : plan->form.terminating) {
+    SUDAF_ASSIGN_OR_RETURN(int root, plan->terminate.Add(*term, state_leaves));
+    plan->terminate.MarkRoot(root);
+    plan->terminate_roots.push_back(root);
+  }
+  plan->terminate.Finish();
+
+  // Pass 5: each state's representative in both execution modes.
   for (const AggStateDef& state : plan->form.states) {
     plan->shared.push_back(ClassifyForPlan(state, /*share=*/true));
     plan->direct.push_back(ClassifyForPlan(state, /*share=*/false));
@@ -498,6 +532,8 @@ int64_t RewritePlan::ApproxBytes() const {
              static_cast<int64_t>(item.native_term_indices.capacity() *
                                   sizeof(int));
   }
+  bytes += terminate.ApproxBytes() +
+           static_cast<int64_t>(terminate_roots.capacity() * sizeof(int));
   return bytes + ClassifiedBytes(shared) + ClassifiedBytes(direct);
 }
 

@@ -16,7 +16,9 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/status.h"
+#include "engine/slot_program.h"
 #include "sql/statement.h"
 #include "sudaf/cache.h"
 #include "sudaf/canonical.h"
@@ -115,6 +117,12 @@ struct RewritePlan {
   // nothing.
   std::vector<ClassifiedState> shared;
   std::vector<ClassifiedState> direct;
+  // Every terminating function of `form` compiled into one program over
+  // the state columns (docs/execution.md, "Output-first terminate"):
+  // form.terminating[i] is slot terminate_roots[i]. Built once per plan,
+  // so a memo hit compiles nothing.
+  SlotProgram terminate;
+  std::vector<int> terminate_roots;
 
   // Approximate heap footprint, for the memo's accounting.
   int64_t ApproxBytes() const;
@@ -182,8 +190,8 @@ class RewriteMemo {
 // A rewritten query finishes in three steps, and only the first one sees
 // every group: PlanOutputRows decides which groups the query returns, and
 // in what order, from the group keys alone; ServeState applies the sharing
-// function for just those groups; AssembleRewrittenResult terminates them a
-// column at a time.
+// function for just those groups; AssembleRewrittenResult terminates them
+// through the plan's compiled program.
 
 // The groups a rewritten query returns, in output order.
 struct OutputRows {
@@ -226,13 +234,18 @@ int64_t ServeState(const StateCache::Entry& entry, bool compact,
 
 // Terminates the output rows and assembles the result table (group keys +
 // item columns). `state_columns[s]` holds state s at the output rows, as
-// ServeState left it; each terminating function runs once over the whole
-// column (EvalTerminatingRange). Unless `rows.presorted`, the table then
-// goes through SortAndLimit for HAVING, ORDER BY and LIMIT.
+// ServeState left it. The plan's terminate program runs over them in
+// kVector-row blocks, and each item's block is appended to its column in
+// bulk; a native item calls its terminating function once per row on its
+// state terms' slots. Unless `rows.presorted`, the table then goes through
+// SortAndLimit for HAVING, ORDER BY and LIMIT. `metrics`, when non-null,
+// counts the program's evaluated and shared slots
+// (sudaf.terminate.{slots,shared_slots}).
 Result<std::unique_ptr<Table>> AssembleRewrittenResult(
     const RewrittenQuery& rewritten, const SelectStatement& stmt,
     const Table& group_keys, const OutputRows& rows,
-    const std::vector<std::vector<double>>& state_columns);
+    const std::vector<std::vector<double>>& state_columns,
+    MetricsRegistry* metrics = nullptr);
 
 }  // namespace sudaf
 

@@ -48,6 +48,9 @@ ExecStats DeriveExecStats(const MetricsSnapshot& d) {
   s.fused_slots = static_cast<int>(d.counter("sudaf.fused.slots"));
   s.fused_shared_slots =
       static_cast<int>(d.counter("sudaf.fused.shared_slots"));
+  s.terminate_slots = static_cast<int>(d.counter("sudaf.terminate.slots"));
+  s.terminate_shared_slots =
+      static_cast<int>(d.counter("sudaf.terminate.shared_slots"));
   s.fused_log_product_channels =
       static_cast<int>(d.counter("sudaf.fused.log_product_channels"));
   // Worker count per fused pass: the mean of the per-pass threads_used
@@ -156,6 +159,9 @@ std::string QueryResult::ProfileJson() const {
   out += ", \"log_product_channels\": " +
          std::to_string(stats.fused_log_product_channels);
   out += ", \"threads_used\": " + std::to_string(stats.fused_threads);
+  out += "}, \"terminate\": {";
+  out += "\"slots\": " + std::to_string(stats.terminate_slots);
+  out += ", \"shared_slots\": " + std::to_string(stats.terminate_shared_slots);
   out += "}, \"input\": {";
   out += "\"gathered_bytes\": " + std::to_string(stats.gathered_bytes);
   out += "}, \"trace\": ";
@@ -185,7 +191,12 @@ std::string QueryResult::ProfileText() const {
     out += "  probe     " + FmtMs(stats.probe_ms) + " ms\n";
     out += "  input     " + FmtMs(stats.input_ms) + " ms\n";
     out += "  states    " + FmtMs(stats.states_ms) + " ms\n";
-    out += "  terminate " + FmtMs(stats.terminate_ms) + " ms\n";
+    out += "  terminate " + FmtMs(stats.terminate_ms) + " ms";
+    if (stats.terminate_slots > 0) {
+      out += "  slots " + std::to_string(stats.terminate_slots) +
+             " (shared " + std::to_string(stats.terminate_shared_slots) + ")";
+    }
+    out += "\n";
   }
   return out;
 }
@@ -1122,7 +1133,10 @@ void SudafSession::ExecuteGroup(std::vector<QueryRun>* runs, bool share,
       TraceSpan terminate_span(m.trace.get(), "terminate", m.run.trace_span,
                                m.qm.dcounter("sudaf.phase.terminate_ms"));
       Result<std::unique_ptr<Table>> assembled = AssembleRewrittenResult(
-          m.rewritten, *m.stmt, *group_keys, rows, state_values);
+          m.rewritten, *m.stmt, *group_keys, rows, state_values, &m.qm);
+      const SlotProgram& program = m.rewritten.plan->terminate;
+      terminate_span.Event("slots", program.num_evaluated_slots());
+      terminate_span.Event("shared_slots", program.num_shared_slots());
       if (!assembled.ok()) {
         m.failed = assembled.status();
       } else {

@@ -123,6 +123,11 @@ struct ExecStats {
   int fused_log_product_channels = 0;  // Σ ln channels accumulated log-free
   int fused_threads = 1;        // workers per fused pass (mean of the
                                 // sudaf.fused.threads_used histogram delta)
+  // The terminate program (docs/execution.md, "Output-first terminate"):
+  // slots evaluated per vector, and slots reused across terminating
+  // functions (CSE hits). Zero in engine mode.
+  int terminate_slots = 0;
+  int terminate_shared_slots = 0;
 
   // Robustness counters (docs/robustness.md). A poisoned state has a
   // NaN/±Inf channel value: it is still served to the query that computed

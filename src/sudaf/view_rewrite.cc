@@ -223,7 +223,8 @@ Result<std::unique_ptr<Table>> ExecuteWithView(SudafSession* session,
   }
 
   return AssembleRewrittenResult(rewritten, *stmt, *input.group_keys, rows,
-                                 state_values);
+                                 state_values,
+                                 session->exec_options().metrics);
 }
 
 }  // namespace sudaf

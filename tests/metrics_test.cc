@@ -241,6 +241,7 @@ const char* const kProfileSchemaKeys[] = {
     "\"slots\":",
     "\"shared_slots\":",
     "\"threads_used\":",
+    "\"terminate\": {\"slots\":",
     "\"trace\":",
 };
 
@@ -329,6 +330,32 @@ TEST_F(ProfileTest, ExplainAnalyzeExecutesAndReturnsProfile) {
   // warm now.
   EXPECT_EQ(result->stats.num_states, 3);
   EXPECT_GT(session_->cache().num_entries(), 0);
+}
+
+// var's terminate program is s1, s2, s3, s3/s2, s1/s2, its square and
+// the difference: 7 slots, of which s2 is reused (the square multiplies
+// one s1/s2 slot by itself). The counts reach ExecStats and the EXPLAIN
+// ANALYZE terminate line.
+TEST_F(ProfileTest, TerminateSlotsReachStatsAndExplainAnalyze) {
+  auto result = session_->Execute(
+      "EXPLAIN ANALYZE SELECT g, var(x) FROM t GROUP BY g",
+      ExecMode::kSudafShare);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->stats.terminate_slots, 7);
+  EXPECT_EQ(result->stats.terminate_shared_slots, 1);
+  std::string terminate_line;
+  for (int64_t r = 0; r < (*result)->num_rows(); ++r) {
+    const std::string line = (*result)->column(0).GetString(r);
+    if (line.find("terminate") != std::string::npos) terminate_line = line;
+  }
+  EXPECT_NE(terminate_line.find("slots×1 (sum 7)"), std::string::npos)
+      << terminate_line;
+  EXPECT_NE(terminate_line.find("shared_slots×1 "), std::string::npos)
+      << terminate_line;
+  auto engine = session_->Execute("SELECT g, var(x) FROM t GROUP BY g",
+                                  ExecMode::kEngine);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  EXPECT_EQ(engine->stats.terminate_slots, 0);
 }
 
 TEST_F(ProfileTest, StatsArePerResultNeverStale) {

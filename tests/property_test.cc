@@ -7,17 +7,21 @@
 //    library ones.
 // 2. The share-mode execution must agree with no-share on arbitrary query
 //    sequences (cache coherence under random interleavings).
-// 3. The column-at-a-time terminating evaluation is bit-identical to the
-//    scalar per-group reference on every random UDAF.
+// 3. The compiled terminate program is bit-identical to the scalar
+//    per-group reference on every random UDAF, and shares subterms across
+//    a query's items.
 
 #include <cmath>
 #include <cstring>
 #include <sstream>
 
 #include "common/rng.h"
+#include "engine/slot_program.h"
 #include "expr/evaluator.h"
 #include "expr/parser.h"
+#include "sql/statement.h"
 #include "gtest/gtest.h"
+#include "sudaf/rewriter.h"
 #include "sudaf/session.h"
 #include "tests/test_util.h"
 
@@ -70,15 +74,15 @@ std::string RandomUdafExpression(Rng* rng, int depth = 0) {
   }
 }
 
-// The column-at-a-time terminate (EvalTerminatingRange) must equal the
-// scalar EvalTerminating bit for bit on every row: here over the true
-// state values and over rows that also reach zero, negatives, NaN and
-// rescaled states.
-void ExpectColumnTerminateMatchesScalar(const Expr& term,
-                                        const std::vector<double>& states,
-                                        uint64_t seed) {
+// The compiled terminate program (SlotProgram over state columns) must
+// equal the scalar EvalTerminating bit for bit on every row: here over the
+// true state values and over rows that also reach ±0, negatives, ±inf,
+// NaN, subnormals and rescaled states.
+void ExpectProgramMatchesScalarTerminate(const Expr& term,
+                                         const std::vector<double>& states,
+                                         uint64_t seed) {
   Rng rng(seed);
-  const int rows = 8;
+  const int rows = 14;
   std::vector<std::vector<double>> cols(states.size(),
                                         std::vector<double>(rows));
   for (size_t s = 0; s < states.size(); ++s) {
@@ -86,23 +90,78 @@ void ExpectColumnTerminateMatchesScalar(const Expr& term,
     cols[s][1] = 0.0;
     cols[s][2] = -states[s];
     cols[s][3] = std::nan("");
-    for (int r = 4; r < rows; ++r) {
+    cols[s][4] = -0.0;
+    cols[s][5] = HUGE_VAL;
+    cols[s][6] = -HUGE_VAL;
+    cols[s][7] = 4.9e-324;
+    cols[s][8] = states[s] * 1e-310;
+    cols[s][9] = -2.5e-310;
+    for (int r = 10; r < rows; ++r) {
       cols[s][r] = states[s] * rng.NextDoubleIn(0.25, 4.0);
     }
   }
   std::vector<const double*> ptrs;
   for (const std::vector<double>& c : cols) ptrs.push_back(c.data());
-  std::vector<double> got(rows);
-  EvalScratch scratch;
-  ASSERT_OK(EvalTerminatingRange(term, ptrs, rows, got.data(), &scratch));
+  SlotProgram program;
+  Result<int> root = program.Add(
+      term, SlotLeaves{nullptr, static_cast<int>(states.size())});
+  ASSERT_TRUE(root.ok()) << root.status().ToString();
+  program.MarkRoot(*root);
+  program.Finish();
+  SlotBuffers buffers;
+  buffers.Init(program, rows);
+  ASSERT_OK(EvalVector(program, &buffers, 0, rows, ptrs.data()));
   for (int r = 0; r < rows; ++r) {
     std::vector<double> row(states.size());
     for (size_t s = 0; s < states.size(); ++s) row[s] = cols[s][r];
     Result<double> want = EvalTerminating(term, row);
     ASSERT_TRUE(want.ok()) << want.status().ToString();
-    EXPECT_EQ(std::memcmp(&got[r], &*want, sizeof(double)), 0)
-        << term.ToString() << " row " << r << ": " << got[r] << " vs "
+    const double got = buffers.ptr[*root][r];
+    EXPECT_EQ(std::memcmp(&got, &*want, sizeof(double)), 0)
+        << term.ToString() << " row " << r << ": " << got << " vs "
         << *want;
+  }
+}
+
+// The slot of each item's terminating function in `plan`'s program.
+const Slot& ItemSlot(const RewritePlan& plan, int item) {
+  return plan.terminate.slots()[plan.terminate_roots[
+      plan.items[item].terminating_index]];
+}
+
+// The terminate program shares subterms across a query's items and lowers
+// constant exponents: var and stddev read one variance slot, (s1/s2)^2 is
+// a multiply, and qm's ^(1/2) folds to 0.5 and becomes a sqrt slot.
+TEST(TerminateProgramTest, SharesSubtermsAndLowersConstantPowers) {
+  UdafLibrary library = UdafLibrary::Standard();
+  ASSERT_OK_AND_ASSIGN(
+      auto stmt,
+      ParseSelect("SELECT g, avg(x), var(x), stddev(x) FROM t GROUP BY g"));
+  ASSERT_OK_AND_ASSIGN(RewrittenQuery rw, RewriteQuery(*stmt, library));
+  const RewritePlan& plan = *rw.plan;
+  const Slot& var = ItemSlot(plan, 2);
+  const Slot& stddev = ItemSlot(plan, 3);
+  EXPECT_EQ(var.kind, Slot::Kind::kSub);
+  EXPECT_EQ(stddev.kind, Slot::Kind::kSqrt);
+  EXPECT_EQ(stddev.a, plan.terminate_roots[plan.items[2].terminating_index]);
+  // avg's s1/s2 is var's mean, squared by one multiply.
+  const int mean = plan.terminate_roots[plan.items[1].terminating_index];
+  const Slot& square = plan.terminate.slots()[var.b];
+  EXPECT_EQ(square.kind, Slot::Kind::kMul);
+  EXPECT_EQ(square.a, mean);
+  EXPECT_EQ(square.b, mean);
+  for (const Slot& s : plan.terminate.slots()) {
+    EXPECT_NE(s.kind, Slot::Kind::kPow);
+  }
+  // s1, s2, s3, s1/s2, s1/s2·s1/s2, s3/s2, the variance, its sqrt.
+  EXPECT_EQ(plan.terminate.num_evaluated_slots(), 8);
+  EXPECT_GE(plan.terminate.num_shared_slots(), 2);
+
+  ASSERT_OK_AND_ASSIGN(auto qm_stmt, ParseSelect("SELECT qm(x) FROM t"));
+  ASSERT_OK_AND_ASSIGN(RewrittenQuery qm, RewriteQuery(*qm_stmt, library));
+  EXPECT_EQ(ItemSlot(*qm.plan, 0).kind, Slot::Kind::kPowHalf);
+  for (const Slot& s : qm.plan->terminate.slots()) {
+    EXPECT_NE(s.kind, Slot::Kind::kPow);
   }
 }
 
@@ -168,8 +227,8 @@ TEST_P(RandomUdafProperty, RewriteMatchesDirectEvaluation) {
     }
     auto reference = EvalTerminating(*form->terminating[0], state_values);
     ASSERT_TRUE(reference.ok()) << expression;
-    ExpectColumnTerminateMatchesScalar(*form->terminating[0], state_values,
-                                       100 * GetParam() + trial);
+    ExpectProgramMatchesScalarTerminate(*form->terminating[0], state_values,
+                                        100 * GetParam() + trial);
 
     // Both SUDAF modes (share runs twice: cold + warm).
     std::string sql = "SELECT " + expression + " AS out FROM t";

@@ -61,6 +61,8 @@ std::string StatsLine(const ExecStats& s) {
          " slots=" + std::to_string(s.fused_slots) +
          " shared_slots=" + std::to_string(s.fused_shared_slots) +
          " threads=" + std::to_string(s.fused_threads) +
+         " terminate_slots=" + std::to_string(s.terminate_slots) +
+         " terminate_shared=" + std::to_string(s.terminate_shared_slots) +
          " poisoned=" + std::to_string(s.states_poisoned) +
          " poison_evictions=" + std::to_string(s.cache_poison_evictions) +
          " epoch=" + std::to_string(s.cache_epoch_invalidations) +

@@ -7,6 +7,7 @@
 #include <limits>
 #include <thread>
 
+#include "bench_support/workload.h"
 #include "common/rng.h"
 #include "gtest/gtest.h"
 #include "sketch/maxent_solver.h"
@@ -125,6 +126,52 @@ TEST(MaxEntSolverTest, DensityIntegratesToOne) {
   double total = 0.0;
   for (double p : density) total += p;
   ExpectClose(1.0, total, 1e-9);
+}
+
+// A group of explore's model-3 query (two ss_list_price values, 65.886
+// and 66.0) whose Newton loop ends with a line search that rejects all
+// 40 candidates. The fit must return the accepted λ's density, not the
+// last rejected candidate's (which overflowed and failed the fit).
+TEST(MaxEntSolverTest, FailedLineSearchReturnsTheAcceptedDensity) {
+  const std::vector<double> power_sums = {
+      0x1.07c64db2d8b3bp+7,  0x1.0fc91ae3510f8p+13, 0x1.180a3ebec4419p+19,
+      0x1.208b9ecb6f8f4p+25, 0x1.294f2f5861cb4p+31, 0x1.3256f3f0d4db2p+37,
+      0x1.3ba4ffd30bfb9p+43, 0x1.453b766ad243bp+49, 0x1.4f1c8bcfb5bd8p+55,
+      0x1.594a85471c48ap+61};
+  const double min = 0x1.078b3b232c306p+6;
+  const double max = 0x1.080160428537p+6;
+  ASSERT_OK_AND_ASSIGN(std::vector<double> density,
+                       MaxEntDensity(min, max, 2.0, power_sums));
+  double total = 0.0;
+  for (double p : density) {
+    ASSERT_TRUE(std::isfinite(p) && p >= 0.0) << p;
+    total += p;
+  }
+  ExpectClose(1.0, total, 1e-12);
+  ASSERT_OK_AND_ASSIGN(double median,
+                       MaxEntQuantile(min, max, 2.0, power_sums, 0.5));
+  EXPECT_GE(median, min);
+  EXPECT_LE(median, max);
+}
+
+// Explore's model-3 approx_median over the default workload data: every
+// group's fit succeeds, in share and in no-share mode.
+TEST(MaxEntSolverTest, Model3ApproxMedianSucceedsOnWorkloadData) {
+  Catalog catalog;
+  ASSERT_OK(
+      bench::SetupWorkloadData(bench::WorkloadOptions(), &catalog));
+  SudafSession session(&catalog);
+  ASSERT_OK(bench::RegisterQuantileUdafs(&session, 10));
+  const std::string sql = bench::QueryModel(3, "approx_median");
+  for (ExecMode mode : {ExecMode::kSudafShare, ExecMode::kSudafNoShare}) {
+    ASSERT_OK_AND_ASSIGN(QueryResult r, session.Execute(sql, mode));
+    EXPECT_EQ(r->num_rows(), 100);
+    for (int c = 1; c < r->num_columns(); ++c) {
+      for (int64_t row = 0; row < r->num_rows(); ++row) {
+        EXPECT_TRUE(std::isfinite(r->column(c).GetFloat64(row)));
+      }
+    }
+  }
 }
 
 TEST(NativeQuantileUdafTest, StateTemplatesCoverTheSketch) {
