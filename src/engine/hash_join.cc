@@ -13,7 +13,7 @@ namespace sudaf {
 namespace {
 
 // Value of a numeric literal, possibly under unary minus, computed with the
-// same operations EvalNumericRange applies to it.
+// same operations EvalRow applies to it.
 bool LiteralValue(const Expr& e, double* v) {
   if (e.kind == ExprKind::kLiteral && e.literal.is_numeric()) {
     *v = e.literal.AsDouble();
@@ -129,66 +129,86 @@ std::pair<int64_t, int64_t> ScanRange(const Table& table,
   return {lo, hi};
 }
 
+// Runs every conjunct of `filter` over the base rows [lo, lo + len) of one
+// storage chunk (len <= kVector if the program has roots): the typed
+// kernels first (the first one
+// writing the selection, later ones compacting it in place), then the
+// program's roots, each compacting it to the rows whose value is not 0,
+// then EvalRow over the rows still selected. Conjuncts are row-local, so
+// the order never changes the result. Writes the offsets of the passing
+// rows into `sel` and returns their count.
+Result<uint32_t> SelectVector(const CompiledFilter& filter,
+                              const RowAccessor& accessor, int64_t lo,
+                              int64_t len, SlotBuffers* slots,
+                              uint32_t* sel) {
+  bool dense = true;  // every row of the vector selected, sel unset
+  uint32_t k = 0;
+  for (const CompiledPredicate& c : filter.kernels) {
+    k = ApplyCompiled(c, lo, len, dense, k, sel);
+    dense = false;
+    if (k == 0) return k;
+  }
+  if (!filter.roots.empty()) {
+    EvalVector(filter.program, slots, lo, len);
+    for (int root : filter.roots) {
+      const double* v = slots->ptr[root];
+      k = SelectIf(len, dense, k, sel, [v](int64_t i) { return v[i] != 0.0; });
+      dense = false;
+      if (k == 0) return k;
+    }
+  }
+  for (const Expr* pred : filter.interpreted) {
+    Status st;
+    k = SelectIf(len, dense, k, sel, [&](int64_t i) {
+      if (!st.ok()) return false;
+      Result<Value> v = EvalRow(*pred, accessor, lo + i);
+      if (!v.ok()) {
+        st = v.status();
+        return false;
+      }
+      return v->is_numeric() && v->AsDouble() != 0.0;
+    });
+    SUDAF_RETURN_IF_ERROR(st);
+    dense = false;
+    if (k == 0) return k;
+  }
+  return k;
+}
+
 // Evaluates the per-table filters; returns the selected row ids of table `t`.
 //
-// Each morsel runs the compiled conjuncts first (typed kernels writing the
-// selection, later ones compacting it in place), then the others: numeric
-// predicates evaluate vectorized over the morsel (EvalNumericRange) and
-// predicates touching strings evaluate row-at-a-time (EvalRow) over the
-// surviving rows only. Per-morsel selections are kept as offsets; a prefix
-// sum over their counts gives each morsel its write offset in the output,
-// so the row ids come out in ascending order for every worker count. The
-// scan range splits at the table's storage chunk ends before it splits
-// into morsels, so no morsel straddles a chunk and each kernel reads one
-// contiguous buffer; a single-chunk table gets the plain morsel grid.
+// Each conjunct's path is fixed once, before the first morsel
+// (CompileFilter). Every morsel then runs SelectVector, in kVector-row
+// steps when there is a program to evaluate, with one SlotBuffers per
+// worker. Per-morsel selections are kept
+// as offsets; a prefix sum over their counts gives each morsel its write
+// offset in the output, so the row ids come out in ascending order for
+// every worker count. The scan range splits at the table's storage chunk
+// ends before it splits into morsels, so no morsel straddles a chunk and
+// each kernel reads one contiguous buffer; a single-chunk table gets the
+// plain morsel grid.
 Result<std::vector<int64_t>> FilterTable(const QueryPlan& plan, int t,
                                          const ExecOptions& opts) {
   Table* table = plan.tables[t];
   const auto [lo, hi] = ScanRange(*table, opts);
-  std::vector<CompiledPredicate> compiled;
-  std::vector<const Expr*> preds;
+  std::vector<const Expr*> conjuncts;
   for (const TableFilter& f : plan.filters) {
-    if (f.table_index != t) continue;
-    std::optional<CompiledPredicate> c = CompilePredicate(*f.predicate, *table);
-    if (c.has_value()) {
-      compiled.push_back(*c);
-    } else {
-      preds.push_back(f.predicate);
-    }
+    if (f.table_index == t) conjuncts.push_back(f.predicate);
   }
   std::vector<int64_t> out;
-  if (compiled.empty() && preds.empty()) {
+  if (conjuncts.empty()) {
     out.resize(hi - lo);
     for (int64_t i = lo; i < hi; ++i) out[i - lo] = i;
     return out;
   }
   if (hi == lo) return out;
 
-  ColumnResolver resolver =
-      [table](const std::string& col) -> Result<const Column*> {
-    return table->GetColumn(col);
-  };
+  const CompiledFilter filter = CompileFilter(conjuncts, *table);
   RowAccessor accessor = [table](const std::string& col,
                                  int64_t row) -> Result<Value> {
     SUDAF_ASSIGN_OR_RETURN(const Column* c, table->GetColumn(col));
     return c->GetValue(row);
   };
-
-  // Classify each remaining predicate once: EvalNumericRange's failures
-  // (string columns, unknown names) are value-independent, so probing one
-  // row decides vectorized vs row-at-a-time mode for the whole scan.
-  std::vector<uint8_t> vectorized(preds.size(), 0);
-  {
-    EvalScratch probe_scratch;
-    double probe = 0;
-    for (size_t p = 0; p < preds.size(); ++p) {
-      vectorized[p] =
-          EvalNumericRange(*preds[p], resolver, 0, 1, &probe, &probe_scratch)
-              .ok();
-    }
-  }
-  bool any_vectorized = false;
-  for (uint8_t v : vectorized) any_vectorized |= v != 0;
 
   const int64_t span = hi - lo;
   const int64_t morsel = std::max(1, opts.morsel_size);
@@ -206,50 +226,39 @@ Result<std::vector<int64_t>> FilterTable(const QueryPlan& plan, int t,
                                ThreadPool::kMaxGlobalWorkers + 1);
 
   // Phase 1: per-morsel selections, one contiguous morsel range per
-  // worker. The decomposition never affects the result.
+  // worker. The decomposition never affects the result. A morsel runs in
+  // kVector-row steps when the program has roots (its buffers hold
+  // kVector rows), else in one step, which spares the kernels' selection
+  // the per-step offset shift.
   std::vector<std::vector<uint32_t>> morsel_sel(num_morsels);
+  const int64_t step_rows = filter.roots.empty() ? morsel : kVector;
   auto run_range = [&](int64_t wi) -> Status {
-    EvalScratch scratch;
     const int64_t m_lo = num_morsels * wi / workers;
     const int64_t m_hi = num_morsels * (wi + 1) / workers;
-    const int64_t buf_len = std::min(morsel, span);
-    std::vector<uint32_t> sel(static_cast<size_t>(buf_len));
-    std::vector<double> buf(any_vectorized ? static_cast<size_t>(buf_len) : 0);
+    std::vector<uint32_t> sel(static_cast<size_t>(std::min(morsel, span)));
+    SlotBuffers slots;
+    slots.Init(filter.program, std::min(kVector, span));
     for (int64_t m = m_lo; m < m_hi; ++m) {
       if (opts.guard != nullptr) {
         SUDAF_RETURN_IF_ERROR(opts.guard->Check());
       }
       const int64_t mlo = bounds[m];
       const int64_t len = bounds[m + 1] - mlo;
-      bool dense = true;  // every row of the morsel selected, sel unset
-      uint32_t k = 0;
-      for (const CompiledPredicate& c : compiled) {
-        k = ApplyCompiled(c, mlo, len, dense, k, sel.data());
-        dense = false;
-        if (k == 0) break;
-      }
-      for (size_t p = 0; p < preds.size() && (dense || k > 0); ++p) {
-        if (vectorized[p]) {
-          SUDAF_RETURN_IF_ERROR(EvalNumericRange(
-              *preds[p], resolver, mlo, mlo + len, buf.data(), &scratch));
-          k = SelectIf(len, dense, k, sel.data(),
-                       [&](int64_t i) { return buf[i] != 0.0; });
-        } else {
-          Status st;
-          k = SelectIf(len, dense, k, sel.data(), [&](int64_t i) {
-            if (!st.ok()) return false;
-            Result<Value> v = EvalRow(*preds[p], accessor, mlo + i);
-            if (!v.ok()) {
-              st = v.status();
-              return false;
-            }
-            return v->is_numeric() && v->AsDouble() != 0.0;
-          });
-          SUDAF_RETURN_IF_ERROR(st);
+      // Step v's survivors follow the earlier steps' in `sel`, shifted to
+      // morsel offsets.
+      uint32_t kept = 0;
+      for (int64_t v = 0; v < len; v += step_rows) {
+        uint32_t* step = sel.data() + kept;
+        SUDAF_ASSIGN_OR_RETURN(
+            const uint32_t k,
+            SelectVector(filter, accessor, mlo + v,
+                         std::min(step_rows, len - v), &slots, step));
+        if (v > 0) {
+          for (uint32_t j = 0; j < k; ++j) step[j] += static_cast<uint32_t>(v);
         }
-        dense = false;
+        kept += k;
       }
-      morsel_sel[m].assign(sel.begin(), sel.begin() + k);
+      morsel_sel[m].assign(sel.begin(), sel.begin() + kept);
     }
     return Status::OK();
   };
@@ -323,6 +332,31 @@ std::optional<CompiledPredicate> CompilePredicate(const Expr& pred,
     return std::nullopt;
   }
   return CompiledPredicate{*column, op, literal};
+}
+
+CompiledFilter CompileFilter(const std::vector<const Expr*>& conjuncts,
+                             const Table& table) {
+  CompiledFilter filter;
+  const ColumnBinder binder =
+      [&table](const std::string& name) -> Result<BoundColumn> {
+    SUDAF_ASSIGN_OR_RETURN(const Column* col, table.GetColumn(name));
+    return BoundColumn{col, nullptr, 0};
+  };
+  for (const Expr* c : conjuncts) {
+    if (std::optional<CompiledPredicate> kernel = CompilePredicate(*c, table)) {
+      filter.kernels.push_back(*kernel);
+      continue;
+    }
+    Result<int> root = filter.program.Add(*c, SlotLeaves{&binder});
+    if (root.ok()) {
+      filter.program.MarkRoot(*root);
+      filter.roots.push_back(*root);
+    } else {
+      filter.interpreted.push_back(c);
+    }
+  }
+  filter.program.Finish();
+  return filter;
 }
 
 Result<JoinedRows> FilterAndJoin(const QueryPlan& plan,

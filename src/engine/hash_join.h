@@ -14,6 +14,7 @@
 #include "common/status.h"
 #include "engine/exec_options.h"
 #include "engine/plan.h"
+#include "engine/slot_program.h"
 
 namespace sudaf {
 
@@ -42,22 +43,45 @@ struct CompiledPredicate {
 };
 
 // Compiles `pred` against `table`, or nullopt when it has another shape
-// (the filter then evaluates it through EvalNumericRange or EvalRow).
+// (CompileFilter then puts it in the table's SlotProgram, or on EvalRow).
 std::optional<CompiledPredicate> CompilePredicate(const Expr& pred,
                                                   const Table& table);
+
+// One table's WHERE conjuncts, each on the path CompileFilter fixed for it
+// from the expression and the column types alone, before the first row:
+//   * `kernels`: the conjuncts CompilePredicate accepts;
+//   * `program`: the other conjuncts SlotProgram::Add accepts, compiled
+//     into one program so conjuncts share subterms, with one root per
+//     conjunct in `roots`; a row passes a root whose value is not 0;
+//   * `interpreted`: the conjuncts Add refuses (a string column or
+//     literal, an unknown name or function, an aggregate), run through
+//     EvalRow.
+// The program follows LowerPow as EvalRow does, so a conjunct selects the
+// same rows on either of those paths.
+struct CompiledFilter {
+  std::vector<CompiledPredicate> kernels;
+  SlotProgram program;
+  std::vector<int> roots;
+  std::vector<const Expr*> interpreted;
+};
+
+CompiledFilter CompileFilter(const std::vector<const Expr*>& conjuncts,
+                             const Table& table);
 
 // Evaluates all single-table filters and joins all tables of `plan` into one
 // tuple stream, starting from the largest filtered table and repeatedly
 // attaching a table connected by a join edge (int64 keys only). Join edges
 // between already-joined tables become post-join filters.
 //
-// Filtering runs per morsel into a selection of surviving rows: compiled
-// conjuncts first, each writing or compacting the selection in place, then
-// the other conjuncts filtering it through the interpreted evaluator.
-// Under opts.parallel workers take contiguous morsel ranges, and the
-// selected row ids are written at offsets from a prefix sum over
-// per-morsel counts, so the selection is identical to the serial one for
-// every thread count. The join itself stays serial.
+// Filtering runs per morsel into a selection of surviving rows (in
+// kVector-row steps when some conjunct is compiled into the program): the
+// typed kernels first, each writing or compacting
+// the selection in place, then the compiled program's roots, then the
+// EvalRow conjuncts over the rows still selected. Under opts.parallel
+// workers take contiguous morsel ranges, and the selected row ids are
+// written at offsets from a prefix sum over per-morsel counts, so the
+// selection is identical to the serial one for every thread count. The
+// join itself stays serial.
 Result<JoinedRows> FilterAndJoin(const QueryPlan& plan,
                                  const ExecOptions& opts = {});
 

@@ -320,8 +320,8 @@ const double* LoadColumn(const Slot& s, int64_t lo, int64_t len,
 
 }  // namespace
 
-Status EvalVector(const SlotProgram& program, SlotBuffers* w, int64_t lo,
-                  int64_t len, const double* const* states) {
+void EvalVector(const SlotProgram& program, SlotBuffers* w, int64_t lo,
+                int64_t len, const double* const* states) {
   const std::vector<Slot>& slots = program.slots();
   for (size_t i = 0; i < slots.size(); ++i) {
     if (!program.evaluated(i)) continue;
@@ -415,7 +415,7 @@ Status EvalVector(const SlotProgram& program, SlotBuffers* w, int64_t lo,
         const double* a = w->ptr[s.a];
         const double* b = w->ptr[s.b];
         for (int64_t r = 0; r < len; ++r) {
-          SUDAF_ASSIGN_OR_RETURN(out[r], ApplyBinaryOp(s.bin_op, a[r], b[r]));
+          out[r] = ApplyBinaryOp(s.bin_op, a[r], b[r]);
         }
         break;
       }
@@ -431,7 +431,6 @@ Status EvalVector(const SlotProgram& program, SlotBuffers* w, int64_t lo,
       }
     }
   }
-  return Status::OK();
 }
 
 }  // namespace sudaf

@@ -1,20 +1,24 @@
 #ifndef SUDAF_ENGINE_SLOT_PROGRAM_H_
 #define SUDAF_ENGINE_SLOT_PROGRAM_H_
 
-// The vector expression DAG shared by the fused state pass and terminate.
+// The vector expression DAG shared by the fused state pass, terminate and
+// the WHERE filter.
 //
 // A SlotProgram compiles expressions into one flat list of slots. Slots
 // are interned structurally (same kind + same child slots => same slot),
 // so a subexpression that several expressions contain is computed once:
-// sum(x) and sum(x*y) read one column-x slot, and var and stddev read one
-// variance slot. Literal-only subtrees fold to one literal when they are
-// added, and a constant exponent is lowered onto multiplies, sqrt and a
+// sum(x) and sum(x*y) read one column-x slot, var and stddev read one
+// variance slot, and two conjuncts of one table's WHERE read one x*y
+// slot. Literal-only subtrees fold to one literal when they are added,
+// and a constant exponent is lowered onto multiplies, sqrt and a
 // reciprocal (LowerPow, docs/execution.md, "Constant exponents"), reusing
 // the x^2 slot a sibling already needs for x^4.
 //
 // Leaves are literals, base columns bound through a ColumnBinder (the
-// fused pass's inputs f_j(x)) and state columns (the terminating
-// functions' kStateRef s_k, read in place). EvalVector evaluates every
+// fused pass's inputs f_j(x), the filter's columns) and state columns
+// (the terminating functions' kStateRef s_k, read in place). Comparisons
+// and AND/OR are kGenericBinary slots yielding 0/1, so a numeric WHERE
+// conjunct compiles like any other expression. EvalVector evaluates every
 // slot a root reads over at most kVector rows at a time into per-caller
 // buffers (SlotBuffers).
 
@@ -58,7 +62,7 @@ struct Slot {
     kExp,
     kAbs,
     kSgn,
-    kGenericBinary,  // comparisons / logic via ApplyBinaryOp
+    kGenericBinary,  // comparisons / logic (0/1) via ApplyBinaryOp
     kGenericFunc,    // scalar function resolved to a pointer at build time
   };
   Kind kind = Kind::kLiteral;
@@ -84,7 +88,10 @@ struct SlotLeaves {
 
 class SlotProgram {
  public:
-  // Compiles `e` into the DAG and returns its root slot.
+  // Compiles `e` into the DAG and returns its root slot. Refuses (with a
+  // TypeError or the binder's error) a string column or literal, an
+  // unknown column or function, an aggregate, and a leaf `leaves` does not
+  // provide; every other expression evaluates per row without failing.
   Result<int> Add(const Expr& e, const SlotLeaves& leaves);
 
   // Marks `slot` as read by a consumer. Finish() then marks every slot a
@@ -133,8 +140,8 @@ struct SlotBuffers {
 // Evaluates every evaluated slot over rows [lo, lo + len), len ≤ the
 // buffers' length; kState k reads states[k] + lo. Afterwards
 // w->ptr[i][r] is slot i's value at row lo + r.
-Status EvalVector(const SlotProgram& program, SlotBuffers* w, int64_t lo,
-                  int64_t len, const double* const* states = nullptr);
+void EvalVector(const SlotProgram& program, SlotBuffers* w, int64_t lo,
+                int64_t len, const double* const* states = nullptr);
 
 }  // namespace sudaf
 

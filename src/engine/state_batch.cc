@@ -519,7 +519,7 @@ Result<std::vector<std::vector<double>>> ComputeStateBatch(
           // whatever the vector length, so no answer depends on kVector.
           for (int64_t v = lo; v < lo + len; v += kVector) {
             const int64_t vlen = std::min(kVector, lo + len - v);
-            SUDAF_RETURN_IF_ERROR(EvalVector(plan.program(), &we, v, vlen));
+            EvalVector(plan.program(), &we, v, vlen);
             AccumulateVector(plan, we, group_ids.data(), v, vlen, num_groups,
                              acc, logs);
           }

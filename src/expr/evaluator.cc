@@ -7,8 +7,6 @@ namespace sudaf {
 
 namespace {
 
-double Sgn(double x) { return x > 0 ? 1.0 : (x < 0 ? -1.0 : 0.0); }
-
 // Resolved scalar-function bodies. Arity is validated by ResolveScalarFunc;
 // these assume `a` points at the right number of doubles.
 double FnSqrt(const double* a) { return std::sqrt(a[0]); }
@@ -16,7 +14,9 @@ double FnLn(const double* a) { return std::log(a[0]); }
 double FnLog2(const double* a) { return std::log(a[1]) / std::log(a[0]); }
 double FnExp(const double* a) { return std::exp(a[0]); }
 double FnAbs(const double* a) { return std::fabs(a[0]); }
-double FnSgn(const double* a) { return Sgn(a[0]); }
+double FnSgn(const double* a) {
+  return a[0] > 0 ? 1.0 : (a[0] < 0 ? -1.0 : 0.0);
+}
 double FnPow(const double* a) { return std::pow(a[0], a[1]); }
 double FnNullif(const double* a) {
   if (a[0] == a[1]) return std::numeric_limits<double>::quiet_NaN();
@@ -24,7 +24,9 @@ double FnNullif(const double* a) {
 }
 double FnNot(const double* a) { return a[0] == 0.0 ? 1.0 : 0.0; }
 
-Result<double> NumericBinary(BinaryOp op, double a, double b) {
+}  // namespace
+
+double ApplyBinaryOp(BinaryOp op, double a, double b) {
   switch (op) {
     case BinaryOp::kAdd:
       return a + b;
@@ -53,13 +55,7 @@ Result<double> NumericBinary(BinaryOp op, double a, double b) {
     case BinaryOp::kOr:
       return (a != 0.0 || b != 0.0) ? 1.0 : 0.0;
   }
-  return Status::Internal("bad binary op");
-}
-
-}  // namespace
-
-Result<double> ApplyBinaryOp(BinaryOp op, double a, double b) {
-  return NumericBinary(op, a, b);
+  return std::numeric_limits<double>::quiet_NaN();  // the switch is exhaustive
 }
 
 Result<ScalarFn> ResolveScalarFunc(const std::string& name, int arity) {
@@ -103,8 +99,46 @@ bool IsKnownScalarFunc(const std::string& name) {
   return false;
 }
 
+namespace {
+
+bool IsLiteralOnly(const Expr& e) {
+  switch (e.kind) {
+    case ExprKind::kLiteral:
+      return e.literal.is_numeric();
+    case ExprKind::kUnaryMinus:
+    case ExprKind::kBinary:
+    case ExprKind::kFuncCall:
+      for (const ExprPtr& a : e.args) {
+        if (!IsLiteralOnly(*a)) return false;
+      }
+      return true;
+    default:
+      return false;
+  }
+}
+
+// The exponent c of `e` when `e` is a power (`^`, pow, power) whose
+// exponent folds to a constant: every evaluator computes it as
+// EvalPow(base, c).
+bool ConstantPow(const Expr& e, double* c) {
+  const bool pow =
+      (e.kind == ExprKind::kBinary && e.bin_op == BinaryOp::kPow) ||
+      (e.kind == ExprKind::kFuncCall &&
+       (e.func_name == "pow" || e.func_name == "power") &&
+       e.args.size() == 2);
+  return pow && FoldConstant(*e.args[1], c);
+}
+
+}  // namespace
+
 Result<Value> EvalRow(const Expr& expr, const RowAccessor& accessor,
                       int64_t row) {
+  double c;
+  if (ConstantPow(expr, &c)) {
+    SUDAF_ASSIGN_OR_RETURN(Value x, EvalRow(*expr.args[0], accessor, row));
+    if (!x.is_numeric()) return Status::TypeError("power of a string");
+    return Value(EvalPow(x.AsDouble(), c));
+  }
   switch (expr.kind) {
     case ExprKind::kLiteral:
       return expr.literal;
@@ -152,9 +186,7 @@ Result<Value> EvalRow(const Expr& expr, const RowAccessor& accessor,
             return Status::TypeError("arithmetic on strings");
         }
       }
-      SUDAF_ASSIGN_OR_RETURN(
-          double r, NumericBinary(expr.bin_op, a.AsDouble(), b.AsDouble()));
-      return Value(r);
+      return Value(ApplyBinaryOp(expr.bin_op, a.AsDouble(), b.AsDouble()));
     }
     case ExprKind::kFuncCall: {
       std::vector<double> args;
@@ -176,194 +208,6 @@ Result<Value> EvalRow(const Expr& expr, const RowAccessor& accessor,
       return Status::TypeError("state reference in row context");
   }
   return Status::Internal("bad expr kind");
-}
-
-std::vector<double>* EvalScratch::Acquire(int64_t size) {
-  std::unique_ptr<std::vector<double>> buf;
-  if (!free_.empty()) {
-    buf = std::move(free_.back());
-    free_.pop_back();
-  } else {
-    buf = std::make_unique<std::vector<double>>();
-  }
-  if (static_cast<int64_t>(buf->size()) < size) buf->resize(size);
-  std::vector<double>* raw = buf.get();
-  in_use_.push_back(std::move(buf));
-  return raw;
-}
-
-void EvalScratch::Release(std::vector<double>* buf) {
-  for (auto it = in_use_.begin(); it != in_use_.end(); ++it) {
-    if (it->get() == buf) {
-      free_.push_back(std::move(*it));
-      in_use_.erase(it);
-      return;
-    }
-  }
-}
-
-namespace {
-
-// RAII borrow from an EvalScratch pool.
-class ScratchBuffer {
- public:
-  ScratchBuffer(EvalScratch* scratch, int64_t size)
-      : scratch_(scratch), buf_(scratch->Acquire(size)) {}
-  ScratchBuffer(ScratchBuffer&& other) noexcept
-      : scratch_(other.scratch_), buf_(other.buf_) {
-    other.buf_ = nullptr;
-  }
-  ScratchBuffer(const ScratchBuffer&) = delete;
-  ScratchBuffer& operator=(const ScratchBuffer&) = delete;
-  ScratchBuffer& operator=(ScratchBuffer&&) = delete;
-  ~ScratchBuffer() {
-    if (buf_ != nullptr) scratch_->Release(buf_);
-  }
-  double* data() { return buf_->data(); }
-
- private:
-  EvalScratch* scratch_;
-  std::vector<double>* buf_;
-};
-
-}  // namespace
-
-Status EvalNumericRange(const Expr& expr, const ColumnResolver& resolver,
-                        int64_t lo, int64_t hi, double* out,
-                        EvalScratch* scratch) {
-  const int64_t n = hi - lo;
-  switch (expr.kind) {
-    case ExprKind::kLiteral: {
-      if (!expr.literal.is_numeric()) {
-        return Status::TypeError("string literal in numeric vector context");
-      }
-      const double v = expr.literal.AsDouble();
-      for (int64_t i = 0; i < n; ++i) out[i] = v;
-      return Status::OK();
-    }
-    case ExprKind::kColumnRef: {
-      SUDAF_ASSIGN_OR_RETURN(const Column* col, resolver(expr.column));
-      if (col->type() == DataType::kString) {
-        return Status::TypeError("string column in numeric context: " +
-                                 expr.column);
-      }
-      // Rows [lo, hi) are read chunk span by chunk span (one span unless
-      // the range crosses a storage chunk end).
-      if (col->type() == DataType::kFloat64) {
-        col->ForEachSpan<double>(
-            lo, hi, [&](const double* v, int64_t a, int64_t b) {
-              double* o = out + (a - lo);
-              for (int64_t i = 0; i < b - a; ++i) o[i] = v[i];
-            });
-      } else {
-        col->ForEachSpan<int64_t>(
-            lo, hi, [&](const int64_t* v, int64_t a, int64_t b) {
-              double* o = out + (a - lo);
-              for (int64_t i = 0; i < b - a; ++i) {
-                o[i] = static_cast<double>(v[i]);
-              }
-            });
-      }
-      return Status::OK();
-    }
-    case ExprKind::kUnaryMinus: {
-      SUDAF_RETURN_IF_ERROR(
-          EvalNumericRange(*expr.args[0], resolver, lo, hi, out, scratch));
-      for (int64_t i = 0; i < n; ++i) out[i] = -out[i];
-      return Status::OK();
-    }
-    case ExprKind::kBinary: {
-      SUDAF_RETURN_IF_ERROR(
-          EvalNumericRange(*expr.args[0], resolver, lo, hi, out, scratch));
-      ScratchBuffer rhs(scratch, n);
-      double* b = rhs.data();
-      SUDAF_RETURN_IF_ERROR(
-          EvalNumericRange(*expr.args[1], resolver, lo, hi, b, scratch));
-      // Tight loops per operator for the hot cases.
-      switch (expr.bin_op) {
-        case BinaryOp::kAdd:
-          for (int64_t i = 0; i < n; ++i) out[i] += b[i];
-          return Status::OK();
-        case BinaryOp::kSub:
-          for (int64_t i = 0; i < n; ++i) out[i] -= b[i];
-          return Status::OK();
-        case BinaryOp::kMul:
-          for (int64_t i = 0; i < n; ++i) out[i] *= b[i];
-          return Status::OK();
-        case BinaryOp::kDiv:
-          for (int64_t i = 0; i < n; ++i) out[i] /= b[i];
-          return Status::OK();
-        case BinaryOp::kPow:
-          for (int64_t i = 0; i < n; ++i) out[i] = std::pow(out[i], b[i]);
-          return Status::OK();
-        default: {
-          for (int64_t i = 0; i < n; ++i) {
-            SUDAF_ASSIGN_OR_RETURN(out[i],
-                                   NumericBinary(expr.bin_op, out[i], b[i]));
-          }
-          return Status::OK();
-        }
-      }
-    }
-    case ExprKind::kFuncCall: {
-      // Specialize common unary functions (evaluated in place).
-      if (expr.args.size() == 1) {
-        const std::string& f = expr.func_name;
-        if (f == "sqrt" || f == "ln" || f == "log" || f == "exp" ||
-            f == "abs" || f == "sgn") {
-          SUDAF_RETURN_IF_ERROR(
-              EvalNumericRange(*expr.args[0], resolver, lo, hi, out, scratch));
-          if (f == "sqrt") {
-            for (int64_t i = 0; i < n; ++i) out[i] = std::sqrt(out[i]);
-          } else if (f == "ln" || f == "log") {
-            for (int64_t i = 0; i < n; ++i) out[i] = std::log(out[i]);
-          } else if (f == "exp") {
-            for (int64_t i = 0; i < n; ++i) out[i] = std::exp(out[i]);
-          } else if (f == "abs") {
-            for (int64_t i = 0; i < n; ++i) out[i] = std::fabs(out[i]);
-          } else {
-            for (int64_t i = 0; i < n; ++i) out[i] = Sgn(out[i]);
-          }
-          return Status::OK();
-        }
-      }
-      SUDAF_ASSIGN_OR_RETURN(
-          ScalarFn fn,
-          ResolveScalarFunc(expr.func_name,
-                            static_cast<int>(expr.args.size())));
-      std::vector<ScratchBuffer> arg_bufs;
-      std::vector<double*> arg_ptrs;
-      arg_bufs.reserve(expr.args.size());
-      arg_ptrs.reserve(expr.args.size());
-      for (const auto& a : expr.args) {
-        arg_bufs.emplace_back(scratch, n);
-        arg_ptrs.push_back(arg_bufs.back().data());
-        SUDAF_RETURN_IF_ERROR(
-            EvalNumericRange(*a, resolver, lo, hi, arg_ptrs.back(), scratch));
-      }
-      std::vector<double> args(expr.args.size());
-      for (int64_t i = 0; i < n; ++i) {
-        for (size_t j = 0; j < arg_ptrs.size(); ++j) args[j] = arg_ptrs[j][i];
-        out[i] = fn(args.data());
-      }
-      return Status::OK();
-    }
-    case ExprKind::kAggCall:
-    case ExprKind::kStateRef:
-      return Status::TypeError("aggregate in vectorized scalar context: " +
-                               expr.ToString());
-  }
-  return Status::Internal("bad expr kind");
-}
-
-Result<std::vector<double>> EvalNumericVector(const Expr& expr,
-                                              const ColumnResolver& resolver,
-                                              int64_t num_rows) {
-  std::vector<double> out(num_rows);
-  EvalScratch scratch;
-  SUDAF_RETURN_IF_ERROR(
-      EvalNumericRange(expr, resolver, 0, num_rows, out.data(), &scratch));
-  return out;
 }
 
 PowLowering LowerPow(double c) {
@@ -403,41 +247,6 @@ double EvalPow(double x, double c) {
   return p.recip ? 1.0 / v : v;
 }
 
-namespace {
-
-bool IsLiteralOnly(const Expr& e) {
-  switch (e.kind) {
-    case ExprKind::kLiteral:
-      return e.literal.is_numeric();
-    case ExprKind::kUnaryMinus:
-    case ExprKind::kBinary:
-    case ExprKind::kFuncCall:
-      for (const ExprPtr& a : e.args) {
-        if (!IsLiteralOnly(*a)) return false;
-      }
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool IsPowCall(const Expr& e) {
-  return e.kind == ExprKind::kFuncCall &&
-         (e.func_name == "pow" || e.func_name == "power") &&
-         e.args.size() == 2;
-}
-
-Result<double> EvalTerminatingPow(const Expr& base, const Expr& exponent,
-                                  const std::vector<double>& states) {
-  SUDAF_ASSIGN_OR_RETURN(double a, EvalTerminating(base, states));
-  double c;
-  if (FoldConstant(exponent, &c)) return EvalPow(a, c);
-  SUDAF_ASSIGN_OR_RETURN(double b, EvalTerminating(exponent, states));
-  return std::pow(a, b);
-}
-
-}  // namespace
-
 bool FoldConstant(const Expr& e, double* v) {
   if (!IsLiteralOnly(e)) return false;
   Result<double> r = EvalTerminating(e, {});
@@ -448,6 +257,11 @@ bool FoldConstant(const Expr& e, double* v) {
 
 Result<double> EvalTerminating(const Expr& expr,
                                const std::vector<double>& states) {
+  double c;
+  if (ConstantPow(expr, &c)) {
+    SUDAF_ASSIGN_OR_RETURN(double x, EvalTerminating(*expr.args[0], states));
+    return EvalPow(x, c);
+  }
   switch (expr.kind) {
     case ExprKind::kLiteral:
       if (!expr.literal.is_numeric()) {
@@ -467,17 +281,11 @@ Result<double> EvalTerminating(const Expr& expr,
       return -v;
     }
     case ExprKind::kBinary: {
-      if (expr.bin_op == BinaryOp::kPow) {
-        return EvalTerminatingPow(*expr.args[0], *expr.args[1], states);
-      }
       SUDAF_ASSIGN_OR_RETURN(double a, EvalTerminating(*expr.args[0], states));
       SUDAF_ASSIGN_OR_RETURN(double b, EvalTerminating(*expr.args[1], states));
-      return NumericBinary(expr.bin_op, a, b);
+      return ApplyBinaryOp(expr.bin_op, a, b);
     }
     case ExprKind::kFuncCall: {
-      if (IsPowCall(expr)) {
-        return EvalTerminatingPow(*expr.args[0], *expr.args[1], states);
-      }
       std::vector<double> args;
       args.reserve(expr.args.size());
       for (const auto& a : expr.args) {

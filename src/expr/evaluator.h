@@ -3,26 +3,29 @@
 
 // Expression evaluation.
 //
-// Three evaluation modes:
-//   * Row mode over boxed Values — used for predicates (which may touch
-//     strings) and by the hardcoded-UDAF execution path.
-//   * Vectorized numeric mode over whole columns — used by the fast SUDAF
-//     path to compute aggregation-state inputs f(x_i).
+// Two scalar evaluators, plus the shared constant-exponent rule:
+//   * Row mode over boxed Values (EvalRow) — engine mode's interpreted
+//     UDAF updates, HAVING, and the WHERE conjuncts the compiled program
+//     refuses (a string column or literal, an unknown name or function,
+//     an aggregate).
 //   * Terminating mode — evaluates a terminating function T over the values
 //     of aggregation states (kStateRef nodes) for one group: the scalar
 //     reference for the compiled slot program that terminates a column of
-//     groups at a time (engine/slot_program.h).
+//     groups at a time.
+// Vector evaluation has one path: the compiled SlotProgram
+// (engine/slot_program.h), which computes the fused pass's state inputs
+// f(x_i), the terminating functions and the WHERE filter's numeric
+// residual conjuncts. All three lower a constant exponent as LowerPow
+// says, so they give the same bits for x^c.
 
 #include <cmath>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/status.h"
 #include "common/value.h"
 #include "expr/expr.h"
-#include "storage/column.h"
 
 namespace sudaf {
 
@@ -50,9 +53,9 @@ Result<ScalarFn> ResolveScalarFunc(const std::string& name, int arity);
 bool IsKnownScalarFunc(const std::string& name);
 
 // Applies a numeric binary operator to two doubles (comparison/logic
-// operators yield 0/1). Exposed for the fused StateBatch executor's generic
-// slots; arithmetic operators never fail.
-Result<double> ApplyBinaryOp(BinaryOp op, double a, double b);
+// operators yield 0/1; `^` is std::pow). Never fails: the slot program's
+// comparison and logic slots call it per row.
+double ApplyBinaryOp(BinaryOp op, double a, double b);
 
 // --- Row mode ---------------------------------------------------------------
 
@@ -60,48 +63,12 @@ Result<double> ApplyBinaryOp(BinaryOp op, double a, double b);
 using RowAccessor =
     std::function<Result<Value>(const std::string& column, int64_t row)>;
 
-// Evaluates `expr` for row `row`. Comparison/logic operators yield int64 0/1.
-// Aggregate calls and state refs are errors in this mode.
+// Evaluates `expr` for row `row`. Comparison/logic operators yield 0/1.
+// A power whose exponent folds to a constant (FoldConstant) goes through
+// EvalPow, as in EvalTerminating and the slot program. Aggregate calls and
+// state refs are errors in this mode.
 Result<Value> EvalRow(const Expr& expr, const RowAccessor& accessor,
                       int64_t row);
-
-// --- Vectorized numeric mode -------------------------------------------------
-
-// Resolves a column name to a Column (numeric columns only in this mode).
-using ColumnResolver =
-    std::function<Result<const Column*>(const std::string& column)>;
-
-// Evaluates a purely scalar numeric expression over rows [0, num_rows),
-// producing one double per row. Aggregates/state refs/strings are errors.
-Result<std::vector<double>> EvalNumericVector(const Expr& expr,
-                                              const ColumnResolver& resolver,
-                                              int64_t num_rows);
-
-// Reusable intermediate buffers for EvalNumericRange. One pool per caller
-// (not thread-safe); buffers grow to the largest range evaluated and are
-// recycled across calls, so a morsel loop allocates only on its first
-// iteration.
-class EvalScratch {
- public:
-  // Borrows a buffer of at least `size` doubles (contents unspecified).
-  std::vector<double>* Acquire(int64_t size);
-  // Returns a borrowed buffer to the pool.
-  void Release(std::vector<double>* buf);
-
- private:
-  std::vector<std::unique_ptr<std::vector<double>>> free_;
-  std::vector<std::unique_ptr<std::vector<double>>> in_use_;
-};
-
-// Range-based variant of EvalNumericVector: evaluates `expr` for rows
-// [lo, hi) of the resolved columns, writing the hi-lo results into the
-// caller-provided `out` buffer. Intermediates come from `scratch` instead of
-// per-node heap allocations — this is the building block of the morsel-driven
-// executor, where the same expression is evaluated over many small row
-// ranges and must not allocate per morsel.
-Status EvalNumericRange(const Expr& expr, const ColumnResolver& resolver,
-                        int64_t lo, int64_t hi, double* out,
-                        EvalScratch* scratch);
 
 // --- Terminating mode ---------------------------------------------------------
 
@@ -125,8 +92,9 @@ bool FoldConstant(const Expr& e, double* v);
 //   * an integer |c| = k ≤ 16 is the chain ((x·x)·x)… of k factors;
 //   * |c| = 0.5 is PowHalf(x);
 //   * a negative c then takes the reciprocal 1 / (…).
-// Any other c stays std::pow. The fused pass and terminate build this
-// into slots (SlotProgram); EvalPow applies it to one value.
+// Any other c stays std::pow. The slot program builds this into slots
+// (SlotProgram::BuildPow); EvalRow and EvalTerminating apply it to one
+// value through EvalPow.
 struct PowLowering {
   enum class Kind { kPow, kOne, kChain, kHalf };
   Kind kind = Kind::kPow;

@@ -320,8 +320,7 @@ Result<std::unique_ptr<Table>> AssembleRewrittenResult(
   std::vector<double> values;
   for (int64_t lo = 0; lo < n; lo += kVector) {
     const int64_t len = std::min(kVector, n - lo);
-    SUDAF_RETURN_IF_ERROR(
-        EvalVector(program, &buffers, lo, len, states.data()));
+    EvalVector(program, &buffers, lo, len, states.data());
     for (size_t i = 0; i < items.size(); ++i) {
       const ItemPlan& item = items[i];
       Column& dst = result->column(static_cast<int>(i));

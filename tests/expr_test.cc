@@ -1,11 +1,18 @@
 // Tests for expr/: lexer, parser, AST utilities and evaluators.
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <vector>
 
+#include "engine/input_binding.h"
+#include "engine/slot_program.h"
 #include "expr/evaluator.h"
 #include "expr/lexer.h"
 #include "expr/parser.h"
 #include "gtest/gtest.h"
+#include "storage/column.h"
 #include "tests/test_util.h"
 
 namespace sudaf {
@@ -211,17 +218,95 @@ TEST(EvalRowTest, AggregateInRowContextIsError) {
   EXPECT_FALSE(EvalRow(*e, nullptr, 0).ok());
 }
 
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// EvalRow of `text` with x and y bound to the given values.
+double EvalRowXY(const std::string& text, double x, double y = 0.0) {
+  RowAccessor accessor = [x, y](const std::string& col,
+                                int64_t) -> Result<Value> {
+    if (col == "x") return Value(x);
+    if (col == "y") return Value(y);
+    return Status::NotFound(col);
+  };
+  Result<ExprPtr> e = ParseExpression(text);
+  SUDAF_CHECK_MSG(e.ok(), e.status().ToString());
+  Result<Value> v = EvalRow(**e, accessor, 0);
+  SUDAF_CHECK_MSG(v.ok(), v.status().ToString());
+  return v->AsDouble();
+}
+
+// A constant exponent, written as `^`, pow() or power(), literal or
+// folded, goes through EvalPow bit for bit, at the values where the
+// lowering and std::pow could part: ±0, -inf and NaN under ^0.5, ^-2.
+TEST(EvalRowTest, ConstantExponentsFollowEvalPow) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double xs[] = {0.0,  -0.0, inf,   -inf, std::nan(""), 3.0,
+                       -0.7, 1e160, 4.9e-324, 1.0 / 3};
+  const std::pair<const char*, double> exps[] = {
+      {"0.5", 0.5}, {"-2", -2.0}, {"3", 3.0},    {"(1/2)", 0.5},
+      {"-(3)", -3.0}, {"(2*2)", 4.0}, {"0", 0.0}, {"-0.5", -0.5}};
+  for (double x : xs) {
+    for (const auto& [text, c] : exps) {
+      const double want = EvalPow(x, c);
+      for (const std::string& form :
+           {"x^" + std::string(text), "pow(x, " + std::string(text) + ")",
+            "power(x, " + std::string(text) + ")"}) {
+        const double got = EvalRowXY(form, x);
+        EXPECT_TRUE(SameBits(got, want) || (std::isnan(got) &&
+                                            std::isnan(want)))
+            << form << " at x=" << x << ": " << got << " vs " << want;
+      }
+    }
+  }
+  // The cases a plain sqrt or std::pow would answer differently.
+  EXPECT_TRUE(SameBits(EvalRowXY("x^0.5", -0.0), 0.0));
+  EXPECT_EQ(EvalRowXY("x^0.5", -inf), inf);
+  EXPECT_TRUE(SameBits(EvalRowXY("x^-2", -0.0), inf));
+  EXPECT_TRUE(SameBits(EvalRowXY("x^-2", -inf), 0.0));
+}
+
+// Other exponents still call std::pow: a constant LowerPow keeps, and one
+// that is not constant.
+TEST(EvalRowTest, OtherExponentsCallStdPow) {
+  for (double x : {2.5, 0.3, 7.0, -0.0}) {
+    EXPECT_TRUE(SameBits(EvalRowXY("x^1.5", x), std::pow(x, 1.5))) << x;
+    EXPECT_TRUE(SameBits(EvalRowXY("pow(x, 1/3)", x), std::pow(x, 1.0 / 3)))
+        << x;
+    for (double y : {3.0, -2.0, 0.5}) {
+      EXPECT_TRUE(SameBits(EvalRowXY("x^y", x, y), std::pow(x, y)))
+          << x << "^" << y;
+    }
+  }
+}
+
+// Compiles `text` into a SlotProgram over column `col` (bound as "x") and
+// evaluates its root over the column's rows.
+Result<std::vector<double>> EvalOverColumn(const std::string& text,
+                                           const Column& col) {
+  SUDAF_ASSIGN_OR_RETURN(ExprPtr e, ParseExpression(text));
+  const ColumnBinder binder =
+      [&col](const std::string& name) -> Result<BoundColumn> {
+    if (name != "x") return Status::NotFound(name);
+    return BoundColumn{&col, nullptr, 0};
+  };
+  SlotProgram program;
+  SUDAF_ASSIGN_OR_RETURN(int root, program.Add(*e, SlotLeaves{&binder}));
+  program.MarkRoot(root);
+  program.Finish();
+  SlotBuffers buffers;
+  buffers.Init(program, col.size());
+  EvalVector(program, &buffers, 0, col.size());
+  return std::vector<double>(buffers.ptr[root],
+                             buffers.ptr[root] + col.size());
+}
+
 TEST(EvalVectorTest, ComputesPerRow) {
   Column x(DataType::kFloat64);
   for (double v : {1.0, 2.0, 3.0}) x.AppendFloat64(v);
-  ColumnResolver resolver = [&x](const std::string& name)
-      -> Result<const Column*> {
-    if (name == "x") return &x;
-    return Status::NotFound(name);
-  };
-  ASSERT_OK_AND_ASSIGN(ExprPtr e, ParseExpression("sqrt(x^2 * 4)"));
   ASSERT_OK_AND_ASSIGN(std::vector<double> out,
-                       EvalNumericVector(*e, resolver, 3));
+                       EvalOverColumn("sqrt(x^2 * 4)", x));
   ASSERT_EQ(out.size(), 3u);
   EXPECT_DOUBLE_EQ(out[0], 2.0);
   EXPECT_DOUBLE_EQ(out[2], 6.0);
@@ -230,21 +315,14 @@ TEST(EvalVectorTest, ComputesPerRow) {
 TEST(EvalVectorTest, IntColumnsWiden) {
   Column x(DataType::kInt64);
   x.AppendInt64(4);
-  ColumnResolver resolver = [&x](const std::string&)
-      -> Result<const Column*> { return &x; };
-  ASSERT_OK_AND_ASSIGN(ExprPtr e, ParseExpression("x / 8"));
-  ASSERT_OK_AND_ASSIGN(std::vector<double> out,
-                       EvalNumericVector(*e, resolver, 1));
+  ASSERT_OK_AND_ASSIGN(std::vector<double> out, EvalOverColumn("x / 8", x));
   EXPECT_DOUBLE_EQ(out[0], 0.5);
 }
 
 TEST(EvalVectorTest, StringColumnIsError) {
   Column s(DataType::kString);
   s.AppendString("a");
-  ColumnResolver resolver = [&s](const std::string&)
-      -> Result<const Column*> { return &s; };
-  ASSERT_OK_AND_ASSIGN(ExprPtr e, ParseExpression("x + 1"));
-  EXPECT_FALSE(EvalNumericVector(*e, resolver, 1).ok());
+  EXPECT_FALSE(EvalOverColumn("x + 1", s).ok());
 }
 
 TEST(EvalTerminatingTest, StateRefsAndFunctions) {

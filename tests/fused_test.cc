@@ -1,6 +1,6 @@
 // Property tests for the fused StateBatch executor: for every aggregation
 // op and a family of input expressions, the fused morsel-driven pass must
-// agree with the legacy per-state path (EvalNumericVector +
+// agree with an independent per-state reference (EvalRow row by row, then
 // ComputeGroupedState), serially and in parallel, and repeated parallel
 // runs must be bitwise deterministic.
 //
@@ -9,14 +9,15 @@
 // The fused pass folds rows through a fixed chunk tree whose shape depends
 // only on input size and morsel size — never the worker count — so for a
 // given configuration results are bitwise identical at every thread count,
-// and a single-chunk input (≤ one morsel, like the fixtures here) is
-// bitwise equal to the legacy serial order. Expressions involving pow may
-// differ from the legacy path by a few ulps (the fused DAG
-// strength-reduces x^k into multiplication chains while the legacy
-// evaluator calls std::pow), and so may Σ ln channels (the fused pass
-// multiplies mantissas and adds exponents instead of summing per-row
-// logs; tests/log_product_test.cc checks them against a long double
-// oracle), so those compare within 1e-12 relative.
+// and a single-chunk input (≤ one morsel, like the fixture of
+// MatchesLegacyAcrossOpsAndExpressions) is bitwise equal to the
+// reference's serial order. Constant powers are exact there too: EvalRow
+// lowers x^c through EvalPow, the rule the fused DAG builds its
+// multiplication chains by. Only Σ ln channels compare within 1e-12
+// relative (the fused pass multiplies mantissas and adds exponents instead
+// of summing per-row logs; tests/log_product_test.cc checks them against a
+// long double oracle), and so does every sum and product of a multi-chunk
+// pass, whose chunk merges reorder the additions.
 
 #include <cmath>
 #include <cstring>
@@ -60,17 +61,15 @@ struct FusedFixture {
     }
   }
 
-  ColumnResolver Resolver() const {
-    return [this](const std::string& name) -> Result<const Column*> {
-      if (name == "x") return &x;
-      if (name == "y") return &y;
-      if (name == "k") return &k;
-      return Status::InvalidArgument("no column " + name);
-    };
+  Result<const Column*> Find(const std::string& name) const {
+    if (name == "x") return &x;
+    if (name == "y") return &y;
+    if (name == "k") return &k;
+    return Status::InvalidArgument("no column " + name);
   }
   ColumnBinder Binder() const {
     return [this](const std::string& name) -> Result<BoundColumn> {
-      SUDAF_ASSIGN_OR_RETURN(const Column* col, Resolver()(name));
+      SUDAF_ASSIGN_OR_RETURN(const Column* col, Find(name));
       return BoundColumn{col, nullptr, 0};
     };
   }
@@ -97,24 +96,31 @@ std::vector<ParsedRequest> ParseRequests(
   return out;
 }
 
-// Legacy reference: materialize each input over the full frame, then run
-// one serial grouped pass per state.
+// Reference: evaluate each input row by row with the interpreter
+// (EvalRow), then run one serial grouped pass per state.
 std::vector<std::vector<double>> LegacyReference(
     const std::vector<ParsedRequest>& reqs, const FusedFixture& fix) {
   ExecOptions serial;
-  ColumnResolver resolver = fix.Resolver();
+  RowAccessor accessor = [&fix](const std::string& name,
+                                int64_t row) -> Result<Value> {
+    SUDAF_ASSIGN_OR_RETURN(const Column* col, fix.Find(name));
+    return col->GetValue(row);
+  };
   std::vector<std::vector<double>> out;
   for (const ParsedRequest& r : reqs) {
-    if (r.expr == nullptr) {
-      out.push_back(ComputeGroupedState(AggOp::kCount, {}, fix.gids,
-                                        fix.num_groups, serial));
-    } else {
-      auto in = EvalNumericVector(*r.expr, resolver,
-                                  static_cast<int64_t>(fix.gids.size()));
-      SUDAF_CHECK_MSG(in.ok(), in.status().ToString());
-      out.push_back(ComputeGroupedState(r.op, *in, fix.gids, fix.num_groups,
-                                        serial));
+    std::vector<double> in;
+    if (r.expr != nullptr) {
+      in.resize(fix.gids.size());
+      for (size_t i = 0; i < in.size(); ++i) {
+        Result<Value> v =
+            EvalRow(*r.expr, accessor, static_cast<int64_t>(i));
+        SUDAF_CHECK_MSG(v.ok(), v.status().ToString());
+        in[i] = v->AsDouble();
+      }
     }
+    out.push_back(ComputeGroupedState(r.expr == nullptr ? AggOp::kCount
+                                                        : r.op,
+                                      in, fix.gids, fix.num_groups, serial));
   }
   return out;
 }
@@ -167,22 +173,17 @@ TEST(FusedStateBatchTest, MatchesLegacyAcrossOpsAndExpressions) {
   ASSERT_EQ(actual.size(), expected.size());
   for (size_t s = 0; s < reqs.size(); ++s) {
     ASSERT_EQ(actual[s].size(), expected[s].size()) << specs[s].second;
-    bool uses_pow = specs[s].second.find('^') != std::string::npos;
-    bool log_product =
+    const bool log_product =
         reqs[s].op == AggOp::kSum && specs[s].second.rfind("ln(", 0) == 0;
     for (int32_t g = 0; g < fix.num_groups; ++g) {
-      if (IsExactOp(reqs[s].op)) {
-        EXPECT_EQ(expected[s][g], actual[s][g])
-            << AggOpName(reqs[s].op) << "(" << specs[s].second << ") group "
-            << g;
-      } else if (!uses_pow && !log_product) {
-        // Single worker, same morsel-local accumulation order as serial:
-        // non-pow sums and products are bitwise identical.
-        EXPECT_EQ(expected[s][g], actual[s][g])
-            << AggOpName(reqs[s].op) << "(" << specs[s].second << ") group "
-            << g;
-      } else {
+      if (log_product) {
         ExpectClose(expected[s][g], actual[s][g], 1e-12);
+      } else {
+        // Single worker, one chunk, the reference's accumulation order and
+        // its lowering of x^k: bitwise identical.
+        EXPECT_EQ(expected[s][g], actual[s][g])
+            << AggOpName(reqs[s].op) << "(" << specs[s].second << ") group "
+            << g;
       }
     }
   }

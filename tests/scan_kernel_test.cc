@@ -18,6 +18,7 @@
 #include "engine/executor.h"
 #include "engine/hash_join.h"
 #include "engine/plan.h"
+#include "engine/slot_program.h"
 #include "expr/evaluator.h"
 #include "gtest/gtest.h"
 #include "sudaf/session.h"
@@ -33,8 +34,9 @@ constexpr int64_t k2p53 = int64_t{1} << 53;
 // --- Predicate kernels -------------------------------------------------------
 
 // p(x FLOAT64, i INT64, s STRING): every special double and the int64
-// values around 2^53, where converting to double rounds.
-std::unique_ptr<Table> MakePredicateTable() {
+// values around 2^53, where converting to double rounds; its 144 rows
+// repeated `reps` times.
+std::unique_ptr<Table> MakePredicateTable(int reps = 1) {
   const std::vector<double> xs = {kNaN, kInf, -kInf, -0.0, 0.0,   1.5,
                                   -1.5, 2.5,  1e308, -3.0, 0.5,
                                   9007199254740992.0};
@@ -49,11 +51,13 @@ std::unique_ptr<Table> MakePredicateTable() {
   SUDAF_CHECK(schema.AddField({"s", DataType::kString}).ok());
   auto table = std::make_unique<Table>(std::move(schema));
   // Every (x, i) pair, so each value meets every other column's values.
-  for (size_t a = 0; a < xs.size(); ++a) {
-    for (size_t b = 0; b < is.size(); ++b) {
-      table->column(0).AppendFloat64(xs[a]);
-      table->column(1).AppendInt64(is[b]);
-      table->column(2).AppendString((a + b) % 3 == 0 ? "b" : "a");
+  for (int rep = 0; rep < reps; ++rep) {
+    for (size_t a = 0; a < xs.size(); ++a) {
+      for (size_t b = 0; b < is.size(); ++b) {
+        table->column(0).AppendFloat64(xs[a]);
+        table->column(1).AppendInt64(is[b]);
+        table->column(2).AppendString((a + b + rep) % 3 == 0 ? "b" : "a");
+      }
     }
   }
   table->FinishBulkAppend();
@@ -77,6 +81,40 @@ std::vector<int64_t> InterpretedSelection(const Table& table, const Expr& where,
   return out;
 }
 
+// Registers `flat`'s rows under `name` as the first `cuts[0]` rows, then
+// one AppendRows per further cut: the same rows in several storage chunks.
+void PutGrown(Catalog* catalog, const std::string& name, const Table& flat,
+              const std::vector<int64_t>& cuts) {
+  int64_t lo = 0;
+  for (int64_t hi : cuts) {
+    std::vector<int64_t> rows;
+    for (int64_t r = lo; r < hi; ++r) rows.push_back(r);
+    std::unique_ptr<Table> slice = GatherRows(flat, rows);
+    if (lo == 0) {
+      catalog->PutTable(name, std::move(slice));
+    } else {
+      SUDAF_CHECK(catalog->AppendRows(name, *slice).ok());
+    }
+    lo = hi;
+  }
+}
+
+// The WHERE tree of `SELECT count(x) FROM p WHERE <sql>`.
+ExprPtr ParseWhere(const std::string& sql) {
+  Result<std::unique_ptr<SelectStatement>> stmt =
+      ParseSelect("SELECT count(x) FROM p WHERE " + sql);
+  SUDAF_CHECK_MSG(stmt.ok(), stmt.status().ToString());
+  return std::move((*stmt)->where);
+}
+
+// The path CompileFilter fixes for `conjunct` of `table`.
+enum class Path { kKernel, kProgram, kRow };
+Path PathOf(const Expr& conjunct, const Table& table) {
+  const CompiledFilter filter = CompileFilter({&conjunct}, table);
+  if (!filter.kernels.empty()) return Path::kKernel;
+  return filter.roots.empty() ? Path::kRow : Path::kProgram;
+}
+
 class ScanKernelTest : public ::testing::Test {
  protected:
   void SetUp() override { catalog_.PutTable("p", MakePredicateTable()); }
@@ -86,7 +124,8 @@ class ScanKernelTest : public ::testing::Test {
   // The selection FilterAndJoin computes for WHERE `where` over [lo, hi),
   // with the identity range expanded.
   std::vector<int64_t> CompiledSelection(ExprPtr where, int threads,
-                                         int64_t lo = 0, int64_t hi = -1) {
+                                         int64_t lo = 0, int64_t hi = -1,
+                                         int morsel = 5) {
     SelectStatement stmt;
     stmt.tables = {"p"};
     stmt.where = std::move(where);
@@ -98,7 +137,7 @@ class ScanKernelTest : public ::testing::Test {
     ExecOptions opts;
     opts.parallel = threads > 1;
     opts.num_threads = threads;
-    opts.morsel_size = 5;  // many morsels, several per worker
+    opts.morsel_size = morsel;
     opts.scan = &scan;
     Result<JoinedRows> joined = FilterAndJoin(*plan, opts);
     SUDAF_CHECK_MSG(joined.ok(), joined.status().ToString());
@@ -112,15 +151,20 @@ class ScanKernelTest : public ::testing::Test {
     return joined->rows[0];
   }
 
-  // Checks compiled == interpreted for `where` at threads {1, 8}.
+  // Checks compiled == interpreted for `where` at threads {1, 8}, with
+  // 5-row morsels (many morsels, several per worker) and with 64K-row
+  // ones (a morsel per chunk, several kVector steps in a large one).
   void ExpectSameSelection(const Expr& where, const std::string& what,
                            int64_t lo = 0, int64_t hi = -1) {
     const int64_t end = hi < 0 ? table().num_rows() : hi;
     const std::vector<int64_t> want =
         InterpretedSelection(table(), where, lo, end);
     for (int threads : {1, 8}) {
-      EXPECT_EQ(CompiledSelection(where.Clone(), threads, lo, hi), want)
-          << what << " threads=" << threads;
+      for (int morsel : {5, 1 << 16}) {
+        EXPECT_EQ(CompiledSelection(where.Clone(), threads, lo, hi, morsel),
+                  want)
+            << what << " threads=" << threads << " morsel=" << morsel;
+      }
     }
   }
 
@@ -184,17 +228,117 @@ TEST_F(ScanKernelTest, Int64ColumnComparesAsDouble) {
   ExpectSameSelection(*lt, lt->ToString());
 }
 
+// Each shape takes the path its expression and column types fix: a typed
+// kernel for `column op literal`, the compiled program for other numeric
+// conjuncts, EvalRow for strings.
 TEST_F(ScanKernelTest, OtherShapesFallBack) {
-  auto parse_where = [](const std::string& sql) {
-    Result<std::unique_ptr<SelectStatement>> stmt =
-        ParseSelect("SELECT count(x) FROM p WHERE " + sql);
-    SUDAF_CHECK_MSG(stmt.ok(), stmt.status().ToString());
-    return std::move((*stmt)->where);
+  const std::pair<const char*, Path> shapes[] = {
+      {"x > 1.5", Path::kKernel},      {"s = 'b'", Path::kRow},
+      {"x + 1 > 2", Path::kProgram},   {"x > i", Path::kProgram},
+      {"2 > x * 0", Path::kProgram},
   };
-  for (const char* sql : {"s = 'b'", "x + 1 > 2", "x > i", "2 > x * 0"}) {
-    ExprPtr where = parse_where(sql);
-    EXPECT_FALSE(CompilePredicate(*where, table()).has_value()) << sql;
+  for (const auto& [sql, path] : shapes) {
+    ExprPtr where = ParseWhere(sql);
+    EXPECT_EQ(CompilePredicate(*where, table()).has_value(),
+              path == Path::kKernel)
+        << sql;
+    EXPECT_EQ(PathOf(*where, table()), path) << sql;
     ExpectSameSelection(*where, sql);
+  }
+}
+
+// Numeric conjuncts that are not `column op literal`: arithmetic, column
+// vs column, NaN, ±inf, -0.0 and 2^53 ± 1, constant and column exponents,
+// scalar functions, NOT, and AND/OR nested inside one conjunct.
+const char* const kResidualShapes[] = {
+    "x + 1 > 2", "x * 2 - 1 <= 0.5", "-x < 1.5", "2 > x * 0", "x / i > 0",
+    "x / 0 > 0", "x * 1e308 >= 1e308", "x - x = 0", "x > i", "x * i <> i",
+    "i <= x", "x = i", "x <> x", "x + 0 = -0.0", "-0.0 = x * 1",
+    "x * 0 = 0", "i + 0 = 9007199254740993", "i - 1 >= 9007199254740992",
+    "i * 1 = 9007199254740991", "x^3 > 2", "x^-2 < 1", "x^0.5 >= 0",
+    "x^i > 1", "pow(x, 2) > 4", "power(i, 0.5) < 3", "x^(1/2) > 1",
+    "x^1.5 > 1", "i^2 = 9", "(x + 1)^4 > 16", "sqrt(abs(x)) > 1",
+    "ln(x) < 0", "exp(x) > 1", "sgn(i) < 0", "nullif(x, 0) > 0",
+    "log(2, abs(x)) > 0", "NOT (x > 1)", "NOT x", "x > 1 OR i < 0",
+    "x > 1 OR (i < 0 AND x * 2 <> 3)", "NOT (x > 0 AND i > 0) OR x <> x",
+    "i IN (1, 3, -3)", "x NOT BETWEEN -1.5 AND 2.5"};
+
+// Every residual compiles into the program and selects exactly the rows
+// EvalRow selects, on the flat table and on the same rows grown by
+// appends into several chunks.
+TEST_F(ScanKernelTest, CompiledResidualsMatchInterpreted) {
+  const std::unique_ptr<Table> flat = MakePredicateTable();
+  const int64_t n = flat->num_rows();
+  for (bool grown : {false, true}) {
+    if (grown) {
+      PutGrown(&catalog_, "p", *flat, {61, 91, 113, 120, 127, 134, 140, n});
+      ASSERT_GT(table().ChunkEnds().size(), 1u);
+    }
+    for (const char* sql : kResidualShapes) {
+      ExprPtr where = ParseWhere(sql);
+      EXPECT_EQ(PathOf(*where, table()), Path::kProgram) << sql;
+      ExpectSameSelection(*where,
+                          std::string(sql) + (grown ? " grown" : " flat"));
+    }
+  }
+}
+
+// Conjuncts the program refuses take EvalRow: a string column or literal,
+// and (path only: EvalRow fails on them) an unknown name or function and
+// an aggregate.
+TEST_F(ScanKernelTest, StringShapesTakeEvalRow) {
+  for (const char* sql : {"s = 'b'", "x > 0 OR s = 'a'", "s IN ('a')",
+                          "NOT (s < 'b')"}) {
+    ExprPtr where = ParseWhere(sql);
+    EXPECT_EQ(PathOf(*where, table()), Path::kRow) << sql;
+    ExpectSameSelection(*where, sql);
+  }
+  for (const char* sql : {"nosuch > 0", "nosuch(x) > 0", "count(x) > 0"}) {
+    EXPECT_EQ(PathOf(*ParseWhere(sql), table()), Path::kRow) << sql;
+  }
+}
+
+// One table's conjuncts share one program, and its subterms.
+TEST_F(ScanKernelTest, ConjunctsShareOneProgram) {
+  const std::string sql = "x * i > 1 AND x * i < 5 AND s = 'a' AND x > 0";
+  Result<std::unique_ptr<SelectStatement>> stmt =
+      ParseSelect("SELECT count(x) FROM p WHERE " + sql);
+  ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+  ASSERT_OK_AND_ASSIGN(QueryPlan plan, PlanQuery(**stmt, catalog_));
+  std::vector<const Expr*> conjuncts;
+  for (const TableFilter& f : plan.filters) conjuncts.push_back(f.predicate);
+  ASSERT_EQ(conjuncts.size(), 4u);
+  const CompiledFilter filter = CompileFilter(conjuncts, table());
+  EXPECT_EQ(filter.kernels.size(), 1u);
+  EXPECT_EQ(filter.roots.size(), 2u);
+  EXPECT_EQ(filter.interpreted.size(), 1u);
+  EXPECT_GT(filter.program.num_shared_slots(), 0);  // one x*i slot
+  ExpectSameSelection(*(*stmt)->where, sql);
+}
+
+// A table larger than kVector: a 64K-row morsel runs several kVector
+// steps, all three paths together, flat and with chunk ends off the
+// kVector grid.
+TEST_F(ScanKernelTest, VectorStepsInsideAMorsel) {
+  const std::unique_ptr<Table> flat = MakePredicateTable(30);
+  const int64_t n = flat->num_rows();
+  ASSERT_GT(n, 2 * kVector);
+  catalog_.PutTable("p", MakePredicateTable(30));
+  for (bool grown : {false, true}) {
+    if (grown) {
+      PutGrown(&catalog_, "p", *flat, {2500, 3900, 4200, n});
+      ASSERT_EQ(table().ChunkEnds(),
+                (std::vector<int64_t>{2500, 3900, 4200, n}));
+    }
+    for (const char* sql :
+         {"x^3 > 2", "x * i <> i", "x^3 > 2 AND s = 'b' AND i > 0",
+          "x > 0.5 AND x^-2 < 1", "x > i OR s = 'a'"}) {
+      ExprPtr where = ParseWhere(sql);
+      ExpectSameSelection(*where,
+                          std::string(sql) + (grown ? " grown" : " flat"));
+      ExpectSameSelection(*where, std::string(sql) + " bounded", 333,
+                          n - 500);
+    }
   }
 }
 
@@ -230,24 +374,6 @@ TEST_F(ScanKernelTest, ScanBoundsLimitTheSelection) {
   EXPECT_EQ(joined.identity_base, 9);
   EXPECT_EQ(joined.num_tuples, n - 11);
   EXPECT_TRUE(joined.rows[0].empty());
-}
-
-// Registers `flat`'s rows under `name` as the first `cuts[0]` rows, then
-// one AppendRows per further cut: the same rows in several storage chunks.
-void PutGrown(Catalog* catalog, const std::string& name, const Table& flat,
-              const std::vector<int64_t>& cuts) {
-  int64_t lo = 0;
-  for (int64_t hi : cuts) {
-    std::vector<int64_t> rows;
-    for (int64_t r = lo; r < hi; ++r) rows.push_back(r);
-    std::unique_ptr<Table> slice = GatherRows(flat, rows);
-    if (lo == 0) {
-      catalog->PutTable(name, std::move(slice));
-    } else {
-      SUDAF_CHECK(catalog->AppendRows(name, *slice).ok());
-    }
-    lo = hi;
-  }
 }
 
 // The predicate table grown by appends: morsels split at its chunk ends,

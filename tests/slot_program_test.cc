@@ -121,7 +121,8 @@ TEST(ConstantPowTest, PartialProductsOutsideTheNormalRangeArePinned) {
 }
 
 // The slot builder lowers through the same rule as EvalPow, bit for bit,
-// with a folded exponent (1/2, -(3), 2*2) as with a literal one.
+// with a folded exponent (1/2, -(3), 2*2) as with a literal one, and so do
+// EvalTerminating and the row interpreter EvalRow.
 TEST(ConstantPowTest, SlotProgramMatchesEvalPowBitwise) {
   std::vector<double> xs = {0.0, -0.0, kInf, -kInf, std::nan(""), 4.9e-324,
                             -2.5e-310, 1e160, -1e-160, 3.0, -0.7, 1.0 / 3};
@@ -138,6 +139,8 @@ TEST(ConstantPowTest, SlotProgramMatchesEvalPowBitwise) {
     ASSERT_OK_AND_ASSIGN(ExprPtr exponent, ParseExpression(e));
     double c = 0.0;
     ASSERT_TRUE(FoldConstant(*exponent, &c)) << e;
+    ExprPtr row_pow =
+        Expr::Binary(BinaryOp::kPow, Expr::Column("x"), exponent->Clone());
     ExprPtr pow = Expr::Binary(BinaryOp::kPow, Expr::StateRef(0),
                                std::move(exponent));
     SlotProgram program;
@@ -152,13 +155,20 @@ TEST(ConstantPowTest, SlotProgramMatchesEvalPowBitwise) {
     }
     SlotBuffers buffers;
     buffers.Init(program, n);
-    ASSERT_OK(EvalVector(program, &buffers, 0, n, states.data()));
+    EvalVector(program, &buffers, 0, n, states.data());
     for (int r = 0; r < n; ++r) {
       const double got = buffers.ptr[root][r];
       ASSERT_OK_AND_ASSIGN(double want, EvalTerminating(*pow, {xs[r]}));
       EXPECT_TRUE(SameValue(got, want))
           << xs[r] << "^" << e << ": " << got << " vs " << want;
       EXPECT_TRUE(SameValue(want, EvalPow(xs[r], c)));
+      RowAccessor accessor = [&xs](const std::string&,
+                                   int64_t row) -> Result<Value> {
+        return Value(xs[row]);
+      };
+      ASSERT_OK_AND_ASSIGN(Value row_value, EvalRow(*row_pow, accessor, r));
+      EXPECT_TRUE(SameValue(row_value.AsDouble(), want))
+          << xs[r] << "^" << e << " in EvalRow";
     }
   }
 }

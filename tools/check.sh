@@ -66,12 +66,14 @@ if [ "$stress" = 1 ]; then
   # rewritten query runs through, chunked sharing (instances sharing
   # one session cache), the thread pool's reentrancy and fail-fast
   # contracts (lowest-indexed error wins under preempting load), the
-  # rewrite memo (eight threads sharing one session's memo and cache), and
+  # rewrite memo (eight threads sharing one session's memo and cache),
   # the fused pass's vectors and log-free log channels (parallel workers
-  # converting their own chunk blocks), and the max-entropy fit memo
-  # (eight threads fitting and hitting one process-wide memo), repeated
-  # so rare interleavings get a chance to surface under the sanitizer.
+  # converting their own chunk blocks), the max-entropy fit memo
+  # (eight threads fitting and hitting one process-wide memo), and the
+  # WHERE filter (workers sharing one compiled program, each with its own
+  # slot buffers), repeated so rare interleavings get a chance to surface
+  # under the sanitizer.
   "${build_dir}/tests/sudaf_tests" \
-    --gtest_filter='ChaosTest.*:AdmissionTest.*:ServiceTest.*:ThreadPoolReentrancyTest.*:ThreadPoolRobustnessTest.*:SharedScanTest.*:SoloParityTest.*:ChunkedTest.*:RewriteMemoTest.*:FusedVectorTest.*:LogProductTest.*:MaxEntMemoConcurrencyTest.*' \
+    --gtest_filter='ChaosTest.*:AdmissionTest.*:ServiceTest.*:ThreadPoolReentrancyTest.*:ThreadPoolRobustnessTest.*:SharedScanTest.*:SoloParityTest.*:ChunkedTest.*:RewriteMemoTest.*:FusedVectorTest.*:LogProductTest.*:MaxEntMemoConcurrencyTest.*:ScanKernelTest.*' \
     --gtest_repeat=3 --gtest_shuffle
 fi
