@@ -85,7 +85,8 @@ void BM_HardcodedUdafRowAtATime(benchmark::State& state) {
   Fixture fixture(state.range(0));
   ExecOptions opts;
   for (auto _ : state) {
-    auto result = RunHardcodedUdaf(fixture.compiled, {&fixture.column},
+    auto result = RunHardcodedUdaf(fixture.compiled,
+                                   {BoundColumn{&fixture.column}},
                                    fixture.group_ids, 16, opts);
     benchmark::DoNotOptimize(result);
   }
@@ -100,7 +101,8 @@ void BM_InterpretedUdafRowAtATime(benchmark::State& state) {
   Fixture fixture(state.range(0));
   ExecOptions opts;
   for (auto _ : state) {
-    auto result = RunHardcodedUdaf(*fixture.interpreted, {&fixture.column},
+    auto result = RunHardcodedUdaf(*fixture.interpreted,
+                                   {BoundColumn{&fixture.column}},
                                    fixture.group_ids, 16, opts);
     benchmark::DoNotOptimize(result);
   }

@@ -23,13 +23,16 @@
 //     case);
 //   * threads 1..8 through the FULL pipeline (filter → bind → group →
 //     fused pass) on a 4M-row session query with a WHERE clause, reporting
-//     per-phase times from the query trace and checking that every thread
-//     count reproduces the 1-thread result bit for bit.
+//     per-phase times from the query trace and the process CPU time, and
+//     checking that every thread count reproduces the 1-thread result bit
+//     for bit.
 // The kurtosis entry doubles as the acceptance gate: fused must be >= 2x
 // the legacy path at 1M rows single-threaded. The thread sweep records
 // "hardware_threads" so readers can judge the speedups against the cores
 // that were actually available (a 1-core container cannot show scaling,
 // only the absence of parallel overhead and the bit-identity contract).
+
+#include <time.h>
 
 #include <algorithm>
 #include <cmath>
@@ -155,8 +158,10 @@ int RepsFor(int64_t rows) {
 // real session, printing each profile as one line of sudaf.profile.v1 JSON
 // (docs/observability.md). CI's perf-smoke job gates on this schema — and,
 // with --threads N, on the parallel pipeline actually engaging (the profile
-// reports threads_used) — not on timings.
-int RunSmoke(int threads) {
+// reports threads_used) — not on timings. --smoke --engine prints instead
+// the one profile of the same query in engine mode, whose interpreted
+// kurtosis reads the table in place.
+int RunSmoke(int threads, bool engine) {
   Schema schema;
   SUDAF_CHECK(schema.AddField({"g", DataType::kInt64}).ok());
   SUDAF_CHECK(schema.AddField({"x", DataType::kFloat64}).ok());
@@ -179,8 +184,9 @@ int RunSmoke(int threads) {
   }
   SudafSession session(&catalog, SessionOptions{}.set_exec(exec));
   const char* sql = "SELECT g, kurtosis(x), var(x) FROM t GROUP BY g";
-  for (int run = 0; run < 2; ++run) {
-    auto result = session.Execute(sql, ExecMode::kSudafShare);
+  for (int run = 0; run < (engine ? 1 : 2); ++run) {
+    auto result = session.Execute(
+        sql, engine ? ExecMode::kEngine : ExecMode::kSudafShare);
     SUDAF_CHECK_MSG(result.ok(), result.status().ToString());
     std::printf("%s\n", result->ProfileJson().c_str());
   }
@@ -429,6 +435,7 @@ bool TablesBitIdentical(const Table& a, const Table& b) {
 
 int main(int argc, char** argv) {
   bool smoke = false;
+  bool engine = false;
   bool panels_only = false;
   bool terminate_only = false;
   int threads = 1;
@@ -438,6 +445,8 @@ int main(int argc, char** argv) {
     const std::string arg = argv[a];
     if (arg == "--smoke") {
       smoke = true;
+    } else if (arg == "--engine") {
+      engine = true;
     } else if (arg == "--panels") {
       panels_only = true;
     } else if (arg == "--terminate") {
@@ -448,7 +457,7 @@ int main(int argc, char** argv) {
       out = argv[++a];
     }
   }
-  if (smoke) return RunSmoke(threads);
+  if (smoke) return RunSmoke(threads, engine);
   FILE* json = std::fopen(out.c_str(), "w");
   SUDAF_CHECK_MSG(json != nullptr, "cannot open " + out);
   std::fprintf(json, "{\n  \"fingerprint\": %s,\n",
@@ -540,15 +549,18 @@ int main(int argc, char** argv) {
                TerminateJson(terminate).c_str());
 
   // Sweep 3: end-to-end thread scaling through the full pipeline — a real
-  // session query with a WHERE clause at 4M rows, so filter, gather,
-  // grouping AND the fused pass all run morsel-parallel. Per-phase times
-  // come from the query trace (the same spans ProfileJson reports), and
-  // every thread count's result table is checked bit-identical against the
+  // session query with a WHERE clause at 4M rows, so the filter and the
+  // fused pass run morsel-parallel; binding and grouping are serial.
+  // Per-phase times come from the query trace (the same spans ProfileJson
+  // reports). cpu_ms is the process CPU time of the query
+  // (CLOCK_PROCESS_CPUTIME_ID, every thread), so cpu_ratio_vs_1t is the
+  // work the extra threads add whatever cores the host delivers. Every
+  // thread count's result table is checked bit-identical against the
   // 1-thread run.
   std::printf("\nfull-pipeline thread sweep, kurtosis at 4M rows + WHERE\n");
-  std::printf("%8s %10s %10s %10s %10s %10s %8s %6s %5s\n", "threads",
-              "total(ms)", "filter", "gather", "group", "fused", "vs 1T",
-              "used", "bit=");
+  std::printf("%8s %10s %10s %10s %10s %10s %8s %10s %8s %6s %5s\n",
+              "threads", "total(ms)", "filter", "gather", "group", "fused",
+              "vs 1T", "cpu(ms)", "cpu/1T", "used", "bit=");
   std::fprintf(json, "  \"thread_sweep\": [\n");
   {
     Rng rng(7);
@@ -570,7 +582,13 @@ int main(int argc, char** argv) {
         "SELECT g, kurtosis(x), var(x) FROM t WHERE y > -1.0 GROUP BY g";
 
     const int reps = RepsFor(kSweepRows);
+    auto cpu_ms = [] {
+      timespec ts;
+      clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+      return ts.tv_sec * 1e3 + ts.tv_nsec * 1e-6;
+    };
     double base = 0;
+    double base_cpu = 0;
     bool first = true;
     std::unique_ptr<Table> one_thread_result;
     for (int threads : {1, 2, 4, 8}) {
@@ -579,11 +597,15 @@ int main(int argc, char** argv) {
       exec.num_threads = threads;
       QueryResult best;
       double best_ms = 0;
+      double best_cpu = 0;
       for (int r = 0; r < reps; ++r) {
         // Fresh session per rep: a warm cache would skip the pipeline.
         SudafSession session(&catalog, SessionOptions{}.set_exec(exec));
+        const double cpu0 = cpu_ms();
         auto result = session.Execute(sql, ExecMode::kSudafShare);
+        const double cpu = cpu_ms() - cpu0;
         SUDAF_CHECK_MSG(result.ok(), result.status().ToString());
+        if (r == 0 || cpu < best_cpu) best_cpu = cpu;
         if (r == 0 || result->stats.total_ms < best_ms) {
           best_ms = result->stats.total_ms;
           best = std::move(*result);
@@ -591,6 +613,7 @@ int main(int argc, char** argv) {
       }
       if (threads == 1) {
         base = best_ms;
+        base_cpu = best_cpu;
         one_thread_result = std::move(best.table);
       }
       const ExecStats& s = best.stats;
@@ -600,19 +623,23 @@ int main(int argc, char** argv) {
       bool identical =
           threads == 1 ||
           TablesBitIdentical(*one_thread_result, *best.table);
-      std::printf("%8d %10.2f %10.2f %10.2f %10.2f %10.2f %7.2fx %6d %5s\n",
-                  threads, best_ms, s.filter_ms, s.gather_ms, s.group_ms,
-                  fused_ms, base / best_ms, s.fused_threads,
-                  identical ? "yes" : "NO");
+      std::printf(
+          "%8d %10.2f %10.2f %10.2f %10.2f %10.2f %7.2fx %10.2f %7.2fx %6d "
+          "%5s\n",
+          threads, best_ms, s.filter_ms, s.gather_ms, s.group_ms, fused_ms,
+          base / best_ms, best_cpu, best_cpu / base_cpu, s.fused_threads,
+          identical ? "yes" : "NO");
       std::fprintf(json,
                    "%s    {\"threads\": %d, \"total_ms\": %.3f, "
                    "\"filter_ms\": %.3f, \"gather_ms\": %.3f, "
                    "\"group_ms\": %.3f, \"fused_ms\": %.3f, "
-                   "\"speedup_vs_1t\": %.3f, \"threads_used\": %d, "
+                   "\"speedup_vs_1t\": %.3f, \"cpu_ms\": %.3f, "
+                   "\"cpu_ratio_vs_1t\": %.3f, \"threads_used\": %d, "
                    "\"bit_identical\": %s}",
                    first ? "" : ",\n", threads, best_ms, s.filter_ms,
                    s.gather_ms, s.group_ms, fused_ms, base / best_ms,
-                   s.fused_threads, identical ? "true" : "false");
+                   best_cpu, best_cpu / base_cpu, s.fused_threads,
+                   identical ? "true" : "false");
       first = false;
       SUDAF_CHECK_MSG(identical,
                       "thread sweep produced a non-identical result table");

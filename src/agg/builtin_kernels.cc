@@ -3,33 +3,7 @@
 #include <algorithm>
 #include <limits>
 
-#include "common/status.h"
-
 namespace sudaf {
-
-double KernelSum(const std::vector<double>& input) {
-  double acc = 0.0;
-  for (double x : input) acc += x;
-  return acc;
-}
-
-double KernelProd(const std::vector<double>& input) {
-  double acc = 1.0;
-  for (double x : input) acc *= x;
-  return acc;
-}
-
-double KernelMin(const std::vector<double>& input) {
-  double acc = std::numeric_limits<double>::infinity();
-  for (double x : input) acc = std::min(acc, x);
-  return acc;
-}
-
-double KernelMax(const std::vector<double>& input) {
-  double acc = -std::numeric_limits<double>::infinity();
-  for (double x : input) acc = std::max(acc, x);
-  return acc;
-}
 
 double AggIdentity(AggOp op) {
   switch (op) {
@@ -59,16 +33,6 @@ double AggMerge(AggOp op, double a, double b) {
       return std::max(a, b);
   }
   return 0.0;
-}
-
-void GroupedAccumulate(AggOp op, const std::vector<double>& input,
-                       const std::vector<int32_t>& group_ids,
-                       std::vector<double>* acc) {
-  if (op != AggOp::kCount) {
-    SUDAF_CHECK(input.size() == group_ids.size());
-  }
-  GroupedAccumulateRange(op, input.data(), group_ids.data(), 0,
-                         static_cast<int64_t>(group_ids.size()), acc);
 }
 
 void GroupedAccumulateRange(AggOp op, const double* input,

@@ -14,12 +14,6 @@
 
 namespace sudaf {
 
-// Ungrouped reductions over `input`.
-double KernelSum(const std::vector<double>& input);
-double KernelProd(const std::vector<double>& input);
-double KernelMin(const std::vector<double>& input);
-double KernelMax(const std::vector<double>& input);
-
 // Identity element of ⊕ for `op` (0 for sum/count, 1 for prod, ±inf for
 // min/max).
 double AggIdentity(AggOp op);
@@ -28,17 +22,10 @@ double AggIdentity(AggOp op);
 // merge that makes an aggregation algebraic).
 double AggMerge(AggOp op, double a, double b);
 
-// Grouped accumulation: for each row i, acc[group_ids[i]] ⊕= input[i].
-// `acc` must be pre-sized to the group count and initialized with
-// AggIdentity(op). For kCount, `input` is ignored and may be empty.
-void GroupedAccumulate(AggOp op, const std::vector<double>& input,
-                       const std::vector<int32_t>& group_ids,
-                       std::vector<double>* acc);
-
-// Range variant: accumulates rows [lo, hi) of `input`/`group_ids` into
-// `acc` without materializing slice copies. `input` may be null for kCount.
-// This is the partition/morsel building block: callers pass index ranges
-// into the shared arrays instead of copying per-partition slices.
+// Grouped accumulation: for each row i of [lo, hi), acc[group_ids[i]] ⊕=
+// input[i]. `acc` must be pre-sized to the group count and initialized
+// with AggIdentity(op). `input` may be null for kCount. Callers pass index
+// ranges into the shared arrays instead of copying per-partition slices.
 void GroupedAccumulateRange(AggOp op, const double* input,
                             const int32_t* group_ids, int64_t lo, int64_t hi,
                             std::vector<double>* acc);

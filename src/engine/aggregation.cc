@@ -3,14 +3,11 @@
 #include <algorithm>
 #include <bit>
 #include <limits>
-#include <numeric>
-#include <unordered_map>
 
 #include "agg/builtin_kernels.h"
 #include "common/metrics.h"
 #include "common/query_guard.h"
 #include "common/thread_pool.h"
-#include "common/trace.h"
 
 namespace sudaf {
 
@@ -75,32 +72,6 @@ Result<std::unique_ptr<Table>> GatherColumns(
         ->Add(frame->ApproxBytes());
   }
   return frame;
-}
-
-Status MaterializeFrame(PreparedInput* input, const ExecOptions& opts) {
-  if (input->frame != nullptr) return Status::OK();
-  TraceSpan gather_span(opts.trace, "gather", opts.trace_span,
-                        opts.metrics != nullptr
-                            ? opts.metrics->dcounter("sudaf.phase.gather_ms")
-                            : nullptr);
-  // An identity range gathers through an explicit row vector.
-  std::vector<int64_t> iota;
-  const int64_t* rows = input->row_ids.data();
-  if (input->row_ids.empty()) {
-    iota.resize(input->num_input_rows);
-    std::iota(iota.begin(), iota.end(), input->base);
-    rows = iota.data();
-  }
-  std::vector<BoundColumn> columns;
-  for (const std::string& name : input->columns) {
-    SUDAF_ASSIGN_OR_RETURN(BoundColumn b, input->Bind(name));
-    b.rows = rows;
-    columns.push_back(b);
-  }
-  SUDAF_ASSIGN_OR_RETURN(input->frame,
-                         GatherColumns(input->columns, columns,
-                                       input->num_input_rows, opts));
-  return Status::OK();
 }
 
 namespace {
@@ -173,26 +144,20 @@ class GroupHashTable {
   size_t count_ = 0;
 };
 
+// Murmur3 finalizer: spreads MixKey's sums over the low bits the table
+// indexes with, so strided keys do not cluster.
+uint64_t FinalizeHash(uint64_t h) {
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdULL;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ULL;
+  h ^= h >> 33;
+  return h;
+}
+
 // A key range this small always groups by direct index, even over fewer
 // rows: its id table is at most 4 KiB.
 constexpr int64_t kMinDirectDomain = 1024;
-
-// Contiguous row range r of `num_ranges` over n tuples.
-int64_t RangeLo(int64_t n, int64_t r, int num_ranges) {
-  return n * r / num_ranges;
-}
-
-// Runs f(r) for r in [0, num_ranges), on the pool when there are several.
-template <typename F>
-void ForRanges(int num_ranges, const F& f) {
-  if (num_ranges > 1) {
-    ThreadPool& pool = ThreadPool::Global();
-    pool.EnsureWorkers(num_ranges - 1);
-    pool.ParallelFor(num_ranges, f);
-  } else {
-    f(0);
-  }
-}
 
 // Calls f(key, a, b) for each run [a, b) of tuples [lo, hi) of `b` that
 // lies in one storage chunk (one run over a single-chunk column), with
@@ -224,67 +189,28 @@ void ForEachKeyRun(const BoundColumn& b, int64_t lo, int64_t hi, const F& f) {
 
 // Direct-index grouping: the key of tuple i takes slot key(i) - lo of a
 // dense table over [lo, lo + domain), and a slot's id is assigned at its
-// first occurrence. Under several ranges, phase 1 writes slots into
-// group_ids and collects each range's first occurrences (a bitmap per
-// range), phase 2 assigns ids over those in range order, and phase 3
-// remaps slots to ids — the ids of the serial loop, for any range count.
+// first occurrence.
 void DirectGroups(const BoundColumn& b, int64_t lo, int64_t domain,
-                  int64_t n, int num_ranges, std::vector<int32_t>* group_ids,
+                  int64_t n, std::vector<int32_t>* group_ids,
                   std::vector<int64_t>* first_row) {
   int32_t* gids = group_ids->data();
   std::vector<int32_t> id_of(static_cast<size_t>(domain), -1);
-  if (num_ranges == 1) {
-    int32_t next = 0;
-    ForEachKeyRun(b, 0, n, [&](const auto& key, int64_t a, int64_t z) {
-      for (int64_t i = a; i < z; ++i) {
-        int32_t& id = id_of[key(i) - lo];
-        if (id < 0) {
-          id = next++;
-          first_row->push_back(i);
-        }
-        gids[i] = id;
-      }
-    });
-    return;
-  }
-  std::vector<std::vector<int64_t>> local_first(num_ranges);
-  ForRanges(num_ranges, [&](int64_t r) {
-    std::vector<uint64_t> seen(static_cast<size_t>((domain + 63) / 64), 0);
-    ForEachKeyRun(b, RangeLo(n, r, num_ranges), RangeLo(n, r + 1, num_ranges),
-                  [&](const auto& key, int64_t a, int64_t z) {
-                    for (int64_t i = a; i < z; ++i) {
-                      const int64_t s = key(i) - lo;
-                      gids[i] = static_cast<int32_t>(s);
-                      uint64_t& word = seen[s >> 6];
-                      const uint64_t bit = uint64_t{1} << (s & 63);
-                      if ((word & bit) == 0) {
-                        word |= bit;
-                        local_first[r].push_back(i);
-                      }
-                    }
-                  });
-  });
   int32_t next = 0;
-  for (const std::vector<int64_t>& firsts : local_first) {
-    for (int64_t i : firsts) {
-      int32_t& id = id_of[gids[i]];
+  ForEachKeyRun(b, 0, n, [&](const auto& key, int64_t a, int64_t z) {
+    for (int64_t i = a; i < z; ++i) {
+      int32_t& id = id_of[key(i) - lo];
       if (id < 0) {
         id = next++;
         first_row->push_back(i);
       }
-    }
-  }
-  ForRanges(num_ranges, [&](int64_t r) {
-    for (int64_t i = RangeLo(n, r, num_ranges);
-         i < RangeLo(n, r + 1, num_ranges); ++i) {
-      gids[i] = id_of[gids[i]];
+      gids[i] = id;
     }
   });
 }
 
 // Tries the direct path for a single key column; false when its value
 // range is too wide for the rows scanned (the caller then hashes).
-bool TryDirectGroups(const BoundColumn& b, int64_t n, int num_ranges,
+bool TryDirectGroups(const BoundColumn& b, int64_t n,
                      std::vector<int32_t>* group_ids,
                      std::vector<int64_t>* first_row) {
   const int64_t max_domain = std::max(n, kMinDirectDomain);
@@ -293,26 +219,15 @@ bool TryDirectGroups(const BoundColumn& b, int64_t n, int num_ranges,
   if (b.col->type() == DataType::kString) {
     domain = static_cast<int64_t>(b.col->dictionary().size());
   } else {
-    const int64_t key0 = b.col->GetInt64(b.Row(0));
-    std::vector<int64_t> mins(num_ranges, key0);
-    std::vector<int64_t> maxs(num_ranges, key0);
-    ForRanges(num_ranges, [&](int64_t r) {
-      int64_t mn = mins[r];
-      int64_t mx = maxs[r];
-      ForEachKeyRun(b, RangeLo(n, r, num_ranges),
-                    RangeLo(n, r + 1, num_ranges),
-                    [&](const auto& key, int64_t a, int64_t z) {
-                      for (int64_t i = a; i < z; ++i) {
-                        const int64_t k = key(i);
-                        mn = std::min(mn, k);
-                        mx = std::max(mx, k);
-                      }
-                    });
-      mins[r] = mn;
-      maxs[r] = mx;
+    lo = b.col->GetInt64(b.Row(0));
+    int64_t hi = lo;
+    ForEachKeyRun(b, 0, n, [&](const auto& key, int64_t a, int64_t z) {
+      for (int64_t i = a; i < z; ++i) {
+        const int64_t k = key(i);
+        lo = std::min(lo, k);
+        hi = std::max(hi, k);
+      }
     });
-    lo = *std::min_element(mins.begin(), mins.end());
-    const int64_t hi = *std::max_element(maxs.begin(), maxs.end());
     // Unsigned difference: hi - lo overflows int64 for extreme keys.
     const uint64_t width =
         static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
@@ -320,20 +235,14 @@ bool TryDirectGroups(const BoundColumn& b, int64_t n, int num_ranges,
     domain = static_cast<int64_t>(width) + 1;
   }
   if (domain > max_domain) return false;
-  DirectGroups(b, lo, domain, n, num_ranges, group_ids, first_row);
+  DirectGroups(b, lo, domain, n, group_ids, first_row);
   return true;
 }
 
-// Hash grouping over composite keys. Phase 1 builds one local table per
-// contiguous row range, writing range-local ids into group_ids. Phase 2
-// merges the local key sets in ascending range order, local ids in local
-// first-occurrence order — which assigns every key its id at the first
-// range where it globally first occurs, so global ids come out in
-// first-occurrence row order for ANY contiguous partitioning (R = 1
-// reproduces the serial scan exactly). Phase 3 remaps local -> global in
-// parallel.
+// Hash grouping over composite keys: one table maps each key to the id it
+// took at its first occurrence.
 void HashGroups(const std::vector<BoundColumn>& keys, int64_t n,
-                int num_ranges, std::vector<int32_t>* group_ids,
+                std::vector<int32_t>* group_ids,
                 std::vector<int64_t>* first_row) {
   auto code_at = [&](size_t c, int64_t i) -> int64_t {
     const BoundColumn& b = keys[c];
@@ -347,7 +256,7 @@ void HashGroups(const std::vector<BoundColumn>& keys, int64_t n,
     for (size_t c = 0; c < keys.size(); ++c) {
       h = MixKey(h, static_cast<uint64_t>(code_at(c, i)));
     }
-    return h;
+    return FinalizeHash(h);
   };
   auto rows_equal = [&](int64_t a, int64_t b) -> bool {
     for (size_t c = 0; c < keys.size(); ++c) {
@@ -356,60 +265,15 @@ void HashGroups(const std::vector<BoundColumn>& keys, int64_t n,
     return true;
   };
 
-  std::vector<GroupHashTable> local(num_ranges);
-  std::vector<std::vector<int64_t>> local_first(num_ranges);
-  ForRanges(num_ranges, [&](int64_t r) {
-    GroupHashTable& tbl = local[r];
-    std::vector<int64_t>& firsts = local_first[r];
-    for (int64_t i = RangeLo(n, r, num_ranges);
-         i < RangeLo(n, r + 1, num_ranges); ++i) {
-      bool inserted = false;
-      const int32_t gid =
-          tbl.FindOrInsert(hash_row(i), i,
-                           static_cast<int32_t>(firsts.size()), rows_equal,
-                           &inserted);
-      if (inserted) firsts.push_back(i);
-      (*group_ids)[i] = gid;
-    }
-  });
-
-  // Phase 2: deterministic serial merge over the (small) local key sets.
-  GroupHashTable global;
-  std::vector<std::vector<int32_t>> local_to_global(num_ranges);
-  for (int r = 0; r < num_ranges; ++r) {
-    local_to_global[r].resize(local_first[r].size());
-    for (size_t g = 0; g < local_first[r].size(); ++g) {
-      const int64_t row = local_first[r][g];
-      bool inserted = false;
-      const int32_t gid = global.FindOrInsert(
-          hash_row(row), row, static_cast<int32_t>(first_row->size()),
-          rows_equal, &inserted);
-      if (inserted) first_row->push_back(row);
-      local_to_global[r][g] = gid;
-    }
+  GroupHashTable table;
+  for (int64_t i = 0; i < n; ++i) {
+    bool inserted = false;
+    (*group_ids)[i] =
+        table.FindOrInsert(hash_row(i), i,
+                           static_cast<int32_t>(first_row->size()),
+                           rows_equal, &inserted);
+    if (inserted) first_row->push_back(i);
   }
-
-  // Phase 3: parallel local -> global remap (identity when R == 1).
-  if (num_ranges > 1) {
-    ForRanges(num_ranges, [&](int64_t r) {
-      const std::vector<int32_t>& map = local_to_global[r];
-      for (int64_t i = RangeLo(n, r, num_ranges);
-           i < RangeLo(n, r + 1, num_ranges); ++i) {
-        (*group_ids)[i] = map[(*group_ids)[i]];
-      }
-    });
-  }
-}
-
-// Murmur3 finalizer: spreads MixKey's sums over the low bits the table
-// indexes with, so strided keys do not cluster.
-uint64_t FinalizeHash(uint64_t h) {
-  h ^= h >> 33;
-  h *= 0xff51afd7ed558ccdULL;
-  h ^= h >> 33;
-  h *= 0xc4ceb9fe1a85ec53ULL;
-  h ^= h >> 33;
-  return h;
 }
 
 // MatchGroupKeys for one INT64 key column over a dense value range: a
@@ -546,8 +410,7 @@ std::vector<int32_t> MatchGroupKeys(const Table& keys, const Table& more,
 }
 
 Status BuildGroups(const std::vector<std::string>& group_by,
-                   PreparedInput* out, const ExecOptions& opts,
-                   bool allow_direct) {
+                   PreparedInput* out, bool allow_direct) {
   const int64_t n = out->num_input_rows;
   out->direct_groups = false;
 
@@ -570,20 +433,15 @@ Status BuildGroups(const std::vector<std::string>& group_by,
   }
   out->group_keys = std::make_unique<Table>(std::move(key_schema));
 
-  constexpr int64_t kMinRangeRows = 16384;
-  const int num_ranges =
-      std::min(PlannedWorkers(opts, (n + kMinRangeRows - 1) / kMinRangeRows),
-               ThreadPool::kMaxGlobalWorkers + 1);
-
   // Every id is written below; resize without a fill pass when possible.
   out->group_ids.resize(n);
   std::vector<int64_t> first_row;
   if (allow_direct && keys.size() == 1 && n > 0) {
     out->direct_groups =
-        TryDirectGroups(keys[0], n, num_ranges, &out->group_ids, &first_row);
+        TryDirectGroups(keys[0], n, &out->group_ids, &first_row);
   }
   if (!out->direct_groups) {
-    HashGroups(keys, n, num_ranges, &out->group_ids, &first_row);
+    HashGroups(keys, n, &out->group_ids, &first_row);
   }
 
   // Group keys: typed copies of each group's first row.
@@ -609,7 +467,7 @@ std::vector<double> ComputeGroupedState(AggOp op,
   const int64_t n = static_cast<int64_t>(group_ids.size());
   if (!opts.partitioned || opts.num_partitions <= 1) {
     std::vector<double> acc(num_groups, AggIdentity(op));
-    GroupedAccumulate(op, input, group_ids, &acc);
+    GroupedAccumulateRange(op, input.data(), group_ids.data(), 0, n, &acc);
     return acc;
   }
 
@@ -640,10 +498,10 @@ std::vector<double> ComputeGroupedState(AggOp op,
 }
 
 Result<std::vector<double>> RunHardcodedUdaf(
-    const Udaf& udaf, const std::vector<const Column*>& arg_columns,
+    const Udaf& udaf, const std::vector<BoundColumn>& args,
     const std::vector<int32_t>& group_ids, int32_t num_groups,
     const ExecOptions& opts) {
-  if (static_cast<int>(arg_columns.size()) != udaf.num_args()) {
+  if (static_cast<int>(args.size()) != udaf.num_args()) {
     return Status::InvalidArgument(udaf.name() + " expects " +
                                    std::to_string(udaf.num_args()) +
                                    " argument column(s)");
@@ -653,21 +511,38 @@ Result<std::vector<double>> RunHardcodedUdaf(
 
   // Row-at-a-time driving is the slowest engine path, so the guard is
   // checked every kGuardStride rows — the row-at-a-time equivalent of the
-  // fused executor's morsel-boundary check.
+  // fused executor's morsel-boundary check. Each stride's values are
+  // boxed column by column, reading every argument run by run in place.
   constexpr int64_t kGuardStride = 4096;
   auto run_range = [&](int64_t lo, int64_t hi,
                        std::vector<std::vector<Value>>* states) -> Status {
-    std::vector<Value> args(num_args);
-    for (int64_t i = lo; i < hi; ++i) {
-      if (opts.guard != nullptr && (i - lo) % kGuardStride == 0) {
-        SUDAF_RETURN_IF_ERROR(opts.guard->Check());
-      }
+    std::vector<std::vector<Value>> boxed(
+        static_cast<size_t>(std::min(kGuardStride, hi - lo)),
+        std::vector<Value>(num_args));
+    for (int64_t s = lo; s < hi; s += kGuardStride) {
+      if (opts.guard != nullptr) SUDAF_RETURN_IF_ERROR(opts.guard->Check());
+      const int64_t e = std::min(hi, s + kGuardStride);
       // Box every input value — this is the per-row overhead hardcoded
       // UDAFs pay in real engines.
       for (int a = 0; a < num_args; ++a) {
-        args[a] = arg_columns[a]->GetValue(i);
+        auto box = [&](auto type_tag) {
+          using T = decltype(type_tag);
+          args[a].ForEachRun<T>(s, e, [&](const T* v, int64_t first,
+                                          int64_t ra, int64_t rz) {
+            for (int64_t i = ra; i < rz; ++i) {
+              boxed[i - s][a] = Value(v[args[a].Row(i) - first]);
+            }
+          });
+        };
+        if (args[a].col->type() == DataType::kInt64) {
+          box(int64_t{});
+        } else {
+          box(double{});
+        }
       }
-      udaf.Update(&(*states)[group_ids[i]], args);
+      for (int64_t i = s; i < e; ++i) {
+        udaf.Update(&(*states)[group_ids[i]], boxed[i - s]);
+      }
     }
     return Status::OK();
   };

@@ -32,8 +32,8 @@ struct PreparedInput {
   const Table* source = nullptr;   // table the tuples index: base or frame
   std::vector<int64_t> row_ids;    // selected rows of `source`; empty: identity
   int64_t base = 0;                // first row of the identity range
-  // Gathered columns: a join's input, or a copy MaterializeFrame made for
-  // a path that evaluates over a frame (the engine's interpreted UDAFs).
+  // A join's gathered columns; null for a single-table scan, whose every
+  // reader binds the base table in place.
   std::unique_ptr<Table> frame;
   std::vector<std::string> columns;   // columns the query reads (validated)
   int64_t num_input_rows = 0;         // tuple count
@@ -64,17 +64,12 @@ struct PreparedInput {
 // bytes to sudaf.input.gathered_bytes (opts.metrics). Parallel under
 // opts.parallel: output columns are pre-sized and (column × row-range)
 // tasks fill disjoint windows, producing the same positional copy as a
-// serial gather. This is the one place input rows are copied.
+// serial gather. This is the one place input rows are copied, and only a
+// join's Prepare calls it.
 Result<std::unique_ptr<Table>> GatherColumns(
     const std::vector<std::string>& names,
     const std::vector<BoundColumn>& columns, int64_t num_rows,
     const ExecOptions& opts = {});
-
-// Ensures `input->frame` holds every column of `input->columns`, gathering
-// it (under a "gather" span and sudaf.phase.gather_ms) when missing. For
-// the paths that evaluate over a frame: the engine's interpreted UDAFs and
-// the per-state reference loops of the tests and benchmarks.
-Status MaterializeFrame(PreparedInput* input, const ExecOptions& opts = {});
 
 // Computes `out->group_ids`, `out->group_keys` and `out->num_groups` for the
 // input bound in `out`, reading the key columns through Bind(). With an
@@ -84,16 +79,15 @@ Status MaterializeFrame(PreparedInput* input, const ExecOptions& opts = {});
 // Group ids are in first-occurrence row order on every path. One INT64 key
 // whose value range, or one dictionary STRING key whose dictionary, is
 // small relative to the scanned rows indexes a dense id table directly
-// (out->direct_groups); any other key hashes. `allow_direct` = false forces
-// the hash path (for differential tests).
+// (out->direct_groups); any other key hashes into one flat open-addressing
+// table. `allow_direct` = false forces the hash path (for differential
+// tests).
 //
-// Parallel under opts.parallel: per-range local first-occurrence key sets
-// (flat open-addressing hash tables, or bitmaps over the direct range),
-// then a deterministic merge in range order — group_keys ordering and
-// group_ids are bit-identical to the serial scan for every thread count.
+// Always one serial pass: first-occurrence ids have no ⊕ merge, so a
+// parallel form pays a serial key merge and a second pass to remap ids
+// and costs more CPU than it saves (docs/execution.md, "Numbers").
 Status BuildGroups(const std::vector<std::string>& group_by,
-                   PreparedInput* out, const ExecOptions& opts = {},
-                   bool allow_direct = true);
+                   PreparedInput* out, bool allow_direct = true);
 
 // Matches the groups of `more` onto the groups of `keys`, two group-key
 // tables over the same key columns (a delta refresh extends a cached
@@ -116,11 +110,13 @@ std::vector<double> ComputeGroupedState(AggOp op,
                                         int32_t num_groups,
                                         const ExecOptions& opts);
 
-// Drives a hardcoded UDAF over the frame one boxed row at a time
-// (initialize/update per row; with opts.partitioned, per-partition states
-// merged via Udaf::Merge), returning the per-group final values.
+// Drives a hardcoded UDAF over its numeric argument columns one boxed row
+// at a time (initialize/update per row; with opts.partitioned,
+// per-partition states merged via Udaf::Merge), returning the per-group
+// final values. `args` are bound to the query's tuples (PreparedInput::
+// Bind) and read in place, run by run.
 Result<std::vector<double>> RunHardcodedUdaf(
-    const Udaf& udaf, const std::vector<const Column*>& arg_columns,
+    const Udaf& udaf, const std::vector<BoundColumn>& args,
     const std::vector<int32_t>& group_ids, int32_t num_groups,
     const ExecOptions& opts);
 

@@ -101,9 +101,9 @@ struct ExecOptions {
 // Worker count a pipeline stage should use under `opts` for a stage with
 // at most `max_tasks` independent work units: 1 when parallelism is off or
 // there is nothing to split, otherwise num_threads (0 = hardware
-// concurrency) capped by the task count. Every parallel stage (filter,
-// gather, group, fused accumulation) sizes itself through this one helper
-// so a query reports a consistent thread count.
+// concurrency) capped by the task count. Every parallel stage (filter, a
+// join's gather, fused accumulation) sizes itself through this one helper
+// so a query reports a consistent thread count. Grouping is serial.
 inline int PlannedWorkers(const ExecOptions& opts, int64_t max_tasks) {
   if (!opts.parallel || max_tasks <= 1) return 1;
   int workers = opts.num_threads;

@@ -123,7 +123,7 @@ Result<PreparedInput> Executor::Prepare(
   {
     TraceSpan group_span(opts.trace, "group", opts.trace_span,
                          phase_ms("sudaf.phase.group_ms"));
-    SUDAF_RETURN_IF_ERROR(BuildGroups(stmt.group_by, &prepared, opts));
+    SUDAF_RETURN_IF_ERROR(BuildGroups(stmt.group_by, &prepared));
   }
   return prepared;
 }
@@ -148,18 +148,6 @@ Result<std::unique_ptr<Table>> Executor::Execute(
     SUDAF_RETURN_IF_ERROR(opts.guard->ChargeMemory(input.ApproxBytes()));
   }
   const int32_t num_groups = input.num_groups;
-  // Interpreted UDAFs read their argument columns from a frame, gathered
-  // on first use, so queries of built-ins only never copy a row.
-  auto frame = [&]() -> Result<const Table*> {
-    if (input.frame == nullptr) {
-      SUDAF_RETURN_IF_ERROR(MaterializeFrame(&input, prep_opts));
-      if (opts.guard != nullptr) {
-        SUDAF_RETURN_IF_ERROR(
-            opts.guard->ChargeMemory(input.frame->ApproxBytes()));
-      }
-    }
-    return input.frame.get();
-  };
 
   Schema out_schema;
   std::vector<std::vector<double>> agg_outputs(stmt.items.size());
@@ -280,19 +268,17 @@ Result<std::unique_ptr<Table>> Executor::Execute(
     std::vector<std::string> columns;
     SUDAF_ASSIGN_OR_RETURN(const Udaf* udaf,
                            FindUdaf(expr, &derived, &columns));
-    std::vector<const Column*> arg_columns;
+    std::vector<BoundColumn> args;
     for (const std::string& name : columns) {
-      SUDAF_ASSIGN_OR_RETURN(const Table* f, frame());
-      SUDAF_ASSIGN_OR_RETURN(const Column* col, f->GetColumn(name));
-      if (col->type() == DataType::kString) {
+      SUDAF_ASSIGN_OR_RETURN(BoundColumn arg, input.Bind(name));
+      if (arg.col->type() == DataType::kString) {
         return Status::TypeError("UDAF argument " + name + " is not numeric");
       }
-      arg_columns.push_back(col);
+      args.push_back(arg);
     }
     SUDAF_ASSIGN_OR_RETURN(
         agg_outputs[i],
-        RunHardcodedUdaf(*udaf, arg_columns, input.group_ids, num_groups,
-                         opts));
+        RunHardcodedUdaf(*udaf, args, input.group_ids, num_groups, opts));
   }
 
   // Assemble the result table: one row per group.

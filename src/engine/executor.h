@@ -51,12 +51,12 @@ class Executor {
   // select list, and `extra_columns` (PreparedInput::columns). A
   // single-table input reads its base table in place through the WHERE
   // selection or an identity range; a join gathers those columns into a
-  // frame. `opts` controls pipeline parallelism (filter / gather / group
-  // run morsel-parallel under opts.parallel, with results bit-identical to
-  // the serial path) and carries the observability sinks: each stage
-  // records a span ("filter", "gather", "group") under opts.trace_span and
-  // a sudaf.phase.*_ms dcounter; "gather" times binding the columns plus
-  // whatever is still copied.
+  // frame. `opts` controls pipeline parallelism (the filter and a join's
+  // gather run morsel-parallel under opts.parallel, with results
+  // bit-identical to the serial path; grouping is serial) and carries the
+  // observability sinks: each stage records a span ("filter", "gather",
+  // "group") under opts.trace_span and a sudaf.phase.*_ms dcounter;
+  // "gather" times binding the columns plus a join's frame.
   Result<PreparedInput> Prepare(const SelectStatement& stmt,
                                 const std::vector<std::string>& extra_columns,
                                 const ExecOptions& opts) const;

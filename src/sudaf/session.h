@@ -108,9 +108,9 @@ struct ExecStats {
   // ordered and cut on its group keys serves LIMIT × states; otherwise
   // every group is served.
   int64_t serve_rows = 0;
-  // Bytes copied into gathered frames: a join's input columns, or the
-  // frame an engine-mode interpreted UDAF reads. 0 for a single-table
-  // scan, which reads its base table in place.
+  // Bytes copied into a join's gathered frame, the only input that is
+  // copied. 0 for a single-table scan in every mode, which reads its base
+  // table in place.
   int64_t gathered_bytes = 0;
 
   // Fused StateBatch executor observability (zero when no fused pass ran:

@@ -231,6 +231,76 @@ TEST(StateCacheTest, EntryPoisonDetection) {
   EXPECT_TRUE(EntryIsPoisoned(StateCache::Entry{{std::nan("")}, {}}));
 }
 
+// ProbeEntry copies out what it finds: the whole entry, or only the
+// requested groups in request order (unstamped, since the copy is not the
+// cached entry); an absent key is a miss that writes nothing.
+TEST(StateCacheProbeTest, MissWholeCopyAndRowSubset) {
+  StateCache cache;
+  auto keys = testing_util::MakeXyTable({1, 2, 3}, {0, 0, 0}, {0, 0, 0});
+  StateCache::GroupSetPtr set = Create(cache, "sig", *keys, 3);
+  ASSERT_TRUE(cache.InsertEntry(
+      set.get(), "logclass|x", StateCache::Entry{{1.5, 2.5, 3.5}, {1, -1, 1}}));
+  ASSERT_TRUE(cache.InsertEntry(set.get(), "count",
+                                StateCache::Entry{{4.0, 5.0, 6.0}, {}}));
+  const StateCache::Entry& stored = set->entries.at("logclass|x");
+  ASSERT_NE(stored.shadow_crc, 0u);
+
+  StateCache::Entry out{{9.0}, {9.0}, 7};
+  EXPECT_EQ(cache.ProbeEntry(set.get(), "sum_pow|x|1", &out),
+            StateCache::Probe::kMiss);
+  EXPECT_EQ(out.main, std::vector<double>{9.0});
+  EXPECT_EQ(cache.ProbeEntry(set.get(), "count", nullptr),
+            StateCache::Probe::kHit);
+
+  ASSERT_EQ(cache.ProbeEntry(set.get(), "logclass|x", &out),
+            StateCache::Probe::kHit);
+  EXPECT_EQ(out.main, (std::vector<double>{1.5, 2.5, 3.5}));
+  EXPECT_EQ(out.sign, (std::vector<double>{1, -1, 1}));
+  EXPECT_EQ(out.shadow_crc, stored.shadow_crc);
+
+  const std::vector<int64_t> rows = {2, 0, 2};
+  ASSERT_EQ(cache.ProbeEntry(set.get(), "logclass|x", &out, {}, &rows),
+            StateCache::Probe::kHit);
+  EXPECT_EQ(out.main, (std::vector<double>{3.5, 1.5, 3.5}));
+  EXPECT_EQ(out.sign, (std::vector<double>{1, 1, 1}));
+  EXPECT_EQ(out.shadow_crc, 0u);
+  ASSERT_EQ(cache.ProbeEntry(set.get(), "count", &out, {}, &rows),
+            StateCache::Probe::kHit);
+  EXPECT_EQ(out.main, (std::vector<double>{6.0, 4.0, 6.0}));
+  EXPECT_TRUE(out.sign.empty());
+  EXPECT_EQ(out.shadow_crc, 0u);
+  EXPECT_EQ(cache.counters().poison_evictions, 0);
+}
+
+// A poisoned entry planted past the insert guards is evicted by the probe
+// that finds it, counted once (in the cache and in the caller's metrics),
+// and never served: the next probe misses.
+TEST(StateCacheProbeTest, PoisonedEntryIsEvictedAndThenMisses) {
+  StateCache cache;
+  auto keys = testing_util::MakeXyTable({1, 2}, {0, 0}, {0, 0});
+  StateCache::GroupSetPtr set = Create(cache, "sig", *keys, 2);
+  set->entries["bad"] = StateCache::Entry{{1.0, std::nan("")}, {}};
+  set->entries["good"] = StateCache::Entry{{1.0, 2.0}, {}};
+  MetricsRegistry metrics;
+  CacheOps ops;
+  ops.metrics = &metrics;
+
+  StateCache::Entry out;
+  EXPECT_EQ(cache.ProbeEntry(set.get(), "bad", &out, ops),
+            StateCache::Probe::kPoisoned);
+  EXPECT_EQ(set->entries.count("bad"), 0u);
+  EXPECT_EQ(set->entries.count("good"), 1u);
+  EXPECT_EQ(cache.counters().poison_evictions, 1);
+  EXPECT_EQ(metrics.Snapshot().counter("sudaf.cache.poison_evictions"), 1);
+
+  EXPECT_EQ(cache.ProbeEntry(set.get(), "bad", &out, ops),
+            StateCache::Probe::kMiss);
+  EXPECT_EQ(cache.counters().poison_evictions, 1);
+  EXPECT_EQ(cache.ProbeEntry(set.get(), "good", &out, ops),
+            StateCache::Probe::kHit);
+  EXPECT_EQ(out.main, (std::vector<double>{1.0, 2.0}));
+}
+
 TEST(StateCacheTest, GroupKeysAreCopied) {
   StateCache cache;
   auto keys = testing_util::MakeXyTable({7}, {0}, {0});

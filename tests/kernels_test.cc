@@ -2,8 +2,6 @@
 // helpers — including the algebraic-aggregation property that partitioned
 // execution with ⊕-merge equals a single pass.
 
-#include <limits>
-
 #include "agg/builtin_kernels.h"
 #include "common/rng.h"
 #include "engine/aggregation.h"
@@ -14,22 +12,6 @@ namespace sudaf {
 namespace {
 
 using testing_util::ExpectClose;
-
-TEST(KernelsTest, UngroupedReductions) {
-  std::vector<double> v = {1.0, 2.0, 3.0, -4.0};
-  EXPECT_DOUBLE_EQ(KernelSum(v), 2.0);
-  EXPECT_DOUBLE_EQ(KernelProd(v), -24.0);
-  EXPECT_DOUBLE_EQ(KernelMin(v), -4.0);
-  EXPECT_DOUBLE_EQ(KernelMax(v), 3.0);
-}
-
-TEST(KernelsTest, EmptyInputsYieldIdentities) {
-  std::vector<double> empty;
-  EXPECT_DOUBLE_EQ(KernelSum(empty), 0.0);
-  EXPECT_DOUBLE_EQ(KernelProd(empty), 1.0);
-  EXPECT_EQ(KernelMin(empty), std::numeric_limits<double>::infinity());
-  EXPECT_EQ(KernelMax(empty), -std::numeric_limits<double>::infinity());
-}
 
 TEST(KernelsTest, IdentityIsNeutralForMerge) {
   for (AggOp op : {AggOp::kSum, AggOp::kProd, AggOp::kMin, AggOp::kMax,
@@ -58,19 +40,25 @@ TEST(KernelsTest, GroupedAccumulate) {
   std::vector<double> in = {1, 2, 3, 4, 5};
   std::vector<int32_t> gids = {0, 1, 0, 1, 0};
   std::vector<double> acc(2, AggIdentity(AggOp::kSum));
-  GroupedAccumulate(AggOp::kSum, in, gids, &acc);
+  GroupedAccumulateRange(AggOp::kSum, in.data(), gids.data(), 0, 5, &acc);
   EXPECT_DOUBLE_EQ(acc[0], 9.0);
   EXPECT_DOUBLE_EQ(acc[1], 6.0);
 
   std::vector<double> cnt(2, AggIdentity(AggOp::kCount));
-  GroupedAccumulate(AggOp::kCount, {}, gids, &cnt);
+  GroupedAccumulateRange(AggOp::kCount, nullptr, gids.data(), 0, 5, &cnt);
   EXPECT_DOUBLE_EQ(cnt[0], 3.0);
   EXPECT_DOUBLE_EQ(cnt[1], 2.0);
 
   std::vector<double> mx(2, AggIdentity(AggOp::kMax));
-  GroupedAccumulate(AggOp::kMax, in, gids, &mx);
+  GroupedAccumulateRange(AggOp::kMax, in.data(), gids.data(), 0, 5, &mx);
   EXPECT_DOUBLE_EQ(mx[0], 5.0);
   EXPECT_DOUBLE_EQ(mx[1], 4.0);
+
+  // A sub-range accumulates only its own rows.
+  std::vector<double> part(2, AggIdentity(AggOp::kSum));
+  GroupedAccumulateRange(AggOp::kSum, in.data(), gids.data(), 1, 4, &part);
+  EXPECT_DOUBLE_EQ(part[0], 3.0);
+  EXPECT_DOUBLE_EQ(part[1], 6.0);
 }
 
 // Property sweep: partitioned execution (partial aggregation + ⊕ merge)

@@ -1,14 +1,13 @@
 // End-to-end thread-count determinism of the parallel pipeline.
 //
 // The contract (docs/execution.md): every parallel stage — WHERE filter,
-// column gather, two-phase grouping, and the fused chunk-tree accumulation
-// — produces results that are BITWISE identical at every thread count,
-// including the serial path, for a fixed morsel size. Parallelism may only
-// change wall-clock time, never a single output bit: selection vectors are
-// written in row order via prefix-summed offsets, global group ids are
-// assigned in first-occurrence row order by a deterministic merge, and the
-// accumulation tree's shape is a pure function of input size and morsel
-// size (never the worker count).
+// a join's column gather and the fused chunk-tree accumulation — produces
+// results that are BITWISE identical at every thread count, including the
+// serial path, for a fixed morsel size. Parallelism may only change
+// wall-clock time, never a single output bit: selection vectors are
+// written in row order via prefix-summed offsets, grouping is one serial
+// first-occurrence pass, and the accumulation tree's shape is a pure
+// function of input size and morsel size (never the worker count).
 //
 // These tests run under the TSan CI shard (tools/check.sh re-runs
 // ParallelPipelineTest.* in the tsan build), so they double as the data-race
@@ -30,7 +29,7 @@ namespace sudaf {
 namespace {
 
 // 60k rows / morsel_size 1024 → ~59 morsels, so every stage actually
-// splits: multi-range filter + gather + grouping and a multi-chunk fused
+// splits: multi-range filter + join gather and a multi-chunk fused
 // accumulation tree.
 constexpr int64_t kRows = 60000;
 constexpr int kMorsel = 1024;
@@ -47,6 +46,17 @@ Catalog MakeCatalog() {
   }
   Catalog catalog;
   catalog.PutTable("t", testing_util::MakeXyTable(g, x, y));
+  // d(k, w): one row per key of t.g, for the join.
+  Schema schema;
+  SUDAF_CHECK(schema.AddField({"k", DataType::kInt64}).ok());
+  SUDAF_CHECK(schema.AddField({"w", DataType::kFloat64}).ok());
+  auto dim = std::make_unique<Table>(std::move(schema));
+  for (int64_t k = 0; k < 211; ++k) {
+    dim->column(0).AppendInt64(k);
+    dim->column(1).AppendFloat64(rng.NextDoubleIn(-1.0, 1.0));
+  }
+  dim->FinishBulkAppend();
+  catalog.PutTable("d", std::move(dim));
   return catalog;
 }
 
@@ -90,10 +100,10 @@ void ExpectTablesBitIdentical(const Table& a, const Table& b,
   }
 }
 
-// Executor::Prepare — the filter/gather/group stages in isolation — must
-// produce an identical selection, a bitwise-identical gathered frame,
-// identical group ids, and identical group-key row order at every thread
-// count (1 = the serial reference).
+// Executor::Prepare — the filter/bind/group stages in isolation — must
+// produce an identical selection, identical group ids, and identical
+// group-key row order at every thread count (1 = the serial reference).
+// A single-table scan gathers no frame.
 TEST(ParallelPipelineTest, PrepareIsThreadCountInvariant) {
   Catalog catalog = MakeCatalog();
   Executor executor(&catalog);
@@ -104,7 +114,7 @@ TEST(ParallelPipelineTest, PrepareIsThreadCountInvariant) {
 
   ASSERT_OK_AND_ASSIGN(PreparedInput serial,
                        executor.Prepare(*stmt, {"y"}, OptsFor(1)));
-  ASSERT_OK(MaterializeFrame(&serial, OptsFor(1)));
+  ASSERT_EQ(serial.frame, nullptr);
   ASSERT_GT(serial.num_input_rows, 0);
   ASSERT_LT(serial.num_input_rows, kRows);  // the WHERE actually filtered
   ASSERT_GT(serial.num_groups, 1);
@@ -112,10 +122,43 @@ TEST(ParallelPipelineTest, PrepareIsThreadCountInvariant) {
   for (int threads : {2, 8}) {
     ASSERT_OK_AND_ASSIGN(PreparedInput par,
                          executor.Prepare(*stmt, {"y"}, OptsFor(threads)));
-    ASSERT_OK(MaterializeFrame(&par, OptsFor(threads)));
     std::string ctx = "threads=" + std::to_string(threads);
     ASSERT_EQ(par.num_input_rows, serial.num_input_rows) << ctx;
     ASSERT_EQ(par.row_ids, serial.row_ids) << ctx;
+    ASSERT_EQ(par.num_groups, serial.num_groups) << ctx;
+    ASSERT_EQ(par.group_ids, serial.group_ids) << ctx;
+    ASSERT_EQ(par.frame, nullptr) << ctx;
+    ExpectTablesBitIdentical(*serial.group_keys, *par.group_keys,
+                             ctx + " group_keys");
+  }
+}
+
+// A join is the one input that gathers a frame, in parallel (column ×
+// row-range tasks): the frame, the group ids and the group keys are
+// bitwise identical at every thread count.
+TEST(ParallelPipelineTest, JoinFrameIsThreadCountInvariant) {
+  Catalog catalog = MakeCatalog();
+  Executor executor(&catalog);
+  ASSERT_OK_AND_ASSIGN(
+      std::unique_ptr<SelectStatement> stmt,
+      ParseSelect("SELECT g, sum(x * w) FROM t, d WHERE g = k AND x > 0.5 "
+                  "GROUP BY g"));
+
+  ASSERT_OK_AND_ASSIGN(PreparedInput serial,
+                       executor.Prepare(*stmt, {"y"}, OptsFor(1)));
+  ASSERT_NE(serial.frame, nullptr);
+  ASSERT_GT(serial.num_input_rows, 0);
+  ASSERT_LT(serial.num_input_rows, kRows);  // the WHERE actually filtered
+  ASSERT_EQ(serial.frame->num_rows(), serial.num_input_rows);
+  ASSERT_EQ(serial.frame->num_columns(), 4);  // g, x, w, y
+  ASSERT_GT(serial.num_groups, 1);
+
+  for (int threads : {2, 8}) {
+    ASSERT_OK_AND_ASSIGN(PreparedInput par,
+                         executor.Prepare(*stmt, {"y"}, OptsFor(threads)));
+    std::string ctx = "join threads=" + std::to_string(threads);
+    ASSERT_NE(par.frame, nullptr) << ctx;
+    ASSERT_EQ(par.num_input_rows, serial.num_input_rows) << ctx;
     ASSERT_EQ(par.num_groups, serial.num_groups) << ctx;
     ASSERT_EQ(par.group_ids, serial.group_ids) << ctx;
     ExpectTablesBitIdentical(*serial.frame, *par.frame, ctx + " frame");

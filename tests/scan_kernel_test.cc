@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -411,7 +412,7 @@ TEST_F(ScanKernelTest, GrownTableSelectionMatchesInterpreted) {
 bool ExpectGroupingMatchesHash(const Table& table,
                                const std::vector<std::string>& keys,
                                const std::vector<int64_t>& row_ids,
-                               int threads, const std::string& what) {
+                               const std::string& ctx) {
   auto prepare = [&](bool allow_direct) {
     PreparedInput in;
     in.source = &table;
@@ -419,16 +420,12 @@ bool ExpectGroupingMatchesHash(const Table& table,
     in.num_input_rows = row_ids.empty()
                             ? table.num_rows()
                             : static_cast<int64_t>(row_ids.size());
-    ExecOptions opts;
-    opts.parallel = threads > 1;
-    opts.num_threads = threads;
-    Status st = BuildGroups(keys, &in, opts, allow_direct);
+    Status st = BuildGroups(keys, &in, allow_direct);
     SUDAF_CHECK_MSG(st.ok(), st.ToString());
     return in;
   };
   PreparedInput direct = prepare(true);
   PreparedInput hash = prepare(false);
-  const std::string ctx = what + " threads=" + std::to_string(threads);
   EXPECT_FALSE(hash.direct_groups) << ctx;
   EXPECT_EQ(direct.num_groups, hash.num_groups) << ctx;
   EXPECT_EQ(direct.group_ids, hash.group_ids) << ctx;
@@ -470,7 +467,6 @@ std::unique_ptr<Table> MakeKeyTable(int64_t n, Rng* rng, int64_t span,
   return table;
 }
 
-// 70k rows: five 16k-row grouping ranges at 8 threads.
 constexpr int64_t kGroupRows = 70000;
 
 TEST(DirectGroupingTest, MatchesHashPathBitwise) {
@@ -495,16 +491,14 @@ TEST(DirectGroupingTest, MatchesHashPathBitwise) {
     // Every third row, as a WHERE selection would pass them.
     std::vector<int64_t> selected;
     for (int64_t r = 1; r < kGroupRows; r += 3) selected.push_back(r);
-    for (int threads : {1, 8}) {
-      EXPECT_EQ(ExpectGroupingMatchesHash(*table, c.keys, {}, threads,
-                                          std::string(c.what) + " identity"),
-                c.want_direct)
-          << c.what;
-      EXPECT_EQ(ExpectGroupingMatchesHash(*table, c.keys, selected, threads,
-                                          std::string(c.what) + " row ids"),
-                c.want_direct)
-          << c.what;
-    }
+    EXPECT_EQ(ExpectGroupingMatchesHash(*table, c.keys, {},
+                                        std::string(c.what) + " identity"),
+              c.want_direct)
+        << c.what;
+    EXPECT_EQ(ExpectGroupingMatchesHash(*table, c.keys, selected,
+                                        std::string(c.what) + " row ids"),
+              c.want_direct)
+        << c.what;
   }
 }
 
@@ -517,7 +511,64 @@ TEST(DirectGroupingTest, ExtremeKeysTakeTheHashPath) {
     table.column(0).AppendInt64(v);
   }
   table.FinishBulkAppend();
-  EXPECT_FALSE(ExpectGroupingMatchesHash(table, {"k1"}, {}, 1, "extremes"));
+  EXPECT_FALSE(ExpectGroupingMatchesHash(table, {"k1"}, {}, "extremes"));
+}
+
+// Enough two-key groups that the hash table grows many times past its
+// initial 1024 slots: ids, group count and key rows must equal a
+// first-occurrence std::map reference, over the identity range and over a
+// selection.
+TEST(HashGroupingTest, ManyTwoKeyGroupsMatchAMapReference) {
+  constexpr int64_t kRows = 240000;
+  Schema schema;
+  ASSERT_OK(schema.AddField({"a", DataType::kInt64}));
+  ASSERT_OK(schema.AddField({"b", DataType::kInt64}));
+  Table table(std::move(schema));
+  Rng rng(20261019);
+  for (int64_t i = 0; i < kRows; ++i) {
+    table.column(0).AppendInt64(static_cast<int64_t>(rng.NextBelow(600)));
+    table.column(1).AppendInt64(static_cast<int64_t>(rng.NextBelow(900)) -
+                                450);
+  }
+  table.FinishBulkAppend();
+  std::vector<int64_t> selected;
+  for (int64_t r = 0; r < kRows; r += 2) selected.push_back(r);
+
+  for (bool use_rows : {false, true}) {
+    const std::string what = use_rows ? "row ids" : "identity";
+    PreparedInput in;
+    in.source = &table;
+    if (use_rows) in.row_ids = selected;
+    in.num_input_rows =
+        use_rows ? static_cast<int64_t>(selected.size()) : kRows;
+    ASSERT_OK(BuildGroups({"a", "b"}, &in));
+    EXPECT_FALSE(in.direct_groups) << what;
+
+    std::map<std::pair<int64_t, int64_t>, int32_t> id_of;
+    std::vector<int32_t> want_ids;
+    std::vector<std::pair<int64_t, int64_t>> want_keys;
+    for (int64_t i = 0; i < in.num_input_rows; ++i) {
+      const int64_t row = use_rows ? selected[i] : i;
+      const std::pair<int64_t, int64_t> key{table.column(0).GetInt64(row),
+                                            table.column(1).GetInt64(row)};
+      auto [it, inserted] =
+          id_of.emplace(key, static_cast<int32_t>(want_keys.size()));
+      if (inserted) want_keys.push_back(key);
+      want_ids.push_back(it->second);
+    }
+    ASSERT_GE(want_keys.size(), 100000u) << what;
+    EXPECT_EQ(in.num_groups, static_cast<int32_t>(want_keys.size())) << what;
+    EXPECT_EQ(in.group_ids, want_ids) << what;
+    ASSERT_EQ(in.group_keys->num_rows(),
+              static_cast<int64_t>(want_keys.size()))
+        << what;
+    for (size_t g = 0; g < want_keys.size(); ++g) {
+      ASSERT_EQ(in.group_keys->column(0).GetInt64(g), want_keys[g].first)
+          << what << " group " << g;
+      ASSERT_EQ(in.group_keys->column(1).GetInt64(g), want_keys[g].second)
+          << what << " group " << g;
+    }
+  }
 }
 
 // --- Fused pass over the row map -------------------------------------------
@@ -544,9 +595,9 @@ void ExpectBitIdentical(const Table& a, const Table& b,
   }
 }
 
-// Grouping a table grown by appends — key runs split at its chunk ends,
-// inside and across the 16k-row grouping ranges — gives the ids and keys
-// of the same rows in one chunk, on the direct and the hash path.
+// Grouping a table grown by appends — key runs split at its chunk ends —
+// gives the ids and keys of the same rows in one chunk, on the direct and
+// the hash path.
 TEST(DirectGroupingTest, GrownTableMatchesOneChunkBitwise) {
   for (const char* key : {"k1", "ks"}) {
     Rng rng(20261017);
@@ -559,33 +610,28 @@ TEST(DirectGroupingTest, GrownTableMatchesOneChunkBitwise) {
               (std::vector<int64_t>{40000, 60000, kGroupRows}));
     std::vector<int64_t> selected;
     for (int64_t r = 1; r < kGroupRows; r += 3) selected.push_back(r);
-    for (int threads : {1, 8}) {
-      for (bool use_rows : {true, false}) {
-        const std::vector<int64_t> row_ids =
-            use_rows ? selected : std::vector<int64_t>{};
-        const std::string what =
-            std::string(key) + (use_rows ? " row ids" : " identity");
-        EXPECT_TRUE(ExpectGroupingMatchesHash(grown, {key}, row_ids, threads,
-                                              "grown " + what));
-        auto prepare = [&](const Table& t) {
-          PreparedInput in;
-          in.source = &t;
-          in.row_ids = row_ids;
-          in.num_input_rows = row_ids.empty()
-                                  ? t.num_rows()
-                                  : static_cast<int64_t>(row_ids.size());
-          ExecOptions opts;
-          opts.parallel = threads > 1;
-          opts.num_threads = threads;
-          SUDAF_CHECK(BuildGroups({key}, &in, opts).ok());
-          return in;
-        };
-        const PreparedInput a = prepare(grown);
-        const PreparedInput b = prepare(*flat);
-        EXPECT_TRUE(a.direct_groups) << what;
-        EXPECT_EQ(a.group_ids, b.group_ids) << what << " threads=" << threads;
-        ExpectBitIdentical(*a.group_keys, *b.group_keys, what);
-      }
+    for (bool use_rows : {true, false}) {
+      const std::vector<int64_t> row_ids =
+          use_rows ? selected : std::vector<int64_t>{};
+      const std::string what =
+          std::string(key) + (use_rows ? " row ids" : " identity");
+      EXPECT_TRUE(
+          ExpectGroupingMatchesHash(grown, {key}, row_ids, "grown " + what));
+      auto prepare = [&](const Table& t) {
+        PreparedInput in;
+        in.source = &t;
+        in.row_ids = row_ids;
+        in.num_input_rows = row_ids.empty()
+                                ? t.num_rows()
+                                : static_cast<int64_t>(row_ids.size());
+        SUDAF_CHECK(BuildGroups({key}, &in).ok());
+        return in;
+      };
+      const PreparedInput a = prepare(grown);
+      const PreparedInput b = prepare(*flat);
+      EXPECT_TRUE(a.direct_groups) << what;
+      EXPECT_EQ(a.group_ids, b.group_ids) << what;
+      ExpectBitIdentical(*a.group_keys, *b.group_keys, what);
     }
   }
 }
@@ -759,6 +805,57 @@ TEST_F(GatheredBytesTest, JoinsAndLegacyPathsGather) {
   EXPECT_GT(join.stats.gathered_bytes, 0);
   EXPECT_EQ(session.metrics().Snapshot().counter("sudaf.input.gathered_bytes"),
             join.stats.gathered_bytes);
+}
+
+// Engine mode's interpreted UDAFs read their arguments in place. Over a
+// table grown by appends, filtered or not, each answers bit for bit like
+// the same query over the rows in one chunk, with the partitioned model
+// off and on, and copies nothing. A join still gathers its frame.
+TEST_F(GatheredBytesTest, EngineModeUdafsReadInPlace) {
+  Rng rng(31);
+  std::vector<int64_t> g;
+  std::vector<double> x;
+  std::vector<double> y;
+  for (int i = 0; i < 6000; ++i) {
+    g.push_back(static_cast<int64_t>(rng.NextBelow(40)));
+    x.push_back(rng.NextDoubleIn(0.25, 4.0));
+    y.push_back(rng.NextDoubleIn(-2.0, 2.0));
+  }
+  std::unique_ptr<Table> flat = testing_util::MakeXyTable(g, x, y);
+  PutGrown(&catalog_, "grown", *flat, {3000, 4500, 5300, 5700, 6000});
+  catalog_.PutTable("flat", std::move(flat));
+  ASSERT_GT((*catalog_.GetTable("grown"))->ChunkEnds().size(), 1u);
+
+  for (bool partitioned : {false, true}) {
+    ExecOptions exec;
+    exec.partitioned = partitioned;
+    exec.num_partitions = 4;
+    for (const char* where : {"", " WHERE y > -0.5"}) {
+      for (const char* udaf : {"qm(x)", "theta1(x, y)", "kurtosis(x)"}) {
+        auto sql = [&](const char* table) {
+          return std::string("SELECT g, ") + udaf + " FROM " + table + where +
+                 " GROUP BY g";
+        };
+        const std::string what = sql("grown") +
+                                 (partitioned ? " partitioned" : " serial");
+        SudafSession session(&catalog_, SessionOptions{}.set_exec(exec));
+        ASSERT_OK_AND_ASSIGN(QueryResult got,
+                             session.Execute(sql("grown"), ExecMode::kEngine));
+        ASSERT_OK_AND_ASSIGN(QueryResult want,
+                             session.Execute(sql("flat"), ExecMode::kEngine));
+        EXPECT_EQ(got.stats.gathered_bytes, 0) << what;
+        EXPECT_EQ(want.stats.gathered_bytes, 0) << what;
+        ExpectBitIdentical(*got.table, *want.table, what);
+      }
+    }
+  }
+
+  SudafSession session(&catalog_);
+  ASSERT_OK_AND_ASSIGN(
+      QueryResult join,
+      session.Execute("SELECT g, qm(x * w) FROM t, d WHERE g = k GROUP BY g",
+                      ExecMode::kEngine));
+  EXPECT_GT(join.stats.gathered_bytes, 0);
 }
 
 }  // namespace
