@@ -9,6 +9,7 @@
 
 #include "agg/builtin_kernels.h"
 #include "agg/udaf.h"
+#include "bench_support/grouped_state.h"
 #include "common/rng.h"
 #include "engine/aggregation.h"
 #include "expr/parser.h"
@@ -120,10 +121,10 @@ void BM_VectorizedStates(benchmark::State& state) {
     for (size_t i = 0; i < fixture.values.size(); ++i) {
       squared[i] = fixture.values[i] * fixture.values[i];
     }
-    std::vector<double> sum2 = ComputeGroupedState(
+    std::vector<double> sum2 = bench::ComputeGroupedState(
         AggOp::kSum, squared, fixture.group_ids, 16, opts);
-    std::vector<double> count =
-        ComputeGroupedState(AggOp::kCount, {}, fixture.group_ids, 16, opts);
+    std::vector<double> count = bench::ComputeGroupedState(
+        AggOp::kCount, {}, fixture.group_ids, 16, opts);
     std::vector<double> qm(16);
     for (int g = 0; g < 16; ++g) qm[g] = std::sqrt(sum2[g] / count[g]);
     benchmark::DoNotOptimize(qm);

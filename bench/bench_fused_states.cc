@@ -44,6 +44,8 @@
 #include <vector>
 
 #include "agg/builtin_kernels.h"
+#include "bench_support/grouped_state.h"
+#include "common/metrics.h"
 #include "common/rng.h"
 #include "common/timer.h"
 #include "engine/aggregation.h"
@@ -107,7 +109,7 @@ double TimeLegacy(const Data& data, int k, bool with_count) {
   double t0 = NowMs();
   double sink = 0;
   if (with_count) {
-    std::vector<double> cnt = ComputeGroupedState(
+    std::vector<double> cnt = bench::ComputeGroupedState(
         AggOp::kCount, {}, data.gids, kGroups, opts);
     sink += cnt[0];
   }
@@ -117,7 +119,7 @@ double TimeLegacy(const Data& data, int k, bool with_count) {
       in[i] = j == 1 ? x[i] : std::pow(x[i], j);
     }
     std::vector<double> out =
-        ComputeGroupedState(AggOp::kSum, in, data.gids, kGroups, opts);
+        bench::ComputeGroupedState(AggOp::kSum, in, data.gids, kGroups, opts);
     sink += out[0];
   }
   double ms = NowMs() - t0;
@@ -126,10 +128,12 @@ double TimeLegacy(const Data& data, int k, bool with_count) {
 }
 
 double TimeFused(const Data& data, const std::vector<ExprPtr>& inputs,
-                 bool with_count, int threads, StateBatchStats* stats) {
+                 bool with_count, int threads,
+                 MetricsRegistry* metrics = nullptr) {
   ExecOptions opts;
   opts.parallel = threads > 1;
   opts.num_threads = threads;
+  opts.metrics = metrics;
   std::vector<StateBatchRequest> requests;
   if (with_count) requests.push_back({AggOp::kCount, nullptr});
   for (const ExprPtr& input : inputs) {
@@ -137,10 +141,18 @@ double TimeFused(const Data& data, const std::vector<ExprPtr>& inputs,
   }
   double t0 = NowMs();
   auto result = ComputeStateBatch(requests, data.Binder(), data.gids,
-                                  kGroups, opts, stats);
+                                  kGroups, opts);
   double ms = NowMs() - t0;
   SUDAF_CHECK_MSG(result.ok(), result.status().ToString());
   return ms;
+}
+
+// One pass's value of the sudaf.fused.* counter `name`, over the identical
+// passes recorded in `metrics`.
+int PerPass(MetricsRegistry& metrics, const char* name) {
+  const int64_t passes = metrics.counter("sudaf.fused.passes")->value();
+  return static_cast<int>(metrics.counter(name)->value() /
+                          std::max<int64_t>(1, passes));
 }
 
 template <typename F>
@@ -199,7 +211,9 @@ struct PanelsResult {
   int32_t groups = 0;
   double fused_ms = 0;
   double ns_per_row = 0;
-  StateBatchStats stats;
+  int channels = 0;
+  int slots = 0;
+  int log_product_channels = 0;
 };
 
 PanelsResult RunPanels() {
@@ -233,16 +247,23 @@ PanelsResult RunPanels() {
   PanelsResult out;
   out.rows = kRows;
   out.groups = kPanelGroups;
+  MetricsRegistry metrics;
+  ExecOptions opts;
+  opts.metrics = &metrics;
   out.fused_ms = Best(9, [&] {
     double t0 = NowMs();
-    auto result = ComputeStateBatch(requests, binder, gids, kPanelGroups,
-                                    ExecOptions{}, &out.stats);
+    auto result =
+        ComputeStateBatch(requests, binder, gids, kPanelGroups, opts);
     double ms = NowMs() - t0;
     SUDAF_CHECK_MSG(result.ok(), result.status().ToString());
     g_sink = (*result)[5][0];
     return ms;
   });
   out.ns_per_row = out.fused_ms * 1e6 / static_cast<double>(kRows);
+  out.channels = PerPass(metrics, "sudaf.fused.channels");
+  out.slots = PerPass(metrics, "sudaf.fused.slots");
+  out.log_product_channels =
+      PerPass(metrics, "sudaf.fused.log_product_channels");
   return out;
 }
 
@@ -253,8 +274,7 @@ std::string PanelsJson(const PanelsResult& p) {
                 "\"ns_per_row\": %.3f, \"channels\": %d, \"slots\": %d, "
                 "\"log_product_channels\": %d}",
                 static_cast<long long>(p.rows), p.groups, p.fused_ms,
-                p.ns_per_row, p.stats.num_channels, p.stats.num_slots,
-                p.stats.log_product_channels);
+                p.ns_per_row, p.channels, p.slots, p.log_product_channels);
   return buf;
 }
 
@@ -262,8 +282,7 @@ void PrintPanels(const PanelsResult& p) {
   std::printf("dashboard panel channels, %lld rows in %d groups: %.3f ms, "
               "%.2f ns/row, %d channels (%d log-free), %d slots\n",
               static_cast<long long>(p.rows), p.groups, p.fused_ms,
-              p.ns_per_row, p.stats.num_channels,
-              p.stats.log_product_channels, p.stats.num_slots);
+              p.ns_per_row, p.channels, p.log_product_channels, p.slots);
 }
 
 // The "terminate" case: the terminate phase of perfbench's append
@@ -493,17 +512,19 @@ int main(int argc, char** argv) {
       std::vector<ExprPtr> inputs = MakeInputs(k);
       double legacy =
           Best(reps, [&] { return TimeLegacy(data, k, false); });
-      StateBatchStats stats;
-      double fused =
-          Best(reps, [&] { return TimeFused(data, inputs, false, 1, &stats); });
+      MetricsRegistry metrics;
+      double fused = Best(
+          reps, [&] { return TimeFused(data, inputs, false, 1, &metrics); });
+      const int slots = PerPass(metrics, "sudaf.fused.slots");
+      const int shared_slots = PerPass(metrics, "sudaf.fused.shared_slots");
       std::printf("%8d %12.2f %12.2f %9.2fx %8d %8d\n", k, legacy, fused,
-                  legacy / fused, stats.num_slots, stats.num_shared_slots);
+                  legacy / fused, slots, shared_slots);
       std::fprintf(json,
                    "%s    {\"states\": %d, \"legacy_ms\": %.3f, "
                    "\"fused_ms\": %.3f, \"speedup\": %.3f, \"slots\": %d, "
                    "\"shared_slots\": %d}",
                    first ? "" : ",\n", k, legacy, fused, legacy / fused,
-                   stats.num_slots, stats.num_shared_slots);
+                   slots, shared_slots);
       first = false;
     }
     std::fprintf(json, "\n  ],\n");

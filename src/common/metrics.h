@@ -23,7 +23,7 @@
 //   Counter    monotone int64 (events, items)
 //   DCounter   accumulating double (milliseconds, bytes as doubles)
 //   Gauge      last-set double (instantaneous values, e.g. threads of the
-//              most recent fused pass); SetMax keeps a watermark
+//              most recent fused pass)
 //   Histogram  log2-bucketed distribution with count/sum/min/max
 //
 // Registration takes a mutex; updates through handles are lock-free.
@@ -89,7 +89,6 @@ class DCounter {
 class Gauge {
  public:
   void Set(double v) { value_.store(v, std::memory_order_relaxed); }
-  void SetMax(double v) { metrics_internal::AtomicMax(value_, v); }
   double value() const { return value_.load(std::memory_order_relaxed); }
 
  private:

@@ -14,20 +14,6 @@ inline double NowMs() {
       .count();
 }
 
-// Scoped stopwatch accumulating into a double (milliseconds).
-class ScopedTimer {
- public:
-  explicit ScopedTimer(double* acc) : acc_(acc), start_(NowMs()) {}
-  ~ScopedTimer() { *acc_ += NowMs() - start_; }
-
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  double* acc_;
-  double start_;
-};
-
 }  // namespace sudaf
 
 #endif  // SUDAF_COMMON_TIMER_H_

@@ -4,7 +4,6 @@
 #include <bit>
 #include <limits>
 
-#include "agg/builtin_kernels.h"
 #include "common/metrics.h"
 #include "common/query_guard.h"
 #include "common/thread_pool.h"
@@ -459,44 +458,6 @@ Status BuildGroups(const std::vector<std::string>& group_by,
   return Status::OK();
 }
 
-std::vector<double> ComputeGroupedState(AggOp op,
-                                        const std::vector<double>& input,
-                                        const std::vector<int32_t>& group_ids,
-                                        int32_t num_groups,
-                                        const ExecOptions& opts) {
-  const int64_t n = static_cast<int64_t>(group_ids.size());
-  if (!opts.partitioned || opts.num_partitions <= 1) {
-    std::vector<double> acc(num_groups, AggIdentity(op));
-    GroupedAccumulateRange(op, input.data(), group_ids.data(), 0, n, &acc);
-    return acc;
-  }
-
-  const int parts = opts.num_partitions;
-  std::vector<std::vector<double>> partials(
-      parts, std::vector<double>(num_groups, AggIdentity(op)));
-  // Each partition accumulates over its index range of the shared arrays —
-  // no per-partition slice copies.
-  auto run_partition = [&](int64_t p) {
-    GroupedAccumulateRange(op, input.data(), group_ids.data(), n * p / parts,
-                           n * (p + 1) / parts, &partials[p]);
-  };
-  if (opts.parallel) {
-    ThreadPool& pool = ThreadPool::Global();
-    pool.EnsureWorkers(std::min(parts - 1, ThreadPool::kMaxGlobalWorkers));
-    pool.ParallelFor(parts, run_partition);
-  } else {
-    for (int p = 0; p < parts; ++p) run_partition(p);
-  }
-  // Merge partials with ⊕.
-  std::vector<double> acc(num_groups, AggIdentity(op));
-  for (int p = 0; p < parts; ++p) {
-    for (int32_t g = 0; g < num_groups; ++g) {
-      acc[g] = AggMerge(op, acc[g], partials[p][g]);
-    }
-  }
-  return acc;
-}
-
 Result<std::vector<double>> RunHardcodedUdaf(
     const Udaf& udaf, const std::vector<BoundColumn>& args,
     const std::vector<int32_t>& group_ids, int32_t num_groups,
@@ -561,17 +522,9 @@ Result<std::vector<double>> RunHardcodedUdaf(
     const int parts = opts.num_partitions;
     std::vector<std::vector<std::vector<Value>>> partials(parts);
     for (int p = 0; p < parts; ++p) partials[p] = make_states();
-    auto run_partition = [&](int64_t p) -> Status {
-      return run_range(n * p / parts, n * (p + 1) / parts, &partials[p]);
-    };
-    if (opts.parallel) {
-      ThreadPool& pool = ThreadPool::Global();
-      pool.EnsureWorkers(std::min(parts - 1, ThreadPool::kMaxGlobalWorkers));
-      SUDAF_RETURN_IF_ERROR(pool.TryParallelFor(parts, run_partition));
-    } else {
-      for (int p = 0; p < parts; ++p) {
-        SUDAF_RETURN_IF_ERROR(run_partition(p));
-      }
+    for (int p = 0; p < parts; ++p) {
+      SUDAF_RETURN_IF_ERROR(
+          run_range(n * p / parts, n * (p + 1) / parts, &partials[p]));
     }
     final_states = std::move(partials[0]);
     for (int p = 1; p < parts; ++p) {

@@ -101,18 +101,10 @@ Status BuildGroups(const std::vector<std::string>& group_by,
 std::vector<int32_t> MatchGroupKeys(const Table& keys, const Table& more,
                                     std::vector<int64_t>* new_rows);
 
-// Grouped ⊕-aggregation of `input` (empty for kCount). Honors
-// opts.partitioned by aggregating per-partition and merging with ⊕ — the
-// algebraic-aggregation execution shape.
-std::vector<double> ComputeGroupedState(AggOp op,
-                                        const std::vector<double>& input,
-                                        const std::vector<int32_t>& group_ids,
-                                        int32_t num_groups,
-                                        const ExecOptions& opts);
-
 // Drives a hardcoded UDAF over its numeric argument columns one boxed row
-// at a time (initialize/update per row; with opts.partitioned,
-// per-partition states merged via Udaf::Merge), returning the per-group
+// at a time (initialize/update per row; with opts.partitioned, one
+// partition after another, their states merged via Udaf::Merge), returning
+// the per-group
 // final values. `args` are bound to the query's tuples (PreparedInput::
 // Bind) and read in place, run by run.
 Result<std::vector<double>> RunHardcodedUdaf(

@@ -51,14 +51,18 @@ struct CachePolicy {
 // distributed engine (the Spark SQL context): the input is split into
 // partitions, each partition computes partial aggregates via (F, ⊕), and
 // partials are merged with ⊕ before the terminating function runs — the
-// execution shape that requires aggregates to be algebraic. Only the
-// engine-mode interpreted UDAFs and the ComputeGroupedState baseline read
-// it; the fused pass has its own deterministic chunk tree.
+// execution shape that requires aggregates to be algebraic. Partitions run
+// one after another on the calling thread. Only the engine-mode interpreted
+// UDAFs and the bench baseline (bench_support/grouped_state.h) read it; the
+// fused pass has its own deterministic chunk tree.
 struct ExecOptions {
   bool partitioned = false;
   int num_partitions = 4;
-  // Run partitions on worker threads (off by default: the benchmarks target
-  // single-core machines, where threading adds noise without speedup).
+  // Run the morsel pipeline on worker threads: the WHERE filter, a join's
+  // gather and the fused state pass size themselves through
+  // PlannedWorkers(). Grouping is always serial. Off by default: the
+  // benchmarks target single-core machines, where threading adds noise
+  // without speedup.
   bool parallel = false;
 
   // --- Fused StateBatch executor -----------------------------------------
@@ -67,7 +71,7 @@ struct ExecOptions {
   // sized so the per-morsel scratch buffers of a typical state batch stay
   // cache-resident.
   int morsel_size = 65536;
-  // Worker-thread count for the fused pass when `parallel` is set:
+  // Worker-thread count for the morsel pipeline when `parallel` is set:
   // 0 = std::thread::hardware_concurrency(). Ignored when parallel=false
   // (single-threaded morsel loop).
   int num_threads = 0;

@@ -13,8 +13,8 @@
 //
 // The SUDAF rewriter (src/sudaf) reuses Prepare() so that baseline and
 // rewritten executions share scans, filters, joins and grouping. Built-in
-// aggregates run in one fused state pass over the prepared input in place;
-// only the UDAFs gather a frame.
+// aggregates run in one fused state pass and UDAFs row at a time, both over
+// the prepared input in place; only a join gathers a frame.
 
 #include <memory>
 #include <string>

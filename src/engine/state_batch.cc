@@ -264,7 +264,7 @@ void AccumulateVector(const BatchPlan& plan, const SlotBuffers& w,
 Result<std::vector<std::vector<double>>> ComputeStateBatch(
     const std::vector<StateBatchRequest>& requests,
     const ColumnBinder& binder, const std::vector<int32_t>& group_ids,
-    int32_t num_groups, const ExecOptions& opts, StateBatchStats* stats,
+    int32_t num_groups, const ExecOptions& opts,
     const StateBatchIncremental* inc) {
   const int64_t n = static_cast<int64_t>(group_ids.size());
 
@@ -594,18 +594,6 @@ Result<std::vector<std::vector<double>>> ComputeStateBatch(
         morsel_rows->Observe(static_cast<double>(len));
       }
     }
-  }
-
-  if (stats != nullptr) {
-    *stats = StateBatchStats{};
-    stats->morsels = num_morsels;
-    stats->num_requests = static_cast<int>(requests.size());
-    stats->num_channels = static_cast<int>(channels.size());
-    stats->num_slots = plan.program().num_evaluated_slots();
-    stats->num_shared_slots = plan.program().num_shared_slots();
-    stats->log_product_channels = static_cast<int>(num_logs);
-    stats->threads_used = workers;
-    stats->request_channel = plan.request_channel();
   }
 
   std::vector<std::vector<double>> out(requests.size());

@@ -61,21 +61,6 @@ struct StateBatchRequest {
   const Expr* input = nullptr;  // borrowed; must outlive the call
 };
 
-// Observability counters for one fused pass.
-struct StateBatchStats {
-  int64_t morsels = 0;         // morsels processed (across workers)
-  int num_requests = 0;        // channels requested
-  int num_channels = 0;        // distinct channels computed
-  int num_slots = 0;           // DAG slots evaluated per vector
-  int num_shared_slots = 0;    // slots referenced by >1 parent (CSE hits)
-  int log_product_channels = 0;  // Σ ln channels accumulated log-free
-  int threads_used = 1;        // workers that participated
-  // Which distinct channel served each request (request_channel[r] <
-  // num_channels). Lets callers that fuse several queries into one pass
-  // (shared-scan batching) see exactly which requests were deduplicated.
-  std::vector<int> request_channel;
-};
-
 // Incremental-maintenance inputs for one fused pass (docs/execution.md,
 // "Incremental maintenance"). Both members default to "cold full pass".
 struct StateBatchIncremental {
@@ -103,14 +88,13 @@ struct StateBatchIncremental {
 // own copy). `binder` binds the column leaves of the input expressions to
 // base columns read in place (PreparedInput::Binder): a column slot loads
 // col[rows[t]] into its morsel buffer, or aliases col + base + t for an
-// identity range. `stats`, when non-null, is overwritten with this pass's
-// counters. `inc`, when non-null, carries the segment layout and initial
+// identity range. The pass's counters go to opts.metrics (sudaf.fused.*).
+// `inc`, when non-null, carries the segment layout and initial
 // accumulators for an incremental (delta-refresh) pass.
 Result<std::vector<std::vector<double>>> ComputeStateBatch(
     const std::vector<StateBatchRequest>& requests,
     const ColumnBinder& binder, const std::vector<int32_t>& group_ids,
     int32_t num_groups, const ExecOptions& opts,
-    StateBatchStats* stats = nullptr,
     const StateBatchIncremental* inc = nullptr);
 
 }  // namespace sudaf

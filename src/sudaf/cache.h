@@ -140,8 +140,8 @@ class StateCache {
     // Base-table row count the cached accumulators cover: the segment-log
     // boundary the set was computed (or last refreshed) at. A refresh
     // folds a delta pass over rows [covered_rows, snapshot) into the
-    // entries. -1 = unknown (recovered v1 data, tests) — such a set is
-    // never refreshable, only exactly-matched or discarded.
+    // entries. -1 = unknown (chunk sets, tests) — such a set is never
+    // refreshable, only exactly-matched or discarded.
     int64_t covered_rows = -1;
     std::map<std::string, Entry> entries;  // class key -> channels
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <map>
-#include <set>
 #include <sstream>
 
 #include "agg/builtin_kernels.h"
@@ -619,7 +618,7 @@ StateCache::GroupSetPtr SudafSession::RefreshGroupSet(
   bopts.trace_span = refresh_span.id();
   Result<std::vector<std::vector<double>>> channels_or =
       ComputeStateBatch(rq.requests, delta.Binder(), group_ids, new_n, bopts,
-                        nullptr, &inc);
+                        &inc);
   if (!channels_or.ok()) return nullptr;
   std::vector<std::vector<double>>& channels = *channels_or;
 
@@ -805,8 +804,11 @@ void SudafSession::ExecuteGroup(std::vector<QueryRun>* runs, bool share,
   // docs/execution.md, "Incremental maintenance").
   Status group_status;  // a failure here is fatal to every alive member
   TableSnapshot snap;
-  StateCache::GroupSetPtr group_set;
-  std::vector<bool> rep_from_cache(reps.size(), false);
+  // The set the probe resolved: every hit is served from it, even if it is
+  // evicted or replaced mid-query (the reference keeps it alive).
+  StateCache::GroupSetPtr probed_set;
+  // The representatives this group computes: every one the probe missed.
+  std::vector<bool> missing(reps.size(), true);
   if (share && lead != nullptr) {
     const CacheOps lead_cops{&lead->qm, lead->trace.get()};
     snap = SnapshotTables(*catalog_, lead->stmt->tables);
@@ -818,30 +820,30 @@ void SudafSession::ExecuteGroup(std::vector<QueryRun>* runs, bool share,
       StateCache::FindResult found =
           cache_.Find(lead->rewritten.data_signature, snap.epochs,
                       /*can_refresh=*/snap.rows >= 0, lead_cops);
-      group_set = found.set;
+      probed_set = found.set;
       if (found.refreshable != nullptr) {
         // One refresh for the whole group (attributed to the leader),
         // carrying forward every distinct representative it requests.
-        group_set = RefreshGroupSet(*lead->stmt, found.refreshable,
-                                    snap.epochs, snap.segments, plan,
-                                    lead->run);
-        if (group_set == nullptr) {
+        probed_set = RefreshGroupSet(*lead->stmt, found.refreshable,
+                                     snap.epochs, snap.segments, plan,
+                                     lead->run);
+        if (probed_set == nullptr) {
           // Refresh abandoned (or lost a race): a non-refreshing re-probe
           // invalidates the lagging set (or returns a concurrent winner)
           // and counts the resolution.
-          group_set = cache_.Find(lead->rewritten.data_signature, snap.epochs,
-                                  false, lead_cops)
-                          .set;
+          probed_set = cache_.Find(lead->rewritten.data_signature,
+                                   snap.epochs, false, lead_cops)
+                           .set;
         }
       }
-      if (group_set != nullptr) {
-        // ProbeEntry evicts poisoned entries internally (poison cannot
+      if (probed_set != nullptr) {
+        // The entry probe evicts poisoned entries internally (poison cannot
         // enter the cache through this session, but an entry may have been
         // poisoned by other means); kPoisoned is a miss here.
         for (size_t r = 0; r < reps.size(); ++r) {
-          rep_from_cache[r] =
-              cache_.ProbeEntry(group_set.get(), reps[r].key(), nullptr,
-                                lead_cops) == StateCache::Probe::kHit;
+          missing[r] =
+              cache_.ProbeEntry(probed_set.get(), reps[r].key(), nullptr,
+                                lead_cops) != StateCache::Probe::kHit;
         }
       }
     }
@@ -851,7 +853,7 @@ void SudafSession::ExecuteGroup(std::vector<QueryRun>* runs, bool share,
       QueryRun& m = ctx[k];
       if (!m.alive()) continue;
       for (const SharedStatePlan::Slot& slot : m.slots) {
-        if (rep_from_cache[slot.rep]) {
+        if (!missing[slot.rep]) {
           m.qm.counter("sudaf.cache.probe_hits")->Add();
           probe_spans[k]->Event("cache.hit");
         } else {
@@ -866,17 +868,15 @@ void SudafSession::ExecuteGroup(std::vector<QueryRun>* runs, bool share,
   // 3. Obtain the grouped input — one scan for the whole group, and only
   // when some representative actually needs computing (the all-hit case
   // never touches the data).
-  std::vector<bool> missing(reps.size());
-  bool any_missing = false;
-  for (size_t r = 0; r < reps.size(); ++r) {
-    missing[r] = !rep_from_cache[r];
-    any_missing |= missing[r];
-  }
-  const bool need_scan = any_missing || reps.empty() || group_set == nullptr;
+  const bool any_missing =
+      std::find(missing.begin(), missing.end(), true) != missing.end();
+  const bool need_scan = any_missing || reps.empty() || probed_set == nullptr;
 
   PreparedInput input;
   const Table* group_keys = nullptr;
   int32_t num_groups = 0;
+  // The set this group's computed states are inserted into.
+  StateCache::GroupSetPtr insert_set;
   if (group_status.ok() && lead != nullptr) {
     if (need_scan) {
       TraceSpan input_span(lead->trace.get(), "input", lead->run.trace_span,
@@ -913,6 +913,13 @@ void SudafSession::ExecuteGroup(std::vector<QueryRun>* runs, bool share,
           bstats->scan_passes += 1;
           bstats->scan_passes_saved += group_size - 1;
         }
+        // A probed set whose group count differs from the scan's is stale —
+        // the condition under which GetOrCreate discards it — so none of
+        // its hits is served: the pass (which runs, since the scan did)
+        // computes every representative.
+        if (probed_set != nullptr && probed_set->num_groups != num_groups) {
+          missing.assign(reps.size(), true);
+        }
         bool any_alive = false;
         for (QueryRun& m : ctx) {
           if (m.alive() && m.guard != nullptr) {
@@ -923,23 +930,14 @@ void SudafSession::ExecuteGroup(std::vector<QueryRun>* runs, bool share,
           any_alive |= m.alive();
         }
         if (share && any_alive) {
-          const CacheOps lead_cops{&lead->qm, lead->trace.get()};
-          group_set = cache_.GetOrCreate(lead->rewritten.data_signature,
-                                         *input.group_keys, num_groups,
-                                         snap.epochs, snap.rows, lead_cops);
-          // A recreated (stale) set lost its entries; demote affected reps.
-          for (size_t r = 0; r < reps.size(); ++r) {
-            if (rep_from_cache[r] &&
-                cache_.ProbeEntry(group_set.get(), reps[r].key(), nullptr,
-                                  lead_cops) != StateCache::Probe::kHit) {
-              rep_from_cache[r] = false;
-            }
-          }
+          insert_set = cache_.GetOrCreate(
+              lead->rewritten.data_signature, *input.group_keys, num_groups,
+              snap.epochs, snap.rows, CacheOps{&lead->qm, lead->trace.get()});
         }
       }
     } else {
-      group_keys = group_set->group_keys.get();
-      num_groups = group_set->num_groups;
+      group_keys = probed_set->group_keys.get();
+      num_groups = probed_set->num_groups;
     }
   }
 
@@ -958,7 +956,6 @@ void SudafSession::ExecuteGroup(std::vector<QueryRun>* runs, bool share,
   // serves what the group computed from here, so a concurrent eviction of
   // what the group just inserted cannot perturb any member's answer.
   std::map<std::string, StateCache::Entry> local_entries;
-  std::vector<bool> computed_rep(reps.size(), false);
 
   // Computes the representatives with need[r] in one fused pass over the
   // group's input, under `m`'s states span, and commits them. Each is
@@ -978,7 +975,7 @@ void SudafSession::ExecuteGroup(std::vector<QueryRun>* runs, bool share,
     SUDAF_ASSIGN_OR_RETURN(
         std::vector<std::vector<double>> channels,
         ComputeStateBatch(rq.requests, input.Binder(), input.group_ids,
-                          num_groups, pass_opts, nullptr, &cold_inc));
+                          num_groups, pass_opts, &cold_inc));
     std::vector<std::pair<size_t, StateCache::Entry>> built;
     for (size_t r = 0; r < reps.size(); ++r) {
       if (rq.main_idx[r] < 0) continue;
@@ -1002,88 +999,82 @@ void SudafSession::ExecuteGroup(std::vector<QueryRun>* runs, bool share,
         // Served to this group (the arithmetic answer is honest) but never
         // cached.
         owner->qm.counter("sudaf.states.poisoned")->Add();
-      } else if (share && group_set != nullptr &&
-                 !cache_.InsertEntry(group_set.get(), reps[r].key(), entry,
+      } else if (insert_set != nullptr &&
+                 !cache_.InsertEntry(insert_set.get(), reps[r].key(), entry,
                                      oc)) {
         // Declined under the byte budget: served group-local.
         owner->qm.counter("sudaf.cache.budget_rejects")->Add();
       }
       local_entries.emplace(reps[r].key(), std::move(entry));
-      computed_rep[r] = true;
       owner->qm.counter("sudaf.states.computed")->Add();
     }
     return Status::OK();
   };
 
-  // Serves one member at its output rows from the per-rep entries: cache
-  // copy-out for probe hits, then the group's local entries, then a late
-  // cache re-probe (inserted by a concurrent query after our probe), then
-  // computing the rep again (it vanished from the cache mid-query). A
-  // copy-out holds only the output rows and lives on this frame, so a
-  // concurrent eviction cannot invalidate what is served.
+  // Serves one member at its output rows, reading each representative it
+  // uses once: a probe hit is copied out of the probed set, anything else
+  // comes from the group's computed entry. A hit whose copy misses (the
+  // entry vanished mid-query, e.g. quarantined by the scrubber) is
+  // computed from the group's input. A copy holds only the output rows and
+  // lives on this frame, so a concurrent eviction cannot invalidate what is
+  // served.
   auto serve_member = [&](QueryRun& m, const OutputRows& rows,
                           int states_span_id,
                           std::vector<std::vector<double>>* out) -> Status {
     const std::vector<AggStateDef>& states = m.rewritten.form().states;
     const CacheOps mc{&m.qm, m.trace.get()};
     out->assign(states.size(), {});
+    struct RepSource {
+      const StateCache::Entry* entry = nullptr;
+      StateCache::Entry copy;  // the output rows of a cache hit
+      bool from_cache = false;
+    };
+    std::vector<RepSource> sources(reps.size());
     int64_t served = 0;
-    std::set<int> consumed_reps;
     for (size_t i = 0; i < states.size(); ++i) {
       const SharedStatePlan::Slot& slot = m.slots[i];
       const SharedStatePlan::Rep& rep = reps[slot.rep];
-      const StateCache::Entry* entry = nullptr;
-      bool compact = false;
-      StateCache::Entry copied;
-      if (share && rep_from_cache[slot.rep] && group_set != nullptr &&
-          cache_.ProbeEntry(group_set.get(), rep.key(), &copied, mc,
-                            rows.subset()) == StateCache::Probe::kHit) {
-        entry = &copied;
-        compact = rows.presorted;
-        m.qm.counter("sudaf.states.from_cache")->Add();
-      }
-      if (entry == nullptr) {
-        auto it = local_entries.find(rep.key());
-        if (it != local_entries.end()) {
-          entry = &it->second;
-          if (computed_rep[slot.rep] && consumed_reps.insert(slot.rep).second &&
-              rep_owner[slot.rep] != &m) {
+      RepSource& src = sources[slot.rep];
+      if (src.entry == nullptr) {
+        if (!missing[slot.rep] &&
+            cache_.ProbeEntry(probed_set.get(), rep.key(), &src.copy, mc,
+                              rows.subset()) == StateCache::Probe::kHit) {
+          src.entry = &src.copy;
+          src.from_cache = true;
+        } else {
+          auto it = local_entries.find(rep.key());
+          if (it == local_entries.end()) {
+            if (input.source == nullptr) {
+              // Every rep probed as a hit, so no input was scanned — and
+              // then this entry vanished. Too late to scan; fail
+              // definitively rather than serve garbage.
+              return Status::Internal("cached state vanished mid-query: " +
+                                      rep.key());
+            }
+            std::vector<bool> need(reps.size(), false);
+            need[slot.rep] = true;
+            SUDAF_RETURN_IF_ERROR(compute(need, m, states_span_id));
+            it = local_entries.find(rep.key());
+          } else if (rep_owner[slot.rep] != &m) {
             // The rep's owner counted states.computed when the pass built
             // it; everyone else got it for free from the batch.
             m.qm.counter("sudaf.states.from_batch")->Add();
           }
+          src.entry = &it->second;
         }
       }
-      if (entry == nullptr && share && group_set != nullptr &&
-          cache_.ProbeEntry(group_set.get(), rep.key(), &copied, mc,
-                            rows.subset()) == StateCache::Probe::kHit) {
-        entry = &copied;
-        compact = rows.presorted;
-      }
-      if (entry == nullptr) {
-        if (input.source == nullptr) {
-          // Every rep probed as a hit, so no input was scanned — and then
-          // this entry vanished (poisoned externally mid-query). Too late
-          // to scan; fail definitively rather than serve garbage.
-          return Status::Internal("cached state vanished mid-query: " +
-                                  rep.key());
-        }
-        std::vector<bool> need(reps.size(), false);
-        need[slot.rep] = true;
-        SUDAF_RETURN_IF_ERROR(compute(need, m, states_span_id));
-        entry = &local_entries.at(rep.key());
-      }
-      served += ServeState(*entry, compact, rows, states[i],
-                           rep.direct ? nullptr : rep.cls,
+      if (src.from_cache) m.qm.counter("sudaf.states.from_cache")->Add();
+      served += ServeState(*src.entry, src.from_cache && rows.presorted, rows,
+                           states[i], rep.direct ? nullptr : rep.cls,
                            rep.direct ? nullptr : &slot.share_fn, &(*out)[i]);
     }
     m.qm.counter("sudaf.serve.rows")->Add(served);
     return Status::OK();
   };
 
-  // 4+5. Compute the missing representatives (once, at the first alive
-  // member's turn, under its states span), then serve and terminate each
-  // member under its own spans. Output-first: each member decides its
+  // 4+5. Compute the representatives the probe missed (once, at the first
+  // alive member's turn, under its states span), then serve and terminate
+  // each member under its own spans. Output-first: each member decides its
   // returned groups on the keys, then serves (and terminates) only those.
   if (group_status.ok()) {
     bool pass_done = false;
@@ -1105,22 +1096,7 @@ void SudafSession::ExecuteGroup(std::vector<QueryRun>* runs, bool share,
                               m.qm.dcounter("sudaf.phase.states_ms"));
         if (!pass_done) {
           pass_done = true;
-          // Skip reps the cache serves, including ones a concurrent query
-          // inserted since our probe.
-          std::vector<bool> need(reps.size(), false);
-          bool any_need = false;
-          for (size_t r = 0; r < reps.size(); ++r) {
-            if (share &&
-                (rep_from_cache[r] ||
-                 cache_.ProbeEntry(group_set.get(), reps[r].key(), nullptr,
-                                   CacheOps{&m.qm, m.trace.get()}) ==
-                     StateCache::Probe::kHit)) {
-              continue;
-            }
-            need[r] = true;
-            any_need = true;
-          }
-          if (any_need) group_status = compute(need, m, states_span.id());
+          if (any_missing) group_status = compute(missing, m, states_span.id());
           if (!group_status.ok()) break;
         }
         rows = PlanOutputRows(m.rewritten, *m.stmt, *group_keys, num_groups);

@@ -137,16 +137,6 @@ bool Shape::IsIdentity() const {
   return family == ShapeFamily::kPower && Near(a, 1.0) && Near(p, 1.0);
 }
 
-bool Shape::AlmostEquals(const Shape& other, double tol) const {
-  if (family != other.family) return false;
-  auto near = [tol](double x, double y) {
-    return std::fabs(x - y) <=
-           tol * std::max({1.0, std::fabs(x), std::fabs(y)});
-  };
-  return near(a, other.a) && near(p, other.p) && near(c, other.c) &&
-         near(b, other.b);
-}
-
 std::optional<Shape> ComposeShapes(const Shape& outer, const Shape& inner) {
   if (inner.family == ShapeFamily::kConst) {
     return Shape::Const(outer.Eval(inner.a));

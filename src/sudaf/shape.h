@@ -48,8 +48,6 @@ struct Shape {
   std::string ToString() const;
 
   bool IsIdentity() const;
-  // True when this shape equals `other` up to a small numeric tolerance.
-  bool AlmostEquals(const Shape& other, double tol = 1e-9) const;
 };
 
 // outer ∘ inner, when the result stays within the families; nullopt

@@ -16,7 +16,7 @@
 #include "common/crc32c.h"
 #include "common/rng.h"
 #include "common/failpoint.h"
-#include "common/file_io.h"
+#include "common/vfs.h"
 #include "gtest/gtest.h"
 #include "storage/catalog.h"
 #include "sudaf/cache_persist.h"
@@ -96,15 +96,15 @@ TEST(Crc32cTest, DetectsSingleBitFlip) {
 }
 
 // ---------------------------------------------------------------------------
-// File I/O helpers
+// File operations through the default Vfs
 // ---------------------------------------------------------------------------
 
 class FileIoTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = testing_util::UniqueTempDir("sudaf_file_io");
+    dir_ = testing_util::UniqueTempDir("sudaf_vfs_files");
     std::filesystem::remove_all(dir_);
-    ASSERT_OK(EnsureDirectory(dir_));
+    ASSERT_OK(Vfs::Default()->CreateDirs(dir_));
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
 
@@ -112,43 +112,44 @@ class FileIoTest : public ::testing::Test {
 };
 
 TEST_F(FileIoTest, ReadMissingFileIsNotFound) {
-  auto result = ReadFileToString(dir_ + "/nope");
+  auto result = Vfs::Default()->ReadFile(dir_ + "/nope");
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kNotFound);
-  EXPECT_EQ(FileSizeOf(dir_ + "/nope"), -1);
-  EXPECT_FALSE(FileExists(dir_ + "/nope"));
+  EXPECT_EQ(Vfs::Default()->FileSize(dir_ + "/nope"), -1);
+  EXPECT_FALSE(Vfs::Default()->Exists(dir_ + "/nope"));
 }
 
 TEST_F(FileIoTest, AtomicWriteRoundTripsAndReplaces) {
   std::string path = dir_ + "/f";
   std::string binary("\x00\x01snapshot\xFF\x7F", 12);
-  ASSERT_OK(WriteFileAtomic(path, binary));
-  ASSERT_OK_AND_ASSIGN(std::string back, ReadFileToString(path));
+  ASSERT_OK(Vfs::Default()->WriteAtomic(path, binary));
+  ASSERT_OK_AND_ASSIGN(std::string back, Vfs::Default()->ReadFile(path));
   EXPECT_EQ(back, binary);
   // Replace: only the new content is visible, and no tmp file lingers.
-  ASSERT_OK(WriteFileAtomic(path, "v2"));
-  ASSERT_OK_AND_ASSIGN(back, ReadFileToString(path));
+  ASSERT_OK(Vfs::Default()->WriteAtomic(path, "v2"));
+  ASSERT_OK_AND_ASSIGN(back, Vfs::Default()->ReadFile(path));
   EXPECT_EQ(back, "v2");
-  EXPECT_FALSE(FileExists(path + ".tmp"));
+  EXPECT_FALSE(Vfs::Default()->Exists(path + ".tmp"));
 }
 
 TEST_F(FileIoTest, AppendCreatesAndExtends) {
   std::string path = dir_ + "/wal";
-  ASSERT_OK(AppendToFile(path, "abc"));
-  ASSERT_OK(AppendToFile(path, "def"));
-  ASSERT_OK_AND_ASSIGN(std::string back, ReadFileToString(path));
+  ASSERT_OK(Vfs::Default()->Append(path, "abc"));
+  ASSERT_OK(Vfs::Default()->Append(path, "def"));
+  ASSERT_OK_AND_ASSIGN(std::string back, Vfs::Default()->ReadFile(path));
   EXPECT_EQ(back, "abcdef");
-  EXPECT_EQ(FileSizeOf(path), 6);
+  EXPECT_EQ(Vfs::Default()->FileSize(path), 6);
 }
 
 TEST_F(FileIoTest, RemoveIsIdempotentAndDirsNest) {
   std::string path = dir_ + "/f";
-  ASSERT_OK(WriteFileAtomic(path, "x"));
-  ASSERT_OK(RemoveFileIfExists(path));
-  ASSERT_OK(RemoveFileIfExists(path));  // absent is not an error
-  ASSERT_OK(EnsureDirectory(dir_ + "/a/b/c"));
-  ASSERT_OK(EnsureDirectory(dir_ + "/a/b/c"));  // existing is not an error
-  ASSERT_OK(WriteFileAtomic(dir_ + "/a/b/c/f", "y"));
+  ASSERT_OK(Vfs::Default()->WriteAtomic(path, "x"));
+  ASSERT_OK(Vfs::Default()->RemoveIfExists(path));
+  ASSERT_OK(Vfs::Default()->RemoveIfExists(path));  // absent is not an error
+  ASSERT_OK(Vfs::Default()->CreateDirs(dir_ + "/a/b/c"));
+  // An existing directory is not an error.
+  ASSERT_OK(Vfs::Default()->CreateDirs(dir_ + "/a/b/c"));
+  ASSERT_OK(Vfs::Default()->WriteAtomic(dir_ + "/a/b/c/f", "y"));
 }
 
 // ---------------------------------------------------------------------------
@@ -160,7 +161,7 @@ class PersistTest : public ::testing::Test {
   void SetUp() override {
     dir_ = testing_util::UniqueTempDir("sudaf_persist");
     std::filesystem::remove_all(dir_);
-    ASSERT_OK(EnsureDirectory(dir_));
+    ASSERT_OK(Vfs::Default()->CreateDirs(dir_));
     catalog_.PutTable("t",
                       testing_util::MakeXyTable({0, 1}, {1.0, 2.0}, {0, 0}));
   }
@@ -231,7 +232,8 @@ TEST_F(PersistTest, MissingOrForeignFileIsATypedError) {
   CacheRecoveryStats stats;
   Status st = LoadCacheSnapshot(dir_ + "/absent", catalog_, &cache, &stats);
   EXPECT_EQ(st.code(), StatusCode::kNotFound);
-  ASSERT_OK(WriteFileAtomic(dir_ + "/foreign", "definitely not a snapshot"));
+  ASSERT_OK(Vfs::Default()->WriteAtomic(dir_ + "/foreign",
+                                        "definitely not a snapshot"));
   st = LoadCacheSnapshot(dir_ + "/foreign", catalog_, &cache, &stats);
   EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
 }
@@ -259,13 +261,13 @@ TEST_F(PersistTest, FlippedByteDropsOnlyThatRecord) {
   std::string path = dir_ + "/snap";
   ASSERT_OK(SaveCacheSnapshot(cache, path));
 
-  ASSERT_OK_AND_ASSIGN(std::string file, ReadFileToString(path));
+  ASSERT_OK_AND_ASSIGN(std::string file, Vfs::Default()->ReadFile(path));
   auto ranges = RecordRanges(file);
   ASSERT_EQ(ranges.size(), 3u);
   // Corrupt one payload byte in the middle record (offset second/2 is past
   // the 8-byte frame header for any non-trivial payload).
   file[ranges[1].first + ranges[1].second / 2] ^= 0x01;
-  ASSERT_OK(WriteFileAtomic(path, file));
+  ASSERT_OK(Vfs::Default()->WriteAtomic(path, file));
 
   StateCache back;
   CacheRecoveryStats stats;
@@ -284,12 +286,12 @@ TEST_F(PersistTest, TruncatedTailEndsTheScanKeepingThePrefix) {
   std::string path = dir_ + "/snap";
   ASSERT_OK(SaveCacheSnapshot(cache, path));
 
-  ASSERT_OK_AND_ASSIGN(std::string file, ReadFileToString(path));
+  ASSERT_OK_AND_ASSIGN(std::string file, Vfs::Default()->ReadFile(path));
   auto ranges = RecordRanges(file);
   ASSERT_EQ(ranges.size(), 3u);
   // Tear mid-way through the second record: a crash during append.
   file.resize(ranges[1].first + ranges[1].second / 2);
-  ASSERT_OK(WriteFileAtomic(path, file));
+  ASSERT_OK(Vfs::Default()->WriteAtomic(path, file));
 
   StateCache back;
   CacheRecoveryStats stats;
@@ -396,7 +398,7 @@ TEST_F(PersistTest, WalBytesMatchGoldenEncoding) {
     cache.InsertEntry(set.get(), "sum_pow|x|1", clean);
     persist->OnInsertEntry(sig, "logclass|x", poisoned);
     ASSERT_EQ(persist->wal_errors(), 0);
-    ASSERT_OK_AND_ASSIGN(wal, ReadFileToString(dir_ + "/cache.wal"));
+    ASSERT_OK_AND_ASSIGN(wal, Vfs::Default()->ReadFile(dir_ + "/cache.wal"));
   }
   static const char kHex[] =
       // file header
@@ -480,7 +482,8 @@ TEST_F(PersistTest, WalGrowthTriggersSnapshotCompaction) {
   EXPECT_GT(persist->snapshots_written(), snapshots_before);
   // After every compaction the WAL restarts from a bare header, so its
   // size stays bounded by the threshold plus one record.
-  EXPECT_LE(FileSizeOf(persist->wal_path()), policy.wal_max_bytes + 1024);
+  EXPECT_LE(Vfs::Default()->FileSize(persist->wal_path()),
+            policy.wal_max_bytes + 1024);
 
   // And the compacted store still recovers everything.
   persist.reset();
@@ -514,13 +517,13 @@ TEST_F(PersistTest, WalLengthPrefixPastEofIsTornNotFatal) {
   // Append a header whose length prefix points far past EOF with only a
   // stub of payload behind it — the classic crash-mid-append artifact.
   std::string wal = dir_ + "/cache.wal";
-  ASSERT_TRUE(FileExists(wal));
+  ASSERT_TRUE(Vfs::Default()->Exists(wal));
   std::string frame(8, '\0');
   uint32_t len = 1 << 20;
   std::memcpy(frame.data(), &len, 4);
   uint32_t crc = Crc32c(frame.data(), 4);
   std::memcpy(frame.data() + 4, &crc, 4);
-  ASSERT_OK(AppendToFile(wal, frame + "stub"));
+  ASSERT_OK(Vfs::Default()->Append(wal, frame + "stub"));
 
   StateCache cache2;
   ASSERT_OK_AND_ASSIGN(auto persist,
@@ -541,11 +544,11 @@ TEST_F(PersistTest, WalZeroLengthRecordIsDroppedIndividually) {
   // Splice a zero-length record — CRC-valid but with no payload, not even
   // a type byte — between the first record and the rest of the stream.
   std::string wal = dir_ + "/cache.wal";
-  ASSERT_OK_AND_ASSIGN(std::string file, ReadFileToString(wal));
+  ASSERT_OK_AND_ASSIGN(std::string file, Vfs::Default()->ReadFile(wal));
   auto ranges = RecordRanges(file);
   ASSERT_GE(ranges.size(), 2u);
   file.insert(ranges[0].first + ranges[0].second, FrameTestRecord(""));
-  ASSERT_OK(WriteFileAtomic(wal, file));
+  ASSERT_OK(Vfs::Default()->WriteAtomic(wal, file));
 
   StateCache cache2;
   ASSERT_OK_AND_ASSIGN(auto persist,
@@ -572,12 +575,12 @@ TEST_F(PersistTest, WalOversizeRecordIsDroppedIndividually) {
   // configured WAL limit, floored at 1 MiB): it cannot be legitimate, so
   // it must be dropped alone — never fatal, never treated as a torn tail.
   std::string wal = dir_ + "/cache.wal";
-  ASSERT_OK_AND_ASSIGN(std::string file, ReadFileToString(wal));
+  ASSERT_OK_AND_ASSIGN(std::string file, Vfs::Default()->ReadFile(wal));
   auto ranges = RecordRanges(file);
   ASSERT_GE(ranges.size(), 2u);
   std::string huge((1 << 20) + 1, '\x5a');
   file.insert(ranges[0].first + ranges[0].second, FrameTestRecord(huge));
-  ASSERT_OK(WriteFileAtomic(wal, file));
+  ASSERT_OK(Vfs::Default()->WriteAtomic(wal, file));
 
   StateCache cache2;
   CachePolicy policy;
@@ -599,7 +602,7 @@ TEST_F(PersistTest, SaveFaultsLeaveThePublishedSnapshotIntact) {
   Plant(&cache, "T:t,;W:;G:g,");
   ASSERT_OK(persist->Save());
   ASSERT_OK_AND_ASSIGN(std::string published,
-                       ReadFileToString(persist->snapshot_path()));
+                       Vfs::Default()->ReadFile(persist->snapshot_path()));
 
   Plant(&cache, "T:t,;W:;G:h,");
   for (const char* site : {"cache:snapshot_write", "cache:snapshot_rename"}) {
@@ -609,7 +612,7 @@ TEST_F(PersistTest, SaveFaultsLeaveThePublishedSnapshotIntact) {
     // Atomic publish: the reader-visible snapshot never changes under a
     // mid-save crash, whichever window the crash hits.
     ASSERT_OK_AND_ASSIGN(std::string now,
-                         ReadFileToString(persist->snapshot_path()));
+                         Vfs::Default()->ReadFile(persist->snapshot_path()));
     EXPECT_EQ(now, published) << site;
   }
   // With the fault gone the very next save succeeds.

@@ -26,6 +26,8 @@
 #include <vector>
 
 #include "agg/builtin_kernels.h"
+#include "bench_support/grouped_state.h"
+#include "common/metrics.h"
 #include "common/rng.h"
 #include "engine/aggregation.h"
 #include "engine/state_batch.h"
@@ -118,22 +120,24 @@ std::vector<std::vector<double>> LegacyReference(
         in[i] = v->AsDouble();
       }
     }
-    out.push_back(ComputeGroupedState(r.expr == nullptr ? AggOp::kCount
-                                                        : r.op,
-                                      in, fix.gids, fix.num_groups, serial));
+    out.push_back(bench::ComputeGroupedState(
+        r.expr == nullptr ? AggOp::kCount : r.op, in, fix.gids, fix.num_groups,
+        serial));
   }
   return out;
 }
 
 std::vector<std::vector<double>> RunFused(
     const std::vector<ParsedRequest>& reqs, const FusedFixture& fix,
-    const ExecOptions& opts, StateBatchStats* stats = nullptr) {
+    const ExecOptions& opts, MetricsRegistry* metrics = nullptr) {
   std::vector<StateBatchRequest> requests;
   for (const ParsedRequest& r : reqs) {
     requests.push_back({r.op, r.expr.get()});
   }
+  ExecOptions pass_opts = opts;
+  pass_opts.metrics = metrics;
   auto result = ComputeStateBatch(requests, fix.Binder(), fix.gids,
-                                  fix.num_groups, opts, stats);
+                                  fix.num_groups, pass_opts);
   SUDAF_CHECK_MSG(result.ok(), result.status().ToString());
   return std::move(*result);
 }
@@ -211,10 +215,11 @@ TEST(FusedStateBatchTest, ParallelMatchesSerialReference) {
         opts.parallel = true;
         opts.num_threads = threads;
         opts.morsel_size = morsel;
-        StateBatchStats stats;
+        MetricsRegistry metrics;
         std::vector<std::vector<double>> actual =
-            RunFused(reqs, fix, opts, &stats);
-        EXPECT_GE(stats.threads_used, 1);
+            RunFused(reqs, fix, opts, &metrics);
+        EXPECT_GE(
+            metrics.histogram("sudaf.fused.threads_used")->snapshot().min, 1);
         for (size_t s = 0; s < reqs.size(); ++s) {
           for (int32_t g = 0; g < groups; ++g) {
             if (IsExactOp(reqs[s].op)) {
@@ -273,11 +278,12 @@ TEST(FusedStateBatchTest, SharesChannelsAndSubexpressions) {
   });
   FusedFixture fix(5000, 3, 9);
   ExecOptions opts;
-  StateBatchStats stats;
-  std::vector<std::vector<double>> out = RunFused(reqs, fix, opts, &stats);
-  EXPECT_EQ(stats.num_requests, 7);
-  EXPECT_EQ(stats.num_channels, 5);  // count, x, x^2, x^3, x^4
-  EXPECT_GT(stats.num_shared_slots, 0);  // the power chain reuses slots
+  MetricsRegistry metrics;
+  std::vector<std::vector<double>> out = RunFused(reqs, fix, opts, &metrics);
+  // count, x, x^2, x^3, x^4
+  EXPECT_EQ(metrics.counter("sudaf.fused.channels")->value(), 5);
+  // The power chain reuses slots.
+  EXPECT_GT(metrics.counter("sudaf.fused.shared_slots")->value(), 0);
   // Duplicate requests still get their own (equal) output vectors.
   for (int32_t g = 0; g < 3; ++g) {
     EXPECT_EQ(out[4][g], out[5][g]);

@@ -3,14 +3,17 @@
 // execution with ⊕-merge equals a single pass.
 
 #include "agg/builtin_kernels.h"
+#include "bench_support/grouped_state.h"
 #include "common/rng.h"
-#include "engine/aggregation.h"
+#include "engine/exec_options.h"
 #include "gtest/gtest.h"
 #include "tests/test_util.h"
 
 namespace sudaf {
 namespace {
 
+using bench::ComputeGroupedState;
+using bench::GroupedAccumulateRange;
 using testing_util::ExpectClose;
 
 TEST(KernelsTest, IdentityIsNeutralForMerge) {
@@ -102,26 +105,6 @@ INSTANTIATE_TEST_SUITE_P(
                                          AggOp::kMin, AggOp::kMax,
                                          AggOp::kCount),
                        ::testing::Values(2, 4, 7)));
-
-TEST(PartitionedTest, ParallelThreadsMatchSerial) {
-  Rng rng(7);
-  const int64_t n = 10000;
-  std::vector<double> in(n);
-  std::vector<int32_t> gids(n);
-  for (int64_t i = 0; i < n; ++i) {
-    in[i] = rng.NextDoubleIn(-5, 5);
-    gids[i] = static_cast<int32_t>(rng.NextBelow(8));
-  }
-  ExecOptions serial;
-  ExecOptions parallel;
-  parallel.partitioned = true;
-  parallel.num_partitions = 4;
-  parallel.parallel = true;
-  std::vector<double> a = ComputeGroupedState(AggOp::kSum, in, gids, 8, serial);
-  std::vector<double> b =
-      ComputeGroupedState(AggOp::kSum, in, gids, 8, parallel);
-  for (int g = 0; g < 8; ++g) ExpectClose(a[g], b[g], 1e-9);
-}
 
 }  // namespace
 }  // namespace sudaf

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "agg/builtin_kernels.h"
+#include "common/metrics.h"
 #include "common/rng.h"
 #include "engine/state_batch.h"
 #include "expr/parser.h"
@@ -60,7 +61,7 @@ struct Frame {
 // an empty text for count().
 std::vector<std::vector<double>> RunPass(
     const Frame& frame, const std::vector<std::pair<AggOp, std::string>>& specs,
-    const ExecOptions& opts = ExecOptions{}, StateBatchStats* stats = nullptr,
+    const ExecOptions& opts = ExecOptions{}, MetricsRegistry* metrics = nullptr,
     const StateBatchIncremental* inc = nullptr) {
   std::vector<ExprPtr> inputs;
   std::vector<StateBatchRequest> requests;
@@ -74,8 +75,10 @@ std::vector<std::vector<double>> RunPass(
     }
     requests.push_back({op, input});
   }
+  ExecOptions pass_opts = opts;
+  pass_opts.metrics = metrics;
   auto result = ComputeStateBatch(requests, frame.Binder(), frame.gids,
-                                  frame.num_groups, opts, stats, inc);
+                                  frame.num_groups, pass_opts, inc);
   SUDAF_CHECK_MSG(result.ok(), result.status().ToString());
   return std::move(*result);
 }
@@ -146,10 +149,10 @@ TEST(FusedVectorTest, OneChunkPassMatchesNaiveRowOrderLoopBitwise) {
       {AggOp::kSum, "x"},   {AggOp::kProd, "x"},        {AggOp::kCount, ""},
       {AggOp::kMin, "x"},   {AggOp::kMax, "x"},         {AggOp::kSum, "x*x"},
       {AggOp::kSum, "ln(abs(x))"}};
-  StateBatchStats stats;
-  std::vector<std::vector<double>> got = RunPass(frame, specs, opts, &stats);
-  EXPECT_EQ(stats.morsels, 1);
-  EXPECT_EQ(stats.log_product_channels, 1);
+  MetricsRegistry metrics;
+  std::vector<std::vector<double>> got = RunPass(frame, specs, opts, &metrics);
+  EXPECT_EQ(metrics.counter("sudaf.fused.morsels")->value(), 1);
+  EXPECT_EQ(metrics.counter("sudaf.fused.log_product_channels")->value(), 1);
 
   // The first five specs, in order.
   const AggOp kOps[] = {AggOp::kSum, AggOp::kProd, AggOp::kCount,
@@ -220,10 +223,11 @@ TEST(LogProductTest, SumOfLogsMeetsLongDoubleOracle) {
   }
   for (const auto& [name, ys] : datasets) {
     Frame frame(ys, {}, 1);
-    StateBatchStats stats;
-    const double got =
-        RunPass(frame, {{AggOp::kSum, "ln(abs(x))"}}, ExecOptions{}, &stats)[0][0];
-    EXPECT_EQ(stats.log_product_channels, 1) << name;
+    MetricsRegistry metrics;
+    const double got = RunPass(frame, {{AggOp::kSum, "ln(abs(x))"}},
+                               ExecOptions{}, &metrics)[0][0];
+    EXPECT_EQ(metrics.counter("sudaf.fused.log_product_channels")->value(), 1)
+        << name;
     const Oracle ref = LogOracle(ys, /*abs=*/true);
     const long double err = std::fabs(static_cast<long double>(got) - ref.sum);
     EXPECT_LE(err, 1e-15L * ref.abs_sum)
@@ -304,21 +308,24 @@ TEST(LogProductTest, BitsIndependentOfPlanThreadsAndRefresh) {
   ExecOptions opts;
   opts.morsel_size = 3000;  // several chunks, partial vectors
 
-  StateBatchStats solo_stats;
+  MetricsRegistry solo_metrics;
   const std::vector<double> solo =
-      RunPass(frame, {{AggOp::kSum, "ln(abs(x))"}}, opts, &solo_stats)[0];
-  EXPECT_EQ(solo_stats.log_product_channels, 1);
-  EXPECT_EQ(solo_stats.num_slots, 1);  // only the column is evaluated
+      RunPass(frame, {{AggOp::kSum, "ln(abs(x))"}}, opts, &solo_metrics)[0];
+  EXPECT_EQ(solo_metrics.counter("sudaf.fused.log_product_channels")->value(),
+            1);
+  // Only the column is evaluated.
+  EXPECT_EQ(solo_metrics.counter("sudaf.fused.slots")->value(), 1);
 
-  StateBatchStats wide_stats;
+  MetricsRegistry wide_metrics;
   const std::vector<std::vector<double>> wide =
       RunPass(frame,
           {{AggOp::kSum, "ln(abs(x))^2"},
            {AggOp::kMax, "ln(abs(x))"},
            {AggOp::kSum, "ln(abs(x))"},
            {AggOp::kProd, "sgn(x)"}},
-          opts, &wide_stats);
-  EXPECT_EQ(wide_stats.log_product_channels, 1);
+          opts, &wide_metrics);
+  EXPECT_EQ(wide_metrics.counter("sudaf.fused.log_product_channels")->value(),
+            1);
   ExpectSameBits(solo, wide[2], "wide plan");
 
   for (int threads : {2, 4}) {
@@ -355,16 +362,17 @@ TEST(LogProductTest, BitsIndependentOfPlanThreadsAndRefresh) {
 // other functions of it, keep the per-row ln.
 TEST(LogProductTest, CountsOnlySumOfLogChannels) {
   Frame frame({1.5, 2.5, 3.5, 4.5}, {0, 1, 0, 1}, 2);
-  StateBatchStats stats;
+  MetricsRegistry metrics;
   const std::vector<std::vector<double>> out =
       RunPass(frame,
           {{AggOp::kProd, "ln(x)"},
            {AggOp::kMin, "ln(x)"},
            {AggOp::kSum, "ln(x)^2"},
            {AggOp::kSum, "ln(x + 1)"}},
-          ExecOptions{}, &stats);
-  EXPECT_EQ(stats.num_channels, 4);
-  EXPECT_EQ(stats.log_product_channels, 1);  // Σ ln(x + 1)
+          ExecOptions{}, &metrics);
+  EXPECT_EQ(metrics.counter("sudaf.fused.channels")->value(), 4);
+  // Σ ln(x + 1)
+  EXPECT_EQ(metrics.counter("sudaf.fused.log_product_channels")->value(), 1);
   EXPECT_EQ(out[0][0], std::log(1.5) * std::log(3.5));
   EXPECT_EQ(out[1][1], std::log(2.5));
   EXPECT_NEAR(out[3][0], std::log(2.5) + std::log(4.5), 1e-15);

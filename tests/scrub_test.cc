@@ -11,7 +11,7 @@
 #include <thread>
 #include <vector>
 
-#include "common/file_io.h"
+#include "common/vfs.h"
 #include "gtest/gtest.h"
 #include "storage/catalog.h"
 #include "sudaf/cache.h"
@@ -159,10 +159,10 @@ TEST_F(ScrubTest, DiskBitFlipIsDetectedAndRepublished) {
   // Compact so the snapshot holds the records, then rot one payload byte.
   ASSERT_OK(session.cache_persistence()->Save());
   std::string snap = session.cache_persistence()->snapshot_path();
-  ASSERT_OK_AND_ASSIGN(std::string file, ReadFileToString(snap));
+  ASSERT_OK_AND_ASSIGN(std::string file, Vfs::Default()->ReadFile(snap));
   ASSERT_GT(file.size(), 40u);
   file[file.size() / 2] ^= 0x10;  // payload byte, well past the header
-  ASSERT_OK(WriteFileAtomic(snap, file));
+  ASSERT_OK(Vfs::Default()->WriteAtomic(snap, file));
 
   IntegrityScrubber scrubber(&session);
   ScrubReport report = scrubber.RunOnce();
@@ -232,18 +232,21 @@ TEST_F(ScrubTest, BackgroundThreadScrubsPeriodically) {
 TEST_F(ScrubTest, AttachSweepsOrphanedTmpFiles) {
   // A crash between tmp-write and rename leaves litter behind; recovery
   // sweeps it so it can never be confused for (or grow into) real state.
-  ASSERT_OK(EnsureDirectory(dir_));
-  ASSERT_OK(WriteFileAtomic(dir_ + "/cache.snapshot.tmp", "crash litter"));
-  ASSERT_OK(WriteFileAtomic(dir_ + "/cache.wal.tmp", "more litter"));
-  ASSERT_OK(WriteFileAtomic(dir_ + "/unrelated.txt", "keep me"));
+  ASSERT_OK(Vfs::Default()->CreateDirs(dir_));
+  ASSERT_OK(Vfs::Default()->WriteAtomic(dir_ + "/cache.snapshot.tmp",
+                                        "crash litter"));
+  ASSERT_OK(
+      Vfs::Default()->WriteAtomic(dir_ + "/cache.wal.tmp", "more litter"));
+  ASSERT_OK(Vfs::Default()->WriteAtomic(dir_ + "/unrelated.txt", "keep me"));
 
   SudafSession session(&catalog_);
   ASSERT_OK(session.EnableCachePersistence(dir_));
   EXPECT_EQ(session.cache_persistence()->recovery_stats().orphan_tmps_removed,
             2);
-  EXPECT_FALSE(FileExists(dir_ + "/cache.snapshot.tmp"));
-  EXPECT_FALSE(FileExists(dir_ + "/cache.wal.tmp"));
-  EXPECT_TRUE(FileExists(dir_ + "/unrelated.txt"));  // not ours, not touched
+  EXPECT_FALSE(Vfs::Default()->Exists(dir_ + "/cache.snapshot.tmp"));
+  EXPECT_FALSE(Vfs::Default()->Exists(dir_ + "/cache.wal.tmp"));
+  // Not ours, not touched.
+  EXPECT_TRUE(Vfs::Default()->Exists(dir_ + "/unrelated.txt"));
 }
 
 }  // namespace

@@ -71,9 +71,12 @@ if [ "$stress" = 1 ]; then
   # converting their own chunk blocks), the max-entropy fit memo
   # (eight threads fitting and hitting one process-wide memo), and the
   # WHERE filter (workers sharing one compiled program, each with its own
-  # slot buffers), repeated so rare interleavings get a chance to surface
-  # under the sanitizer.
+  # slot buffers), a query group's probe, pass and serve copy (eight
+  # threads of partial hits on one session under a 1 ms integrity
+  # scrubber), the session's fault and poison paths and the scrubber,
+  # repeated so rare interleavings get a chance to surface under the
+  # sanitizer.
   "${build_dir}/tests/sudaf_tests" \
-    --gtest_filter='ChaosTest.*:AdmissionTest.*:ServiceTest.*:ThreadPoolReentrancyTest.*:ThreadPoolRobustnessTest.*:SharedScanTest.*:SoloParityTest.*:ChunkedTest.*:RewriteMemoTest.*:FusedVectorTest.*:LogProductTest.*:MaxEntMemoConcurrencyTest.*:ScanKernelTest.*' \
+    --gtest_filter='ChaosTest.*:AdmissionTest.*:ServiceTest.*:ThreadPoolReentrancyTest.*:ThreadPoolRobustnessTest.*:SharedScanTest.*:SoloParityTest.*:ChunkedTest.*:RewriteMemoTest.*:FusedVectorTest.*:LogProductTest.*:MaxEntMemoConcurrencyTest.*:ScanKernelTest.*:ProbeServeTest.*:ProbeServeConcurrencyTest.*:RobustSessionTest.*:ScrubTest.*' \
     --gtest_repeat=3 --gtest_shuffle
 fi
