@@ -159,23 +159,4 @@ std::vector<double> RunSequence(SudafSession* session, int model,
   return times;
 }
 
-void PrintTimingTable(const std::string& title,
-                      const std::vector<std::string>& row_labels,
-                      const std::vector<std::string>& col_labels,
-                      const std::vector<std::vector<double>>& ms) {
-  std::printf("\n=== %s ===\n", title.c_str());
-  std::printf("%-28s", "");
-  for (const std::string& col : col_labels) {
-    std::printf(" %12s", col.c_str());
-  }
-  std::printf("\n");
-  for (size_t r = 0; r < row_labels.size(); ++r) {
-    std::printf("%-28s", row_labels[r].c_str());
-    for (size_t c = 0; c < ms[r].size(); ++c) {
-      std::printf(" %9.2fms", ms[r][c]);
-    }
-    std::printf("\n");
-  }
-}
-
 }  // namespace sudaf::bench

@@ -61,12 +61,6 @@ std::vector<double> RunSequence(SudafSession* session, int model,
                                 const std::vector<std::string>& aggs,
                                 ExecMode mode);
 
-// Pretty-prints a labelled table of per-query milliseconds.
-void PrintTimingTable(const std::string& title,
-                      const std::vector<std::string>& row_labels,
-                      const std::vector<std::string>& col_labels,
-                      const std::vector<std::vector<double>>& ms);
-
 }  // namespace sudaf::bench
 
 #endif  // SUDAF_BENCH_SUPPORT_WORKLOAD_H_

@@ -74,12 +74,6 @@ class QueryGuard {
   // when no deadline is armed.
   double remaining_ms() const;
 
-  // True when the guard can still trip asynchronously (cancel source or
-  // deadline armed) — what queued waits need to poll for.
-  bool can_trip_async() const {
-    return token_ != nullptr || has_deadline_;
-  }
-
   // Admits `bytes` of engine allocation against the budget; returns
   // kResourceExhausted once the cumulative charge exceeds it. The failed
   // charge stays recorded, so later charges keep failing (fail closed).

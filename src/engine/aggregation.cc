@@ -1,8 +1,10 @@
 #include "engine/aggregation.h"
 
 #include <algorithm>
-#include <bit>
 #include <limits>
+#include <memory>
+#include <string_view>
+#include <unordered_map>
 
 #include "common/metrics.h"
 #include "common/query_guard.h"
@@ -81,68 +83,6 @@ uint64_t MixKey(uint64_t h, uint64_t v) {
   return h;
 }
 
-// Flat open-addressing table mapping composite group keys to group ids:
-// linear probing over a power-of-two entry array, no per-bucket vectors.
-// A key is represented by one of its frame rows; `eq` compares the key
-// columns of two rows.
-class GroupHashTable {
- public:
-  struct Entry {
-    uint64_t hash = 0;
-    int64_t row = -1;   // representative frame row
-    int32_t gid = -1;   // -1 => empty slot
-  };
-
-  GroupHashTable() : entries_(kInitialCapacity) {}
-  // Sized so `expected` keys fit without growing.
-  explicit GroupHashTable(size_t expected)
-      : entries_(std::max(kInitialCapacity,
-                          std::bit_ceil(expected * 10 / 7 + 1))) {}
-
-  // Returns the group id of (h, row), inserting it as `next_gid` when new
-  // (*inserted reports which happened).
-  template <typename Eq>
-  int32_t FindOrInsert(uint64_t h, int64_t row, int32_t next_gid,
-                       const Eq& eq, bool* inserted) {
-    if ((count_ + 1) * 10 >= entries_.size() * 7) Grow();
-    const size_t mask = entries_.size() - 1;
-    size_t idx = static_cast<size_t>(h) & mask;
-    for (;;) {
-      Entry& e = entries_[idx];
-      if (e.gid < 0) {
-        e.hash = h;
-        e.row = row;
-        e.gid = next_gid;
-        ++count_;
-        *inserted = true;
-        return next_gid;
-      }
-      if (e.hash == h && eq(e.row, row)) {
-        *inserted = false;
-        return e.gid;
-      }
-      idx = (idx + 1) & mask;
-    }
-  }
-
- private:
-  void Grow() {
-    std::vector<Entry> old = std::move(entries_);
-    entries_.assign(old.size() * 2, Entry{});
-    const size_t mask = entries_.size() - 1;
-    for (const Entry& e : old) {
-      if (e.gid < 0) continue;
-      size_t idx = static_cast<size_t>(e.hash) & mask;
-      while (entries_[idx].gid >= 0) idx = (idx + 1) & mask;
-      entries_[idx] = e;
-    }
-  }
-
-  static constexpr size_t kInitialCapacity = 1024;
-  std::vector<Entry> entries_;
-  size_t count_ = 0;
-};
-
 // Murmur3 finalizer: spreads MixKey's sums over the low bits the table
 // indexes with, so strided keys do not cluster.
 uint64_t FinalizeHash(uint64_t h) {
@@ -154,258 +94,325 @@ uint64_t FinalizeHash(uint64_t h) {
   return h;
 }
 
+// Flat open-addressing table mapping composite key codes to group ids:
+// linear probing over a power-of-two slot array, no per-bucket vectors.
+// A slot holds a group id and the high half of its hash; each group's
+// codes and full hash live in dense arrays indexed by id, so the table
+// never reads the tuples a key came from.
+class GroupHashTable {
+ public:
+  explicit GroupHashTable(size_t num_keys)
+      : num_keys_(num_keys), slots_(kInitialCapacity) {}
+
+  // Returns the group id of `key` (num_keys codes), adding it as the next
+  // id when new (*inserted reports which happened).
+  int32_t FindOrInsert(const int64_t* key, bool* inserted) {
+    uint64_t h = 0;
+    for (size_t c = 0; c < num_keys_; ++c) {
+      h = MixKey(h, static_cast<uint64_t>(key[c]));
+    }
+    h = FinalizeHash(h);
+    if ((hashes_.size() + 1) * 10 >= slots_.size() * 7) Grow();
+    const size_t mask = slots_.size() - 1;
+    const uint32_t tag = static_cast<uint32_t>(h >> 32);
+    for (size_t idx = static_cast<size_t>(h) & mask;;
+         idx = (idx + 1) & mask) {
+      Slot& s = slots_[idx];
+      if (s.gid < 0) {
+        s.tag = tag;
+        s.gid = static_cast<int32_t>(hashes_.size());
+        hashes_.push_back(h);
+        codes_.insert(codes_.end(), key, key + num_keys_);
+        *inserted = true;
+        return s.gid;
+      }
+      if (s.tag == tag &&
+          std::equal(key, key + num_keys_,
+                     codes_.data() + static_cast<size_t>(s.gid) * num_keys_)) {
+        *inserted = false;
+        return s.gid;
+      }
+    }
+  }
+
+ private:
+  struct Slot {
+    uint32_t tag = 0;
+    int32_t gid = -1;  // -1 => empty slot
+  };
+
+  void Grow() {
+    slots_.assign(slots_.size() * 2, Slot{});
+    const size_t mask = slots_.size() - 1;
+    for (size_t g = 0; g < hashes_.size(); ++g) {
+      size_t idx = static_cast<size_t>(hashes_[g]) & mask;
+      while (slots_[idx].gid >= 0) idx = (idx + 1) & mask;
+      slots_[idx] = Slot{static_cast<uint32_t>(hashes_[g] >> 32),
+                         static_cast<int32_t>(g)};
+    }
+  }
+
+  static constexpr size_t kInitialCapacity = 1024;
+  size_t num_keys_;
+  std::vector<Slot> slots_;
+  std::vector<uint64_t> hashes_;  // per group id
+  std::vector<int64_t> codes_;    // per group id, num_keys_ codes each
+};
+
 // A key range this small always groups by direct index, even over fewer
-// rows: its id table is at most 4 KiB.
+// tuples: its id table is at most 4 KiB.
 constexpr int64_t kMinDirectDomain = 1024;
 
-// Calls f(key, a, b) for each run [a, b) of tuples [lo, hi) of `b` that
+// One key column of a grouping, read in place as integer codes: the INT64
+// value, or the STRING dictionary code — translated through `to_code`
+// when set, so several columns' codes share one space.
+struct KeyCodes {
+  BoundColumn col;
+  const int32_t* to_code = nullptr;
+  // STRING: codes lie in [0, num_codes). INT64: -1, the range is scanned.
+  int64_t num_codes = -1;
+};
+
+// The tuples of one input of the kernel: its key columns (all over `rows`
+// tuples) and where their group ids go.
+struct KeyPart {
+  std::vector<KeyCodes> keys;
+  int64_t rows = 0;
+  int32_t* ids = nullptr;
+};
+
+// Calls f(key, a, b) for each run [a, b) of tuples [lo, hi) of `k` that
 // lies in one storage chunk (one run over a single-chunk column), with
-// key(i) the integer code of tuple i (INT64 value or dictionary code),
-// specialized on the column type and on identity vs row ids so the hot
-// loops carry no per-row dispatch.
+// key(i) the integer code of tuple i, specialized on the column type, on
+// identity vs row ids and on the translation so the hot loops carry no
+// per-row dispatch.
 template <typename F>
-void ForEachKeyRun(const BoundColumn& b, int64_t lo, int64_t hi, const F& f) {
-  auto runs = [&](auto type_tag) {
+void ForEachKeyRun(const KeyCodes& k, int64_t lo, int64_t hi, const F& f) {
+  const BoundColumn& b = k.col;
+  auto runs = [&](auto type_tag, auto code) {
     using T = decltype(type_tag);
     b.ForEachRun<T>(lo, hi, [&](const T* v, int64_t first, int64_t a,
                                 int64_t z) {
       if (b.rows != nullptr) {
         const int64_t* rows = b.rows;
-        f([v, rows, first](int64_t i) -> int64_t { return v[rows[i] - first]; },
-          a, z);
+        f([v, rows, first, code](int64_t i) -> int64_t {
+          return code(v[rows[i] - first]);
+        }, a, z);
       } else {
         const int64_t off = b.base - first;
-        f([v, off](int64_t i) -> int64_t { return v[off + i]; }, a, z);
+        f([v, off, code](int64_t i) -> int64_t { return code(v[off + i]); },
+          a, z);
       }
     });
   };
+  auto same = [](int64_t c) { return c; };
   if (b.col->type() == DataType::kInt64) {
-    runs(int64_t{});
+    runs(int64_t{}, same);
+  } else if (k.to_code == nullptr) {
+    runs(int32_t{}, same);
   } else {
-    runs(int32_t{});
+    const int32_t* to = k.to_code;
+    runs(int32_t{}, [to](int64_t c) -> int64_t { return to[c]; });
   }
 }
 
-// Direct-index grouping: the key of tuple i takes slot key(i) - lo of a
-// dense table over [lo, lo + domain), and a slot's id is assigned at its
-// first occurrence.
-void DirectGroups(const BoundColumn& b, int64_t lo, int64_t domain,
-                  int64_t n, std::vector<int32_t>* group_ids,
-                  std::vector<int64_t>* first_row) {
-  int32_t* gids = group_ids->data();
-  std::vector<int32_t> id_of(static_cast<size_t>(domain), -1);
-  int32_t next = 0;
-  ForEachKeyRun(b, 0, n, [&](const auto& key, int64_t a, int64_t z) {
-    for (int64_t i = a; i < z; ++i) {
-      int32_t& id = id_of[key(i) - lo];
-      if (id < 0) {
-        id = next++;
-        first_row->push_back(i);
+// The direct-index loop over tuples [a, z) of a run: tuple i takes the id
+// in slot key(i) - lo of `id_of`, and a slot's first occurrence sets it
+// to `next` and records tuple offset + i at first[next]. Returns the next
+// free id. `first` is a plain buffer rather than a vector, and the loop's
+// state arrives as parameters, so nothing the loop reads lives in memory
+// a store of the loop could change.
+template <typename Key>
+int32_t DirectIds(const Key& key, int64_t a, int64_t z, int64_t lo,
+                  int64_t offset, int32_t* id_of, int32_t next, int32_t* ids,
+                  int64_t* first) {
+  for (int64_t i = a; i < z; ++i) {
+    int32_t& slot = id_of[key(i) - lo];
+    if (slot < 0) {
+      slot = next;
+      first[next++] = offset + i;
+    }
+    ids[i] = slot;
+  }
+  return next;
+}
+
+// The grouping kernel: assigns each tuple of `parts` (numbered in part
+// order, then tuple order) the id its key took at its first occurrence,
+// and appends every group's first tuple number to `*first`. Returns true
+// when the direct-index loop ran: one key column whose code range is
+// narrower than max(tuples, kMinDirectDomain), unless !allow_direct.
+// Every other grouping runs the hash loop, which gathers each block of
+// tuples' codes into a small buffer first.
+bool GroupKeyCodes(const std::vector<KeyPart>& parts, bool allow_direct,
+                   std::vector<int64_t>* first) {
+  int64_t total = 0;
+  for (const KeyPart& p : parts) total += p.rows;
+  const size_t num_keys = parts.empty() ? 0 : parts[0].keys.size();
+
+  if (allow_direct && num_keys == 1 && total > 0) {
+    const int64_t max_domain = std::max(total, kMinDirectDomain);
+    int64_t lo = 0;
+    int64_t domain = parts[0].keys[0].num_codes;
+    if (domain < 0) {
+      lo = std::numeric_limits<int64_t>::max();
+      int64_t hi = std::numeric_limits<int64_t>::min();
+      for (const KeyPart& p : parts) {
+        ForEachKeyRun(p.keys[0], 0, p.rows,
+                      [&](const auto& key, int64_t a, int64_t z) {
+                        for (int64_t i = a; i < z; ++i) {
+                          const int64_t k = key(i);
+                          lo = std::min(lo, k);
+                          hi = std::max(hi, k);
+                        }
+                      });
       }
-      gids[i] = id;
+      // Unsigned difference: hi - lo overflows int64 for extreme keys.
+      const uint64_t width =
+          static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
+      domain = width < static_cast<uint64_t>(max_domain)
+                   ? static_cast<int64_t>(width) + 1
+                   : max_domain + 1;
     }
-  });
-}
-
-// Tries the direct path for a single key column; false when its value
-// range is too wide for the rows scanned (the caller then hashes).
-bool TryDirectGroups(const BoundColumn& b, int64_t n,
-                     std::vector<int32_t>* group_ids,
-                     std::vector<int64_t>* first_row) {
-  const int64_t max_domain = std::max(n, kMinDirectDomain);
-  int64_t lo = 0;
-  int64_t domain = 0;
-  if (b.col->type() == DataType::kString) {
-    domain = static_cast<int64_t>(b.col->dictionary().size());
-  } else {
-    lo = b.col->GetInt64(b.Row(0));
-    int64_t hi = lo;
-    ForEachKeyRun(b, 0, n, [&](const auto& key, int64_t a, int64_t z) {
-      for (int64_t i = a; i < z; ++i) {
-        const int64_t k = key(i);
-        lo = std::min(lo, k);
-        hi = std::max(hi, k);
+    if (domain <= max_domain) {
+      std::vector<int32_t> id_of(static_cast<size_t>(domain), -1);
+      // Room for the most groups there can be, min(domain, total), left
+      // uninitialized, so only the entries written are touched.
+      const std::unique_ptr<int64_t[]> firsts(
+          new int64_t[std::min(domain, total)]);
+      int32_t next = 0;
+      int64_t offset = 0;
+      for (const KeyPart& p : parts) {
+        ForEachKeyRun(p.keys[0], 0, p.rows,
+                      [&](const auto& key, int64_t a, int64_t z) {
+                        next = DirectIds(key, a, z, lo, offset, id_of.data(),
+                                         next, p.ids, firsts.get());
+                      });
+        offset += p.rows;
       }
-    });
-    // Unsigned difference: hi - lo overflows int64 for extreme keys.
-    const uint64_t width =
-        static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
-    if (width >= static_cast<uint64_t>(max_domain)) return false;
-    domain = static_cast<int64_t>(width) + 1;
+      first->insert(first->end(), firsts.get(), firsts.get() + next);
+      return true;
+    }
   }
-  if (domain > max_domain) return false;
-  DirectGroups(b, lo, domain, n, group_ids, first_row);
-  return true;
-}
 
-// Hash grouping over composite keys: one table maps each key to the id it
-// took at its first occurrence.
-void HashGroups(const std::vector<BoundColumn>& keys, int64_t n,
-                std::vector<int32_t>* group_ids,
-                std::vector<int64_t>* first_row) {
-  auto code_at = [&](size_t c, int64_t i) -> int64_t {
-    const BoundColumn& b = keys[c];
-    const int64_t row = b.Row(i);
-    return b.col->type() == DataType::kInt64
-               ? b.col->GetInt64(row)
-               : static_cast<int64_t>(b.col->GetStringCode(row));
-  };
-  auto hash_row = [&](int64_t i) -> uint64_t {
-    uint64_t h = 0;
-    for (size_t c = 0; c < keys.size(); ++c) {
-      h = MixKey(h, static_cast<uint64_t>(code_at(c, i)));
+  constexpr int64_t kBlock = 256;
+  std::vector<int64_t> block(static_cast<size_t>(kBlock) * num_keys);
+  GroupHashTable table(num_keys);
+  int64_t offset = 0;
+  for (const KeyPart& p : parts) {
+    for (int64_t s = 0; s < p.rows; s += kBlock) {
+      const int64_t e = std::min(p.rows, s + kBlock);
+      for (size_t c = 0; c < num_keys; ++c) {
+        int64_t* out = block.data() + c;
+        ForEachKeyRun(p.keys[c], s, e,
+                      [&](const auto& key, int64_t a, int64_t z) {
+                        for (int64_t i = a; i < z; ++i) {
+                          out[(i - s) * num_keys] = key(i);
+                        }
+                      });
+      }
+      for (int64_t i = s; i < e; ++i) {
+        bool inserted = false;
+        p.ids[i] = table.FindOrInsert(block.data() + (i - s) * num_keys,
+                                      &inserted);
+        if (inserted) first->push_back(offset + i);
+      }
     }
-    return FinalizeHash(h);
-  };
-  auto rows_equal = [&](int64_t a, int64_t b) -> bool {
-    for (size_t c = 0; c < keys.size(); ++c) {
-      if (code_at(c, a) != code_at(c, b)) return false;
-    }
-    return true;
-  };
-
-  GroupHashTable table;
-  for (int64_t i = 0; i < n; ++i) {
-    bool inserted = false;
-    (*group_ids)[i] =
-        table.FindOrInsert(hash_row(i), i,
-                           static_cast<int32_t>(first_row->size()),
-                           rows_equal, &inserted);
-    if (inserted) first_row->push_back(i);
+    offset += p.rows;
   }
-}
-
-// MatchGroupKeys for one INT64 key column over a dense value range: a
-// direct id table over [lo, hi] of both columns replaces the hash, with the
-// same ids and new rows. False, with nothing written, when the range is
-// wider than the direct grouping allows for the rows of both tables.
-bool MatchDenseKeys(const std::vector<int64_t>& keys,
-                    const std::vector<int64_t>& more,
-                    std::vector<int32_t>* remap,
-                    std::vector<int64_t>* new_rows) {
-  if (keys.empty() && more.empty()) return false;
-  int64_t lo = std::numeric_limits<int64_t>::max();
-  int64_t hi = std::numeric_limits<int64_t>::min();
-  for (const std::vector<int64_t>* col : {&keys, &more}) {
-    for (int64_t k : *col) {
-      lo = std::min(lo, k);
-      hi = std::max(hi, k);
-    }
-  }
-  const int64_t total = static_cast<int64_t>(keys.size() + more.size());
-  // Unsigned difference: hi - lo overflows int64 for extreme keys.
-  const uint64_t width = static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
-  if (width >= static_cast<uint64_t>(std::max(total, kMinDirectDomain))) {
-    return false;
-  }
-  auto slot = [lo](int64_t key) {
-    return static_cast<uint64_t>(key) - static_cast<uint64_t>(lo);
-  };
-  std::vector<int32_t> id_of(width + 1, -1);
-  for (size_t r = 0; r < keys.size(); ++r) {
-    int32_t& id = id_of[slot(keys[r])];
-    if (id < 0) id = static_cast<int32_t>(r);
-  }
-  remap->resize(more.size());
-  int32_t next = static_cast<int32_t>(keys.size());
-  for (size_t g = 0; g < more.size(); ++g) {
-    int32_t& id = id_of[slot(more[g])];
-    if (id < 0) {
-      id = next++;
-      new_rows->push_back(static_cast<int64_t>(g));
-    }
-    (*remap)[g] = id;
-  }
-  return true;
+  return false;
 }
 
 }  // namespace
 
-std::vector<int32_t> MatchGroupKeys(const Table& keys, const Table& more,
-                                    std::vector<int64_t>* new_rows) {
-  const int num_cols = keys.num_columns();
-  SUDAF_CHECK(more.num_columns() == num_cols);
-  const int64_t n_keys = keys.num_rows();
-  const int64_t n_more = more.num_rows();
-  if (num_cols == 1 && keys.column(0).type() == DataType::kInt64 &&
-      more.column(0).type() == DataType::kInt64) {
-    std::vector<int32_t> remap;
-    if (MatchDenseKeys(keys.column(0).ints(), more.column(0).ints(), &remap,
-                       new_rows)) {
-      return remap;
-    }
-  }
-  // Row-major integer codes of both tables, `keys` rows first: the INT64
-  // value or the STRING code in `keys`'s dictionary. A `more` string that
-  // dictionary lacks gets a negative code of its own row, which no row of
-  // `keys` holds.
-  const int64_t total = n_keys + n_more;
-  std::vector<int64_t> codes(static_cast<size_t>(total * num_cols));
+MergedGroupKeys MergeGroupKeys(const std::vector<GroupKeyTable>& tables) {
+  SUDAF_CHECK(!tables.empty());
+  const Table& head = *tables[0].keys;
+  const int num_cols = head.num_columns();
+  const size_t k = tables.size();
+
+  // STRING codes of every table in one space: the first table's dictionary
+  // codes, then each string it lacks numbered at its first appearance in a
+  // later table's dictionary.
+  std::vector<std::vector<std::vector<int32_t>>> to_code(num_cols);
+  std::vector<int64_t> num_codes(num_cols, -1);
   for (int c = 0; c < num_cols; ++c) {
-    const Column& kc = keys.column(c);
-    const Column& mc = more.column(c);
-    SUDAF_CHECK(kc.type() == mc.type());
-    int64_t* out = codes.data() + c;
-    switch (kc.type()) {
-      case DataType::kInt64:
-        for (int64_t r = 0; r < n_keys; ++r) out[r * num_cols] = kc.ints()[r];
-        for (int64_t r = 0; r < n_more; ++r) {
-          out[(n_keys + r) * num_cols] = mc.ints()[r];
+    const Column& hc = head.column(c);
+    SUDAF_CHECK_MSG(hc.type() != DataType::kFloat64, "FLOAT64 group key");
+    for (const GroupKeyTable& t : tables) {
+      SUDAF_CHECK(t.keys->num_columns() == num_cols &&
+                  t.keys->column(c).type() == hc.type());
+    }
+    if (hc.type() != DataType::kString) continue;
+    to_code[c].resize(k);
+    std::unordered_map<std::string_view, int32_t> extra;
+    int32_t next = static_cast<int32_t>(hc.dictionary().size());
+    for (size_t t = 1; t < k; ++t) {
+      const std::vector<std::string>& dict =
+          tables[t].keys->column(c).dictionary();
+      std::vector<int32_t>& to = to_code[c][t];
+      to.resize(dict.size());
+      for (size_t d = 0; d < dict.size(); ++d) {
+        int32_t code = hc.LookupDictionary(dict[d]);
+        if (code < 0) {
+          code = extra.try_emplace(dict[d], next).first->second;
+          if (code == next) ++next;
         }
-        break;
-      case DataType::kFloat64:
-        SUDAF_CHECK_MSG(false, "FLOAT64 group key");
-        break;
-      case DataType::kString: {
-        for (int64_t r = 0; r < n_keys; ++r) {
-          out[r * num_cols] = kc.string_codes()[r];
-        }
-        std::vector<int32_t> to_keys(mc.dictionary().size());
-        for (size_t d = 0; d < to_keys.size(); ++d) {
-          to_keys[d] = kc.LookupDictionary(mc.dictionary()[d]);
-        }
-        for (int64_t r = 0; r < n_more; ++r) {
-          const int32_t code = to_keys[mc.string_codes()[r]];
-          out[(n_keys + r) * num_cols] = code >= 0 ? code : -1 - r;
-        }
-        break;
+        to[d] = code;
       }
     }
+    num_codes[c] = next;
   }
-  auto hash_row = [&](int64_t row) -> uint64_t {
-    uint64_t h = 0;
-    for (int c = 0; c < num_cols; ++c) {
-      h = MixKey(h, static_cast<uint64_t>(codes[row * num_cols + c]));
-    }
-    return FinalizeHash(h);
-  };
-  auto rows_equal = [&](int64_t a, int64_t b) -> bool {
-    for (int c = 0; c < num_cols; ++c) {
-      if (codes[a * num_cols + c] != codes[b * num_cols + c]) return false;
-    }
-    return true;
-  };
 
-  GroupHashTable table(static_cast<size_t>(total));
-  bool inserted = false;
-  for (int64_t r = 0; r < n_keys; ++r) {
-    table.FindOrInsert(hash_row(r), r, static_cast<int32_t>(r), rows_equal,
-                       &inserted);
-  }
-  // Rows of `more` are distinct keys, so a row inserted here as new is
-  // never matched by a later one.
-  std::vector<int32_t> remap(static_cast<size_t>(n_more));
-  int32_t next = static_cast<int32_t>(n_keys);
-  for (int64_t g = 0; g < n_more; ++g) {
-    const int64_t row = n_keys + g;
-    remap[g] =
-        table.FindOrInsert(hash_row(row), row, next, rows_equal, &inserted);
-    if (inserted) {
-      new_rows->push_back(g);
-      ++next;
+  MergedGroupKeys out;
+  out.remaps.resize(k);
+  std::vector<KeyPart> parts(k);
+  for (size_t t = 0; t < k; ++t) {
+    const Table& keys = *tables[t].keys;
+    KeyPart& p = parts[t];
+    p.rows = num_cols > 0 ? keys.num_rows() : tables[t].num_groups;
+    out.remaps[t].resize(static_cast<size_t>(p.rows));
+    p.ids = out.remaps[t].data();
+    for (int c = 0; c < num_cols; ++c) {
+      p.keys.push_back(KeyCodes{
+          BoundColumn{&keys.column(c)},
+          t > 0 && !to_code[c].empty() ? to_code[c][t].data() : nullptr,
+          num_codes[c]});
     }
   }
-  return remap;
+  std::vector<int64_t> first;
+  GroupKeyCodes(parts, /*allow_direct=*/true, &first);
+  out.num_groups = static_cast<int32_t>(first.size());
+
+  // Key rows in id order: each table's new groups follow the earlier
+  // tables', so first[] walks the tables in order. A table whose every row
+  // is new is copied in bulk.
+  out.keys = std::make_unique<Table>(head.schema());
+  out.keys->Reserve(out.num_groups);
+  auto f = first.begin();
+  int64_t offset = 0;
+  for (size_t t = 0; t < k; ++t) {
+    const int64_t end = offset + parts[t].rows;
+    const auto from = f;
+    f = std::lower_bound(from, first.end(), end);
+    const bool all_new = f - from == parts[t].rows;
+    std::vector<int64_t> rows;
+    if (!all_new) {
+      for (auto g = from; g != f; ++g) rows.push_back(*g - offset);
+    }
+    for (int c = 0; c < num_cols; ++c) {
+      Column& dst = out.keys->column(c);
+      const Column& src = tables[t].keys->column(c);
+      if (all_new) {
+        dst.AppendColumn(src);
+      } else {
+        dst.AppendRows(src, rows.data(), static_cast<int64_t>(rows.size()));
+      }
+    }
+    offset = end;
+  }
+  out.keys->FinishBulkAppend();
+  return out;
 }
 
 Status BuildGroups(const std::vector<std::string>& group_by,
@@ -420,14 +427,18 @@ Status BuildGroups(const std::vector<std::string>& group_by,
     return Status::OK();
   }
 
-  std::vector<BoundColumn> keys;
+  std::vector<KeyCodes> keys;
   Schema key_schema;
   for (const std::string& name : group_by) {
     SUDAF_ASSIGN_OR_RETURN(BoundColumn key, out->Bind(name));
     if (key.col->type() == DataType::kFloat64) {
       return Status::Unimplemented("GROUP BY on FLOAT64 column: " + name);
     }
-    keys.push_back(key);
+    const int64_t num_codes =
+        key.col->type() == DataType::kString
+            ? static_cast<int64_t>(key.col->dictionary().size())
+            : -1;
+    keys.push_back(KeyCodes{key, nullptr, num_codes});
     SUDAF_RETURN_IF_ERROR(key_schema.AddField(Field{name, key.col->type()}));
   }
   out->group_keys = std::make_unique<Table>(std::move(key_schema));
@@ -435,23 +446,19 @@ Status BuildGroups(const std::vector<std::string>& group_by,
   // Every id is written below; resize without a fill pass when possible.
   out->group_ids.resize(n);
   std::vector<int64_t> first_row;
-  if (allow_direct && keys.size() == 1 && n > 0) {
-    out->direct_groups =
-        TryDirectGroups(keys[0], n, &out->group_ids, &first_row);
-  }
-  if (!out->direct_groups) {
-    HashGroups(keys, n, &out->group_ids, &first_row);
-  }
+  out->direct_groups = GroupKeyCodes({KeyPart{keys, n, out->group_ids.data()}},
+                                     allow_direct, &first_row);
 
   // Group keys: typed copies of each group's first row.
   out->num_groups = static_cast<int32_t>(first_row.size());
   std::vector<int64_t> key_rows(first_row.size());
   for (size_t c = 0; c < keys.size(); ++c) {
+    const BoundColumn& b = keys[c].col;
     for (size_t g = 0; g < first_row.size(); ++g) {
-      key_rows[g] = keys[c].Row(first_row[g]);
+      key_rows[g] = b.Row(first_row[g]);
     }
     out->group_keys->column(static_cast<int>(c))
-        .AppendRows(*keys[c].col, key_rows.data(),
+        .AppendRows(*b.col, key_rows.data(),
                     static_cast<int64_t>(key_rows.size()));
   }
   out->group_keys->FinishBulkAppend();

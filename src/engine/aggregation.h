@@ -71,16 +71,20 @@ Result<std::unique_ptr<Table>> GatherColumns(
     const std::vector<BoundColumn>& columns, int64_t num_rows,
     const ExecOptions& opts = {});
 
+// One grouping kernel assigns every group id: BuildGroups and
+// MergeGroupKeys both turn integer key codes (an INT64 value or a STRING
+// dictionary code, read in place) into ids in first-occurrence order. A
+// single key column whose code range is narrower than max(tuples, 1024)
+// indexes a dense id table; any other key hashes into one flat
+// open-addressing table. Both loops give the same ids, so grouping rows
+// A ⊎ B equals merging the groupings of A and B (docs/execution.md,
+// "Group" and "Incremental maintenance").
+
 // Computes `out->group_ids`, `out->group_keys` and `out->num_groups` for the
 // input bound in `out`, reading the key columns through Bind(). With an
 // empty `group_by` there is a single group 0 (and `group_keys` has zero
-// columns, one row).
-//
-// Group ids are in first-occurrence row order on every path. One INT64 key
-// whose value range, or one dictionary STRING key whose dictionary, is
-// small relative to the scanned rows indexes a dense id table directly
-// (out->direct_groups); any other key hashes into one flat open-addressing
-// table. `allow_direct` = false forces the hash path (for differential
+// columns). `out->direct_groups` reports whether the kernel indexed
+// directly; `allow_direct` = false forces the hash loop (for differential
 // tests).
 //
 // Always one serial pass: first-occurrence ids have no ⊕ merge, so a
@@ -89,17 +93,31 @@ Result<std::unique_ptr<Table>> GatherColumns(
 Status BuildGroups(const std::vector<std::string>& group_by,
                    PreparedInput* out, bool allow_direct = true);
 
-// Matches the groups of `more` onto the groups of `keys`, two group-key
-// tables over the same key columns (a delta refresh extends a cached
-// grouping this way; docs/execution.md, "Incremental maintenance").
-// Returns, for each row g of `more`, the row of `keys` holding the same key,
-// or keys.num_rows() + k when g is the k-th row of `more` (in row order)
-// that `keys` lacks; those rows of `more` are appended to `*new_rows`. Key
-// columns are INT64 (compared exactly) or STRING (compared by content
-// across the two dictionaries), and each table's rows must be distinct
-// keys, as BuildGroups produces them.
-std::vector<int32_t> MatchGroupKeys(const Table& keys, const Table& more,
-                                    std::vector<int64_t>* new_rows);
+// One input of MergeGroupKeys: a group-key table and its group count. A
+// grouped table holds one row per group; an ungrouped one has no columns,
+// so `num_groups` gives its rows.
+struct GroupKeyTable {
+  const Table* keys = nullptr;
+  int64_t num_groups = 0;
+};
+
+// k groupings merged into one: `keys` holds one row per merged group (one
+// chunk, typed copies of each group's first row), and remaps[t][g] is the
+// merged id of row g of input t.
+struct MergedGroupKeys {
+  std::unique_ptr<Table> keys;
+  int32_t num_groups = 0;
+  std::vector<std::vector<int32_t>> remaps;
+};
+
+// Merges the groupings behind `tables`, in table order: a delta refresh
+// extends a cached grouping with the delta's, and the chunked executor
+// merges its chunks' groupings (docs/execution.md, "Incremental
+// maintenance"). Ids and keys are those BuildGroups gives the tables' rows
+// concatenated, so a first table of distinct keys keeps its row numbers.
+// Key columns are INT64 or STRING; STRINGs compare by content, each
+// table's dictionary translated into one code space once per entry.
+MergedGroupKeys MergeGroupKeys(const std::vector<GroupKeyTable>& tables);
 
 // Drives a hardcoded UDAF over its numeric argument columns one boxed row
 // at a time (initialize/update per row; with opts.partitioned, one

@@ -366,66 +366,54 @@ uint32_t WalRecordBound(int64_t limit) {
       kMaxRecordLen, std::max<int64_t>(limit, kFloorBytes)));
 }
 
-// Walks the record stream after the file header. Structural damage is
-// counted, never propagated: a CRC mismatch (or an injected
-// cache:recover_record fault, or a payload `apply` rejects) skips that one
-// record; a record that is fully present but larger than `max_len` is
-// skipped individually (records_dropped_oversize); a torn tail — record
-// length pointing past EOF — ends the scan, keeping everything before it.
+// Walks the record stream after the file header: the one place the
+// record framing rules live, for recovery and the scrubber alike. Calls
+// visit(payload, crc_ok) for each complete record, in order. Returns false
+// when a torn tail — too few bytes left for a record header, or a length
+// past EOF or above kMaxRecordLen — ended the walk, keeping everything
+// before it.
 template <typename Fn>
-void ScanRecords(std::string_view records, CacheRecoveryStats* stats,
-                 uint32_t max_len, Fn apply) {
+bool ScanRecords(std::string_view records, Fn visit) {
   size_t pos = 0;
   while (pos < records.size()) {
-    if (records.size() - pos < kRecordHeaderLen) {
-      ++stats->records_dropped_torn;
-      return;
-    }
+    if (records.size() - pos < kRecordHeaderLen) return false;
     uint32_t len = ReadU32At(records, pos);
     uint32_t stored_crc = ReadU32At(records, pos + 4);
     if (len > kMaxRecordLen || len > records.size() - pos - kRecordHeaderLen) {
-      ++stats->records_dropped_torn;
-      return;
+      return false;
     }
     std::string_view payload = records.substr(pos + kRecordHeaderLen, len);
     uint32_t actual_crc = Crc32c(records.data() + pos, 4);
     actual_crc = Crc32c(payload.data(), payload.size(), actual_crc);
     pos += kRecordHeaderLen + len;
-    if (len > max_len) {
-      // The record is intact on disk but violates the configured bound:
-      // drop it alone and keep scanning — never fatal, never the tail.
-      ++stats->records_dropped_oversize;
-      continue;
-    }
-    if (actual_crc != stored_crc ||
-        !FailPoint::Check("cache:recover_record").ok() || !apply(payload)) {
-      ++stats->records_dropped_checksum;
-    }
+    visit(payload, actual_crc == stored_crc);
   }
+  return true;
 }
 
-// CRC-only walk for the integrity scrubber: same framing rules as
-// ScanRecords, but counts damage instead of applying payloads.
-void ScanCrcOnly(std::string_view records, StoreScanReport* report) {
-  size_t pos = 0;
-  while (pos < records.size()) {
-    if (records.size() - pos < kRecordHeaderLen) {
-      ++report->torn_tails;
-      return;
-    }
-    uint32_t len = ReadU32At(records, pos);
-    uint32_t stored_crc = ReadU32At(records, pos + 4);
-    if (len > kMaxRecordLen || len > records.size() - pos - kRecordHeaderLen) {
-      ++report->torn_tails;
-      return;
-    }
-    std::string_view payload = records.substr(pos + kRecordHeaderLen, len);
-    uint32_t actual_crc = Crc32c(records.data() + pos, 4);
-    actual_crc = Crc32c(payload.data(), payload.size(), actual_crc);
-    pos += kRecordHeaderLen + len;
-    ++report->records_checked;
-    if (actual_crc != stored_crc) ++report->corrupt_records;
-  }
+// Recovery's walk. Structural damage is counted, never propagated: a CRC
+// mismatch (or an injected cache:recover_record fault, or a payload
+// `apply` rejects) skips that one record; a record that is fully present
+// but larger than `max_len` is skipped individually
+// (records_dropped_oversize); a torn tail ends the scan.
+template <typename Fn>
+void ReplayRecords(std::string_view records, CacheRecoveryStats* stats,
+                   uint32_t max_len, Fn apply) {
+  const bool whole =
+      ScanRecords(records, [&](std::string_view payload, bool crc_ok) {
+        if (payload.size() > max_len) {
+          // The record is intact on disk but violates the configured
+          // bound: drop it alone and keep scanning — never fatal, never
+          // the tail.
+          ++stats->records_dropped_oversize;
+          return;
+        }
+        if (!crc_ok || !FailPoint::Check("cache:recover_record").ok() ||
+            !apply(payload)) {
+          ++stats->records_dropped_checksum;
+        }
+      });
+  if (!whole) ++stats->records_dropped_torn;
 }
 
 // The epoch gate of recovery: a persisted set is only admitted when its
@@ -603,10 +591,10 @@ Status LoadCacheSnapshot(const std::string& path, const Catalog& catalog,
                                    "' is not a SUDAF cache snapshot");
   }
   SetMap sets;
-  ScanRecords(std::string_view(data).substr(kHeaderLen), stats, kMaxRecordLen,
-              [&](std::string_view payload) {
-                return ApplySnapshotRecord(payload, catalog, &sets, stats);
-              });
+  ReplayRecords(std::string_view(data).substr(kHeaderLen), stats,
+                kMaxRecordLen, [&](std::string_view payload) {
+                  return ApplySnapshotRecord(payload, catalog, &sets, stats);
+                });
   for (auto& [sig, set] : sets) {
     (void)sig;
     ++stats->sets_recovered;
@@ -668,11 +656,11 @@ void CachePersistence::Recover() {
   if (vfs_->Exists(snapshot_path())) {
     Result<std::string> data = vfs_->ReadFile(snapshot_path());
     if (data.ok() && CheckHeader(*data, kSnapshotMagic)) {
-      ScanRecords(std::string_view(*data).substr(kHeaderLen), &recovery_,
-                  kMaxRecordLen, [&](std::string_view payload) {
-                    return ApplySnapshotRecord(payload, *catalog_, &sets,
-                                               &recovery_);
-                  });
+      ReplayRecords(std::string_view(*data).substr(kHeaderLen), &recovery_,
+                    kMaxRecordLen, [&](std::string_view payload) {
+                      return ApplySnapshotRecord(payload, *catalog_, &sets,
+                                                 &recovery_);
+                    });
     } else {
       // Unreadable file or foreign/damaged header: the whole snapshot is
       // one torn unit. The WAL may still rebuild recent sets.
@@ -682,12 +670,12 @@ void CachePersistence::Recover() {
   if (vfs_->Exists(wal_path())) {
     Result<std::string> data = vfs_->ReadFile(wal_path());
     if (data.ok() && CheckHeader(*data, kWalMagic)) {
-      ScanRecords(std::string_view(*data).substr(kHeaderLen), &recovery_,
-                  WalRecordBound(wal_limit_.load(std::memory_order_relaxed)),
-                  [&](std::string_view payload) {
-                    return ApplyWalRecord(payload, *catalog_, &sets,
-                                          &recovery_);
-                  });
+      ReplayRecords(std::string_view(*data).substr(kHeaderLen), &recovery_,
+                    WalRecordBound(wal_limit_.load(std::memory_order_relaxed)),
+                    [&](std::string_view payload) {
+                      return ApplyWalRecord(payload, *catalog_, &sets,
+                                            &recovery_);
+                    });
     } else {
       ++recovery_.records_dropped_torn;
     }
@@ -726,7 +714,13 @@ StoreScanReport CachePersistence::VerifyStore() {
       ++report.unreadable_files;
       continue;
     }
-    ScanCrcOnly(std::string_view(*data).substr(kHeaderLen), &report);
+    const bool whole = ScanRecords(
+        std::string_view(*data).substr(kHeaderLen),
+        [&](std::string_view, bool crc_ok) {
+          ++report.records_checked;
+          if (!crc_ok) ++report.corrupt_records;
+        });
+    if (!whole) ++report.torn_tails;
   }
   return report;
 }

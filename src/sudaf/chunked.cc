@@ -1,7 +1,6 @@
 #include "sudaf/chunked.h"
 
 #include <algorithm>
-#include <map>
 
 #include "agg/builtin_kernels.h"
 #include "common/query_guard.h"
@@ -246,21 +245,34 @@ Result<std::unique_ptr<Table>> ChunkedSharingSession::Run(
     SUDAF_ASSIGN_OR_RETURN(PreparedInput input,
                            executor.Prepare(range_stmt, extra_columns, opts));
 
-    // Composite group ids: (chunk id, within-range group id) -> cgid.
+    // Composite group ids: BuildGroups over one INT64 code per row,
+    // chunk × G + group id (the chunk counted from scan_first, G the
+    // range's group count), so a code names its (chunk, group) pair and
+    // composite ids come out in first-occurrence row order.
     SUDAF_ASSIGN_OR_RETURN(BoundColumn ts, input.Bind(chunk_column_));
     const int64_t rows = input.num_input_rows;
-    std::vector<int32_t> cgids(rows);
-    std::map<std::pair<int64_t, int32_t>, int32_t> composite;
-    std::vector<std::pair<int64_t, int32_t>> composite_keys;
+    const int64_t range_groups = std::max<int64_t>(input.num_groups, 1);
+    const int64_t scan_lo = scan_first * chunk_width_;
+    Schema code_schema;
+    SUDAF_RETURN_IF_ERROR(
+        code_schema.AddField(Field{"composite", DataType::kInt64}));
+    Table codes(std::move(code_schema));
+    Column& code_col = codes.column(0);
+    code_col.Reserve(rows);
     for (int64_t i = 0; i < rows; ++i) {
-      std::pair<int64_t, int32_t> key = {
-          ts.col->GetInt64(ts.Row(i)) / chunk_width_, input.group_ids[i]};
-      auto [it, inserted] = composite.emplace(
-          key, static_cast<int32_t>(composite_keys.size()));
-      if (inserted) composite_keys.push_back(key);
-      cgids[i] = it->second;
+      const int64_t chunk = (ts.col->GetInt64(ts.Row(i)) - scan_lo) /
+                            chunk_width_;
+      code_col.AppendInt64(chunk * range_groups + input.group_ids[i]);
     }
-    const int32_t num_cgroups = static_cast<int32_t>(composite_keys.size());
+    codes.FinishBulkAppend();
+    PreparedInput composite;
+    composite.source = &codes;
+    composite.num_input_rows = rows;
+    SUDAF_RETURN_IF_ERROR(BuildGroups({"composite"}, &composite));
+    const std::vector<int32_t>& cgids = composite.group_ids;
+    const int32_t num_cgroups = composite.num_groups;
+    const std::vector<int64_t>& composite_keys =
+        composite.group_keys->column(0).ints();
 
     // Per-class channels at composite granularity.
     SUDAF_ASSIGN_OR_RETURN(
@@ -278,14 +290,14 @@ Result<std::unique_ptr<Table>> ChunkedSharingSession::Run(
     // chunk gets a set of no groups.
     std::vector<std::vector<int32_t>> chunk_cgids(scan_last - scan_first);
     for (int32_t cg = 0; cg < num_cgroups; ++cg) {
-      chunk_cgids[composite_keys[cg].first - scan_first].push_back(cg);
+      chunk_cgids[composite_keys[cg] / range_groups].push_back(cg);
     }
     for (int64_t c = scan_first; c < scan_last; ++c) {
       const std::vector<int32_t>& ids = chunk_cgids[c - scan_first];
       const int32_t n = static_cast<int32_t>(ids.size());
       std::vector<int64_t> key_rows(ids.size());
       for (size_t g = 0; g < ids.size(); ++g) {
-        key_rows[g] = composite_keys[ids[g]].second;
+        key_rows[g] = composite_keys[ids[g]] % range_groups;
       }
       ChunkStates& chunk = chunks[c - first_chunk];
       chunk.set = cache.GetOrCreate(chunk_sig(c),
@@ -315,34 +327,17 @@ Result<std::unique_ptr<Table>> ChunkedSharingSession::Run(
   }
 
   // Merge the chunks with ⊕ in chunk order. Each chunk's groups are
-  // matched on their typed keys onto the merged groups, and groups not
-  // seen before are appended in the order they first appear. Ungrouped
-  // queries have the single implicit group once some chunk has a row.
-  Schema key_schema;
-  for (const std::string& g : stmt->group_by) {
-    SUDAF_ASSIGN_OR_RETURN(const Column* col, table->GetColumn(g));
-    SUDAF_RETURN_IF_ERROR(key_schema.AddField(Field{g, col->type()}));
+  // merged on their typed keys, and groups not seen in an earlier chunk
+  // take the next ids in the order they first appear. Ungrouped queries
+  // have the single implicit group once some chunk has a row.
+  std::vector<GroupKeyTable> key_tables;
+  for (const ChunkStates& chunk : chunks) {
+    key_tables.push_back({chunk.set->group_keys.get(), chunk.set->num_groups});
   }
-  Table group_keys(std::move(key_schema));
-  int32_t num_groups = 0;
-  std::vector<std::vector<int32_t>> remaps(chunks.size());
-  for (size_t k = 0; k < chunks.size(); ++k) {
-    const StateCache::GroupSet& set = *chunks[k].set;
-    if (stmt->group_by.empty()) {
-      remaps[k].assign(set.num_groups, 0);
-      if (set.num_groups > 0) num_groups = 1;
-      continue;
-    }
-    std::vector<int64_t> new_rows;
-    remaps[k] = MatchGroupKeys(group_keys, *set.group_keys, &new_rows);
-    for (int c = 0; c < group_keys.num_columns(); ++c) {
-      group_keys.column(c).AppendRows(set.group_keys->column(c),
-                                      new_rows.data(),
-                                      static_cast<int64_t>(new_rows.size()));
-    }
-    group_keys.FinishBulkAppend();
-    num_groups += static_cast<int32_t>(new_rows.size());
-  }
+  MergedGroupKeys keys = MergeGroupKeys(key_tables);
+  const Table& group_keys = *keys.keys;
+  const int32_t num_groups = keys.num_groups;
+  const std::vector<std::vector<int32_t>>& remaps = keys.remaps;
   std::vector<StateCache::Entry> merged(reps.size());
   for (size_t r = 0; r < reps.size(); ++r) {
     StateCache::Entry& out = merged[r];

@@ -560,37 +560,25 @@ StateCache::GroupSetPtr SudafSession::RefreshGroupSet(
   // groups first occurring in the delta. BuildGroups assigns global ids in
   // first-occurrence row order and the selection vector is ascending, so
   // cached groups keep their ids and new groups land after them in exactly
-  // the order a cold full scan over [0, snap) would have assigned.
+  // the order a cold full scan over [0, snap) would have assigned. An
+  // ungrouped set's key tables have no columns and its one group is 0.
   const Table& old_keys = *stale->group_keys;
-  int32_t new_n = stale->num_groups;
-  std::vector<int32_t> remap(
-      static_cast<size_t>(std::max<int32_t>(delta.num_groups, 0)), 0);
-  std::vector<int64_t> appended_key_rows;
-  if (stmt.group_by.empty()) {
-    if (new_n < 1) new_n = 1;  // the single implicit group
-  } else {
-    if (delta.group_keys == nullptr || old_keys.num_rows() != new_n ||
-        old_keys.num_columns() != delta.group_keys->num_columns()) {
+  if (delta.group_keys == nullptr ||
+      old_keys.num_columns() != delta.group_keys->num_columns() ||
+      (old_keys.num_columns() > 0 ? old_keys.num_rows() != stale->num_groups
+                                  : stale->num_groups > 1)) {
+    return nullptr;
+  }
+  for (int c = 0; c < old_keys.num_columns(); ++c) {
+    if (old_keys.column(c).type() != delta.group_keys->column(c).type()) {
       return nullptr;
     }
-    for (int c = 0; c < old_keys.num_columns(); ++c) {
-      if (old_keys.column(c).type() != delta.group_keys->column(c).type()) {
-        return nullptr;
-      }
-    }
-    remap = MatchGroupKeys(old_keys, *delta.group_keys, &appended_key_rows);
-    new_n += static_cast<int32_t>(appended_key_rows.size());
   }
-  auto ext_keys = std::make_unique<Table>(old_keys.schema());
-  ext_keys->Reserve(old_keys.num_rows() +
-                    static_cast<int64_t>(appended_key_rows.size()));
-  ext_keys->AppendTable(old_keys);
-  for (int c = 0; c < ext_keys->num_columns(); ++c) {
-    ext_keys->column(c).AppendRows(
-        delta.group_keys->column(c), appended_key_rows.data(),
-        static_cast<int64_t>(appended_key_rows.size()));
-  }
-  ext_keys->FinishBulkAppend();
+  MergedGroupKeys merged = MergeGroupKeys(
+      {{&old_keys, stale->num_groups},
+       {delta.group_keys.get(), delta.num_groups}});
+  const int32_t new_n = merged.num_groups;
+  const std::vector<int32_t>& remap = merged.remaps[1];
 
   std::vector<int32_t> group_ids(delta.group_ids.size());
   for (size_t i = 0; i < delta.group_ids.size(); ++i) {
@@ -634,7 +622,7 @@ StateCache::GroupSetPtr SudafSession::RefreshGroupSet(
   // Commit: erase(old) → create(new) → inserts, journaled in WAL order;
   // counts the delta refresh and the delta rows scanned. Null on a lost
   // race — the caller falls back to the cold path.
-  return cache_.CommitRefresh(stale, std::move(ext_keys), new_n, epochs,
+  return cache_.CommitRefresh(stale, std::move(merged.keys), new_n, epochs,
                               snap, std::move(entries), snap - covered, cops);
 }
 

@@ -31,7 +31,6 @@ ClassifiedState ClassifyForPlan(const AggStateDef& state, bool share) {
 std::vector<SharedStatePlan::Slot> SharedStatePlan::AddQuery(
     const std::vector<AggStateDef>& states,
     const std::vector<ClassifiedState>& classified) {
-  const int query = num_queries_++;
   std::vector<Slot> slots(states.size());
   std::vector<int> this_query;  // distinct reps this query requested
   for (size_t i = 0; i < states.size(); ++i) {
@@ -39,7 +38,7 @@ std::vector<SharedStatePlan::Slot> SharedStatePlan::AddQuery(
     auto [it, inserted] = by_key_.try_emplace(
         state.cls.key, static_cast<int>(reps_.size()));
     if (inserted) {
-      reps_.push_back(Rep{&state.cls, &states[i], state.direct, query});
+      reps_.push_back(Rep{&state.cls, &states[i], state.direct});
     }
     const int rep = it->second;
     if (std::find(this_query.begin(), this_query.end(), rep) ==

@@ -62,7 +62,6 @@ class SharedStatePlan {
     // it verbatim (op + input), skipping the class channel machinery.
     const AggStateDef* state = nullptr;
     bool direct = false;
-    int first_query = -1;  // query index that first requested it
     const std::string& key() const { return cls->key; }
   };
 
@@ -80,7 +79,6 @@ class SharedStatePlan {
                              const std::vector<ClassifiedState>& classified);
 
   const std::vector<Rep>& reps() const { return reps_; }
-  int num_queries() const { return num_queries_; }
 
   // Σ over queries of their per-query distinct representatives. (Duplicate
   // states *within* one query don't count — solo execution dedups those
@@ -95,7 +93,6 @@ class SharedStatePlan {
  private:
   std::vector<Rep> reps_;
   std::map<std::string_view, int> by_key_;  // views of the reps' keys
-  int num_queries_ = 0;
   int64_t states_requested_ = 0;
 };
 

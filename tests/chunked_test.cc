@@ -301,5 +301,95 @@ TEST_F(ChunkedTest, ConcurrentInstancesMatchSerialRuns) {
   }
 }
 
+// Chunks below zero: a row's chunk is counted from the scan's first
+// chunk boundary, so ts = -5 lies in [-100, 0), not in chunk 0.
+TEST(ChunkedNegativeTest, NegativeChunkValuesMatchDirectExecution) {
+  // MakeEvents' rows with ts shifted into [-500, 500).
+  std::unique_ptr<Table> events = MakeEvents(5000, 909);
+  auto shifted = std::make_unique<Table>(events->schema());
+  for (int64_t r = 0; r < events->num_rows(); ++r) {
+    shifted->column(0).AppendInt64(events->column(0).GetInt64(r) - 500);
+    shifted->column(1).AppendInt64(events->column(1).GetInt64(r));
+    shifted->column(2).AppendFloat64(events->column(2).GetFloat64(r));
+  }
+  shifted->FinishBulkAppend();
+  Catalog catalog;
+  catalog.PutTable("events", std::move(shifted));
+  SudafSession session(&catalog);
+  ChunkedSharingSession chunked(&session, "events", "ts", 100);
+  for (const std::string sql :
+       {"SELECT grp, sum(v), count(v) FROM events GROUP BY grp ORDER BY grp",
+        // Served from the chunks the full-domain query cached.
+        "SELECT grp, sum(v), count(v) FROM events WHERE ts >= 0 AND "
+        "ts < 100 GROUP BY grp ORDER BY grp",
+        "SELECT grp, sum(v), count(v) FROM events WHERE ts < 200 "
+        "GROUP BY grp ORDER BY grp"}) {
+    SCOPED_TRACE(sql);
+    ASSERT_OK_AND_ASSIGN(QueryResult want,
+                         session.Execute(sql, ExecMode::kSudafNoShare));
+    ASSERT_OK_AND_ASSIGN(std::unique_ptr<Table> got, chunked.Execute(sql));
+    ASSERT_EQ(got->num_rows(), want->num_rows());
+    for (int64_t r = 0; r < got->num_rows(); ++r) {
+      EXPECT_EQ(got->column(0).GetInt64(r), want->column(0).GetInt64(r));
+      ExpectClose(want->column(1).GetNumeric(r), got->column(1).GetNumeric(r),
+                  1e-9);
+      EXPECT_EQ(got->column(2).GetNumeric(r), want->column(2).GetNumeric(r));
+    }
+  }
+}
+
+// Over rows in chunk-column order, merging the chunks' groupings in chunk
+// order reproduces a direct execution's first-occurrence key order: with
+// no ORDER BY, the chunked answer's key column equals the direct one row
+// for row, whether a chunk comes from the cache or from the covering scan.
+TEST(ChunkedKeyOrderTest, GroupedKeysFollowDirectExecutionOrder) {
+  Schema schema;
+  ASSERT_OK(schema.AddField({"ts", DataType::kInt64}));
+  ASSERT_OK(schema.AddField({"tag", DataType::kString}));
+  ASSERT_OK(schema.AddField({"v", DataType::kFloat64}));
+  auto events = std::make_unique<Table>(std::move(schema));
+  Rng rng(2026);
+  for (int64_t ts = 0; ts < 1000; ++ts) {
+    for (int r = 0; r < 4; ++r) {
+      events->column(0).AppendInt64(ts);
+      // Tags spread as ts grows, so later chunks bring new keys.
+      events->column(1).AppendString(
+          "t" + std::to_string(rng.NextBelow(static_cast<uint64_t>(
+                    5 + ts / 20))));
+      events->column(2).AppendFloat64(rng.NextDoubleIn(0.5, 9.5));
+    }
+  }
+  events->FinishBulkAppend();
+  Catalog catalog;
+  catalog.PutTable("events", std::move(events));
+  SudafSession session(&catalog);
+  ChunkedSharingSession chunked(&session, "events", "ts", 100);
+
+  auto expect_same_keys = [&](const std::string& sql) {
+    SCOPED_TRACE(sql);
+    ASSERT_OK_AND_ASSIGN(QueryResult want,
+                         session.Execute(sql, ExecMode::kSudafNoShare));
+    ASSERT_OK_AND_ASSIGN(std::unique_ptr<Table> got, chunked.Execute(sql));
+    ASSERT_EQ(got->num_rows(), want->num_rows());
+    ASSERT_GT(got->num_rows(), 20);
+    for (int64_t r = 0; r < got->num_rows(); ++r) {
+      ASSERT_EQ(got->column(0).GetString(r), want->column(0).GetString(r))
+          << "row " << r;
+      EXPECT_EQ(got->column(1).GetNumeric(r), want->column(1).GetNumeric(r))
+          << "row " << r;
+    }
+  };
+  expect_same_keys(
+      "SELECT tag, count(v) FROM events WHERE ts >= 300 AND ts < 600 "
+      "GROUP BY tag");
+  EXPECT_EQ(chunked.last_stats().chunks_computed, 3);
+  // Cached chunks 3-5 merge with chunks computed before and after them.
+  expect_same_keys(
+      "SELECT tag, count(v) FROM events WHERE ts >= 100 AND ts < 900 "
+      "GROUP BY tag");
+  EXPECT_EQ(chunked.last_stats().chunks_from_cache, 3);
+  EXPECT_EQ(chunked.last_stats().chunks_computed, 5);
+}
+
 }  // namespace
 }  // namespace sudaf

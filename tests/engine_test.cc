@@ -250,11 +250,11 @@ TEST_F(EngineTest, GatherRowsReordersAll) {
   EXPECT_EQ(picked->column(0).GetInt64(1), 1);
 }
 
-// --- MatchGroupKeys ----------------------------------------------------------
+// --- MergeGroupKeys: matching a delta's keys onto cached keys ---------------
 
 // A group-key table over `keys`: one INT64 column, or (as_strings) the
 // same keys as decimal STRINGs, or (with_zero) INT64 keys beside a
-// constant INT64 column. The last two always match through the hash.
+// constant INT64 column. The last always matches through the hash loop.
 std::unique_ptr<Table> KeyTable(const std::vector<int64_t>& keys,
                                 bool as_strings = false,
                                 bool with_zero = false) {
@@ -283,13 +283,42 @@ struct Match {
   bool operator==(const Match&) const = default;
 };
 
+// Merges the key table of `more` onto that of `keys`: the remap of each
+// row of `more`, and the rows of `more` that `keys` lacks, in the order
+// the merged table appends them.
 Match MatchOn(const std::vector<int64_t>& keys,
               const std::vector<int64_t>& more, bool as_strings,
               bool with_zero) {
+  const std::unique_ptr<Table> a = KeyTable(keys, as_strings, with_zero);
+  const std::unique_ptr<Table> b = KeyTable(more, as_strings, with_zero);
+  const MergedGroupKeys merged = MergeGroupKeys(
+      {{a.get(), a->num_rows()}, {b.get(), b->num_rows()}});
   Match m;
-  m.remap = MatchGroupKeys(*KeyTable(keys, as_strings, with_zero),
-                           *KeyTable(more, as_strings, with_zero),
-                           &m.new_rows);
+  m.remap = merged.remaps[1];
+  for (size_t g = 0; g < more.size(); ++g) {
+    if (m.remap[g] >= static_cast<int32_t>(keys.size())) {
+      m.new_rows.push_back(static_cast<int64_t>(g));
+    }
+  }
+  // The cached rows keep their ids, and the merged table is the cached
+  // keys followed by the new rows.
+  std::vector<int32_t> identity(keys.size());
+  for (size_t r = 0; r < keys.size(); ++r) {
+    identity[r] = static_cast<int32_t>(r);
+  }
+  EXPECT_EQ(merged.remaps[0], identity);
+  EXPECT_EQ(merged.num_groups,
+            static_cast<int32_t>(keys.size() + m.new_rows.size()));
+  EXPECT_EQ(merged.keys->num_rows(), merged.num_groups);
+  for (int64_t r = 0; r < merged.keys->num_rows(); ++r) {
+    const Table& src = r < a->num_rows() ? *a : *b;
+    const int64_t row =
+        r < a->num_rows() ? r : m.new_rows[r - a->num_rows()];
+    for (int c = 0; c < src.num_columns(); ++c) {
+      EXPECT_EQ(merged.keys->column(c).GetValue(r).ToString(),
+                src.column(c).GetValue(row).ToString());
+    }
+  }
   return m;
 }
 
@@ -345,6 +374,157 @@ TEST(MatchGroupKeysTest, WideRangeFallsBackToTheHash) {
   Rng rng(12);
   ExpectMatchesHashPath(DistinctKeys(&rng, 0, 5000, 500),
                         DistinctKeys(&rng, 2000, 5000, 500));
+}
+
+// --- MergeGroupKeys over k key tables ----------------------------------------
+
+// Rows of (k1 dense INT64, kw wide INT64, ks STRING, k2 small INT64). The
+// first `no_late_strings` rows never hold the strings "late0".."late4",
+// so a table cut from them lacks strings later tables share.
+std::unique_ptr<Table> MergeSource(int64_t n, int64_t no_late_strings,
+                                   Rng* rng) {
+  Schema schema;
+  SUDAF_CHECK(schema.AddField({"k1", DataType::kInt64}).ok());
+  SUDAF_CHECK(schema.AddField({"kw", DataType::kInt64}).ok());
+  SUDAF_CHECK(schema.AddField({"ks", DataType::kString}).ok());
+  SUDAF_CHECK(schema.AddField({"k2", DataType::kInt64}).ok());
+  auto table = std::make_unique<Table>(std::move(schema));
+  for (int64_t i = 0; i < n; ++i) {
+    const int64_t v = static_cast<int64_t>(rng->NextBelow(300));
+    table->column(0).AppendInt64(v - 150);
+    table->column(1).AppendInt64((v % 97) * 1000000007LL);
+    const uint64_t s = rng->NextBelow(i < no_late_strings ? 30 : 35);
+    table->column(2).AppendString(s < 30 ? "s" + std::to_string(s)
+                                         : "late" + std::to_string(s - 30));
+    table->column(3).AppendInt64(static_cast<int64_t>(rng->NextBelow(4)));
+  }
+  table->FinishBulkAppend();
+  return table;
+}
+
+// Rows [lo, hi) of `t` as a table of their own: STRING columns get their
+// own dictionary, in the part's first-occurrence order.
+std::unique_ptr<Table> RowsOf(const Table& t, int64_t lo, int64_t hi) {
+  std::vector<int64_t> rows;
+  for (int64_t r = lo; r < hi; ++r) rows.push_back(r);
+  return GatherRows(t, rows);
+}
+
+PreparedInput GroupAll(const Table& t, const std::vector<std::string>& keys) {
+  PreparedInput in;
+  in.source = &t;
+  in.num_input_rows = t.num_rows();
+  SUDAF_CHECK(BuildGroups(keys, &in).ok());
+  return in;
+}
+
+// Splits `source` at `cuts` into k key tables (each grouped on its own),
+// merges them, and expects the ids, key rows and STRING dictionaries that
+// BuildGroups gives the concatenated rows.
+void ExpectMergeEqualsConcatenation(const Table& source,
+                                    const std::vector<std::string>& keys,
+                                    const std::vector<int64_t>& cuts) {
+  const PreparedInput whole = GroupAll(source, keys);
+  std::vector<std::unique_ptr<Table>> parts;
+  std::vector<PreparedInput> grouped;
+  std::vector<GroupKeyTable> tables;
+  int64_t lo = 0;
+  for (size_t t = 0; t <= cuts.size(); ++t) {
+    const int64_t hi = t < cuts.size() ? cuts[t] : source.num_rows();
+    parts.push_back(RowsOf(source, lo, hi));
+    grouped.push_back(GroupAll(*parts.back(), keys));
+    lo = hi;
+  }
+  for (const PreparedInput& g : grouped) {
+    tables.push_back({g.group_keys.get(), g.num_groups});
+  }
+  const MergedGroupKeys merged = MergeGroupKeys(tables);
+
+  ASSERT_EQ(merged.num_groups, whole.num_groups);
+  ASSERT_EQ(merged.remaps.size(), tables.size());
+  int64_t offset = 0;
+  for (size_t t = 0; t < grouped.size(); ++t) {
+    ASSERT_EQ(merged.remaps[t].size(),
+              static_cast<size_t>(grouped[t].num_groups))
+        << "table " << t;
+    for (int64_t i = 0; i < grouped[t].num_input_rows; ++i) {
+      ASSERT_EQ(merged.remaps[t][grouped[t].group_ids[i]],
+                whole.group_ids[offset + i])
+          << "table " << t << " row " << i;
+    }
+    offset += grouped[t].num_input_rows;
+  }
+  const Table& a = *merged.keys;
+  const Table& b = *whole.group_keys;
+  ASSERT_EQ(a.num_columns(), b.num_columns());
+  ASSERT_EQ(a.num_rows(), b.num_rows());
+  for (int c = 0; c < a.num_columns(); ++c) {
+    ASSERT_EQ(a.column(c).type(), b.column(c).type());
+    ASSERT_EQ(a.column(c).num_chunks(), 1);
+    if (a.column(c).type() == DataType::kString) {
+      EXPECT_EQ(a.column(c).string_codes(), b.column(c).string_codes());
+      EXPECT_EQ(a.column(c).dictionary(), b.column(c).dictionary());
+    } else {
+      EXPECT_EQ(a.column(c).ints(), b.column(c).ints());
+    }
+  }
+}
+
+TEST(MergeGroupKeysTest, KTablesEqualGroupingTheConcatenatedRows) {
+  constexpr int64_t kRows = 6000;
+  Rng rng(20261020);
+  const std::unique_ptr<Table> source = MergeSource(kRows, 1500, &rng);
+  const std::vector<std::vector<std::string>> key_sets = {
+      {"k1"}, {"kw"}, {"ks"}, {"k1", "ks"}, {"ks", "k2"}, {}};
+  const std::vector<std::vector<int64_t>> splits = {
+      {1500, 3000},                    // k = 3
+      {1500, 1500, 2000, 4100, 5999},  // k = 6, one empty, one single row
+      {10, 20, 30, 40, 50, 60, 70, 80, 90, 100, 1500},  // k = 12
+  };
+  for (const std::vector<std::string>& keys : key_sets) {
+    for (const std::vector<int64_t>& cuts : splits) {
+      std::string what = "keys:";
+      for (const std::string& k : keys) what += " " + k;
+      SCOPED_TRACE(what + ", k = " + std::to_string(cuts.size() + 1));
+      ExpectMergeEqualsConcatenation(*source, keys, cuts);
+    }
+  }
+}
+
+// The first table lacks every "late" string, and two later tables hold
+// them in different dictionary orders: each must land on one merged group.
+TEST(MergeGroupKeysTest, StringsAbsentFromTheFirstTableShareOneId) {
+  auto strings = [](const std::vector<std::string>& keys) {
+    Schema schema;
+    SUDAF_CHECK(schema.AddField({"ks", DataType::kString}).ok());
+    auto t = std::make_unique<Table>(std::move(schema));
+    for (const std::string& k : keys) t->column(0).AppendString(k);
+    t->FinishBulkAppend();
+    return t;
+  };
+  const auto a = strings({"x", "y"});
+  const auto b = strings({"late1", "y", "late0"});
+  const auto c = strings({"late0", "z", "late1", "x"});
+  const MergedGroupKeys m =
+      MergeGroupKeys({{a.get(), 2}, {b.get(), 3}, {c.get(), 4}});
+  EXPECT_EQ(m.num_groups, 5);
+  EXPECT_EQ(m.remaps[0], (std::vector<int32_t>{0, 1}));
+  EXPECT_EQ(m.remaps[1], (std::vector<int32_t>{2, 1, 3}));
+  EXPECT_EQ(m.remaps[2], (std::vector<int32_t>{3, 4, 2, 0}));
+  EXPECT_EQ(m.keys->column(0).dictionary(),
+            (std::vector<std::string>{"x", "y", "late1", "late0", "z"}));
+}
+
+TEST(MergeGroupKeysTest, UngroupedTablesMergeIntoOneGroup) {
+  const Table none{Schema()};
+  MergedGroupKeys m = MergeGroupKeys({{&none, 1}, {&none, 0}, {&none, 1}});
+  EXPECT_EQ(m.num_groups, 1);
+  EXPECT_EQ(m.keys->num_columns(), 0);
+  EXPECT_EQ(m.remaps[0], std::vector<int32_t>{0});
+  EXPECT_TRUE(m.remaps[1].empty());
+  EXPECT_EQ(m.remaps[2], std::vector<int32_t>{0});
+  m = MergeGroupKeys({{&none, 0}, {&none, 0}, {&none, 0}});
+  EXPECT_EQ(m.num_groups, 0);
 }
 
 }  // namespace
